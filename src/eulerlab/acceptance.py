@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,29 +120,18 @@ def check_nonvanishing(grid=64):
     return {"min_norm_B05": m1, "min_norm_B05_C01": m2, "min_norm_111": m3}, passed
 
 
-def _exponent_worker(job):
-    """Module-level worker so the chaos battery can use a process pool."""
-    amplitudes, x0, T, renorm, tol = job
-    v = sp.make_abc(sp.ABCParams(*amplitudes))
-    return dyn.lyapunov_max(v, np.array(x0), T, renorm, tol=tol).lambda_max
+def check_chaos_proxy(T=1e4, tol=1e-9, renorm=5.0):
+    """Criterion 4: integrable baselines stay flat, the showcase regime does not.
 
-
-def check_chaos_proxy(T=1e4, tol=1e-9, renorm=5.0, jobs=1):
-    """Criterion 4: integrable baselines stay flat, the showcase regime does not."""
-    baseline_jobs = []
+    Each field runs its seeds as one lane batch."""
+    baseline = []
     for b in (0.25, 0.5, 0.75):
-        for x0 in dyn.random_torus_seeds(10, base_key=23):
-            baseline_jobs.append(((1.0, b, 0.0), list(x0), T, renorm, tol))
-    chaos_jobs = [((1.0, 0.5, 0.1), list(x0), T, renorm, tol)
-                  for x0 in dyn.separatrix_seeds(0.5, 20)]
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            baseline = list(pool.map(_exponent_worker, baseline_jobs))
-            chaos = list(pool.map(_exponent_worker, chaos_jobs))
-    else:
-        baseline = [_exponent_worker(j) for j in baseline_jobs]
-        chaos = [_exponent_worker(j) for j in chaos_jobs]
+        v = sp.make_abc(sp.ABCParams(1.0, b, 0.0))
+        x0s = dyn.random_torus_seeds(10, base_key=23)
+        baseline += [e.lambda_max for e in dyn.lyapunov_max(v, x0s, T, renorm, tol)]
+    v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1))
+    x0s = dyn.separatrix_seeds(0.5, 20)
+    chaos = [e.lambda_max for e in dyn.lyapunov_max(v, x0s, T, renorm, tol)]
 
     base_max = float(np.max(np.abs(baseline)))
     chaos_max = float(np.max(chaos))
@@ -418,7 +406,7 @@ def check_reproducibility(out_dir):
     return {"identical": identical, "files_compared": len(hashes[0]) + len(hashes[2])}, identical
 
 
-def run_suite(level="quick", out_dir=None, jobs=1):
+def run_suite(level="quick", out_dir=None):
     """Run the acceptance battery; returns a summary dict and prints one
     pass/fail line per criterion."""
     if level not in ("quick", "full"):
@@ -456,8 +444,7 @@ def run_suite(level="quick", out_dir=None, jobs=1):
     record(8, "projector and compression machinery", check_compression_machinery, ctx)
 
     if level == "full":
-        record(4, "chaos proxy vs integrable baseline", check_chaos_proxy, 1e4, 1e-9,
-               5.0, jobs)
+        record(4, "chaos proxy vs integrable baseline", check_chaos_proxy, 1e4, 1e-9, 5.0)
 
     repro = record(9, "reproducibility (byte-identical reruns)", check_reproducibility,
                    os.path.join(out_dir, "determinism"))

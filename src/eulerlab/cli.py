@@ -1,7 +1,7 @@
 """Batch command-line interface.
 
-    eulerlab run --config experiment.json [--out DIR] [--seed N] [--jobs N]
-    eulerlab verify [--level quick|full] [--out DIR] [--jobs N]
+    eulerlab run --config experiment.json [--out DIR] [--seed N]
+    eulerlab verify [--level quick|full] [--out DIR]
 
 Exit codes: 0 all assertions pass, 1 compute or assertion failure,
 2 invalid configuration.  EULERLAB_OUT sets the default output root.
@@ -27,12 +27,10 @@ def _build_parser():
     run_p.add_argument("--config", required=True, help="path to a JSON config")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker pool size")
 
     ver_p = sub.add_parser("verify", help="run the acceptance battery")
     ver_p.add_argument("--level", choices=("quick", "full"), default="quick")
     ver_p.add_argument("--out", default=None, help="output directory")
-    ver_p.add_argument("--jobs", type=int, default=1, help="worker pool size")
     return parser
 
 
@@ -55,7 +53,7 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         try:
-            record = runner.run(cfg, out_dir=args.out, jobs=args.jobs)
+            record = runner.run(cfg, out_dir=args.out)
         except ComputeFailure as exc:
             print(f"compute error: {exc}", file=sys.stderr)
             return 1
@@ -65,7 +63,7 @@ def main(argv=None) -> int:
         print(f"wrote {len(record.files)} files to {record.out_dir}")
         return 0 if record.ok else 1
 
-    summary = runner.verify_suite(level=args.level, out_dir=args.out, jobs=args.jobs)
+    summary = runner.verify_suite(level=args.level, out_dir=args.out)
     return 0 if summary["all_passed"] else 1
 
 

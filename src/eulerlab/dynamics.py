@@ -1,12 +1,15 @@
 """Trajectory integration on the 3-torus and chaos diagnostics.
 
-Integration uses an adaptive embedded Runge-Kutta pair of order 8 with
-dense output (scipy's DOP853 stepper), driven step by step so that rejected
-attempts can be counted and the dense interpolants scanned for section
-crossings.  The field and its Jacobian are evaluated by exact trig
-summation from the spectral coefficients.  Positive topological entropy is
-proxied by the largest Lyapunov exponent (tangent flow with periodic
-renormalization); reports label it as a proxy.
+Integration uses the adaptive embedded Runge-Kutta pair of order 8 by
+Dormand and Prince (DOP853).  `_dop853` is a numpy implementation that
+advances many initial conditions at once as lanes, each with its own step
+size control; Lyapunov runs batch all their seeds through it and rescale
+the tangent vector in place, without restarting the integrator.  Poincare
+sections scan the dense interpolants of scipy's DOP853 for crossings.  The
+field and its Jacobian are evaluated by exact trig summation from the
+spectral coefficients.  Positive topological entropy is proxied by the
+largest Lyapunov exponent (tangent flow with periodic renormalization);
+reports label it as a proxy.
 """
 
 from __future__ import annotations
@@ -74,48 +77,214 @@ class FirstIntegralReport:
     derivative_sup: float
 
 
-class _CountingDOP853(DOP853):
-    """DOP853 that counts error-norm evaluations, i.e. step attempts."""
+# Dormand-Prince 8(5,3) coefficients (Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, 1993), as published on scipy's DOP853.
+_A, _B, _C = DOP853.A, DOP853.B, DOP853.C
+# error weights; the 3rd-order row is scaled by 1/10 so that its squared
+# norm carries scipy's weight 0.01
+_E = np.stack([DOP853.E5, 0.1 * DOP853.E3])
+_STAGES = DOP853.n_stages  # right-hand sides per attempt
+# stage and solution weights over Z = [y, h K_0, ..., h K_{STAGES-1}]
+_ZA = [np.concatenate([[1.0], _A[s, :s]]) for s in range(_STAGES)]
+_ZB = np.concatenate([[1.0], _B])
 
-    def __init__(self, *args, **kwargs):
-        self.attempts = 0
-        super().__init__(*args, **kwargs)
-
-    def _estimate_error_norm(self, K, h, scale):
-        self.attempts += 1
-        return super()._estimate_error_norm(K, h, scale)
+# step-size control of scipy's DOP853; -1/8 is -1 / (error order 7 + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 
-def _make_solver(rhs, t0, y0, t1, tol):
+@dataclass(frozen=True)
+class _Run:
+    y: np.ndarray         # (L, n) states at the end
+    logs: np.ndarray      # (L, chunks) log norms removed at each renormalization
+    attempts: np.ndarray  # (L,) step attempts, accepted or rejected
+
+
+def _rms(z):
+    return np.sqrt(np.einsum("ln,ln->l", z, z) / z.shape[1])[:, None]
+
+
+def _initial_step(rhs, y, f, tol, span):
+    """Per-lane first step (column), by the rule of scipy's select_initial_step."""
+    scale = tol + np.abs(y) * tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, span)
+    d2 = _rms((rhs(None, y + h0 * f) - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0))
+    return np.minimum(np.minimum(100.0 * h0, h1), span)
+
+
+def _stage_views(Z):
+    """(weights, rows they weigh, row to fill) for stages 1 .. STAGES-1 of Z."""
+    return [(_ZA[s], Z[:s + 1], Z[s + 1]) for s in range(1, _STAGES)]
+
+
+def _dop853(rhs, y0, tol, t_end, renorm=None, trajectory=None):
+    """Advance the rows of y0 (lanes) from t = 0 to t_end with DOP853.
+
+    Every lane runs its own step-size control with scipy's rules at
+    rtol = atol = tol: safety 0.9, step factor in [0.2, 10], exponent -1/8,
+    no growth on the step after a rejection, StepSizeUnderflow below ten
+    ulps of t.  Steps are clipped to land on the lane's next boundary:
+    t_end or, with `renorm`, every k * renorm for k up to
+    round(t_end / renorm).  At a renorm boundary the tangent block
+    y[:, 3:] is divided by its norm, and so is its stored derivative (first
+    same as last; J w is linear in w), so the integration goes on without
+    a restart.  Lanes that are done leave the batch.  All contractions are
+    einsums, never BLAS, so each lane's arithmetic is bitwise independent
+    of the other lanes.  `trajectory`, for a single lane, collects (t, y)
+    after every accepted step.  `rhs(t, Y)` must be autonomous; it is
+    called with t = None.
+    """
     y0 = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(rhs(t0, y0))):
+    L, n = y0.shape
+    chunks = 1 if renorm is None else int(round(t_end / renorm))
+    span = t_end if renorm is None else renorm
+    run = _Run(y=np.empty_like(y0), logs=np.zeros((L, chunks)),
+               attempts=np.zeros(L, dtype=int))
+    f = rhs(None, y0)
+    if not np.all(np.isfinite(f)):
         raise StepSizeUnderflow("right-hand side not finite at the initial state")
-    return _CountingDOP853(rhs, t0, y0, t1, rtol=tol, atol=tol)
+    # Z[0] is y, Z[1 + s] is h times stage s; the last row holds h f(y_new)
+    Z = np.empty((_STAGES + 2, L, n))
+    Z[0] = y0
+    stages = _stage_views(Z)
+    lane = np.arange(L)
+    chunk = np.zeros(L, dtype=int)
+    # per-lane scalars are (L, 1) columns so that they broadcast over y
+    t = np.zeros((L, 1))
+    bound = np.full((L, 1), float(span))
+    cap = np.full((L, 1), _MAX_FACTOR)  # 1 right after a rejection
+    attempt = 0
+    tol2n = n * tol * tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = _initial_step(rhs, y0, f, tol, span)
+        while lane.size:
+            attempt += 1
+            small = h < 10.0 * np.spacing(t)
+            if np.count_nonzero(small):
+                stalled = small & (cap == 1.0)
+                if np.count_nonzero(stalled):
+                    raise StepSizeUnderflow(f"step size underflow at t = {t[stalled][0]:.6g}")
+                h = np.where(small, 10.0 * np.spacing(t), h)
+            t_new = np.minimum(t + h, bound)
+            h = t_new - t
+            np.multiply(f, h, out=Z[1])
+            for weights, done_stages, stage in stages:
+                np.multiply(rhs(None, np.einsum("j,jln->ln", weights, done_stages)), h,
+                            out=stage)
+            y_new = np.einsum("j,jln->ln", _ZB, Z[:_STAGES + 1])
+            f_new = rhs(None, y_new)
+            np.multiply(f_new, h, out=Z[-1])
+
+            # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), e5 and e3 the
+            # squared norms of K^T E over tol (1 + max(|y|, |y_new|)); with h K
+            # in Z the factors of h cancel, and those of tol are in tol2n
+            err = np.einsum("ej,jln->eln", _E, Z[1:])
+            scale = np.maximum(np.abs(Z[0]), np.abs(y_new))
+            scale += 1.0
+            err /= scale
+            e5, e3 = np.einsum("eln,eln->el", err, err).reshape(2, -1, 1)
+            norm = np.where(e5 == 0.0, 0.0, e5 / np.sqrt((e5 + e3) * tol2n))
+            ok = norm < 1.0
+            # accepted: norm < 1, so the factor is above 0.9 and only the cap
+            # applies; rejected (NaN included): at most 0.9, at least 0.2
+            h *= np.fmin(np.fmax(_SAFETY * norm ** _EXPONENT, _MIN_FACTOR), cap)
+            cap = np.where(ok, _MAX_FACTOR, 1.0)
+            t = np.where(ok, t_new, t)
+            np.copyto(Z[0], y_new, where=ok)
+            np.copyto(f, f_new, where=ok)
+            if trajectory is not None and ok[0, 0]:
+                trajectory.append((float(t[0, 0]), Z[0, 0].copy()))
+
+            landed = t == bound  # only a step just accepted lands
+            if not np.count_nonzero(landed):
+                continue
+            landed = np.flatnonzero(landed)
+            if renorm is not None:
+                nrm = np.linalg.norm(Z[0, landed, 3:], axis=1)[:, None]
+                run.logs[lane[landed], chunk[landed]] = np.log(nrm[:, 0])
+                Z[0, landed, 3:] /= nrm
+                f[landed, 3:] /= nrm
+            chunk[landed] += 1
+            bound[landed] = (chunk[landed, None] + 1) * span
+            done = chunk == chunks
+            if np.count_nonzero(done):
+                run.y[lane[done]] = Z[0, done]
+                run.attempts[lane[done]] = attempt
+                keep = ~done
+                lane, chunk, t, bound, cap, h, f = (
+                    a[keep] for a in (lane, chunk, t, bound, cap, h, f))
+                Z = np.ascontiguousarray(Z[:, keep])
+                stages = _stage_views(Z)
+    return run
 
 
 def field_rhs(v: SpectralVectorField):
-    """RHS closure dx/dt = v(x) by direct trig summation."""
+    """RHS closure dx/dt = v(x) by direct trig summation; x of shape (3,) or (L, 3)."""
     K, C = v.mode_arrays()
 
     def rhs(t, y):
-        e = np.exp(1j * (K @ y))
+        e = np.exp(1j * (y @ K.T))
         return (e @ C).real
 
     return rhs
 
 
-def tangent_rhs(v: SpectralVectorField, ncols):
-    """RHS for (x, W) with W a 3 x ncols tangent block, dW = J(x) W."""
-    K, C = v.mode_arrays()
-    iK = 1j * K
+def tangent_rhs(v: SpectralVectorField, ncols=1):
+    """Batched RHS for lanes (x, W), W a 3 x ncols tangent block: dW = J(x) W.
+
+    A lane is a row [x, W.ravel()] of the (L, 3 + 3 ncols) state.  Each
+    pair of modes +-k is folded into one wavevector k with cosine and sine
+    coefficients P, Q, so that with theta_m = k_m . x the field is
+    sum_m P_m cos theta_m - Q_m sin theta_m and J W = -sum_m (Q_m cos
+    theta_m + P_m sin theta_m) (k_m . W).  Both contractions are einsums
+    over fixed block matrices.  The returned function reuses its work arrays
+    from call to call, so one instance must not run in two threads at once.
+    """
+    index, ks, P, Q = {}, [], [], []
+    for k, coef in zip(*v.mode_arrays()):
+        i = index.get(tuple(-k))
+        if i is None:
+            index[tuple(k)] = len(ks)
+            ks.append(k)
+            P.append(coef.real)
+            Q.append(coef.imag)
+        else:  # cos is even and sin odd in k
+            P[i] = P[i] + coef.real
+            Q[i] = Q[i] - coef.imag
+    K = np.array(ks).reshape(-1, 3)
+    P, Q = np.array(P).reshape(-1, 3), np.array(Q).reshape(-1, 3)
+    m = len(K)
+    # phases a[:, j]: theta_m for j = 0, k_m . W[:, c] for j = 1 + c
+    to_phase = np.zeros((3 + 3 * ncols, 1 + ncols, m))
+    to_phase[:3, 0] = K.T
+    # [cos, sin] x [1, k_m . W[:, c] for each c] x modes -> state derivative
+    to_rate = np.zeros((2, 1 + ncols, m, 3 + 3 * ncols))
+    to_rate[0, 0, :, :3] = P
+    to_rate[1, 0, :, :3] = -Q
+    for c in range(ncols):
+        cols = 3 + np.arange(3) * ncols + c
+        to_phase[cols, 1 + c] = K.T
+        to_rate[0, 1 + c, :, cols] = -Q.T
+        to_rate[1, 1 + c, :, cols] = -P.T
+
+    scratch = {}  # lane count -> work arrays and their views, so calls allocate less
 
     def rhs(t, y):
-        x = y[:3]
-        W = y[3:].reshape(3, ncols)
-        e = np.exp(1j * (K @ x))
-        vx = (e @ C).real
-        J = ((C * e[:, None]).T @ iK).real
-        return np.concatenate([vx, (J @ W).ravel()])
+        L = len(y)
+        if L not in scratch:
+            a = np.empty((L, 1 + ncols, m))
+            z = np.empty((L, 2, 1 + ncols, m))
+            scratch[L] = (a, a[:, 0], a[:, None, 1:], z, z[:, 0, 0], z[:, 1, 0],
+                          z[:, :, :1], z[:, :, 1:])
+        a, theta, kw, z, cos, sin, trig, prod = scratch[L]
+        np.einsum("ln,njm->ljm", y, to_phase, out=a)
+        np.cos(theta, out=cos)
+        np.sin(theta, out=sin)
+        np.multiply(trig, kw, out=prod)
+        return np.einsum("lsjm,sjmn->ln", z, to_rate)
 
     return rhs
 
@@ -126,36 +295,24 @@ def integrate(v: SpectralVectorField, x0, T: float, tol: float) -> Trajectory:
         raise ValueError("T must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rhs = field_rhs(v)
-    ts = [0.0]
-    ys = [np.asarray(x0, dtype=float)]
-    solver = _make_solver(rhs, 0.0, ys[0], T, tol)
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(f"controller stalled at t = {solver.t:.6g}")
-        ts.append(solver.t)
-        ys.append(solver.y.copy())
-    steps = len(ts) - 1
+    x0 = np.asarray(x0, dtype=float)
+    samples = [(0.0, x0)]
+    run = _dop853(field_rhs(v), x0[None], tol, T, trajectory=samples)
+    ts, ys = zip(*samples)
+    steps, attempts = len(samples) - 1, int(run.attempts[0])
     return Trajectory(
         ts=np.array(ts),
         xs=np.mod(np.array(ys), TWO_PI),
         steps=steps,
-        rejected=max(0, solver.attempts - steps),
-        nfev=solver.nfev,
+        rejected=attempts - steps,
+        nfev=2 + _STAGES * attempts,  # initial derivative and first-step probe
         tol=tol,
     )
 
 
 def endpoint(v, x0, T, tol):
     """Unwrapped endpoint of the flow after time T (cover-space coordinates)."""
-    rhs = field_rhs(v)
-    solver = _make_solver(rhs, 0.0, x0, T, tol)
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(f"controller stalled at t = {solver.t:.6g}")
-    return solver.y.copy()
+    return _dop853(field_rhs(v), np.asarray(x0, dtype=float)[None], tol, T).y[0]
 
 
 def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
@@ -173,8 +330,11 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
     if direction == 0:
         raise ValueError("direction must be +1 or -1")
     rhs = field_rhs(v)
+    x0 = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(rhs(0.0, x0))):
+        raise StepSizeUnderflow("right-hand side not finite at the initial state")
     hits_t, hits_x, hits_r = [], [], []
-    solver = _make_solver(rhs, 0.0, x0, max_time, tol)
+    solver = DOP853(rhs, 0.0, x0, max_time, rtol=tol, atol=tol)
     while solver.status == "running" and len(hits_t) < N:
         solver.step()
         if solver.status == "failed":
@@ -191,8 +351,8 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
             mhi = math.floor((max(qa, qb) - level) / TWO_PI)
             for m in range(mlo, mhi + 1):
                 target = level + TWO_PI * m
-                if (qa - target) == 0.0 and a > 0:
-                    continue  # counted by the previous bracket
+                if qa == target:
+                    continue  # the start point, or counted by the previous bracket
                 if (qa - target) * (qb - target) > 0:
                     continue
                 tc = brentq(lambda s: seg(s)[axis] - target, lo, hi, xtol=1e-14)
@@ -221,55 +381,41 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
     )
 
 
-def lyapunov_max(v: SpectralVectorField, x0, T: float, renorm: float,
-                 tol=1e-9) -> LyapunovEstimate:
-    """Largest Lyapunov exponent by tangent-flow renormalization.
+def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
+                 tol=1e-9):
+    """Largest Lyapunov exponents by tangent-flow renormalization (Benettin et al. 1980).
 
-    Integrates (x, w) with dw = J(x) w, rescaling w to unit length every
-    `renorm` time units and averaging the accumulated log stretching.  The
-    Jacobian comes from exact spectral differentiation of the field.
+    Integrates (x, w) with dw = J(x) w for every start point at once, one
+    lane each, rescaling w to unit length every `renorm` time units and
+    averaging the accumulated log stretching.  The Jacobian comes from
+    exact spectral differentiation of the field.  `x0s` of shape (L, 3)
+    gives a list of L estimates; a single point of shape (3,) gives one.
     """
     if not (T > renorm > 0):
         raise ValueError("need T >> renorm > 0")
-    rhs = tangent_rhs(v, 1)
-    x = np.asarray(x0, dtype=float)
-    w = np.array([0.6, 0.64, 0.48])
-    w /= np.linalg.norm(w)
-    chunks = int(round(T / renorm))
-    log_sum = 0.0
-    history = []
-    t = 0.0
-    for _ in range(chunks):
-        y0 = np.concatenate([x, w])
-        solver = _make_solver(rhs, t, y0, t + renorm, tol)
-        while solver.status == "running":
-            solver.step()
-            if solver.status == "failed":
-                raise StepSizeUnderflow(f"controller stalled at t = {solver.t:.6g}")
-        t = solver.t
-        x = solver.y[:3]
-        w = solver.y[3:]
-        nrm = np.linalg.norm(w)
-        log_sum += math.log(nrm)
-        w /= nrm
-        history.append((t, log_sum / t))
-    return LyapunovEstimate(
-        lambda_max=log_sum / t,
-        history=np.array(history),
-        renorm_interval=renorm,
-    )
+    x0s = np.asarray(x0s, dtype=float)
+    single = x0s.ndim == 1
+    x0s = np.atleast_2d(x0s)
+    if x0s.ndim != 2 or x0s.shape[1] != 3:
+        raise ValueError("x0s must have shape (3,) or (L, 3)")
+    w0 = np.array([0.6, 0.64, 0.48])
+    w0 /= np.linalg.norm(w0)
+    y0 = np.concatenate([x0s, np.broadcast_to(w0, x0s.shape)], axis=1)
+    run = _dop853(tangent_rhs(v), y0, tol, T, renorm=renorm)
+    times = renorm * np.arange(1, run.logs.shape[1] + 1)
+    estimates = []
+    for logs in run.logs:
+        history = np.column_stack([times, np.cumsum(logs) / times])
+        estimates.append(LyapunovEstimate(lambda_max=float(history[-1, 1]),
+                                          history=history, renorm_interval=renorm))
+    return estimates[0] if single else estimates
 
 
 def tangent_map(v: SpectralVectorField, x0, T: float, tol: float):
     """Propagate the full 3x3 tangent map along the flow (no renormalization)."""
-    rhs = tangent_rhs(v, 3)
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(3).ravel()])
-    solver = _make_solver(rhs, 0.0, y0, T, tol)
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(f"controller stalled at t = {solver.t:.6g}")
-    return solver.y[:3], solver.y[3:].reshape(3, 3)
+    y = _dop853(tangent_rhs(v, 3), y0[None], tol, T).y[0]
+    return y[:3], y[3:].reshape(3, 3)
 
 
 def first_integral_report(v: SpectralVectorField, F, grid: int) -> FirstIntegralReport:

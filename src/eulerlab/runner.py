@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -86,6 +85,9 @@ def load_config(source) -> ExperimentConfig:
     except jsonschema.ValidationError as exc:
         raise ConfigInvalid(f"config failed schema validation: {exc.message}") from exc
     params = _apply_defaults(_load_schema(kind), dict(params))
+    if kind == "lyapunov" and not params["T"] > params["renorm"]:
+        raise ConfigInvalid(
+            f"lyapunov needs T > renorm, got T = {params['T']} and renorm = {params['renorm']}")
     if kind == "bernoulli" and "shell" in params["source"]:
         params["source"]["shell"].setdefault("seed", 0)
     doc_norm = {"kind": kind, "seed": int(doc.get("seed", 0)), "params": params}
@@ -193,14 +195,7 @@ def _run_bernoulli(cfg):
     return report, plots, assertions
 
 
-def _lyapunov_worker(payload):
-    """Module-level worker so exponent runs can go through a process pool."""
-    field_doc, x0, T, renorm, tol = payload
-    field = ser.field_from_json(field_doc)
-    return dyn.lyapunov_max(field, np.array(x0), T, renorm, tol=tol)
-
-
-def _run_lyapunov(cfg, jobs=1):
+def _run_lyapunov(cfg):
     p = cfg.params
     field = sp.make_abc(sp.ABCParams(p["A"], p["B"], p["C"]))
     count = p["seeds"]
@@ -208,15 +203,7 @@ def _run_lyapunov(cfg, jobs=1):
         x0s = dyn.separatrix_seeds(p["B"], count, base_key=7 + cfg.seed)
     else:
         x0s = dyn.random_torus_seeds(count, base_key=11 + cfg.seed)
-
-    doc = ser.field_to_json(field)
-    payloads = [(doc, [float(v) for v in x0], p["T"], p["renorm"], p["tol"])
-                for x0 in x0s]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            estimates = list(pool.map(_lyapunov_worker, payloads))
-    else:
-        estimates = [_lyapunov_worker(pl) for pl in payloads]
+    estimates = dyn.lyapunov_max(field, x0s, p["T"], p["renorm"], tol=p["tol"])
 
     values = [e.lambda_max for e in estimates]
     report = {
@@ -437,17 +424,15 @@ def emit_plot_data(record: RunRecord):
     return paths
 
 
-def run(cfg: ExperimentConfig, out_dir=None, jobs=1) -> RunRecord:
+def run(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
     """Execute a validated config: write result files, a manifest and
-    assertion records.  Module errors surface as ComputeFailure."""
+    assertion records.  Module errors, and the ValueError or LinAlgError
+    of a computation that cannot proceed, surface as ComputeFailure."""
     t0 = time.time()
     out = resolve_out_dir(cfg, out_dir)
     try:
-        if cfg.kind == "lyapunov":
-            report, plots, assertions = _BODIES[cfg.kind](cfg, jobs=jobs)
-        else:
-            report, plots, assertions = _BODIES[cfg.kind](cfg)
-    except EulerLabError as exc:
+        report, plots, assertions = _BODIES[cfg.kind](cfg)
+    except (EulerLabError, ValueError, np.linalg.LinAlgError) as exc:
         raise ComputeFailure(f"{cfg.kind} run failed: {exc}") from exc
     os.makedirs(out, exist_ok=True)
     report = dict(report)
@@ -486,8 +471,8 @@ def run(cfg: ExperimentConfig, out_dir=None, jobs=1) -> RunRecord:
     return record
 
 
-def verify_suite(level="quick", out_dir=None, jobs=1):
+def verify_suite(level="quick", out_dir=None):
     """Run the acceptance battery; see acceptance.run_suite."""
     from .acceptance import run_suite
 
-    return run_suite(level=level, out_dir=out_dir, jobs=jobs)
+    return run_suite(level=level, out_dir=out_dir)

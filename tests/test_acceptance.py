@@ -79,7 +79,7 @@ def test_criterion_4_chaos_proxy():
           f"{details['chaos_hits']} hits)")
     assert details["baseline_max_abs"] <= 5e-3
     assert details["chaos_max"] >= details["threshold"]
-    assert elapsed < 600.0
+    assert elapsed < 180.0
     assert passed
 
 

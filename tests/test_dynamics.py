@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from eulerlab import dynamics as dyn
+from eulerlab import serialize as ser
 from eulerlab import spectral as sp
 from eulerlab.errors import NoCrossings, StepSizeUnderflow
 
@@ -99,6 +101,14 @@ class TestPoincare:
                 x = np.array([p[0], p[1], np.pi / 2])
                 assert np.sign(rhs(t, x)[2]) == direction
 
+    def test_start_point_on_section_is_not_a_crossing(self):
+        # x2 moves at the constant rate H = 0.5 sin x1 + cos x3 when C = 0
+        x0 = np.array([0.2, 0.0, np.pi / 2])
+        section = dyn.poincare(integrable(), (1, 0.0), +1, x0, 3,
+                               tol=1e-10, max_time=1000.0)
+        period = TWO_PI / conserved(x0)
+        assert np.allclose(section.times, period * np.arange(1, 4), rtol=1e-8)
+
     @pytest.mark.slow
     def test_chaotic_section_fills_area(self):
         # numerical experiment oracle: box occupancy of the chaotic section
@@ -138,6 +148,79 @@ class TestLyapunov:
             dyn.lyapunov_max(v, x0, 1e4, 5.0, tol=1e-9).lambda_max for x0 in seeds
         )
         assert best >= dyn.CHAOS_THRESHOLD
+
+
+class TestLaneStepper:
+    W0 = np.array([0.6, 0.64, 0.48])
+
+    @staticmethod
+    def showcase():
+        return sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1))
+
+    def solve_ivp_log_stretch(self, v, x0, T, tol):
+        """Reference: scipy's DOP853 on an unbatched complex-exponential RHS."""
+        K, C = v.mode_arrays()
+
+        def rhs(t, y):
+            e = np.exp(1j * (K @ y[:3]))
+            J = ((C * e[:, None]).T @ (1j * K)).real
+            return np.concatenate([(e @ C).real, J @ y[3:]])
+
+        sol = solve_ivp(rhs, (0.0, T), np.concatenate([x0, self.W0]), method="DOP853",
+                        rtol=tol, atol=tol)
+        return np.log(np.linalg.norm(sol.y[3:, -1])), sol.nfev
+
+    def test_tableau_consistency(self):
+        assert np.all(np.abs(dyn._C - dyn._A.sum(axis=1)) <= 1e-14)
+        assert abs(dyn._B.sum() - 1.0) <= 1e-14
+
+    def test_one_chunk_steps_like_scipy(self):
+        # renorm 40 at T = 50 is a single chunk ending at t = 40
+        v, tol = self.showcase(), 1e-9
+        x0s = np.array(dyn.separatrix_seeds(0.5, 4))
+        y0 = np.concatenate([x0s, np.tile(self.W0, (4, 1))], axis=1)
+        run = dyn._dop853(dyn.tangent_rhs(v), y0, tol, 40.0)
+        for x0, est, attempts in zip(x0s, dyn.lyapunov_max(v, x0s, 50.0, 40.0, tol),
+                                     run.attempts):
+            ref, nfev = self.solve_ivp_log_stretch(v, x0, 40.0, tol)
+            assert attempts == (nfev - 2) // dyn._STAGES
+            assert abs(40.0 * est.lambda_max - ref) <= 1e-10
+
+    def test_renormalized_lanes_match_solve_ivp(self):
+        v, tol, T = self.showcase(), 1e-9, 50.0
+        x0s = np.array(dyn.separatrix_seeds(0.5, 4) + dyn.random_torus_seeds(2))
+        for x0, est in zip(x0s, dyn.lyapunov_max(v, x0s, T, 5.0, tol)):
+            ref, _ = self.solve_ivp_log_stretch(v, x0, T, tol)
+            assert len(est.history) == 10
+            assert abs(T * est.lambda_max - ref) <= T * tol
+
+    def test_lane_alone_equals_lane_in_batch(self):
+        v = self.showcase()
+        x0s = np.array(dyn.separatrix_seeds(0.5, 3) + dyn.random_torus_seeds(2))
+        batch = dyn.lyapunov_max(v, x0s, 100.0, 5.0)
+        for x0, est in zip(x0s, batch):
+            alone = dyn.lyapunov_max(v, x0, 100.0, 5.0)
+            assert np.array_equal(alone.history, est.history)
+
+    def test_seed_order_reverses_history_csvs(self):
+        v = self.showcase()
+        x0s = np.array(dyn.separatrix_seeds(0.5, 3) + dyn.random_torus_seeds(3))
+        forward = [ser.lyapunov_csv(e) for e in dyn.lyapunov_max(v, x0s, 100.0, 5.0)]
+        backward = [ser.lyapunov_csv(e) for e in dyn.lyapunov_max(v, x0s[::-1], 100.0, 5.0)]
+        assert forward == backward[::-1]
+
+    def test_step_size_underflow_mid_run(self):
+        def rhs(t, y):  # finite only below y = 0.5, which the lanes reach at t = 0.5
+            return np.where(y < 0.5, 1.0, np.nan)
+
+        with pytest.raises(StepSizeUnderflow):
+            dyn._dop853(rhs, np.zeros((2, 1)), 1e-9, 1.0)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            dyn.lyapunov_max(self.showcase(), [0.1, 0.2, 0.3], 5.0, 5.0)
+        with pytest.raises(ValueError):
+            dyn.lyapunov_max(self.showcase(), np.zeros((2, 4)), 50.0, 5.0)
 
 
 class TestFirstIntegralReport:

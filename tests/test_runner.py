@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import eulerlab
 from eulerlab import cli, runner
 from eulerlab import spectral as sp
-from eulerlab.errors import ConfigInvalid
+from eulerlab.errors import ComputeFailure, ConfigInvalid
 
 
 def test_load_config_applies_defaults():
@@ -103,19 +107,6 @@ def test_lyapunov_run_with_assertions(tmp_path):
     assert {"field_hash", "seed", "tol", "T"} <= set(meta)
 
 
-def test_lyapunov_jobs_pool_is_order_deterministic(tmp_path):
-    config = {
-        "kind": "lyapunov",
-        "params": {"A": 1.0, "B": 0.5, "C": 0.0, "T": 100.0, "renorm": 2.0,
-                   "tol": 1e-8, "seeds": 3},
-    }
-    rec1 = runner.run(runner.load_config(config), out_dir=str(tmp_path / "serial"), jobs=1)
-    rec2 = runner.run(runner.load_config(config), out_dir=str(tmp_path / "pool"), jobs=3)
-    h1 = {f["name"]: f["sha256"] for f in rec1.files}
-    h2 = {f["name"]: f["sha256"] for f in rec2.files}
-    assert h1 == h2
-
-
 def test_poincare_run_sidecar(tmp_path):
     cfg = runner.load_config({
         "kind": "poincare",
@@ -143,6 +134,36 @@ def test_cli_run_exit_codes(tmp_path):
 
     missing = tmp_path / "missing.json"
     assert cli.main(["run", "--config", str(missing)]) == 2
+
+
+def test_cli_rejects_lyapunov_T_not_above_renorm(tmp_path):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({
+        "kind": "lyapunov",
+        "params": {"A": 1.0, "B": 0.5, "C": 0.1, "T": 5.0, "renorm": 5.0},
+    }))
+    out = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(eulerlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "T > renorm" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [ValueError("bad value"), np.linalg.LinAlgError("singular")])
+def test_run_wraps_value_and_linalg_errors(tmp_path, monkeypatch, error):
+    def body(cfg):
+        raise error
+
+    monkeypatch.setitem(runner._BODIES, "spectrum", body)
+    cfg = runner.load_config({"kind": "spectrum", "params": {"n": 1}})
+    with pytest.raises(ComputeFailure):
+        runner.run(cfg, out_dir=str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_seed_override(tmp_path):
