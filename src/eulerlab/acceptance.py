@@ -19,9 +19,11 @@ import numpy as np
 from . import contact as ct
 from . import dynamics as dyn
 from . import galerkin as gk
+from . import runner
 from . import spectral as sp
 
 QUICK_BUDGET_SECONDS = 300.0
+SWEEP_K = 3  # basis truncation of the shared splitting sweep and of criterion 8
 
 
 @dataclass
@@ -37,18 +39,6 @@ class CheckResult:
         return f"[{status}] criterion {self.criterion}: {self.name} ({self.elapsed:.1f}s)"
 
 
-def _shell_gram(fields):
-    """Full Gram matrix of spectral fields via their stacked coefficients."""
-    modes = sorted({k for f in fields for k in f.coeffs})
-    index = {k: i for i, k in enumerate(modes)}
-    X = np.zeros((len(fields), len(modes), 3), dtype=complex)
-    for i, f in enumerate(fields):
-        for k, c in f.coeffs.items():
-            X[i, index[k]] = c
-    flat = X.reshape(len(fields), -1)
-    return sp.VOLUME * (flat @ flat.conj().T).real
-
-
 def check_curl_eigenfamily(nmax=100):
     """Criterion 1: exact orthonormal eigenfamilies for every shell n <= nmax."""
     worst_gram = 0.0
@@ -58,16 +48,9 @@ def check_curl_eigenfamily(nmax=100):
         shell = sp.lattice_shell(n)
         if shell.multiplicity == 0:
             continue
-        basis = sp.helicity_basis(n)
-        lam = math.sqrt(n)
-        gram = _shell_gram(basis)
-        worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(len(basis))))))
-        for u in basis:
-            cu = sp.curl_spectral(u)
-            for k in u.coeffs:
-                worst_resid = max(
-                    worst_resid, float(np.max(np.abs(cu.mode(k) - lam * u.mode(k))))
-                )
+        gram_dev, resid = sp.eigenfamily_defects(n)
+        worst_gram = max(worst_gram, gram_dev)
+        worst_resid = max(worst_resid, resid)
         checked += 1
     mult1 = sp.lattice_shell(1).multiplicity
     passed = worst_gram <= 1e-12 and worst_resid <= 1e-14 and mult1 == 6
@@ -149,24 +132,17 @@ def _family_context():
     contactform, g = ct.std_contact_t3()
     beta = ct.default_perturbation_form()
     fam = ct.metric_family(g, contactform, beta,
-                           [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
+                           [-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2])
     return contactform, g, beta, fam
 
 
-def check_compatible_metrics(ctx=None):
+def check_compatible_metrics(ctx):
     """Criterion 5: compatibility defects, volume rigidity, tracelessness."""
-    contactform, g, beta, fam = ctx if ctx is not None else _family_context()
-    worst_defect = 0.0
-    worst_det = 0.0
-    pts, _ = ct.uniform_grid(20)
-    det0 = np.linalg.det(g.matrix(pts))
-    for eps in fam.epsilon_grid + [0.0]:
-        member = fam.member(eps)
-        rep = ct.check_compatibility(member, contactform)
-        worst_defect = max(worst_defect, rep.max_defect())
-        det = np.linalg.det(member.matrix(pts))
-        worst_det = max(worst_det, float(np.max(np.abs(det - det0) / np.abs(det0))))
+    contactform, g, beta, fam = ctx
+    compat, worst_det = ct.family_compatibility(fam)
+    worst_defect = max(rep.max_defect() for rep in compat.values())
     tr = fam.variation.entries.trace_against(g.inv_entries)
+    pts, _ = ct.uniform_grid(20)
     trace_sup = float(np.max(np.abs(tr.eval(pts)))) if not tr.is_zero() else tr.max_abs_coeff()
     passed = worst_defect <= 1e-10 and worst_det <= 1e-12 and trace_sup <= 1e-12
     return {
@@ -193,12 +169,10 @@ def _slope_agreement(a, b, rel=1e-6, floor=1e-10):
     return bool(np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b)) + floor))
 
 
-def check_variation_identities(ctx=None, curves=None, K=3):
+def check_variation_identities(ctx, curves):
     """Criterion 6: three independent routes to the first-order eigenvalue motion."""
-    contactform, g, beta, fam = ctx if ctx is not None else _family_context()
-    if curves is None:
-        curves = gk.track_splitting(fam, contactform, (0.8, 1.2), K)
-    basis = gk.build_basis(K)
+    contactform, g, beta, fam = ctx
+    basis = gk.FormBasis(curves.K)
     lam0 = contactform.lambda0
 
     # route agreement on the sorted slope multiset
@@ -247,11 +221,9 @@ def check_variation_identities(ctx=None, curves=None, K=3):
     }, passed
 
 
-def check_splitting(ctx=None, curves=None, K=3):
+def check_splitting(ctx, curves):
     """Criterion 7: the six-fold cluster splits while the contact form holds still."""
-    contactform, g, beta, fam = ctx if ctx is not None else _family_context()
-    if curves is None:
-        curves = gk.track_splitting(fam, contactform, (0.8, 1.2), K)
+    contactform = ctx[0]
     k0 = curves.curves.shape[1]
     alpha_dev = float(np.max(np.abs(curves.alpha_curve - contactform.lambda0)))
     gap = curves.slope_gap()
@@ -270,45 +242,31 @@ def check_splitting(ctx=None, curves=None, K=3):
     }, passed
 
 
-def _random_two_band_symmetric(gen, dim, n_inside):
-    """Random symmetric matrix with an isolated eigenvalue band around 0.5."""
-    inside = gen.uniform(0.3, 0.7, size=n_inside)
-    outside = gen.uniform(2.0, 6.0, size=dim - n_inside)
-    vals = np.concatenate([inside, outside])
-    Q = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
-    return (Q * vals) @ Q.T, np.sort(vals), Q, n_inside
-
-
-def check_compression_machinery(ctx=None, K=3):
+def check_compression_machinery(ctx):
     """Criterion 8: contour projector, compression map, first-order certificate."""
-    contactform, g, beta, fam = ctx if ctx is not None else _family_context()
+    contactform, g, beta, fam = ctx
 
     worst_proj = worst_idem = worst_trace = 0.0
     for j in range(100):
         gen = np.random.Generator(np.random.Philox(key=np.array([301, j], dtype=np.uint64)))
         dim = int(gen.integers(20, 201))
         n_in = int(gen.integers(2, min(8, dim - 2)))
-        A, vals, Q, k = _random_two_band_symmetric(gen, dim, n_in)
+        A = gk.random_two_band_symmetric(gen, dim, n_in)
         P = gk.spectral_projector(A, 0.5, 1.0, 64)
         sel = np.abs(np.linalg.eigvalsh(A) - 0.5) < 1.0
         w, V = np.linalg.eigh(A)
         Pref = V[:, sel] @ V[:, sel].T
         worst_proj = max(worst_proj, float(np.max(np.abs(P - Pref))))
         worst_idem = max(worst_idem, float(np.linalg.norm(P @ P - P)))
-        worst_trace = max(worst_trace, abs(float(np.trace(P)) - k))
+        worst_trace = max(worst_trace, abs(float(np.trace(P)) - n_in))
 
     # sigma matching and derivative consistency on random C1 families
     worst_sigma = worst_prime = 0.0
     for j in range(10):
         gen = np.random.Generator(np.random.Philox(key=np.array([401, j], dtype=np.uint64)))
-        dim = 30
-        A0, vals, Q, k = _random_two_band_symmetric(gen, dim, 3)
-        S1 = gen.standard_normal((dim, dim))
-        S1 = 0.5 * (S1 + S1.T)
-        S1 /= np.linalg.norm(S1, 2)
-        S2 = gen.standard_normal((dim, dim))
-        S2 = 0.5 * (S2 + S2.T)
-        S2 /= np.linalg.norm(S2, 2)
+        A0 = gk.random_two_band_symmetric(gen, 30, 3)
+        S1 = gk.random_unit_symmetric(gen, 30)
+        S2 = gk.random_unit_symmetric(gen, 30)
 
         def A_of(q, A0=A0, S1=S1, S2=S2):
             return A0 + q * S1 + 0.5 * q * q * S2
@@ -320,26 +278,19 @@ def check_compression_machinery(ctx=None, K=3):
         rep = gk.pi_map(A_of, 0.05, 0.0, cluster)
         # pi itself is contour-quadrature limited, so the finite difference
         # uses extra contour nodes to stay below the 1e-6 comparison level
-        delta = 1e-3
-        f1 = (gk.pi_map(A_of, delta, 0.0, cluster, nodes=96).pi
-              - gk.pi_map(A_of, -delta, 0.0, cluster, nodes=96).pi) / (2 * delta)
-        f2 = (gk.pi_map(A_of, delta / 2, 0.0, cluster, nodes=96).pi
-              - gk.pi_map(A_of, -delta / 2, 0.0, cluster, nodes=96).pi) / delta
-        fd_pi = (4.0 * f2 - f1) / 3.0
+        fd_pi = gk.central_derivative(
+            lambda q: gk.pi_map(A_of, q, 0.0, cluster, nodes=96).pi, 0.0, 1e-3)
         scale = max(1.0, float(np.max(np.abs(rep.pi_prime))))
         worst_prime = max(
             worst_prime, float(np.max(np.abs(fd_pi - rep.pi_prime))) / scale
         )
 
     # first-order certificate of the Galerkin family
-    basis = gk.build_basis(K)
+    basis = gk.FormBasis(SWEEP_K)
     A_of_eps = gk.pencil_operator_family(fam, basis)
     A0 = A_of_eps(0.0)
     lam0 = contactform.lambda0
-    delta = 0.02
-    d1 = (A_of_eps(delta) - A_of_eps(-delta)) / (2 * delta)
-    d2 = (A_of_eps(delta / 2) - A_of_eps(-delta / 2)) / delta
-    DA = (4.0 * d2 - d1) / 3.0
+    DA = gk.central_derivative(A_of_eps, 0.0, 0.02)
     M0 = gk.assemble_mass(g, basis)
     sqrtM = gk.matrix_sqrt(M0)
     av = sqrtM @ basis.form_to_vector(contactform.alpha)
@@ -383,8 +334,6 @@ def check_compression_machinery(ctx=None, K=3):
 
 def check_reproducibility(out_dir):
     """Criterion 9 (artifact part): identical seeds give byte-identical files."""
-    from . import runner
-
     config = {
         "kind": "poincare",
         "seed": 3,
@@ -434,7 +383,7 @@ def run_suite(level="quick", out_dir=None):
     ctx = _family_context()
     contactform, g, beta, fam = ctx
     t_sweep = time.time()
-    curves = gk.track_splitting(fam, contactform, (0.8, 1.2), 3)
+    curves = gk.track_splitting(fam, contactform, (0.8, 1.2), SWEEP_K)
     shared_sweep_seconds = time.time() - t_sweep
     record(5, "compatible-metric identities", check_compatible_metrics, ctx)
     record(6, "variation identities (three routes)", check_variation_identities,

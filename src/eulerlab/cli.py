@@ -63,7 +63,9 @@ def main(argv=None) -> int:
         print(f"wrote {len(record.files)} files to {record.out_dir}")
         return 0 if record.ok else 1
 
-    summary = runner.verify_suite(level=args.level, out_dir=args.out)
+    from .acceptance import run_suite
+
+    summary = run_suite(level=args.level, out_dir=args.out)
     return 0 if summary["all_passed"] else 1
 
 

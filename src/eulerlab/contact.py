@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .spectral import TWO_PI, SpectralVectorField
+from .spectral import TWO_PI, SpectralVectorField, lex_negative
 from .trig import TrigPoly
 
 
@@ -32,8 +32,6 @@ def uniform_grid(n):
 
 def trig_components(field: SpectralVectorField):
     """Exact conversion of a spectral vector field into three trig polynomials."""
-    from .spectral import lex_negative
-
     comps = [TrigPoly(), TrigPoly(), TrigPoly()]
     for k, c in field.coeffs.items():
         if k == (0, 0, 0):
@@ -97,11 +95,6 @@ class TensorPoly:
     entries: tuple  # tuple of 3 tuples of TrigPoly
 
     @classmethod
-    def zero(cls):
-        z = TrigPoly()
-        return cls(entries=tuple((z, z, z) for _ in range(3)))
-
-    @classmethod
     def identity(cls):
         one = TrigPoly.const(1.0)
         z = TrigPoly()
@@ -129,12 +122,7 @@ class TensorPoly:
         )
 
     def __sub__(self, other):
-        return TensorPoly(
-            entries=tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return self + other.scaled(-1.0)
 
     def scaled(self, s):
         return TensorPoly(
@@ -166,9 +154,6 @@ class TensorPoly:
 
     def degree(self):
         return max(e.degree() for row in self.entries for e in row)
-
-    def max_abs_eval(self, points):
-        return float(np.max(np.abs(self.eval_matrix(points))))
 
 
 @dataclass(frozen=True)
@@ -206,18 +191,6 @@ class MetricField:
         if self.extra is not None:
             m += self.extra.eval_matrix(pts)
         return m
-
-    def entries(self):
-        """Exact tensor of entries, available only without the pointwise factor."""
-        if self.xi_scale_eps is not None:
-            return None
-        t = self.g_xi + self.alpha_sq
-        if self.extra is not None:
-            t = t + self.extra
-        return t
-
-    def is_exact(self):
-        return self.xi_scale_eps is None
 
     def check_positive(self, nodes=12, floor=1e-12):
         pts, _ = uniform_grid(nodes)
@@ -365,12 +338,30 @@ def check_compatibility(g: MetricField, contact: ContactForm, nodes=None) -> Com
     )
 
 
-def xi_projection(beta: OneForm, contact: ContactForm, g: MetricField = None) -> OneForm:
-    """Projection beta_xi = beta - beta(R) alpha onto the contact planes.
+# grid of the pointwise det(g_eps) = det(g) check of family_compatibility
+DET_GRID = 20
 
-    Metric-independent; the metric argument is kept for signature symmetry
-    with the other operations.
+
+def family_compatibility(family: MetricFamily):
+    """Compatibility of every member of the family's epsilon grid.
+
+    Returns ({eps: CompatibilityReport}, worst pointwise relative deviation
+    of det(g_eps) from det(g) on the DET_GRID^3 grid).
     """
+    pts, _ = uniform_grid(DET_GRID)
+    det0 = np.linalg.det(family.base.matrix(pts))
+    reports = {}
+    worst_det = 0.0
+    for eps in family.epsilon_grid:
+        member = family.member(eps)
+        reports[eps] = check_compatibility(member, family.contact)
+        det = np.linalg.det(member.matrix(pts))
+        worst_det = max(worst_det, float(np.max(np.abs(det - det0) / np.abs(det0))))
+    return reports, worst_det
+
+
+def xi_projection(beta: OneForm, contact: ContactForm) -> OneForm:
+    """Projection beta_xi = beta - beta(R) alpha onto the contact planes (metric-independent)."""
     br = beta.pair_field(contact.reeb_components())
     correction = OneForm(comps=tuple(c * br for c in contact.alpha.comps))
     return beta - correction
@@ -384,7 +375,7 @@ def variation_tensor(beta: OneForm, contact: ContactForm, g: MetricField) -> Var
     """
     if g.inv_entries is None:
         raise ValueError("variation_tensor needs a metric with exact inverse entries")
-    bxi = xi_projection(beta, contact, g)
+    bxi = xi_projection(beta, contact)
     sharp = g.inv_entries.apply_form(bxi)
     norm2 = TrigPoly()
     for a in range(3):

@@ -30,6 +30,9 @@ from .spectral import TWO_PI, SpectralVectorField
 # frozen output in scripts/chaos_threshold.json).
 CHAOS_THRESHOLD = 0.023942274037632105
 
+# pieces of each accepted step that poincare brackets crossings on
+POINCARE_SUBSAMPLES = 8
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -316,12 +319,13 @@ def endpoint(v, x0, T, tol):
 
 
 def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
-             tol=1e-10, max_time=10000.0, subsamples=8) -> PoincareSection:
+             tol=1e-10, max_time=10000.0) -> PoincareSection:
     """First N crossings of the plane x[axis] = level with the given velocity sign.
 
     Crossings are located on the dense output of each accepted step:
-    sign-change bracketing on cover-space levels level + 2*pi*m, then
-    root refinement to machine tolerance in the section coordinate.
+    sign-change bracketing on cover-space levels level + 2*pi*m over
+    POINCARE_SUBSAMPLES equal pieces of the step, then root refinement to
+    machine tolerance in the section coordinate.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -340,9 +344,9 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
         if solver.status == "failed":
             raise StepSizeUnderflow(f"controller stalled at t = {solver.t:.6g}")
         seg = solver.dense_output()
-        tt = np.linspace(solver.t_old, solver.t, subsamples + 1)
+        tt = np.linspace(solver.t_old, solver.t, POINCARE_SUBSAMPLES + 1)
         qq = seg(tt)[axis]
-        for a in range(subsamples):
+        for a in range(POINCARE_SUBSAMPLES):
             lo, hi = tt[a], tt[a + 1]
             qa, qb = qq[a], qq[a + 1]
             if qa == qb:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .contact import MetricFamily, MetricField, OneForm, uniform_grid
+from .contact import MetricFamily, MetricField, OneForm, VariationTensor, uniform_grid
 from .errors import (
     ClusterLeakage,
     DegenerateDirection,
@@ -147,10 +147,6 @@ class FormBasis:
         return self.form_to_vector(OneForm(comps=trig_components(field)))
 
 
-def build_basis(K: int) -> FormBasis:
-    return FormBasis(K)
-
-
 def assemble_exterior(basis: FormBasis) -> np.ndarray:
     """Exact matrix B_ij = integral of e_i ^ d(e_j).
 
@@ -181,29 +177,23 @@ def default_mass_nodes(K: int, degree_hint: int) -> int:
     return 2 * K + degree_hint + 1
 
 
-@dataclass(frozen=True)
-class GalerkinPencil:
-    """The discretized operator: exterior matrix B and metric mass matrix M.
+def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the nodes^3 grid.
 
-    B is metric-independent and exactly symmetric; M is symmetric positive
-    definite for a positive metric.  Generalized eigenvalues of (B, M)
-    discretize the spectrum of the curl-type operator on 1-forms.
+    `weights` holds a symmetric 3x3 weight W per grid point, quadrature
+    weight included; the slot pair (a, b) of e_i, e_j picks its entry.
     """
-
-    basis: FormBasis
-    exterior: np.ndarray
-    mass: np.ndarray
-
-    def solve(self, window):
-        return solve_pencil(self.exterior, self.mass, window)
-
-
-def assemble_pencil(metric: MetricField, basis: FormBasis, nodes=None) -> GalerkinPencil:
-    return GalerkinPencil(
-        basis=basis,
-        exterior=assemble_exterior(basis),
-        mass=assemble_mass(metric, basis, nodes),
-    )
+    rows = basis.scalar_rows(nodes)
+    S = basis.n_scalar
+    M = np.empty((basis.dimension, basis.dimension))
+    for a in range(3):
+        for b in range(a, 3):
+            weight = weights[:, a, b]
+            block = (rows * weight) @ rows.T
+            M[a * S : (a + 1) * S, b * S : (b + 1) * S] = block
+            if b != a:
+                M[b * S : (b + 1) * S, a * S : (a + 1) * S] = block.T
+    return 0.5 * (M + M.T)
 
 
 def assemble_mass(metric: MetricField, basis: FormBasis, nodes=None) -> np.ndarray:
@@ -218,48 +208,27 @@ def assemble_mass(metric: MetricField, basis: FormBasis, nodes=None) -> np.ndarr
     G = metric.matrix(pts)
     if float(np.min(np.linalg.eigvalsh(G))) <= 1e-12:
         raise NotPositiveDefinite("metric not positive definite on the quadrature grid")
-    Ginv = np.linalg.inv(G)
     sqrt_det = np.sqrt(np.linalg.det(G))
-    rows = basis.scalar_rows(nodes)
-    S = basis.n_scalar
-    M = np.empty((basis.dimension, basis.dimension))
-    for a in range(3):
-        for b in range(a, 3):
-            weight = Ginv[:, a, b] * sqrt_det * w
-            block = (rows * weight) @ rows.T
-            M[a * S : (a + 1) * S, b * S : (b + 1) * S] = block
-            if b != a:
-                M[b * S : (b + 1) * S, a * S : (a + 1) * S] = block.T
-    return 0.5 * (M + M.T)
+    return _block_quadrature(basis, nodes, np.linalg.inv(G) * sqrt_det[:, None, None] * w)
 
 
-def mass_derivative(metric: MetricField, h, basis: FormBasis, nodes=None) -> np.ndarray:
+def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis,
+                    nodes=None) -> np.ndarray:
     """Exact first-order mass matrix along the variation tensor h.
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
     """
-    htensor = h.entries if hasattr(h, "entries") else h
     if nodes is None:
-        nodes = default_mass_nodes(basis.K, metric.degree_hint + htensor.degree())
+        nodes = default_mass_nodes(basis.K, metric.degree_hint + h.entries.degree())
     pts, w = uniform_grid(nodes)
     G = metric.matrix(pts)
     Ginv = np.linalg.inv(G)
     sqrt_det = np.sqrt(np.linalg.det(G))
-    H = htensor.eval_matrix(pts)
+    H = h.entries.eval_matrix(pts)
     HS = np.einsum("pij,pjk,pkl->pil", Ginv, H, Ginv)
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = -HS + 0.5 * tr[:, None, None] * Ginv
-    rows = basis.scalar_rows(nodes)
-    S = basis.n_scalar
-    M = np.empty((basis.dimension, basis.dimension))
-    for a in range(3):
-        for b in range(a, 3):
-            weight = core[:, a, b] * sqrt_det * w
-            block = (rows * weight) @ rows.T
-            M[a * S : (a + 1) * S, b * S : (b + 1) * S] = block
-            if b != a:
-                M[b * S : (b + 1) * S, a * S : (a + 1) * S] = block.T
-    return 0.5 * (M + M.T)
+    return _block_quadrature(basis, nodes, core * sqrt_det[:, None, None] * w)
 
 
 @dataclass(frozen=True)
@@ -271,10 +240,6 @@ class EigenCluster:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     multiplicity: int
-
-    @property
-    def eigenpairs(self):
-        return [(float(l), self.vectors[:, i]) for i, l in enumerate(self.eigenvalues)]
 
 
 def solve_pencil(B: np.ndarray, M: np.ndarray, window) -> EigenCluster:
@@ -324,27 +289,39 @@ def _match_by_overlap(cluster: EigenCluster, M: np.ndarray, target):
     return idx, float(cluster.eigenvalues[idx])
 
 
-def _one_sided_slopes(lam0, levels, sorted_eigenvalues):
-    """Richardson-extrapolated slopes from sorted curves at positive offsets.
+# finite-difference steps: one-sided levels of the splitting sweep, the
+# central step of hellmann_feynman and of the compression derivative pi_map
+SPLIT_FD_LEVELS = (0.04, 0.02, 0.01)
+SLOPE_FD_DELTA = 0.02
+PI_FD_DELTA = 1e-4
 
-    Sorting at a fixed sign of epsilon tracks branches consistently, so the
-    sequence (sorted(lam(e)) - lam0)/e = s + a e + b e^2 + ... can be
-    extrapolated; supports two or three levels.
+
+def richardson(values, steps, order=1):
+    """Extrapolate f(e) = f0 + a e^p + b e^2p + ... to e = 0 from f at the given steps.
+
+    With x_i = e_i^p (p = `order`) each level combines neighbours into
+    (x_i f_{i+1} - x_{i+1} f_i) / (x_i - x_{i+1}) and continues with the
+    steps x_i x_{i+1}; n levels cancel the first n - 1 error terms.  Values
+    may be arrays, extrapolated element by element.
     """
-    f = [(sorted_eigenvalues[e] - lam0) / e for e in levels]
-    e = list(levels)
+    f = list(values)
+    x = [float(e) ** order for e in steps]
     while len(f) > 1:
-        g = []
-        p = []
-        for i in range(len(f) - 1):
-            g.append((e[i] * f[i + 1] - e[i + 1] * f[i]) / (e[i] - e[i + 1]))
-            p.append(e[i] * e[i + 1])
-        f, e = g, p
+        f = [(x[i] * f[i + 1] - x[i + 1] * f[i]) / (x[i] - x[i + 1]) for i in range(len(f) - 1)]
+        x = [x[i] * x[i + 1] for i in range(len(x) - 1)]
     return f[0]
 
 
+def central_derivative(fn, x0, delta):
+    """Derivative of fn at x0 from central differences at delta and delta/2,
+    Richardson-extrapolated in delta^2 (error O(delta^4))."""
+    steps = (delta, 0.5 * delta)
+    diffs = [(np.asarray(fn(x0 + h)) - np.asarray(fn(x0 - h))) / (2 * h) for h in steps]
+    return richardson(diffs, steps, order=2)
+
+
 def track_splitting(family: MetricFamily, contact, window, K: int,
-                    fd_epsilons=(0.04, 0.02, 0.01), nodes=None) -> SplittingCurves:
+                    nodes=None) -> SplittingCurves:
     """Eigenvalue curves of (B, M(g_eps)) near the cluster inside the window.
 
     The contact form's coefficient vector is matched by eigenvector overlap
@@ -354,14 +331,13 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
     """
     from .contact import variation_pairing
 
-    basis = build_basis(K)
+    basis = FormBasis(K)
     B = assemble_exterior(basis)
     alpha_vec = basis.form_to_vector(contact.alpha)
     lam0 = contact.lambda0
 
     eps_list = sorted(set(float(e) for e in family.epsilon_grid) | {0.0})
-    fd_all = sorted(set(abs(float(e)) for e in fd_epsilons) - {0.0})
-    solve_at = sorted(set(eps_list) | {s * e for e in fd_all for s in (1.0, -1.0)})
+    solve_at = sorted(set(eps_list) | {s * e for e in SPLIT_FD_LEVELS for s in (1.0, -1.0)})
 
     clusters = {}
     masses = {}
@@ -397,12 +373,13 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
                 forms[i], forms[j], family.variation, family.base, lam0
             )
 
+    # sorting at a fixed sign of epsilon tracks branches consistently, so the
+    # one-sided quotients (sorted(lam(e)) - lam0)/e extrapolate to the slopes
     lam_center = float(np.mean(base.eigenvalues))
-    levels = sorted(fd_all, reverse=True)
-    plus = {e: np.sort(clusters[e].eigenvalues) for e in levels}
-    minus = {e: np.sort(-clusters[-e].eigenvalues) for e in levels}
-    fd_plus = _one_sided_slopes(lam_center, levels, plus)
-    fd_minus = _one_sided_slopes(-lam_center, levels, minus)
+    fd_plus = richardson([(np.sort(clusters[e].eigenvalues) - lam_center) / e
+                          for e in SPLIT_FD_LEVELS], SPLIT_FD_LEVELS)
+    fd_minus = richardson([(np.sort(-clusters[-e].eigenvalues) + lam_center) / e
+                           for e in SPLIT_FD_LEVELS], SPLIT_FD_LEVELS)
     fd = 0.5 * (np.sort(fd_plus) + np.sort(fd_minus))
 
     # fit each sorted curve on the nonnegative half of the grid, where
@@ -428,8 +405,7 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
     )
 
 
-def hellmann_feynman(family: MetricFamily, u, lam: float, basis: FormBasis,
-                     window, fd_epsilons=(0.02, 0.01), nodes=None):
+def hellmann_feynman(family: MetricFamily, u, lam: float, basis: FormBasis, window):
     """Three routes to the eigenvalue slope along the family for direction u.
 
     Returns (finite-difference slope, pencil formula -lam u' dM u / u' M u,
@@ -440,7 +416,7 @@ def hellmann_feynman(family: MetricFamily, u, lam: float, basis: FormBasis,
     from .contact import variation_pairing
 
     B = assemble_exterior(basis)
-    M0 = assemble_mass(family.base, basis, nodes)
+    M0 = assemble_mass(family.base, basis)
     u = np.asarray(u, dtype=float)
     u = u / math.sqrt(float(u @ (M0 @ u)))
 
@@ -449,7 +425,7 @@ def hellmann_feynman(family: MetricFamily, u, lam: float, basis: FormBasis,
     coeff = U0.T @ (M0 @ u)
     if abs(float(coeff @ coeff) - 1.0) > 1e-8:
         raise DegenerateDirection("vector does not lie in the requested cluster")
-    dM = mass_derivative(family.base, family.variation, basis, nodes)
+    dM = mass_derivative(family.base, family.variation, basis)
     Pi = -lam * (U0.T @ dM @ U0)
     resid = Pi @ coeff - (coeff @ Pi @ coeff) * coeff
     if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(Pi)):
@@ -460,18 +436,11 @@ def hellmann_feynman(family: MetricFamily, u, lam: float, basis: FormBasis,
     form_u = basis.vector_to_form(u)
     pairing = variation_pairing(form_u, form_u, family.variation, family.base, lam)
 
-    fd_all = sorted(set(abs(float(e)) for e in fd_epsilons) - {0.0})
-    slopes = []
-    for e in fd_all:
-        lams = []
-        for s in (e, -e):
-            Ms = assemble_mass(family.member(s), basis, nodes)
-            lams.append(_match_by_overlap(solve_pencil(B, Ms, window), Ms, u)[1])
-        slopes.append((lams[0] - lams[1]) / (2 * e))
-    fd = slopes[0]
-    for prev, e_prev, e_cur in zip(slopes[1:], fd_all[1:], fd_all[:-1]):
-        ratio = (e_prev / e_cur) ** 2
-        fd = (ratio * fd - prev) / (ratio - 1.0)
+    def matched_eigenvalue(eps):
+        Ms = assemble_mass(family.member(eps), basis)
+        return _match_by_overlap(solve_pencil(B, Ms, window), Ms, u)[1]
+
+    fd = central_derivative(matched_eigenvalue, 0.0, SLOPE_FD_DELTA)
     return float(fd), float(pencil), float(pairing)
 
 
@@ -563,6 +532,21 @@ def matrix_cluster(A: np.ndarray, center: float, radius: float) -> MatrixCluster
     )
 
 
+def random_two_band_symmetric(gen, dim: int, n_inside: int) -> np.ndarray:
+    """Random symmetric matrix with n_inside eigenvalues in [0.3, 0.7], the rest in [2, 6]."""
+    inside = gen.uniform(0.3, 0.7, size=n_inside)
+    outside = gen.uniform(2.0, 6.0, size=dim - n_inside)
+    Q = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
+    return (Q * np.concatenate([inside, outside])) @ Q.T
+
+
+def random_unit_symmetric(gen, dim: int) -> np.ndarray:
+    """Random symmetric direction of unit spectral norm."""
+    S = gen.standard_normal((dim, dim))
+    S = 0.5 * (S + S.T)
+    return S / np.linalg.norm(S, 2)
+
+
 @dataclass(frozen=True)
 class PiMapReport:
     """Compression of an operator family onto a frozen eigencluster frame."""
@@ -579,13 +563,13 @@ class PiMapReport:
 
 
 def pi_map(A_of_q, q: float, q0: float, cluster: MatrixCluster,
-           nodes: int = 64, fd_delta=1e-4) -> PiMapReport:
+           nodes: int = 64) -> PiMapReport:
     """Symmetric compression pi(q) of A(q) onto the cluster frame at q0.
 
     pi(q) = S^{-1/2} V' A(q) V S^{-1/2} with V the projected frame
     P_gamma(q) U0 and S its Gram matrix, so the spectrum of pi(q) equals
     the spectrum of A(q) inside the contour.  pi_prime is the derivative
-    matrix (u_m' dA u_l) with dA from Richardson finite differences at q0.
+    matrix (u_m' dA u_l) with dA = central_derivative(A_of_q, q0, PI_FD_DELTA).
     """
     U0 = cluster.vectors
     k = U0.shape[1]
@@ -607,18 +591,14 @@ def pi_map(A_of_q, q: float, q0: float, cluster: MatrixCluster,
         raise ClusterLeakage(f"{len(inside)} eigenvalues inside contour, cluster size {k}")
     sigma_defect = float(np.max(np.abs(vals_pi - inside)))
 
-    d1 = (np.asarray(A_of_q(q0 + fd_delta)) - np.asarray(A_of_q(q0 - fd_delta))) / (2 * fd_delta)
-    d2 = (np.asarray(A_of_q(q0 + fd_delta / 2)) - np.asarray(A_of_q(q0 - fd_delta / 2))) / fd_delta
-    DA = (4.0 * d2 - d1) / 3.0
-    pi_prime = pi_derivative(DA, U0)
+    pi_prime = pi_derivative(central_derivative(A_of_q, q0, PI_FD_DELTA), U0)
 
-    ident_dev = float(np.linalg.norm(pi - (np.trace(pi) / k) * np.eye(k)))
     return PiMapReport(
         projector=P,
         pi=pi,
         pi_prime=pi_prime,
         sigma_match_defect=sigma_defect,
-        identity_deviation=ident_dev,
+        identity_deviation=splitting_certificate(pi),
     )
 
 

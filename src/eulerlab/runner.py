@@ -67,16 +67,22 @@ class RunRecord:
         return all(a["passed"] for a in self.assertions)
 
 
+def _reject_non_finite(name):
+    raise ConfigInvalid(f"config holds the non-finite number {name}")
+
+
 def load_config(source) -> ExperimentConfig:
-    """Validate a config dict or JSON file path; raises ConfigInvalid."""
+    """Validate a config dict or JSON file path; raises ConfigInvalid.
+
+    Infinity and NaN, which Python's json accepts, are rejected."""
     if isinstance(source, (str, os.PathLike)):
         try:
             with open(source) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_constant=_reject_non_finite)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigInvalid(f"cannot read config: {exc}") from exc
     else:
-        doc = json.loads(json.dumps(source))
+        doc = json.loads(json.dumps(source), parse_constant=_reject_non_finite)
     try:
         jsonschema.validate(doc, _load_schema("config"))
         kind = doc["kind"]
@@ -129,16 +135,7 @@ def _run_spectrum(cfg):
         "shell.csv": "k1,k2,k3\n" + "".join(f"{k[0]},{k[1]},{k[2]}\n" for k in shell.vectors)
     }
     if shell.multiplicity > 0:
-        basis = sp.helicity_basis(n)
-        lam = float(np.sqrt(n))
-        from .acceptance import _shell_gram
-
-        gram_dev = float(np.max(np.abs(_shell_gram(basis) - np.eye(len(basis)))))
-        resid = 0.0
-        for u in basis:
-            cu = sp.curl_spectral(u)
-            for k in u.coeffs:
-                resid = max(resid, float(np.max(np.abs(cu.mode(k) - lam * u.mode(k)))))
+        gram_dev, resid = sp.eigenfamily_defects(n)
         report["gram_deviation"] = gram_dev
         report["curl_residual"] = resid
         assertions.append(_assert_leq("gram_deviation", gram_dev, 1e-12))
@@ -283,18 +280,8 @@ def _run_perturb(cfg):
     fam = ct.metric_family(g, contactform, beta, p["epsilons"])
     curves = gk.track_splitting(fam, contactform, tuple(p["window"]), p["K"],
                                 nodes=p["nodes"])
-    worst_defect = 0.0
-    pts, _ = ct.uniform_grid(16)
-    det0 = np.linalg.det(g.matrix(pts))
-    worst_det = 0.0
-    compat_reports = {}
-    for eps in fam.epsilon_grid:
-        member = fam.member(eps)
-        rep = ct.check_compatibility(member, contactform)
-        compat_reports[repr(eps)] = ser.compatibility_to_json(rep)
-        worst_defect = max(worst_defect, rep.max_defect())
-        det = np.linalg.det(member.matrix(pts))
-        worst_det = max(worst_det, float(np.max(np.abs(det - det0) / np.abs(det0))))
+    compat, worst_det = ct.family_compatibility(fam)
+    worst_defect = max(rep.max_defect() for rep in compat.values())
     alpha_dev = float(np.max(np.abs(curves.alpha_curve - contactform.lambda0)))
     report = {
         "K": p["K"],
@@ -310,7 +297,7 @@ def _run_perturb(cfg):
         "alpha_eigenvalue_deviation": alpha_dev,
         "max_compatibility_defect": worst_defect,
         "max_det_relative_deviation": worst_det,
-        "compatibility": compat_reports,
+        "compatibility": {repr(e): ser.compatibility_to_json(r) for e, r in compat.items()},
     }
     plots = {"splitting_curves.csv": ser.splitting_curves_csv(curves)}
     assertions = [
@@ -328,30 +315,22 @@ def _run_pi_map(cfg):
         contactform, g = ct.std_contact_t3()
         beta = ct.default_perturbation_form()
         fam = ct.metric_family(g, contactform, beta, [-0.1, 0.1])
-        basis = gk.build_basis(p["K"])
-        A_of = gk.pencil_operator_family(fam, basis)
+        A_of = gk.pencil_operator_family(fam, gk.FormBasis(p["K"]))
         A0 = A_of(0.0)
         lo, hi = p["window"]
         cluster = gk.matrix_cluster(A0, 0.5 * (lo + hi), 0.5 * (hi - lo))
-        rep = gk.pi_map(A_of, p["q"], 0.0, cluster, nodes=p["contour_nodes"])
     else:
         gen = np.random.Generator(
             np.random.Philox(key=np.array([cfg.seed, 977], dtype=np.uint64))
         )
-        dim = p["dim"]
-        inside = gen.uniform(0.3, 0.7, size=3)
-        outside = gen.uniform(2.0, 6.0, size=dim - 3)
-        Q = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
-        A0 = (Q * np.concatenate([inside, outside])) @ Q.T
-        S1 = gen.standard_normal((dim, dim))
-        S1 = 0.5 * (S1 + S1.T)
-        S1 /= np.linalg.norm(S1, 2)
+        A0 = gk.random_two_band_symmetric(gen, p["dim"], 3)
+        S1 = gk.random_unit_symmetric(gen, p["dim"])
 
         def A_of(q, A0=A0, S1=S1):
             return A0 + q * S1
 
         cluster = gk.matrix_cluster(A0, 0.5, 1.0)
-        rep = gk.pi_map(A_of, p["q"], 0.0, cluster, nodes=p["contour_nodes"])
+    rep = gk.pi_map(A_of, p["q"], 0.0, cluster, nodes=p["contour_nodes"])
     cert = gk.splitting_certificate(rep.pi_prime)
     report = {
         "mode": p["mode"],
@@ -469,10 +448,3 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
             )
         )
     return record
-
-
-def verify_suite(level="quick", out_dir=None):
-    """Run the acceptance battery; see acceptance.run_suite."""
-    from .acceptance import run_suite
-
-    return run_suite(level=level, out_dir=out_dir)

@@ -107,11 +107,8 @@ class SpectralVectorField:
 
     def evaluate(self, points):
         """Exact trig-sum evaluation at arbitrary points (shape (..., 3) or (3,))."""
-        pts = _as_points(points)
         K, C = self.mode_arrays()
-        if K.shape[0] == 0:
-            return np.zeros((pts.shape[0], 3))
-        return (np.exp(1j * (pts @ K.T)) @ C).real
+        return (np.exp(1j * (_as_points(points) @ K.T)) @ C).real
 
     def norm_l2(self):
         return math.sqrt(VOLUME * sum(float(np.sum(np.abs(c) ** 2)) for c in self.coeffs.values()))
@@ -174,11 +171,8 @@ class ScalarSpectralField:
         return np.array(ks, dtype=float), np.array([self.coeffs[k] for k in ks], dtype=complex)
 
     def evaluate(self, points):
-        pts = _as_points(points)
         K, C = self.mode_arrays()
-        if K.shape[0] == 0:
-            return np.zeros(pts.shape[0])
-        return (np.exp(1j * (pts @ K.T)) @ C).real
+        return (np.exp(1j * (_as_points(points) @ K.T)) @ C).real
 
     def norm_l2(self):
         return math.sqrt(VOLUME * sum(abs(c) ** 2 for c in self.coeffs.values()))
@@ -345,6 +339,35 @@ def helicity_basis(n: int):
     return fields
 
 
+def _shell_gram(fields):
+    """Full Gram matrix of spectral fields via their stacked coefficients."""
+    modes = sorted({k for f in fields for k in f.coeffs})
+    index = {k: i for i, k in enumerate(modes)}
+    X = np.zeros((len(fields), len(modes), 3), dtype=complex)
+    for i, f in enumerate(fields):
+        for k, c in f.coeffs.items():
+            X[i, index[k]] = c
+    flat = X.reshape(len(fields), -1)
+    return VOLUME * (flat @ flat.conj().T).real
+
+
+def eigenfamily_defects(n: int):
+    """(Gram deviation from the identity, curl eigen-residual) of helicity_basis(n).
+
+    Both are sup-norms over the coefficients; the residual is that of
+    curl u = sqrt(n) u for each basis field u.
+    """
+    basis = helicity_basis(n)
+    lam = math.sqrt(n)
+    gram_dev = float(np.max(np.abs(_shell_gram(basis) - np.eye(len(basis)))))
+    resid = 0.0
+    for u in basis:
+        cu = curl_spectral(u)
+        for k in u.coeffs:
+            resid = max(resid, float(np.max(np.abs(cu.mode(k) - lam * u.mode(k)))))
+    return gram_dev, resid
+
+
 def random_beltrami(n: int, seed: int) -> SpectralVectorField:
     """Seeded Gaussian combination of the helicity basis of shell n.
 
@@ -448,13 +471,8 @@ def convective_spectral(v: SpectralVectorField) -> SpectralVectorField:
 
 def _solve_poisson_divergence(w: SpectralVectorField, sign: float) -> ScalarSpectralField:
     """Zero-mean solution f of Delta f = sign * Div w."""
-    coeffs = {}
-    for k, c in w.coeffs.items():
-        if k == (0, 0, 0):
-            continue
-        k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
-        div = 1j * complex(np.dot(np.array(k, dtype=float), c))
-        coeffs[k] = -sign * div / k2
+    coeffs = {k: -sign * div / (k[0] * k[0] + k[1] * k[1] + k[2] * k[2])
+              for k, div in divergence_spectral(w).coeffs.items() if k != (0, 0, 0)}
     coeffs[(0, 0, 0)] = 0j
     return ScalarSpectralField(coeffs=coeffs, truncation_radius=w.truncation_radius)
 
@@ -477,15 +495,7 @@ def steady_residual(v: SpectralVectorField):
     p = pressure(v)
     w = cross_spectral(v, curl_spectral(v))
     F = bernoulli(v)
-    gp = p.gradient()
-    gF = F.gradient()
-    r1 = 0.0
-    for k in set(conv.coeffs) | set(gp.coeffs):
-        r1 += float(np.sum(np.abs(conv.mode(k) + gp.mode(k)) ** 2))
-    r2 = 0.0
-    for k in set(w.coeffs) | set(gF.coeffs):
-        r2 += float(np.sum(np.abs(w.mode(k) - gF.mode(k)) ** 2))
-    return math.sqrt(VOLUME * r1), math.sqrt(VOLUME * r2)
+    return (conv + p.gradient()).norm_l2(), (w + F.gradient().scaled(-1.0)).norm_l2()
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +546,3 @@ def min_norm(v: SpectralVectorField, grid: int) -> float:
         x = cand[j]
         best = min(best, float(local[j]))
     return best
-
-
-def evaluate(v: SpectralVectorField, points):
-    """Exact trig-sum evaluation (periodic wrap of the inputs)."""
-    return v.evaluate(points)

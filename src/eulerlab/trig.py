@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectral import VOLUME, lex_negative
+
 COS = 0
 SIN = 1
-
-_TWO_PI = 2.0 * np.pi
-_VOLUME = _TWO_PI ** 3
-
-
-def _lex_negative(k):
-    for c in k:
-        if c > 0:
-            return False
-        if c < 0:
-            return True
-    return False
 
 
 class TrigPoly:
@@ -43,10 +33,6 @@ class TrigPoly:
                 self._accumulate(kind, k, c)
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def const(cls, c):
@@ -69,7 +55,7 @@ class TrigPoly:
     def _accumulate(self, kind, k, c):
         if c == 0.0:
             return
-        if _lex_negative(k):
+        if lex_negative(k):
             k = (-k[0], -k[1], -k[2])
             if kind == SIN:
                 c = -c
@@ -165,7 +151,7 @@ class TrigPoly:
 
     def integral(self):
         """Integral over the whole torus (volume (2*pi)^3)."""
-        return _VOLUME * self.terms.get((COS, (0, 0, 0)), 0.0)
+        return VOLUME * self.terms.get((COS, (0, 0, 0)), 0.0)
 
     def mean(self):
         return self.terms.get((COS, (0, 0, 0)), 0.0)

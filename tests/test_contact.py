@@ -101,23 +101,23 @@ class TestCheckCompatibility:
 
 class TestXiProjection:
     def test_alpha_projects_to_zero(self, model):
-        contact, g = model
-        out = ct.xi_projection(contact.alpha, contact, g)
+        contact, _ = model
+        out = ct.xi_projection(contact.alpha, contact)
         assert all(c.max_abs_coeff() <= 1e-15 for c in out.comps)
 
     def test_form_annihilating_reeb_unchanged(self, model):
-        contact, g = model
+        contact, _ = model
         form = ct.OneForm.from_polys(TrigPoly(), TrigPoly(), TrigPoly.cos((0, 1, 0)))
-        out = ct.xi_projection(form, contact, g)
+        out = ct.xi_projection(form, contact)
         for a, b in zip(out.comps, form.comps):
             assert a.allclose(b, tol=1e-15)
 
     def test_symbolic_oracle(self, model):
         # beta dual of (0, sin x1, cos x1): beta(R) = -sin x1 sin x3, so
         # beta_xi = beta + sin x1 sin x3 alpha
-        contact, g = model
+        contact, _ = model
         form = ct.OneForm.from_polys(TrigPoly(), TrigPoly.sin((1, 0, 0)), TrigPoly.cos((1, 0, 0)))
-        out = ct.xi_projection(form, contact, g)
+        out = ct.xi_projection(form, contact)
         pts = rand_pts(key=11)
         s1, s3, c3 = np.sin(pts[:, 0]), np.sin(pts[:, 2]), np.cos(pts[:, 2])
         # beta + (sin x1 sin x3) * alpha with alpha = (cos x3, -sin x3, 0)
@@ -126,8 +126,8 @@ class TestXiProjection:
         assert np.max(np.abs(out.eval(pts) - expected)) < 1e-13
 
     def test_annihilates_reeb(self, model, beta):
-        contact, g = model
-        out = ct.xi_projection(beta, contact, g)
+        contact, _ = model
+        out = ct.xi_projection(beta, contact)
         pairing = out.pair_field(contact.reeb_components())
         assert pairing.max_abs_coeff() <= 1e-16
 

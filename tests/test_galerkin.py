@@ -37,7 +37,7 @@ def family(model, beta):
 
 @pytest.fixture(scope="module")
 def basis1():
-    return gk.build_basis(1)
+    return gk.FormBasis(1)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +54,8 @@ def rng(*key):
 
 class TestFormBasis:
     def test_dimension_count(self):
-        assert gk.build_basis(1).dimension == 81
-        assert gk.build_basis(2).dimension == 3 * 125
+        assert gk.FormBasis(1).dimension == 81
+        assert gk.FormBasis(2).dimension == 3 * 125
 
     def test_flat_gram_is_diagonal(self, flat1, basis1):
         _, M = flat1
@@ -177,14 +177,33 @@ class TestMassMatrix:
             gk.assemble_mass(bad, basis1)
 
 
-class TestPencilType:
-    def test_assemble_pencil_and_solve(self, model):
-        _, g = model
-        basis = gk.build_basis(1)
-        pencil = gk.assemble_pencil(g, basis)
-        assert np.max(np.abs(pencil.exterior - pencil.exterior.T)) == 0.0
-        assert np.min(np.linalg.eigvalsh(pencil.mass)) > 0.0
-        assert pencil.solve((0.8, 1.2)).multiplicity == 6
+class TestRichardson:
+    def test_three_one_sided_levels_of_a_quadratic(self):
+        s, a, b = 0.7, -1.3, 2.9
+        steps = (0.04, 0.02, 0.01)
+        assert abs(gk.richardson([s + a * e + b * e * e for e in steps], steps) - s) <= 1e-12
+
+    def test_two_central_levels_of_a_cubic(self):
+        def cubic(x):
+            return 0.3 - 1.1 * x + 0.7 * x ** 2 + 2.5 * x ** 3
+
+        x0, exact = 0.4, -1.1 + 1.4 * 0.4 + 7.5 * 0.4 ** 2
+        steps = (0.1, 0.05)
+        diffs = [(cubic(x0 + h) - cubic(x0 - h)) / (2 * h) for h in steps]
+        assert abs(gk.richardson(diffs, steps, order=2) - exact) <= 1e-12
+        assert abs(gk.central_derivative(cubic, x0, 0.1) - exact) <= 1e-12
+
+    def test_array_values_element_by_element(self):
+        s = np.array([[0.7, -2.0], [1.5, 0.0]])
+        a = np.array([[-1.3, 0.4], [2.2, 1.0]])
+        b = np.array([[2.9, -0.6], [0.1, 3.0]])
+        steps = (0.04, 0.02, 0.01)
+        out = gk.richardson([s + a * e + b * e * e for e in steps], steps)
+        assert out.shape == s.shape
+        assert np.max(np.abs(out - s)) <= 1e-12
+        for i, j in np.ndindex(s.shape):
+            one = gk.richardson([s[i, j] + a[i, j] * e + b[i, j] * e * e for e in steps], steps)
+            assert out[i, j] == one
 
 
 class TestSolvePencil:
@@ -204,7 +223,7 @@ class TestSolvePencil:
     def test_shells_fully_resolved_at_truncation(self, model):
         _, g = model
         K = 3
-        basis = gk.build_basis(K)
+        basis = gk.FormBasis(K)
         B = gk.assemble_exterior(basis)
         M = gk.assemble_mass(g, basis)
         windows = {1: (0.9, 1.1), 2: (1.3, 1.5), 3: (1.65, 1.8), 4: (1.9, 2.1)}
@@ -248,7 +267,7 @@ class TestTrackSplitting:
 
     def test_alpha_row_and_column_vanish(self, curves, family, model, basis2=None):
         contact, _ = model
-        basis = gk.build_basis(2)
+        basis = gk.FormBasis(2)
         B = gk.assemble_exterior(basis)
         M0 = gk.assemble_mass(family.member(0.0), basis)
         cl = gk.solve_pencil(B, M0, (0.8, 1.2))
@@ -267,14 +286,14 @@ class TestTrackSplitting:
 class TestHellmannFeynman:
     def test_alpha_direction_flat(self, family, model):
         contact, _ = model
-        basis = gk.build_basis(2)
+        basis = gk.FormBasis(2)
         av = basis.form_to_vector(contact.alpha)
         fd, pencil, pairing = gk.hellmann_feynman(family, av, 1.0, basis, (0.8, 1.2))
         assert max(abs(fd), abs(pencil), abs(pairing)) <= 1e-8
 
     def test_beta_direction_three_routes(self, family, model, beta):
         contact, _ = model
-        basis = gk.build_basis(2)
+        basis = gk.FormBasis(2)
         bv = basis.form_to_vector(beta)
         fd, pencil, pairing = gk.hellmann_feynman(family, bv, 1.0, basis, (0.8, 1.2))
         ref = 0.5 * 41.0 / (64.0 * TWO_PI ** 3)
@@ -284,7 +303,7 @@ class TestHellmannFeynman:
 
     def test_unadapted_direction_raises(self, family, model, beta):
         contact, _ = model
-        basis = gk.build_basis(2)
+        basis = gk.FormBasis(2)
         B = gk.assemble_exterior(basis)
         M0 = gk.assemble_mass(family.base, basis)
         cl = gk.solve_pencil(B, M0, (0.8, 1.2))
@@ -296,7 +315,7 @@ class TestHellmannFeynman:
             gk.hellmann_feynman(family, mix, 1.0, basis, (0.8, 1.2))
 
     def test_vector_outside_cluster_raises(self, family, model):
-        basis = gk.build_basis(2)
+        basis = gk.FormBasis(2)
         stray = np.zeros(basis.dimension)
         stray[basis.index[(0, COS, (0, 0, 0))]] = 1.0
         with pytest.raises(DegenerateDirection):
@@ -401,7 +420,7 @@ class TestPiDerivative:
 
     def test_galerkin_direction_not_scalar(self, family, model, beta):
         contact, g = model
-        basis = gk.build_basis(1)
+        basis = gk.FormBasis(1)
         A_of = gk.pencil_operator_family(family, basis)
         A0 = A_of(0.0)
         delta = 0.02

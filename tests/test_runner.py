@@ -136,6 +136,14 @@ def test_cli_run_exit_codes(tmp_path):
     assert cli.main(["run", "--config", str(missing)]) == 2
 
 
+def _python(*args):
+    """Run a fresh interpreter that imports eulerlab from this checkout."""
+    src = os.path.dirname(os.path.dirname(eulerlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def test_cli_rejects_lyapunov_T_not_above_renorm(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({
@@ -143,15 +151,39 @@ def test_cli_rejects_lyapunov_T_not_above_renorm(tmp_path):
         "params": {"A": 1.0, "B": 0.5, "C": 0.1, "T": 5.0, "renorm": 5.0},
     }))
     out = tmp_path / "o"
-    src = os.path.dirname(os.path.dirname(eulerlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "T > renorm" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("template", [
+    '{"kind": "lyapunov", "params": {"A": 1.0, "B": 0.5, "C": 0.0, "T": %s}}',
+    '{"kind": "abc", "params": {"A": %s, "B": 0.5, "C": 0.1}}',
+], ids=["lyapunov", "abc"])
+def test_cli_rejects_non_finite_numbers(tmp_path, template, token):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(template % token)
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert token.lstrip("-") in proc.stderr
+    assert not out.exists()
+    with pytest.raises(ConfigInvalid):
+        runner.load_config(str(cfgfile))
+
+
+def test_runner_does_not_import_acceptance(tmp_path):
+    code = ("import sys\n"
+            "from eulerlab import runner\n"
+            "cfg = runner.load_config({'kind': 'spectrum', 'params': {'n': 3}})\n"
+            f"assert runner.run(cfg, out_dir={str(tmp_path / 'o')!r}).ok\n"
+            "assert 'eulerlab.acceptance' not in sys.modules\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("error", [ValueError("bad value"), np.linalg.LinAlgError("singular")])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerlab import spectral as sp
 from eulerlab.errors import NoSuchEigenvalue, VanishingField
@@ -366,3 +368,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             sp.SpectralVectorField(
                 coeffs={(1, 0, 0): np.array([1.0 + 0j, 0, 0])}, truncation_radius=1)
+
+
+COEFF = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3),
+                       st.tuples(COEFF, COEFF, COEFF), max_size=8))
+def test_divergence_of_curl_vanishes(pairs):
+    v = sp.SpectralVectorField.from_pairs({k: np.array(c) for k, c in pairs.items()},
+                                          truncation_radius=2)
+    d = sp.divergence_spectral(sp.curl_spectral(v))
+    assert max((abs(c) for c in d.coeffs.values()), default=0.0) <= 1e-12

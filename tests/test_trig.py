@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulerlab.trig import COS, TrigPoly
+from eulerlab.spectral import lex_negative
+from eulerlab.trig import COS, SIN, TrigPoly
 
 X = sympy.symbols("x1 x2 x3")
 
@@ -100,3 +103,45 @@ def test_exact_cancellation():
     c = TrigPoly.cos((1, 2, 3))
     one = s * s + c * c
     assert one.terms == {(COS, (0, 0, 0)): 1.0}
+
+
+# raw (kind, k, c) terms, with k in either half of the lattice
+TERMS = st.lists(
+    st.tuples(st.sampled_from([COS, SIN]),
+              st.tuples(*[st.integers(-2, 2)] * 3),
+              st.floats(-2.0, 2.0, allow_nan=False)),
+    max_size=5)
+PTS = np.random.Generator(np.random.Philox(key=np.array([5, 3], dtype=np.uint64))).uniform(
+    0, 2 * np.pi, size=(16, 3))
+
+
+def _poly(spec):
+    p = TrigPoly()
+    for kind, k, c in spec:
+        p = p + (TrigPoly.cos(k, c) if kind == COS else TrigPoly.sin(k, c))
+    return p
+
+
+def _pointwise(spec, axis=None):
+    """The terms (or their derivative along axis) summed at PTS, without canonicalisation."""
+    out = np.zeros(len(PTS))
+    for kind, k, c in spec:
+        ph = PTS @ np.array(k, dtype=float)
+        if axis is None:
+            out += c * (np.cos(ph) if kind == COS else np.sin(ph))
+        else:
+            out += c * k[axis] * (-np.sin(ph) if kind == COS else np.cos(ph))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(TERMS, TERMS, st.integers(0, 2))
+def test_algebra_agrees_with_pointwise_evaluation(a_spec, b_spec, axis):
+    a, b = _poly(a_spec), _poly(b_spec)
+    fa, fb = _pointwise(a_spec), _pointwise(b_spec)
+    assert np.allclose(a.eval(PTS), fa, rtol=0, atol=1e-12)
+    assert np.allclose((a + b).eval(PTS), fa + fb, rtol=0, atol=1e-12)
+    assert np.allclose((a * b).eval(PTS), fa * fb, rtol=0, atol=1e-11)
+    assert np.allclose(a.deriv(axis).eval(PTS), _pointwise(a_spec, axis), rtol=0, atol=1e-11)
+    for p in (a, a + b, a * b, a.deriv(axis)):
+        assert not any(lex_negative(k) for (_, k) in p.terms)
