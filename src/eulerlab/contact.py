@@ -401,26 +401,26 @@ def noncollinearity_measure(alpha: OneForm, beta: OneForm, grid: int, tol: float
     return float(np.mean(norms < tol))
 
 
-def variation_pairing(a1: OneForm, a2: OneForm, h: VariationTensor,
-                      g: MetricField, lam: float, nodes=None) -> float:
-    """Quadrature of lam*h(a2#, a1#) - (lam/2) Tr_g(h) g(a2#, a1#) over vol_g.
+def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float,
+                      nodes=None) -> np.ndarray:
+    """Pairing matrix of a list of 1-forms: entry (m, l) is the quadrature of
+    lam*h(a_m#, a_l#) - (lam/2) Tr_g(h) g(a_m#, a_l#) over vol_g.
 
-    Node counts default to strictly above the Nyquist bound of the combined
-    trig degree, so the integral is exact for polynomial metrics.
+    The metric, h and every form are evaluated once on one grid and the
+    symmetric k x k matrix comes from one contraction.  Node counts default
+    to strictly above the Nyquist bound of the widest pair's trig degree, so
+    every entry is exact for polynomial metrics.
     """
     if nodes is None:
-        nodes = max(
-            16,
-            h.entries.degree() + a1.degree() + a2.degree() + g.degree_hint + 1,
-        )
+        widest = max(a.degree() for a in forms)
+        nodes = max(16, h.entries.degree() + 2 * widest + g.degree_hint + 1)
     pts, w = uniform_grid(nodes)
     G = g.matrix(pts)
     Ginv = np.linalg.inv(G)
     sqrt_det = np.sqrt(np.linalg.det(G))
-    A1 = np.einsum("pij,pj->pi", Ginv, a1.eval(pts))
-    A2 = np.einsum("pij,pj->pi", Ginv, a2.eval(pts))
+    sharp = np.einsum("pij,kpj->kpi", Ginv, np.stack([a.eval(pts) for a in forms]))
     H = h.entries.eval_matrix(pts)
-    term = lam * np.einsum("pi,pij,pj->p", A2, H, A1)
     tr = np.einsum("pij,pij->p", Ginv, H)
-    term -= 0.5 * lam * tr * np.einsum("pi,pij,pj->p", A2, G, A1)
-    return float(np.sum(term * sqrt_det) * w)
+    core = (lam * w) * (H - 0.5 * tr[:, None, None] * G) * sqrt_det[:, None, None]
+    Pi = np.einsum("mpi,pij,lpj->ml", sharp, core, sharp, optimize=True)
+    return 0.5 * (Pi + Pi.T)

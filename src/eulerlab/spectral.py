@@ -492,9 +492,9 @@ def pressure(v: SpectralVectorField) -> ScalarSpectralField:
 def steady_residual(v: SpectralVectorField):
     """(||v.grad v + grad p||_L2, ||v x curl v - grad F||_L2) for the two Poisson solves."""
     conv = convective_spectral(v)
-    p = pressure(v)
+    p = _solve_poisson_divergence(conv, sign=-1.0)
     w = cross_spectral(v, curl_spectral(v))
-    F = bernoulli(v)
+    F = _solve_poisson_divergence(w, sign=1.0)
     return (conv + p.gradient()).norm_l2(), (w + F.gradient().scaled(-1.0)).norm_l2()
 
 

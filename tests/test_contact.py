@@ -258,8 +258,7 @@ class TestNoncollinearity:
 class TestVariationPairing:
     def test_alpha_diagonal_vanishes(self, model, family):
         contact, g = model
-        val = ct.variation_pairing(contact.alpha, contact.alpha, family.variation,
-                                   g, contact.lambda0)
+        val = ct.variation_pairing([contact.alpha], family.variation, g, contact.lambda0)[0, 0]
         assert abs(val) <= 1e-15
 
     def test_beta_diagonal_quarter_power(self, model, beta, family):
@@ -275,19 +274,48 @@ class TestVariationPairing:
         W = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
         q = family.variation.norm2.eval(pts)
         ref = contact.lambda0 * 0.5 * float(np.sum(q ** 2 * W))
-        val = ct.variation_pairing(beta, beta, family.variation, g, contact.lambda0)
+        val = ct.variation_pairing([beta], family.variation, g, contact.lambda0)[0, 0]
         assert val == pytest.approx(ref, rel=1e-12)
         # closed form for the default direction
         assert val == pytest.approx(41.0 / (128.0 * TWO_PI ** 3), rel=1e-13)
 
     def test_symmetry(self, model, beta, family):
         contact, g = model
-        ab = ct.variation_pairing(contact.alpha, beta, family.variation, g, 1.0)
-        ba = ct.variation_pairing(beta, contact.alpha, family.variation, g, 1.0)
+        ab = ct.variation_pairing([contact.alpha, beta], family.variation, g, 1.0)[0, 1]
+        ba = ct.variation_pairing([beta, contact.alpha], family.variation, g, 1.0)[0, 1]
         assert abs(ab - ba) <= 1e-13
 
     def test_lambda_scaling(self, model, beta, family):
         contact, g = model
-        v1 = ct.variation_pairing(beta, beta, family.variation, g, 1.0)
-        v2 = ct.variation_pairing(beta, beta, family.variation, g, 2.0)
+        v1 = ct.variation_pairing([beta], family.variation, g, 1.0)[0, 0]
+        v2 = ct.variation_pairing([beta], family.variation, g, 2.0)[0, 0]
         assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
+
+    def test_matrix_matches_per_pair_quadrature(self, model, beta, family):
+        # slow reference: one quadrature per pair, each on the node count of
+        # its own pair's trig degree
+        contact, g = model
+        h = family.variation
+        wide = ct.OneForm.from_polys(TrigPoly.cos((2, 1, 0), 0.3), TrigPoly.sin((0, 1, 2), -0.7),
+                                     TrigPoly.cos((1, 0, 0), 0.2) + TrigPoly.sin((2, 0, 1), 0.5))
+        forms = [contact.alpha, beta, wide, beta.scaled(-2.0) + wide]
+
+        def pair(a1, a2, lam):
+            nodes = max(16, h.entries.degree() + a1.degree() + a2.degree() + g.degree_hint + 1)
+            pts, w = ct.uniform_grid(nodes)
+            G = g.matrix(pts)
+            Ginv = np.linalg.inv(G)
+            A1 = np.einsum("pij,pj->pi", Ginv, a1.eval(pts))
+            A2 = np.einsum("pij,pj->pi", Ginv, a2.eval(pts))
+            H = h.entries.eval_matrix(pts)
+            tr = np.einsum("pij,pij->p", Ginv, H)
+            term = lam * np.einsum("pi,pij,pj->p", A2, H, A1)
+            term -= 0.5 * lam * tr * np.einsum("pi,pij,pj->p", A2, G, A1)
+            return float(np.sum(term * np.sqrt(np.linalg.det(G))) * w)
+
+        Pi = ct.variation_pairing(forms, h, g, 1.5)
+        assert Pi.shape == (4, 4)
+        assert np.array_equal(Pi, Pi.T)
+        ref = np.array([[pair(a, b, 1.5) for b in forms] for a in forms])
+        assert np.max(np.abs(ref)) > 1e-3
+        assert np.max(np.abs(Pi - ref)) <= 1e-15

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from eulerlab import contact as ct
 from eulerlab import galerkin as gk
@@ -177,6 +178,53 @@ class TestMassMatrix:
             gk.assemble_mass(bad, basis1)
 
 
+def pointwise_quadrature(basis, nodes, weights):
+    """Slow reference for the mass quadrature: scalar basis values on the
+    grid, one weighted Gram product per slot pair."""
+    pts, _ = ct.uniform_grid(nodes)
+    rows = np.empty((basis.n_scalar, pts.shape[0]))
+    rows[0] = 1.0
+    ph = pts @ np.array(basis.half_lattice, dtype=float).T
+    rows[1::2] = np.cos(ph).T
+    rows[2::2] = np.sin(ph).T
+    S = basis.n_scalar
+    M = np.empty((basis.dimension, basis.dimension))
+    for a in range(3):
+        for b in range(3):
+            M[a * S:(a + 1) * S, b * S:(b + 1) * S] = (rows * weights[:, a, b]) @ rows.T
+    return M
+
+
+class TestMassAgainstPointwiseQuadrature:
+    # default node count, an odd and an even one, and an aliased one (<= 2K)
+    @pytest.mark.parametrize("K", [1, 2])
+    @pytest.mark.parametrize("nodes", [None, 7, 8, "aliased"])
+    def test_mass_and_derivative(self, family, K, nodes):
+        basis = gk.FormBasis(K)
+        member = family.member(0.2)
+        cases = [(member, member.degree_hint, False),
+                 (family.base, family.base.degree_hint + family.variation.entries.degree(), True)]
+        for metric, hint, derivative in cases:
+            n = {None: gk.default_mass_nodes(K, hint), "aliased": 2 * K}.get(nodes, nodes)
+            pts, w = ct.uniform_grid(n)
+            G = metric.matrix(pts)
+            Ginv = np.linalg.inv(G)
+            if derivative:
+                H = family.variation.entries.eval_matrix(pts)
+                tr = np.einsum("pij,pij->p", Ginv, H)
+                weights = -Ginv @ H @ Ginv + 0.5 * tr[:, None, None] * Ginv
+                fast = gk.mass_derivative(metric, family.variation, basis, nodes=n)
+            else:
+                weights = Ginv
+                fast = gk.assemble_mass(metric, basis, nodes=n)
+            ref = pointwise_quadrature(basis, n, weights * np.sqrt(np.linalg.det(G))[:, None, None] * w)
+            assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+            if nodes is None:  # n is the node count the default picks
+                default = (gk.mass_derivative(metric, family.variation, basis) if derivative
+                           else gk.assemble_mass(metric, basis))
+                assert np.array_equal(fast, default)
+
+
 class TestRichardson:
     def test_three_one_sided_levels_of_a_quadratic(self):
         s, a, b = 0.7, -1.3, 2.9
@@ -246,6 +294,50 @@ class TestSolvePencil:
         B, M = flat1
         with pytest.raises(WindowTouchesSpectrum):
             gk.solve_pencil(B, M, (1.0, 1.2))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, -0.2])
+    def test_blocks_match_dense_solve_on_family(self, family, eps):
+        from scipy.sparse.csgraph import connected_components
+
+        basis = gk.FormBasis(2)
+        B = gk.assemble_exterior(basis)
+        M = gk.assemble_mass(family.member(eps), basis)
+        coupled = (B != 0) | (np.abs(M) > 1e-12 * np.max(np.abs(M)))
+        assert connected_components(coupled, directed=False)[0] > 1
+        window = (0.8, 1.6)
+        cl = gk.solve_pencil(B, M, window)
+        dense = sla.eigh(B, M, eigvals_only=True)
+        dense = dense[(dense > window[0]) & (dense < window[1])]
+        assert cl.multiplicity == len(dense) > 6
+        assert np.max(np.abs(cl.eigenvalues - dense)) <= 1e-12
+        G = cl.vectors.T @ M @ cl.vectors
+        assert np.max(np.abs(G - np.eye(cl.multiplicity))) <= 1e-12
+        assert np.max(np.abs(B @ cl.vectors - (M @ cl.vectors) * cl.eigenvalues)) <= 1e-12
+
+    def test_window_edge_in_a_later_component_raises(self):
+        # two components: eigenvalues -1, 1 in the first and 1.5, 2.5 in the second
+        B = sla.block_diag([[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.5], [0.5, 2.0]])
+        M = np.eye(4)
+        cl = gk.solve_pencil(B, M, (0.0, 2.0))
+        assert np.max(np.abs(cl.eigenvalues - [1.0, 1.5])) <= 1e-14
+        assert np.array_equal(cl.vectors[2:, 0], [0.0, 0.0])
+        assert np.array_equal(cl.vectors[:2, 1], [0.0, 0.0])
+        with pytest.raises(WindowTouchesSpectrum):
+            gk.solve_pencil(B, M, (0.0, 1.5))
+        with pytest.raises(WindowTouchesSpectrum):
+            gk.solve_pencil(B, M, (2.5, 3.0))
+
+    def test_one_component_is_bitwise_the_dense_solve(self):
+        gen = rng(31, 0)
+        X = gen.standard_normal((40, 40))
+        M = X @ X.T + 40.0 * np.eye(40)
+        B = gen.standard_normal((40, 40))
+        B = B + B.T
+        vals, vecs = sla.eigh(B, M)
+        lo, hi = 0.5 * (vals[9] + vals[10]), 0.5 * (vals[19] + vals[20])
+        cl = gk.solve_pencil(B, M, (lo, hi))
+        assert np.array_equal(cl.eigenvalues, vals[10:20])
+        assert np.array_equal(cl.vectors, vecs[:, 10:20])
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +433,19 @@ class TestSpectralProjector:
             assert np.linalg.norm(P @ P - P) <= 1e-10
             assert np.linalg.norm(P @ A - A @ P) <= 1e-8
             assert np.trace(P) == pytest.approx(4.0, abs=1e-8)
+
+    @pytest.mark.parametrize("nodes", [8, 9, 64])
+    def test_half_contour_equals_full_trapezoid_sum(self, nodes):
+        gen = rng(29, nodes)
+        A = gk.random_two_band_symmetric(gen, 30, 3)
+        center, radius = 0.5, 1.0
+        full = np.zeros((30, 30), dtype=complex)
+        for j in range(nodes):
+            e = np.exp(1j * TWO_PI * j / nodes)
+            full += (radius * e / nodes) * np.linalg.inv((center + radius * e) * np.eye(30) - A)
+        full = 0.5 * (full.real + full.real.T)
+        P = gk.spectral_projector(A, center, radius, nodes)
+        assert np.max(np.abs(P - full)) <= 1e-14
 
     def test_eigenvalue_on_contour_raises(self):
         A = np.diag([1.0, 2.0, 3.0])

@@ -158,6 +158,17 @@ def test_cli_rejects_lyapunov_T_not_above_renorm(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nodes", [0, -3])
+def test_cli_rejects_perturb_nodes_below_one(tmp_path, nodes):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"kind": "perturb", "params": {"K": 1, "nodes": nodes}}))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
 @pytest.mark.parametrize("template", [
     '{"kind": "lyapunov", "params": {"A": 1.0, "B": 0.5, "C": 0.0, "T": %s}}',

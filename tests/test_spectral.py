@@ -306,6 +306,19 @@ class TestSteadyResidual:
         _, r2 = sp.steady_residual(v)
         assert r2 > 0.01
 
+    def test_products_built_once(self, monkeypatch):
+        calls = {"convective_spectral": 0, "cross_spectral": 0}
+        for name in calls:
+            original = getattr(sp, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(sp, name, counted)
+        sp.steady_residual(sp.make_abc(sp.ABCParams(1.0, 0.5, 0.3)))
+        assert calls == {"convective_spectral": 1, "cross_spectral": 1}
+
 
 class TestProportionalityFactor:
     def test_abc_unit_factor(self):
