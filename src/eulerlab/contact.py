@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .spectral import TWO_PI, SpectralVectorField, lex_negative
+from .spectral import TWO_PI, SpectralVectorField
 from .trig import TrigPoly
 
 
@@ -33,15 +33,11 @@ def uniform_grid(n):
 def trig_components(field: SpectralVectorField):
     """Exact conversion of a spectral vector field into three trig polynomials."""
     comps = [TrigPoly(), TrigPoly(), TrigPoly()]
-    for k, c in field.coeffs.items():
-        if k == (0, 0, 0):
-            for a in range(3):
-                comps[a] = comps[a] + TrigPoly.const(c[a].real)
-            continue
-        if lex_negative(k):
-            continue
+    half = len(field.K) // 2
+    for k, c in zip(field.K[half:].tolist(), field.C[half:]):
+        w = 1.0 if k == [0, 0, 0] else 2.0  # the canonical half stands for both of +-k
         for a in range(3):
-            comps[a] = comps[a] + TrigPoly.cos(k, 2.0 * c[a].real) + TrigPoly.sin(k, -2.0 * c[a].imag)
+            comps[a] = comps[a] + TrigPoly.cos(k, w * c[a].real) + TrigPoly.sin(k, -w * c[a].imag)
     return tuple(comps)
 
 

@@ -226,7 +226,7 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, trajectory=None):
 
 def field_rhs(v: SpectralVectorField):
     """RHS closure dx/dt = v(x) by direct trig summation; x of shape (3,) or (L, 3)."""
-    K, C = v.mode_arrays()
+    K, C = v.K.astype(float), v.C
 
     def rhs(t, y):
         e = np.exp(1j * (y @ K.T))
@@ -239,27 +239,20 @@ def tangent_rhs(v: SpectralVectorField, ncols=1):
     """Batched RHS for lanes (x, W), W a 3 x ncols tangent block: dW = J(x) W.
 
     A lane is a row [x, W.ravel()] of the (L, 3 + 3 ncols) state.  Each
-    pair of modes +-k is folded into one wavevector k with cosine and sine
-    coefficients P, Q, so that with theta_m = k_m . x the field is
-    sum_m P_m cos theta_m - Q_m sin theta_m and J W = -sum_m (Q_m cos
-    theta_m + P_m sin theta_m) (k_m . W).  Both contractions are einsums
-    over fixed block matrices.  The returned function reuses its work arrays
-    from call to call, so one instance must not run in two threads at once.
+    pair of modes +-k, rows i and m-1-i of the sorted mode arrays, is folded
+    into one wavevector k with cosine and sine coefficients P, Q, so that
+    with theta_m = k_m . x the field is sum_m P_m cos theta_m - Q_m sin
+    theta_m and J W = -sum_m (Q_m cos theta_m + P_m sin theta_m) (k_m . W).
+    Both contractions are einsums over fixed block matrices.  The returned
+    function reuses its work arrays from call to call, so one instance must
+    not run in two threads at once.
     """
-    index, ks, P, Q = {}, [], [], []
-    for k, coef in zip(*v.mode_arrays()):
-        i = index.get(tuple(-k))
-        if i is None:
-            index[tuple(k)] = len(ks)
-            ks.append(k)
-            P.append(coef.real)
-            Q.append(coef.imag)
-        else:  # cos is even and sin odd in k
-            P[i] = P[i] + coef.real
-            Q[i] = Q[i] - coef.imag
-    K = np.array(ks).reshape(-1, 3)
-    P, Q = np.array(P).reshape(-1, 3), np.array(Q).reshape(-1, 3)
-    m = len(K)
+    m = (len(v.K) + 1) // 2
+    K = v.K[:m]
+    fold = v.C[:m] + np.conj(v.C[::-1][:m])  # cos is even and sin odd in k
+    if len(v.K) % 2:  # k = 0 pairs with itself
+        fold[-1] = v.C[m - 1]
+    P, Q = fold.real, fold.imag
     # phases a[:, j]: theta_m for j = 0, k_m . W[:, c] for j = 1 + c
     to_phase = np.zeros((3 + 3 * ncols, 1 + ncols, m))
     to_phase[:3, 0] = K.T
@@ -424,10 +417,10 @@ def tangent_map(v: SpectralVectorField, x0, T: float, tol: float):
 
 def first_integral_report(v: SpectralVectorField, F, grid: int) -> FirstIntegralReport:
     """Range gap of F and sup |grad F . v| over the uniform grid."""
-    from .spectral import evaluate_on_grid, evaluate_scalar_on_grid
+    from .spectral import evaluate_on_grid
 
     n = max(grid, 2 * max(v.truncation_radius, F.truncation_radius) + 1)
-    fvals = evaluate_scalar_on_grid(F, n)
+    fvals = evaluate_on_grid(F, n)
     gap = float(np.max(fvals) - np.min(fvals))
     gF = F.gradient()
     gvals = evaluate_on_grid(gF, n)

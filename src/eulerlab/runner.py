@@ -186,7 +186,7 @@ def _run_bernoulli(cfg):
     report = {"source": label, "bernoulli_sup_norm": sup, "field_hash": ser.field_hash(field)}
     plots = {
         "source_field.json": ser.dump_json(ser.field_to_json(field)),
-        "bernoulli.json": ser.dump_json(ser.scalar_field_to_json(F)),
+        "bernoulli.json": ser.dump_json(ser.field_to_json(F)),
     }
     assertions = [_assert_leq("bernoulli_sup_norm", sup, 1e-11)]
     return report, plots, assertions
@@ -403,6 +403,22 @@ def emit_plot_data(record: RunRecord):
     return paths
 
 
+def _remove_previous_run(out):
+    """Delete the files that a run_record.json already in `out` lists, so
+    none of them outlives a manifest that no longer names it; files that no
+    manifest lists stay."""
+    try:
+        with open(os.path.join(out, "run_record.json")) as fh:
+            names = [entry["name"] for entry in json.load(fh)["files"]]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    for name in names:
+        if isinstance(name, str) and name == os.path.basename(name):
+            path = os.path.join(out, name)
+            if os.path.isfile(path):
+                os.remove(path)
+
+
 def run(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
     """Execute a validated config: write result files, a manifest and
     assertion records.  Module errors, and the ValueError or LinAlgError
@@ -414,6 +430,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
     except (EulerLabError, ValueError, np.linalg.LinAlgError) as exc:
         raise ComputeFailure(f"{cfg.kind} run failed: {exc}") from exc
     os.makedirs(out, exist_ok=True)
+    _remove_previous_run(out)
     report = dict(report)
     report["config_hash"] = cfg.config_hash
     report["version"] = __version__

@@ -13,18 +13,12 @@ import json
 import numpy as np
 
 from .contact import MetricField, OneForm, TensorPoly
-from .spectral import (
-    ScalarSpectralField,
-    SpectralVectorField,
-    lex_negative,
-)
+from .spectral import SpectralVectorField
 from .trig import COS, SIN, TrigPoly
 
 __all__ = [
     "field_to_json",
     "field_from_json",
-    "scalar_field_to_json",
-    "scalar_field_from_json",
     "trig_to_json",
     "trig_from_json",
     "oneform_to_json",
@@ -66,45 +60,20 @@ def sha256_of_file(path) -> str:
 # spectral fields
 
 
-def field_to_json(v: SpectralVectorField) -> dict:
-    """Schema: {truncation_radius, modes: [{k: [int x3], re: [f64 x3], im: [f64 x3]}]},
-    one mode entry per +/-k pair (the lexicographically positive representative)."""
-    modes = []
-    for k in sorted(v.coeffs):
-        if k != (0, 0, 0) and lex_negative(k):
-            continue
-        c = v.coeffs[k]
-        modes.append(
-            {
-                "k": list(k),
-                "re": [float(x) for x in c.real],
-                "im": [float(x) for x in c.imag],
-            }
-        )
-    return {"truncation_radius": v.truncation_radius, "modes": modes}
-
-
-def field_from_json(doc: dict) -> SpectralVectorField:
-    pairs = {}
-    for m in doc["modes"]:
-        k = tuple(int(x) for x in m["k"])
-        pairs[k] = np.array(m["re"], dtype=float) + 1j * np.array(m["im"], dtype=float)
-    return SpectralVectorField.from_pairs(pairs, truncation_radius=doc["truncation_radius"])
-
-
-def scalar_field_to_json(f: ScalarSpectralField) -> dict:
-    modes = []
-    for k in sorted(f.coeffs):
-        if k != (0, 0, 0) and lex_negative(k):
-            continue
-        c = f.coeffs[k]
-        modes.append({"k": list(k), "re": float(c.real), "im": float(c.imag)})
+def field_to_json(f) -> dict:
+    """Schema: {truncation_radius, modes: [{k: [int x3], re, im}]}, one mode entry per
+    +/-k pair: k = 0 when stored, then the lexicographically positive representatives.
+    re and im are lists of three floats for a vector field, floats for a scalar field."""
+    half = len(f.K) // 2
+    modes = [{"k": k, "re": c.real.tolist(), "im": c.imag.tolist()}
+             for k, c in zip(f.K[half:].tolist(), f.C[half:])]
     return {"truncation_radius": f.truncation_radius, "modes": modes}
 
 
-def scalar_field_from_json(doc: dict) -> ScalarSpectralField:
-    pairs = {tuple(int(x) for x in m["k"]): complex(m["re"], m["im"]) for m in doc["modes"]}
-    return ScalarSpectralField.from_pairs(pairs, truncation_radius=doc["truncation_radius"])
+def field_from_json(doc: dict, cls=SpectralVectorField):
+    """Inverse of field_to_json; cls is the field class that was written."""
+    pairs = {tuple(m["k"]): np.vectorize(complex)(m["re"], m["im"]) for m in doc["modes"]}
+    return cls.from_pairs(pairs, truncation_radius=doc["truncation_radius"])
 
 
 def field_hash(v: SpectralVectorField) -> str:
@@ -180,56 +149,39 @@ def metric_to_json(g: MetricField) -> dict:
 # CSV emitters
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
+def _csv(header, columns) -> str:
+    """CSV text of equal-length columns; str of a float is its shortest round-trip repr."""
+    cells = [map(str, np.asarray(col).tolist()) for col in columns]
+    return "\n".join([",".join(header)] + [",".join(row) for row in zip(*cells)]) + "\n"
 
 
 def grid_report_csv(report) -> str:
     """Uniform grid report with header (x1, x2, x3, value)."""
     n = report.grid
-    step = 2.0 * np.pi / n
-    rows = []
-    vals = report.values
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rows.append((i * step, j * step, k * step, float(vals[i, j, k])))
-    return _csv(rows, ("x1", "x2", "x3", "value"))
+    axis = np.array([repr(i * (2.0 * np.pi / n)) for i in range(n)], dtype=object)
+    return _csv(("x1", "x2", "x3", "value"),
+                [*axis[np.indices((n, n, n)).reshape(3, -1)], report.values.ravel()])
 
 
 def trajectory_csv(traj) -> str:
-    rows = [(t, x[0], x[1], x[2]) for t, x in zip(traj.ts, traj.xs)]
-    return _csv(rows, ("t", "x1", "x2", "x3"))
+    return _csv(("t", "x1", "x2", "x3"), [traj.ts, *np.reshape(traj.xs, (-1, 3)).T])
 
 
 def section_csv(section) -> str:
-    rows = [(p[0], p[1]) for p in section.points]
-    return _csv(rows, ("s1", "s2"))
+    return _csv(("s1", "s2"), np.reshape(section.points, (-1, 2)).T)
 
 
 def lyapunov_csv(estimate) -> str:
-    rows = [(t, v) for t, v in estimate.history]
-    return _csv(rows, ("t", "estimate"))
+    return _csv(("t", "estimate"), np.reshape(estimate.history, (-1, 2)).T)
 
 
 def matrix_csv(M) -> str:
-    M = np.asarray(M)
-    rows = []
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            if M[i, j] != 0.0:
-                rows.append((i, j, float(M[i, j])))
-    return _csv(rows, ("row", "col", "value"))
+    M = np.asarray(M, dtype=float)
+    i, j = np.nonzero(M)
+    return _csv(("row", "col", "value"), [i, j, M[i, j]])
 
 
 def splitting_curves_csv(curves) -> str:
     k = curves.curves.shape[1]
     header = ("epsilon",) + tuple(f"lambda_{i + 1}" for i in range(k))
-    rows = [
-        (float(e),) + tuple(float(x) for x in row)
-        for e, row in zip(curves.epsilons, curves.curves)
-    ]
-    return _csv(rows, header)
+    return _csv(header, [np.asarray(curves.epsilons, dtype=float), *curves.curves.T])

@@ -1,7 +1,8 @@
 """Truncated Fourier representation of fields on the flat 3-torus.
 
-Vector and scalar fields live as maps from integer wave vectors to complex
-coefficients, subject to the reality condition coeff(-k) = conj(coeff(k)).
+Vector and scalar fields live as sorted arrays of integer wave vectors and
+complex coefficients, subject to the reality condition
+coeff(-k) = conj(coeff(k)).
 Curl and divergence act mode by mode, lattice shells |k|^2 = n enumerate
 curl eigenspaces, and quadratic nonlinearities (v x curl v, v . grad v) are
 formed on grids large enough that no aliasing can reach the retained modes.
@@ -57,134 +58,99 @@ class ABCParams:
 
 
 @dataclass(frozen=True)
-class SpectralVectorField:
-    """Vector field as {wave vector: complex 3-vector} with |k|_inf <= truncation_radius.
+class _SpectralField:
+    """Real field on T^3 as sorted mode arrays; shared by the vector and scalar classes.
 
-    The stored map always contains both members of each +/-k pair with
-    exactly conjugate coefficients; the k = 0 coefficient is real.
+    K is an (m, 3) integer array of distinct wave vectors with |k|_inf <=
+    truncation_radius, in lexicographic order and closed under k -> -k; C
+    holds the coefficients, shape (m,) + SHAPE.  Negation reverses the
+    lexicographic order of such a set, so closure reads K[::-1] == -K,
+    reality reads C[::-1] == conj(C) (the k = 0 coefficient is real), and
+    the canonical half, k = 0 when present and then the lexicographically
+    positive vectors, is K[m // 2:].
     """
 
-    coeffs: dict
+    K: np.ndarray
+    C: np.ndarray
     truncation_radius: int
 
+    SHAPE = ()
+
     def __post_init__(self):
-        for k, c in self.coeffs.items():
-            if max(abs(x) for x in k) > self.truncation_radius:
-                raise ValueError(f"mode {k} outside truncation {self.truncation_radius}")
-            mk = _neg(k)
-            if mk not in self.coeffs:
-                raise ValueError(f"mode {k} stored without its negation")
-            if not np.array_equal(np.conj(self.coeffs[mk]), c, equal_nan=True):
-                raise ValueError(f"reality violated at mode {k}")
+        K = np.asarray(self.K, dtype=np.int64).reshape(-1, 3)
+        C = np.asarray(self.C, dtype=complex).reshape((len(K),) + self.SHAPE)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "C", C)
+        if len(K) and np.max(np.abs(K)) > self.truncation_radius:
+            raise ValueError(f"mode outside truncation {self.truncation_radius}")
+        step = np.diff(K, axis=0)  # the first nonzero entry of each step must be positive
+        if np.any(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] <= 0):
+            raise ValueError("wave vectors not sorted and distinct")
+        if not np.array_equal(K[::-1], -K):
+            raise ValueError("mode stored without its negation")
+        if not np.array_equal(C[::-1], np.conj(C), equal_nan=True):
+            raise ValueError("reality violated")
 
     @classmethod
     def from_pairs(cls, pairs, truncation_radius):
-        """Build from one complex 3-vector per canonical representative."""
-        coeffs = {}
+        """Build from {k: coefficient}; the conjugate at -k is implied, later entries win."""
+        full = {}
         for k, c in pairs.items():
             k = tuple(int(x) for x in k)
             c = np.asarray(c, dtype=complex)
             if k == (0, 0, 0):
-                coeffs[k] = c.real.astype(complex)
-                continue
-            if lex_negative(k):
-                k, c = _neg(k), np.conj(c)
-            coeffs[k] = c
-            coeffs[_neg(k)] = np.conj(c)
-        return cls(coeffs=coeffs, truncation_radius=int(truncation_radius))
+                full[k] = c.real.astype(complex)
+            else:
+                full[k], full[_neg(k)] = c, np.conj(c)
+        ks = sorted(full)
+        return cls(K=ks, C=[full[k] for k in ks], truncation_radius=int(truncation_radius))
 
     def mode(self, k):
-        return self.coeffs.get(tuple(k), np.zeros(3, dtype=complex))
-
-    def mode_arrays(self):
-        """(wavevectors (m,3) float, coefficients (m,3) complex) in lexicographic order."""
-        ks = sorted(self.coeffs)
-        if not ks:
-            return np.zeros((0, 3)), np.zeros((0, 3), dtype=complex)
-        K = np.array(ks, dtype=float)
-        C = np.array([self.coeffs[k] for k in ks], dtype=complex)
-        return K, C
+        """Coefficient at wave vector k, zero when k is not stored."""
+        hit = np.flatnonzero(np.all(self.K == np.asarray(k), axis=1))
+        return self.C[hit[0]] if hit.size else np.zeros(self.SHAPE, dtype=complex)[()]
 
     def evaluate(self, points):
         """Exact trig-sum evaluation at arbitrary points (shape (..., 3) or (3,))."""
-        K, C = self.mode_arrays()
-        return (np.exp(1j * (_as_points(points) @ K.T)) @ C).real
+        return (np.exp(1j * (_as_points(points) @ self.K.T)) @ self.C).real
 
     def norm_l2(self):
-        return math.sqrt(VOLUME * sum(float(np.sum(np.abs(c) ** 2)) for c in self.coeffs.values()))
+        return math.sqrt(VOLUME * float(np.sum(np.abs(self.C) ** 2)))
 
     def scaled(self, a):
-        return SpectralVectorField(
-            coeffs={k: a * c for k, c in self.coeffs.items()},
-            truncation_radius=self.truncation_radius,
-        )
+        return type(self)(K=self.K, C=a * self.C, truncation_radius=self.truncation_radius)
 
     def __add__(self, other):
-        keys = set(self.coeffs) | set(other.coeffs)
-        coeffs = {k: self.mode(k) + other.mode(k) for k in keys}
-        return SpectralVectorField(
-            coeffs=coeffs,
-            truncation_radius=max(self.truncation_radius, other.truncation_radius),
-        )
+        K, C = _merge(np.concatenate([self.K, other.K]), np.concatenate([self.C, other.C]))
+        return type(self)(K=K, C=C,
+                          truncation_radius=max(self.truncation_radius, other.truncation_radius))
 
 
-@dataclass(frozen=True)
-class ScalarSpectralField:
-    """Scalar field as {wave vector: complex coefficient}; real mean at k = 0."""
+def _merge(K, C):
+    """Distinct rows of K in lexicographic order, with C summed over equal rows in input order."""
+    K, inverse = np.unique(K, axis=0, return_inverse=True)
+    out = np.zeros((len(K),) + C.shape[1:], dtype=complex)
+    np.add.at(out, inverse.ravel(), C)
+    return K, out
 
-    coeffs: dict
-    truncation_radius: int
 
-    def __post_init__(self):
-        for k, c in self.coeffs.items():
-            if max(abs(x) for x in k) > self.truncation_radius:
-                raise ValueError(f"mode {k} outside truncation {self.truncation_radius}")
-            mk = _neg(k)
-            if mk not in self.coeffs or np.conj(self.coeffs[mk]) != c:
-                raise ValueError(f"reality violated at mode {k}")
-        z = self.coeffs.get((0, 0, 0))
-        if z is not None and z.imag != 0.0:
-            raise ValueError("mean coefficient must be real")
+class SpectralVectorField(_SpectralField):
+    """Vector field: C has shape (m, 3)."""
 
-    @classmethod
-    def from_pairs(cls, pairs, truncation_radius):
-        coeffs = {}
-        for k, c in pairs.items():
-            k = tuple(int(x) for x in k)
-            c = complex(c)
-            if k == (0, 0, 0):
-                coeffs[k] = complex(c.real)
-                continue
-            if lex_negative(k):
-                k, c = _neg(k), c.conjugate()
-            coeffs[k] = c
-            coeffs[_neg(k)] = c.conjugate()
-        return cls(coeffs=coeffs, truncation_radius=int(truncation_radius))
+    SHAPE = (3,)
 
-    def mode(self, k):
-        return self.coeffs.get(tuple(k), 0j)
 
-    def mode_arrays(self):
-        ks = sorted(self.coeffs)
-        if not ks:
-            return np.zeros((0, 3)), np.zeros(0, dtype=complex)
-        return np.array(ks, dtype=float), np.array([self.coeffs[k] for k in ks], dtype=complex)
-
-    def evaluate(self, points):
-        K, C = self.mode_arrays()
-        return (np.exp(1j * (_as_points(points) @ K.T)) @ C).real
-
-    def norm_l2(self):
-        return math.sqrt(VOLUME * sum(abs(c) ** 2 for c in self.coeffs.values()))
+class ScalarSpectralField(_SpectralField):
+    """Scalar field: C has shape (m,); the mean at k = 0 is real."""
 
     def gradient(self):
         """Gradient as a vector field: mode rule i*k*fhat(k)."""
-        coeffs = {k: 1j * np.array(k, dtype=float) * c for k, c in self.coeffs.items()}
-        return SpectralVectorField(coeffs=coeffs, truncation_radius=self.truncation_radius)
+        return SpectralVectorField(K=self.K, C=1j * self.K * self.C[:, None],
+                                   truncation_radius=self.truncation_radius)
 
     def sup_norm(self, grid=32):
         n = max(grid, 2 * self.truncation_radius + 1)
-        return float(np.max(np.abs(evaluate_scalar_on_grid(self, n))))
+        return float(np.max(np.abs(evaluate_on_grid(self, n))))
 
 
 @dataclass(frozen=True)
@@ -226,7 +192,7 @@ def make_abc(params: ABCParams) -> SpectralVectorField:
 
 
 def zero_vector_field(truncation_radius=0):
-    return SpectralVectorField(coeffs={}, truncation_radius=truncation_radius)
+    return SpectralVectorField(K=(), C=(), truncation_radius=truncation_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -235,28 +201,22 @@ def zero_vector_field(truncation_radius=0):
 
 def curl_spectral(v: SpectralVectorField) -> SpectralVectorField:
     """Curl by the mode rule (curl v)^(k) = i k x vhat(k)."""
-    coeffs = {}
-    for k, c in v.coeffs.items():
-        ka = np.array(k, dtype=float)
-        coeffs[k] = 1j * np.cross(ka, c)
-    return SpectralVectorField(coeffs=coeffs, truncation_radius=v.truncation_radius)
+    return SpectralVectorField(K=v.K, C=1j * np.cross(v.K, v.C),
+                               truncation_radius=v.truncation_radius)
 
 
 def divergence_spectral(v: SpectralVectorField) -> ScalarSpectralField:
-    """Divergence by the mode rule i k . vhat(k)."""
-    coeffs = {}
-    for k, c in v.coeffs.items():
-        val = 1j * complex(np.dot(np.array(k, dtype=float), c))
-        if k == (0, 0, 0):
-            val = 0j
-        coeffs[k] = val
-    return ScalarSpectralField(coeffs=coeffs, truncation_radius=v.truncation_radius)
+    """Divergence by the mode rule i k . vhat(k); the mean is exactly zero."""
+    div = 1j * np.einsum("mi,mi->m", v.K, v.C)
+    if len(div) % 2:  # k = 0 sits in the middle
+        div[len(div) // 2] = 0.0
+    return ScalarSpectralField(K=v.K, C=div, truncation_radius=v.truncation_radius)
 
 
 def derivative_field(v: SpectralVectorField, axis: int) -> SpectralVectorField:
     """Componentwise partial derivative d/dx_axis."""
-    coeffs = {k: 1j * k[axis] * c for k, c in v.coeffs.items()}
-    return SpectralVectorField(coeffs=coeffs, truncation_radius=v.truncation_radius)
+    return SpectralVectorField(K=v.K, C=1j * v.K[:, axis:axis + 1] * v.C,
+                               truncation_radius=v.truncation_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +301,11 @@ def helicity_basis(n: int):
 
 def _shell_gram(fields):
     """Full Gram matrix of spectral fields via their stacked coefficients."""
-    modes = sorted({k for f in fields for k in f.coeffs})
-    index = {k: i for i, k in enumerate(modes)}
-    X = np.zeros((len(fields), len(modes), 3), dtype=complex)
-    for i, f in enumerate(fields):
-        for k, c in f.coeffs.items():
-            X[i, index[k]] = c
-    flat = X.reshape(len(fields), -1)
+    K = np.concatenate([f.K for f in fields])
+    owner = np.repeat(np.arange(len(fields)), [len(f.K) for f in fields])
+    C = np.zeros((len(K), len(fields), 3), dtype=complex)
+    C[np.arange(len(K)), owner] = np.concatenate([f.C for f in fields])
+    flat = _merge(K, C)[1].transpose(1, 0, 2).reshape(len(fields), -1)
     return VOLUME * (flat @ flat.conj().T).real
 
 
@@ -362,9 +320,7 @@ def eigenfamily_defects(n: int):
     gram_dev = float(np.max(np.abs(_shell_gram(basis) - np.eye(len(basis)))))
     resid = 0.0
     for u in basis:
-        cu = curl_spectral(u)
-        for k in u.coeffs:
-            resid = max(resid, float(np.max(np.abs(cu.mode(k) - lam * u.mode(k)))))
+        resid = max(resid, float(np.max(np.abs(curl_spectral(u).C - lam * u.C))))
     return gram_dev, resid
 
 
@@ -378,43 +334,30 @@ def random_beltrami(n: int, seed: int) -> SpectralVectorField:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     basis = helicity_basis(n)
-    m = len(basis)
-    scale = 1.0 / math.sqrt(m)
-    coeffs = {}
-    trunc = basis[0].truncation_radius
+    scale = 1.0 / math.sqrt(len(basis))
+    terms = []
     for j, u in enumerate(basis):
         gen = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-        a = gen.standard_normal() * scale
-        for k, c in u.coeffs.items():
-            coeffs[k] = coeffs.get(k, np.zeros(3, dtype=complex)) + a * c
-        trunc = max(trunc, u.truncation_radius)
-    return SpectralVectorField(coeffs=coeffs, truncation_radius=trunc)
+        terms.append(gen.standard_normal() * scale * u.C)
+    K, C = _merge(np.concatenate([u.K for u in basis]), np.concatenate(terms))
+    return SpectralVectorField(K=K, C=C,
+                               truncation_radius=max(u.truncation_radius for u in basis))
 
 
 # ---------------------------------------------------------------------------
 # grid transforms and alias-free products
 
 
-def evaluate_on_grid(v: SpectralVectorField, n: int) -> np.ndarray:
-    """Values on the uniform n^3 grid x_j = 2*pi*j/n, shape (n, n, n, 3)."""
-    if n < 2 * v.truncation_radius + 1:
-        raise ValueError("grid too small for the truncation radius")
-    out = np.empty((n, n, n, 3))
-    for comp in range(3):
-        dense = np.zeros((n, n, n), dtype=complex)
-        for k, c in v.coeffs.items():
-            dense[k[0] % n, k[1] % n, k[2] % n] += c[comp]
-        out[..., comp] = (np.fft.ifftn(dense) * n ** 3).real
-    return out
-
-
-def evaluate_scalar_on_grid(f: ScalarSpectralField, n: int) -> np.ndarray:
+def evaluate_on_grid(f, n: int) -> np.ndarray:
+    """Values on the uniform n^3 grid x_j = 2*pi*j/n, shape (n, n, n) + f.SHAPE."""
     if n < 2 * f.truncation_radius + 1:
         raise ValueError("grid too small for the truncation radius")
-    dense = np.zeros((n, n, n), dtype=complex)
-    for k, c in f.coeffs.items():
-        dense[k[0] % n, k[1] % n, k[2] % n] += c
-    return (np.fft.ifftn(dense) * n ** 3).real
+    dense = np.zeros(f.SHAPE + (n, n, n), dtype=complex)
+    dense[(..., *(f.K % n).T)] += f.C.T
+    out = np.empty((n, n, n) + f.SHAPE)
+    for c in np.ndindex(f.SHAPE):  # per component: a 3-D transform stays in cache
+        out[(..., *c)] = (np.fft.ifftn(dense[c]) * n ** 3).real
+    return out
 
 
 def _vector_from_grid(values: np.ndarray, trunc: int) -> SpectralVectorField:
@@ -424,25 +367,10 @@ def _vector_from_grid(values: np.ndarray, trunc: int) -> SpectralVectorField:
     coefficients are symmetrized to enforce the reality invariant exactly.
     """
     n = values.shape[0]
-    hat = [np.fft.fftn(values[..., comp]) / n ** 3 for comp in range(3)]
-    pairs = {}
-    rng = range(-trunc, trunc + 1)
-    for k1 in rng:
-        for k2 in rng:
-            for k3 in rng:
-                k = (k1, k2, k3)
-                if lex_negative(k):
-                    continue
-                mk = _neg(k)
-                c = np.array(
-                    [hat[comp][k1 % n, k2 % n, k3 % n] for comp in range(3)], dtype=complex
-                )
-                cm = np.array(
-                    [hat[comp][mk[0] % n, mk[1] % n, mk[2] % n] for comp in range(3)],
-                    dtype=complex,
-                )
-                pairs[k] = 0.5 * (c + np.conj(cm))
-    return SpectralVectorField.from_pairs(pairs, truncation_radius=trunc)
+    r = np.arange(-trunc, trunc + 1)
+    K = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    H = (np.fft.fftn(values, axes=(0, 1, 2)) / n ** 3)[tuple((K % n).T)]
+    return SpectralVectorField(K=K, C=0.5 * (H + np.conj(H[::-1])), truncation_radius=trunc)
 
 
 def cross_spectral(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorField:
@@ -471,10 +399,10 @@ def convective_spectral(v: SpectralVectorField) -> SpectralVectorField:
 
 def _solve_poisson_divergence(w: SpectralVectorField, sign: float) -> ScalarSpectralField:
     """Zero-mean solution f of Delta f = sign * Div w."""
-    coeffs = {k: -sign * div / (k[0] * k[0] + k[1] * k[1] + k[2] * k[2])
-              for k, div in divergence_spectral(w).coeffs.items() if k != (0, 0, 0)}
-    coeffs[(0, 0, 0)] = 0j
-    return ScalarSpectralField(coeffs=coeffs, truncation_radius=w.truncation_radius)
+    div = divergence_spectral(w)
+    k2 = np.sum(div.K * div.K, axis=1)
+    C = np.divide(-sign * div.C, k2, out=np.zeros_like(div.C), where=k2 > 0)
+    return ScalarSpectralField(K=div.K, C=C, truncation_radius=w.truncation_radius)
 
 
 def bernoulli(v: SpectralVectorField) -> ScalarSpectralField:

@@ -59,7 +59,7 @@ class TestStandardModel:
         contact, _ = model
         R = contact.reeb
         cR = sp.curl_spectral(R)
-        for k in R.coeffs:
+        for k in R.K:
             assert np.array_equal(cR.mode(k), R.mode(k))
 
     def test_reeb_pairing_and_interior_product(self, model):

@@ -159,7 +159,7 @@ class TestLaneStepper:
 
     def solve_ivp_log_stretch(self, v, x0, T, tol):
         """Reference: scipy's DOP853 on an unbatched complex-exponential RHS."""
-        K, C = v.mode_arrays()
+        K, C = v.K.astype(float), v.C
 
         def rhs(t, y):
             e = np.exp(1j * (K @ y[:3]))

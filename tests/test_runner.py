@@ -107,6 +107,23 @@ def test_lyapunov_run_with_assertions(tmp_path):
     assert {"field_hash", "seed", "tol", "T"} <= set(meta)
 
 
+def test_rerun_into_same_out_removes_files_of_the_previous_manifest(tmp_path):
+    def lyapunov(seeds):
+        return runner.load_config({
+            "kind": "lyapunov",
+            "params": {"A": 1.0, "B": 0.5, "C": 0.0, "T": 4.0, "renorm": 2.0,
+                       "tol": 1e-8, "seeds": seeds},
+        })
+
+    runner.run(lyapunov(3), out_dir=str(tmp_path))
+    (tmp_path / "notes.txt").write_text("not in any manifest\n")
+    rec = runner.run(lyapunov(1), out_dir=str(tmp_path))
+    listed = {f["name"] for f in rec.files}
+    assert listed == {"report.json", "lyapunov_history_00.csv", "lyapunov_meta_00.json"}
+    assert set(os.listdir(tmp_path)) == listed | {"run_record.json", "notes.txt"}
+    assert runner.emit_plot_data(rec) == [str(tmp_path / "lyapunov_history_00.csv")]
+
+
 def test_poincare_run_sidecar(tmp_path):
     cfg = runner.load_config({
         "kind": "poincare",

@@ -14,8 +14,8 @@ def test_vector_field_round_trip():
     doc = ser.field_to_json(v)
     back = ser.field_from_json(doc)
     assert back.truncation_radius == v.truncation_radius
-    assert set(back.coeffs) == set(v.coeffs)
-    for k in v.coeffs:
+    assert np.array_equal(back.K, v.K)
+    for k in v.K:
         assert np.array_equal(back.mode(k), v.mode(k))
 
 
@@ -30,8 +30,8 @@ def test_field_json_stores_one_representative_per_pair():
 def test_scalar_field_round_trip():
     f = sp.bernoulli(sp.SpectralVectorField.from_pairs(
         {(0, 1, 0): np.array([-0.5j, 0, 0])}, truncation_radius=1))
-    back = ser.scalar_field_from_json(ser.scalar_field_to_json(f))
-    for k in f.coeffs:
+    back = ser.field_from_json(ser.field_to_json(f), sp.ScalarSpectralField)
+    for k in f.K:
         assert back.mode(k) == f.mode(k)
 
 
@@ -108,3 +108,25 @@ def test_dump_json_byte_stable():
     doc = {"b": 1.5, "a": [1, 2, 3]}
     assert ser.dump_json(doc) == ser.dump_json(json.loads(json.dumps(doc)))
     assert ser.dump_json(doc).startswith("{\n \"a\"")
+
+
+def test_grid_report_and_matrix_csv_exact_text():
+    values = np.arange(8.0).reshape(2, 2, 2) / 8.0 - 0.25
+    rep = sp.ScalarGridReport(grid=2, values=values, gap=0.875, min_value=-0.25,
+                              max_value=0.625)
+    pi = "3.141592653589793"
+    assert ser.grid_report_csv(rep) == (
+        "x1,x2,x3,value\n"
+        "0.0,0.0,0.0,-0.25\n"
+        f"0.0,0.0,{pi},-0.125\n"
+        f"0.0,{pi},0.0,0.0\n"
+        f"0.0,{pi},{pi},0.125\n"
+        f"{pi},0.0,0.0,0.25\n"
+        f"{pi},0.0,{pi},0.375\n"
+        f"{pi},{pi},0.0,0.5\n"
+        f"{pi},{pi},{pi},0.625\n"
+    )
+    M = np.array([[0.0, -1.5], [1e-300, 0.0], [0.1, 1.0 / 3.0]])
+    assert ser.matrix_csv(M) == (
+        "row,col,value\n0,1,-1.5\n1,0,1e-300\n2,0,0.1\n2,1,0.3333333333333333\n")
+    assert ser.matrix_csv(np.zeros((2, 2))) == "row,col,value\n"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import serialize as ser
 from eulerlab import spectral as sp
 from eulerlab.errors import NoSuchEigenvalue, VanishingField
 
@@ -49,8 +51,8 @@ class TestMakeABC:
 
     def test_six_modes_exactly(self):
         v = sp.make_abc(sp.ABCParams(1.0, 1.0, 1.0))
-        assert set(v.coeffs) == {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                                 (0, 0, 1), (0, 0, -1)}
+        assert set(map(tuple, v.K.tolist())) == {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                                 (0, 0, 1), (0, 0, -1)}
 
     def test_zero_amplitudes_give_zero_field(self):
         v = sp.make_abc(sp.ABCParams(0.0, 0.0, 0.0))
@@ -61,7 +63,7 @@ class TestMakeABC:
         for params in [(1, 1, 1), (1, 0.5, 0.1), (0.3, -2.0, 0.9)]:
             v = sp.make_abc(sp.ABCParams(*params))
             c = sp.curl_spectral(v)
-            for k in v.coeffs:
+            for k in v.K:
                 assert np.array_equal(c.mode(k), v.mode(k))
 
 
@@ -110,7 +112,7 @@ class TestCurlDivergence:
                 continue
             v = sp.SpectralVectorField.from_pairs(pairs, truncation_radius=2)
             cc = sp.curl_spectral(sp.curl_spectral(v))
-            for k, c in v.coeffs.items():
+            for k, c in zip(v.K, v.C):
                 lap = (k[0] ** 2 + k[1] ** 2 + k[2] ** 2) * c
                 assert np.max(np.abs(cc.mode(k) - lap)) < 1e-12
 
@@ -165,7 +167,7 @@ class TestHelicityBasis:
         for i, u in enumerate(fields):
             for j, w in enumerate(fields):
                 s = 0.0
-                for k in set(u.coeffs) | set(w.coeffs):
+                for k in {tuple(k) for k in np.concatenate([u.K, w.K]).tolist()}:
                     s += float(np.real(np.vdot(w.mode(k), u.mode(k))))
                 G[i, j] = sp.VOLUME * s
         return G
@@ -176,7 +178,7 @@ class TestHelicityBasis:
         assert np.max(np.abs(self.gram(basis) - np.eye(6))) <= 1e-12
         for u in basis:
             cu = sp.curl_spectral(u)
-            for k in u.coeffs:
+            for k in u.K:
                 # eigenvalue 1 is exact in floating point
                 assert np.array_equal(cu.mode(k), u.mode(k))
 
@@ -188,7 +190,7 @@ class TestHelicityBasis:
             lam = math.sqrt(n)
             for u in basis:
                 cu = sp.curl_spectral(u)
-                for k in u.coeffs:
+                for k in u.K:
                     assert np.max(np.abs(cu.mode(k) - lam * u.mode(k))) <= 1e-14
 
     def test_abc_expands_with_zero_remainder(self):
@@ -198,14 +200,14 @@ class TestHelicityBasis:
         coeffs = []
         for u in basis:
             s = 0.0
-            for k in set(u.coeffs) | set(v.coeffs):
+            for k in {tuple(k) for k in np.concatenate([u.K, v.K]).tolist()}:
                 s += float(np.real(np.vdot(u.mode(k), v.mode(k))))
             coeffs.append(sp.VOLUME * s)
         recon = {}
         for a, u in zip(coeffs, basis):
-            for k, c in u.coeffs.items():
+            for k, c in zip(map(tuple, u.K.tolist()), u.C):
                 recon[k] = recon.get(k, np.zeros(3, dtype=complex)) + a * c
-        for k in set(recon) | set(v.coeffs):
+        for k in set(recon) | set(map(tuple, v.K.tolist())):
             assert np.max(np.abs(recon.get(k, 0) - v.mode(k))) < 1e-13
 
     def test_empty_shell_raises(self):
@@ -219,21 +221,21 @@ class TestRandomBeltrami:
             v = sp.random_beltrami(n, seed)
             c = sp.curl_spectral(v)
             lam = math.sqrt(n)
-            for k in v.coeffs:
+            for k in v.K:
                 assert np.max(np.abs(c.mode(k) - lam * v.mode(k))) <= 1e-12 * max(
                     1.0, float(np.max(np.abs(v.mode(k)))))
 
     def test_deterministic_bit_identical(self):
         a = sp.random_beltrami(3, 42)
         b = sp.random_beltrami(3, 42)
-        assert set(a.coeffs) == set(b.coeffs)
-        for k in a.coeffs:
+        assert np.array_equal(a.K, b.K)
+        for k in a.K:
             assert np.array_equal(a.mode(k), b.mode(k))
 
     def test_distinct_seeds_differ(self):
         a = sp.random_beltrami(3, 1)
         b = sp.random_beltrami(3, 2)
-        assert any(not np.array_equal(a.mode(k), b.mode(k)) for k in a.coeffs)
+        assert any(not np.array_equal(a.mode(k), b.mode(k)) for k in a.K)
 
     def test_monte_carlo_unit_expected_norm(self):
         # oracle: sample mean of ||v||^2 over 1e4 seeds; Var(||v||^2) = 2/N
@@ -273,7 +275,7 @@ class TestPoissonSolves:
         n = 16
         vals = sp.evaluate_on_grid(v, n)
         half_speed = 0.5 * np.sum(vals * vals, axis=-1)
-        total = sp.evaluate_scalar_on_grid(p, n) + half_speed
+        total = sp.evaluate_on_grid(p, n) + half_speed
         assert np.max(total) - np.min(total) < 1e-13
 
     def test_pressure_constant_field(self):
@@ -374,13 +376,13 @@ class TestEvaluate:
 
     def test_reality_of_constructed_fields(self):
         for v in [sp.make_abc(sp.ABCParams(0.2, 1.4, -0.7)), sp.random_beltrami(3, 5)]:
-            for k, c in v.coeffs.items():
+            for k, c in zip(v.K, v.C):
                 assert np.array_equal(v.mode((-k[0], -k[1], -k[2])), np.conj(c))
 
     def test_reality_violation_rejected(self):
         with pytest.raises(ValueError):
             sp.SpectralVectorField(
-                coeffs={(1, 0, 0): np.array([1.0 + 0j, 0, 0])}, truncation_radius=1)
+                K=[(1, 0, 0)], C=[np.array([1.0 + 0j, 0, 0])], truncation_radius=1)
 
 
 COEFF = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -393,4 +395,125 @@ def test_divergence_of_curl_vanishes(pairs):
     v = sp.SpectralVectorField.from_pairs({k: np.array(c) for k, c in pairs.items()},
                                           truncation_radius=2)
     d = sp.divergence_spectral(sp.curl_spectral(v))
-    assert max((abs(c) for c in d.coeffs.values()), default=0.0) <= 1e-12
+    assert max((abs(c) for c in d.C), default=0.0) <= 1e-12
+
+
+WAVE = st.tuples(*[st.integers(-2, 2)] * 3)
+VECTOR_PAIRS = st.dictionaries(WAVE, st.tuples(COEFF, COEFF, COEFF), max_size=8)
+SCALAR_PAIRS = st.dictionaries(WAVE, COEFF, max_size=8)
+
+
+def vector_field(pairs, trunc=2):
+    return sp.SpectralVectorField.from_pairs({k: np.array(c) for k, c in pairs.items()},
+                                             truncation_radius=trunc)
+
+
+def assert_storage_invariants(f):
+    ks = [tuple(k) for k in f.K.tolist()]
+    assert ks == sorted(set(ks))
+    assert np.array_equal(f.K[::-1], -f.K)
+    assert np.array_equal(f.C[::-1], np.conj(f.C))
+    assert f.C.shape == (len(ks),) + f.SHAPE
+
+
+@settings(max_examples=40, deadline=None)
+@given(VECTOR_PAIRS, SCALAR_PAIRS)
+def test_from_pairs_gives_sorted_closed_conjugate_arrays(vpairs, spairs):
+    v = vector_field(vpairs)
+    f = sp.ScalarSpectralField.from_pairs(spairs, truncation_radius=2)
+    for field, pairs in ((v, vpairs), (f, spairs)):
+        assert_storage_invariants(field)
+        expected = {}  # the conjugate at -k is implied; a later entry wins
+        for k, c in pairs.items():
+            c = np.array(c, dtype=complex)
+            expected[k] = c.real + 0j if k == (0, 0, 0) else c
+            expected[(-k[0], -k[1], -k[2])] = np.conj(expected[k])
+        assert {tuple(k) for k in field.K.tolist()} == set(expected)
+        for k, c in expected.items():
+            assert np.array_equal(field.mode(k), c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(VECTOR_PAIRS, st.integers(0, 3))
+def test_grid_round_trip_returns_the_field(pairs, extra):
+    v = vector_field(pairs)
+    back = sp._vector_from_grid(sp.evaluate_on_grid(v, 5 + extra), 2)
+    scale = max(1.0, float(np.max(np.abs(v.C), initial=0.0)))
+    assert_storage_invariants(back)
+    assert np.max(np.abs((back + v.scaled(-1.0)).C), initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(VECTOR_PAIRS, SCALAR_PAIRS)
+def test_json_round_trip_is_exact_for_both_classes(vpairs, spairs):
+    f = sp.ScalarSpectralField.from_pairs(spairs, truncation_radius=2)
+    for field in (vector_field(vpairs), f):
+        doc = json.loads(ser.dump_json(ser.field_to_json(field)))
+        back = ser.field_from_json(doc, type(field))
+        assert type(back) is type(field)
+        assert back.truncation_radius == field.truncation_radius
+        assert np.array_equal(back.K, field.K) and np.array_equal(back.C, field.C)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SCALAR_PAIRS)
+def test_curl_of_gradient_vanishes(pairs):
+    f = sp.ScalarSpectralField.from_pairs(pairs, truncation_radius=2)
+    cg = sp.curl_spectral(f.gradient())
+    assert cg.C.shape == (len(f.K), 3)
+    assert np.max(np.abs(cg.C), initial=0.0) <= 1e-12 * np.max(np.abs(f.C), initial=0.0)
+
+
+def test_vector_from_grid_matches_the_per_mode_loop():
+    # reference: per-component FFTs read mode by mode and symmetrized pair by pair
+    v = sp.random_beltrami(3, 4)
+    n, trunc = 7, 3
+    vals = sp.evaluate_on_grid(v, n) * sp.evaluate_on_grid(sp.curl_spectral(v), n) ** 2
+    hat = [np.fft.fftn(vals[..., a]) / n ** 3 for a in range(3)]
+    got = sp._vector_from_grid(vals, trunc)
+    assert len(got.K) == (2 * trunc + 1) ** 3
+    for k in got.K:
+        c = np.array([hat[a][tuple(k % n)] for a in range(3)])
+        cm = np.array([hat[a][tuple(-k % n)] for a in range(3)])
+        assert np.array_equal(got.mode(k), 0.5 * (c + np.conj(cm)))
+
+
+class TestStorageChecks:
+    C1 = np.array([1.0 + 2j, 0, 0])
+
+    def build(self, K, C, cls=sp.SpectralVectorField):
+        return cls(K=K, C=C, truncation_radius=2)
+
+    def test_valid_arrays_accepted(self):
+        v = self.build([(-1, 0, 0), (1, 0, 0)], [np.conj(self.C1), self.C1])
+        assert np.array_equal(v.mode((1, 0, 0)), self.C1)
+        assert np.array_equal(v.mode((0, 1, 0)), np.zeros(3))
+
+    def test_empty_field_keeps_its_trailing_shape(self):
+        assert sp.zero_vector_field(1).C.shape == (0, 3)
+        assert sp.ScalarSpectralField(K=(), C=(), truncation_radius=0).C.shape == (0,)
+
+    def test_unsorted_rejected(self):
+        with pytest.raises(ValueError):
+            self.build([(1, 0, 0), (-1, 0, 0)], [self.C1, np.conj(self.C1)])
+
+    def test_duplicated_rejected(self):
+        with pytest.raises(ValueError):
+            self.build([(-1, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0)],
+                       [np.conj(self.C1), np.ones(3), np.ones(3), self.C1])
+
+    def test_unpaired_rejected(self):
+        with pytest.raises(ValueError):
+            self.build([(-1, 0, 0), (0, 1, 0)], [np.conj(self.C1), self.C1])
+        with pytest.raises(ValueError):
+            self.build([(0, 1, 0)], [self.C1])
+
+    def test_non_conjugate_rejected(self):
+        with pytest.raises(ValueError):
+            self.build([(-1, 0, 0), (1, 0, 0)], [self.C1, self.C1])
+        with pytest.raises(ValueError):
+            self.build([(0, 0, 0)], [0.5j], sp.ScalarSpectralField)
+
+    def test_outside_truncation_rejected(self):
+        with pytest.raises(ValueError):
+            self.build([(-3, 0, 0), (3, 0, 0)], [np.conj(self.C1), self.C1])
