@@ -8,9 +8,12 @@ thread:
   pencil solves plus the pairing matrix);
 - `spectral_projector` with 64 nodes on the K=2 operator A_of(0) of the
   `pi-map` galerkin mode;
+- `MetricField.matrix` of the same family member on the K=3 mass grid
+  (19^3 points);
+- `spectral.bernoulli` of the random Beltrami fields of shells n = 9 and 50;
 - end to end, one `perturb` run at K=3 through `runner.run`.
 
-Every call has the same signature before and after the Fourier-structured
+Every call has had the same signature since the Fourier-structured
 kernels, so the script runs unchanged on older checkouts.  Results go under
 `--label` into the JSON file `--out` (default BENCH_galerkin.json at the root
 of the checkout that holds this script); entries under other labels are
@@ -48,6 +51,7 @@ import numpy as np  # noqa: E402
 from eulerlab import contact as ct  # noqa: E402
 from eulerlab import galerkin as gk  # noqa: E402
 from eulerlab import runner  # noqa: E402
+from eulerlab import spectral as sp  # noqa: E402
 
 
 def _git(*args):
@@ -87,6 +91,8 @@ def _cases(scratch):
     M3 = gk.assemble_mass(member, basis3)
     pi_family = ct.metric_family(g, contact, beta, [-0.1, 0.1])
     A0 = gk.pencil_operator_family(pi_family, gk.FormBasis(2))(0.0)
+    mass_grid, _ = ct.uniform_grid(gk.default_mass_nodes(3, member.degree_hint))
+    shell9, shell50 = sp.random_beltrami(9, 0), sp.random_beltrami(50, 0)
     perturb = runner.load_config({"kind": "perturb", "params": {"K": 3}})
     count = itertools.count()
     return {
@@ -94,6 +100,9 @@ def _cases(scratch):
         "solve_pencil_K3": lambda: gk.solve_pencil(B3, M3, (0.8, 1.2)),
         "track_splitting_K3": lambda: gk.track_splitting(family, contact, (0.8, 1.2), 3),
         "spectral_projector_K2": lambda: gk.spectral_projector(A0, 1.0, 0.2, 64),
+        "metric_matrix_K3_grid": lambda: member.matrix(mass_grid),
+        "bernoulli_shell9": lambda: sp.bernoulli(shell9),
+        "bernoulli_shell50": lambda: sp.bernoulli(shell50),
         "end_to_end.perturb_run_K3": lambda: runner.run(
             perturb, out_dir=os.path.join(scratch, f"run{next(count)}")),
     }

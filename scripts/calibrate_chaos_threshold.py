@@ -6,10 +6,10 @@ seeds at T = 1e5 for amplitudes (1, 0.5, 0.1), integrated as one lane batch.
 The threshold is half the median of the positive estimates (estimates above
 the integrable noise floor 1e-3).
 
-The frozen calibration is scripts/chaos_threshold.json (with its run log
-scripts/calibration.log); its theta is dynamics.CHAOS_THRESHOLD.  A rerun
-prints the new estimates and theta as JSON and writes no file, so the
-frozen file stays the provenance of the constant.
+The frozen calibration is scripts/chaos_threshold.json; its theta is
+dynamics.CHAOS_THRESHOLD.  A rerun prints the new estimates and theta as
+JSON and writes no file, so the frozen file stays the provenance of the
+constant.
 
 Run:  python3 scripts/calibrate_chaos_threshold.py
 """

@@ -141,9 +141,9 @@ def check_compatible_metrics(ctx):
     contactform, g, beta, fam = ctx
     compat, worst_det = ct.family_compatibility(fam)
     worst_defect = max(rep.max_defect() for rep in compat.values())
-    tr = fam.variation.entries.trace_against(g.inv_entries)
+    tr = ct.trace_pairing(g.inv_entries, fam.variation.entries)
     pts, _ = ct.uniform_grid(20)
-    trace_sup = float(np.max(np.abs(tr.eval(pts)))) if not tr.is_zero() else tr.max_abs_coeff()
+    trace_sup = float(np.max(np.abs(tr.evaluate(pts))))
     passed = worst_defect <= 1e-10 and worst_det <= 1e-12 and trace_sup <= 1e-12
     return {
         "max_compatibility_defect": worst_defect,
@@ -201,7 +201,7 @@ def check_variation_identities(ctx, curves):
 
     # absolute value of the beta pairing against an independent quadrature
     q = fam.variation.norm2
-    ref = lam0 * 0.5 * _legendre_volume_integral(lambda p: q.eval(p) ** 2)
+    ref = lam0 * 0.5 * _legendre_volume_integral(lambda p: q.evaluate(p) ** 2)
     pair_alpha, pair_beta = map(float, np.diag(
         ct.variation_pairing([contactform.alpha, beta], fam.variation, g, lam0)))
     ok_values = abs(pair_alpha) <= 1e-8 and abs(pair_beta - ref) <= 1e-8 * abs(ref)

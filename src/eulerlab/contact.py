@@ -8,8 +8,13 @@ the model sit the volume-preserving perturbation family g_eps driven by a
 1-form beta, its traceless first-order variation tensor h, and the
 quadrature pairing that measures how h moves curl-type eigenvalues.
 
-All closed-form objects are exact trig polynomials; family members carry an
-additional pointwise square-root factor and are evaluated on grids.
+Every closed-form object is a field of `spectral`, the one trig-polynomial
+algebra: a 1-form is its flat dual, a SpectralVectorField, so the vector
+proxy of d(alpha) is curl alpha; tensors are SpectralTensorFields; and the
+products below (pairing, outer product, tensor . form, trace pairing and
+scalar times field) are the exact convolution `spectral._convolve`.
+Family members carry an additional pointwise square-root factor and are
+evaluated on grids.
 """
 
 from __future__ import annotations
@@ -19,8 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .spectral import TWO_PI, SpectralVectorField
-from .trig import TrigPoly
+from .spectral import (
+    TWO_PI,
+    ScalarSpectralField,
+    SpectralTensorField,
+    SpectralVectorField,
+    _convolve,
+    curl_spectral,
+)
 
 
 def uniform_grid(n):
@@ -30,126 +41,37 @@ def uniform_grid(n):
     return g, (TWO_PI / n) ** 3
 
 
-def trig_components(field: SpectralVectorField):
-    """Exact conversion of a spectral vector field into three trig polynomials."""
-    comps = [TrigPoly(), TrigPoly(), TrigPoly()]
-    half = len(field.K) // 2
-    for k, c in zip(field.K[half:].tolist(), field.C[half:]):
-        w = 1.0 if k == [0, 0, 0] else 2.0  # the canonical half stands for both of +-k
-        for a in range(3):
-            comps[a] = comps[a] + TrigPoly.cos(k, w * c[a].real) + TrigPoly.sin(k, -w * c[a].imag)
-    return tuple(comps)
+# ---------------------------------------------------------------------------
+# exact products
 
 
-@dataclass(frozen=True)
-class OneForm:
-    """1-form with trig-polynomial coefficient functions."""
-
-    comps: tuple
-
-    @classmethod
-    def from_polys(cls, a1, a2, a3):
-        return cls(comps=(a1, a2, a3))
-
-    def eval(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        return np.stack([c.eval(pts) for c in self.comps], axis=-1)
-
-    def pair_field(self, r_comps):
-        """Pointwise pairing with a vector given by trig components (exact)."""
-        out = TrigPoly()
-        for a in range(3):
-            out = out + self.comps[a] * r_comps[a]
-        return out
-
-    def exterior_vector(self):
-        """Vector proxy w of the 2-form d(self): w_l = eps_{lij} d_i a_j."""
-        a1, a2, a3 = self.comps
-        return (
-            a3.deriv(1) - a2.deriv(2),
-            a1.deriv(2) - a3.deriv(0),
-            a2.deriv(0) - a1.deriv(1),
-        )
-
-    def degree(self):
-        return max(c.degree() for c in self.comps)
-
-    def __add__(self, other):
-        return OneForm(comps=tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other):
-        return OneForm(comps=tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def scaled(self, s):
-        return OneForm(comps=tuple(c.scaled(s) for c in self.comps))
+def dot(a: SpectralVectorField, b: SpectralVectorField) -> ScalarSpectralField:
+    """Pointwise pairing a . b of two 1-forms or vector fields."""
+    return _convolve(a, b, lambda x, y: np.einsum("...i,...i->...", x, y))
 
 
-@dataclass(frozen=True)
-class TensorPoly:
-    """Symmetric 3x3 tensor with trig-polynomial entries."""
+def outer(a: SpectralVectorField) -> SpectralTensorField:
+    """Pointwise tensor a (x) a."""
+    return _convolve(a, a, lambda x, y: x[..., :, None] * y[..., None, :])
 
-    entries: tuple  # tuple of 3 tuples of TrigPoly
 
-    @classmethod
-    def identity(cls):
-        one = TrigPoly.const(1.0)
-        z = TrigPoly()
-        return cls(entries=((one, z, z), (z, one, z), (z, z, one)))
+def contract(t: SpectralTensorField, a: SpectralVectorField) -> SpectralVectorField:
+    """Row contraction (t . a)_i = sum_j t_ij a_j."""
+    return _convolve(t, a, lambda x, y: np.einsum("...ij,...j->...i", x, y))
 
-    @classmethod
-    def outer(cls, form: OneForm):
-        e = [[form.comps[i] * form.comps[j] for j in range(3)] for i in range(3)]
-        return cls(entries=tuple(tuple(row) for row in e))
 
-    def eval_matrix(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        out = np.empty((pts.shape[0], 3, 3))
-        for i in range(3):
-            for j in range(3):
-                out[:, i, j] = self.entries[i][j].eval(pts)
-        return out
+def trace_pairing(s: SpectralTensorField, t: SpectralTensorField) -> ScalarSpectralField:
+    """Pointwise trace sum_ij s_ij t_ij of two tensor fields."""
+    return _convolve(s, t, lambda x, y: np.einsum("...ij,...ij->...", x, y))
 
-    def __add__(self, other):
-        return TensorPoly(
-            entries=tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
 
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
+def multiply(f: ScalarSpectralField, a):
+    """Pointwise product of a scalar field with a scalar, vector or tensor field."""
+    return _convolve(f, a, lambda s, x: s.reshape(s.shape + (1,) * (x.ndim - s.ndim)) * x)
 
-    def scaled(self, s):
-        return TensorPoly(
-            entries=tuple(tuple(e.scaled(s) for e in row) for row in self.entries)
-        )
 
-    def scaled_by_poly(self, p: TrigPoly):
-        return TensorPoly(
-            entries=tuple(tuple(e * p for e in row) for row in self.entries)
-        )
-
-    def apply_form(self, form: OneForm):
-        """Row contraction: (T . a)_i = sum_j T_ij a_j, exact."""
-        rows = []
-        for i in range(3):
-            acc = TrigPoly()
-            for j in range(3):
-                acc = acc + self.entries[i][j] * form.comps[j]
-            rows.append(acc)
-        return tuple(rows)
-
-    def trace_against(self, inv: "TensorPoly"):
-        """Exact trace sum_ij inv_ij T_ij (both symmetric)."""
-        acc = TrigPoly()
-        for i in range(3):
-            for j in range(3):
-                acc = acc + inv.entries[i][j] * self.entries[i][j]
-        return acc
-
-    def degree(self):
-        return max(e.degree() for row in self.entries for e in row)
+def identity_tensor() -> SpectralTensorField:
+    return SpectralTensorField(K=[(0, 0, 0)], C=[np.eye(3)], truncation_radius=0)
 
 
 @dataclass(frozen=True)
@@ -162,30 +84,29 @@ class MetricField:
     the base metric has none and its entries stay exact trig polynomials.
     """
 
-    g_xi: TensorPoly
-    alpha_sq: TensorPoly
-    inv_entries: TensorPoly | None = None
-    extra: TensorPoly | None = None
+    g_xi: SpectralTensorField
+    alpha_sq: SpectralTensorField
+    inv_entries: SpectralTensorField | None = None
+    extra: SpectralTensorField | None = None
     xi_scale_eps: float | None = None
-    xi_scale_norm2: TrigPoly | None = None
+    xi_scale_norm2: ScalarSpectralField | None = None
     degree_hint: int = 2
 
     def xi_scale(self, points):
         """Pointwise factor sqrt(1 + eps^2 q^2 / 4) - eps q / 2 on g_xi."""
         if self.xi_scale_eps is None:
             return None
-        s = self.xi_scale_eps * self.xi_scale_norm2.eval(np.asarray(points, dtype=float).reshape(-1, 3))
+        s = self.xi_scale_eps * self.xi_scale_norm2.evaluate(points)
         return np.sqrt(1.0 + 0.25 * s * s) - 0.5 * s
 
     def matrix(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        m = self.g_xi.eval_matrix(pts)
-        fac = self.xi_scale(pts)
+        m = self.g_xi.evaluate(points)
+        fac = self.xi_scale(points)
         if fac is not None:
             m *= fac[:, None, None]
-        m += self.alpha_sq.eval_matrix(pts)
+        m += self.alpha_sq.evaluate(points)
         if self.extra is not None:
-            m += self.extra.eval_matrix(pts)
+            m += self.extra.evaluate(points)
         return m
 
     def check_positive(self, nodes=12, floor=1e-12):
@@ -198,23 +119,21 @@ class MetricField:
 
 @dataclass(frozen=True)
 class ContactForm:
-    """Contact form, its Reeb field, and the curl-type eigenvalue of the model."""
+    """Contact form (as its flat dual), its Reeb field, and the curl-type
+    eigenvalue of the model."""
 
-    alpha: OneForm
+    alpha: SpectralVectorField
     reeb: SpectralVectorField
     lambda0: float
-
-    def reeb_components(self):
-        return trig_components(self.reeb)
 
 
 @dataclass(frozen=True)
 class VariationTensor:
     """Traceless first-order direction h = b_xi (x) b_xi - |b_xi|^2 g_xi / 2."""
 
-    entries: TensorPoly
-    beta_xi: OneForm
-    norm2: TrigPoly  # |beta_xi|_g^2 as an exact trig polynomial
+    entries: SpectralTensorField
+    beta_xi: SpectralVectorField
+    norm2: ScalarSpectralField  # |beta_xi|_g^2 as an exact trig polynomial
 
 
 @dataclass(frozen=True)
@@ -238,14 +157,14 @@ class MetricFamily:
     eps = 0 is the variation tensor of `beta`.
     """
 
-    def __init__(self, base: MetricField, contact: ContactForm, beta: OneForm,
+    def __init__(self, base: MetricField, contact: ContactForm, beta: SpectralVectorField,
                  epsilon_grid):
         self.base = base
         self.contact = contact
         self.beta = beta
         self.epsilon_grid = list(float(e) for e in epsilon_grid)
         self.variation = variation_tensor(beta, contact, base)
-        self._outer = TensorPoly.outer(self.variation.beta_xi)
+        self._outer = outer(self.variation.beta_xi)
         for eps in self.epsilon_grid:
             self.member(eps).check_positive()
 
@@ -270,22 +189,20 @@ def std_contact_t3():
     """Standard contact model: alpha = cos(x3) dx1 - sin(x3) dx2, flat metric.
 
     Returns (ContactForm, MetricField) with lambda0 = 1; the Reeb field is
-    (cos x3, -sin x3, 0), a unit-eigenvalue curl eigenfield.
+    (cos x3, -sin x3, 0), a unit-eigenvalue curl eigenfield, and under the
+    flat metric it is the dual of alpha: one and the same field.
     """
-    e3 = (0, 0, 1)
-    alpha = OneForm.from_polys(TrigPoly.cos(e3), TrigPoly.sin(e3, -1.0), TrigPoly())
-    reeb = SpectralVectorField.from_pairs(
-        {e3: np.array([0.5, 0.5j, 0.0], dtype=complex)}, truncation_radius=1
+    alpha = SpectralVectorField.from_pairs(
+        {(0, 0, 1): np.array([0.5, 0.5j, 0.0], dtype=complex)}, truncation_radius=1
     )
-    alpha_sq = TensorPoly.outer(alpha)
-    g_xi = TensorPoly.identity() - alpha_sq
+    alpha_sq = outer(alpha)
     metric = MetricField(
-        g_xi=g_xi,
+        g_xi=identity_tensor() - alpha_sq,
         alpha_sq=alpha_sq,
-        inv_entries=TensorPoly.identity(),
+        inv_entries=identity_tensor(),
         degree_hint=2,
     )
-    return ContactForm(alpha=alpha, reeb=reeb, lambda0=1.0), metric
+    return ContactForm(alpha=alpha, reeb=alpha, lambda0=1.0), metric
 
 
 def default_perturbation_form():
@@ -295,8 +212,9 @@ def default_perturbation_form():
     model contact form, and is generically noncollinear with it.
     """
     s = TWO_PI ** -1.5
-    e1 = (1, 0, 0)
-    return OneForm.from_polys(TrigPoly(), TrigPoly.sin(e1, s), TrigPoly.cos(e1, s))
+    return SpectralVectorField.from_pairs(
+        {(1, 0, 0): np.array([0.0, -0.5j * s, 0.5 * s], dtype=complex)}, truncation_radius=1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +231,13 @@ def check_compatibility(g: MetricField, contact: ContactForm, nodes=None) -> Com
     Ginv = np.linalg.inv(G)
     det = np.linalg.det(G)
     sqrt_det = np.sqrt(det)
-    A = contact.alpha.eval(pts)
+    A = contact.alpha.evaluate(pts)
     lam = contact.lambda0
 
     norm = np.sqrt(np.einsum("pi,pij,pj->p", A, Ginv, A))
     unit_defect = float(np.max(np.abs(norm - 1.0)))
 
-    w = np.stack([c.eval(pts) for c in contact.alpha.exterior_vector()], axis=-1)
+    w = curl_spectral(contact.alpha).evaluate(pts)  # vector proxy of d(alpha)
     star = np.einsum("pij,pj->pi", G, w) / sqrt_det[:, None]
     star_defect = float(np.max(np.abs(star - lam * A)))
 
@@ -356,14 +274,13 @@ def family_compatibility(family: MetricFamily):
     return reports, worst_det
 
 
-def xi_projection(beta: OneForm, contact: ContactForm) -> OneForm:
+def xi_projection(beta: SpectralVectorField, contact: ContactForm) -> SpectralVectorField:
     """Projection beta_xi = beta - beta(R) alpha onto the contact planes (metric-independent)."""
-    br = beta.pair_field(contact.reeb_components())
-    correction = OneForm(comps=tuple(c * br for c in contact.alpha.comps))
-    return beta - correction
+    return beta - multiply(dot(beta, contact.reeb), contact.alpha)
 
 
-def variation_tensor(beta: OneForm, contact: ContactForm, g: MetricField) -> VariationTensor:
+def variation_tensor(beta: SpectralVectorField, contact: ContactForm,
+                     g: MetricField) -> VariationTensor:
     """h = beta_xi (x) beta_xi - |beta_xi|_g^2 g_xi / 2, exact in trig terms.
 
     Requires a metric with exact polynomial inverse entries (the model
@@ -372,26 +289,24 @@ def variation_tensor(beta: OneForm, contact: ContactForm, g: MetricField) -> Var
     if g.inv_entries is None:
         raise ValueError("variation_tensor needs a metric with exact inverse entries")
     bxi = xi_projection(beta, contact)
-    sharp = g.inv_entries.apply_form(bxi)
-    norm2 = TrigPoly()
-    for a in range(3):
-        norm2 = norm2 + bxi.comps[a] * sharp[a]
-    h = TensorPoly.outer(bxi) - g.g_xi.scaled_by_poly(norm2.scaled(0.5))
+    norm2 = dot(bxi, contract(g.inv_entries, bxi))
+    h = outer(bxi) - multiply(norm2.scaled(0.5), g.g_xi)
     return VariationTensor(entries=h, beta_xi=bxi, norm2=norm2)
 
 
-def metric_family(g: MetricField, contact: ContactForm, beta: OneForm,
+def metric_family(g: MetricField, contact: ContactForm, beta: SpectralVectorField,
                   epsilons) -> MetricFamily:
     """Volume-preserving compatible family along beta; positivity is checked
     on every epsilon of the grid at construction."""
     return MetricFamily(base=g, contact=contact, beta=beta, epsilon_grid=epsilons)
 
 
-def noncollinearity_measure(alpha: OneForm, beta: OneForm, grid: int, tol: float) -> float:
+def noncollinearity_measure(alpha: SpectralVectorField, beta: SpectralVectorField,
+                            grid: int, tol: float) -> float:
     """Fraction of grid points where the pointwise norm of alpha ^ beta is below tol."""
     pts, _ = uniform_grid(grid)
-    A = alpha.eval(pts)
-    B = beta.eval(pts)
+    A = alpha.evaluate(pts)
+    B = beta.evaluate(pts)
     wedge = np.cross(A, B)
     norms = np.linalg.norm(wedge, axis=1)
     return float(np.mean(norms < tol))
@@ -414,8 +329,8 @@ def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float,
     G = g.matrix(pts)
     Ginv = np.linalg.inv(G)
     sqrt_det = np.sqrt(np.linalg.det(G))
-    sharp = np.einsum("pij,kpj->kpi", Ginv, np.stack([a.eval(pts) for a in forms]))
-    H = h.entries.eval_matrix(pts)
+    sharp = np.einsum("pij,kpj->kpi", Ginv, np.stack([a.evaluate(pts) for a in forms]))
+    H = h.entries.evaluate(pts)
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = (lam * w) * (H - 0.5 * tr[:, None, None] * G) * sqrt_det[:, None, None]
     Pi = np.einsum("mpi,pij,lpj->ml", sharp, core, sharp, optimize=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .contact import MetricFamily, MetricField, OneForm, VariationTensor, uniform_grid
+from .contact import MetricFamily, MetricField, VariationTensor, uniform_grid
 from .errors import (
     ClusterLeakage,
     DegenerateDirection,
@@ -37,7 +37,10 @@ from .errors import (
     WindowTouchesSpectrum,
 )
 from .spectral import TWO_PI, VOLUME, SpectralVectorField, lex_negative
-from .trig import COS, SIN, TrigPoly
+
+# kinds of the realified scalars of the basis
+COS = 0
+SIN = 1
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -110,46 +113,31 @@ class FormBasis:
         r = self.half_lattice.index(k)
         return 1 + 2 * r + (1 if kind == SIN else 0)
 
-    def flat_gram_diagonal(self):
-        d = np.full(self.dimension, 0.5 * VOLUME)
-        for slot in range(3):
-            d[slot * self.n_scalar] = VOLUME
-        return d
+    def form_to_vector(self, form: SpectralVectorField):
+        """Exact coefficient vector of a 1-form (must fit in K): the canonical
+        half gathered into the cos/sin slots, c at k = 0 and 2 Re c, -2 Im c
+        at the slots of k != 0."""
+        half = len(form.K) // 2
+        nonzero = np.any(form.C[half:] != 0, axis=1)
+        K, C = form.K[half:][nonzero], form.C[half:][nonzero]
+        if np.any(np.abs(K) > self.K):
+            raise ValueError(f"form has modes outside basis truncation K={self.K}")
+        n = 2 * self.K + 1
+        j = (K[:, 0] * n + K[:, 1]) * n + K[:, 2]  # position in the half lattice, from 1
+        C = np.where(j > 0, 2.0, 1.0)[:, None] * C
+        vec = np.zeros((3, self.n_scalar))
+        vec[:, np.maximum(2 * j - 1, 0)] = C.real.T
+        vec[:, 2 * j[j > 0]] = -C.imag[j > 0].T
+        return vec.ravel()
 
-    def form_to_vector(self, form: OneForm):
-        """Exact coefficient vector of a trig-polynomial 1-form (must fit in K)."""
-        vec = np.zeros(self.dimension)
-        for slot in range(3):
-            for kind, k, c in form.comps[slot].sorted_terms():
-                key = (slot, kind, k)
-                if key not in self.index:
-                    raise ValueError(f"term {key} outside basis truncation K={self.K}")
-                vec[self.index[key]] = c
-        return vec
-
-    def vector_to_form(self, vec) -> OneForm:
-        comps = []
-        for slot in range(3):
-            p = TrigPoly()
-            base = slot * self.n_scalar
-            block = vec[base : base + self.n_scalar]
-            if block[0] != 0.0:
-                p = p + TrigPoly.const(block[0])
-            for r, k in enumerate(self.half_lattice):
-                c_cos = block[1 + 2 * r]
-                c_sin = block[2 + 2 * r]
-                if c_cos != 0.0:
-                    p = p + TrigPoly.cos(k, c_cos)
-                if c_sin != 0.0:
-                    p = p + TrigPoly.sin(k, c_sin)
-            comps.append(p)
-        return OneForm(comps=tuple(comps))
-
-    def field_to_vector(self, field: SpectralVectorField):
-        """Coefficient vector of the flat metric dual of a spectral field."""
-        from .contact import trig_components
-
-        return self.form_to_vector(OneForm(comps=trig_components(field)))
+    def vector_to_form(self, vec) -> SpectralVectorField:
+        """The 1-form of a coefficient vector; all-zero modes are left out."""
+        V = np.asarray(vec, dtype=float).reshape(3, self.n_scalar)
+        C = np.concatenate([V[:, :1].T, 0.5 * (V[:, 1::2] - 1j * V[:, 2::2]).T])
+        K = np.concatenate([np.zeros((1, 3), dtype=np.int64),
+                            np.array(self.half_lattice, dtype=np.int64).reshape(-1, 3)])
+        keep = np.any(C != 0, axis=1)
+        return SpectralVectorField.from_half(K[keep], C[keep], truncation_radius=self.K)
 
 
 def assemble_exterior(basis: FormBasis) -> np.ndarray:
@@ -237,7 +225,7 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis,
     G = metric.matrix(pts)
     Ginv = np.linalg.inv(G)
     sqrt_det = np.sqrt(np.linalg.det(G))
-    H = h.entries.eval_matrix(pts)
+    H = h.entries.evaluate(pts)
     HS = np.einsum("pij,pjk,pkl->pil", Ginv, H, Ginv)
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = -HS + 0.5 * tr[:, None, None] * Ginv

@@ -94,6 +94,11 @@ def load_config(source) -> ExperimentConfig:
     if kind == "lyapunov" and not params["T"] > params["renorm"]:
         raise ConfigInvalid(
             f"lyapunov needs T > renorm, got T = {params['T']} and renorm = {params['renorm']}")
+    if kind in ("perturb", "pi-map") and not params["window"][0] < params["window"][1]:
+        raise ConfigInvalid(f"{kind} window must be an increasing interval, got {params['window']}")
+    if kind == "perturb" and not params["window"][0] < 1.0 < params["window"][1]:
+        raise ConfigInvalid(
+            f"perturb window {params['window']} must contain the model eigenvalue lambda0 = 1")
     if kind == "bernoulli" and "shell" in params["source"]:
         params["source"]["shell"].setdefault("seed", 0)
     doc_norm = {"kind": kind, "seed": int(doc.get("seed", 0)), "params": params}
@@ -385,22 +390,6 @@ def resolve_out_dir(cfg: ExperimentConfig, out_dir=None):
         return cfg.out
     root = os.environ.get("EULERLAB_OUT", "runs")
     return os.path.join(root, f"{cfg.kind}-{cfg.config_hash[:12]}")
-
-
-def emit_plot_data(record: RunRecord):
-    """Paths of the plot-ready data files of a completed run.
-
-    Files were written during the run with deterministic names; this
-    re-checks their content hashes against the manifest.
-    """
-    paths = []
-    for entry in record.files:
-        path = os.path.join(record.out_dir, entry["name"])
-        if ser.sha256_of_file(path) != entry["sha256"]:
-            raise ComputeFailure(f"manifest hash mismatch for {entry['name']}")
-        if entry["name"].endswith(".csv"):
-            paths.append(path)
-    return paths
 
 
 def _remove_previous_run(out):

@@ -12,9 +12,9 @@ import json
 
 import numpy as np
 
-from .contact import MetricField, OneForm, TensorPoly
-from .spectral import SpectralVectorField
-from .trig import COS, SIN, TrigPoly
+from . import spectral as sp
+from .contact import MetricField
+from .spectral import ScalarSpectralField, SpectralTensorField, SpectralVectorField
 
 __all__ = [
     "field_to_json",
@@ -28,7 +28,6 @@ __all__ = [
     "compatibility_to_json",
     "metric_to_json",
     "grid_report_csv",
-    "trajectory_csv",
     "section_csv",
     "lyapunov_csv",
     "matrix_csv",
@@ -84,39 +83,63 @@ def field_hash(v: SpectralVectorField) -> str:
 # trig polynomials, forms, tensors, metrics
 
 
-def trig_to_json(p: TrigPoly) -> dict:
-    return {
-        "terms": [
-            {"kind": "cos" if kind == COS else "sin", "k": list(k), "coeff": float(c)}
-            for kind, k, c in p.sorted_terms()
-        ]
-    }
+def trig_to_json(f: ScalarSpectralField) -> dict:
+    """Schema: {terms: [{kind: "cos" | "sin", k: [int x3], coeff}]}, the real form
+    of the canonical half sorted by (k, kind); zero terms are left out."""
+    half = len(f.K) // 2
+    terms = []
+    for k, c in zip(f.K[half:].tolist(), f.C[half:].tolist()):
+        w = 2.0 if any(k) else 1.0  # the canonical half stands for both of +-k
+        for kind, coeff in (("cos", w * c.real), ("sin", -w * c.imag)):
+            if coeff != 0.0 and (kind == "cos" or any(k)):
+                terms.append({"kind": kind, "k": k, "coeff": coeff})
+    return {"terms": terms}
 
 
-def trig_from_json(doc: dict) -> TrigPoly:
-    p = TrigPoly()
+def trig_from_json(doc: dict) -> ScalarSpectralField:
+    """Inverse of trig_to_json; a term at a lexicographically negative k is
+    read as the same function written at -k."""
+    pairs = {}
     for t in doc["terms"]:
-        kind = COS if t["kind"] == "cos" else SIN
-        p._accumulate(kind, tuple(int(x) for x in t["k"]), float(t["coeff"]))
-    return p
+        k = tuple(int(x) for x in t["k"])
+        c = complex(t["coeff"]) if t["kind"] == "cos" else complex(0.0, -t["coeff"])
+        if sp.lex_negative(k):
+            k, c = sp.canonical_rep(k), c.conjugate()
+        pairs[k] = pairs.get(k, 0.0) + (c if k == (0, 0, 0) else 0.5 * c)
+    return ScalarSpectralField.from_pairs(
+        pairs, truncation_radius=max((max(map(abs, k)) for k in pairs), default=0))
 
 
-def oneform_to_json(form: OneForm) -> dict:
-    return {"components": [trig_to_json(c) for c in form.comps]}
+def _entries(f):
+    """The scalar fields of the entries of a vector or tensor field, in C order."""
+    return [ScalarSpectralField(K=f.K, C=f.C[(slice(None), *i)],
+                                truncation_radius=f.truncation_radius)
+            for i in np.ndindex(f.SHAPE)]
 
 
-def oneform_from_json(doc: dict) -> OneForm:
-    return OneForm(comps=tuple(trig_from_json(c) for c in doc["components"]))
+def _from_entries(entries, cls):
+    """Inverse of _entries: a field of class cls from its scalar entry fields."""
+    K, C = sp._stack(entries)
+    return cls(K=K, C=C.reshape((-1,) + cls.SHAPE),
+               truncation_radius=max(e.truncation_radius for e in entries))
 
 
-def tensor_to_json(t: TensorPoly) -> dict:
-    return {"entries": [[trig_to_json(e) for e in row] for row in t.entries]}
+def oneform_to_json(form: SpectralVectorField) -> dict:
+    return {"components": [trig_to_json(c) for c in _entries(form)]}
 
 
-def tensor_from_json(doc: dict) -> TensorPoly:
-    return TensorPoly(
-        entries=tuple(tuple(trig_from_json(e) for e in row) for row in doc["entries"])
-    )
+def oneform_from_json(doc: dict) -> SpectralVectorField:
+    return _from_entries([trig_from_json(c) for c in doc["components"]], SpectralVectorField)
+
+
+def tensor_to_json(t: SpectralTensorField) -> dict:
+    e = [trig_to_json(c) for c in _entries(t)]
+    return {"entries": [e[0:3], e[3:6], e[6:9]]}
+
+
+def tensor_from_json(doc: dict) -> SpectralTensorField:
+    return _from_entries([trig_from_json(e) for row in doc["entries"] for e in row],
+                         SpectralTensorField)
 
 
 def compatibility_to_json(report) -> dict:
@@ -161,10 +184,6 @@ def grid_report_csv(report) -> str:
     axis = np.array([repr(i * (2.0 * np.pi / n)) for i in range(n)], dtype=object)
     return _csv(("x1", "x2", "x3", "value"),
                 [*axis[np.indices((n, n, n)).reshape(3, -1)], report.values.ravel()])
-
-
-def trajectory_csv(traj) -> str:
-    return _csv(("t", "x1", "x2", "x3"), [traj.ts, *np.reshape(traj.xs, (-1, 3)).T])
 
 
 def section_csv(section) -> str:

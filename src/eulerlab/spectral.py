@@ -1,11 +1,14 @@
 """Truncated Fourier representation of fields on the flat 3-torus.
 
-Vector and scalar fields live as sorted arrays of integer wave vectors and
-complex coefficients, subject to the reality condition
-coeff(-k) = conj(coeff(k)).
-Curl and divergence act mode by mode, lattice shells |k|^2 = n enumerate
-curl eigenspaces, and quadratic nonlinearities (v x curl v, v . grad v) are
-formed on grids large enough that no aliasing can reach the retained modes.
+Scalar, vector and 3x3 tensor fields live as sorted arrays of integer wave
+vectors and complex coefficients, subject to the reality condition
+coeff(-k) = conj(coeff(k)); they are the one trig-polynomial algebra of the
+package, so the contact model's 1-forms (as their flat duals), metrics and
+variation tensors are such fields too.  Curl and divergence act mode by
+mode, lattice shells |k|^2 = n enumerate curl eigenspaces, and every
+product (v x curl v, v . grad v, the contact model's algebra) is one exact
+pairwise convolution of mode arrays, `_convolve`, which drops the
+coefficients that its own rounding bound cannot tell from zero.
 Wave vectors are ordered lexicographically; the canonical representative of
 a +/-k pair is the lexicographically positive one.
 """
@@ -42,10 +45,10 @@ def _neg(k):
 
 
 def _as_points(points):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return np.mod(pts.reshape(-1, 3), TWO_PI)
+    """Points as an (n, 3) array reduced to [0, 2*pi); by floor, which is several
+    times faster than np.mod and as good for evaluating trig sums."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    return pts - TWO_PI * np.floor(pts / TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,17 @@ class _SpectralField:
             raise ValueError("reality violated")
 
     @classmethod
+    def from_half(cls, K, C, truncation_radius):
+        """Build from the canonical half: k = 0 first when present (its imaginary
+        part is dropped), then lexicographically positive vectors in order."""
+        K = np.asarray(K, dtype=np.int64).reshape(-1, 3)
+        C = np.asarray(C, dtype=complex).reshape((len(K),) + cls.SHAPE)
+        low = 1 if len(K) and not K[0].any() else 0
+        return cls(K=np.concatenate([-K[low:][::-1], K]),
+                   C=np.concatenate([np.conj(C[low:][::-1]), C.real[:low], C[low:]]),
+                   truncation_radius=int(truncation_radius))
+
+    @classmethod
     def from_pairs(cls, pairs, truncation_radius):
         """Build from {k: coefficient}; the conjugate at -k is implied, later entries win."""
         full = {}
@@ -111,8 +125,26 @@ class _SpectralField:
         return self.C[hit[0]] if hit.size else np.zeros(self.SHAPE, dtype=complex)[()]
 
     def evaluate(self, points):
-        """Exact trig-sum evaluation at arbitrary points (shape (..., 3) or (3,))."""
-        return (np.exp(1j * (_as_points(points) @ self.K.T)) @ self.C).real
+        """Exact trig-sum evaluation at points of shape (..., 3) or (3,); returns
+        (number of points,) + SHAPE.  The canonical half is summed as real cosines
+        and sines, each k != 0 weighted 2 for the pair +/-k."""
+        half = len(self.K) // 2
+        K = self.K[half:]
+        C = self.C[half:].reshape(len(K), math.prod(self.SHAPE))
+        C = np.where(K.any(axis=1), 2.0, 1.0)[:, None] * C
+        phase = _as_points(points) @ K.T
+        return (np.cos(phase) @ C.real - np.sin(phase) @ C.imag).reshape((-1,) + self.SHAPE)
+
+    def degree(self):
+        """Largest |k|_inf over the modes with a nonzero coefficient (0 when there are none)."""
+        return int(np.max(np.abs(self.K[_nonzero(self.C)]), initial=0))
+
+    def gradient(self):
+        """Gradient by the mode rule i k (x) fhat(k): a vector field for a scalar
+        field, the tensor d_j v_i at index (j, i) for a vector field."""
+        C = 1j * self.K.reshape((-1, 3) + (1,) * len(self.SHAPE)) * self.C[:, None]
+        return _FIELD_CLASSES[C.shape[1:]](K=self.K, C=C,
+                                           truncation_radius=self.truncation_radius)
 
     def norm_l2(self):
         return math.sqrt(VOLUME * float(np.sum(np.abs(self.C) ** 2)))
@@ -121,36 +153,102 @@ class _SpectralField:
         return type(self)(K=self.K, C=a * self.C, truncation_radius=self.truncation_radius)
 
     def __add__(self, other):
+        """Sum; modes whose coefficients cancel exactly are dropped."""
         K, C = _merge(np.concatenate([self.K, other.K]), np.concatenate([self.C, other.C]))
-        return type(self)(K=K, C=C,
+        keep = _nonzero(C)
+        return type(self)(K=K[keep], C=C[keep],
                           truncation_radius=max(self.truncation_radius, other.truncation_radius))
 
-
-def _merge(K, C):
-    """Distinct rows of K in lexicographic order, with C summed over equal rows in input order."""
-    K, inverse = np.unique(K, axis=0, return_inverse=True)
-    out = np.zeros((len(K),) + C.shape[1:], dtype=complex)
-    np.add.at(out, inverse.ravel(), C)
-    return K, out
+    def __sub__(self, other):
+        return self + other.scaled(-1.0)
 
 
-class SpectralVectorField(_SpectralField):
-    """Vector field: C has shape (m, 3)."""
+def _nonzero(C):
+    """Mask of the modes with a nonzero coefficient."""
+    return np.any(C != 0, axis=tuple(range(1, C.ndim)))
 
-    SHAPE = (3,)
+
+def _merge(K, *values):
+    """Distinct rows of K in lexicographic order, with each array of values
+    summed over equal rows in input order."""
+    r = int(np.max(np.abs(K), initial=0))
+    n = 2 * r + 1
+    key = ((K[:, 0] + r) * n + K[:, 1] + r) * n + K[:, 2] + r  # increasing in lexicographic order
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    sums = []
+    for v in values:
+        out = np.zeros((len(first),) + v.shape[1:], dtype=v.dtype)
+        np.add.at(out, inverse, v)
+        sums.append(out)
+    return (K[first], *sums)
+
+
+def _stack(fields):
+    """Union K of the modes of same-class fields and C of shape (len(K),
+    len(fields)) + SHAPE holding field j's coefficients in column j."""
+    K = np.concatenate([f.K for f in fields])
+    owner = np.repeat(np.arange(len(fields)), [len(f.K) for f in fields])
+    C = np.zeros((len(K), len(fields)) + fields[0].SHAPE, dtype=complex)
+    C[np.arange(len(K)), owner] = np.concatenate([f.C for f in fields])
+    return _merge(K, C)
+
+
+def _l1(C):
+    """Sum of the moduli of each mode's coefficient entries."""
+    return np.abs(C).sum(axis=tuple(range(1, C.ndim)))
+
+
+def _convolve(a, b, combine):
+    """Exact product of two fields: combine(C_a[p], C_b[q]) at K_a[p] + K_b[q],
+    summed over the pairs (p, q) that reach each wave vector.
+
+    `combine` is bilinear, takes the coefficient arrays broadcast against each
+    other as shapes (m_a, 1) + a.SHAPE and (1, m_b) + b.SHAPE and returns
+    (m_a, m_b) + the shape of the result, which picks its class.  The sum over
+    n pairs rounds by at most about n eps sum |C_a[p]|_1 |C_b[q]|_1, which one
+    more convolution of the magnitudes gives; every real or imaginary part at
+    or below (n + 2) times that (the 2 for the operations inside one combine)
+    cannot be told from zero and is set to zero, and modes left all zero are
+    dropped.  The canonical half is kept and mirrored, so the result is
+    exactly real.
+    """
+    C = combine(a.C[:, None], b.C[None])
+    K, C, mag, n = _merge((a.K[:, None] + b.K[None]).reshape(-1, 3),
+                          C.reshape((-1,) + C.shape[2:]),
+                          np.outer(_l1(a.C), _l1(b.C)).ravel(), np.ones(len(a.K) * len(b.K)))
+    half = len(K) // 2
+    K, C = K[half:], C[half:]
+    bound = ((n[half:] + 2.0) * np.finfo(float).eps * mag[half:]).reshape(
+        (-1,) + (1,) * (C.ndim - 1))
+    C = (np.where(np.abs(C.real) > bound, C.real, 0.0)
+         + 1j * np.where(np.abs(C.imag) > bound, C.imag, 0.0))
+    keep = _nonzero(C)
+    return _FIELD_CLASSES[C.shape[1:]].from_half(K[keep], C[keep],
+                                                 a.truncation_radius + b.truncation_radius)
 
 
 class ScalarSpectralField(_SpectralField):
     """Scalar field: C has shape (m,); the mean at k = 0 is real."""
 
-    def gradient(self):
-        """Gradient as a vector field: mode rule i*k*fhat(k)."""
-        return SpectralVectorField(K=self.K, C=1j * self.K * self.C[:, None],
-                                   truncation_radius=self.truncation_radius)
-
     def sup_norm(self, grid=32):
         n = max(grid, 2 * self.truncation_radius + 1)
         return float(np.max(np.abs(evaluate_on_grid(self, n))))
+
+
+class SpectralVectorField(_SpectralField):
+    """Vector field: C has shape (m, 3); also the flat dual of a 1-form."""
+
+    SHAPE = (3,)
+
+
+class SpectralTensorField(_SpectralField):
+    """3x3 tensor field: C has shape (m, 3, 3); metrics and variation tensors."""
+
+    SHAPE = (3, 3)
+
+
+_FIELD_CLASSES = {cls.SHAPE: cls for cls in
+                  (ScalarSpectralField, SpectralVectorField, SpectralTensorField)}
 
 
 @dataclass(frozen=True)
@@ -211,12 +309,6 @@ def divergence_spectral(v: SpectralVectorField) -> ScalarSpectralField:
     if len(div) % 2:  # k = 0 sits in the middle
         div[len(div) // 2] = 0.0
     return ScalarSpectralField(K=v.K, C=div, truncation_radius=v.truncation_radius)
-
-
-def derivative_field(v: SpectralVectorField, axis: int) -> SpectralVectorField:
-    """Componentwise partial derivative d/dx_axis."""
-    return SpectralVectorField(K=v.K, C=1j * v.K[:, axis:axis + 1] * v.C,
-                               truncation_radius=v.truncation_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +393,7 @@ def helicity_basis(n: int):
 
 def _shell_gram(fields):
     """Full Gram matrix of spectral fields via their stacked coefficients."""
-    K = np.concatenate([f.K for f in fields])
-    owner = np.repeat(np.arange(len(fields)), [len(f.K) for f in fields])
-    C = np.zeros((len(K), len(fields), 3), dtype=complex)
-    C[np.arange(len(K)), owner] = np.concatenate([f.C for f in fields])
-    flat = _merge(K, C)[1].transpose(1, 0, 2).reshape(len(fields), -1)
+    flat = _stack(fields)[1].transpose(1, 0, 2).reshape(len(fields), -1)
     return VOLUME * (flat @ flat.conj().T).real
 
 
@@ -345,7 +433,7 @@ def random_beltrami(n: int, seed: int) -> SpectralVectorField:
 
 
 # ---------------------------------------------------------------------------
-# grid transforms and alias-free products
+# grid transforms and exact products
 
 
 def evaluate_on_grid(f, n: int) -> np.ndarray:
@@ -353,48 +441,21 @@ def evaluate_on_grid(f, n: int) -> np.ndarray:
     if n < 2 * f.truncation_radius + 1:
         raise ValueError("grid too small for the truncation radius")
     dense = np.zeros(f.SHAPE + (n, n, n), dtype=complex)
-    dense[(..., *(f.K % n).T)] += f.C.T
+    dense[(..., *(f.K % n).T)] += np.moveaxis(f.C, 0, -1)
     out = np.empty((n, n, n) + f.SHAPE)
     for c in np.ndindex(f.SHAPE):  # per component: a 3-D transform stays in cache
         out[(..., *c)] = (np.fft.ifftn(dense[c]) * n ** 3).real
     return out
 
 
-def _vector_from_grid(values: np.ndarray, trunc: int) -> SpectralVectorField:
-    """Exact inverse transform of grid values, keeping |k|_inf <= trunc.
-
-    The grid must satisfy n >= 2*trunc + 1 so no retained mode aliases;
-    coefficients are symmetrized to enforce the reality invariant exactly.
-    """
-    n = values.shape[0]
-    r = np.arange(-trunc, trunc + 1)
-    K = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
-    H = (np.fft.fftn(values, axes=(0, 1, 2)) / n ** 3)[tuple((K % n).T)]
-    return SpectralVectorField(K=K, C=0.5 * (H + np.conj(H[::-1])), truncation_radius=trunc)
-
-
 def cross_spectral(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorField:
-    """Pointwise cross product v x w, exact up to the combined truncation.
-
-    Grid size 2*(Kv + Kw) + 1 keeps every retained coefficient alias-free,
-    which is stronger than the 3/2-rule requirement for quadratic terms.
-    """
-    trunc = v.truncation_radius + w.truncation_radius
-    n = 2 * trunc + 1
-    vals = np.cross(evaluate_on_grid(v, n), evaluate_on_grid(w, n))
-    return _vector_from_grid(vals, trunc)
+    """Pointwise cross product v x w, exact."""
+    return _convolve(v, w, np.cross)
 
 
 def convective_spectral(v: SpectralVectorField) -> SpectralVectorField:
-    """Alias-free pseudo-spectral v . grad v."""
-    trunc = 2 * v.truncation_radius
-    n = 2 * trunc + 1
-    vg = evaluate_on_grid(v, n)
-    out = np.zeros_like(vg)
-    for j in range(3):
-        dj = evaluate_on_grid(derivative_field(v, j), n)
-        out += vg[..., j : j + 1] * dj
-    return _vector_from_grid(out, trunc)
+    """v . grad v, exact: v_j contracted with the gradient tensor d_j v_i."""
+    return _convolve(v, v.gradient(), lambda a, g: np.einsum("...j,...ji->...i", a, g))
 
 
 def _solve_poisson_divergence(w: SpectralVectorField, sign: float) -> ScalarSpectralField:
@@ -423,7 +484,7 @@ def steady_residual(v: SpectralVectorField):
     p = _solve_poisson_divergence(conv, sign=-1.0)
     w = cross_spectral(v, curl_spectral(v))
     F = _solve_poisson_divergence(w, sign=1.0)
-    return (conv + p.gradient()).norm_l2(), (w + F.gradient().scaled(-1.0)).norm_l2()
+    return (conv + p.gradient()).norm_l2(), (w - F.gradient()).norm_l2()
 
 
 # ---------------------------------------------------------------------------

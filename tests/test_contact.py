@@ -7,7 +7,6 @@ import sympy
 from eulerlab import contact as ct
 from eulerlab import spectral as sp
 from eulerlab.errors import NotPositiveDefinite
-from eulerlab.trig import TrigPoly
 
 TWO_PI = 2 * np.pi
 X = sympy.symbols("x1 x2 x3")
@@ -29,6 +28,16 @@ def family(model, beta):
     return ct.metric_family(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
 
 
+def form(pairs, trunc=1):
+    """1-form as its flat dual, from {k: coefficients of e^{i k.x}}."""
+    return sp.SpectralVectorField.from_pairs(
+        {k: np.array(c, dtype=complex) for k, c in pairs.items()}, truncation_radius=trunc)
+
+
+def max_abs(f):
+    return float(np.max(np.abs(f.C), initial=0.0))
+
+
 def rand_pts(n=40, key=9):
     gen = np.random.Generator(np.random.Philox(key=np.array([key, 0], dtype=np.uint64)))
     return gen.uniform(0, TWO_PI, size=(n, 3))
@@ -37,7 +46,7 @@ def rand_pts(n=40, key=9):
 class TestStandardModel:
     def test_alpha_at_zero_is_dx1(self, model):
         contact, _ = model
-        assert np.allclose(contact.alpha.eval([0.0, 0.0, 0.0])[0], [1, 0, 0], atol=1e-15)
+        assert np.allclose(contact.alpha.evaluate([0.0, 0.0, 0.0])[0], [1, 0, 0], atol=1e-15)
 
     def test_wedge_gives_standard_volume(self, model):
         # symbolic oracle: alpha ^ d(alpha) = (cos^2 + sin^2) dx1^dx2^dx3
@@ -51,8 +60,8 @@ class TestStandardModel:
         wedge = sympy.simplify(sum(ai * wi for ai, wi in zip(a, w_sym)))
         assert wedge == 1
         pts = rand_pts()
-        w = np.stack([c.eval(pts) for c in contact.alpha.exterior_vector()], axis=-1)
-        vals = np.einsum("pi,pi->p", contact.alpha.eval(pts), w)
+        w = sp.curl_spectral(contact.alpha).evaluate(pts)
+        vals = np.einsum("pi,pi->p", contact.alpha.evaluate(pts), w)
         assert np.max(np.abs(vals - 1.0)) < 1e-14
 
     def test_reeb_is_unit_eigenfield(self, model):
@@ -64,12 +73,11 @@ class TestStandardModel:
 
     def test_reeb_pairing_and_interior_product(self, model):
         contact, _ = model
-        rc = contact.reeb_components()
-        pairing = contact.alpha.pair_field(rc)
-        assert pairing.terms == {(0, (0, 0, 0)): 1.0}
+        pairing = ct.dot(contact.alpha, contact.reeb)
+        assert pairing.K.tolist() == [[0, 0, 0]] and pairing.C.tolist() == [1.0]
         # i_R d(alpha) = 0: the vector proxy w is parallel to R, so w x R = 0
         pts = rand_pts(key=10)
-        w = np.stack([c.eval(pts) for c in contact.alpha.exterior_vector()], axis=-1)
+        w = sp.curl_spectral(contact.alpha).evaluate(pts)
         Rv = contact.reeb.evaluate(pts)
         assert np.max(np.abs(np.cross(w, Rv))) < 1e-14
 
@@ -103,48 +111,45 @@ class TestXiProjection:
     def test_alpha_projects_to_zero(self, model):
         contact, _ = model
         out = ct.xi_projection(contact.alpha, contact)
-        assert all(c.max_abs_coeff() <= 1e-15 for c in out.comps)
+        assert max_abs(out) <= 1e-15
 
     def test_form_annihilating_reeb_unchanged(self, model):
         contact, _ = model
-        form = ct.OneForm.from_polys(TrigPoly(), TrigPoly(), TrigPoly.cos((0, 1, 0)))
-        out = ct.xi_projection(form, contact)
-        for a, b in zip(out.comps, form.comps):
-            assert a.allclose(b, tol=1e-15)
+        f = form({(0, 1, 0): [0, 0, 0.5]})  # cos(x2) dx3
+        out = ct.xi_projection(f, contact)
+        assert max_abs(out - f) <= 1e-15
 
     def test_symbolic_oracle(self, model):
         # beta dual of (0, sin x1, cos x1): beta(R) = -sin x1 sin x3, so
         # beta_xi = beta + sin x1 sin x3 alpha
         contact, _ = model
-        form = ct.OneForm.from_polys(TrigPoly(), TrigPoly.sin((1, 0, 0)), TrigPoly.cos((1, 0, 0)))
-        out = ct.xi_projection(form, contact)
+        out = ct.xi_projection(form({(1, 0, 0): [0, -0.5j, 0.5]}), contact)
         pts = rand_pts(key=11)
         s1, s3, c3 = np.sin(pts[:, 0]), np.sin(pts[:, 2]), np.cos(pts[:, 2])
         # beta + (sin x1 sin x3) * alpha with alpha = (cos x3, -sin x3, 0)
         expected = np.stack(
             [s1 * s3 * c3, s1 - s1 * s3 * s3, np.cos(pts[:, 0])], axis=-1)
-        assert np.max(np.abs(out.eval(pts) - expected)) < 1e-13
+        assert np.max(np.abs(out.evaluate(pts) - expected)) < 1e-13
 
     def test_annihilates_reeb(self, model, beta):
         contact, _ = model
         out = ct.xi_projection(beta, contact)
-        pairing = out.pair_field(contact.reeb_components())
-        assert pairing.max_abs_coeff() <= 1e-16
+        assert max_abs(ct.dot(out, contact.reeb)) <= 1e-16
 
 
 class TestVariationTensor:
     def test_traceless(self, model, beta):
         contact, g = model
         var = ct.variation_tensor(beta, contact, g)
-        tr = var.entries.trace_against(g.inv_entries)
+        tr = ct.trace_pairing(g.inv_entries, var.entries)
         pts, _ = ct.uniform_grid(32)
-        assert float(np.max(np.abs(tr.eval(pts)))) <= 1e-12
+        assert float(np.max(np.abs(tr.evaluate(pts)))) <= 1e-12
 
     def test_annihilates_reeb(self, model, beta):
         contact, g = model
         var = ct.variation_tensor(beta, contact, g)
         pts = rand_pts(key=12)
-        H = var.entries.eval_matrix(pts)
+        H = var.entries.evaluate(pts)
         Rv = contact.reeb.evaluate(pts)
         assert np.max(np.abs(np.einsum("pij,pj->pi", H, Rv))) <= 1e-14
 
@@ -152,8 +157,7 @@ class TestVariationTensor:
         # unnormalized beta = (0, sin x1, cos x1) dual; sympy evaluates
         # h11 = (beta_xi)_1^2 - |beta_xi|^2 (g_xi)_11 / 2 at (pi/2, 0, 0)
         contact, g = model
-        form = ct.OneForm.from_polys(TrigPoly(), TrigPoly.sin((1, 0, 0)), TrigPoly.cos((1, 0, 0)))
-        var = ct.variation_tensor(form, contact, g)
+        var = ct.variation_tensor(form({(1, 0, 0): [0, -0.5j, 0.5]}), contact, g)
         s1, s3, c3 = sympy.sin(X[0]), sympy.sin(X[2]), sympy.cos(X[2])
         bxi = [s1 * s3 * c3, sympy.sin(X[0]) * c3 ** 2, sympy.cos(X[0])]
         norm2 = sum(b ** 2 for b in bxi)
@@ -161,7 +165,7 @@ class TestVariationTensor:
         h11 = bxi[0] ** 2 - norm2 * gxi11 / 2
         point = {X[0]: sympy.pi / 2, X[1]: 0, X[2]: 0}
         expected = float(h11.subs(point))
-        got = var.entries.entries[0][0].eval(np.array([[np.pi / 2, 0.0, 0.0]]))[0]
+        got = var.entries.evaluate(np.array([[np.pi / 2, 0.0, 0.0]]))[0, 0, 0]
         assert got == pytest.approx(expected, abs=1e-14)
 
     def test_norm2_closed_form(self, model, beta):
@@ -169,7 +173,7 @@ class TestVariationTensor:
         var = ct.variation_tensor(beta, contact, g)
         pts = rand_pts(key=13)
         expected = TWO_PI ** -3 * (1 - np.sin(pts[:, 0]) ** 2 * np.sin(pts[:, 2]) ** 2)
-        assert np.max(np.abs(var.norm2.eval(pts) - expected)) < 1e-16
+        assert np.max(np.abs(var.norm2.evaluate(pts) - expected)) < 1e-16
 
 
 class TestMetricFamily:
@@ -189,7 +193,7 @@ class TestMetricFamily:
     def test_first_order_is_variation_tensor(self, family):
         # finite-difference oracle with Richardson slope
         pts = rand_pts(key=15)
-        H = family.variation.entries.eval_matrix(pts)
+        H = family.variation.entries.evaluate(pts)
         base = family.member(0.0).matrix(pts)
         defects = []
         eps_levels = (1e-2, 1e-3)
@@ -201,7 +205,7 @@ class TestMetricFamily:
 
     def test_first_order_consistency_across_decade(self, family):
         pts = rand_pts(key=16)
-        H = family.variation.entries.eval_matrix(pts)
+        H = family.variation.entries.evaluate(pts)
         base = family.member(0.0).matrix(pts)
         epsilons = np.array([0.2, 0.1, 0.05, 0.02])
         defects = np.array([
@@ -216,7 +220,7 @@ class TestMetricFamily:
         bad = ct.MetricField(
             g_xi=g.g_xi.scaled(-2.0),
             alpha_sq=g.alpha_sq,
-            inv_entries=ct.TensorPoly.identity(),
+            inv_entries=ct.identity_tensor(),
             degree_hint=2,
         )
         with pytest.raises(NotPositiveDefinite):
@@ -242,16 +246,15 @@ class TestNoncollinearity:
     def test_random_unit_eigenform_fraction(self, model):
         contact, g = model
         # random element of the unit-eigenvalue space, L2-orthogonal to alpha
-        v = sp.random_beltrami(1, 17)
-        comps = ct.trig_components(v)
-        form = ct.OneForm(comps=comps)
-        overlap = 0.0
-        norm_a = 0.0
-        for a, b in zip(contact.alpha.comps, form.comps):
-            overlap += (a * b).integral()
-            norm_a += (a * a).integral()
-        form = form - contact.alpha.scaled(overlap / norm_a)
-        frac = ct.noncollinearity_measure(contact.alpha, form, 64, 1e-3)
+        v = sp.random_beltrami(1, 17)  # a 1-form as its flat dual
+
+        def integral(f):
+            return sp.VOLUME * float(f.mode((0, 0, 0)).real)
+
+        overlap = integral(ct.dot(contact.alpha, v))
+        norm_a = integral(ct.dot(contact.alpha, contact.alpha))
+        f = v - contact.alpha.scaled(overlap / norm_a)
+        frac = ct.noncollinearity_measure(contact.alpha, f, 64, 1e-3)
         assert frac < 0.05
 
 
@@ -272,7 +275,7 @@ class TestVariationPairing:
         X1, X2, X3 = np.meshgrid(x, x, x, indexing="ij")
         pts = np.stack([X1.ravel(), X2.ravel(), X3.ravel()], axis=-1)
         W = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-        q = family.variation.norm2.eval(pts)
+        q = family.variation.norm2.evaluate(pts)
         ref = contact.lambda0 * 0.5 * float(np.sum(q ** 2 * W))
         val = ct.variation_pairing([beta], family.variation, g, contact.lambda0)[0, 0]
         assert val == pytest.approx(ref, rel=1e-12)
@@ -296,8 +299,9 @@ class TestVariationPairing:
         # its own pair's trig degree
         contact, g = model
         h = family.variation
-        wide = ct.OneForm.from_polys(TrigPoly.cos((2, 1, 0), 0.3), TrigPoly.sin((0, 1, 2), -0.7),
-                                     TrigPoly.cos((1, 0, 0), 0.2) + TrigPoly.sin((2, 0, 1), 0.5))
+        # (0.3 cos(2x1 + x2), -0.7 sin(x2 + 2x3), 0.2 cos x1 + 0.5 sin(2x1 + x3))
+        wide = form({(2, 1, 0): [0.15, 0, 0], (0, 1, 2): [0, 0.35j, 0],
+                     (1, 0, 0): [0, 0, 0.1], (2, 0, 1): [0, 0, -0.25j]}, trunc=2)
         forms = [contact.alpha, beta, wide, beta.scaled(-2.0) + wide]
 
         def pair(a1, a2, lam):
@@ -305,9 +309,9 @@ class TestVariationPairing:
             pts, w = ct.uniform_grid(nodes)
             G = g.matrix(pts)
             Ginv = np.linalg.inv(G)
-            A1 = np.einsum("pij,pj->pi", Ginv, a1.eval(pts))
-            A2 = np.einsum("pij,pj->pi", Ginv, a2.eval(pts))
-            H = h.entries.eval_matrix(pts)
+            A1 = np.einsum("pij,pj->pi", Ginv, a1.evaluate(pts))
+            A2 = np.einsum("pij,pj->pi", Ginv, a2.evaluate(pts))
+            H = h.entries.evaluate(pts)
             tr = np.einsum("pij,pij->p", Ginv, H)
             term = lam * np.einsum("pi,pij,pj->p", A2, H, A1)
             term -= 0.5 * lam * tr * np.einsum("pi,pij,pj->p", A2, G, A1)

@@ -69,15 +69,14 @@ def test_abc_run_with_stagnation_points(tmp_path):
     assert "factor_note" in report
 
 
-def test_manifest_hashes_and_emit_plot_data(tmp_path):
+def test_manifest_hashes(tmp_path):
     cfg = runner.load_config({"kind": "spectrum", "params": {"n": 2}})
     rec = runner.run(cfg, out_dir=str(tmp_path))
     from eulerlab import serialize as ser
 
     for entry in rec.files:
         assert ser.sha256_of_file(os.path.join(rec.out_dir, entry["name"])) == entry["sha256"]
-    paths = runner.emit_plot_data(rec)
-    assert any(p.endswith("shell.csv") for p in paths)
+    assert "shell.csv" in {entry["name"] for entry in rec.files}
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -121,7 +120,9 @@ def test_rerun_into_same_out_removes_files_of_the_previous_manifest(tmp_path):
     listed = {f["name"] for f in rec.files}
     assert listed == {"report.json", "lyapunov_history_00.csv", "lyapunov_meta_00.json"}
     assert set(os.listdir(tmp_path)) == listed | {"run_record.json", "notes.txt"}
-    assert runner.emit_plot_data(rec) == [str(tmp_path / "lyapunov_history_00.csv")]
+    from eulerlab import serialize as ser
+
+    assert all(ser.sha256_of_file(tmp_path / f["name"]) == f["sha256"] for f in rec.files)
 
 
 def test_poincare_run_sidecar(tmp_path):
@@ -259,3 +260,24 @@ def test_mutation_check_sign_flipped_curl_fails(monkeypatch):
     details, passed = acceptance.check_curl_eigenfamily(nmax=2)
     assert not passed
     assert details["max_curl_residual"] > 0.01
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "perturb", "params": {"K": 1, "epsilons": [-0.1, 0.1], "window": [1.5, 2.5]}},
+     "lambda0 = 1"),
+    ({"kind": "perturb", "params": {"K": 1, "window": [1.2, 0.8]}}, "increasing"),
+    ({"kind": "pi-map", "params": {"mode": "galerkin", "K": 1, "window": [1.2, 0.8]}},
+     "increasing"),
+    ({"kind": "pi-map", "params": {"mode": "synthetic", "window": [1.0, 1.0]}}, "increasing"),
+], ids=["perturb-without-lambda0", "perturb-reversed", "pi-map-reversed", "pi-map-empty"])
+def test_cli_rejects_bad_windows(tmp_path, doc, message):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
+    with pytest.raises(ConfigInvalid):
+        runner.load_config(doc)

@@ -47,12 +47,44 @@ def test_trig_and_form_round_trip():
     contact, g = ct.std_contact_t3()
     form = contact.alpha
     back = ser.oneform_from_json(ser.oneform_to_json(form))
-    for a, b in zip(back.comps, form.comps):
-        assert a.allclose(b, tol=0.0)
+    assert np.array_equal(back.K, form.K) and np.array_equal(back.C, form.C)
     tensor = g.g_xi
     back_t = ser.tensor_from_json(ser.tensor_to_json(tensor))
+    assert np.array_equal(back_t.K, tensor.K) and np.array_equal(back_t.C, tensor.C)
     pts = np.random.default_rng(0).uniform(0, 2 * np.pi, size=(10, 3))
-    assert np.array_equal(back_t.eval_matrix(pts), tensor.eval_matrix(pts))
+    assert np.array_equal(back_t.evaluate(pts), tensor.evaluate(pts))
+
+
+def _terms(*spec):
+    return {"terms": [{"coeff": c, "k": list(k), "kind": kind} for kind, k, c in spec]}
+
+
+# metric_to_json of the standard model; perturb reports hash this text as metric_hash
+BASE_METRIC_DOC = {
+    "alpha_outer": {"entries": [
+        [_terms(("cos", (0, 0, 0), 0.5), ("cos", (0, 0, 2), 0.5)),
+         _terms(("sin", (0, 0, 2), -0.5)), _terms()],
+        [_terms(("sin", (0, 0, 2), -0.5)),
+         _terms(("cos", (0, 0, 0), 0.5), ("cos", (0, 0, 2), -0.5)), _terms()],
+        [_terms(), _terms(), _terms()]]},
+    "degree_hint": 2,
+    "extra": None,
+    "g_xi": {"entries": [
+        [_terms(("cos", (0, 0, 0), 0.5), ("cos", (0, 0, 2), -0.5)),
+         _terms(("sin", (0, 0, 2), 0.5)), _terms()],
+        [_terms(("sin", (0, 0, 2), 0.5)),
+         _terms(("cos", (0, 0, 0), 0.5), ("cos", (0, 0, 2), 0.5)), _terms()],
+        [_terms(), _terms(), _terms(("cos", (0, 0, 0), 1.0))]]},
+    "xi_scale": None,
+}
+
+
+def test_base_metric_json_text_is_pinned():
+    _, g = ct.std_contact_t3()
+    text = ser.dump_json(ser.metric_to_json(g))
+    assert text == ser.dump_json(BASE_METRIC_DOC)
+    assert ser.sha256_of_text(text) == (
+        "09573f6f2713aa9c41a7e6cfe57f754353c8bfb1821a54ff709152afe1b3a1c6")
 
 
 def test_metric_json_includes_family_factor():
@@ -77,12 +109,8 @@ def test_grid_report_csv_header_and_values():
     assert float(first[3]) == pytest.approx(rep.values[0, 0, 0])
 
 
-def test_trajectory_and_section_csv():
+def test_section_csv():
     v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.0))
-    traj = dyn.integrate(v, [0.1, 0.2, 0.3], 5.0, 1e-9)
-    text = ser.trajectory_csv(traj)
-    assert text.startswith("t,x1,x2,x3\n")
-    assert len(text.strip().split("\n")) == 1 + len(traj.ts)
     sec = dyn.poincare(v, (2, np.pi / 2), +1, [0.2, 0.0, 1.3], 5, tol=1e-9,
                        max_time=500.0)
     stext = ser.section_csv(sec)

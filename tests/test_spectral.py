@@ -433,11 +433,21 @@ def test_from_pairs_gives_sorted_closed_conjugate_arrays(vpairs, spairs):
             assert np.array_equal(field.mode(k), c)
 
 
+def fft_vector_from_grid(values, trunc):
+    """Reference inverse transform: one FFT of grid values, the |k|_inf <= trunc
+    box gathered and symmetrized to enforce reality."""
+    n = values.shape[0]
+    r = np.arange(-trunc, trunc + 1)
+    K = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    H = (np.fft.fftn(values, axes=(0, 1, 2)) / n ** 3)[tuple((K % n).T)]
+    return sp.SpectralVectorField(K=K, C=0.5 * (H + np.conj(H[::-1])), truncation_radius=trunc)
+
+
 @settings(max_examples=30, deadline=None)
 @given(VECTOR_PAIRS, st.integers(0, 3))
 def test_grid_round_trip_returns_the_field(pairs, extra):
     v = vector_field(pairs)
-    back = sp._vector_from_grid(sp.evaluate_on_grid(v, 5 + extra), 2)
+    back = fft_vector_from_grid(sp.evaluate_on_grid(v, 5 + extra), 2)
     scale = max(1.0, float(np.max(np.abs(v.C), initial=0.0)))
     assert_storage_invariants(back)
     assert np.max(np.abs((back + v.scaled(-1.0)).C), initial=0.0) <= 1e-12 * scale
@@ -462,20 +472,6 @@ def test_curl_of_gradient_vanishes(pairs):
     cg = sp.curl_spectral(f.gradient())
     assert cg.C.shape == (len(f.K), 3)
     assert np.max(np.abs(cg.C), initial=0.0) <= 1e-12 * np.max(np.abs(f.C), initial=0.0)
-
-
-def test_vector_from_grid_matches_the_per_mode_loop():
-    # reference: per-component FFTs read mode by mode and symmetrized pair by pair
-    v = sp.random_beltrami(3, 4)
-    n, trunc = 7, 3
-    vals = sp.evaluate_on_grid(v, n) * sp.evaluate_on_grid(sp.curl_spectral(v), n) ** 2
-    hat = [np.fft.fftn(vals[..., a]) / n ** 3 for a in range(3)]
-    got = sp._vector_from_grid(vals, trunc)
-    assert len(got.K) == (2 * trunc + 1) ** 3
-    for k in got.K:
-        c = np.array([hat[a][tuple(k % n)] for a in range(3)])
-        cm = np.array([hat[a][tuple(-k % n)] for a in range(3)])
-        assert np.array_equal(got.mode(k), 0.5 * (c + np.conj(cm)))
 
 
 class TestStorageChecks:
@@ -517,3 +513,60 @@ class TestStorageChecks:
     def test_outside_truncation_rejected(self):
         with pytest.raises(ValueError):
             self.build([(-3, 0, 0), (3, 0, 0)], [np.conj(self.C1), self.C1])
+
+
+def test_products_match_the_fft_route():
+    # reference: products formed on a 2 (Kv + Kw) + 1 grid and transformed back
+    v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.3)) + sp.random_beltrami(2, 3)
+    w = sp.curl_spectral(v)
+    n = 2 * (v.truncation_radius + w.truncation_radius) + 1
+    cross_ref = fft_vector_from_grid(
+        np.cross(sp.evaluate_on_grid(v, n), sp.evaluate_on_grid(w, n)), n // 2)
+    conv_ref = fft_vector_from_grid(np.einsum(
+        "...j,...ji->...i", sp.evaluate_on_grid(v, n), sp.evaluate_on_grid(v.gradient(), n)),
+        n // 2)
+    for got, ref in ((sp.cross_spectral(v, w), cross_ref), (sp.convective_spectral(v), conv_ref)):
+        assert got.truncation_radius == ref.truncation_radius
+        assert len(got.K) < len(ref.K)  # only the modes that pairs reach are stored
+        assert np.max(np.abs(ref.C)) > 1e-3
+        assert np.max(np.abs((got - ref).C)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 9, 50])
+def test_bernoulli_of_beltrami_fields_stores_no_modes(n):
+    # v x curl v = sqrt(n) v x v vanishes exactly; rounding must not leave modes
+    for s in range(3):
+        v = sp.random_beltrami(n, s)
+        assert not sp.cross_spectral(v, sp.curl_spectral(v)).K.size
+        assert not sp.bernoulli(v).K.size
+    for params in ((1.0, 0.5, 0.1), (0.3, -1.2, 0.7)):
+        assert not sp.bernoulli(sp.make_abc(sp.ABCParams(*params))).K.size
+
+
+TENSOR_PAIRS = st.dictionaries(WAVE, st.tuples(*[COEFF] * 9), max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(TENSOR_PAIRS, VECTOR_PAIRS)
+def test_tensor_fields_evaluate_entrywise_and_contract_exactly(tpairs, vpairs):
+    t = sp.SpectralTensorField.from_pairs(
+        {k: np.array(c).reshape(3, 3) for k, c in tpairs.items()}, truncation_radius=2)
+    v = vector_field(vpairs)
+    assert_storage_invariants(t)
+    pts = rng(7, 12).uniform(0, TWO_PI, size=(12, 3))
+    T = t.evaluate(pts)
+    assert T.shape == (12, 3, 3)
+    scale = max(1.0, float(np.max(np.abs(t.C), initial=0.0)))
+    for i in range(3):
+        for j in range(3):
+            entry = sp.ScalarSpectralField(K=t.K, C=t.C[:, i, j], truncation_radius=2)
+            assert np.max(np.abs(entry.evaluate(pts) - T[:, i, j])) <= 1e-12 * scale
+    x = np.arange(5) * (TWO_PI / 5)
+    grid = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert np.max(np.abs(sp.evaluate_on_grid(t, 5).reshape(-1, 3, 3)
+                         - t.evaluate(grid))) <= 1e-12 * scale
+    tv = sp._convolve(t, v, lambda x, y: np.einsum("...ij,...j->...i", x, y))
+    assert_storage_invariants(tv)
+    scale *= max(1.0, float(np.max(np.abs(v.C), initial=0.0)))
+    ref = np.einsum("pij,pj->pi", T, v.evaluate(pts))
+    assert np.max(np.abs(tv.evaluate(pts) - ref)) <= 1e-11 * scale
