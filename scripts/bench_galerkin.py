@@ -7,11 +7,12 @@ thread:
 - `track_splitting` at K=3 (the perturb sweep: 13 mass assemblies and
   pencil solves plus the pairing matrix);
 - `spectral_projector` with 64 nodes on the K=2 operator A_of(0) of the
-  `pi-map` galerkin mode;
+  `pi-map` galerkin mode, and one K=3 operator A_of(0.1);
 - `MetricField.matrix` of the same family member on the K=3 mass grid
   (19^3 points);
 - `spectral.bernoulli` of the random Beltrami fields of shells n = 9 and 50;
-- end to end, one `perturb` run at K=3 through `runner.run`.
+- end to end, one `perturb` run at K=3 and one `pi-map` galerkin run at
+  K=2 and at K=3 through `runner.run`.
 
 Every call has had the same signature since the Fourier-structured
 kernels, so the script runs unchanged on older checkouts.  Results go under
@@ -91,20 +92,29 @@ def _cases(scratch):
     M3 = gk.assemble_mass(member, basis3)
     pi_family = ct.metric_family(g, contact, beta, [-0.1, 0.1])
     A0 = gk.pencil_operator_family(pi_family, gk.FormBasis(2))(0.0)
+    A_of3 = gk.pencil_operator_family(pi_family, gk.FormBasis(3))
     mass_grid, _ = ct.uniform_grid(gk.default_mass_nodes(3, member.degree_hint))
     shell9, shell50 = sp.random_beltrami(9, 0), sp.random_beltrami(50, 0)
     perturb = runner.load_config({"kind": "perturb", "params": {"K": 3}})
+    pi_maps = {K: runner.load_config({"kind": "pi-map", "params": {"mode": "galerkin", "K": K}})
+               for K in (2, 3)}
     count = itertools.count()
+
+    def run(cfg):
+        return runner.run(cfg, out_dir=os.path.join(scratch, f"run{next(count)}"))
+
     return {
         "assemble_mass_K3": lambda: gk.assemble_mass(member, basis3),
         "solve_pencil_K3": lambda: gk.solve_pencil(B3, M3, (0.8, 1.2)),
         "track_splitting_K3": lambda: gk.track_splitting(family, contact, (0.8, 1.2), 3),
         "spectral_projector_K2": lambda: gk.spectral_projector(A0, 1.0, 0.2, 64),
+        "operator_family_K3": lambda: A_of3(0.1),
         "metric_matrix_K3_grid": lambda: member.matrix(mass_grid),
         "bernoulli_shell9": lambda: sp.bernoulli(shell9),
         "bernoulli_shell50": lambda: sp.bernoulli(shell50),
-        "end_to_end.perturb_run_K3": lambda: runner.run(
-            perturb, out_dir=os.path.join(scratch, f"run{next(count)}")),
+        "end_to_end.perturb_run_K3": lambda: run(perturb),
+        "end_to_end.pi_map_run_K2": lambda: run(pi_maps[2]),
+        "end_to_end.pi_map_run_K3": lambda: run(pi_maps[3]),
     }
 
 

@@ -5,9 +5,11 @@ B_ij = integral of e_i ^ d(e_j) is metric-independent and assembled exactly
 by term matching, M(g)_ij = <e_i, e_j>_g is a grid quadrature with node
 counts above the Nyquist bound of the integrand.  Each kernel uses the
 Fourier structure of the basis: M is gathered from the DFT of the
-pointwise weights, the pencil is solved block by block over the couplings
-that survive, and the contour projector solves only half the nodes,
-since the other half are complex conjugates.  Eigenvalue clusters are
+pointwise weights; the pencil, the symmetric family M^{-1/2} B M^{-1/2},
+its cluster eigensolve and its contour projector work block by block over
+the couplings that survive, and the projector solves only the blocks with
+an eigenvalue inside its circle, at half the nodes, since the other half
+are complex conjugates.  Eigenvalue clusters are
 tracked along metric families, first-order splitting is cross-checked
 against the variation pairing, and the contour projector / compression
 machinery reduces an operator family near a cluster to a small symmetric
@@ -243,6 +245,39 @@ class EigenCluster:
     multiplicity: int
 
 
+def _components(pattern) -> list:
+    """Index arrays of the connected components of a symmetric boolean matrix."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    if pattern.all():
+        return [np.arange(len(pattern))]
+    n_parts, labels = connected_components(csr_array(pattern), directed=False)
+    return [np.flatnonzero(labels == c) for c in range(n_parts)]
+
+
+def _pencil_components(B: np.ndarray, M: np.ndarray) -> list:
+    """Components of the coupling graph: B_ij != 0 or |M_ij| > 1e-12 max|M|."""
+    absM = np.abs(M)
+    return _components((B != 0) | (absM > 1e-12 * np.max(absM)))
+
+
+def _block_eigh(parts, eigh, select):
+    """Eigenpairs by blocks, `eigh(idx)` solving the block on rows idx: every
+    eigenvalue (block order), the indices of those with `select(vals)` in a
+    stable ascending sort, and their vectors scattered to full length."""
+    solved = [eigh(idx) for idx in parts]
+    vals = np.concatenate([w for w, _ in solved])
+    keep = np.flatnonzero(select(vals))
+    keep = keep[np.argsort(vals[keep], kind="stable")]
+    columns = [(idx, vecs[:, j]) for idx, (_, vecs) in zip(parts, solved) for j in range(len(idx))]
+    # column-major like a dense eigh's selected columns: one block stays bitwise dense
+    vectors = np.zeros((len(vals), len(keep)), order="F")
+    for col, (rows, vec) in enumerate(columns[t] for t in keep):
+        vectors[rows, col] = vec
+    return vals, keep, vectors
+
+
 def solve_pencil(B: np.ndarray, M: np.ndarray, window) -> EigenCluster:
     """Generalized symmetric eigensolve; returns the pairs inside (lo, hi).
 
@@ -256,27 +291,14 @@ def solve_pencil(B: np.ndarray, M: np.ndarray, window) -> EigenCluster:
     Raises WindowTouchesSpectrum when any eigenvalue sits within 1e-8 of a
     window endpoint (the window no longer isolates a cluster).
     """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an increasing interval")
-    absM = np.abs(M)
-    coupled = csr_array((B != 0) | (absM > 1e-12 * np.max(absM)))
-    n_parts, labels = connected_components(coupled, directed=False)
-    parts = [np.flatnonzero(labels == c) for c in range(n_parts)]
-    solved = [sla.eigh(B[np.ix_(idx, idx)], M[np.ix_(idx, idx)]) for idx in parts]
-    vals = np.concatenate([w for w, _ in solved])
+    vals, keep, vectors = _block_eigh(
+        _pencil_components(B, M), lambda idx: sla.eigh(B[np.ix_(idx, idx)], M[np.ix_(idx, idx)]),
+        lambda w: (w > lo) & (w < hi))
     if np.any(np.abs(vals - lo) < 1e-8) or np.any(np.abs(vals - hi) < 1e-8):
         raise WindowTouchesSpectrum(f"eigenvalue within 1e-8 of window ({lo}, {hi})")
-    keep = np.flatnonzero((vals > lo) & (vals < hi))
-    keep = keep[np.argsort(vals[keep], kind="stable")]
-    columns = [(idx, vecs[:, j]) for idx, (_, vecs) in zip(parts, solved) for j in range(len(idx))]
-    vectors = np.zeros((B.shape[0], len(keep)))
-    for col, t in enumerate(keep):
-        rows, vec = columns[t]
-        vectors[rows, col] = vec
     return EigenCluster(
         center=0.5 * (lo + hi),
         radius=0.5 * (hi - lo),
@@ -474,25 +496,39 @@ def spectral_projector(A: np.ndarray, center: float, radius: float, nodes: int =
     symmetric, so R(conj z) = conj R(z) and the nodes at theta and
     2*pi - theta contribute complex conjugates: only nodes j <= nodes/2 are
     solved, each but j = 0 and j = nodes/2 counted twice in the real part.
+
+    Only the components of A's nonzero pattern with an eigenvalue inside
+    are solved; the others give an exact zero and enter the guard by their
+    eigenvalues, as the 1/|z - lambda|^2 terms of the Frobenius norm.
     """
     A = np.asarray(A, dtype=float)
-    D = A.shape[0]
-    eye = np.eye(D)
-    P = np.zeros((D, D))
+    solved, skipped = _components(A != 0), np.empty(0)
+    if len(solved) > 1:
+        spectra = [np.linalg.eigvalsh(A[np.ix_(idx, idx)]) for idx in solved]
+        inside = [bool(np.any(np.abs(w - center) < radius)) for w in spectra]
+        skipped = np.concatenate([w for w, s in zip(spectra, inside) if not s] + [skipped])
+        solved = [idx for idx, s in zip(solved, inside) if s]
+    blocks = [(Ab, np.eye(len(Ab)), np.zeros_like(Ab)) for Ab in (A[np.ix_(i, i)] for i in solved)]
     guard = 1e6 / radius
     for j in range(nodes // 2 + 1):
         theta = TWO_PI * j / nodes
         z = center + radius * np.exp(1j * theta)
         try:
-            R = np.linalg.solve(z * eye - A, eye)
+            resolvents = [np.linalg.solve(z * eye - Ab, eye) for Ab, eye, _ in blocks]
         except np.linalg.LinAlgError as exc:
             raise IllConditionedContour(f"resolvent singular at node {j}") from exc
-        if np.linalg.norm(R) > guard:
+        with np.errstate(divide="ignore"):
+            norm = math.hypot(*map(np.linalg.norm, resolvents), *(1.0 / np.abs(z - skipped)))
+        if norm > guard:
             raise IllConditionedContour(
                 f"resolvent norm exceeds {guard:.2e} at node {j}; eigenvalue near contour"
             )
         weight = 1.0 if j == 0 or 2 * j == nodes else 2.0
-        P += ((weight * radius / nodes) * np.exp(1j * theta) * R).real
+        for (_, _, Pb), R in zip(blocks, resolvents):
+            Pb += ((weight * radius / nodes) * np.exp(1j * theta) * R).real
+    P = np.zeros_like(A)
+    for idx, (_, _, Pb) in zip(solved, blocks):
+        P[np.ix_(idx, idx)] = Pb
     return 0.5 * (P + P.T)
 
 
@@ -514,14 +550,18 @@ def pencil_operator_family(family: MetricFamily, basis: FormBasis, nodes=None):
     """Symmetric operator family A(eps) = M(eps)^{-1/2} B M(eps)^{-1/2}.
 
     Shares the pencil's spectrum while keeping a fixed (Euclidean) inner
-    product, which is what the compression machinery expects.
+    product, which is what the compression machinery expects.  It is formed
+    per component of solve_pencil's coupling graph, exactly zero between.
     """
     B = assemble_exterior(basis)
 
     def A_of(eps):
         M = assemble_mass(family.member(eps), basis, nodes)
-        R = matrix_inv_sqrt(M)
-        A = R @ B @ R
+        A = np.zeros_like(M)
+        for idx in _pencil_components(B, M):
+            ix = np.ix_(idx, idx)
+            R = matrix_inv_sqrt(M[ix])
+            A[ix] = R @ B[ix] @ R
         return 0.5 * (A + A.T)
 
     return A_of
@@ -542,13 +582,19 @@ class MatrixCluster:
 
 
 def matrix_cluster(A: np.ndarray, center: float, radius: float) -> MatrixCluster:
-    vals, vecs = np.linalg.eigh(A)
-    mask = np.abs(vals - center) < radius
+    """Eigenpairs with |lambda - center| < radius, solved per component of
+    A's nonzero pattern as in solve_pencil; ClusterLeakage if there are none."""
+    vals, keep, vectors = _block_eigh(
+        _components(A != 0), lambda idx: np.linalg.eigh(A[np.ix_(idx, idx)]),
+        lambda w: np.abs(w - center) < radius)
+    if len(keep) == 0:
+        raise ClusterLeakage(
+            f"no eigenvalue inside window ({center - radius:g}, {center + radius:g})")
     return MatrixCluster(
         center=float(center),
         radius=float(radius),
-        eigenvalues=vals[mask],
-        vectors=vecs[:, mask],
+        eigenvalues=vals[keep],
+        vectors=vectors,
     )
 
 

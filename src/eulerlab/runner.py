@@ -323,7 +323,6 @@ def _run_pi_map(cfg):
         A_of = gk.pencil_operator_family(fam, gk.FormBasis(p["K"]))
         A0 = A_of(0.0)
         lo, hi = p["window"]
-        cluster = gk.matrix_cluster(A0, 0.5 * (lo + hi), 0.5 * (hi - lo))
     else:
         gen = np.random.Generator(
             np.random.Philox(key=np.array([cfg.seed, 977], dtype=np.uint64))
@@ -334,7 +333,8 @@ def _run_pi_map(cfg):
         def A_of(q, A0=A0, S1=S1):
             return A0 + q * S1
 
-        cluster = gk.matrix_cluster(A0, 0.5, 1.0)
+        lo, hi = -0.5, 1.5  # fixed: 3 eigenvalues in [0.3, 0.7], the rest in [2, 6]
+    cluster = gk.matrix_cluster(A0, 0.5 * (lo + hi), 0.5 * (hi - lo))
     rep = gk.pi_map(A_of, p["q"], 0.0, cluster, nodes=p["contour_nodes"])
     cert = gk.splitting_certificate(rep.pi_prime)
     report = {
@@ -345,7 +345,7 @@ def _run_pi_map(cfg):
         "identity_deviation": rep.identity_deviation,
         "projector_idempotency": rep.projector_idempotency(),
         "certificate": cert,
-        "window": list(p["window"]),
+        "window": [lo, hi],
         "contour_nodes": p["contour_nodes"],
     }
     plots = {
@@ -358,7 +358,7 @@ def _run_pi_map(cfg):
                 "dimension": int(cluster.vectors.shape[0]),
                 "cluster_size": int(cluster.multiplicity),
                 "q": p["q"],
-                "window": list(p["window"]),
+                "window": [lo, hi],
                 "contour_nodes": p["contour_nodes"],
             }
         ),

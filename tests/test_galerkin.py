@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -470,6 +471,130 @@ class TestSpectralProjector:
         with pytest.raises(IllConditionedContour):
             # circle through the eigenvalue at 1.0 (node at angle pi)
             gk.spectral_projector(A, 1.5, 0.5, 16)
+
+
+def n_components(A):
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(np.asarray(A) != 0, directed=False)[0]
+
+
+def dense_operator_family(family, basis):
+    """Reference A(eps) = M^{-1/2} B M^{-1/2} from one dense eigh of M."""
+    B = gk.assemble_exterior(basis)
+
+    def A_of(eps):
+        w, V = np.linalg.eigh(gk.assemble_mass(family.member(eps), basis))
+        R = (V / np.sqrt(w)) @ V.T
+        A = R @ B @ R
+        return 0.5 * (A + A.T)
+
+    return A_of
+
+
+def dense_projector(A, center, radius, nodes=64):
+    """The contour projector solved whole at every node of the half contour."""
+    D = A.shape[0]
+    P = np.zeros((D, D))
+    for j in range(nodes // 2 + 1):
+        e = np.exp(1j * TWO_PI * j / nodes)
+        R = np.linalg.solve((center + radius * e) * np.eye(D) - A, np.eye(D))
+        weight = 1.0 if j == 0 or 2 * j == nodes else 2.0
+        P += ((weight * radius / nodes) * e * R).real
+    return 0.5 * (P + P.T)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["K1", "K2"])
+def operator_pair(request, model, beta):
+    """Block and dense operator families of the pi-map galerkin run."""
+    contact, g = model
+    fam = ct.metric_family(g, contact, beta, [-0.1, 0.1])
+    basis = gk.FormBasis(request.param)
+    return gk.pencil_operator_family(fam, basis), dense_operator_family(fam, basis)
+
+
+class TestBlockOperatorPath:
+    @pytest.mark.parametrize("eps", [0.05, -0.05])
+    def test_operator_matches_dense(self, operator_pair, eps):
+        A_of, dense_of = operator_pair
+        A, Ad = A_of(eps), dense_of(eps)
+        assert n_components(A) > 1
+        assert np.max(np.abs(A - Ad)) <= 1e-12 * np.max(np.abs(Ad))
+
+    def test_projector_and_cluster_match_dense_eigh(self, operator_pair):
+        A = operator_pair[0](0.05)
+        w, V = np.linalg.eigh(A)
+        sel = np.abs(w - 1.0) < 0.2
+        assert np.count_nonzero(sel) == 6
+        P = gk.spectral_projector(A, 1.0, 0.2)
+        assert np.max(np.abs(P - V[:, sel] @ V[:, sel].T)) <= 1e-12
+        cl = gk.matrix_cluster(A, 1.0, 0.2)
+        assert np.max(np.abs(cl.eigenvalues - w[sel])) <= 1e-12
+        assert np.max(np.abs(cl.vectors.T @ cl.vectors - np.eye(6))) <= 1e-12
+        assert np.max(np.abs(A @ cl.vectors - cl.vectors * cl.eigenvalues)) <= 1e-12
+
+    def test_certificate_matches_dense_pi_map(self, operator_pair):
+        # a fixed rotation makes every A(eps) one dense component with the
+        # same spectrum, so pi_map takes the dense path throughout
+        A_of, dense_of = operator_pair
+        Ad = dense_of(0.0)
+        Q = np.linalg.qr(rng(47, len(Ad)).standard_normal(Ad.shape))[0]
+
+        def rotated_of(eps):
+            return Q @ dense_of(eps) @ Q.T
+
+        assert n_components(rotated_of(0.0)) == 1
+        dense = gk.pi_map(rotated_of, 0.05, 0.0, gk.matrix_cluster(rotated_of(0.0), 1.0, 0.2))
+        rep = gk.pi_map(A_of, 0.05, 0.0, gk.matrix_cluster(A_of(0.0), 1.0, 0.2))
+        assert np.max(np.abs(rep.projector - Q.T @ dense.projector @ Q)) <= 1e-12
+        assert rep.sigma_match_defect <= 1e-9
+        assert rep.projector_idempotency() <= 1e-10
+        cert = gk.splitting_certificate(rep.pi_prime)
+        assert cert == pytest.approx(gk.splitting_certificate(dense.pi_prime), rel=1e-6)
+        assert np.allclose(np.linalg.eigvalsh(rep.pi), np.linalg.eigvalsh(dense.pi),
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e-7, 0.0])
+    def test_guard_sees_eigenvalues_of_skipped_blocks(self, offset):
+        # blocks {0.4, 0.6, 3} and {lam, 4}, lam just outside the circle next
+        # to the node at angle 0, interleaved by a permutation
+        center, radius = 0.5, 1.0
+        lam = center + radius * (1.0 + offset)
+        gen = rng(41, 1)
+        Q1 = np.linalg.qr(gen.standard_normal((3, 3)))[0]
+        Q2 = np.linalg.qr(gen.standard_normal((2, 2)))[0]
+        A = sla.block_diag((Q1 * [0.4, 0.6, 3.0]) @ Q1.T, (Q2 * [lam, 4.0]) @ Q2.T)
+        perm = gen.permutation(5)
+        A = A[np.ix_(perm, perm)]
+        skip = np.argsort(perm)[3:]  # rows of the second block
+        assert n_components(A) == 2
+        Q = np.linalg.qr(gen.standard_normal((5, 5)))[0]
+        dense = Q @ A @ Q.T
+        assert n_components(dense) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for matrix in (A, dense):
+                with pytest.raises(IllConditionedContour):
+                    gk.spectral_projector(matrix, center, radius)
+            # away from the nodes the skipped block contributes an exact zero
+            A[np.ix_(skip, skip)] += 0.5 * np.eye(2)
+            P = gk.spectral_projector(A, center, radius)
+        w, V = np.linalg.eigh(A)
+        assert np.max(np.abs(P - V[:, :2] @ V[:, :2].T)) <= 1e-12
+        assert np.all(P[skip] == 0.0)
+
+    def test_one_component_is_bitwise_the_dense_projector(self):
+        A = gk.random_two_band_symmetric(rng(43, 0), 40, 3)
+        assert n_components(A) == 1
+        assert np.array_equal(gk.spectral_projector(A, 0.5, 1.0), dense_projector(A, 0.5, 1.0))
+        w, V = np.linalg.eigh(A)
+        cl = gk.matrix_cluster(A, 0.5, 1.0)
+        assert np.array_equal(cl.eigenvalues, w[:3])
+        assert np.array_equal(cl.vectors, V[:, :3])
+
+    def test_empty_cluster_raises(self):
+        with pytest.raises(ClusterLeakage, match=r"no eigenvalue inside window \(5, 6\)"):
+            gk.matrix_cluster(np.diag([1.0, 2.0]), 5.5, 0.5)
 
 
 class TestPiMap:

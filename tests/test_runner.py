@@ -281,3 +281,38 @@ def test_cli_rejects_bad_windows(tmp_path, doc, message):
     assert not out.exists()
     with pytest.raises(ConfigInvalid):
         runner.load_config(doc)
+
+
+def test_pi_map_galerkin_run_passes_and_reruns_byte_identical(tmp_path):
+    config = {"kind": "pi-map", "params": {"mode": "galerkin", "K": 1}}
+    recs = [runner.run(runner.load_config(config), out_dir=str(tmp_path / tag))
+            for tag in ("a", "b")]
+    assert all(rec.ok for rec in recs)
+    assert {a["name"] for a in recs[0].assertions} == {
+        "projector_idempotency", "sigma_match_defect", "certificate_positive"}
+    assert recs[0].files == recs[1].files
+    report = json.load(open(tmp_path / "a" / "report.json"))
+    assert report["cluster_size"] == 6
+    assert report["window"] == [0.8, 1.2]
+
+
+def test_pi_map_synthetic_records_the_contour_it_uses(tmp_path):
+    cfg = runner.load_config({"kind": "pi-map", "params": {"mode": "synthetic", "dim": 12,
+                                                          "window": [5, 6]}})
+    rec = runner.run(cfg, out_dir=str(tmp_path))
+    assert rec.ok
+    for name in ("report.json", "pi_meta.json"):
+        assert json.load(open(tmp_path / name))["window"] == [-0.5, 1.5]
+
+
+def test_cli_pi_map_window_without_eigenvalues_exits_one(tmp_path):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(
+        {"kind": "pi-map", "params": {"mode": "galerkin", "K": 1, "window": [5, 6]}}))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "compute error: pi-map run failed: no eigenvalue inside window (5, 6)"]
+    assert not out.exists()
