@@ -1,0 +1,246 @@
+"""Median timings of eulerlab's kernels, per layer and end to end.
+
+Two groups of rows, each written to its own JSON file.
+
+`--group galerkin` (BENCH_galerkin.json), wall seconds of one call:
+
+- `assemble_mass` and `solve_pencil` on the K=3 family member at eps = 0.1;
+- `track_splitting` at K=3 (the perturb sweep: 13 mass assemblies and
+  pencil solves plus the pairing matrix);
+- `spectral_projector` with 64 nodes on the K=2 operator A_of(0) of the
+  `pi-map` galerkin mode, and one K=3 operator A_of(0.1);
+- `MetricField.matrix` of the same family member on the K=3 mass grid
+  (19^3 points);
+- `spectral.bernoulli` of the random Beltrami fields of shells n = 9 and 50;
+- end to end, one `perturb` run at K=3 and one `pi-map` galerkin run at
+  K=2 and at K=3 through `runner.run`.
+
+`--group dynamics` (BENCH_dynamics.json), on the showcase field
+(1, 0.5, 0.1):
+
+- `tangent_rhs_per_lane_L*`: one tangent right-hand side call divided by
+  its lane count, at 1, 2 and 50 lanes;
+- `attempt_L*`: one DOP853 step attempt of the lane stepper at 1, 2 and 4
+  lanes (a renormalized run to t = 50, divided by its attempts);
+- `lyapunov_max` at T = 1e3, renorm 5: 2 random and 4 separatrix seeds;
+- `poincare` with 100 crossings of x2 = 0 from a start on the level
+  H = 0.8 of the C = 0 field;
+- `import_runner`: `import eulerlab.runner` in a fresh interpreter, timed
+  inside it;
+- end to end, one `lyapunov` run (4 separatrix seeds, T = 1e3) and one
+  `poincare` run (100 crossings) through `runner.run`.
+
+Medians are over --runs repetitions in one process with one BLAS thread,
+after one warm-up call.  Every call used exists with the same signature
+on older checkouts, so the script can be copied into one and run there.
+Results go under `--label` into the group's file (or `--out`) at the root
+of the checkout that holds this script; entries under other labels are
+kept, so two checkouts can write side by side into one file:
+
+    python scripts/bench.py --group dynamics --label change --runs 7
+    python /path/to/old/checkout/scripts/bench.py --group dynamics \\
+        --label parent --runs 7 --out BENCH_dynamics.json
+
+Uses the standard library and numpy only, and imports eulerlab from the
+`src` directory next to this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+
+import numpy as np  # noqa: E402
+
+from eulerlab import contact as ct  # noqa: E402
+from eulerlab import dynamics as dyn  # noqa: E402
+from eulerlab import galerkin as gk  # noqa: E402
+from eulerlab import runner  # noqa: E402
+from eulerlab import spectral as sp  # noqa: E402
+
+
+def _git(*args):
+    try:
+        out = subprocess.run(["git", "-C", ROOT, *args], capture_output=True, text=True,
+                             timeout=30)
+    except OSError:
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _machine():
+    model = None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next((line.split(":", 1)[1].strip() for line in fh
+                          if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {
+        "cpu": model or platform.processor(),
+        "cpus": os.cpu_count(),
+        "blas_threads": 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def _wall(call):
+    """A case timing one call of `call`; every case returns its seconds."""
+    def timed():
+        start = time.perf_counter()
+        call()
+        return time.perf_counter() - start
+    return timed
+
+
+def _runs(scratch):
+    count = itertools.count()
+    return lambda cfg: runner.run(cfg, out_dir=os.path.join(scratch, f"run{next(count)}"))
+
+
+def _galerkin_cases(scratch):
+    contact, g = ct.std_contact_t3()
+    beta = ct.default_perturbation_form()
+    family = ct.metric_family(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
+    basis3 = gk.FormBasis(3)
+    B3 = gk.assemble_exterior(basis3)
+    member = family.member(0.1)
+    M3 = gk.assemble_mass(member, basis3)
+    pi_family = ct.metric_family(g, contact, beta, [-0.1, 0.1])
+    A0 = gk.pencil_operator_family(pi_family, gk.FormBasis(2))(0.0)
+    A_of3 = gk.pencil_operator_family(pi_family, gk.FormBasis(3))
+    mass_grid, _ = ct.uniform_grid(gk.default_mass_nodes(3, member.degree_hint))
+    shell9, shell50 = sp.random_beltrami(9, 0), sp.random_beltrami(50, 0)
+    perturb = runner.load_config({"kind": "perturb", "params": {"K": 3}})
+    pi_maps = {K: runner.load_config({"kind": "pi-map", "params": {"mode": "galerkin", "K": K}})
+               for K in (2, 3)}
+    run = _runs(scratch)
+    return {
+        "assemble_mass_K3": _wall(lambda: gk.assemble_mass(member, basis3)),
+        "solve_pencil_K3": _wall(lambda: gk.solve_pencil(B3, M3, (0.8, 1.2))),
+        "track_splitting_K3": _wall(lambda: gk.track_splitting(family, contact, (0.8, 1.2), 3)),
+        "spectral_projector_K2": _wall(lambda: gk.spectral_projector(A0, 1.0, 0.2, 64)),
+        "operator_family_K3": _wall(lambda: A_of3(0.1)),
+        "metric_matrix_K3_grid": _wall(lambda: member.matrix(mass_grid)),
+        "bernoulli_shell9": _wall(lambda: sp.bernoulli(shell9)),
+        "bernoulli_shell50": _wall(lambda: sp.bernoulli(shell50)),
+        "end_to_end.perturb_run_K3": _wall(lambda: run(perturb)),
+        "end_to_end.pi_map_run_K2": _wall(lambda: run(pi_maps[2])),
+        "end_to_end.pi_map_run_K3": _wall(lambda: run(pi_maps[3])),
+    }
+
+
+def _rhs_per_lane(rhs, y, calls=2000):
+    def timed():
+        start = time.perf_counter()
+        for _ in range(calls):
+            rhs(None, y)
+        return (time.perf_counter() - start) / (calls * len(y))
+    return timed
+
+
+def _per_attempt(rhs, y0):
+    def timed():
+        start = time.perf_counter()
+        run = dyn._dop853(rhs, y0, 1e-9, 50.0, renorm=5.0)
+        return (time.perf_counter() - start) / int(run.attempts.max())
+    return timed
+
+
+def _import_runner():
+    code = ("import time\nstart = time.perf_counter()\nimport eulerlab.runner\n"
+            "print(time.perf_counter() - start)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    return float(out.stdout)
+
+
+def _dynamics_cases(scratch):
+    v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1))
+    w0 = np.array([0.6, 0.64, 0.48])
+    seeds = np.array(dyn.separatrix_seeds(0.5, 50))
+    states = np.concatenate([seeds, np.tile(w0, (50, 1))], axis=1)
+    random2 = np.array(dyn.random_torus_seeds(2))
+    start = [0.23131888606570092, 3.0053816081087996, 5.4674996473157105]  # H = 0.8
+    integrable = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.0))
+    lyapunov = runner.load_config({"kind": "lyapunov", "params": {
+        "A": 1.0, "B": 0.5, "C": 0.1, "T": 1000.0, "renorm": 5.0, "tol": 1e-9, "seeds": 4,
+        "seed_style": "separatrix"}})
+    poincare = runner.load_config({"kind": "poincare", "params": {
+        "A": 1.0, "B": 0.5, "C": 0.0, "x0": start, "axis": 1, "level": 0.0, "direction": 1,
+        "count": 100}})
+    run = _runs(scratch)
+    cases = {f"tangent_rhs_per_lane_L{L}": _rhs_per_lane(dyn.tangent_rhs(v), states[:L])
+             for L in (1, 2, 50)}
+    cases.update({f"attempt_L{L}": _per_attempt(dyn.tangent_rhs(v), states[:L])
+                  for L in (1, 2, 4)})
+    cases.update({
+        "lyapunov_max_T1e3_L2": _wall(lambda: dyn.lyapunov_max(v, random2, 1e3, 5.0)),
+        "lyapunov_max_T1e3_L4": _wall(lambda: dyn.lyapunov_max(v, seeds[:4], 1e3, 5.0)),
+        "poincare_100": _wall(lambda: dyn.poincare(integrable, (1, 0.0), +1, start, 100,
+                                                   tol=1e-10, max_time=1e4)),
+        "import_runner": _import_runner,
+        "end_to_end.lyapunov_run": _wall(lambda: run(lyapunov)),
+        "end_to_end.poincare_run": _wall(lambda: run(poincare)),
+    })
+    return cases
+
+
+GROUPS = {"galerkin": _galerkin_cases, "dynamics": _dynamics_cases}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--group", required=True, choices=sorted(GROUPS))
+    ap.add_argument("--label", required=True, help="key of this checkout's entry, e.g. parent")
+    ap.add_argument("--runs", type=int, default=5, help="repetitions per call (median)")
+    ap.add_argument("--out", help="JSON file (default BENCH_<group>.json next to src)")
+    args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.group}.json")
+
+    samples = {}
+    with tempfile.TemporaryDirectory(prefix="bench_") as scratch:
+        for name, case in GROUPS[args.group](scratch).items():
+            case()  # warm-up: caches, lazy imports
+            samples[name] = [case() for _ in range(args.runs)]
+            print(f"{name}: median {statistics.median(samples[name]):.4g} s", file=sys.stderr)
+
+    doc = {}
+    if os.path.exists(out):
+        with open(out) as fh:
+            doc = json.load(fh)
+    doc[args.label] = {
+        "revision": _git("rev-parse", "HEAD"),
+        "worktree_clean": _git("status", "--porcelain", "--untracked-files=no") == "",
+        "machine": _machine(),
+        "runs": args.runs,
+        "median_s": {k: float(f"{statistics.median(v):.5g}") for k, v in samples.items()},
+        "samples_s": {k: [float(f"{t:.5g}") for t in v] for k, v in samples.items()},
+    }
+    with open(out, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

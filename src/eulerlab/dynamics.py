@@ -5,8 +5,9 @@ Dormand and Prince (DOP853).  `_dop853` is a numpy implementation that
 advances many initial conditions at once as lanes, each with its own step
 size control; Lyapunov runs batch all their seeds through it and rescale
 the tangent vector in place, without restarting the integrator.  Poincare
-sections scan the dense interpolants of scipy's DOP853 for crossings.  The
-field and its Jacobian are evaluated by exact trig summation from the
+sections run on the same stepper: they collect its accepted steps and scan
+their order-7 dense interpolants for crossings, a batch of steps at a time.
+The field and its Jacobian are evaluated by exact trig summation from the
 spectral coefficients.  Positive topological entropy is proxied by the
 largest Lyapunov exponent (tangent flow with periodic renormalization);
 reports label it as a proxy.
@@ -14,12 +15,16 @@ reports label it as a proxy.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
+# np.einsum without `optimize` forwards to this C kernel: calling it directly
+# skips only the Python wrapper and the __array_function__ dispatch (about
+# 1.4 us of a call on tiny operands), and the sums stay bitwise the same
+from numpy._core.multiarray import c_einsum as _einsum
 
 from .errors import NoCrossings, StepSizeUnderflow
 from .spectral import TWO_PI, SpectralVectorField
@@ -32,6 +37,8 @@ CHAOS_THRESHOLD = 0.023942274037632105
 
 # pieces of each accepted step that poincare brackets crossings on
 POINCARE_SUBSAMPLES = 8
+# accepted steps whose dense output poincare builds and searches at once
+_SECTION_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -81,15 +88,22 @@ class FirstIntegralReport:
 
 
 # Dormand-Prince 8(5,3) coefficients (Hairer, Norsett & Wanner, Solving
-# Ordinary Differential Equations I, 1993), as published on scipy's DOP853.
-_A, _B, _C = DOP853.A, DOP853.B, DOP853.C
+# Ordinary Differential Equations I, 1993), stored as exact float reprs: A
+# (16 x 16: the 12 stages, the solution row and the 3 extra stages of the
+# dense output), B, C, the error weights E3 and E5, and D
+_TABLEAU = {name: np.array(values) for name, values in json.loads(
+    resources.files(__package__).joinpath("dop853.json").read_text()).items()}
+_STAGES = len(_TABLEAU["B"])  # right-hand sides per attempt
+_A, _B, _C = _TABLEAU["A"][:_STAGES, :_STAGES], _TABLEAU["B"], _TABLEAU["C"][:_STAGES]
 # error weights; the 3rd-order row is scaled by 1/10 so that its squared
 # norm carries scipy's weight 0.01
-_E = np.stack([DOP853.E5, 0.1 * DOP853.E3])
-_STAGES = DOP853.n_stages  # right-hand sides per attempt
+_E = np.stack([_TABLEAU["E5"], 0.1 * _TABLEAU["E3"]])
 # stage and solution weights over Z = [y, h K_0, ..., h K_{STAGES-1}]
 _ZA = [np.concatenate([[1.0], _A[s, :s]]) for s in range(_STAGES)]
 _ZB = np.concatenate([[1.0], _B])
+# dense output: rows of A for its 3 extra stages, and the weights over all
+# 16 stages of the 4 highest coefficients of the interpolant
+_A_DENSE, _D = _TABLEAU["A"][_STAGES + 1:], _TABLEAU["D"]
 
 # step-size control of scipy's DOP853; -1/8 is -1 / (error order 7 + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
@@ -103,7 +117,7 @@ class _Run:
 
 
 def _rms(z):
-    return np.sqrt(np.einsum("ln,ln->l", z, z) / z.shape[1])[:, None]
+    return np.sqrt(_einsum("ln,ln->l", z, z) / z.shape[1])[:, None]
 
 
 def _initial_step(rhs, y, f, tol, span):
@@ -123,7 +137,7 @@ def _stage_views(Z):
     return [(_ZA[s], Z[:s + 1], Z[s + 1]) for s in range(1, _STAGES)]
 
 
-def _dop853(rhs, y0, tol, t_end, renorm=None, trajectory=None):
+def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None):
     """Advance the rows of y0 (lanes) from t = 0 to t_end with DOP853.
 
     Every lane runs its own step-size control with scipy's rules at
@@ -136,15 +150,19 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, trajectory=None):
     same as last; J w is linear in w), so the integration goes on without
     a restart.  Lanes that are done leave the batch.  All contractions are
     einsums, never BLAS, so each lane's arithmetic is bitwise independent
-    of the other lanes.  `trajectory`, for a single lane, collects (t, y)
-    after every accepted step.  `rhs(t, Y)` must be autonomous; it is
-    called with t = None.
+    of the other lanes.  `rhs(t, Y)` must be autonomous; it is called with
+    t = None.
+
+    `on_step`, for a single lane, is called after every accepted step as
+    on_step(t_old, t_new, Z, y_new), Z being the (STAGES + 2, n) rows
+    [y_old, h K_0, ..., h K_{STAGES-1}, h f(y_new)] of the step; a true
+    return value ends the run there, leaving the end state NaN.
     """
     y0 = np.asarray(y0, dtype=float)
     L, n = y0.shape
     chunks = 1 if renorm is None else int(round(t_end / renorm))
     span = t_end if renorm is None else renorm
-    run = _Run(y=np.empty_like(y0), logs=np.zeros((L, chunks)),
+    run = _Run(y=np.full_like(y0, np.nan), logs=np.zeros((L, chunks)),
                attempts=np.zeros(L, dtype=int))
     f = rhs(None, y0)
     if not np.all(np.isfinite(f)):
@@ -175,31 +193,32 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, trajectory=None):
             h = t_new - t
             np.multiply(f, h, out=Z[1])
             for weights, done_stages, stage in stages:
-                np.multiply(rhs(None, np.einsum("j,jln->ln", weights, done_stages)), h,
+                np.multiply(rhs(None, _einsum("j,jln->ln", weights, done_stages)), h,
                             out=stage)
-            y_new = np.einsum("j,jln->ln", _ZB, Z[:_STAGES + 1])
+            y_new = _einsum("j,jln->ln", _ZB, Z[:_STAGES + 1])
             f_new = rhs(None, y_new)
             np.multiply(f_new, h, out=Z[-1])
 
             # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), e5 and e3 the
             # squared norms of K^T E over tol (1 + max(|y|, |y_new|)); with h K
             # in Z the factors of h cancel, and those of tol are in tol2n
-            err = np.einsum("ej,jln->eln", _E, Z[1:])
+            err = _einsum("ej,jln->eln", _E, Z[1:])
             scale = np.maximum(np.abs(Z[0]), np.abs(y_new))
             scale += 1.0
             err /= scale
-            e5, e3 = np.einsum("eln,eln->el", err, err).reshape(2, -1, 1)
+            e5, e3 = _einsum("eln,eln->el", err, err).reshape(2, -1, 1)
             norm = np.where(e5 == 0.0, 0.0, e5 / np.sqrt((e5 + e3) * tol2n))
             ok = norm < 1.0
             # accepted: norm < 1, so the factor is above 0.9 and only the cap
             # applies; rejected (NaN included): at most 0.9, at least 0.2
             h *= np.fmin(np.fmax(_SAFETY * norm ** _EXPONENT, _MIN_FACTOR), cap)
             cap = np.where(ok, _MAX_FACTOR, 1.0)
+            if on_step is not None and ok[0, 0] and on_step(t[0, 0], t_new[0, 0], Z[:, 0],
+                                                             y_new[0]):
+                break
             t = np.where(ok, t_new, t)
             np.copyto(Z[0], y_new, where=ok)
             np.copyto(f, f_new, where=ok)
-            if trajectory is not None and ok[0, 0]:
-                trajectory.append((float(t[0, 0]), Z[0, 0].copy()))
 
             landed = t == bound  # only a step just accepted lands
             if not np.count_nonzero(landed):
@@ -276,11 +295,11 @@ def tangent_rhs(v: SpectralVectorField, ncols=1):
             scratch[L] = (a, a[:, 0], a[:, None, 1:], z, z[:, 0, 0], z[:, 1, 0],
                           z[:, :, :1], z[:, :, 1:])
         a, theta, kw, z, cos, sin, trig, prod = scratch[L]
-        np.einsum("ln,njm->ljm", y, to_phase, out=a)
+        _einsum("ln,njm->ljm", y, to_phase, out=a)
         np.cos(theta, out=cos)
         np.sin(theta, out=sin)
         np.multiply(trig, kw, out=prod)
-        return np.einsum("lsjm,sjmn->ln", z, to_rate)
+        return _einsum("lsjm,sjmn->ln", z, to_rate)
 
     return rhs
 
@@ -293,7 +312,8 @@ def integrate(v: SpectralVectorField, x0, T: float, tol: float) -> Trajectory:
         raise ValueError("tol must be positive")
     x0 = np.asarray(x0, dtype=float)
     samples = [(0.0, x0)]
-    run = _dop853(field_rhs(v), x0[None], tol, T, trajectory=samples)
+    run = _dop853(field_rhs(v), x0[None], tol, T,
+                  on_step=lambda t_old, t_new, Z, y: samples.append((float(t_new), y.copy())))
     ts, ys = zip(*samples)
     steps, attempts = len(samples) - 1, int(run.attempts[0])
     return Trajectory(
@@ -311,14 +331,80 @@ def endpoint(v, x0, T, tol):
     return _dop853(field_rhs(v), np.asarray(x0, dtype=float)[None], tol, T).y[0]
 
 
+def _interpolate(F, y0, x):
+    """DOP853 dense output y0 + x (F0 + (1 - x) (F1 + x (F2 + ...))) at step fraction x."""
+    y = np.zeros(np.broadcast_shapes(F.shape[1:], np.shape(x)))
+    for i, f in enumerate(F[::-1]):
+        y += f
+        y *= x if i % 2 == 0 else 1.0 - x
+    return y + y0
+
+
+def _brackets(q, level):
+    """Pieces whose ends q[:, a], q[:, a + 1] bracket a level copy level + 2 pi m.
+
+    Returns flat indices into q[:, :-1] and the copies they bracket, by
+    piece and then by ascending m.  A piece that starts exactly on a copy
+    (so also a piece with q constant) does not bracket it: that is the
+    start point, or a crossing the previous piece ended on.
+    """
+    qa, qb = q[:, :-1].ravel(), q[:, 1:].ravel()
+    mlo = np.ceil((np.minimum(qa, qb) - level) / TWO_PI)
+    mhi = np.floor((np.maximum(qa, qb) - level) / TWO_PI)
+    count = np.maximum(mhi - mlo + 1, 0).astype(int)
+    piece = np.repeat(np.arange(qa.size), count)
+    m = mlo[piece] + np.arange(piece.size) - np.repeat(np.cumsum(count) - count, count)
+    target = level + TWO_PI * m
+    start, end = qa[piece] - target, qb[piece] - target
+    keep = (start != 0.0) & ~(start * end > 0.0)
+    return piece[keep], target[keep]
+
+
+def _chunk_crossings(rhs, W, spans, axis, level, direction):
+    """Times, other coordinates (wrapped) and residuals of the crossings of
+    x[axis] = level + 2 pi m with velocity sign `direction`, in order, on the
+    dense output of accepted steps: rows [y_old, h K_0 .. h K_15, y_new] of
+    W (K_13 .. K_15, the extra stages, are filled here by one batched `rhs`
+    call each) over the (t_old, t_new) `spans`.  Brackets come from
+    `_brackets` on POINCARE_SUBSAMPLES pieces per step whose ends at the step
+    boundaries are the exact states; roots from bisection to full resolution.
+    """
+    (t0, t1), y0, HK = spans.T, W[:, 0], W[:, 1:-1]
+    h = (t1 - t0)[:, None]
+    for s, a in enumerate(_A_DENSE, start=_STAGES + 1):
+        HK[:, s] = h * rhs(None, y0 + _einsum("j,sjn->sn", a[:s], HK[:, :s]))
+    F = np.empty((7,) + y0.shape)
+    F[0] = W[:, -1] - y0
+    F[1] = HK[:, 0] - F[0]
+    F[2] = 2.0 * F[0] - (HK[:, _STAGES] + HK[:, 0])
+    F[3:] = _einsum("dj,sjn->dsn", _D, HK)
+
+    x = np.arange(POINCARE_SUBSAMPLES + 1) / POINCARE_SUBSAMPLES
+    q = _interpolate(F[:, :, axis, None], y0[:, axis, None], x)
+    q[:, -1] = W[:, -1, axis]
+    piece, target = _brackets(q, level)
+    step, a = np.divmod(piece, POINCARE_SUBSAMPLES)
+    Fq, yq = F[:, step, axis], y0[step, axis]
+    lo, hi, side = x[a], x[a + 1], np.sign(q[step, a] - target)  # side != 0: see _brackets
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not np.count_nonzero(live):
+            break
+        up = live & (np.sign(_interpolate(Fq, yq, mid) - target) == side)
+        lo, hi = np.where(up, mid, lo), np.where(live & ~up, mid, hi)
+    xc = _interpolate(F[:, step], y0[step], hi[:, None])
+    keep = np.sign(rhs(None, xc)[:, axis]) == direction
+    return ((t0[step] + h[step, 0] * hi)[keep], np.mod(np.delete(xc[keep], axis, axis=1), TWO_PI),
+            np.abs(xc[keep, axis] - target[keep]))
+
+
 def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
              tol=1e-10, max_time=10000.0) -> PoincareSection:
     """First N crossings of the plane x[axis] = level with the given velocity sign.
 
-    Crossings are located on the dense output of each accepted step:
-    sign-change bracketing on cover-space levels level + 2*pi*m over
-    POINCARE_SUBSAMPLES equal pieces of the step, then root refinement to
-    machine tolerance in the section coordinate.
+    The lane stepper's accepted steps are searched `_SECTION_CHUNK` at a time
+    (`_chunk_crossings`); the run stops once N crossings are found.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -327,55 +413,29 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
     if direction == 0:
         raise ValueError("direction must be +1 or -1")
     rhs = field_rhs(v)
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(rhs(0.0, x0))):
-        raise StepSizeUnderflow("right-hand side not finite at the initial state")
-    hits_t, hits_x, hits_r = [], [], []
-    solver = DOP853(rhs, 0.0, x0, max_time, rtol=tol, atol=tol)
-    while solver.status == "running" and len(hits_t) < N:
-        solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(f"controller stalled at t = {solver.t:.6g}")
-        seg = solver.dense_output()
-        tt = np.linspace(solver.t_old, solver.t, POINCARE_SUBSAMPLES + 1)
-        qq = seg(tt)[axis]
-        for a in range(POINCARE_SUBSAMPLES):
-            lo, hi = tt[a], tt[a + 1]
-            qa, qb = qq[a], qq[a + 1]
-            if qa == qb:
-                continue
-            mlo = math.ceil((min(qa, qb) - level) / TWO_PI)
-            mhi = math.floor((max(qa, qb) - level) / TWO_PI)
-            for m in range(mlo, mhi + 1):
-                target = level + TWO_PI * m
-                if qa == target:
-                    continue  # the start point, or counted by the previous bracket
-                if (qa - target) * (qb - target) > 0:
-                    continue
-                tc = brentq(lambda s: seg(s)[axis] - target, lo, hi, xtol=1e-14)
-                xc = seg(tc)
-                if np.sign(rhs(tc, xc)[axis]) != direction:
-                    continue
-                hits_t.append(tc)
-                others = [xc[i] % TWO_PI for i in range(3) if i != axis]
-                hits_x.append(others)
-                hits_r.append(abs(xc[axis] - target))
-                if len(hits_t) >= N:
-                    break
-            if len(hits_t) >= N:
-                break
-    if len(hits_t) < N:
-        raise NoCrossings(
-            f"found {len(hits_t)} of {N} requested crossings within t <= {max_time}"
-        )
-    return PoincareSection(
-        axis=axis,
-        level=level,
-        direction=direction,
-        points=np.array(hits_x),
-        times=np.array(hits_t),
-        residuals=np.array(hits_r),
-    )
+    W = np.empty((_SECTION_CHUNK, len(_TABLEAU["A"]) + 2, 3))
+    spans, found, size = np.empty((_SECTION_CHUNK, 2)), [], 0
+
+    def scan():
+        nonlocal size
+        if size:
+            found.append(_chunk_crossings(rhs, W[:size], spans[:size], axis, level, direction))
+        size = 0
+        return sum(len(times) for times, _, _ in found) >= N
+
+    def on_step(t_old, t_new, Z, y_new):
+        nonlocal size
+        W[size, :_STAGES + 2], W[size, -1], spans[size] = Z, y_new, (t_old, t_new)
+        size += 1
+        return size == _SECTION_CHUNK and scan()
+
+    _dop853(rhs, np.asarray(x0, dtype=float)[None], tol, max_time, on_step=on_step)
+    scan()
+    times, points, residuals = (np.concatenate(parts)[:N] for parts in zip(*found))
+    if len(times) < N:
+        raise NoCrossings(f"found {len(times)} of {N} requested crossings within t <= {max_time}")
+    return PoincareSection(axis=axis, level=level, direction=direction, points=points,
+                           times=times, residuals=residuals)
 
 
 def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,

@@ -91,9 +91,14 @@ def load_config(source) -> ExperimentConfig:
     except jsonschema.ValidationError as exc:
         raise ConfigInvalid(f"config failed schema validation: {exc.message}") from exc
     params = _apply_defaults(_load_schema(kind), dict(params))
-    if kind == "lyapunov" and not params["T"] > params["renorm"]:
-        raise ConfigInvalid(
-            f"lyapunov needs T > renorm, got T = {params['T']} and renorm = {params['renorm']}")
+    if kind == "lyapunov":
+        T, renorm = params["T"], params["renorm"]
+        if not T > renorm:
+            raise ConfigInvalid(f"lyapunov needs T > renorm, got T = {T} and renorm = {renorm}")
+        # the run ends on the last renormalization, at round(T / renorm) * renorm
+        if abs(T - round(T / renorm) * renorm) > 1e-9 * T:
+            raise ConfigInvalid(
+                f"lyapunov T = {T} must be a whole number of renorm = {renorm} intervals")
     if kind in ("perturb", "pi-map") and not params["window"][0] < params["window"][1]:
         raise ConfigInvalid(f"{kind} window must be an increasing interval, got {params['window']}")
     if kind == "perturb" and not params["window"][0] < 1.0 < params["window"][1]:

@@ -1,7 +1,15 @@
+import json
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
+import eulerlab
 from eulerlab import dynamics as dyn
 from eulerlab import serialize as ser
 from eulerlab import spectral as sp
@@ -109,6 +117,96 @@ class TestPoincare:
         period = TWO_PI / conserved(x0)
         assert np.allclose(section.times, period * np.arange(1, 4), rtol=1e-8)
 
+    # starts on the levels H = 0.8 and H = -0.8 of A cos x3 + B sin x1,
+    # regular orbits for C = 0 and C = 0.1 alike
+    REGULAR_STARTS = [([0.23131888606570092, 3.0053816081087996, 5.4674996473157105], +1),
+                      ([0.22899788298771623, 3.7459313377836394, 3.560581355270136], -1)]
+
+    @staticmethod
+    def scipy_poincare(v, plane, direction, x0, N, tol, max_time):
+        """Reference: scipy's DOP853 stepped from Python, brentq on each step's dense output."""
+        axis, level = plane
+        rhs = dyn.field_rhs(v)
+        times, points = [], []
+        solver = DOP853(rhs, 0.0, np.asarray(x0, dtype=float), max_time, rtol=tol, atol=tol)
+        while solver.status == "running" and len(times) < N:
+            solver.step()
+            seg = solver.dense_output()
+            tt = np.linspace(solver.t_old, solver.t, dyn.POINCARE_SUBSAMPLES + 1)
+            qq = seg(tt)[axis]
+            for a in range(dyn.POINCARE_SUBSAMPLES):
+                qa, qb = qq[a], qq[a + 1]
+                if qa == qb:
+                    continue
+                for m in range(math.ceil((min(qa, qb) - level) / TWO_PI),
+                               math.floor((max(qa, qb) - level) / TWO_PI) + 1):
+                    target = level + TWO_PI * m
+                    if qa == target or (qa - target) * (qb - target) > 0:
+                        continue
+                    tc = brentq(lambda s: seg(s)[axis] - target, tt[a], tt[a + 1], xtol=1e-14)
+                    xc = seg(tc)
+                    if np.sign(rhs(tc, xc)[axis]) == direction:
+                        times.append(tc)
+                        points.append(np.delete(xc, axis) % TWO_PI)
+        return np.array(times[:N]), np.array(points[:N])
+
+    @pytest.mark.parametrize("C", [0.0, 0.1])
+    @pytest.mark.parametrize("start", [0, 1], ids=["H=0.8", "H=-0.8"])
+    def test_matches_scipy_stepper_with_brentq(self, C, start):
+        v = sp.make_abc(sp.ABCParams(1.0, 0.5, C))
+        x0, direction = self.REGULAR_STARTS[start]
+        section = dyn.poincare(v, (1, 0.0), direction, x0, 100, tol=1e-10, max_time=1e4)
+        times, points = self.scipy_poincare(v, (1, 0.0), direction, x0, 100, 1e-10, 1e4)
+        assert section.times.shape == times.shape == (100,)
+        assert np.all(np.diff(section.times) > 0)
+        assert np.max(np.abs(section.times - times)) <= 1e-8
+        around = np.abs((section.points - points + np.pi) % TWO_PI - np.pi)
+        assert np.max(around) <= 1e-8
+
+    def test_brackets_count_a_crossing_on_a_step_boundary_once(self):
+        # two steps of 4 pieces: the first ends exactly on the level 1.0,
+        # where the second starts
+        q = np.array([[0.0, 0.25, 0.5, 0.75, 1.0],
+                      [1.0, 1.25, 1.5, 1.75, 2.0]])
+        piece, target = dyn._brackets(q, 1.0)
+        assert piece.tolist() == [3]
+        assert target.tolist() == [1.0]
+
+    def test_brackets_skip_the_start_point_and_flat_pieces(self):
+        # the start sits on the level copy 1 + 2 pi and leaves it, a flat piece
+        # rests on it, and a piece back across it counts
+        top = 1.0 + TWO_PI
+        q = np.array([[top, top + 0.5, top + 0.5, top, top - 0.5]])
+        piece, target = dyn._brackets(q, 1.0)
+        assert piece.tolist() == [2]
+        assert target.tolist() == [top]
+
+    def test_brackets_order_levels_ascending_within_a_piece(self):
+        q = np.array([[10.0, -10.0]])
+        piece, target = dyn._brackets(q, 0.5)
+        assert piece.tolist() == [0, 0, 0]
+        assert np.array_equal(target, 0.5 + TWO_PI * np.arange(-1, 2))
+
+    def test_chunk_counts_a_crossing_at_a_step_boundary_once(self):
+        # uniform motion x1' = -1; the first step ends exactly on the section
+        # x1 = end, where y_old + (y_new - y_old) rounds above `end`, so only
+        # the exact step-end state puts the crossing on the boundary
+        start, end = 1.8951213247291925, -2.9835689989791114
+        assert start + (end - start) != end
+
+        def rhs(t, y):
+            return np.broadcast_to([-1.0, 0.0, 0.0], np.shape(y))
+
+        spans = np.array([[0.0, start - end], [start - end, start - end + 1.0]])
+        x = [start, end, end - 1.0]
+        W = np.zeros((2, 18, 3))
+        for k, (t0, t1) in enumerate(spans):
+            W[k, 0, 0], W[k, 1:14, 0], W[k, -1, 0] = x[k], t0 - t1, x[k + 1]
+        times, points, residuals = dyn._chunk_crossings(rhs, W, spans, 0, end, -1)
+        assert times.tolist() == [spans[0, 1]]
+        assert points.shape == (1, 2)
+        assert residuals.shape == (1,) and residuals[0] <= 1e-15
+
     @pytest.mark.slow
     def test_chaotic_section_fills_area(self):
         # numerical experiment oracle: box occupancy of the chaotic section
@@ -144,9 +242,10 @@ class TestLyapunov:
     def test_chaotic_regime_exceeds_threshold(self):
         v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1))
         seeds = dyn.separatrix_seeds(0.5, 4)
-        best = max(
-            dyn.lyapunov_max(v, x0, 1e4, 5.0, tol=1e-9).lambda_max for x0 in seeds
-        )
+        # one 4-lane run: lanes are bitwise independent, so this is the
+        # value of the 4 single-seed runs
+        best = max(est.lambda_max for est in dyn.lyapunov_max(v, np.array(seeds), 1e4, 5.0,
+                                                              tol=1e-9))
         assert best >= dyn.CHAOS_THRESHOLD
 
 
@@ -169,6 +268,41 @@ class TestLaneStepper:
         sol = solve_ivp(rhs, (0.0, T), np.concatenate([x0, self.W0]), method="DOP853",
                         rtol=tol, atol=tol)
         return np.log(np.linalg.norm(sol.y[3:, -1])), sol.nfev
+
+    def test_packaged_tableau_is_scipys_bit_for_bit(self):
+        path = os.path.join(os.path.dirname(dyn.__file__), "dop853.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        A, stages = np.array(doc["A"]), DOP853.n_stages
+        for ours, theirs in [(A[:stages, :stages], DOP853.A), (A[stages + 1:], DOP853.A_EXTRA),
+                             (doc["B"], DOP853.B), (doc["C"][:stages], DOP853.C),
+                             (doc["C"][stages + 1:], DOP853.C_EXTRA), (doc["E3"], DOP853.E3),
+                             (doc["E5"], DOP853.E5), (doc["D"], DOP853.D)]:
+            assert np.array_equal(np.asarray(ours).view(np.int64),
+                                  np.asarray(theirs, dtype=float).view(np.int64))
+        assert np.array_equal(dyn._A, DOP853.A) and np.array_equal(dyn._A_DENSE, DOP853.A_EXTRA)
+
+    def test_direct_einsum_binding_changes_no_bit(self, monkeypatch):
+        v = self.showcase()
+        x0s = np.array(dyn.separatrix_seeds(0.5, 2) + dyn.random_torus_seeds(1))
+        lean = dyn.lyapunov_max(v, x0s, 100.0, 5.0)
+        monkeypatch.setattr(dyn, "_einsum", np.einsum)
+        wrapped = dyn.lyapunov_max(v, x0s, 100.0, 5.0)
+        for a, b in zip(lean, wrapped):
+            assert np.array_equal(a.history, b.history)
+
+    def test_import_leaves_out_scipy_integrate_and_optimize(self):
+        src = os.path.dirname(os.path.dirname(eulerlab.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys\n"
+                "import eulerlab.runner\n"
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+                "if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_tableau_consistency(self):
         assert np.all(np.abs(dyn._C - dyn._A.sum(axis=1)) <= 1e-14)

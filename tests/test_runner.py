@@ -176,6 +176,23 @@ def test_cli_rejects_lyapunov_T_not_above_renorm(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("T", [13.0, 12.4])
+def test_cli_rejects_lyapunov_T_not_a_whole_number_of_renorm_intervals(tmp_path, T):
+    # the run would end on the last renormalization (t = 15 or 10), not at T
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({
+        "kind": "lyapunov",
+        "params": {"A": 1.0, "B": 0.5, "C": 0.0, "T": T, "renorm": 5.0},
+    }))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "whole number of renorm" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nodes", [0, -3])
 def test_cli_rejects_perturb_nodes_below_one(tmp_path, nodes):
     cfgfile = tmp_path / "c.json"
