@@ -42,18 +42,6 @@ _SECTION_CHUNK = 64
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Solution samples (t strictly increasing, x reported in [0, 2*pi))."""
-
-    ts: np.ndarray
-    xs: np.ndarray
-    steps: int
-    rejected: int
-    nfev: int
-    tol: float
-
-
-@dataclass(frozen=True)
 class PoincareSection:
     """Crossings of the plane x[axis] = level with the declared velocity sign."""
 
@@ -254,15 +242,15 @@ def field_rhs(v: SpectralVectorField):
     return rhs
 
 
-def tangent_rhs(v: SpectralVectorField, ncols=1):
-    """Batched RHS for lanes (x, W), W a 3 x ncols tangent block: dW = J(x) W.
+def tangent_rhs(v: SpectralVectorField):
+    """Batched RHS for lanes (x, w), w a tangent vector: dw = J(x) w.
 
-    A lane is a row [x, W.ravel()] of the (L, 3 + 3 ncols) state.  Each
-    pair of modes +-k, rows i and m-1-i of the sorted mode arrays, is folded
-    into one wavevector k with cosine and sine coefficients P, Q, so that
-    with theta_m = k_m . x the field is sum_m P_m cos theta_m - Q_m sin
-    theta_m and J W = -sum_m (Q_m cos theta_m + P_m sin theta_m) (k_m . W).
-    Both contractions are einsums over fixed block matrices.  The returned
+    A lane is a row [x, w] of the (L, 6) state.  Each pair of modes +-k,
+    rows i and m-1-i of the sorted mode arrays, is folded into one
+    wavevector k with cosine and sine coefficients P, Q, so that with
+    theta_m = k_m . x the field is sum_m P_m cos theta_m - Q_m sin theta_m
+    and J w = -sum_m (Q_m cos theta_m + P_m sin theta_m) (k_m . w).  Both
+    contractions are einsums over fixed block matrices.  The returned
     function reuses its work arrays from call to call, so one instance must
     not run in two threads at once.
     """
@@ -272,26 +260,23 @@ def tangent_rhs(v: SpectralVectorField, ncols=1):
     if len(v.K) % 2:  # k = 0 pairs with itself
         fold[-1] = v.C[m - 1]
     P, Q = fold.real, fold.imag
-    # phases a[:, j]: theta_m for j = 0, k_m . W[:, c] for j = 1 + c
-    to_phase = np.zeros((3 + 3 * ncols, 1 + ncols, m))
-    to_phase[:3, 0] = K.T
-    # [cos, sin] x [1, k_m . W[:, c] for each c] x modes -> state derivative
-    to_rate = np.zeros((2, 1 + ncols, m, 3 + 3 * ncols))
+    # phases a[:, j]: theta_m for j = 0, k_m . w for j = 1
+    to_phase = np.zeros((6, 2, m))
+    to_phase[:3, 0] = to_phase[3:, 1] = K.T
+    # [cos, sin] x [1, k_m . w] x modes -> state derivative
+    to_rate = np.zeros((2, 2, m, 6))
     to_rate[0, 0, :, :3] = P
     to_rate[1, 0, :, :3] = -Q
-    for c in range(ncols):
-        cols = 3 + np.arange(3) * ncols + c
-        to_phase[cols, 1 + c] = K.T
-        to_rate[0, 1 + c, :, cols] = -Q.T
-        to_rate[1, 1 + c, :, cols] = -P.T
+    to_rate[0, 1, :, 3:] = -Q
+    to_rate[1, 1, :, 3:] = -P
 
     scratch = {}  # lane count -> work arrays and their views, so calls allocate less
 
     def rhs(t, y):
         L = len(y)
         if L not in scratch:
-            a = np.empty((L, 1 + ncols, m))
-            z = np.empty((L, 2, 1 + ncols, m))
+            a = np.empty((L, 2, m))
+            z = np.empty((L, 2, 2, m))
             scratch[L] = (a, a[:, 0], a[:, None, 1:], z, z[:, 0, 0], z[:, 1, 0],
                           z[:, :, :1], z[:, :, 1:])
         a, theta, kw, z, cos, sin, trig, prod = scratch[L]
@@ -302,33 +287,6 @@ def tangent_rhs(v: SpectralVectorField, ncols=1):
         return _einsum("lsjm,sjmn->ln", z, to_rate)
 
     return rhs
-
-
-def integrate(v: SpectralVectorField, x0, T: float, tol: float) -> Trajectory:
-    """Integrate dx/dt = v(x) from x0 for time T at local tolerance tol."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    samples = [(0.0, x0)]
-    run = _dop853(field_rhs(v), x0[None], tol, T,
-                  on_step=lambda t_old, t_new, Z, y: samples.append((float(t_new), y.copy())))
-    ts, ys = zip(*samples)
-    steps, attempts = len(samples) - 1, int(run.attempts[0])
-    return Trajectory(
-        ts=np.array(ts),
-        xs=np.mod(np.array(ys), TWO_PI),
-        steps=steps,
-        rejected=attempts - steps,
-        nfev=2 + _STAGES * attempts,  # initial derivative and first-step probe
-        tol=tol,
-    )
-
-
-def endpoint(v, x0, T, tol):
-    """Unwrapped endpoint of the flow after time T (cover-space coordinates)."""
-    return _dop853(field_rhs(v), np.asarray(x0, dtype=float)[None], tol, T).y[0]
 
 
 def _interpolate(F, y0, x):
@@ -438,6 +396,16 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
                            times=times, residuals=residuals)
 
 
+def check_horizon(T: float, renorm: float):
+    """Raise ValueError unless T > renorm > 0 and T is a whole number of
+    renorm intervals (to 1e-9 relative): a Lyapunov run ends on its last
+    renormalization, at round(T / renorm) * renorm."""
+    if not T > renorm > 0:
+        raise ValueError(f"needs T > renorm > 0, got T = {T} and renorm = {renorm}")
+    if abs(T - round(T / renorm) * renorm) > 1e-9 * T:
+        raise ValueError(f"T = {T} must be a whole number of renorm = {renorm} intervals")
+
+
 def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
                  tol=1e-9):
     """Largest Lyapunov exponents by tangent-flow renormalization (Benettin et al. 1980).
@@ -447,9 +415,9 @@ def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
     averaging the accumulated log stretching.  The Jacobian comes from
     exact spectral differentiation of the field.  `x0s` of shape (L, 3)
     gives a list of L estimates; a single point of shape (3,) gives one.
+    T must be a whole number of renorm intervals (`check_horizon`).
     """
-    if not (T > renorm > 0):
-        raise ValueError("need T >> renorm > 0")
+    check_horizon(T, renorm)
     x0s = np.asarray(x0s, dtype=float)
     single = x0s.ndim == 1
     x0s = np.atleast_2d(x0s)
@@ -466,13 +434,6 @@ def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
         estimates.append(LyapunovEstimate(lambda_max=float(history[-1, 1]),
                                           history=history, renorm_interval=renorm))
     return estimates[0] if single else estimates
-
-
-def tangent_map(v: SpectralVectorField, x0, T: float, tol: float):
-    """Propagate the full 3x3 tangent map along the flow (no renormalization)."""
-    y0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(3).ravel()])
-    y = _dop853(tangent_rhs(v, 3), y0[None], tol, T).y[0]
-    return y[:3], y[3:].reshape(3, 3)
 
 
 def first_integral_report(v: SpectralVectorField, F, grid: int) -> FirstIntegralReport:

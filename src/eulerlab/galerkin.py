@@ -38,11 +38,7 @@ from .errors import (
     NotPositiveDefinite,
     WindowTouchesSpectrum,
 )
-from .spectral import TWO_PI, VOLUME, SpectralVectorField, lex_negative
-
-# kinds of the realified scalars of the basis
-COS = 0
-SIN = 1
+from .spectral import TWO_PI, VOLUME, SpectralVectorField
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -50,48 +46,27 @@ for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
     _EPS3[_i, _j, _k] = _s
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    slot: int   # which dx_j carries the scalar
-    kind: int   # COS or SIN; the k = 0 constant is a COS term
-    k: tuple
-
-
 class FormBasis:
     """Realified trig 1-form basis: (cos|sin)(k.x) dx_slot, |k|_inf <= K.
 
-    Ordering is slot-major; within a slot the constant comes first, then
-    cos/sin pairs over the lexicographically sorted positive half-lattice.
-    Elements are L2-orthogonal under the flat metric with squared norms
-    (2*pi)^3 for constants and (2*pi)^3 / 2 otherwise.
+    `half_lattice` is the (h, 3) int array of the lexicographically positive
+    wave vectors with |k|_inf <= K, in ascending lexicographic order.
+    Element i of the basis is scalar j = i % n_scalar in slot i // n_scalar:
+    scalar 0 is the constant, scalars 2r + 1 and 2r + 2 are the cos and sin
+    of half_lattice[r].  Elements are L2-orthogonal under the flat metric
+    with squared norms (2*pi)^3 for constants and (2*pi)^3 / 2 otherwise.
     """
 
     def __init__(self, K: int):
         if K < 1:
             raise ValueError("K must be at least 1")
         self.K = K
-        half = []
-        rng = range(-K, K + 1)
-        for k1 in rng:
-            for k2 in rng:
-                for k3 in rng:
-                    k = (k1, k2, k3)
-                    if k == (0, 0, 0) or lex_negative(k):
-                        continue
-                    half.append(k)
-        half.sort()
-        self.half_lattice = half
-        self.n_scalar = 1 + 2 * len(half)
-        self.elements = []
-        self.index = {}
-        for slot in range(3):
-            self.elements.append(BasisElement(slot, COS, (0, 0, 0)))
-            for k in half:
-                self.elements.append(BasisElement(slot, COS, k))
-                self.elements.append(BasisElement(slot, SIN, k))
-        for i, el in enumerate(self.elements):
-            self.index[(el.slot, el.kind, el.k)] = i
-        self.dimension = len(self.elements)
+        n = 2 * K + 1
+        # the cube in lexicographic order; the vectors after k = 0 are the positive ones
+        cube = np.indices((n, n, n)).reshape(3, -1).T - K
+        self.half_lattice = cube[n ** 3 // 2 + 1:]
+        self.n_scalar = 1 + 2 * len(self.half_lattice)
+        self.dimension = 3 * self.n_scalar
         self._gather_cache = {}
 
     def gather_indices(self, nodes: int):
@@ -99,8 +74,7 @@ class FormBasis:
         nodes^3 DFT array, one (n_scalar, n_scalar) array each."""
         if nodes not in self._gather_cache:
             kk = np.zeros((self.n_scalar, 3), dtype=np.int64)
-            if self.half_lattice:
-                kk[1::2] = kk[2::2] = self.half_lattice
+            kk[1::2] = kk[2::2] = self.half_lattice
 
             def flat(m):
                 m = m % nodes
@@ -108,12 +82,6 @@ class FormBasis:
 
             self._gather_cache[nodes] = (flat(kk[:, None] + kk[None]), flat(kk[:, None] - kk[None]))
         return self._gather_cache[nodes]
-
-    def scalar_index(self, kind, k):
-        if k == (0, 0, 0):
-            return 0
-        r = self.half_lattice.index(k)
-        return 1 + 2 * r + (1 if kind == SIN else 0)
 
     def form_to_vector(self, form: SpectralVectorField):
         """Exact coefficient vector of a 1-form (must fit in K): the canonical
@@ -136,8 +104,7 @@ class FormBasis:
         """The 1-form of a coefficient vector; all-zero modes are left out."""
         V = np.asarray(vec, dtype=float).reshape(3, self.n_scalar)
         C = np.concatenate([V[:, :1].T, 0.5 * (V[:, 1::2] - 1j * V[:, 2::2]).T])
-        K = np.concatenate([np.zeros((1, 3), dtype=np.int64),
-                            np.array(self.half_lattice, dtype=np.int64).reshape(-1, 3)])
+        K = np.concatenate([np.zeros((1, 3), dtype=np.int64), self.half_lattice])
         keep = np.any(C != 0, axis=1)
         return SpectralVectorField.from_half(K[keep], C[keep], truncation_radius=self.K)
 
@@ -148,23 +115,18 @@ def assemble_exterior(basis: FormBasis) -> np.ndarray:
     Only cos/sin pairs of the same wave vector in different slots couple;
     every entry is an integer or half-integer multiple of (2*pi)^3.
     """
-    D = basis.dimension
-    B = np.zeros((D, D))
-    half_vol = 0.5 * VOLUME
-    for k in basis.half_lattice:
-        ic = basis.scalar_index(COS, k)
-        isn = basis.scalar_index(SIN, k)
-        for a in range(3):
-            for b in range(3):
-                if a == b:
-                    continue
+    S = basis.n_scalar
+    B = np.zeros((basis.dimension, basis.dimension))
+    cos = 1 + 2 * np.arange(len(basis.half_lattice))
+    sin = cos + 1
+    for a in range(3):
+        for b in range(3):
+            if a != b:
                 c = 3 - a - b
-                sgn = _EPS3[a, c, b]
-                val = sgn * k[c] * half_vol
-                if val == 0.0:
-                    continue
-                B[a * basis.n_scalar + ic, b * basis.n_scalar + isn] += val
-                B[a * basis.n_scalar + isn, b * basis.n_scalar + ic] += -val
+                val = _EPS3[a, c, b] * basis.half_lattice[:, c] * (0.5 * VOLUME)
+                # added onto +0.0, so an entry with k_c = 0 stays +0.0, never -0.0
+                B[a * S + cos, b * S + sin] += val
+                B[a * S + sin, b * S + cos] += -val
     return B
 
 
@@ -444,43 +406,49 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
     )
 
 
-def hellmann_feynman(family: MetricFamily, u, lam: float, basis: FormBasis, window):
-    """Three routes to the eigenvalue slope along the family for direction u.
+def hellmann_feynman(family: MetricFamily, directions, lam: float, basis: FormBasis, window):
+    """Three routes to the eigenvalue slope along the family for each direction.
 
-    Returns (finite-difference slope, pencil formula -lam u' dM u / u' M u,
-    variation-pairing quadrature).  Requires u to be adapted to the cluster:
-    it must be an eigenvector of the first-order matrix Pi, otherwise the
-    slope is not well defined and DegenerateDirection is raised.
+    Returns (routes, Pi): routes[i] is (finite-difference slope, pencil
+    formula -lam u' dM u / u' M u, variation-pairing quadrature) for
+    directions[i], and Pi = -lam U0' dM U0 is the pencil matrix over the
+    M-orthonormal eigenvectors U0 of the cluster at eps = 0.  Each direction
+    u must be adapted to the cluster: an eigenvector of Pi, otherwise its
+    slope is not well defined and DegenerateDirection is raised.  The
+    pencil and the finite-difference members are solved once for all
+    directions.
     """
     from .contact import variation_pairing
 
     B = assemble_exterior(basis)
     M0 = assemble_mass(family.base, basis)
-    u = np.asarray(u, dtype=float)
-    u = u / math.sqrt(float(u @ (M0 @ u)))
-
-    base = solve_pencil(B, M0, window)
-    U0 = base.vectors
-    coeff = U0.T @ (M0 @ u)
-    if abs(float(coeff @ coeff) - 1.0) > 1e-8:
-        raise DegenerateDirection("vector does not lie in the requested cluster")
+    U0 = solve_pencil(B, M0, window).vectors
     dM = mass_derivative(family.base, family.variation, basis)
     Pi = -lam * (U0.T @ dM @ U0)
-    resid = Pi @ coeff - (coeff @ Pi @ coeff) * coeff
-    if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(Pi)):
-        raise DegenerateDirection("vector is not an eigenvector of the splitting matrix")
+    units = []
+    for u in directions:
+        u = np.asarray(u, dtype=float)
+        u = u / math.sqrt(float(u @ (M0 @ u)))
+        coeff = U0.T @ (M0 @ u)
+        if abs(float(coeff @ coeff) - 1.0) > 1e-8:
+            raise DegenerateDirection("vector does not lie in the requested cluster")
+        resid = Pi @ coeff - (coeff @ Pi @ coeff) * coeff
+        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(Pi)):
+            raise DegenerateDirection("vector is not an eigenvector of the splitting matrix")
+        units.append(u)
 
-    pencil = -lam * float(u @ (dM @ u))
-
-    form_u = basis.vector_to_form(u)
-    pairing = variation_pairing([form_u], family.variation, family.base, lam)[0, 0]
-
-    def matched_eigenvalue(eps):
+    def matched_eigenvalues(eps):
         Ms = assemble_mass(family.member(eps), basis)
-        return _match_by_overlap(solve_pencil(B, Ms, window), Ms, u)[1]
+        cluster = solve_pencil(B, Ms, window)
+        return np.array([_match_by_overlap(cluster, Ms, u)[1] for u in units])
 
-    fd = central_derivative(matched_eigenvalue, 0.0, SLOPE_FD_DELTA)
-    return float(fd), float(pencil), float(pairing)
+    fd = central_derivative(matched_eigenvalues, 0.0, SLOPE_FD_DELTA)
+    routes = []
+    for i, u in enumerate(units):
+        # one pairing per direction: a joint call contracts in another order
+        pairing = variation_pairing([basis.vector_to_form(u)], family.variation, family.base, lam)
+        routes.append((float(fd[i]), -lam * float(u @ (dM @ u)), float(pairing[0, 0])))
+    return routes, Pi
 
 
 # ---------------------------------------------------------------------------

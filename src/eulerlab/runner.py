@@ -92,13 +92,10 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigInvalid(f"config failed schema validation: {exc.message}") from exc
     params = _apply_defaults(_load_schema(kind), dict(params))
     if kind == "lyapunov":
-        T, renorm = params["T"], params["renorm"]
-        if not T > renorm:
-            raise ConfigInvalid(f"lyapunov needs T > renorm, got T = {T} and renorm = {renorm}")
-        # the run ends on the last renormalization, at round(T / renorm) * renorm
-        if abs(T - round(T / renorm) * renorm) > 1e-9 * T:
-            raise ConfigInvalid(
-                f"lyapunov T = {T} must be a whole number of renorm = {renorm} intervals")
+        try:
+            dyn.check_horizon(params["T"], params["renorm"])
+        except ValueError as exc:
+            raise ConfigInvalid(f"lyapunov {exc}") from exc
     if kind in ("perturb", "pi-map") and not params["window"][0] < params["window"][1]:
         raise ConfigInvalid(f"{kind} window must be an increasing interval, got {params['window']}")
     if kind == "perturb" and not params["window"][0] < 1.0 < params["window"][1]:
@@ -261,6 +258,9 @@ def _run_poincare(cfg):
         max_time=p["max_time"],
     )
     resid = float(np.max(section.residuals)) if len(section.residuals) else 0.0
+    # Arnold: a steady flow's Bernoulli function is a first integral, so a
+    # chaotic section needs it constant, i.e. a Beltrami field
+    integral = dyn.first_integral_report(field, sp.bernoulli(field), 16)
     report = {
         "amplitudes": [p["A"], p["B"], p["C"]],
         "axis": p["axis"],
@@ -268,6 +268,8 @@ def _run_poincare(cfg):
         "direction": p["direction"],
         "count": len(section.times),
         "max_section_residual": resid,
+        "bernoulli_range_gap": integral.range_gap,
+        "bernoulli_derivative_sup": integral.derivative_sup,
         "field_hash": ser.field_hash(field),
         "tol": p["tol"],
         "x0": p["x0"],
@@ -279,7 +281,8 @@ def _run_poincare(cfg):
              "tol": p["tol"], "T": p["max_time"]}
         ),
     }
-    assertions = [_assert_leq("section_residual", resid, 1e-9)]
+    assertions = [_assert_leq("section_residual", resid, 1e-9),
+                  _assert_leq("bernoulli_first_integral", integral.range_gap, 1e-11)]
     return report, plots, assertions
 
 
@@ -293,6 +296,9 @@ def _run_perturb(cfg):
     compat, worst_det = ct.family_compatibility(fam)
     worst_defect = max(rep.max_defect() for rep in compat.values())
     alpha_dev = float(np.max(np.abs(curves.alpha_curve - contactform.lambda0)))
+    # the splitting needs alpha and beta noncollinear: the fraction of grid
+    # points where alpha ^ beta (nearly) vanishes must stay small
+    collinear = ct.noncollinearity_measure(contactform.alpha, beta, 32, 1e-3)
     report = {
         "K": p["K"],
         "dimension": 3 * (2 * p["K"] + 1) ** 3,
@@ -305,6 +311,7 @@ def _run_perturb(cfg):
         "fit_slopes": [float(x) for x in curves.fit_slopes],
         "slope_gap": curves.slope_gap(),
         "alpha_eigenvalue_deviation": alpha_dev,
+        "alpha_beta_collinear_fraction": collinear,
         "max_compatibility_defect": worst_defect,
         "max_det_relative_deviation": worst_det,
         "compatibility": {repr(e): ser.compatibility_to_json(r) for e, r in compat.items()},
@@ -315,6 +322,7 @@ def _run_perturb(cfg):
         _assert_leq("det_relative_deviation", worst_det, 1e-12),
         _assert_leq("alpha_eigenvalue_deviation", alpha_dev, 1e-9),
         _assert_true("slope_gap_positive", curves.slope_gap() > 0.0, curves.slope_gap()),
+        _assert_leq("alpha_beta_collinear_fraction", collinear, 0.05),
     ]
     return report, plots, assertions
 

@@ -12,7 +12,6 @@ import json
 
 import numpy as np
 
-from . import spectral as sp
 from .contact import MetricField
 from .spectral import ScalarSpectralField, SpectralTensorField, SpectralVectorField
 
@@ -20,11 +19,7 @@ __all__ = [
     "field_to_json",
     "field_from_json",
     "trig_to_json",
-    "trig_from_json",
-    "oneform_to_json",
-    "oneform_from_json",
     "tensor_to_json",
-    "tensor_from_json",
     "compatibility_to_json",
     "metric_to_json",
     "grid_report_csv",
@@ -80,7 +75,7 @@ def field_hash(v: SpectralVectorField) -> str:
 
 
 # ---------------------------------------------------------------------------
-# trig polynomials, forms, tensors, metrics
+# trig polynomials, tensors, metrics
 
 
 def trig_to_json(f: ScalarSpectralField) -> dict:
@@ -96,50 +91,11 @@ def trig_to_json(f: ScalarSpectralField) -> dict:
     return {"terms": terms}
 
 
-def trig_from_json(doc: dict) -> ScalarSpectralField:
-    """Inverse of trig_to_json; a term at a lexicographically negative k is
-    read as the same function written at -k."""
-    pairs = {}
-    for t in doc["terms"]:
-        k = tuple(int(x) for x in t["k"])
-        c = complex(t["coeff"]) if t["kind"] == "cos" else complex(0.0, -t["coeff"])
-        if sp.lex_negative(k):
-            k, c = sp.canonical_rep(k), c.conjugate()
-        pairs[k] = pairs.get(k, 0.0) + (c if k == (0, 0, 0) else 0.5 * c)
-    return ScalarSpectralField.from_pairs(
-        pairs, truncation_radius=max((max(map(abs, k)) for k in pairs), default=0))
-
-
-def _entries(f):
-    """The scalar fields of the entries of a vector or tensor field, in C order."""
-    return [ScalarSpectralField(K=f.K, C=f.C[(slice(None), *i)],
-                                truncation_radius=f.truncation_radius)
-            for i in np.ndindex(f.SHAPE)]
-
-
-def _from_entries(entries, cls):
-    """Inverse of _entries: a field of class cls from its scalar entry fields."""
-    K, C = sp._stack(entries)
-    return cls(K=K, C=C.reshape((-1,) + cls.SHAPE),
-               truncation_radius=max(e.truncation_radius for e in entries))
-
-
-def oneform_to_json(form: SpectralVectorField) -> dict:
-    return {"components": [trig_to_json(c) for c in _entries(form)]}
-
-
-def oneform_from_json(doc: dict) -> SpectralVectorField:
-    return _from_entries([trig_from_json(c) for c in doc["components"]], SpectralVectorField)
-
-
 def tensor_to_json(t: SpectralTensorField) -> dict:
-    e = [trig_to_json(c) for c in _entries(t)]
-    return {"entries": [e[0:3], e[3:6], e[6:9]]}
-
-
-def tensor_from_json(doc: dict) -> SpectralTensorField:
-    return _from_entries([trig_from_json(e) for row in doc["entries"] for e in row],
-                         SpectralTensorField)
+    """Schema: {entries: rows of trig_to_json documents, one per entry t_ij}."""
+    return {"entries": [[trig_to_json(ScalarSpectralField(K=t.K, C=t.C[:, i, j],
+                                                          truncation_radius=t.truncation_radius))
+                         for j in range(3)] for i in range(3)]}
 
 
 def compatibility_to_json(report) -> dict:

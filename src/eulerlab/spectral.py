@@ -289,10 +289,6 @@ def make_abc(params: ABCParams) -> SpectralVectorField:
     return SpectralVectorField.from_pairs(pairs, truncation_radius=1)
 
 
-def zero_vector_field(truncation_radius=0):
-    return SpectralVectorField(K=(), C=(), truncation_radius=truncation_radius)
-
-
 # ---------------------------------------------------------------------------
 # mode-wise calculus
 

@@ -5,10 +5,13 @@ session fixture) and asserted individually; criterion 4 runs the full-level
 chaos battery and is the long pole of the suite.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from eulerlab import acceptance
+from eulerlab import galerkin as gk
 
 
 @pytest.fixture(scope="session")
@@ -109,6 +112,22 @@ def test_criterion_6_variation_identities(quick_suite):
     assert abs(d["alpha_pairing"]) <= 1e-8
     assert entry["elapsed"] + quick_suite["shared_sweep_seconds"] < 120.0
     assert entry["passed"]
+
+
+def test_criterion_6_builds_the_family_pencil_once(monkeypatch):
+    ctx = acceptance._family_context()
+    curves = gk.track_splitting(ctx[3], ctx[0], (0.8, 1.2), 2)
+    calls = Counter()
+    for name in ("assemble_mass", "solve_pencil", "mass_derivative"):
+        def counted(*args, _fn=getattr(gk, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(gk, name, counted)
+    _, passed = acceptance.check_variation_identities(ctx, curves)
+    assert passed
+    # the base mass and pencil, dM, and the four finite-difference members
+    assert calls == {"assemble_mass": 5, "solve_pencil": 5, "mass_derivative": 1}
 
 
 def test_criterion_7_splitting(quick_suite):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -18,7 +19,6 @@ from eulerlab.errors import (
 
 TWO_PI = 2 * np.pi
 VOL = TWO_PI ** 3
-COS = gk.COS
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +62,42 @@ def flat_gram_diagonal(basis):
     return d
 
 
-def scalar_of(el):
-    """The scalar cos(k.x) or sin(k.x) of a basis element as a spectral field."""
-    c = 1.0 if el.k == (0, 0, 0) else (0.5 if el.kind == COS else -0.5j)
-    return sp.ScalarSpectralField.from_pairs({el.k: c}, truncation_radius=max(map(abs, el.k)))
+def element(basis, i):
+    """Slot of basis element i and its scalar, cos(k.x) or sin(k.x), as a
+    spectral field: scalar j = i % n_scalar is the constant for j = 0, else
+    cos (j odd) or sin (j even) of half_lattice[(j - 1) // 2]."""
+    slot, j = divmod(i, basis.n_scalar)
+    k = (0, 0, 0) if j == 0 else tuple(basis.half_lattice[(j - 1) // 2].tolist())
+    c = 1.0 if j == 0 else (0.5 if j % 2 else -0.5j)
+    return slot, sp.ScalarSpectralField.from_pairs({k: c}, truncation_radius=max(map(abs, k)))
+
+
+def cos_index(basis, slot, k):
+    """Position of the basis element cos(k.x) dx_slot (the constant for k = 0)."""
+    if not any(k):
+        return slot * basis.n_scalar
+    r = int(np.flatnonzero(np.all(basis.half_lattice == k, axis=1))[0])
+    return slot * basis.n_scalar + 1 + 2 * r
+
+
+def exterior_loop(basis):
+    """Reference: B assembled by a Python loop over the half lattice."""
+    S = basis.n_scalar
+    B = np.zeros((basis.dimension, basis.dimension))
+    half_vol = 0.5 * sp.VOLUME
+    for r, k in enumerate(basis.half_lattice.tolist()):
+        ic, isn = 1 + 2 * r, 2 + 2 * r
+        for a in range(3):
+            for b in range(3):
+                if a == b:
+                    continue
+                c = 3 - a - b
+                val = gk._EPS3[a, c, b] * k[c] * half_vol
+                if val == 0.0:
+                    continue
+                B[a * S + ic, b * S + isn] += val
+                B[a * S + isn, b * S + ic] += -val
+    return B
 
 
 class TestFormBasis:
@@ -94,6 +126,14 @@ class TestFormBasis:
         assert np.array_equal(back.K, contact.alpha.K)
         assert np.max(np.abs(back.C - contact.alpha.C)) <= 1e-15
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_half_lattice_is_the_sorted_positive_half(self, K):
+        ref = sorted(k for k in itertools.product(range(-K, K + 1), repeat=3)
+                     if any(k) and not sp.lex_negative(k))
+        half = gk.FormBasis(K).half_lattice
+        assert half.shape == (len(ref), 3)
+        assert half.tolist() == [list(k) for k in ref]
+
     def test_rejects_terms_outside_truncation(self, basis1):
         form = sp.SpectralVectorField.from_pairs(  # cos(2 x1) dx1
             {(2, 0, 0): np.array([0.5, 0, 0], dtype=complex)}, truncation_radius=2)
@@ -106,17 +146,24 @@ class TestExteriorMatrix:
         B, _ = flat1
         assert np.max(np.abs(B - B.T)) == 0.0
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_bitwise_equal_to_the_loop(self, K):
+        # signed zeros included: every entry the loop skips stays +0.0
+        basis = gk.FormBasis(K)
+        B, ref = gk.assemble_exterior(basis), exterior_loop(basis)
+        assert np.array_equal(B.view(np.int64), ref.view(np.int64))
+
     def test_exact_form_column_is_zero(self, basis1, flat1):
         # d(sin x1) = cos(x1) dx1 is a basis element with vanishing exterior
         # derivative column
         B, _ = flat1
-        j = basis1.index[(0, COS, (1, 0, 0))]
+        j = cos_index(basis1, 0, (1, 0, 0))
         assert np.max(np.abs(B[:, j])) == 0.0
 
     def test_constant_forms_in_kernel(self, basis1, flat1):
         B, _ = flat1
         for slot in range(3):
-            j = basis1.index[(slot, COS, (0, 0, 0))]
+            j = cos_index(basis1, slot, (0, 0, 0))
             assert np.max(np.abs(B[:, j])) == 0.0
 
     def test_acts_as_identity_on_unit_shell_duals(self, basis1, flat1):
@@ -135,12 +182,12 @@ class TestExteriorMatrix:
         for _ in range(25):
             i = int(gen.integers(0, basis1.dimension))
             j = int(gen.integers(0, basis1.dimension))
-            ei, ej = basis1.elements[i], basis1.elements[j]
-            phi_i = scalar_of(ei)
-            grad_j = scalar_of(ej).gradient()
+            slot_i, phi_i = element(basis1, i)
+            slot_j, phi_j = element(basis1, j)
+            grad_j = phi_j.gradient()
             total = 0.0
             for c in range(3):
-                sign = gk._EPS3[ei.slot, c, ej.slot]
+                sign = gk._EPS3[slot_i, c, slot_j]
                 if sign == 0:
                     continue
                 d_c = sp.ScalarSpectralField(K=grad_j.K, C=grad_j.C[:, c],
@@ -169,10 +216,10 @@ class TestMassMatrix:
         for _ in range(8):
             i = int(gen.integers(0, basis1.dimension))
             j = int(gen.integers(0, basis1.dimension))
-            ei, ej = basis1.elements[i], basis1.elements[j]
-            phi_i = scalar_of(ei).evaluate(pts)
-            phi_j = scalar_of(ej).evaluate(pts)
-            ref = float(np.sum(phi_i * phi_j * Ginv[:, ei.slot, ej.slot] * sqrt_det * W))
+            slot_i, phi_i = element(basis1, i)
+            slot_j, phi_j = element(basis1, j)
+            ref = float(np.sum(phi_i.evaluate(pts) * phi_j.evaluate(pts)
+                               * Ginv[:, slot_i, slot_j] * sqrt_det * W))
             assert M[i, j] == pytest.approx(ref, abs=1e-10)
 
     def test_derivative_matches_finite_differences(self, family, basis1):
@@ -399,18 +446,33 @@ class TestHellmannFeynman:
         contact, _ = model
         basis = gk.FormBasis(2)
         av = basis.form_to_vector(contact.alpha)
-        fd, pencil, pairing = gk.hellmann_feynman(family, av, 1.0, basis, (0.8, 1.2))
+        [(fd, pencil, pairing)], _ = gk.hellmann_feynman(family, [av], 1.0, basis, (0.8, 1.2))
         assert max(abs(fd), abs(pencil), abs(pairing)) <= 1e-8
 
     def test_beta_direction_three_routes(self, family, model, beta):
         contact, _ = model
         basis = gk.FormBasis(2)
         bv = basis.form_to_vector(beta)
-        fd, pencil, pairing = gk.hellmann_feynman(family, bv, 1.0, basis, (0.8, 1.2))
+        [(fd, pencil, pairing)], _ = gk.hellmann_feynman(family, [bv], 1.0, basis, (0.8, 1.2))
         ref = 0.5 * 41.0 / (64.0 * TWO_PI ** 3)
         assert pairing == pytest.approx(ref, rel=1e-12)
         assert fd == pytest.approx(pairing, rel=1e-6)
         assert pencil == pytest.approx(pairing, rel=1e-8)
+
+    def test_directions_share_one_pencil(self, family, model, beta):
+        # two directions in one call give the routes of two single calls, and
+        # the returned Pi is the pencil matrix of the base cluster
+        contact, _ = model
+        basis = gk.FormBasis(2)
+        vectors = [basis.form_to_vector(contact.alpha), basis.form_to_vector(beta)]
+        routes, Pi = gk.hellmann_feynman(family, vectors, 1.0, basis, (0.8, 1.2))
+        for u, joint in zip(vectors, routes):
+            assert gk.hellmann_feynman(family, [u], 1.0, basis, (0.8, 1.2))[0] == [joint]
+        B = gk.assemble_exterior(basis)
+        M0 = gk.assemble_mass(family.base, basis)
+        U0 = gk.solve_pencil(B, M0, (0.8, 1.2)).vectors
+        dM = gk.mass_derivative(family.base, family.variation, basis)
+        assert np.array_equal(Pi, -1.0 * (U0.T @ dM @ U0))
 
     def test_unadapted_direction_raises(self, family, model, beta):
         contact, _ = model
@@ -423,14 +485,14 @@ class TestHellmannFeynman:
         vals, vecs = np.linalg.eigh(Pi)
         mix = (cl.vectors @ (vecs[:, 0] + vecs[:, -1])) / math.sqrt(2.0)
         with pytest.raises(DegenerateDirection):
-            gk.hellmann_feynman(family, mix, 1.0, basis, (0.8, 1.2))
+            gk.hellmann_feynman(family, [mix], 1.0, basis, (0.8, 1.2))
 
     def test_vector_outside_cluster_raises(self, family, model):
         basis = gk.FormBasis(2)
         stray = np.zeros(basis.dimension)
-        stray[basis.index[(0, COS, (0, 0, 0))]] = 1.0
+        stray[cos_index(basis, 0, (0, 0, 0))] = 1.0
         with pytest.raises(DegenerateDirection):
-            gk.hellmann_feynman(family, stray, 1.0, basis, (0.8, 1.2))
+            gk.hellmann_feynman(family, [stray], 1.0, basis, (0.8, 1.2))
 
 
 class TestSpectralProjector:

@@ -139,6 +139,30 @@ def test_poincare_run_sidecar(tmp_path):
     assert {"field_hash", "seed", "tol", "T"} <= set(meta)
 
 
+@pytest.mark.parametrize("doc, expected, check", [
+    ({"kind": "poincare", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "x0": [0.2, 0.0, 1.3],
+                                     "count": 5, "max_time": 500.0}},
+     {"bernoulli_range_gap": 0.0, "bernoulli_derivative_sup": 0.0},
+     ("bernoulli_first_integral", "bernoulli_range_gap")),
+    # 128 of the 32^3 grid points, where cos x1 = cos x3 = 0, have alpha ^ beta = 0
+    ({"kind": "perturb", "params": {"K": 1, "epsilons": [-0.1, 0.1]}},
+     {"alpha_beta_collinear_fraction": 0.00390625},
+     ("alpha_beta_collinear_fraction", "alpha_beta_collinear_fraction")),
+], ids=["poincare", "perturb"])
+def test_runs_report_the_paper_checks(tmp_path, doc, expected, check):
+    hashes = []
+    for tag in ("a", "b"):
+        rec = runner.run(runner.load_config(doc), out_dir=str(tmp_path / tag))
+        assert rec.ok
+        hashes.append({f["name"]: f["sha256"] for f in rec.files})
+        report = json.load(open(tmp_path / tag / "report.json"))
+        assert {key: report[key] for key in expected} == expected
+        # check: the name of the new run assertion and the report key it bounds
+        [record] = [a for a in rec.assertions if a["name"] == check[0]]
+        assert record["passed"] and record["value"] == report[check[1]]
+    assert hashes[0] == hashes[1]
+
+
 def test_cli_run_exit_codes(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"kind": "spectrum", "params": {"n": 3}}))

@@ -43,18 +43,6 @@ def test_field_hash_deterministic():
     assert a != c
 
 
-def test_trig_and_form_round_trip():
-    contact, g = ct.std_contact_t3()
-    form = contact.alpha
-    back = ser.oneform_from_json(ser.oneform_to_json(form))
-    assert np.array_equal(back.K, form.K) and np.array_equal(back.C, form.C)
-    tensor = g.g_xi
-    back_t = ser.tensor_from_json(ser.tensor_to_json(tensor))
-    assert np.array_equal(back_t.K, tensor.K) and np.array_equal(back_t.C, tensor.C)
-    pts = np.random.default_rng(0).uniform(0, 2 * np.pi, size=(10, 3))
-    assert np.array_equal(back_t.evaluate(pts), tensor.evaluate(pts))
-
-
 def _terms(*spec):
     return {"terms": [{"coeff": c, "k": list(k), "kind": kind} for kind, k, c in spec]}
 

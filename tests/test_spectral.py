@@ -349,7 +349,7 @@ class TestMinNorm:
         assert sp.min_norm(sp.make_abc(sp.ABCParams(1, 1, 1)), 64) <= 1e-3
 
     def test_zero_field(self):
-        assert sp.min_norm(sp.zero_vector_field(), 8) == 0.0
+        assert sp.min_norm(sp.SpectralVectorField(K=(), C=(), truncation_radius=0), 8) == 0.0
 
     def test_refinement_against_dense_grid_oracle(self):
         v = sp.make_abc(sp.ABCParams(1, 0.5, 0))
@@ -486,7 +486,7 @@ class TestStorageChecks:
         assert np.array_equal(v.mode((0, 1, 0)), np.zeros(3))
 
     def test_empty_field_keeps_its_trailing_shape(self):
-        assert sp.zero_vector_field(1).C.shape == (0, 3)
+        assert sp.SpectralVectorField(K=(), C=(), truncation_radius=1).C.shape == (0, 3)
         assert sp.ScalarSpectralField(K=(), C=(), truncation_radius=0).C.shape == (0,)
 
     def test_unsorted_rejected(self):
