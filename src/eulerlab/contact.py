@@ -109,11 +109,11 @@ class MetricField:
             m += self.extra.evaluate(points)
         return m
 
-    def check_positive(self, nodes=12, floor=1e-12):
-        pts, _ = uniform_grid(nodes)
+    def check_positive(self):
+        pts, _ = uniform_grid(12)
         mn = float(np.min(np.linalg.eigvalsh(self.matrix(pts))))
-        if mn <= floor:
-            raise NotPositiveDefinite(f"min metric eigenvalue {mn:.3e} on {nodes}^3 grid")
+        if mn <= 1e-12:
+            raise NotPositiveDefinite(f"min metric eigenvalue {mn:.3e} on 12^3 grid")
         return mn
 
 
@@ -221,11 +221,10 @@ def default_perturbation_form():
 # operations
 
 
-def check_compatibility(g: MetricField, contact: ContactForm, nodes=None) -> CompatibilityReport:
+def check_compatibility(g: MetricField, contact: ContactForm) -> CompatibilityReport:
     """Sup-norm defects of |alpha|_g = 1, star_g d(alpha) = lambda0 alpha,
     and vol_g = (1/lambda0) alpha ^ d(alpha) over a uniform grid."""
-    if nodes is None:
-        nodes = max(24, 2 * (g.degree_hint + contact.alpha.degree()) + 1)
+    nodes = max(24, 2 * (g.degree_hint + contact.alpha.degree()) + 1)
     pts, _ = uniform_grid(nodes)
     G = g.matrix(pts)
     Ginv = np.linalg.inv(G)
@@ -312,20 +311,17 @@ def noncollinearity_measure(alpha: SpectralVectorField, beta: SpectralVectorFiel
     return float(np.mean(norms < tol))
 
 
-def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float,
-                      nodes=None) -> np.ndarray:
+def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float) -> np.ndarray:
     """Pairing matrix of a list of 1-forms: entry (m, l) is the quadrature of
     lam*h(a_m#, a_l#) - (lam/2) Tr_g(h) g(a_m#, a_l#) over vol_g.
 
     The metric, h and every form are evaluated once on one grid and the
-    symmetric k x k matrix comes from one contraction.  Node counts default
-    to strictly above the Nyquist bound of the widest pair's trig degree, so
+    symmetric k x k matrix comes from one contraction.  The node count lies
+    strictly above the Nyquist bound of the widest pair's trig degree, so
     every entry is exact for polynomial metrics.
     """
-    if nodes is None:
-        widest = max(a.degree() for a in forms)
-        nodes = max(16, h.entries.degree() + 2 * widest + g.degree_hint + 1)
-    pts, w = uniform_grid(nodes)
+    widest = max(a.degree() for a in forms)
+    pts, w = uniform_grid(max(16, h.entries.degree() + 2 * widest + g.degree_hint + 1))
     G = g.matrix(pts)
     Ginv = np.linalg.inv(G)
     sqrt_det = np.sqrt(np.linalg.det(G))

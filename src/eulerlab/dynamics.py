@@ -61,8 +61,9 @@ class LyapunovEstimate:
     history: np.ndarray
     renorm_interval: float
 
-    def tail_spread(self, fraction=0.1):
-        m = max(2, int(len(self.history) * fraction))
+    def tail_spread(self):
+        """Range of the estimate over the last tenth of its history (at least two entries)."""
+        m = max(2, len(self.history) // 10)
         tail = self.history[-m:, 1]
         return float(np.max(tail) - np.min(tail))
 
@@ -450,12 +451,12 @@ def first_integral_report(v: SpectralVectorField, F, grid: int) -> FirstIntegral
     return FirstIntegralReport(range_gap=gap, derivative_sup=dsup)
 
 
-def separatrix_seeds(b: float, count: int, jitter=0.02, base_key=7):
+def separatrix_seeds(b: float, count: int, base_key=7):
     """Deterministic seeds near the C = 0 integrable separatrix level.
 
     For the C = 0 field with A = 1 the quantity cos(x3) + b sin(x1) is
     conserved; its saddle level 1 - b carries the layer that turns chaotic
-    once C > 0.  Seeds are placed on that level with a small jitter.
+    once C > 0.  Seeds are placed on that level with a jitter of at most 0.02.
     """
     seeds = []
     for j in range(count):
@@ -464,7 +465,7 @@ def separatrix_seeds(b: float, count: int, jitter=0.02, base_key=7):
         )
         x1 = gen.uniform(0.0, TWO_PI)
         x2 = gen.uniform(0.0, TWO_PI)
-        target = 1.0 - b + gen.uniform(-jitter, jitter)
+        target = 1.0 - b + gen.uniform(-0.02, 0.02)
         c3 = np.clip(target - b * math.sin(x1), -1.0, 1.0)
         seeds.append(np.array([x1, x2, math.acos(c3)]))
     return seeds

@@ -177,14 +177,12 @@ def assemble_mass(metric: MetricField, basis: FormBasis, nodes=None) -> np.ndarr
     return _block_quadrature(basis, nodes, np.linalg.inv(G) * sqrt_det[:, None, None] * w)
 
 
-def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis,
-                    nodes=None) -> np.ndarray:
+def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> np.ndarray:
     """Exact first-order mass matrix along the variation tensor h.
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
     """
-    if nodes is None:
-        nodes = default_mass_nodes(basis.K, metric.degree_hint + h.entries.degree())
+    nodes = default_mass_nodes(basis.K, metric.degree_hint + h.entries.degree())
     pts, w = uniform_grid(nodes)
     G = metric.matrix(pts)
     Ginv = np.linalg.inv(G)
@@ -500,21 +498,21 @@ def spectral_projector(A: np.ndarray, center: float, radius: float, nodes: int =
     return 0.5 * (P + P.T)
 
 
-def matrix_inv_sqrt(M: np.ndarray, floor=1e-12) -> np.ndarray:
+def matrix_inv_sqrt(M: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(M)
-    if np.min(vals) <= floor:
-        raise NotPositiveDefinite(f"matrix eigenvalue {np.min(vals):.3e} below floor")
+    if np.min(vals) <= 1e-12:
+        raise NotPositiveDefinite(f"matrix eigenvalue {np.min(vals):.3e} below 1e-12")
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
 
 
-def matrix_sqrt(M: np.ndarray, floor=1e-12) -> np.ndarray:
+def matrix_sqrt(M: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(M)
-    if np.min(vals) <= floor:
-        raise NotPositiveDefinite(f"matrix eigenvalue {np.min(vals):.3e} below floor")
+    if np.min(vals) <= 1e-12:
+        raise NotPositiveDefinite(f"matrix eigenvalue {np.min(vals):.3e} below 1e-12")
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def pencil_operator_family(family: MetricFamily, basis: FormBasis, nodes=None):
+def pencil_operator_family(family: MetricFamily, basis: FormBasis):
     """Symmetric operator family A(eps) = M(eps)^{-1/2} B M(eps)^{-1/2}.
 
     Shares the pencil's spectrum while keeping a fixed (Euclidean) inner
@@ -524,7 +522,7 @@ def pencil_operator_family(family: MetricFamily, basis: FormBasis, nodes=None):
     B = assemble_exterior(basis)
 
     def A_of(eps):
-        M = assemble_mass(family.member(eps), basis, nodes)
+        M = assemble_mass(family.member(eps), basis)
         A = np.zeros_like(M)
         for idx in _pencil_components(B, M):
             ix = np.ix_(idx, idx)
@@ -614,7 +612,7 @@ def pi_map(A_of_q, q: float, q0: float, cluster: MatrixCluster,
         raise ClusterLeakage(f"projector rank {tr:.6f} != cluster size {k}")
     V = P @ U0
     S = V.T @ V
-    Sinv_half = matrix_inv_sqrt(S, floor=1e-12)
+    Sinv_half = matrix_inv_sqrt(S)
     pi = Sinv_half @ (V.T @ Aq @ V) @ Sinv_half
     pi = 0.5 * (pi + pi.T)
 

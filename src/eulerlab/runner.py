@@ -132,16 +132,14 @@ def _run_spectrum(cfg):
     shell = sp.lattice_shell(n)
     report = {
         "n": n,
-        "multiplicity": shell.multiplicity,
+        "multiplicity": len(shell),
         "admissible_mod8": sp.mod8_admissible(n),
-        "shell_nonempty": shell.multiplicity > 0,
-        "vectors": [list(k) for k in shell.vectors],
+        "shell_nonempty": len(shell) > 0,
+        "vectors": shell.tolist(),
     }
     assertions = []
-    plots = {
-        "shell.csv": "k1,k2,k3\n" + "".join(f"{k[0]},{k[1]},{k[2]}\n" for k in shell.vectors)
-    }
-    if shell.multiplicity > 0:
+    plots = {"shell.csv": "k1,k2,k3\n" + "".join(f"{a},{b},{c}\n" for a, b, c in shell.tolist())}
+    if len(shell):
         gram_dev, resid = sp.eigenfamily_defects(n)
         report["gram_deviation"] = gram_dev
         report["curl_residual"] = resid
@@ -423,14 +421,15 @@ def _remove_previous_run(out):
 
 def run(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
     """Execute a validated config: write result files, a manifest and
-    assertion records.  Module errors, and the ValueError or LinAlgError
-    of a computation that cannot proceed, surface as ComputeFailure."""
+    assertion records.  Module errors, and the ValueError, LinAlgError or
+    MemoryError of a computation that cannot proceed, surface as
+    ComputeFailure before anything is written."""
     t0 = time.time()
     out = resolve_out_dir(cfg, out_dir)
     try:
         report, plots, assertions = _BODIES[cfg.kind](cfg)
-    except (EulerLabError, ValueError, np.linalg.LinAlgError) as exc:
-        raise ComputeFailure(f"{cfg.kind} run failed: {exc}") from exc
+    except (EulerLabError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
+        raise ComputeFailure(f"{cfg.kind} run failed: {str(exc) or type(exc).__name__}") from exc
     os.makedirs(out, exist_ok=True)
     _remove_previous_run(out)
     report = dict(report)

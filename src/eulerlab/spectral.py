@@ -26,24 +26,6 @@ TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI ** 3
 
 
-def lex_negative(k):
-    for c in k:
-        if c > 0:
-            return False
-        if c < 0:
-            return True
-    return False
-
-
-def canonical_rep(k):
-    """Lexicographically positive representative of the pair {k, -k}."""
-    return (-k[0], -k[1], -k[2]) if lex_negative(k) else tuple(k)
-
-
-def _neg(k):
-    return (-k[0], -k[1], -k[2])
-
-
 def _as_points(points):
     """Points as an (n, 3) array reduced to [0, 2*pi); by floor, which is several
     times faster than np.mod and as good for evaluating trig sums."""
@@ -115,7 +97,7 @@ class _SpectralField:
             if k == (0, 0, 0):
                 full[k] = c.real.astype(complex)
             else:
-                full[k], full[_neg(k)] = c, np.conj(c)
+                full[k], full[(-k[0], -k[1], -k[2])] = c, np.conj(c)
         ks = sorted(full)
         return cls(K=ks, C=[full[k] for k in ks], truncation_radius=int(truncation_radius))
 
@@ -183,16 +165,6 @@ def _merge(K, *values):
     return (K[first], *sums)
 
 
-def _stack(fields):
-    """Union K of the modes of same-class fields and C of shape (len(K),
-    len(fields)) + SHAPE holding field j's coefficients in column j."""
-    K = np.concatenate([f.K for f in fields])
-    owner = np.repeat(np.arange(len(fields)), [len(f.K) for f in fields])
-    C = np.zeros((len(K), len(fields)) + fields[0].SHAPE, dtype=complex)
-    C[np.arange(len(K)), owner] = np.concatenate([f.C for f in fields])
-    return _merge(K, C)
-
-
 def _l1(C):
     """Sum of the moduli of each mode's coefficient entries."""
     return np.abs(C).sum(axis=tuple(range(1, C.ndim)))
@@ -252,15 +224,6 @@ _FIELD_CLASSES = {cls.SHAPE: cls for cls in
 
 
 @dataclass(frozen=True)
-class EigenShell:
-    """Lattice shell |k|^2 = n: the mode set of the curl eigenvalue sqrt(n)."""
-
-    n: int
-    vectors: tuple
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class ScalarGridReport:
     """Pointwise values of a scalar diagnostic on a uniform grid."""
 
@@ -311,29 +274,27 @@ def divergence_spectral(v: SpectralVectorField) -> ScalarSpectralField:
 # lattice shells
 
 
-def lattice_shell(n: int) -> EigenShell:
-    """All k in Z^3 with |k|^2 = n, enumerated within |k|_inf <= ceil(sqrt(n))."""
+def lattice_shell(n: int) -> np.ndarray:
+    """All k in Z^3 with |k|^2 = n as an (m, 3) int64 array in lexicographic
+    order: each (k1, k2) of the square |k1|, |k2| <= sqrt(n) whose remainder
+    n - k1^2 - k2^2 is a perfect square k3^2 gives (k1, k2, -k3) and
+    (k1, k2, k3), or one row when k3 = 0.  The square is scanned one k1 at a
+    time, so memory stays O(sqrt(n)) beyond the shell itself."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = math.isqrt(n)
-    if m * m < n:
-        m += 1
-    found = []
+    k2 = np.arange(-m, m + 1)
+    rows = [np.empty((0, 3), dtype=np.int64)]
     for k1 in range(-m, m + 1):
-        for k2 in range(-m, m + 1):
-            rem = n - k1 * k1 - k2 * k2
-            if rem < 0:
-                continue
-            k3 = math.isqrt(rem)
-            if k3 * k3 != rem:
-                continue
-            if k3 == 0:
-                found.append((k1, k2, 0))
-            else:
-                found.append((k1, k2, k3))
-                found.append((k1, k2, -k3))
-    found.sort()
-    return EigenShell(n=n, vectors=tuple(found), multiplicity=len(found))
+        rem = n - k1 * k1 - k2 * k2
+        k3 = np.sqrt(np.maximum(rem, 0)).astype(np.int64)  # exact on squares below 2**53
+        hit = np.flatnonzero(k3 * k3 == rem)
+        if hit.size:
+            pair = np.repeat(hit, np.where(k3[hit] > 0, 2, 1))
+            first = np.r_[True, pair[1:] != pair[:-1]]
+            rows.append(np.stack([np.full(len(pair), k1), k2[pair],
+                                  np.where(first, -1, 1) * k3[pair]], axis=1))
+    return np.concatenate(rows)
 
 
 def mod8_admissible(n: int) -> bool:
@@ -347,85 +308,68 @@ def mod8_admissible(n: int) -> bool:
     return n % 8 in (1, 2, 3, 5, 6)
 
 
-def _helicity_frame(k):
-    """Deterministic orthonormal transverse frame (e1, e2) for a lattice vector.
-
-    e1 = normalized k x a with a = e1-axis unless k is parallel to it, then
-    the e2-axis; e2 = khat x e1, so (e1, e2, khat) is right-handed.
-    """
-    kv = np.array(k, dtype=float)
-    if k[1] == 0 and k[2] == 0:
-        a = np.array([0.0, 1.0, 0.0])
-    else:
-        a = np.array([1.0, 0.0, 0.0])
-    w1 = np.cross(kv, a)
-    e1 = w1 / np.linalg.norm(w1)
-    e2 = np.cross(kv, e1) / np.linalg.norm(kv)
-    return e1, e2
-
-
 def helicity_basis(n: int):
     """L2-orthonormal real fields spanning the curl eigenspace with eigenvalue sqrt(n).
 
-    One cosine-type and one sine-type field per +/-k pair of the shell, built
-    on the positive-helicity frame; returns shell-multiplicity many fields.
+    Returns (K, U): K holds the lexicographically positive half of the shell,
+    U of shape (len(K), 2, 3) the coefficients at K[r] of its cosine-type and
+    sine-type field (their conjugates sit at -K[r]).  Both are gamma h+ and
+    i gamma h+ on the positive-helicity vector h+ = (e1 + i e2) / sqrt(2) of
+    the frame e1 = k x a / |k x a|, e2 = k x e1 / |k|, with a the e1-axis
+    unless k is parallel to it, then the e2-axis; (e1, e2, khat) is right-handed.
     """
     if n < 1:
         raise NoSuchEigenvalue(f"no positive curl eigenvalue for n = {n}")
     shell = lattice_shell(n)
-    if shell.multiplicity == 0:
+    if not len(shell):
         raise NoSuchEigenvalue(f"empty lattice shell for n = {n}")
-    reps = sorted({canonical_rep(k) for k in shell.vectors})
+    K = shell[len(shell) // 2:]
+    kv = K.astype(float)
+    a = np.zeros_like(kv)
+    a[np.arange(len(K)), np.where(K[:, 1:].any(axis=1), 0, 1)] = 1.0
+    w1 = np.cross(kv, a)
+    e1 = w1 / np.linalg.norm(w1, axis=1)[:, None]
+    e2 = np.cross(kv, e1) / np.linalg.norm(kv, axis=1)[:, None]
+    hplus = (e1 + 1j * e2) / math.sqrt(2.0)
     gamma = 1.0 / math.sqrt(2.0 * VOLUME)
-    trunc = max(max(abs(c) for c in k) for k in reps)
-    fields = []
-    for k in reps:
-        e1, e2 = _helicity_frame(k)
-        hplus = (e1 + 1j * e2) / math.sqrt(2.0)
-        for coef in (gamma * hplus, 1j * gamma * hplus):
-            fields.append(SpectralVectorField.from_pairs({k: coef}, truncation_radius=trunc))
-    return fields
-
-
-def _shell_gram(fields):
-    """Full Gram matrix of spectral fields via their stacked coefficients."""
-    flat = _stack(fields)[1].transpose(1, 0, 2).reshape(len(fields), -1)
-    return VOLUME * (flat @ flat.conj().T).real
+    return K, np.stack([gamma * hplus, 1j * gamma * hplus], axis=1)
 
 
 def eigenfamily_defects(n: int):
     """(Gram deviation from the identity, curl eigen-residual) of helicity_basis(n).
 
     Both are sup-norms over the coefficients; the residual is that of
-    curl u = sqrt(n) u for each basis field u.
+    curl u = sqrt(n) u for each basis field u.  Fields on different +/-k
+    pairs share no mode, so the Gram matrix is one 2x2 block per pair, and
+    the negative half of every field holds the exact conjugates of the
+    positive half, so both are taken on the positive half.
     """
-    basis = helicity_basis(n)
-    lam = math.sqrt(n)
-    gram_dev = float(np.max(np.abs(_shell_gram(basis) - np.eye(len(basis)))))
+    K, U = helicity_basis(n)
+    gram = 2.0 * VOLUME * np.einsum("rai,rbi->rab", U, U.conj()).real
     resid = 0.0
-    for u in basis:
-        resid = max(resid, float(np.max(np.abs(curl_spectral(u).C - lam * u.C))))
-    return gram_dev, resid
+    for t in (0, 1):  # all cosine-type, then all sine-type fields, summed into one field
+        u = SpectralVectorField.from_half(K, U[:, t], np.max(np.abs(K)))
+        resid = max(resid, float(np.max(np.abs(curl_spectral(u).C - math.sqrt(n) * u.C))))
+    return float(np.max(np.abs(gram - np.eye(2)))), resid
 
 
 def random_beltrami(n: int, seed: int) -> SpectralVectorField:
     """Seeded Gaussian combination of the helicity basis of shell n.
 
     Coefficients are independent standard normals from a counter-based
-    generator keyed by (seed, mode index), so draws are order-independent;
-    the normalization makes the expected squared L2 norm equal to 1.
+    generator keyed by (seed, basis index 2 r + t), so draws are
+    order-independent; the normalization makes the expected squared L2 norm
+    equal to 1.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    basis = helicity_basis(n)
-    scale = 1.0 / math.sqrt(len(basis))
-    terms = []
-    for j, u in enumerate(basis):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-        terms.append(gen.standard_normal() * scale * u.C)
-    K, C = _merge(np.concatenate([u.K for u in basis]), np.concatenate(terms))
-    return SpectralVectorField(K=K, C=C,
-                               truncation_radius=max(u.truncation_radius for u in basis))
+    K, U = helicity_basis(n)
+    scale = 1.0 / math.sqrt(2 * len(K))
+    g = np.array([np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+                  .standard_normal() * scale for j in range(2 * len(K))]).reshape(-1, 2, 1)
+    # summed onto +0, mode by mode in basis order, so that no zero part is -0.0
+    C = (np.zeros_like(U[:, 0]) + g[:, 0] * U[:, 0]) + g[:, 1] * U[:, 1]
+    return SpectralVectorField.from_half(K, C, np.max(np.abs(K)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +412,6 @@ def bernoulli(v: SpectralVectorField) -> ScalarSpectralField:
     return _solve_poisson_divergence(w, sign=1.0)
 
 
-def pressure(v: SpectralVectorField) -> ScalarSpectralField:
-    """Zero-mean pressure p = -Delta^{-1} Div(v . grad v)."""
-    conv = convective_spectral(v)
-    return _solve_poisson_divergence(conv, sign=-1.0)
-
-
 def steady_residual(v: SpectralVectorField):
     """(||v.grad v + grad p||_L2, ||v x curl v - grad F||_L2) for the two Poisson solves."""
     conv = convective_spectral(v)
@@ -487,17 +425,17 @@ def steady_residual(v: SpectralVectorField):
 # pointwise diagnostics
 
 
-def proportionality_factor(v: SpectralVectorField, grid: int, threshold=1e-6) -> ScalarGridReport:
+def proportionality_factor(v: SpectralVectorField, grid: int) -> ScalarGridReport:
     """Pointwise (v . curl v)/|v|^2 on a uniform grid, with its constancy gap.
 
-    Raises VanishingField when min |v| on the grid is at or below the
-    threshold, since the quotient stops being trustworthy there.
+    Raises VanishingField when min |v| on the grid is at or below 1e-6,
+    since the quotient stops being trustworthy there.
     """
     vv = evaluate_on_grid(v, grid)
     cc = evaluate_on_grid(curl_spectral(v), grid)
     norm2 = np.sum(vv * vv, axis=-1)
     mn = math.sqrt(float(np.min(norm2)))
-    if mn <= threshold:
+    if mn <= 1e-6:
         raise VanishingField(f"min |v| = {mn:.3e} at grid {grid}")
     f = np.sum(vv * cc, axis=-1) / norm2
     return ScalarGridReport(

@@ -74,7 +74,7 @@ def test_criterion_4_chaos_proxy():
     import time
 
     t0 = time.time()
-    details, passed = acceptance.check_chaos_proxy(T=1e4, tol=1e-9, renorm=5.0)
+    details, passed = acceptance.check_chaos_proxy()
     elapsed = time.time() - t0
     print(f"criterion 4: {'PASS' if passed else 'FAIL'} - chaos proxy "
           f"(baseline {details['baseline_max_abs']:.2e}, "

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -178,12 +179,38 @@ def test_cli_run_exit_codes(tmp_path):
     assert cli.main(["run", "--config", str(missing)]) == 2
 
 
-def _python(*args):
+def _python(*args, preexec_fn=None):
     """Run a fresh interpreter that imports eulerlab from this checkout."""
     src = os.path.dirname(os.path.dirname(eulerlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=120)
+                          timeout=120, preexec_fn=preexec_fn)
+
+
+def _cap_address_space():
+    """At most 2 GB of address space, so a run that asks for more fails alone."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("doc, code", [
+    ({"kind": "spectrum", "params": {"n": 200966}}, 0),
+    # v x curl v of a shell with 12,384 modes would take 6.86 GiB
+    ({"kind": "bernoulli", "params": {"source": {"shell": {"n": 1000001, "seed": 0}}}}, 1),
+], ids=["spectrum-large-shell", "bernoulli-out-of-memory"])
+def test_large_shells_compute_or_fail_typed_under_a_memory_cap(tmp_path, doc, code):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out),
+                   preexec_fn=_cap_address_space)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "compute error" in proc.stderr
+        assert not out.exists()
+    else:
+        assert json.loads((out / "report.json").read_text())["multiplicity"] > 0
 
 
 def test_cli_rejects_lyapunov_T_not_above_renorm(tmp_path):
@@ -256,7 +283,8 @@ def test_runner_does_not_import_acceptance(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("error", [ValueError("bad value"), np.linalg.LinAlgError("singular")])
+@pytest.mark.parametrize("error", [ValueError("bad value"), np.linalg.LinAlgError("singular"),
+                                   MemoryError()])
 def test_run_wraps_value_and_linalg_errors(tmp_path, monkeypatch, error):
     def body(cfg):
         raise error
@@ -298,7 +326,7 @@ def test_mutation_check_sign_flipped_curl_fails(monkeypatch):
         return original(v).scaled(-1.0)
 
     monkeypatch.setattr(sp, "curl_spectral", flipped)
-    details, passed = acceptance.check_curl_eigenfamily(nmax=2)
+    details, passed = acceptance.check_curl_eigenfamily()
     assert not passed
     assert details["max_curl_residual"] > 0.01
 

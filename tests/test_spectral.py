@@ -32,6 +32,18 @@ def rng(*key):
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
+def basis_fields(n):
+    """The helicity basis of shell n as one field per basis vector, 2 r + t."""
+    K, U = sp.helicity_basis(n)
+    return [sp.SpectralVectorField.from_half(K[r:r + 1], U[r, t], np.max(np.abs(K)))
+            for r in range(len(K)) for t in (0, 1)]
+
+
+def pressure(v):
+    """The Euler pressure -Delta^{-1} Div(v . grad v), as steady_residual solves for it."""
+    return sp._solve_poisson_divergence(sp.convective_spectral(v), -1.0)
+
+
 class TestMakeABC:
     def test_point_value(self):
         v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1))
@@ -120,24 +132,24 @@ class TestCurlDivergence:
 class TestLatticeShells:
     def test_frozen_r3_table(self):
         for n, expected in enumerate(R3_TABLE):
-            assert sp.lattice_shell(n).multiplicity == expected
+            assert len(sp.lattice_shell(n)) == expected
 
     def test_brute_force_oracle_to_100(self):
         for n in range(101):
             shell = sp.lattice_shell(n)
-            assert shell.multiplicity == brute_force_shell_count(n)
-            assert shell.multiplicity == len(shell.vectors)
+            assert len(shell) == brute_force_shell_count(n)
+            assert shell.shape == (len(shell), 3) and shell.dtype == np.int64
 
     def test_shell_closed_under_negation_and_sorted(self):
-        shell = sp.lattice_shell(9)
-        vecs = set(shell.vectors)
+        shell = [tuple(k) for k in sp.lattice_shell(9).tolist()]
+        vecs = set(shell)
         assert all((-k[0], -k[1], -k[2]) in vecs for k in vecs)
-        assert list(shell.vectors) == sorted(shell.vectors)
+        assert shell == sorted(shell)
 
     def test_examples(self):
-        assert sp.lattice_shell(1).multiplicity == 6
-        assert sp.lattice_shell(2).multiplicity == 12
-        assert sp.lattice_shell(7).multiplicity == 0
+        assert len(sp.lattice_shell(1)) == 6
+        assert len(sp.lattice_shell(2)) == 12
+        assert len(sp.lattice_shell(7)) == 0
 
 
 class TestAdmissibility:
@@ -147,7 +159,7 @@ class TestAdmissibility:
 
     def test_mod8_rule_vs_shell_nonemptiness_diverges_at_4(self):
         assert sp.mod8_admissible(4) is False
-        assert sp.lattice_shell(4).multiplicity > 0
+        assert len(sp.lattice_shell(4)) > 0
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -173,7 +185,7 @@ class TestHelicityBasis:
         return G
 
     def test_shell_one_orthonormal_exact_eigenfields(self):
-        basis = sp.helicity_basis(1)
+        basis = basis_fields(1)
         assert len(basis) == 6
         assert np.max(np.abs(self.gram(basis) - np.eye(6))) <= 1e-12
         for u in basis:
@@ -184,8 +196,8 @@ class TestHelicityBasis:
 
     def test_higher_shell_residual_and_gram(self):
         for n in (2, 3, 5):
-            basis = sp.helicity_basis(n)
-            assert len(basis) == sp.lattice_shell(n).multiplicity
+            basis = basis_fields(n)
+            assert len(basis) == len(sp.lattice_shell(n))
             assert np.max(np.abs(self.gram(basis) - np.eye(len(basis)))) <= 1e-12
             lam = math.sqrt(n)
             for u in basis:
@@ -196,7 +208,7 @@ class TestHelicityBasis:
     def test_abc_expands_with_zero_remainder(self):
         # least-squares projection oracle: project onto the basis and rebuild
         v = sp.make_abc(sp.ABCParams(1.0, 1.0, 1.0))
-        basis = sp.helicity_basis(1)
+        basis = basis_fields(1)
         coeffs = []
         for u in basis:
             s = 0.0
@@ -240,7 +252,7 @@ class TestRandomBeltrami:
     def test_monte_carlo_unit_expected_norm(self):
         # oracle: sample mean of ||v||^2 over 1e4 seeds; Var(||v||^2) = 2/N
         n, trials = 2, 10000
-        mult = sp.lattice_shell(n).multiplicity
+        mult = len(sp.lattice_shell(n))
         total = 0.0
         for seed in range(trials):
             total += sp.random_beltrami(n, seed).norm_l2() ** 2
@@ -271,7 +283,7 @@ class TestPoissonSolves:
         # oracle: for curl eigenfields v . grad v = grad(|v|^2 / 2), so
         # p + |v|^2/2 is constant; |v|^2 evaluated independently on a grid
         v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1))
-        p = sp.pressure(v)
+        p = pressure(v)
         n = 16
         vals = sp.evaluate_on_grid(v, n)
         half_speed = 0.5 * np.sum(vals * vals, axis=-1)
@@ -281,12 +293,12 @@ class TestPoissonSolves:
     def test_pressure_constant_field(self):
         v = sp.SpectralVectorField.from_pairs(
             {(0, 0, 0): np.array([0.4, -1.0, 2.0])}, truncation_radius=0)
-        assert sp.pressure(v).norm_l2() == 0.0
+        assert pressure(v).norm_l2() == 0.0
 
     def test_pressure_shear_zero(self):
         v = sp.SpectralVectorField.from_pairs(
             {(0, 1, 0): np.array([-0.5j, 0, 0])}, truncation_radius=1)
-        assert sp.pressure(v).norm_l2() <= 1e-15
+        assert pressure(v).norm_l2() <= 1e-15
 
 
 class TestSteadyResidual:
@@ -304,7 +316,7 @@ class TestSteadyResidual:
         assert r1 <= 1e-10 and r2 <= 1e-10
 
     def test_mixed_eigenvalues_not_steady(self):
-        v = sp.helicity_basis(1)[0] + sp.helicity_basis(2)[0]
+        v = basis_fields(1)[0] + basis_fields(2)[0]
         _, r2 = sp.steady_residual(v)
         assert r2 > 0.01
 
@@ -366,7 +378,7 @@ class TestEvaluate:
         assert np.max(np.abs(v.evaluate(pts) - v.evaluate(shifted))) < 1e-12
 
     def test_matches_fft_grid_oracle(self):
-        u = sp.helicity_basis(2)[0]
+        u = basis_fields(2)[0]
         n = 32
         grid_vals = sp.evaluate_on_grid(u, n)
         x = np.arange(n) * (TWO_PI / n)
@@ -570,3 +582,109 @@ def test_tensor_fields_evaluate_entrywise_and_contract_exactly(tpairs, vpairs):
     scale *= max(1.0, float(np.max(np.abs(v.C), initial=0.0)))
     ref = np.einsum("pij,pj->pi", T, v.evaluate(pts))
     assert np.max(np.abs(tv.evaluate(pts) - ref)) <= 1e-11 * scale
+
+
+# ---------------------------------------------------------------------------
+# slow reference path: the per-vector construction of the curl eigenbasis
+
+
+def reference_shell(n):
+    """Shell |k|^2 = n by a loop over the (k1, k2) square, k3 from an integer square root."""
+    m = math.isqrt(n)
+    found = []
+    for k1 in range(-m, m + 1):
+        for k2 in range(-m, m + 1):
+            rem = n - k1 * k1 - k2 * k2
+            k3 = math.isqrt(rem) if rem >= 0 else -1
+            if k3 * k3 == rem:
+                found += [(k1, k2, 0)] if k3 == 0 else [(k1, k2, k3), (k1, k2, -k3)]
+    return sorted(found)
+
+
+def reference_basis(n):
+    """One from_pairs field per basis vector, the transverse frame built per wave vector."""
+    reps = [k for k in reference_shell(n) if k > (0, 0, 0)]
+    gamma = 1.0 / math.sqrt(2.0 * sp.VOLUME)
+    trunc = max(max(abs(c) for c in k) for k in reps)
+    fields = []
+    for k in reps:
+        kv = np.array(k, dtype=float)
+        a = np.array([0.0, 1.0, 0.0]) if k[1] == 0 and k[2] == 0 else np.array([1.0, 0.0, 0.0])
+        w1 = np.cross(kv, a)
+        e1 = w1 / np.linalg.norm(w1)
+        e2 = np.cross(kv, e1) / np.linalg.norm(kv)
+        hplus = (e1 + 1j * e2) / math.sqrt(2.0)
+        for coef in (gamma * hplus, 1j * gamma * hplus):
+            fields.append(sp.SpectralVectorField.from_pairs({k: coef}, truncation_radius=trunc))
+    return fields
+
+
+def reference_gram(fields):
+    """Dense Gram matrix of the fields over the union of their modes."""
+    K = np.concatenate([f.K for f in fields])
+    owner = np.repeat(np.arange(len(fields)), [len(f.K) for f in fields])
+    C = np.zeros((len(K), len(fields), 3), dtype=complex)
+    C[np.arange(len(K)), owner] = np.concatenate([f.C for f in fields])
+    flat = sp._merge(K, C)[1].transpose(1, 0, 2).reshape(len(fields), -1)
+    return sp.VOLUME * (flat @ flat.conj().T).real
+
+
+def reference_beltrami(n, seed):
+    """Gaussian combination of the reference fields, summed mode-wise in basis order."""
+    basis = reference_basis(n)
+    scale = 1.0 / math.sqrt(len(basis))
+    terms = [rng(seed, j).standard_normal() * scale * u.C for j, u in enumerate(basis)]
+    K, C = sp._merge(np.concatenate([u.K for u in basis]), np.concatenate(terms))
+    return sp.SpectralVectorField(K=K, C=C, truncation_radius=basis[0].truncation_radius)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+NONEMPTY = [n for n in range(1, 101) if brute_force_shell_count(n)]
+
+
+def test_shells_match_the_reference_loop():
+    for n in range(300):
+        shell = sp.lattice_shell(n)
+        assert shell.dtype == np.int64 and shell.shape == (len(shell), 3)
+        assert shell.tolist() == [list(k) for k in reference_shell(n)]
+
+
+def test_basis_and_beltrami_fields_match_the_reference_bitwise():
+    for n in [n for n in NONEMPTY if n <= 30]:
+        K, U = sp.helicity_basis(n)
+        ref = reference_basis(n)
+        assert len(ref) == 2 * len(K)
+        for j, u in enumerate(ref):
+            assert np.array_equal(u.K, np.stack([-K[j // 2], K[j // 2]]))
+            assert np.array_equal(bits(u.C[1]), bits(U[j // 2, j % 2]))
+        for seed in range(3):
+            v, w = sp.random_beltrami(n, seed), reference_beltrami(n, seed)
+            half = len(w.K) // 2
+            assert v.truncation_radius == w.truncation_radius
+            assert np.array_equal(v.K, w.K) and np.array_equal(v.C, w.C)
+            assert np.array_equal(bits(v.C[half:]), bits(w.C[half:]))
+
+
+def test_defects_match_the_dense_reference():
+    # fields on different +/-k pairs share no mode: off the 2x2 blocks the
+    # dense Gram matrix is exactly zero
+    for n in NONEMPTY:
+        ref = reference_basis(n)
+        G = reference_gram(ref)
+        pair = np.arange(len(ref)) // 2
+        assert not np.any(G[pair[:, None] != pair[None]])
+        ref_resid = max(float(np.max(np.abs(sp.curl_spectral(u).C - math.sqrt(n) * u.C)))
+                        for u in ref)
+        gram_dev, resid = sp.eigenfamily_defects(n)
+        assert resid == ref_resid
+        assert abs(gram_dev - float(np.max(np.abs(G - np.eye(len(ref)))))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 9, 50])
+def test_field_hash_matches_the_reference(n):
+    for seed in range(20):
+        assert ser.field_hash(sp.random_beltrami(n, seed)) == ser.field_hash(
+            reference_beltrami(n, seed))
