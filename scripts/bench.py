@@ -13,7 +13,7 @@ Two groups of rows, each written to its own JSON file.
   (19^3 points);
 - `spectral.bernoulli` of the random Beltrami fields of shells n = 9 and 50;
 - end to end, one `perturb` run at K=3 and one `pi-map` galerkin run at
-  K=2 and at K=3 through `runner.run`.
+  K=2, K=3 and K=4 through `runner.run`.
 
 `--group dynamics` (BENCH_dynamics.json), on the showcase field
 (1, 0.5, 0.1):
@@ -130,7 +130,7 @@ def _galerkin_cases(scratch):
     shell9, shell50 = sp.random_beltrami(9, 0), sp.random_beltrami(50, 0)
     perturb = runner.load_config({"kind": "perturb", "params": {"K": 3}})
     pi_maps = {K: runner.load_config({"kind": "pi-map", "params": {"mode": "galerkin", "K": K}})
-               for K in (2, 3)}
+               for K in (2, 3, 4)}
     run = _runs(scratch)
     return {
         "assemble_mass_K3": _wall(lambda: gk.assemble_mass(member, basis3)),
@@ -144,6 +144,7 @@ def _galerkin_cases(scratch):
         "end_to_end.perturb_run_K3": _wall(lambda: run(perturb)),
         "end_to_end.pi_map_run_K2": _wall(lambda: run(pi_maps[2])),
         "end_to_end.pi_map_run_K3": _wall(lambda: run(pi_maps[3])),
+        "end_to_end.pi_map_run_K4": _wall(lambda: run(pi_maps[4])),
     }
 
 

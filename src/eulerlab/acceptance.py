@@ -268,24 +268,21 @@ def check_compression_machinery(ctx):
 
         cluster = gk.matrix_cluster(A0, 0.5, 1.0)
         for q in (0.05, 0.1):
-            rep = gk.pi_map(A_of, q, 0.0, cluster)
-            worst_sigma = max(worst_sigma, rep.sigma_match_defect)
-        rep = gk.pi_map(A_of, 0.05, 0.0, cluster)
-        # pi itself is contour-quadrature limited, so the finite difference
-        # uses extra contour nodes to stay below the 1e-6 comparison level
+            worst_sigma = max(worst_sigma, gk.pi_map(A_of(q), cluster).sigma_match_defect)
+        # S1 is the family's exact derivative at 0; pi itself is contour-quadrature
+        # limited, so its finite difference uses extra contour nodes to stay below
+        # the 1e-6 comparison level
+        prime = gk.pi_derivative(S1, cluster.vectors)
         fd_pi = gk.central_derivative(
-            lambda q: gk.pi_map(A_of, q, 0.0, cluster, nodes=96).pi, 0.0, 1e-3)
-        scale = max(1.0, float(np.max(np.abs(rep.pi_prime))))
-        worst_prime = max(
-            worst_prime, float(np.max(np.abs(fd_pi - rep.pi_prime))) / scale
-        )
+            lambda q: gk.pi_map(A_of(q), cluster, nodes=96).pi, 0.0, 1e-3)
+        scale = max(1.0, float(np.max(np.abs(prime))))
+        worst_prime = max(worst_prime, float(np.max(np.abs(fd_pi - prime))) / scale)
 
-    # first-order certificate of the Galerkin family
+    # first-order certificate of the Galerkin family; it does not depend on
+    # the orthonormal frame chosen inside the cluster
     basis = gk.FormBasis(SWEEP_K)
-    A_of_eps = gk.pencil_operator_family(fam, basis)
-    A0 = A_of_eps(0.0)
-    lam0 = contactform.lambda0
-    DA = gk.central_derivative(A_of_eps, 0.0, 0.02)
+    A0 = gk.pencil_operator_family(fam, basis)(0.0)
+    DA = gk.pencil_operator_derivative(fam, basis)
     M0 = gk.assemble_mass(g, basis)
     sqrtM = gk.matrix_sqrt(M0)
     av = sqrtM @ basis.form_to_vector(contactform.alpha)
@@ -293,17 +290,10 @@ def check_compression_machinery(ctx):
     bv = sqrtM @ basis.form_to_vector(beta)
     bv -= (av @ bv) * av
     bv /= np.linalg.norm(bv)
-    cluster = gk.matrix_cluster(A0, lam0, 0.2)
-    # adapted orthonormal frame: the contact and perturbing directions first,
-    # completed by the dominant remainder of the cluster eigenvectors
-    rest = cluster.vectors
-    rest = rest - np.outer(av, av @ rest) - np.outer(bv, bv @ rest)
-    u_rest = np.linalg.svd(rest, full_matrices=False)[0][:, : cluster.multiplicity - 2]
-    U = np.concatenate([av[:, None], bv[:, None], u_rest], axis=1)
-    prime = gk.pi_derivative(DA, U)
-    cert = gk.splitting_certificate(prime)
-    alpha_entry = float(prime[0, 0])
-    beta_entry = float(prime[1, 1])
+    cluster = gk.matrix_cluster(A0, contactform.lambda0, 0.2)
+    cert = gk.splitting_certificate(gk.pi_derivative(DA, cluster.vectors))
+    alpha_entry = float(av @ DA @ av)
+    beta_entry = float(bv @ DA @ bv)
 
     passed = (
         worst_proj <= 1e-8

@@ -5,15 +5,16 @@ B_ij = integral of e_i ^ d(e_j) is metric-independent and assembled exactly
 by term matching, M(g)_ij = <e_i, e_j>_g is a grid quadrature with node
 counts above the Nyquist bound of the integrand.  Each kernel uses the
 Fourier structure of the basis: M is gathered from the DFT of the
-pointwise weights; the pencil, the symmetric family M^{-1/2} B M^{-1/2},
-its cluster eigensolve and its contour projector work block by block over
-the couplings that survive, and the projector solves only the blocks with
-an eigenvalue inside its circle, at half the nodes, since the other half
-are complex conjugates.  Eigenvalue clusters are
-tracked along metric families, first-order splitting is cross-checked
-against the variation pairing, and the contour projector / compression
-machinery reduces an operator family near a cluster to a small symmetric
-matrix whose spectrum reproduces the nearby eigenvalues.
+pointwise weights; the pencil, the symmetric family A = M^{-1/2} B M^{-1/2}
+and its exact derivative, its cluster eigensolve and contour projector work
+block by block over the couplings that survive; the projector solves only
+blocks with an eigenvalue inside its circle, at half the nodes (the rest are
+complex conjugates).  Eigenvalue clusters are tracked along metric families,
+first-order splitting is cross-checked against the variation pairing, and
+the contour projector / compression machinery reduces A(q) near a cluster
+to a small symmetric matrix whose spectrum reproduces the nearby
+eigenvalues; its first-order term is the exact dA compressed onto the
+cluster.
 
 Closed forms span a large kernel of B; windows exclude it rather than
 constructing a coexact complement, since coexactness is metric-dependent.
@@ -196,13 +197,17 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -
 
 @dataclass(frozen=True)
 class EigenCluster:
-    """Eigenpairs of the pencil inside a window, M-orthonormal vectors as columns."""
+    """Eigenpairs inside a window, vectors as columns: M-orthonormal for the
+    pencil (solve_pencil), orthonormal for a symmetric matrix (matrix_cluster)."""
 
     center: float
     radius: float
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    multiplicity: int
+
+    @property
+    def multiplicity(self):
+        return len(self.eigenvalues)
 
 
 def _components(pattern) -> list:
@@ -216,10 +221,13 @@ def _components(pattern) -> list:
     return [np.flatnonzero(labels == c) for c in range(n_parts)]
 
 
-def _pencil_components(B: np.ndarray, M: np.ndarray) -> list:
-    """Components of the coupling graph: B_ij != 0 or |M_ij| > 1e-12 max|M|."""
-    absM = np.abs(M)
-    return _components((B != 0) | (absM > 1e-12 * np.max(absM)))
+def _pencil_components(B: np.ndarray, *masses) -> list:
+    """Components of the coupling graph: B_ij != 0 or |M_ij| > 1e-12 max|M| for some M."""
+    pattern = B != 0
+    for M in masses:
+        absM = np.abs(M)
+        pattern |= absM > 1e-12 * np.max(absM)
+    return _components(pattern)
 
 
 def _block_eigh(parts, eigh, select):
@@ -259,13 +267,7 @@ def solve_pencil(B: np.ndarray, M: np.ndarray, window) -> EigenCluster:
         lambda w: (w > lo) & (w < hi))
     if np.any(np.abs(vals - lo) < 1e-8) or np.any(np.abs(vals - hi) < 1e-8):
         raise WindowTouchesSpectrum(f"eigenvalue within 1e-8 of window ({lo}, {hi})")
-    return EigenCluster(
-        center=0.5 * (lo + hi),
-        radius=0.5 * (hi - lo),
-        eigenvalues=vals[keep],
-        vectors=vectors,
-        multiplicity=len(keep),
-    )
+    return EigenCluster(0.5 * (lo + hi), 0.5 * (hi - lo), vals[keep], vectors)
 
 
 @dataclass(frozen=True)
@@ -293,11 +295,10 @@ def _match_by_overlap(cluster: EigenCluster, M: np.ndarray, target):
     return idx, float(cluster.eigenvalues[idx])
 
 
-# finite-difference steps: one-sided levels of the splitting sweep, the
-# central step of hellmann_feynman and of the compression derivative pi_map
+# finite-difference steps: one-sided levels of the splitting sweep and the
+# central step of hellmann_feynman
 SPLIT_FD_LEVELS = (0.04, 0.02, 0.01)
 SLOPE_FD_DELTA = 0.02
-PI_FD_DELTA = 1e-4
 
 
 def richardson(values, steps, order=1):
@@ -498,17 +499,21 @@ def spectral_projector(A: np.ndarray, center: float, radius: float, nodes: int =
     return 0.5 * (P + P.T)
 
 
-def matrix_inv_sqrt(M: np.ndarray) -> np.ndarray:
+def _positive_eigh(M: np.ndarray):
+    """eigh of a symmetric matrix; NotPositiveDefinite below eigenvalue 1e-12."""
     vals, vecs = np.linalg.eigh(M)
     if np.min(vals) <= 1e-12:
         raise NotPositiveDefinite(f"matrix eigenvalue {np.min(vals):.3e} below 1e-12")
+    return vals, vecs
+
+
+def matrix_inv_sqrt(M: np.ndarray) -> np.ndarray:
+    vals, vecs = _positive_eigh(M)
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
 
 
 def matrix_sqrt(M: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(M)
-    if np.min(vals) <= 1e-12:
-        raise NotPositiveDefinite(f"matrix eigenvalue {np.min(vals):.3e} below 1e-12")
+    vals, vecs = _positive_eigh(M)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
@@ -533,21 +538,31 @@ def pencil_operator_family(family: MetricFamily, basis: FormBasis):
     return A_of
 
 
-@dataclass(frozen=True)
-class MatrixCluster:
-    """Eigencluster of a plain symmetric matrix (Euclidean orthonormal vectors)."""
+def pencil_operator_derivative(family: MetricFamily, basis: FormBasis) -> np.ndarray:
+    """Exact dA(0) of pencil_operator_family: dR B R + R B dR, R = M0^{-1/2}.
 
-    center: float
-    radius: float
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
+    dR is the Frechet derivative of M^{-1/2} along dM = mass_derivative, in
+    each block's eigenbasis M0 = V diag(s^2) V' the Daleckii-Krein form
+    V (L * V' dM V) V' with L_ij = -1 / (s_i s_j (s_i + s_j)) (N. J. Higham,
+    Functions of Matrices, SIAM 2008, 3.2).  Blocks are the components of
+    the joint graph of B, M0 and dM: dM couples components of M0.
+    """
+    B = assemble_exterior(basis)
+    M0 = assemble_mass(family.member(0.0), basis)
+    dM = mass_derivative(family.base, family.variation, basis)
+    dA = np.zeros_like(M0)
+    for idx in _pencil_components(B, M0, dM):
+        ix = np.ix_(idx, idx)
+        vals, V = _positive_eigh(M0[ix])
+        s = np.sqrt(vals)
+        L = -1.0 / (np.outer(s, s) * (s[:, None] + s))
+        dR = V @ (L * (V.T @ dM[ix] @ V)) @ V.T
+        half = dR @ B[ix] @ ((V / s) @ V.T)
+        dA[ix] = half + half.T  # B and R are symmetric, so R B dR = half'
+    return dA
 
-    @property
-    def multiplicity(self):
-        return len(self.eigenvalues)
 
-
-def matrix_cluster(A: np.ndarray, center: float, radius: float) -> MatrixCluster:
+def matrix_cluster(A: np.ndarray, center: float, radius: float) -> EigenCluster:
     """Eigenpairs with |lambda - center| < radius, solved per component of
     A's nonzero pattern as in solve_pencil; ClusterLeakage if there are none."""
     vals, keep, vectors = _block_eigh(
@@ -556,12 +571,7 @@ def matrix_cluster(A: np.ndarray, center: float, radius: float) -> MatrixCluster
     if len(keep) == 0:
         raise ClusterLeakage(
             f"no eigenvalue inside window ({center - radius:g}, {center + radius:g})")
-    return MatrixCluster(
-        center=float(center),
-        radius=float(radius),
-        eigenvalues=vals[keep],
-        vectors=vectors,
-    )
+    return EigenCluster(float(center), float(radius), vals[keep], vectors)
 
 
 def random_two_band_symmetric(gen, dim: int, n_inside: int) -> np.ndarray:
@@ -581,31 +591,26 @@ def random_unit_symmetric(gen, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PiMapReport:
-    """Compression of an operator family onto a frozen eigencluster frame."""
+    """Compression of an operator onto a frozen eigencluster frame."""
 
     projector: np.ndarray
     pi: np.ndarray
-    pi_prime: np.ndarray
     sigma_match_defect: float
     identity_deviation: float
-
-    def projector_idempotency(self):
-        P = self.projector
-        return float(np.linalg.norm(P @ P - P))
+    projector_idempotency: float
 
 
-def pi_map(A_of_q, q: float, q0: float, cluster: MatrixCluster,
-           nodes: int = 64) -> PiMapReport:
-    """Symmetric compression pi(q) of A(q) onto the cluster frame at q0.
+def pi_map(Aq: np.ndarray, cluster: EigenCluster, nodes: int = 64) -> PiMapReport:
+    """Symmetric compression pi(q) of the matrix A(q) onto the cluster frame.
 
     pi(q) = S^{-1/2} V' A(q) V S^{-1/2} with V the projected frame
     P_gamma(q) U0 and S its Gram matrix, so the spectrum of pi(q) equals
-    the spectrum of A(q) inside the contour.  pi_prime is the derivative
-    matrix (u_m' dA u_l) with dA = central_derivative(A_of_q, q0, PI_FD_DELTA).
+    the spectrum of A(q) inside the contour.  That check and |P P - P| go
+    per component of A(q) != 0; one component gives the dense values.
     """
     U0 = cluster.vectors
     k = U0.shape[1]
-    Aq = np.asarray(A_of_q(q), dtype=float)
+    Aq = np.asarray(Aq, dtype=float)
     P = spectral_projector(Aq, cluster.center, cluster.radius, nodes)
     tr = float(np.trace(P))
     if abs(tr - k) > 1e-6:
@@ -616,21 +621,21 @@ def pi_map(A_of_q, q: float, q0: float, cluster: MatrixCluster,
     pi = Sinv_half @ (V.T @ Aq @ V) @ Sinv_half
     pi = 0.5 * (pi + pi.T)
 
+    blocks = [np.ix_(idx, idx) for idx in _components(Aq != 0)]
     vals_pi = np.sort(np.linalg.eigvalsh(pi))
-    vals_A = np.linalg.eigvalsh(Aq)
+    vals_A = np.concatenate([np.linalg.eigvalsh(Aq[ix]) for ix in blocks])
     inside = np.sort(vals_A[np.abs(vals_A - cluster.center) < cluster.radius])
     if len(inside) != k:
         raise ClusterLeakage(f"{len(inside)} eigenvalues inside contour, cluster size {k}")
     sigma_defect = float(np.max(np.abs(vals_pi - inside)))
-
-    pi_prime = pi_derivative(central_derivative(A_of_q, q0, PI_FD_DELTA), U0)
+    idempotency = math.hypot(*(np.linalg.norm(Pb @ Pb - Pb) for Pb in (P[ix] for ix in blocks)))
 
     return PiMapReport(
         projector=P,
         pi=pi,
-        pi_prime=pi_prime,
         sigma_match_defect=sigma_defect,
         identity_deviation=splitting_certificate(pi),
+        projector_idempotency=float(idempotency),
     )
 
 

@@ -582,17 +582,31 @@ def dense_projector(A, center, radius, nodes=64):
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["K1", "K2"])
 def operator_pair(request, model, beta):
-    """Block and dense operator families of the pi-map galerkin run."""
+    """Block and dense operator families of the pi-map galerkin run, and the
+    exact derivative of the block family at 0."""
     contact, g = model
     fam = ct.metric_family(g, contact, beta, [-0.1, 0.1])
     basis = gk.FormBasis(request.param)
-    return gk.pencil_operator_family(fam, basis), dense_operator_family(fam, basis)
+    return (gk.pencil_operator_family(fam, basis), dense_operator_family(fam, basis),
+            gk.pencil_operator_derivative(fam, basis))
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3], ids=["K1", "K2", "K3"])
+def pi_family(request, model, beta):
+    """The pi-map galerkin family at eps = 0: (family, basis, A_of, exact dA,
+    cluster of A(0))."""
+    contact, g = model
+    fam = ct.metric_family(g, contact, beta, [-0.1, 0.1])
+    basis = gk.FormBasis(request.param)
+    A_of = gk.pencil_operator_family(fam, basis)
+    cluster = gk.matrix_cluster(A_of(0.0), contact.lambda0, 0.2)
+    return fam, basis, A_of, gk.pencil_operator_derivative(fam, basis), cluster
 
 
 class TestBlockOperatorPath:
     @pytest.mark.parametrize("eps", [0.05, -0.05])
     def test_operator_matches_dense(self, operator_pair, eps):
-        A_of, dense_of = operator_pair
+        A_of, dense_of, _ = operator_pair
         A, Ad = A_of(eps), dense_of(eps)
         assert n_components(A) > 1
         assert np.max(np.abs(A - Ad)) <= 1e-12 * np.max(np.abs(Ad))
@@ -611,8 +625,9 @@ class TestBlockOperatorPath:
 
     def test_certificate_matches_dense_pi_map(self, operator_pair):
         # a fixed rotation makes every A(eps) one dense component with the
-        # same spectrum, so pi_map takes the dense path throughout
-        A_of, dense_of = operator_pair
+        # same spectrum, so pi_map takes the dense path throughout; the dense
+        # route takes its derivative by finite differences of A
+        A_of, dense_of, dA = operator_pair
         Ad = dense_of(0.0)
         Q = np.linalg.qr(rng(47, len(Ad)).standard_normal(Ad.shape))[0]
 
@@ -620,15 +635,25 @@ class TestBlockOperatorPath:
             return Q @ dense_of(eps) @ Q.T
 
         assert n_components(rotated_of(0.0)) == 1
-        dense = gk.pi_map(rotated_of, 0.05, 0.0, gk.matrix_cluster(rotated_of(0.0), 1.0, 0.2))
-        rep = gk.pi_map(A_of, 0.05, 0.0, gk.matrix_cluster(A_of(0.0), 1.0, 0.2))
+        dense_cluster = gk.matrix_cluster(rotated_of(0.0), 1.0, 0.2)
+        cluster = gk.matrix_cluster(A_of(0.0), 1.0, 0.2)
+        dense = gk.pi_map(rotated_of(0.05), dense_cluster)
+        rep = gk.pi_map(A_of(0.05), cluster)
         assert np.max(np.abs(rep.projector - Q.T @ dense.projector @ Q)) <= 1e-12
         assert rep.sigma_match_defect <= 1e-9
-        assert rep.projector_idempotency() <= 1e-10
-        cert = gk.splitting_certificate(rep.pi_prime)
-        assert cert == pytest.approx(gk.splitting_certificate(dense.pi_prime), rel=1e-6)
+        assert rep.projector_idempotency <= 1e-10
+        cert = gk.splitting_certificate(gk.pi_derivative(dA, cluster.vectors))
+        dense_prime = gk.pi_derivative(gk.central_derivative(rotated_of, 0.0, 1e-2),
+                                       dense_cluster.vectors)
+        assert cert == pytest.approx(gk.splitting_certificate(dense_prime), rel=1e-6)
         assert np.allclose(np.linalg.eigvalsh(rep.pi), np.linalg.eigvalsh(dense.pi),
                            rtol=0.0, atol=1e-12)
+
+    def test_exact_derivative_matches_finite_difference(self, operator_pair):
+        # the slow reference: central differences of A, Richardson-extrapolated
+        A_of, _, dA = operator_pair
+        assert n_components(dA) > 1
+        assert np.max(np.abs(dA - gk.central_derivative(A_of, 0.0, 1e-2))) <= 1e-11
 
     @pytest.mark.parametrize("offset", [1e-7, 0.0])
     def test_guard_sees_eigenvalues_of_skipped_blocks(self, offset):
@@ -680,16 +705,16 @@ class TestPiMap:
 
     def test_base_point_is_scalar_matrix(self):
         A0, cluster = self.synthetic_cluster()
-        rep = gk.pi_map(lambda q: A0 + q * np.diag([1.0, -1.0, 0.0]), 0.0, 0.0, cluster)
+        rep = gk.pi_map(A0, cluster)
         assert np.max(np.abs(rep.pi - np.eye(2))) <= 1e-12
         assert rep.identity_deviation <= 1e-12
 
     def test_linear_diagonal_family_exact(self):
         A0, cluster = self.synthetic_cluster()
-        rep = gk.pi_map(lambda q: A0 + q * np.diag([1.0, -1.0, 0.0]), 0.1, 0.0, cluster)
+        rep = gk.pi_map(A0 + 0.1 * np.diag([1.0, -1.0, 0.0]), cluster)
         assert np.allclose(np.sort(np.linalg.eigvalsh(rep.pi)), [0.9, 1.1], atol=1e-11)
         assert rep.sigma_match_defect <= 1e-11
-        assert rep.projector_idempotency() <= 1e-10
+        assert rep.projector_idempotency <= 1e-10
 
     def test_random_family_sigma_match(self):
         gen = rng(29, 1)
@@ -703,7 +728,7 @@ class TestPiMap:
         S1 /= np.linalg.norm(S1, 2)
         cluster = gk.matrix_cluster(A0, 0.5, 1.0)
         for q in (0.02, 0.05, 0.1):
-            rep = gk.pi_map(lambda t: A0 + t * S1, q, 0.0, cluster)
+            rep = gk.pi_map(A0 + q * S1, cluster)
             assert rep.sigma_match_defect <= 1e-9
 
     def test_cluster_leakage_detected(self):
@@ -711,7 +736,7 @@ class TestPiMap:
         cluster = gk.matrix_cluster(A0, 1.0, 0.5)
         # moving the third eigenvalue into the contour changes the rank
         with pytest.raises(ClusterLeakage):
-            gk.pi_map(lambda q: A0 + q * np.diag([0.0, 0.0, -1.0]), 0.2, 0.0, cluster)
+            gk.pi_map(A0 + 0.2 * np.diag([0.0, 0.0, -1.0]), cluster)
 
 
 class TestPiDerivative:
@@ -732,13 +757,8 @@ class TestPiDerivative:
         S1 = 0.5 * (S1 + S1.T)
         S1 /= np.linalg.norm(S1, 2)
         cluster = gk.matrix_cluster(A0, 0.5, 1.0)
-        fam = lambda q: A0 + q * S1
-        delta = 1e-3
-        f1 = (gk.pi_map(fam, delta, 0.0, cluster, nodes=96).pi
-              - gk.pi_map(fam, -delta, 0.0, cluster, nodes=96).pi) / (2 * delta)
-        f2 = (gk.pi_map(fam, delta / 2, 0.0, cluster, nodes=96).pi
-              - gk.pi_map(fam, -delta / 2, 0.0, cluster, nodes=96).pi) / delta
-        fd = (4.0 * f2 - f1) / 3.0
+        fd = gk.central_derivative(lambda q: gk.pi_map(A0 + q * S1, cluster, nodes=96).pi,
+                                   0.0, 1e-3)
         prime = gk.pi_derivative(S1, cluster.vectors)
         assert np.max(np.abs(fd - prime)) <= 1e-6
 
@@ -747,10 +767,7 @@ class TestPiDerivative:
         basis = gk.FormBasis(1)
         A_of = gk.pencil_operator_family(family, basis)
         A0 = A_of(0.0)
-        delta = 0.02
-        d1 = (A_of(delta) - A_of(-delta)) / (2 * delta)
-        d2 = (A_of(delta / 2) - A_of(-delta / 2)) / delta
-        DA = (4.0 * d2 - d1) / 3.0
+        DA = gk.central_derivative(A_of, 0.0, 0.02)
         M0 = gk.assemble_mass(g, basis)
         sqrtM = gk.matrix_sqrt(M0)
         av = sqrtM @ basis.form_to_vector(contact.alpha)
@@ -767,6 +784,28 @@ class TestPiDerivative:
         assert abs(prime[0, 0]) <= 1e-8
         assert prime[1, 1] > 1e-4
         assert gk.splitting_certificate(prime) > 0.0
+
+
+class TestExactFirstOrderCompression:
+    def test_pencil_identity_on_the_cluster(self, pi_family, model):
+        # U0' dA U0 = -lambda0 X' dM X with X = M0^{-1/2} U0, per block
+        fam, basis, _, dA, cluster = pi_family
+        B = gk.assemble_exterior(basis)
+        M0 = gk.assemble_mass(fam.member(0.0), basis)
+        R = np.zeros_like(M0)
+        for idx in gk._pencil_components(B, M0):
+            R[np.ix_(idx, idx)] = gk.matrix_inv_sqrt(M0[np.ix_(idx, idx)])
+        X = R @ cluster.vectors
+        dM = gk.mass_derivative(fam.base, fam.variation, basis)
+        pencil = -model[0].lambda0 * (X.T @ dM @ X)
+        compressed = cluster.vectors.T @ dA @ cluster.vectors
+        assert np.max(np.abs(pencil - compressed)) <= 1e-14 * np.max(np.abs(compressed))
+
+    def test_eigenvalues_match_the_variation_pairing(self, pi_family, model):
+        fam, basis, _, dA, cluster = pi_family
+        curves = gk.track_splitting(fam, model[0], (0.8, 1.2), basis.K)
+        prime = gk.pi_derivative(dA, cluster.vectors)
+        assert np.max(np.abs(np.linalg.eigvalsh(prime) - curves.pairing_eigenvalues)) <= 1e-16
 
 
 class TestSplittingCertificate:

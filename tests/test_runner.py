@@ -365,6 +365,15 @@ def test_pi_map_galerkin_run_passes_and_reruns_byte_identical(tmp_path):
     assert report["window"] == [0.8, 1.2]
 
 
+def test_pi_map_galerkin_certificate_agrees_across_K(tmp_path):
+    certs = []
+    for K in (1, 2, 3):
+        config = {"kind": "pi-map", "params": {"mode": "galerkin", "K": K}}
+        assert runner.run(runner.load_config(config), out_dir=str(tmp_path / str(K))).ok
+        certs.append(json.load(open(tmp_path / str(K) / "report.json"))["certificate"])
+    assert max(certs) - min(certs) <= 1e-16
+
+
 def test_pi_map_synthetic_records_the_contour_it_uses(tmp_path):
     cfg = runner.load_config({"kind": "pi-map", "params": {"mode": "synthetic", "dim": 12,
                                                           "window": [5, 6]}})
