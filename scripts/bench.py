@@ -4,9 +4,14 @@ Two groups of rows, each written to its own JSON file.
 
 `--group galerkin` (BENCH_galerkin.json), wall seconds of one call:
 
-- `assemble_mass` and `solve_pencil` on the K=3 family member at eps = 0.1;
+- `assemble_mass` and `solve_pencil` on the K=3 family member at eps = 0.1
+  (after the warm-up call the member's family holds its grid fields, as
+  for every member of a sweep but the first), and `mass_derivative` of the
+  K=3 family;
 - `track_splitting` at K=3 (the perturb sweep: 13 mass assemblies and
-  pencil solves plus the pairing matrix);
+  pencil solves plus the pairing matrix) and `family_compatibility` of the
+  same family (6 members), each on a family built just before the timed
+  call, so no grid evaluation it may keep is warm;
 - `spectral_projector` with 64 nodes on the K=2 operator A_of(0) of the
   `pi-map` galerkin mode, and one K=3 operator A_of(0.1);
 - `MetricField.matrix` of the same family member on the K=3 mass grid
@@ -110,6 +115,16 @@ def _wall(call):
     return timed
 
 
+def _on_fresh(make, call):
+    """A case timing `call(make())` without the `make()` that precedes it."""
+    def timed():
+        arg = make()
+        start = time.perf_counter()
+        call(arg)
+        return time.perf_counter() - start
+    return timed
+
+
 def _runs(scratch):
     count = itertools.count()
     return lambda cfg: runner.run(cfg, out_dir=os.path.join(scratch, f"run{next(count)}"))
@@ -118,7 +133,12 @@ def _runs(scratch):
 def _galerkin_cases(scratch):
     contact, g = ct.std_contact_t3()
     beta = ct.default_perturbation_form()
-    family = ct.metric_family(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
+    epsilons = [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2]
+    family = ct.metric_family(g, contact, beta, epsilons)
+
+    def fresh_family():
+        return ct.metric_family(g, contact, beta, epsilons)
+
     basis3 = gk.FormBasis(3)
     B3 = gk.assemble_exterior(basis3)
     member = family.member(0.1)
@@ -135,7 +155,10 @@ def _galerkin_cases(scratch):
     return {
         "assemble_mass_K3": _wall(lambda: gk.assemble_mass(member, basis3)),
         "solve_pencil_K3": _wall(lambda: gk.solve_pencil(B3, M3, (0.8, 1.2))),
-        "track_splitting_K3": _wall(lambda: gk.track_splitting(family, contact, (0.8, 1.2), 3)),
+        "mass_derivative_K3": _wall(lambda: gk.mass_derivative(g, family.variation, basis3)),
+        "track_splitting_K3": _on_fresh(
+            fresh_family, lambda fam: gk.track_splitting(fam, contact, (0.8, 1.2), 3)),
+        "family_compatibility_K3": _on_fresh(fresh_family, ct.family_compatibility),
         "spectral_projector_K2": _wall(lambda: gk.spectral_projector(A0, 1.0, 0.2, 64)),
         "operator_family_K3": _wall(lambda: A_of3(0.1)),
         "metric_matrix_K3_grid": _wall(lambda: member.matrix(mass_grid)),

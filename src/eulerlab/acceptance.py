@@ -284,7 +284,7 @@ def check_compression_machinery(ctx):
     A0 = gk.pencil_operator_family(fam, basis)(0.0)
     DA = gk.pencil_operator_derivative(fam, basis)
     M0 = gk.assemble_mass(g, basis)
-    sqrtM = gk.matrix_sqrt(M0)
+    sqrtM = gk.BlockMass(M0.parts, tuple(gk.matrix_sqrt(block) for block in M0.blocks))
     av = sqrtM @ basis.form_to_vector(contactform.alpha)
     av /= np.linalg.norm(av)
     bv = sqrtM @ basis.form_to_vector(beta)

@@ -19,7 +19,7 @@ evaluated on grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,14 +74,57 @@ def identity_tensor() -> SpectralTensorField:
     return SpectralTensorField(K=[(0, 0, 0)], C=[np.eye(3)], truncation_radius=0)
 
 
+def inverse_and_det(G):
+    """Inverse and determinant of symmetric 3x3 matrices G (..., 3, 3) in
+    closed form: the cofactor matrix over det G = g00 c00 + g01 c01 + g02 c02,
+    read from the upper triangle."""
+    g00, g01, g02 = G[..., 0, 0], G[..., 0, 1], G[..., 0, 2]
+    g11, g12, g22 = G[..., 1, 1], G[..., 1, 2], G[..., 2, 2]
+    c00 = g11 * g22 - g12 * g12
+    c01 = g02 * g12 - g01 * g22
+    c02 = g01 * g12 - g02 * g11
+    c11 = g00 * g22 - g02 * g02
+    c12 = g01 * g02 - g00 * g12
+    c22 = g00 * g11 - g01 * g01
+    det = g00 * c00 + g01 * c01 + g02 * c02
+    C = np.stack([c00, c01, c02, c01, c11, c12, c02, c12, c22], axis=-1)
+    return (C / det[..., None]).reshape(G.shape), det
+
+
+def require_positive(G, det, where):
+    """Raise NotPositiveDefinite if some matrix of G (m, 3, 3) has its
+    smallest eigenvalue (by eigvalsh) at or below 1e-12.
+
+    A matrix is certified without an eigensolve when its leading minors
+    g00 and g00 g11 - g01^2 are positive and the bound
+    lambda_min >= 4 det / tr^2 (the other two eigenvalues have product at
+    most (tr / 2)^2) clears 1e-12 by a rounding margin of 256 ulp of its
+    largest entry; eigvalsh decides the others.
+    """
+    G = G.reshape(-1, 3, 3)
+    size = np.max(np.abs(G.reshape(-1, 9)), axis=1)
+    margin = 256.0 * np.finfo(float).eps * size
+    tr = G[:, 0, 0] + G[:, 1, 1] + G[:, 2, 2]
+    minor = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 0, 1]
+    bound = 4.0 * det.ravel() / (tr * tr)
+    sure = (G[:, 0, 0] > 0.0) & (minor > margin * size) & (bound > 1e-12 + margin)
+    if not np.all(sure):
+        low = float(np.min(np.linalg.eigvalsh(G[~sure])))
+        if low <= 1e-12:
+            raise NotPositiveDefinite(f"metric eigenvalue {low:.3e} on {where}")
+
+
 @dataclass(frozen=True)
 class MetricField:
-    """Metric of the shape scale(x) * g_xi + alpha (x) alpha + extra.
+    """Metric of the shape scale(x) * g_xi + alpha (x) alpha + eps * extra.
 
     `g_xi` annihilates the Reeb direction and `alpha_sq` is the rank-one
-    block along the contact form.  Family members carry the pointwise
-    square-root rescaling of g_xi through (xi_scale_eps, xi_scale_norm2);
+    block along the contact form.  Family members carry eps = xi_scale_eps,
+    extra = b_xi (x) b_xi and the pointwise square-root rescaling
+    scale = sqrt(1 + eps^2 q^2 / 4) - eps q / 2 of g_xi, q = xi_scale_norm2;
     the base metric has none and its entries stay exact trig polynomials.
+    On the uniform grids a member reads its eps-independent fields from
+    `grid_fields`, the cache its family shares between all its members.
     """
 
     g_xi: SpectralTensorField
@@ -91,30 +134,36 @@ class MetricField:
     xi_scale_eps: float | None = None
     xi_scale_norm2: ScalarSpectralField | None = None
     degree_hint: int = 2
+    grid_fields: dict | None = field(default=None, compare=False, repr=False)
 
-    def xi_scale(self, points):
-        """Pointwise factor sqrt(1 + eps^2 q^2 / 4) - eps q / 2 on g_xi."""
-        if self.xi_scale_eps is None:
-            return None
-        s = self.xi_scale_eps * self.xi_scale_norm2.evaluate(points)
-        return np.sqrt(1.0 + 0.25 * s * s) - 0.5 * s
+    def _fields(self, points):
+        return tuple(None if f is None else f.evaluate(points)
+                     for f in (self.g_xi, self.alpha_sq, self.extra, self.xi_scale_norm2))
 
-    def matrix(self, points):
-        m = self.g_xi.evaluate(points)
-        fac = self.xi_scale(points)
-        if fac is not None:
-            m *= fac[:, None, None]
-        m += self.alpha_sq.evaluate(points)
-        if self.extra is not None:
-            m += self.extra.evaluate(points)
+    def _combine(self, g_xi, alpha_sq, extra, norm2):
+        m = g_xi
+        if self.xi_scale_eps is not None:
+            s = self.xi_scale_eps * norm2
+            m = m * (np.sqrt(1.0 + 0.25 * s * s) - 0.5 * s)[:, None, None]
+        m = m + alpha_sq
+        if extra is not None:
+            m = m + self.xi_scale_eps * extra
         return m
 
+    def matrix(self, points):
+        return self._combine(*self._fields(points))
+
+    def grid_matrix(self, nodes):
+        """The matrix at the points of uniform_grid(nodes)."""
+        if self.grid_fields is None:
+            return self.matrix(uniform_grid(nodes)[0])
+        if nodes not in self.grid_fields:
+            self.grid_fields[nodes] = self._fields(uniform_grid(nodes)[0])
+        return self._combine(*self.grid_fields[nodes])
+
     def check_positive(self):
-        pts, _ = uniform_grid(12)
-        mn = float(np.min(np.linalg.eigvalsh(self.matrix(pts))))
-        if mn <= 1e-12:
-            raise NotPositiveDefinite(f"min metric eigenvalue {mn:.3e} on 12^3 grid")
-        return mn
+        G = self.grid_matrix(12)
+        require_positive(G, inverse_and_det(G)[1], "the 12^3 grid")
 
 
 @dataclass(frozen=True)
@@ -154,7 +203,8 @@ class MetricFamily:
 
     The bracket factor sqrt(1 + eps^2 |b_xi|^4 / 4) - eps |b_xi|^2 / 2 - 1
     rescales g_xi so that det(g_eps) = det(g) pointwise; the derivative at
-    eps = 0 is the variation tensor of `beta`.
+    eps = 0 is the variation tensor of `beta`.  The eps-independent fields of
+    the members are evaluated once per uniform grid and kept for all of them.
     """
 
     def __init__(self, base: MetricField, contact: ContactForm, beta: SpectralVectorField,
@@ -165,6 +215,7 @@ class MetricFamily:
         self.epsilon_grid = list(float(e) for e in epsilon_grid)
         self.variation = variation_tensor(beta, contact, base)
         self._outer = outer(self.variation.beta_xi)
+        self._grid_fields = {}  # nodes -> fields on uniform_grid(nodes), see MetricField
         for eps in self.epsilon_grid:
             self.member(eps).check_positive()
 
@@ -174,10 +225,11 @@ class MetricFamily:
             g_xi=self.base.g_xi,
             alpha_sq=self.base.alpha_sq,
             inv_entries=None,
-            extra=self._outer.scaled(eps),
+            extra=self._outer,
             xi_scale_eps=eps,
             xi_scale_norm2=self.variation.norm2,
             degree_hint=12,
+            grid_fields=self._grid_fields,
         )
 
 
@@ -226,9 +278,8 @@ def check_compatibility(g: MetricField, contact: ContactForm) -> CompatibilityRe
     and vol_g = (1/lambda0) alpha ^ d(alpha) over a uniform grid."""
     nodes = max(24, 2 * (g.degree_hint + contact.alpha.degree()) + 1)
     pts, _ = uniform_grid(nodes)
-    G = g.matrix(pts)
-    Ginv = np.linalg.inv(G)
-    det = np.linalg.det(G)
+    G = g.grid_matrix(nodes)
+    Ginv, det = inverse_and_det(G)
     sqrt_det = np.sqrt(det)
     A = contact.alpha.evaluate(pts)
     lam = contact.lambda0
@@ -261,14 +312,13 @@ def family_compatibility(family: MetricFamily):
     Returns ({eps: CompatibilityReport}, worst pointwise relative deviation
     of det(g_eps) from det(g) on the DET_GRID^3 grid).
     """
-    pts, _ = uniform_grid(DET_GRID)
-    det0 = np.linalg.det(family.base.matrix(pts))
+    det0 = inverse_and_det(family.base.grid_matrix(DET_GRID))[1]
     reports = {}
     worst_det = 0.0
     for eps in family.epsilon_grid:
         member = family.member(eps)
         reports[eps] = check_compatibility(member, family.contact)
-        det = np.linalg.det(member.matrix(pts))
+        det = inverse_and_det(member.grid_matrix(DET_GRID))[1]
         worst_det = max(worst_det, float(np.max(np.abs(det - det0) / np.abs(det0))))
     return reports, worst_det
 
@@ -321,10 +371,11 @@ def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float) -> 
     every entry is exact for polynomial metrics.
     """
     widest = max(a.degree() for a in forms)
-    pts, w = uniform_grid(max(16, h.entries.degree() + 2 * widest + g.degree_hint + 1))
-    G = g.matrix(pts)
-    Ginv = np.linalg.inv(G)
-    sqrt_det = np.sqrt(np.linalg.det(G))
+    nodes = max(16, h.entries.degree() + 2 * widest + g.degree_hint + 1)
+    pts, w = uniform_grid(nodes)
+    G = g.grid_matrix(nodes)
+    Ginv, det = inverse_and_det(G)
+    sqrt_det = np.sqrt(det)
     sharp = np.einsum("pij,kpj->kpi", Ginv, np.stack([a.evaluate(pts) for a in forms]))
     H = h.entries.evaluate(pts)
     tr = np.einsum("pij,pij->p", Ginv, H)

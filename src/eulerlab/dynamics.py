@@ -37,8 +37,10 @@ CHAOS_THRESHOLD = 0.023942274037632105
 
 # pieces of each accepted step that poincare brackets crossings on
 POINCARE_SUBSAMPLES = 8
-# accepted steps whose dense output poincare builds and searches at once
+# accepted steps whose dense output poincare builds and searches at once:
+# at most _SECTION_CHUNK, and _SECTION_TAIL once the next crossing may be the last
 _SECTION_CHUNK = 64
+_SECTION_TAIL = 8
 
 
 @dataclass(frozen=True)
@@ -362,8 +364,11 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
              tol=1e-10, max_time=10000.0) -> PoincareSection:
     """First N crossings of the plane x[axis] = level with the given velocity sign.
 
-    The lane stepper's accepted steps are searched `_SECTION_CHUNK` at a time
-    (`_chunk_crossings`); the run stops once N crossings are found.
+    The lane stepper's accepted steps are searched in chunks
+    (`_chunk_crossings`), and the run stops once N crossings are found.  A
+    chunk spans half the steps that the rate of crossings so far expects
+    before the last crossing but one, between _SECTION_TAIL and
+    _SECTION_CHUNK steps, so the run ends a few steps past its Nth crossing.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -373,20 +378,26 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
         raise ValueError("direction must be +1 or -1")
     rhs = field_rhs(v)
     W = np.empty((_SECTION_CHUNK, len(_TABLEAU["A"]) + 2, 3))
-    spans, found, size = np.empty((_SECTION_CHUNK, 2)), [], 0
+    spans, found = np.empty((_SECTION_CHUNK, 2)), []
+    size, chunk, scanned = 0, _SECTION_CHUNK, 0
 
     def scan():
-        nonlocal size
+        nonlocal size, chunk, scanned
         if size:
             found.append(_chunk_crossings(rhs, W[:size], spans[:size], axis, level, direction))
+        scanned += size
         size = 0
-        return sum(len(times) for times, _, _ in found) >= N
+        count = sum(len(times) for times, _, _ in found)
+        if count:  # half the steps the rate so far expects before crossing N - 1
+            expected = scanned * (N - count - 1) // (2 * count)
+            chunk = min(_SECTION_CHUNK, max(_SECTION_TAIL, expected))
+        return count >= N
 
     def on_step(t_old, t_new, Z, y_new):
         nonlocal size
         W[size, :_STAGES + 2], W[size, -1], spans[size] = Z, y_new, (t_old, t_new)
         size += 1
-        return size == _SECTION_CHUNK and scan()
+        return size == chunk and scan()
 
     _dop853(rhs, np.asarray(x0, dtype=float)[None], tol, max_time, on_step=on_step)
     scan()

@@ -4,10 +4,14 @@ The operator star_g d is discretized as a symmetric matrix pencil (B, M):
 B_ij = integral of e_i ^ d(e_j) is metric-independent and assembled exactly
 by term matching, M(g)_ij = <e_i, e_j>_g is a grid quadrature with node
 counts above the Nyquist bound of the integrand.  Each kernel uses the
-Fourier structure of the basis: M is gathered from the DFT of the
-pointwise weights; the pencil, the symmetric family A = M^{-1/2} B M^{-1/2}
-and its exact derivative, its cluster eigensolve and contour projector work
-block by block over the couplings that survive; the projector solves only
+Fourier structure of the basis.  M and dM are block-first: their coupling
+partition comes from the support of the six weight DFTs and B's cos/sin
+pairs before any D x D array exists (16 blocks of at most 96, 6.9% of D^2,
+at K = 3 and eps != 0; 183 of at most 6 at eps = 0), and only the entries
+inside the blocks are gathered into a BlockMass.  The pencil, the
+symmetric family A = M^{-1/2} B M^{-1/2} and its exact derivative work on
+those blocks; A's cluster eigensolve and contour projector work per
+component of A's nonzero pattern; the projector solves only
 blocks with an eigenvalue inside its circle, at half the nodes (the rest are
 complex conjugates).  Eigenvalue clusters are tracked along metric families,
 first-order splitting is cross-checked against the variation pairing, and
@@ -25,13 +29,21 @@ symmetric family.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .contact import MetricFamily, MetricField, VariationTensor, uniform_grid
+from .contact import (
+    MetricFamily,
+    MetricField,
+    VariationTensor,
+    inverse_and_det,
+    require_positive,
+    uniform_grid,
+)
 from .errors import (
     ClusterLeakage,
     DegenerateDirection,
@@ -71,11 +83,11 @@ class FormBasis:
         self._gather_cache = {}
 
     def gather_indices(self, nodes: int):
-        """Indices of k_i + k_j and k_i - k_j (mod nodes) into a flattened
-        nodes^3 DFT array, one (n_scalar, n_scalar) array each."""
+        """Indices of k_v + k_w and k_v - k_w (mod nodes) into a flattened
+        nodes^3 DFT array, one (h + 1, h + 1) array each over the wave
+        vectors v, w of k = 0 and the half lattice; scalar j has wave (j + 1) // 2."""
         if nodes not in self._gather_cache:
-            kk = np.zeros((self.n_scalar, 3), dtype=np.int64)
-            kk[1::2] = kk[2::2] = self.half_lattice
+            kk = np.concatenate([np.zeros((1, 3), dtype=np.int64), self.half_lattice])
 
             def flat(m):
                 m = m % nodes
@@ -110,6 +122,14 @@ class FormBasis:
         return SpectralVectorField.from_half(K[keep], C[keep], truncation_radius=self.K)
 
 
+def _exterior_couplings(basis: FormBasis):
+    """(a, b, values over the half lattice) of B's entries between
+    cos(k.x) dx_a and sin(k.x) dx_b, a != b; a value is 0 where k_c = 0."""
+    for a, b in itertools.permutations(range(3), 2):
+        c = 3 - a - b
+        yield a, b, _EPS3[a, c, b] * basis.half_lattice[:, c] * (0.5 * VOLUME)
+
+
 def assemble_exterior(basis: FormBasis) -> np.ndarray:
     """Exact matrix B_ij = integral of e_i ^ d(e_j).
 
@@ -120,14 +140,10 @@ def assemble_exterior(basis: FormBasis) -> np.ndarray:
     B = np.zeros((basis.dimension, basis.dimension))
     cos = 1 + 2 * np.arange(len(basis.half_lattice))
     sin = cos + 1
-    for a in range(3):
-        for b in range(3):
-            if a != b:
-                c = 3 - a - b
-                val = _EPS3[a, c, b] * basis.half_lattice[:, c] * (0.5 * VOLUME)
-                # added onto +0.0, so an entry with k_c = 0 stays +0.0, never -0.0
-                B[a * S + cos, b * S + sin] += val
-                B[a * S + sin, b * S + cos] += -val
+    for a, b, val in _exterior_couplings(basis):
+        # added onto +0.0, so an entry with k_c = 0 stays +0.0, never -0.0
+        B[a * S + cos, b * S + sin] += val
+        B[a * S + sin, b * S + cos] += -val
     return B
 
 
@@ -135,7 +151,46 @@ def default_mass_nodes(K: int, degree_hint: int) -> int:
     return 2 * K + degree_hint + 1
 
 
-def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class BlockMass:
+    """Symmetric D x D matrix that is zero outside its diagonal blocks.
+
+    `parts` are ascending index arrays that partition range(D) and `blocks`
+    the symmetric matrices on them; `@` applies it to a vector or a D x k
+    matrix.
+    """
+
+    parts: tuple
+    blocks: tuple
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        for idx, block in zip(self.parts, self.blocks):
+            out[idx] = block @ x[idx]
+        return out
+
+
+def _partition(D: int, rows, cols) -> list:
+    """Ascending index arrays of the connected components of the graph on
+    range(D) with the edges rows[e] ~ cols[e], ordered by their first index."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(D, D))
+    n_parts, labels = connected_components(graph.tocsr(), directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_parts))[:-1])
+
+
+# slot pairs (a, b), a <= b, of the six weight DFTs, and the DFT that (a, b) reads
+_SLOT_PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
+_PAIR_OF = np.zeros((3, 3), dtype=np.int64)
+for _p, (_a, _b) in enumerate(_SLOT_PAIRS):
+    _PAIR_OF[_a, _b] = _PAIR_OF[_b, _a] = _p
+
+
+def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> BlockMass:
     """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the nodes^3 grid.
 
     `weights` holds a symmetric 3x3 weight W per point of `uniform_grid`,
@@ -144,55 +199,81 @@ def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> np.n
     and with the scalars written as Re(u e^{i k.x}), u = 1 for cos and -i
     for sin, the product-to-sum rules give the same discrete sum, aliasing
     included, as M_ij = Re(u_i u_j F(k_i + k_j) + u_i conj(u_j) F(k_i - k_j)) / 2.
+
+    So |M_ij| <= max(|F(k_i + k_j)|, |F(k_i - k_j)|), and the blocks are
+    the components of the graph that links e_i ~ e_j where either exceeds
+    1e-12 max|F|, or where B_ij != 0; only entries inside them are
+    gathered.  For positive definite weights max|F| = max_a F_aa(0), a
+    diagonal entry, so no entry above 1e-12 max|M| lies outside the blocks.
     """
     S = basis.n_scalar
+    W = weights.reshape(nodes, nodes, nodes, 3, 3)
+    F = np.stack([np.fft.fftn(W[..., a, b]).conj().ravel() for a, b in _SLOT_PAIRS])
     plus, minus = basis.gather_indices(nodes)
+    magnitude = np.abs(F)
+    support = magnitude > 1e-12 * np.max(magnitude)
+
+    # wave v of slot a links both its scalars to those of wave w of slot b;
+    # a wave with any link also joins its own cos and sin
+    cos = np.maximum(2 * np.arange(len(plus)) - 1, 0)
+    rows, cols, linked = [], [], np.zeros((3, len(plus)), dtype=bool)
+    for p, (a, b) in enumerate(_SLOT_PAIRS):
+        v, w = np.nonzero(support[p][plus] | support[p][minus])
+        rows.append(a * S + cos[v])
+        cols.append(b * S + cos[w])
+        linked[a, v] = linked[b, w] = True
+    a, v = np.nonzero(linked[:, 1:])
+    rows.append(a * S + 2 * v + 1)
+    cols.append(a * S + 2 * v + 2)
+    for a, b, val in _exterior_couplings(basis):
+        r = np.flatnonzero(val)
+        rows.append(a * S + 2 * r + 1)
+        cols.append(b * S + 2 * r + 2)
+    parts = _partition(basis.dimension, np.concatenate(rows), np.concatenate(cols))
+
     u = np.ones(S, dtype=complex)
     u[2::2] = -1j
-    u_plus, u_minus = np.outer(u, u), np.outer(u, u.conj())
-    W = weights.reshape(nodes, nodes, nodes, 3, 3)
-    M = np.empty((basis.dimension, basis.dimension))
-    for a in range(3):
-        for b in range(a, 3):
-            F = np.fft.fftn(W[..., a, b]).conj().ravel()
-            block = 0.5 * (u_plus * F[plus] + u_minus * F[minus]).real
-            M[a * S : (a + 1) * S, b * S : (b + 1) * S] = block
-            if b != a:
-                M[b * S : (b + 1) * S, a * S : (a + 1) * S] = block.T
-    return 0.5 * (M + M.T)
+    blocks = []
+    for idx in parts:
+        slot, j = np.divmod(idx, S)
+        pair, wave = _PAIR_OF[slot[:, None], slot], (j + 1) // 2
+        plus_ij, minus_ij = plus[wave[:, None], wave], minus[wave[:, None], wave]
+        uj = u[j]
+        block = 0.5 * (np.outer(uj, uj) * F[pair, plus_ij]
+                       + np.outer(uj, uj.conj()) * F[pair, minus_ij]).real
+        blocks.append(0.5 * (block + block.T))
+    return BlockMass(tuple(parts), tuple(blocks))
 
 
-def assemble_mass(metric: MetricField, basis: FormBasis, nodes=None) -> np.ndarray:
-    """Mass matrix M_ij = integral of g(e_i#, e_j#) vol_g by grid quadrature.
+def assemble_mass(metric: MetricField, basis: FormBasis, nodes=None) -> BlockMass:
+    """Mass matrix M_ij = integral of g(e_i#, e_j#) vol_g by grid quadrature,
+    on the blocks of `_block_quadrature`.
 
     Raises NotPositiveDefinite when the metric fails positivity on the
     quadrature grid.
     """
     if nodes is None:
         nodes = default_mass_nodes(basis.K, metric.degree_hint)
-    pts, w = uniform_grid(nodes)
-    G = metric.matrix(pts)
-    if float(np.min(np.linalg.eigvalsh(G))) <= 1e-12:
-        raise NotPositiveDefinite("metric not positive definite on the quadrature grid")
-    sqrt_det = np.sqrt(np.linalg.det(G))
-    return _block_quadrature(basis, nodes, np.linalg.inv(G) * sqrt_det[:, None, None] * w)
+    _, w = uniform_grid(nodes)
+    G = metric.grid_matrix(nodes)
+    Ginv, det = inverse_and_det(G)
+    require_positive(G, det, "the quadrature grid")
+    return _block_quadrature(basis, nodes, Ginv * (np.sqrt(det) * w)[:, None, None])
 
 
-def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> np.ndarray:
+def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> BlockMass:
     """Exact first-order mass matrix along the variation tensor h.
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
     """
     nodes = default_mass_nodes(basis.K, metric.degree_hint + h.entries.degree())
     pts, w = uniform_grid(nodes)
-    G = metric.matrix(pts)
-    Ginv = np.linalg.inv(G)
-    sqrt_det = np.sqrt(np.linalg.det(G))
+    Ginv, det = inverse_and_det(metric.grid_matrix(nodes))
     H = h.entries.evaluate(pts)
     HS = np.einsum("pij,pjk,pkl->pil", Ginv, H, Ginv)
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = -HS + 0.5 * tr[:, None, None] * Ginv
-    return _block_quadrature(basis, nodes, core * sqrt_det[:, None, None] * w)
+    return _block_quadrature(basis, nodes, core * (np.sqrt(det) * w)[:, None, None])
 
 
 @dataclass(frozen=True)
@@ -212,29 +293,16 @@ class EigenCluster:
 
 def _components(pattern) -> list:
     """Index arrays of the connected components of a symmetric boolean matrix."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
     if pattern.all():
         return [np.arange(len(pattern))]
-    n_parts, labels = connected_components(csr_array(pattern), directed=False)
-    return [np.flatnonzero(labels == c) for c in range(n_parts)]
+    return _partition(len(pattern), *np.nonzero(pattern))
 
 
-def _pencil_components(B: np.ndarray, *masses) -> list:
-    """Components of the coupling graph: B_ij != 0 or |M_ij| > 1e-12 max|M| for some M."""
-    pattern = B != 0
-    for M in masses:
-        absM = np.abs(M)
-        pattern |= absM > 1e-12 * np.max(absM)
-    return _components(pattern)
-
-
-def _block_eigh(parts, eigh, select):
-    """Eigenpairs by blocks, `eigh(idx)` solving the block on rows idx: every
-    eigenvalue (block order), the indices of those with `select(vals)` in a
-    stable ascending sort, and their vectors scattered to full length."""
-    solved = [eigh(idx) for idx in parts]
+def _block_eigh(parts, solved, select):
+    """Eigenpairs by blocks, `solved` holding (eigenvalues, vectors) of the
+    block on each index array of `parts`: every eigenvalue (block order),
+    the indices of those with `select(vals)` in a stable ascending sort, and
+    their vectors scattered to full length."""
     vals = np.concatenate([w for w, _ in solved])
     keep = np.flatnonzero(select(vals))
     keep = keep[np.argsort(vals[keep], kind="stable")]
@@ -246,15 +314,16 @@ def _block_eigh(parts, eigh, select):
     return vals, keep, vectors
 
 
-def solve_pencil(B: np.ndarray, M: np.ndarray, window) -> EigenCluster:
+def solve_pencil(B: np.ndarray, M: BlockMass, window) -> EigenCluster:
     """Generalized symmetric eigensolve; returns the pairs inside (lo, hi).
 
-    The pencil is solved on each connected component of its coupling graph
-    (i ~ j when B_ij != 0 or |M_ij| > 1e-12 max|M|): the basis splits into
-    symmetry blocks that the trig structure keeps apart, e.g. 20 blocks of
-    at most 96 at K = 3 for the x2-independent family metric.  Eigenvalues
-    are merged by a stable sort and vectors scattered into full length; a
-    pencil that forms one component gets exactly the dense solve.
+    The pencil is solved on each block of M, whose partition also holds
+    the couplings of B (see `_block_quadrature`): found from the support
+    of the weight DFTs before assembly, it has 16 blocks of at most 96 at
+    K = 3 for the x2-independent family metric at eps != 0, and 183 of at
+    most 6 at eps = 0.  Eigenvalues are merged by a stable sort and vectors
+    scattered into full length; a pencil that forms one block gets exactly
+    the dense solve.
 
     Raises WindowTouchesSpectrum when any eigenvalue sits within 1e-8 of a
     window endpoint (the window no longer isolates a cluster).
@@ -262,9 +331,8 @@ def solve_pencil(B: np.ndarray, M: np.ndarray, window) -> EigenCluster:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an increasing interval")
-    vals, keep, vectors = _block_eigh(
-        _pencil_components(B, M), lambda idx: sla.eigh(B[np.ix_(idx, idx)], M[np.ix_(idx, idx)]),
-        lambda w: (w > lo) & (w < hi))
+    solved = [sla.eigh(B[np.ix_(idx, idx)], block) for idx, block in zip(M.parts, M.blocks)]
+    vals, keep, vectors = _block_eigh(M.parts, solved, lambda w: (w > lo) & (w < hi))
     if np.any(np.abs(vals - lo) < 1e-8) or np.any(np.abs(vals - hi) < 1e-8):
         raise WindowTouchesSpectrum(f"eigenvalue within 1e-8 of window ({lo}, {hi})")
     return EigenCluster(0.5 * (lo + hi), 0.5 * (hi - lo), vals[keep], vectors)
@@ -289,7 +357,7 @@ class SplittingCurves:
         return float(np.max(self.fit_slopes) - np.min(self.fit_slopes))
 
 
-def _match_by_overlap(cluster: EigenCluster, M: np.ndarray, target):
+def _match_by_overlap(cluster: EigenCluster, M: BlockMass, target):
     overlaps = cluster.vectors.T @ (M @ target)
     idx = int(np.argmax(np.abs(overlaps)))
     return idx, float(cluster.eigenvalues[idx])
@@ -363,10 +431,9 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
     for e in eps_list:
         _, lam = _match_by_overlap(clusters[e], masses[e], alpha_vec)
         alpha_curve.append(lam)
-        r = B @ alpha_vec - lam0 * (masses[e] @ alpha_vec)
-        alpha_residuals.append(
-            float(np.linalg.norm(r) / np.linalg.norm(masses[e] @ alpha_vec))
-        )
+        m_alpha = masses[e] @ alpha_vec
+        r = B @ alpha_vec - lam0 * m_alpha
+        alpha_residuals.append(float(np.linalg.norm(r) / np.linalg.norm(m_alpha)))
 
     base = clusters[0.0]
     U0 = base.vectors
@@ -423,7 +490,7 @@ def hellmann_feynman(family: MetricFamily, directions, lam: float, basis: FormBa
     M0 = assemble_mass(family.base, basis)
     U0 = solve_pencil(B, M0, window).vectors
     dM = mass_derivative(family.base, family.variation, basis)
-    Pi = -lam * (U0.T @ dM @ U0)
+    Pi = -lam * (U0.T @ (dM @ U0))
     units = []
     for u in directions:
         u = np.asarray(u, dtype=float)
@@ -522,20 +589,31 @@ def pencil_operator_family(family: MetricFamily, basis: FormBasis):
 
     Shares the pencil's spectrum while keeping a fixed (Euclidean) inner
     product, which is what the compression machinery expects.  It is formed
-    per component of solve_pencil's coupling graph, exactly zero between.
+    per block of M(eps), exactly zero between.
     """
     B = assemble_exterior(basis)
 
     def A_of(eps):
         M = assemble_mass(family.member(eps), basis)
-        A = np.zeros_like(M)
-        for idx in _pencil_components(B, M):
+        A = np.zeros_like(B)
+        for idx, block in zip(M.parts, M.blocks):
             ix = np.ix_(idx, idx)
-            R = matrix_inv_sqrt(M[ix])
+            R = matrix_inv_sqrt(block)
             A[ix] = R @ B[ix] @ R
         return 0.5 * (A + A.T)
 
     return A_of
+
+
+def _coarsen(mass: BlockMass, parts) -> list:
+    """The matrices of `mass` on the blocks of `parts`, each a union of its blocks."""
+    owner, pos = np.empty((2, sum(map(len, parts))), dtype=int)
+    for c, idx in enumerate(parts):
+        owner[idx], pos[idx] = c, np.arange(len(idx))
+    out = [np.zeros((len(idx), len(idx))) for idx in parts]
+    for idx, block in zip(mass.parts, mass.blocks):
+        out[owner[idx[0]]][np.ix_(pos[idx], pos[idx])] = block
+    return out
 
 
 def pencil_operator_derivative(family: MetricFamily, basis: FormBasis) -> np.ndarray:
@@ -544,19 +622,22 @@ def pencil_operator_derivative(family: MetricFamily, basis: FormBasis) -> np.nda
     dR is the Frechet derivative of M^{-1/2} along dM = mass_derivative, in
     each block's eigenbasis M0 = V diag(s^2) V' the Daleckii-Krein form
     V (L * V' dM V) V' with L_ij = -1 / (s_i s_j (s_i + s_j)) (N. J. Higham,
-    Functions of Matrices, SIAM 2008, 3.2).  Blocks are the components of
-    the joint graph of B, M0 and dM: dM couples components of M0.
+    Functions of Matrices, SIAM 2008, 3.2).  Blocks join those of M0 and dM:
+    dM couples blocks of M0.
     """
     B = assemble_exterior(basis)
     M0 = assemble_mass(family.member(0.0), basis)
     dM = mass_derivative(family.base, family.variation, basis)
-    dA = np.zeros_like(M0)
-    for idx in _pencil_components(B, M0, dM):
+    chains = [idx for mass in (M0, dM) for idx in mass.parts]
+    parts = _partition(basis.dimension, np.concatenate([idx[:-1] for idx in chains]),
+                       np.concatenate([idx[1:] for idx in chains]))
+    dA = np.zeros_like(B)
+    for idx, M0b, dMb in zip(parts, _coarsen(M0, parts), _coarsen(dM, parts)):
         ix = np.ix_(idx, idx)
-        vals, V = _positive_eigh(M0[ix])
+        vals, V = _positive_eigh(M0b)
         s = np.sqrt(vals)
         L = -1.0 / (np.outer(s, s) * (s[:, None] + s))
-        dR = V @ (L * (V.T @ dM[ix] @ V)) @ V.T
+        dR = V @ (L * (V.T @ dMb @ V)) @ V.T
         half = dR @ B[ix] @ ((V / s) @ V.T)
         dA[ix] = half + half.T  # B and R are symmetric, so R B dR = half'
     return dA
@@ -565,8 +646,9 @@ def pencil_operator_derivative(family: MetricFamily, basis: FormBasis) -> np.nda
 def matrix_cluster(A: np.ndarray, center: float, radius: float) -> EigenCluster:
     """Eigenpairs with |lambda - center| < radius, solved per component of
     A's nonzero pattern as in solve_pencil; ClusterLeakage if there are none."""
+    parts = _components(A != 0)
     vals, keep, vectors = _block_eigh(
-        _components(A != 0), lambda idx: np.linalg.eigh(A[np.ix_(idx, idx)]),
+        parts, [np.linalg.eigh(A[np.ix_(idx, idx)]) for idx in parts],
         lambda w: np.abs(w - center) < radius)
     if len(keep) == 0:
         raise ClusterLeakage(

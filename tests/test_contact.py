@@ -229,6 +229,71 @@ class TestMetricFamily:
             ct.metric_family(bad, contact, beta, [0.1])
 
 
+def spd(gen, count, smallest, scale):
+    """Symmetric positive definite 3x3 matrices with eigenvalues
+    (smallest, scale, 2 scale) in random orthonormal frames."""
+    Q = np.linalg.qr(gen.standard_normal((count, 3, 3)))[0]
+    return (Q * np.array([smallest, scale, 2.0 * scale])[None, None, :]) @ np.swapaxes(Q, 1, 2)
+
+
+class TestClosedFormAlgebra:
+    def check_against_linalg(self, G):
+        inv, det = ct.inverse_and_det(G)
+        ref_inv, ref_det = np.linalg.inv(G), np.linalg.det(G)
+        scale = np.max(np.abs(ref_inv), axis=(1, 2))
+        assert np.all(np.max(np.abs(inv - ref_inv), axis=(1, 2)) <= 1e-14 * scale)
+        assert np.all(np.abs(det - ref_det) <= 1e-14 * np.abs(ref_det))
+
+    def test_cofactors_match_linalg_on_family_grids(self, model, family):
+        _, g = model
+        for nodes in (19, 20, 27):
+            self.check_against_linalg(g.grid_matrix(nodes))
+            for eps in family.epsilon_grid:
+                self.check_against_linalg(family.member(eps).grid_matrix(nodes))
+
+    def test_cofactors_match_linalg_on_random_spd(self):
+        gen = np.random.Generator(np.random.Philox(key=np.array([61, 0], dtype=np.uint64)))
+        for scale in (1e-3, 1.0, 1e3):
+            G = spd(gen, 500, scale * gen.uniform(0.2, 1.0), scale)
+            G = 0.5 * (G + np.swapaxes(G, 1, 2))
+            self.check_against_linalg(G)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("smallest", [1e-13, 1e-12 * (1 - 1e-3), 1e-12 * (1 + 1e-3), 1e-11])
+    def test_positivity_guard_fires_where_eigvalsh_says(self, smallest, scale):
+        gen = np.random.Generator(np.random.Philox(key=np.array([67, 0], dtype=np.uint64)))
+        for G in spd(gen, 50, smallest, scale):
+            G = 0.5 * (G + G.T)
+            fires = float(np.min(np.linalg.eigvalsh(G))) <= 1e-12
+            # one bad point among well-conditioned ones
+            batch = np.concatenate([spd(gen, 20, 1.0, 1.0), G[None]])
+            det = ct.inverse_and_det(batch)[1]
+            if fires:
+                with pytest.raises(NotPositiveDefinite):
+                    ct.require_positive(batch, det, "test points")
+            else:
+                ct.require_positive(batch, det, "test points")
+
+    def test_grid_fields_are_evaluated_once_per_grid(self, model, beta, monkeypatch):
+        contact, g = model
+        family = ct.metric_family(g, contact, beta, [-0.1, 0.1])
+        calls = []
+        real = sp._SpectralField.evaluate
+
+        def counted(self, points):
+            calls.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(sp._SpectralField, "evaluate", counted)
+        pts, _ = ct.uniform_grid(9)
+        for eps in (-0.1, 0.0, 0.05, 0.1):
+            member = family.member(eps)
+            assert np.array_equal(member.grid_matrix(9), member.matrix(pts))
+        # g_xi, alpha_sq, b_xi (x) b_xi and |b_xi|^2 once for the cache, and
+        # four fresh evaluations by each matrix call
+        assert calls == [len(pts)] * (4 + 4 * 4)
+
+
 class TestNoncollinearity:
     def test_alpha_with_itself(self, model):
         contact, _ = model

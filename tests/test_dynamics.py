@@ -148,6 +148,27 @@ class TestPoincare:
         around = np.abs((section.points - points + np.pi) % TWO_PI - np.pi)
         assert np.max(around) <= 1e-8
 
+    @pytest.mark.parametrize("C", [0.0, 0.1])
+    @pytest.mark.parametrize("start", [0, 1], ids=["H=0.8", "H=-0.8"])
+    def test_stops_within_eight_steps_of_the_last_crossing(self, C, start, monkeypatch):
+        # the integration ends at most 8 accepted steps after the one that
+        # holds the Nth crossing (a whole 64-step chunk took 20 to 60 more)
+        ends = []
+        real = dyn._dop853
+
+        def spy(rhs, y0, tol, t_end, renorm=None, on_step=None):
+            def step(t_old, t_new, Z, y_new):
+                ends.append(t_new)
+                return on_step(t_old, t_new, Z, y_new)
+            return real(rhs, y0, tol, t_end, renorm, step)
+
+        monkeypatch.setattr(dyn, "_dop853", spy)
+        x0, direction = self.REGULAR_STARTS[start]
+        v = sp.make_abc(sp.ABCParams(1.0, 0.5, C))
+        section = dyn.poincare(v, (1, 0.0), direction, x0, 100, tol=1e-10, max_time=1e4)
+        holding = int(np.searchsorted(ends, section.times[-1]))
+        assert len(ends) - 1 - holding <= 8
+
     def test_brackets_count_a_crossing_on_a_step_boundary_once(self):
         # two steps of 4 pieces: the first ends exactly on the level 1.0,
         # where the second starts

@@ -50,6 +50,63 @@ def flat1(model, basis1):
     return B, M
 
 
+def dense(mass):
+    """The D x D matrix of a block mass."""
+    D = sum(len(idx) for idx in mass.parts)
+    out = np.zeros((D, D))
+    for idx, block in zip(mass.parts, mass.blocks):
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
+def dense_quadrature(basis, nodes, weights):
+    """Slow reference for the block quadrature: every entry gathered from
+    the slot DFTs, M_ij = Re(u_i u_j F(k_i + k_j) + u_i conj(u_j) F(k_i - k_j)) / 2."""
+    S = basis.n_scalar
+    kk = np.zeros((S, 3), dtype=np.int64)
+    kk[1::2] = kk[2::2] = basis.half_lattice
+
+    def flat(m):
+        m = m % nodes
+        return (m[..., 0] * nodes + m[..., 1]) * nodes + m[..., 2]
+
+    plus, minus = flat(kk[:, None] + kk[None]), flat(kk[:, None] - kk[None])
+    u = np.ones(S, dtype=complex)
+    u[2::2] = -1j
+    W = weights.reshape(nodes, nodes, nodes, 3, 3)
+    M = np.empty((basis.dimension, basis.dimension))
+    for a in range(3):
+        for b in range(a, 3):
+            F = np.fft.fftn(W[..., a, b]).conj().ravel()
+            block = 0.5 * (np.outer(u, u) * F[plus] + np.outer(u, u.conj()) * F[minus]).real
+            M[a * S:(a + 1) * S, b * S:(b + 1) * S] = block
+            M[b * S:(b + 1) * S, a * S:(a + 1) * S] = block.T
+    return 0.5 * (M + M.T)
+
+
+def reference_weights(metric, nodes, h=None):
+    """Pointwise weights of M (or of dM along h) by np.linalg on the grid."""
+    pts, w = ct.uniform_grid(nodes)
+    G = metric.matrix(pts)
+    Ginv = np.linalg.inv(G)
+    if h is not None:
+        H = h.entries.evaluate(pts)
+        tr = np.einsum("pij,pij->p", Ginv, H)
+        Ginv = -Ginv @ H @ Ginv + 0.5 * tr[:, None, None] * Ginv
+    return Ginv * np.sqrt(np.linalg.det(G))[:, None, None] * w
+
+
+def dense_rule_parts(B, *masses):
+    """Components of the dense coupling rule: B_ij != 0 or |M_ij| > 1e-12 max|M|."""
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = B != 0
+    for M in masses:
+        pattern |= np.abs(M) > 1e-12 * np.max(np.abs(M))
+    n, labels = connected_components(pattern, directed=False)
+    return [np.flatnonzero(labels == c) for c in range(n)]
+
+
 def unit_shell_fields():
     """The helicity basis of shell 1 as one field per basis vector."""
     K, U = sp.helicity_basis(1)
@@ -113,7 +170,7 @@ class TestFormBasis:
         assert gk.FormBasis(2).dimension == 3 * 125
 
     def test_flat_gram_is_diagonal(self, flat1, basis1):
-        _, M = flat1
+        M = dense(flat1[1])
         off = M - np.diag(np.diag(M))
         assert np.max(np.abs(off)) <= 1e-12
         assert np.max(np.abs(np.diag(M) - flat_gram_diagonal(basis1))) <= 1e-10
@@ -209,7 +266,7 @@ class TestMassMatrix:
         from numpy.polynomial.legendre import leggauss
 
         member = family.member(0.15)
-        M = gk.assemble_mass(member, basis1)
+        M = dense(gk.assemble_mass(member, basis1))
         x, w = leggauss(24)
         x = (x + 1.0) * np.pi
         w = w * np.pi
@@ -230,12 +287,14 @@ class TestMassMatrix:
             assert M[i, j] == pytest.approx(ref, abs=1e-10)
 
     def test_derivative_matches_finite_differences(self, family, basis1):
-        dM = gk.mass_derivative(family.base, family.variation, basis1)
+        dM = dense(gk.mass_derivative(family.base, family.variation, basis1))
         eps = 1e-2
-        fd1 = (gk.assemble_mass(family.member(eps), basis1)
-               - gk.assemble_mass(family.member(-eps), basis1)) / (2 * eps)
-        fd2 = (gk.assemble_mass(family.member(eps / 2), basis1)
-               - gk.assemble_mass(family.member(-eps / 2), basis1)) / eps
+
+        def M(e):
+            return dense(gk.assemble_mass(family.member(e), basis1))
+
+        fd1 = (M(eps) - M(-eps)) / (2 * eps)
+        fd2 = (M(eps / 2) - M(-eps / 2)) / eps
         fd = (4.0 * fd2 - fd1) / 3.0
         assert np.linalg.norm(fd - dM) / np.linalg.norm(dM) <= 1e-8
 
@@ -281,16 +340,7 @@ class TestMassAgainstPointwiseQuadrature:
                  (family.base, family.base.degree_hint + family.variation.entries.degree(), True)]
         for metric, hint, derivative in cases:
             n = {None: gk.default_mass_nodes(K, hint), "aliased": 2 * K}.get(nodes, nodes)
-            pts, w = ct.uniform_grid(n)
-            G = metric.matrix(pts)
-            Ginv = np.linalg.inv(G)
-            if derivative:
-                H = family.variation.entries.evaluate(pts)
-                tr = np.einsum("pij,pij->p", Ginv, H)
-                weights = -Ginv @ H @ Ginv + 0.5 * tr[:, None, None] * Ginv
-            else:
-                weights = Ginv
-            weights = weights * np.sqrt(np.linalg.det(G))[:, None, None] * w
+            weights = reference_weights(metric, n, family.variation if derivative else None)
             if not derivative:
                 fast = gk.assemble_mass(metric, basis, nodes=n)
             elif nodes is None:
@@ -298,11 +348,117 @@ class TestMassAgainstPointwiseQuadrature:
             else:
                 fast = gk._block_quadrature(basis, n, weights)
             ref = pointwise_quadrature(basis, n, weights)
-            assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(dense(fast) - ref)) <= 1e-13 * np.max(np.abs(ref))
             if nodes is None:  # n is the node count the default picks
                 default = (gk.mass_derivative(metric, family.variation, basis) if derivative
                            else gk.assemble_mass(metric, basis))
-                assert np.array_equal(fast, default)
+                assert np.array_equal(dense(fast), dense(default))
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3], ids=["K1", "K2", "K3"])
+def mass_cases(request, family):
+    """(basis, [(name, block mass, dense reference)]) for the base metric,
+    the eps = +-0.2 members and dM."""
+    basis = gk.FormBasis(request.param)
+    cases = []
+    for name, metric in [("base", family.base), ("+0.2", family.member(0.2)),
+                         ("-0.2", family.member(-0.2))]:
+        nodes = gk.default_mass_nodes(basis.K, metric.degree_hint)
+        cases.append((name, gk.assemble_mass(metric, basis),
+                      dense_quadrature(basis, nodes, reference_weights(metric, nodes))))
+    h = family.variation
+    nodes = gk.default_mass_nodes(basis.K, family.base.degree_hint + h.entries.degree())
+    cases.append(("dM", gk.mass_derivative(family.base, h, basis),
+                  dense_quadrature(basis, nodes, reference_weights(family.base, nodes, h))))
+    return basis, cases
+
+
+def reference_operator(family, basis, eps):
+    """A(eps) built as before the block-first mass: the dense M, split by
+    the dense coupling rule, M^{-1/2} per component."""
+    B = gk.assemble_exterior(basis)
+    metric = family.member(eps)
+    nodes = gk.default_mass_nodes(basis.K, metric.degree_hint)
+    M = dense_quadrature(basis, nodes, reference_weights(metric, nodes))
+    A = np.zeros_like(M)
+    for idx in dense_rule_parts(B, M):
+        ix = np.ix_(idx, idx)
+        R = gk.matrix_inv_sqrt(M[ix])
+        A[ix] = R @ B[ix] @ R
+    return 0.5 * (A + A.T)
+
+
+def reference_derivative(family, basis):
+    """dA(0) as before the block-first mass: Daleckii-Krein on the dense
+    M0 and dM, per component of their joint dense coupling rule."""
+    B = gk.assemble_exterior(basis)
+    base, h = family.member(0.0), family.variation
+    nodes = gk.default_mass_nodes(basis.K, base.degree_hint)
+    M0 = dense_quadrature(basis, nodes, reference_weights(base, nodes))
+    nodes = gk.default_mass_nodes(basis.K, family.base.degree_hint + h.entries.degree())
+    dM = dense_quadrature(basis, nodes, reference_weights(family.base, nodes, h))
+    dA = np.zeros_like(M0)
+    for idx in dense_rule_parts(B, M0, dM):
+        ix = np.ix_(idx, idx)
+        vals, V = np.linalg.eigh(M0[ix])
+        s = np.sqrt(vals)
+        L = -1.0 / (np.outer(s, s) * (s[:, None] + s))
+        dR = V @ (L * (V.T @ dM[ix] @ V)) @ V.T
+        half = dR @ B[ix] @ ((V / s) @ V.T)
+        dA[ix] = half + half.T
+    return dA
+
+
+class TestBlockMassAgainstDense:
+    def test_blocks_match_and_hold_every_coupling(self, mass_cases):
+        basis, cases = mass_cases
+        B = gk.assemble_exterior(basis)
+        for name, blocks, ref in cases:
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(dense(blocks) - ref)) <= 1e-12 * scale, name
+            inside = np.zeros(ref.shape, dtype=bool)
+            for idx in blocks.parts:
+                inside[np.ix_(idx, idx)] = True
+            assert np.all(inside[np.abs(ref) > 1e-12 * scale]), name
+            assert np.all(inside[B != 0]), name
+            assert np.array_equal(np.sort(np.concatenate(blocks.parts)), np.arange(len(ref)))
+
+    def test_pencil_eigenvalues_match_dense_eigh(self, mass_cases):
+        basis, cases = mass_cases
+        B = gk.assemble_exterior(basis)
+        window = (0.8, 1.6)
+        for name, blocks, ref in cases[:3]:
+            cl = gk.solve_pencil(B, blocks, window)
+            vals = sla.eigh(B, ref, eigvals_only=True)
+            vals = vals[(vals > window[0]) & (vals < window[1])]
+            assert cl.multiplicity == len(vals), name
+            assert np.max(np.abs(cl.eigenvalues - vals)) <= 1e-12, name
+
+    def test_blocks_of_a_family_member_are_sparse(self, family):
+        import tracemalloc
+
+        basis = gk.FormBasis(3)
+        D = basis.dimension
+        member = family.member(0.1)
+        for assemble in (lambda: gk.assemble_mass(member, basis),
+                         lambda: gk.mass_derivative(family.base, family.variation, basis)):
+            blocks = assemble()  # warm: grid fields and gather indices
+            assert sum(len(idx) ** 2 for idx in blocks.parts) < 0.1 * D * D
+            tracemalloc.start()
+            try:
+                assemble()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * D * D  # below one D x D float array
+
+    def test_operator_family_and_derivative_match_the_dense_construction(self, pi_family):
+        fam, basis, A_of, dA, _ = pi_family
+        for eps in (0.05, -0.05):
+            ref = reference_operator(fam, basis, eps)
+            assert np.max(np.abs(A_of(eps) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref = reference_derivative(fam, basis)
+        assert np.max(np.abs(dA - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestRichardson:
@@ -362,7 +518,7 @@ class TestSolvePencil:
     def test_vectors_are_mass_orthonormal(self, flat1):
         B, M = flat1
         cl = gk.solve_pencil(B, M, (0.8, 1.2))
-        G = cl.vectors.T @ M @ cl.vectors
+        G = cl.vectors.T @ (M @ cl.vectors)
         assert np.max(np.abs(G - np.eye(cl.multiplicity))) <= 1e-12
 
     def test_reversed_window_rejected(self, flat1):
@@ -381,15 +537,16 @@ class TestSolvePencil:
 
         basis = gk.FormBasis(2)
         B = gk.assemble_exterior(basis)
-        M = gk.assemble_mass(family.member(eps), basis)
+        blocks = gk.assemble_mass(family.member(eps), basis)
+        M = dense(blocks)
         coupled = (B != 0) | (np.abs(M) > 1e-12 * np.max(np.abs(M)))
         assert connected_components(coupled, directed=False)[0] > 1
         window = (0.8, 1.6)
-        cl = gk.solve_pencil(B, M, window)
-        dense = sla.eigh(B, M, eigvals_only=True)
-        dense = dense[(dense > window[0]) & (dense < window[1])]
-        assert cl.multiplicity == len(dense) > 6
-        assert np.max(np.abs(cl.eigenvalues - dense)) <= 1e-12
+        cl = gk.solve_pencil(B, blocks, window)
+        ref = sla.eigh(B, M, eigvals_only=True)
+        ref = ref[(ref > window[0]) & (ref < window[1])]
+        assert cl.multiplicity == len(ref) > 6
+        assert np.max(np.abs(cl.eigenvalues - ref)) <= 1e-12
         G = cl.vectors.T @ M @ cl.vectors
         assert np.max(np.abs(G - np.eye(cl.multiplicity))) <= 1e-12
         assert np.max(np.abs(B @ cl.vectors - (M @ cl.vectors) * cl.eigenvalues)) <= 1e-12
@@ -397,7 +554,7 @@ class TestSolvePencil:
     def test_window_edge_in_a_later_component_raises(self):
         # two components: eigenvalues -1, 1 in the first and 1.5, 2.5 in the second
         B = sla.block_diag([[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.5], [0.5, 2.0]])
-        M = np.eye(4)
+        M = gk.BlockMass((np.arange(2), np.arange(2, 4)), (np.eye(2), np.eye(2)))
         cl = gk.solve_pencil(B, M, (0.0, 2.0))
         assert np.max(np.abs(cl.eigenvalues - [1.0, 1.5])) <= 1e-14
         assert np.array_equal(cl.vectors[2:, 0], [0.0, 0.0])
@@ -415,7 +572,7 @@ class TestSolvePencil:
         B = B + B.T
         vals, vecs = sla.eigh(B, M)
         lo, hi = 0.5 * (vals[9] + vals[10]), 0.5 * (vals[19] + vals[20])
-        cl = gk.solve_pencil(B, M, (lo, hi))
+        cl = gk.solve_pencil(B, gk.BlockMass((np.arange(40),), (M,)), (lo, hi))
         assert np.array_equal(cl.eigenvalues, vals[10:20])
         assert np.array_equal(cl.vectors, vecs[:, 10:20])
 
@@ -486,7 +643,7 @@ class TestHellmannFeynman:
         M0 = gk.assemble_mass(family.base, basis)
         U0 = gk.solve_pencil(B, M0, (0.8, 1.2)).vectors
         dM = gk.mass_derivative(family.base, family.variation, basis)
-        assert np.array_equal(Pi, -1.0 * (U0.T @ dM @ U0))
+        assert np.array_equal(Pi, -1.0 * (U0.T @ (dM @ U0)))
 
     def test_unadapted_direction_raises(self, family, model, beta):
         contact, _ = model
@@ -495,7 +652,7 @@ class TestHellmannFeynman:
         M0 = gk.assemble_mass(family.base, basis)
         cl = gk.solve_pencil(B, M0, (0.8, 1.2))
         dM = gk.mass_derivative(family.base, family.variation, basis)
-        Pi = -1.0 * (cl.vectors.T @ dM @ cl.vectors)
+        Pi = -1.0 * (cl.vectors.T @ (dM @ cl.vectors))
         vals, vecs = np.linalg.eigh(Pi)
         mix = (cl.vectors @ (vecs[:, 0] + vecs[:, -1])) / math.sqrt(2.0)
         with pytest.raises(DegenerateDirection):
@@ -560,7 +717,7 @@ def dense_operator_family(family, basis):
     B = gk.assemble_exterior(basis)
 
     def A_of(eps):
-        w, V = np.linalg.eigh(gk.assemble_mass(family.member(eps), basis))
+        w, V = np.linalg.eigh(dense(gk.assemble_mass(family.member(eps), basis)))
         R = (V / np.sqrt(w)) @ V.T
         A = R @ B @ R
         return 0.5 * (A + A.T)
@@ -769,7 +926,7 @@ class TestPiDerivative:
         A0 = A_of(0.0)
         DA = gk.central_derivative(A_of, 0.0, 0.02)
         M0 = gk.assemble_mass(g, basis)
-        sqrtM = gk.matrix_sqrt(M0)
+        sqrtM = gk.BlockMass(M0.parts, tuple(gk.matrix_sqrt(block) for block in M0.blocks))
         av = sqrtM @ basis.form_to_vector(contact.alpha)
         av /= np.linalg.norm(av)
         bv = sqrtM @ basis.form_to_vector(beta)
@@ -790,14 +947,11 @@ class TestExactFirstOrderCompression:
     def test_pencil_identity_on_the_cluster(self, pi_family, model):
         # U0' dA U0 = -lambda0 X' dM X with X = M0^{-1/2} U0, per block
         fam, basis, _, dA, cluster = pi_family
-        B = gk.assemble_exterior(basis)
         M0 = gk.assemble_mass(fam.member(0.0), basis)
-        R = np.zeros_like(M0)
-        for idx in gk._pencil_components(B, M0):
-            R[np.ix_(idx, idx)] = gk.matrix_inv_sqrt(M0[np.ix_(idx, idx)])
+        R = gk.BlockMass(M0.parts, tuple(gk.matrix_inv_sqrt(block) for block in M0.blocks))
         X = R @ cluster.vectors
         dM = gk.mass_derivative(fam.base, fam.variation, basis)
-        pencil = -model[0].lambda0 * (X.T @ dM @ X)
+        pencil = -model[0].lambda0 * (X.T @ (dM @ X))
         compressed = cluster.vectors.T @ dA @ cluster.vectors
         assert np.max(np.abs(pencil - compressed)) <= 1e-14 * np.max(np.abs(compressed))
 
