@@ -1,6 +1,6 @@
 """Median timings of eulerlab's kernels, per layer and end to end.
 
-Two groups of rows, each written to its own JSON file.
+Three groups of rows, each written to its own JSON file.
 
 `--group galerkin` (BENCH_galerkin.json), wall seconds of one call:
 
@@ -30,10 +30,22 @@ Two groups of rows, each written to its own JSON file.
 - `lyapunov_max` at T = 1e3, renorm 5: 2 random and 4 separatrix seeds;
 - `poincare` with 100 crossings of x2 = 0 from a start on the level
   H = 0.8 of the C = 0 field;
-- `import_runner`: `import eulerlab.runner` in a fresh interpreter, timed
-  inside it;
 - end to end, one `lyapunov` run (4 separatrix seeds, T = 1e3) and one
   `poincare` run (100 crossings) through `runner.run`.
+
+`--group startup` (BENCH_startup.json), what a run pays before it computes:
+
+- `import_runner`: `import eulerlab.runner` in a fresh interpreter;
+- `setup`: a fresh interpreter that imports `eulerlab.runner` and validates
+  12 configs shaped like one pass of perfbench's sections-and-fields
+  workload (4 `poincare`, `abc`, 3 `bernoulli`, 4 `spectrum`);
+- `load_config_warm`: `runner.load_config` of the same 12 configs in this
+  process, after the warm-up pass, divided by 12;
+- `cli_run_spectrum`: a fresh interpreter that runs a `spectrum` n = 9
+  config through `cli.main`.
+
+The fresh interpreters time themselves, from before the first eulerlab
+import to the end, so interpreter start-up is not counted.
 
 Medians are over --runs repetitions in one process with one BLAS thread,
 after one warm-up call.  Every call used exists with the same signature
@@ -188,15 +200,6 @@ def _per_attempt(rhs, y0):
     return timed
 
 
-def _import_runner():
-    code = ("import time\nstart = time.perf_counter()\nimport eulerlab.runner\n"
-            "print(time.perf_counter() - start)\n")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120, check=True)
-    return float(out.stdout)
-
-
 def _dynamics_cases(scratch):
     v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1))
     w0 = np.array([0.6, 0.64, 0.48])
@@ -221,14 +224,69 @@ def _dynamics_cases(scratch):
         "lyapunov_max_T1e3_L4": _wall(lambda: dyn.lyapunov_max(v, seeds[:4], 1e3, 5.0)),
         "poincare_100": _wall(lambda: dyn.poincare(integrable, (1, 0.0), +1, start, 100,
                                                    tol=1e-10, max_time=1e4)),
-        "import_runner": _import_runner,
         "end_to_end.lyapunov_run": _wall(lambda: run(lyapunov)),
         "end_to_end.poincare_run": _wall(lambda: run(poincare)),
     })
     return cases
 
 
-GROUPS = {"galerkin": _galerkin_cases, "dynamics": _dynamics_cases}
+def _cold(code):
+    """A case running `code` in a fresh interpreter, timed inside it."""
+    script = (f"import time\nstart = time.perf_counter()\n{code}\n"
+              "print(time.perf_counter() - start)\n")
+
+    def timed():
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        return float(out.stdout.splitlines()[-1])
+    return timed
+
+
+def _poincare(C, direction):
+    return {"kind": "poincare", "params": {"A": 1.0, "B": 0.5, "C": C, "x0": [0.6, 0.64, 0.48],
+                                           "axis": 1, "level": 0.0, "direction": direction,
+                                           "count": 100}}
+
+
+def _bernoulli(source):
+    return {"kind": "bernoulli", "params": {"source": source, "grid": 32}}
+
+
+# the kinds and parameters of one sections-and-fields pass
+SECTIONS_AND_FIELDS = [
+    _poincare(0.0, 1), _poincare(0.0, -1), _poincare(0.1, 1), _poincare(0.1, -1),
+    {"kind": "abc", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "grid": 64}},
+    _bernoulli({"shell": {"n": 9, "seed": 3}}),
+    _bernoulli({"abc": {"A": 1.0, "B": 0.5, "C": 0.1}}),
+    *({"kind": "spectrum", "params": {"n": n}} for n in (9, 50, 7, 28)),
+    _bernoulli({"shell": {"n": 9, "seed": 3}}),
+]
+
+
+def _startup_cases(scratch):
+    def warm():
+        start = time.perf_counter()
+        for doc in SECTIONS_AND_FIELDS:
+            runner.load_config(doc)
+        return (time.perf_counter() - start) / len(SECTIONS_AND_FIELDS)
+
+    config = os.path.join(scratch, "spectrum.json")
+    with open(config, "w") as fh:
+        json.dump({"kind": "spectrum", "params": {"n": 9}}, fh)
+    out = os.path.join(scratch, "spectrum")
+    return {
+        "import_runner": _cold("import eulerlab.runner"),
+        "setup": _cold(f"from eulerlab import runner\nfor doc in {SECTIONS_AND_FIELDS!r}:\n"
+                       "    runner.load_config(doc)"),
+        "load_config_warm": warm,
+        "cli_run_spectrum": _cold("from eulerlab import cli\n"
+                                  f"assert cli.main(['run', '--config', {config!r}, "
+                                  f"'--out', {out!r}]) == 0"),
+    }
+
+
+GROUPS = {"galerkin": _galerkin_cases, "dynamics": _dynamics_cases, "startup": _startup_cases}
 
 
 def main(argv=None):

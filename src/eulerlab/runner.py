@@ -9,6 +9,8 @@ pass, 1 on compute or assertion failure, 2 on config failure.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import os
 import time
@@ -21,21 +23,35 @@ import numpy as np
 from . import __version__
 from . import contact as ct
 from . import dynamics as dyn
-from . import galerkin as gk
 from . import serialize as ser
 from . import spectral as sp
 from .errors import ComputeFailure, ConfigInvalid, EulerLabError
 
 
-def _load_schema(name):
+@functools.cache
+def _validator(name):
+    """The validator of a packaged schema: read, checked against its
+    metaschema and compiled once per process."""
     with resources.files("eulerlab.schemas").joinpath(f"{name}.json").open() as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
-def _apply_defaults(schema, obj):
-    for key, sub in schema.get("properties", {}).items():
+def _check(name, doc):
+    """Raise ConfigInvalid on the error that jsonschema.validate(doc, schema)
+    would raise."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+    if error is not None:
+        raise ConfigInvalid(f"config failed schema validation: {error.message}") from error
+
+
+def _apply_defaults(name, obj):
+    # deep copies: list defaults must not be shared between configs
+    for key, sub in _validator(name).schema.get("properties", {}).items():
         if key not in obj and "default" in sub:
-            obj[key] = sub["default"]
+            obj[key] = copy.deepcopy(sub["default"])
     return obj
 
 
@@ -83,14 +99,11 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigInvalid(f"cannot read config: {exc}") from exc
     else:
         doc = json.loads(json.dumps(source), parse_constant=_reject_non_finite)
-    try:
-        jsonschema.validate(doc, _load_schema("config"))
-        kind = doc["kind"]
-        params = doc.get("params", {})
-        jsonschema.validate(params, _load_schema(kind))
-    except jsonschema.ValidationError as exc:
-        raise ConfigInvalid(f"config failed schema validation: {exc.message}") from exc
-    params = _apply_defaults(_load_schema(kind), dict(params))
+    _check("config", doc)
+    kind = doc["kind"]
+    params = doc["params"]
+    _check(kind, params)
+    params = _apply_defaults(kind, dict(params))
     if kind == "lyapunov":
         try:
             dyn.check_horizon(params["T"], params["renorm"])
@@ -285,6 +298,8 @@ def _run_poincare(cfg):
 
 
 def _run_perturb(cfg):
+    from . import galerkin as gk  # scipy.linalg loads with the first pencil
+
     p = cfg.params
     contactform, g = ct.std_contact_t3()
     beta = ct.default_perturbation_form()
@@ -326,6 +341,8 @@ def _run_perturb(cfg):
 
 
 def _run_pi_map(cfg):
+    from . import galerkin as gk
+
     p = cfg.params
     if p["mode"] == "galerkin":
         contactform, g = ct.std_contact_t3()

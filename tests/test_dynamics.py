@@ -1,15 +1,12 @@
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
-import eulerlab
 from eulerlab import dynamics as dyn
 from eulerlab import serialize as ser
 from eulerlab import spectral as sp
@@ -296,19 +293,6 @@ class TestLaneStepper:
         wrapped = dyn.lyapunov_max(v, x0s, 100.0, 5.0)
         for a, b in zip(lean, wrapped):
             assert np.array_equal(a.history, b.history)
-
-    def test_import_leaves_out_scipy_integrate_and_optimize(self):
-        src = os.path.dirname(os.path.dirname(eulerlab.__file__))
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = ("import sys\n"
-                "import eulerlab.runner\n"
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-                "if m in sys.modules))\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
 
     def test_tableau_consistency(self):
         assert np.all(np.abs(dyn._C - dyn._A.sum(axis=1)) <= 1e-14)

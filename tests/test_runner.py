@@ -3,7 +3,9 @@ import os
 import resource
 import subprocess
 import sys
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -271,6 +273,121 @@ def test_cli_rejects_non_finite_numbers(tmp_path, template, token):
     assert not out.exists()
     with pytest.raises(ConfigInvalid):
         runner.load_config(str(cfgfile))
+
+
+# one small config of every kind; the first five need no Galerkin pencil
+TINY = {
+    "lyapunov": {"kind": "lyapunov", "params": {"A": 1.0, "B": 0.5, "C": 0.0, "T": 4.0,
+                                                "renorm": 2.0, "tol": 1e-8}},
+    "poincare": {"kind": "poincare", "params": {"A": 1.0, "B": 0.5, "C": 0.0,
+                                                "x0": [0.2, 0.0, 1.3], "count": 2,
+                                                "max_time": 100.0}},
+    "abc": {"kind": "abc", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "grid": 16}},
+    "bernoulli": {"kind": "bernoulli", "params": {"source": {"shell": {"n": 1}}, "grid": 8}},
+    "spectrum": {"kind": "spectrum", "params": {"n": 3}},
+    "perturb": {"kind": "perturb", "params": {"K": 1, "epsilons": [-0.1, 0.1]}},
+    "pi-map": {"kind": "pi-map", "params": {"mode": "synthetic", "dim": 8}},
+}
+
+
+def test_only_pencil_runs_load_scipy(tmp_path):
+    """Validating a config of every kind and running the five kinds without a
+    pencil, in process and through the CLI, loads no scipy module; a perturb
+    run in the same process then loads the Galerkin module on demand."""
+    cli_config = tmp_path / "lyapunov.json"
+    cli_config.write_text(json.dumps(TINY["lyapunov"]))
+    code = f"""
+import json, os, sys
+from eulerlab import cli, runner
+out = {str(tmp_path)!r}
+cfgs = {{kind: runner.load_config(doc) for kind, doc in json.loads({json.dumps(TINY)!r}).items()}}
+for kind in ("lyapunov", "poincare", "abc", "bernoulli", "spectrum"):
+    assert runner.run(cfgs[kind], out_dir=os.path.join(out, kind)).ok, kind
+assert cli.main(["run", "--config", {str(cli_config)!r}, "--out", os.path.join(out, "cli")]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+assert "eulerlab.galerkin" not in sys.modules
+assert runner.run(cfgs["perturb"], out_dir=os.path.join(out, "perturb")).ok
+assert "eulerlab.galerkin" in sys.modules and "scipy.linalg" in sys.modules
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _reference_message(doc):
+    """The ConfigInvalid message of the old route: a JSON round trip that
+    rejects non-finite numbers, then jsonschema.validate against schemas read
+    afresh, each checked against its metaschema on every call."""
+    def schema(name):
+        with resources.files("eulerlab.schemas").joinpath(f"{name}.json").open() as fh:
+            return json.load(fh)
+
+    try:
+        doc = json.loads(json.dumps(doc), parse_constant=runner._reject_non_finite)
+        jsonschema.validate(doc, schema("config"))
+        jsonschema.validate(doc["params"], schema(doc["kind"]))
+    except ConfigInvalid as exc:
+        return str(exc)
+    except jsonschema.ValidationError as exc:
+        return f"config failed schema validation: {exc.message}"
+    return None
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "nope", "params": {}},
+    {"kind": "abc", "params": {"A": "1", "B": 0.5, "C": 0.1}},
+    {"kind": "abc", "params": []},
+    {"kind": "spectrum", "params": {}},
+    {"kind": "spectrum"},
+    {"kind": "spectrum", "params": {"n": 1, "extra": 2}},
+    {"kind": "spectrum", "params": {"n": 1}, "extra": 2},
+    {"kind": "lyapunov", "params": {"A": 1, "B": 0.5, "C": 0, "T": 4, "seed_style": "chaotic"}},
+    {"kind": "pi-map", "params": {"mode": "dense"}},
+    {"kind": "abc", "params": {"A": float("inf"), "B": 0.5, "C": 0.1}},
+    {"kind": "lyapunov", "params": {"A": 1, "B": 0.5, "C": 0, "T": float("nan")}},
+    {"kind": "perturb", "seed": -1, "params": {"window": [0.8, 1.0, 1.2], "K": 0}},
+    # three sibling errors: best_match picks the one at the largest path, not the first
+    {"kind": "lyapunov", "params": {"A": "1", "B": 0.5, "C": 0, "T": -1, "seed_style": "x"}},
+    {"kind": "bernoulli", "params": {"source": {"abc": {"A": 1, "B": 0.5, "C": 0.1},
+                                                "shell": {"n": 1}}}},
+], ids=["unknown-kind", "wrong-type", "params-not-object", "missing-required",
+        "missing-params", "extra-param", "extra-top-level-key", "bad-enum", "bad-mode",
+        "infinity", "nan", "config-and-params-errors", "sibling-errors", "two-sources"])
+def test_config_invalid_messages_match_jsonschema_validate(doc):
+    expected = _reference_message(doc)
+    assert expected is not None
+    with pytest.raises(ConfigInvalid) as info:
+        runner.load_config(doc)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("kind, lists", [("perturb", ("window", "epsilons")),
+                                         ("pi-map", ("window",))])
+def test_list_defaults_are_not_shared_between_configs(kind, lists):
+    with resources.files("eulerlab.schemas").joinpath(f"{kind}.json").open() as fh:
+        defaults = {key: sub["default"] for key, sub in json.load(fh)["properties"].items()}
+    first = runner.load_config({"kind": kind, "params": {}})
+    for key in lists:
+        first.params[key][0] = 99.0
+        first.params[key].append(99.0)
+    second = runner.load_config({"kind": kind, "params": {}})
+    assert {key: second.params[key] for key in lists} == {key: defaults[key] for key in lists}
+
+
+def test_cli_rejects_spectrum_shells_above_the_ceiling(tmp_path):
+    # lattice_shell does O(n) work: n = 5e7 takes about 2 s on 2 vCPUs
+    assert runner.load_config({"kind": "spectrum", "params": {"n": 50_000_000}}).params == {
+        "n": 50_000_000}
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"kind": "spectrum", "params": {"n": 50_000_001}}))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "config error: config failed schema validation: "
+        "50000001 is greater than the maximum of 50000000"]
+    assert not out.exists()
 
 
 def test_runner_does_not_import_acceptance(tmp_path):
