@@ -18,7 +18,13 @@ Three groups of rows, each written to its own JSON file.
   (19^3 points);
 - `spectral.bernoulli` of the random Beltrami fields of shells n = 9 and 50;
 - end to end, one `perturb` run at K=3 and one `pi-map` galerkin run at
-  K=2, K=3 and K=4 through `runner.run`.
+  K=2, K=3 and K=4 through `runner.run`;
+- the K-convergence row `k_convergence`: `perturb` and `pi-map` galerkin
+  runs at K = 3 to 8, each in a fresh interpreter that times itself from
+  before the first eulerlab import, with its peak RSS, pairing eigenvalues
+  and FD slopes (perturb) or certificate and eigenvalues of pi' (pi-map).
+  A kind stops at the first K whose run passes 2 GB of RSS or 120 s; the
+  run is killed there and the row records where and why.
 
 `--group dynamics` (BENCH_dynamics.json), on the showcase field
 (1, 0.5, 0.1):
@@ -49,7 +55,9 @@ import to the end, so interpreter start-up is not counted.
 
 Medians are over --runs repetitions in one process with one BLAS thread,
 after one warm-up call.  Every call used exists with the same signature
-on older checkouts, so the script can be copied into one and run there.
+on older checkouts, so the script can be copied into one and run there,
+except `assemble_exterior(basis, parts)` in the `solve_pencil_K3` setup:
+checkouts whose B is one dense array call `assemble_exterior(basis)`.
 Results go under `--label` into the group's file (or `--out`) at the root
 of the checkout that holds this script; entries under other labels are
 kept, so two checkouts can write side by side into one file:
@@ -152,9 +160,9 @@ def _galerkin_cases(scratch):
         return ct.metric_family(g, contact, beta, epsilons)
 
     basis3 = gk.FormBasis(3)
-    B3 = gk.assemble_exterior(basis3)
     member = family.member(0.1)
     M3 = gk.assemble_mass(member, basis3)
+    B3 = gk.assemble_exterior(basis3, M3.parts)
     pi_family = ct.metric_family(g, contact, beta, [-0.1, 0.1])
     A0 = gk.pencil_operator_family(pi_family, gk.FormBasis(2))(0.0)
     A_of3 = gk.pencil_operator_family(pi_family, gk.FormBasis(3))
@@ -181,6 +189,90 @@ def _galerkin_cases(scratch):
         "end_to_end.pi_map_run_K3": _wall(lambda: run(pi_maps[3])),
         "end_to_end.pi_map_run_K4": _wall(lambda: run(pi_maps[4])),
     }
+
+
+# the K-convergence row: the Ks, and the ceilings that stop a kind
+K_CONVERGENCE = range(3, 9)
+MAX_RSS_MB = 2048
+MAX_WALL_S = 120.0
+
+# VmHWM, not ru_maxrss: across fork and exec Linux keeps the forking
+# process's RSS in ru_maxrss, so a child would report this script's peak
+_K_RUN = """
+import json, sys, time
+start = time.perf_counter()
+from eulerlab import runner
+rec = runner.run(runner.load_config(json.loads(sys.argv[1])), out_dir=sys.argv[2])
+wall = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM")) / 1024
+print(json.dumps({"wall_s": wall, "ok": rec.ok, "peak_rss_mb": peak}))
+"""
+
+
+def _rss_mb(pid):
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            return next(int(line.split()[1]) / 1024 for line in fh if line.startswith("VmRSS"))
+    except (OSError, StopIteration):
+        return 0.0
+
+
+def _pi_prime_eigenvalues(path):
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    k = int(rows[:, 0].max()) + 1
+    pi_prime = np.zeros((k, k))
+    pi_prime[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
+    return np.linalg.eigvalsh(pi_prime).tolist()
+
+
+def _k_run(doc, out):
+    """One run in a fresh interpreter, killed past MAX_RSS_MB or MAX_WALL_S."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-c", _K_RUN, json.dumps(doc), out], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    start, peak, stop = time.perf_counter(), 0.0, None
+    while proc.poll() is None and stop is None:
+        peak = max(peak, _rss_mb(proc.pid))
+        if peak > MAX_RSS_MB:
+            stop = f"RSS above {MAX_RSS_MB} MB"
+        elif time.perf_counter() - start > MAX_WALL_S:
+            stop = f"wall time above {MAX_WALL_S:g} s"
+        else:
+            time.sleep(0.05)
+    if stop is not None:
+        proc.kill()
+        proc.communicate()
+        return {"K": doc["params"]["K"], "stopped": stop, "peak_rss_mb_seen": round(peak, 1)}
+    stdout, stderr = proc.communicate()
+    if proc.returncode != 0:
+        return {"K": doc["params"]["K"], "stopped": f"exit {proc.returncode}: {stderr[-300:]}"}
+    row = {"K": doc["params"]["K"], **json.loads(stdout.splitlines()[-1])}
+    if row["wall_s"] > MAX_WALL_S or row["peak_rss_mb"] > MAX_RSS_MB:
+        row["stopped"] = "finished past a ceiling"
+    with open(os.path.join(out, "report.json")) as fh:
+        report = json.load(fh)
+    if doc["kind"] == "perturb":
+        row.update({key: report[key] for key in ("pairing_eigenvalues", "fd_slopes")})
+    else:
+        row["certificate"] = report["certificate"]
+        row["pi_prime_eigenvalues"] = _pi_prime_eigenvalues(os.path.join(out, "pi_prime.csv"))
+    return row
+
+
+def _k_convergence(scratch):
+    """The K-convergence row: per kind, one fresh run per K until a ceiling stops it."""
+    rows = {}
+    for kind, params in (("perturb", {}), ("pi-map", {"mode": "galerkin"})):
+        rows[kind] = []
+        for K in K_CONVERGENCE:
+            doc = {"kind": kind, "params": dict(params, K=K)}
+            row = _k_run(doc, os.path.join(scratch, f"{kind}-K{K}"))
+            rows[kind].append(row)
+            print(f"k_convergence {kind} K={K}: {row}"[:300], file=sys.stderr)
+            if "stopped" in row:
+                break
+    return rows
 
 
 def _rhs_per_lane(rhs, y, calls=2000):
@@ -306,6 +398,7 @@ def main(argv=None):
             case()  # warm-up: caches, lazy imports
             samples[name] = [case() for _ in range(args.runs)]
             print(f"{name}: median {statistics.median(samples[name]):.4g} s", file=sys.stderr)
+        rows = _k_convergence(scratch) if args.group == "galerkin" else None
 
     doc = {}
     if os.path.exists(out):
@@ -319,6 +412,8 @@ def main(argv=None):
         "median_s": {k: float(f"{statistics.median(v):.5g}") for k, v in samples.items()},
         "samples_s": {k: [float(f"{t:.5g}") for t in v] for k, v in samples.items()},
     }
+    if rows is not None:
+        doc[args.label]["k_convergence"] = rows
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -247,7 +247,7 @@ def check_compression_machinery(ctx):
         dim = int(gen.integers(20, 201))
         n_in = int(gen.integers(2, min(8, dim - 2)))
         A = gk.random_two_band_symmetric(gen, dim, n_in)
-        P = gk.spectral_projector(A, 0.5, 1.0, 64)
+        (P,) = gk.spectral_projector(gk.BlockMatrix.one_block(A), 0.5, 1.0, 64).blocks
         sel = np.abs(np.linalg.eigvalsh(A) - 0.5) < 1.0
         w, V = np.linalg.eigh(A)
         Pref = V[:, sel] @ V[:, sel].T
@@ -264,15 +264,15 @@ def check_compression_machinery(ctx):
         S2 = gk.random_unit_symmetric(gen, 30)
 
         def A_of(q, A0=A0, S1=S1, S2=S2):
-            return A0 + q * S1 + 0.5 * q * q * S2
+            return gk.BlockMatrix.one_block(A0 + q * S1 + 0.5 * q * q * S2)
 
-        cluster = gk.matrix_cluster(A0, 0.5, 1.0)
+        cluster = gk.matrix_cluster(gk.BlockMatrix.one_block(A0), 0.5, 1.0)
         for q in (0.05, 0.1):
             worst_sigma = max(worst_sigma, gk.pi_map(A_of(q), cluster).sigma_match_defect)
         # S1 is the family's exact derivative at 0; pi itself is contour-quadrature
         # limited, so its finite difference uses extra contour nodes to stay below
         # the 1e-6 comparison level
-        prime = gk.pi_derivative(S1, cluster.vectors)
+        prime = gk.pi_derivative(gk.BlockMatrix.one_block(S1), cluster.vectors)
         fd_pi = gk.central_derivative(
             lambda q: gk.pi_map(A_of(q), cluster, nodes=96).pi, 0.0, 1e-3)
         scale = max(1.0, float(np.max(np.abs(prime))))
@@ -284,7 +284,7 @@ def check_compression_machinery(ctx):
     A0 = gk.pencil_operator_family(fam, basis)(0.0)
     DA = gk.pencil_operator_derivative(fam, basis)
     M0 = gk.assemble_mass(g, basis)
-    sqrtM = gk.BlockMass(M0.parts, tuple(gk.matrix_sqrt(block) for block in M0.blocks))
+    sqrtM = gk.BlockMatrix(M0.parts, tuple(gk.matrix_sqrt(block) for block in M0.blocks))
     av = sqrtM @ basis.form_to_vector(contactform.alpha)
     av /= np.linalg.norm(av)
     bv = sqrtM @ basis.form_to_vector(beta)

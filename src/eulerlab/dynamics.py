@@ -414,6 +414,8 @@ def check_horizon(T: float, renorm: float):
     renormalization, at round(T / renorm) * renorm."""
     if not T > renorm > 0:
         raise ValueError(f"needs T > renorm > 0, got T = {T} and renorm = {renorm}")
+    if not np.isfinite(T / renorm):
+        raise ValueError(f"T / renorm overflows, got T = {T} and renorm = {renorm}")
     if abs(T - round(T / renorm) * renorm) > 1e-9 * T:
         raise ValueError(f"T = {T} must be a whole number of renorm = {renorm} intervals")
 

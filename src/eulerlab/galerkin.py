@@ -1,30 +1,26 @@
 """Fourier-Galerkin discretization of the curl-type operator on 1-forms.
 
 The operator star_g d is discretized as a symmetric matrix pencil (B, M):
-B_ij = integral of e_i ^ d(e_j) is metric-independent and assembled exactly
-by term matching, M(g)_ij = <e_i, e_j>_g is a grid quadrature with node
-counts above the Nyquist bound of the integrand.  Each kernel uses the
-Fourier structure of the basis.  M and dM are block-first: their coupling
-partition comes from the support of the six weight DFTs and B's cos/sin
-pairs before any D x D array exists (16 blocks of at most 96, 6.9% of D^2,
-at K = 3 and eps != 0; 183 of at most 6 at eps = 0), and only the entries
-inside the blocks are gathered into a BlockMass.  The pencil, the
-symmetric family A = M^{-1/2} B M^{-1/2} and its exact derivative work on
-those blocks; A's cluster eigensolve and contour projector work per
-component of A's nonzero pattern; the projector solves only
-blocks with an eigenvalue inside its circle, at half the nodes (the rest are
-complex conjugates).  Eigenvalue clusters are tracked along metric families,
-first-order splitting is cross-checked against the variation pairing, and
-the contour projector / compression machinery reduces A(q) near a cluster
-to a small symmetric matrix whose spectrum reproduces the nearby
-eigenvalues; its first-order term is the exact dA compressed onto the
-cluster.
+B_ij = integral of e_i ^ d(e_j) is metric-independent and exact in closed
+form, M(g)_ij = <e_i, e_j>_g is a grid quadrature with node counts above
+the Nyquist bound of the integrand.  Every D x D matrix is a BlockMatrix,
+zero outside diagonal blocks, and none is ever dense.  The partition is
+found per metric before assembly, from the support of the six weight DFTs
+and B's cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and
+eps != 0; 183 of at most 6 at eps = 0).  M, dM and B are gathered onto
+it, and the pencil, the symmetric family A = M^{-1/2} B M^{-1/2}, its
+exact derivative (on the joint parts of M and dM), A's cluster and the
+contour projector keep it; the projector solves only blocks with an
+eigenvalue inside its circle, at half the nodes.  A dense matrix enters as
+one block and gets exactly the dense arithmetic.
 
-Closed forms span a large kernel of B; windows exclude it rather than
-constructing a coexact complement, since coexactness is metric-dependent.
-The inner product is frozen by symmetrizing the pencil as
-M^{-1/2} B M^{-1/2} wherever the compression machinery needs a plain
-symmetric family.
+Eigenvalue clusters are tracked along metric families, first-order
+splitting is cross-checked against the variation pairing, and the
+compression map reduces A(q) near a cluster to a small symmetric matrix
+with the same nearby spectrum; its first-order term is the exact dA
+compressed onto the cluster.  Closed forms span a large kernel of B;
+windows exclude it rather than constructing a coexact complement, since
+coexactness is metric-dependent.
 """
 
 from __future__ import annotations
@@ -122,53 +118,89 @@ class FormBasis:
         return SpectralVectorField.from_half(K[keep], C[keep], truncation_radius=self.K)
 
 
-def _exterior_couplings(basis: FormBasis):
-    """(a, b, values over the half lattice) of B's entries between
-    cos(k.x) dx_a and sin(k.x) dx_b, a != b; a value is 0 where k_c = 0."""
-    for a, b in itertools.permutations(range(3), 2):
-        c = 3 - a - b
-        yield a, b, _EPS3[a, c, b] * basis.half_lattice[:, c] * (0.5 * VOLUME)
-
-
-def assemble_exterior(basis: FormBasis) -> np.ndarray:
-    """Exact matrix B_ij = integral of e_i ^ d(e_j).
-
-    Only cos/sin pairs of the same wave vector in different slots couple;
-    every entry is an integer or half-integer multiple of (2*pi)^3.
-    """
-    S = basis.n_scalar
-    B = np.zeros((basis.dimension, basis.dimension))
-    cos = 1 + 2 * np.arange(len(basis.half_lattice))
-    sin = cos + 1
-    for a, b, val in _exterior_couplings(basis):
-        # added onto +0.0, so an entry with k_c = 0 stays +0.0, never -0.0
-        B[a * S + cos, b * S + sin] += val
-        B[a * S + sin, b * S + cos] += -val
-    return B
-
-
 def default_mass_nodes(K: int, degree_hint: int) -> int:
     return 2 * K + degree_hint + 1
 
 
-@dataclass(frozen=True)
-class BlockMass:
-    """Symmetric D x D matrix that is zero outside its diagonal blocks.
+def _take(x, idx, axis):
+    """x at idx along axis, laid out as x: with every index, products are bitwise x's."""
+    shape = list(x.shape)
+    shape[axis] = len(idx)
+    return np.take(x, idx, axis=axis, out=np.empty_like(x, shape=shape))
 
-    `parts` are ascending index arrays that partition range(D) and `blocks`
-    the symmetric matrices on them; `@` applies it to a vector or a D x k
-    matrix.
+
+@dataclass(frozen=True)
+class BlockMatrix:
+    """D x D matrix that is zero outside its diagonal blocks.
+
+    `parts` are ascending index arrays that partition range(D), `blocks` the
+    matrices on them; `A @ x` and `x @ A` of one block are the dense products.
     """
 
     parts: tuple
     blocks: tuple
+    __array_ufunc__ = None  # ndarray @ BlockMatrix calls __rmatmul__
+
+    @classmethod
+    def one_block(cls, A):
+        """A dense square matrix as a single block."""
+        A = np.asarray(A, dtype=float)
+        return cls((np.arange(len(A)),), (A,))
+
+    @property
+    def shape(self):
+        return (sum(map(len, self.parts)),) * 2
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
+        out = np.empty(np.shape(x))
         for idx, block in zip(self.parts, self.blocks):
-            out[idx] = block @ x[idx]
+            out[idx] = block @ _take(x, idx, 0)
         return out
+
+    def __rmatmul__(self, x):
+        out = np.empty(np.shape(x))
+        for idx, block in zip(self.parts, self.blocks):
+            out[..., idx] = _take(x, idx, -1) @ block
+        return out
+
+
+def _exterior_entries(basis: FormBasis):
+    """Rows, columns and values of B's nonzeros: cos(k.x) dx_a couples to sin(k.x) dx_b,
+    a != b, by eps_acb k_c (2*pi)^3 / 2 where k_c != 0, and back by its negative."""
+    S = basis.n_scalar
+    cos = 1 + 2 * np.arange(len(basis.half_lattice))
+    rows, cols, vals = [], [], []
+    for a, b in itertools.permutations(range(3), 2):
+        val = _EPS3[a, 3 - a - b, b] * basis.half_lattice[:, 3 - a - b] * (0.5 * VOLUME)
+        rows += [a * S + cos, a * S + cos + 1]
+        cols += [b * S + cos + 1, b * S + cos]
+        vals += [val, -val]
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    return rows[vals != 0], cols[vals != 0], vals[vals != 0]
+
+
+def _positions(parts):
+    """The part of each index and its position in that part."""
+    owner, pos = np.empty((2, sum(map(len, parts))), dtype=int)
+    for c, idx in enumerate(parts):
+        owner[idx], pos[idx] = c, np.arange(len(idx))
+    return owner, pos
+
+
+def assemble_exterior(basis: FormBasis, parts) -> BlockMatrix:
+    """Exact matrix B_ij = integral of e_i ^ d(e_j) on the blocks of `parts`:
+    its nonzero entries scattered into zero blocks, so the others are +0.0.
+    ValueError if `parts` split a coupled pair (`_block_quadrature`'s never do)."""
+    rows, cols, vals = _exterior_entries(basis)
+    owner, pos = _positions(parts)
+    if np.any(owner[rows] != owner[cols]):
+        raise ValueError("the parts split a coupled pair of B")
+    sizes = np.array([len(idx) for idx in parts])
+    start = np.cumsum(sizes ** 2) - sizes ** 2
+    flat = np.zeros(sizes @ sizes)
+    flat[start[owner[rows]] + pos[rows] * sizes[owner[rows]] + pos[cols]] = vals
+    blocks = (flat[s:s + n * n].reshape(n, n) for s, n in zip(start, sizes))
+    return BlockMatrix(tuple(parts), tuple(blocks))
 
 
 def _partition(D: int, rows, cols) -> list:
@@ -190,7 +222,7 @@ for _p, (_a, _b) in enumerate(_SLOT_PAIRS):
     _PAIR_OF[_a, _b] = _PAIR_OF[_b, _a] = _p
 
 
-def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> BlockMass:
+def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> BlockMatrix:
     """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the nodes^3 grid.
 
     `weights` holds a symmetric 3x3 weight W per point of `uniform_grid`,
@@ -199,12 +231,11 @@ def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> Bloc
     and with the scalars written as Re(u e^{i k.x}), u = 1 for cos and -i
     for sin, the product-to-sum rules give the same discrete sum, aliasing
     included, as M_ij = Re(u_i u_j F(k_i + k_j) + u_i conj(u_j) F(k_i - k_j)) / 2.
-
-    So |M_ij| <= max(|F(k_i + k_j)|, |F(k_i - k_j)|), and the blocks are
-    the components of the graph that links e_i ~ e_j where either exceeds
-    1e-12 max|F|, or where B_ij != 0; only entries inside them are
-    gathered.  For positive definite weights max|F| = max_a F_aa(0), a
-    diagonal entry, so no entry above 1e-12 max|M| lies outside the blocks.
+    So |M_ij| <= max(|F(k_i + k_j)|, |F(k_i - k_j)|); the blocks are the
+    components of the graph that links e_i ~ e_j where either exceeds
+    1e-12 max|F| = 1e-12 max_a F_aa(0) (a diagonal entry of M, W being
+    positive definite), or where B_ij != 0, and only entries inside them
+    are gathered.
     """
     S = basis.n_scalar
     W = weights.reshape(nodes, nodes, nodes, 3, 3)
@@ -225,11 +256,9 @@ def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> Bloc
     a, v = np.nonzero(linked[:, 1:])
     rows.append(a * S + 2 * v + 1)
     cols.append(a * S + 2 * v + 2)
-    for a, b, val in _exterior_couplings(basis):
-        r = np.flatnonzero(val)
-        rows.append(a * S + 2 * r + 1)
-        cols.append(b * S + 2 * r + 2)
-    parts = _partition(basis.dimension, np.concatenate(rows), np.concatenate(cols))
+    b_rows, b_cols, _ = _exterior_entries(basis)
+    parts = _partition(basis.dimension, np.concatenate(rows + [b_rows]),
+                       np.concatenate(cols + [b_cols]))
 
     u = np.ones(S, dtype=complex)
     u[2::2] = -1j
@@ -242,10 +271,10 @@ def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> Bloc
         block = 0.5 * (np.outer(uj, uj) * F[pair, plus_ij]
                        + np.outer(uj, uj.conj()) * F[pair, minus_ij]).real
         blocks.append(0.5 * (block + block.T))
-    return BlockMass(tuple(parts), tuple(blocks))
+    return BlockMatrix(tuple(parts), tuple(blocks))
 
 
-def assemble_mass(metric: MetricField, basis: FormBasis, nodes=None) -> BlockMass:
+def assemble_mass(metric: MetricField, basis: FormBasis, nodes=None) -> BlockMatrix:
     """Mass matrix M_ij = integral of g(e_i#, e_j#) vol_g by grid quadrature,
     on the blocks of `_block_quadrature`.
 
@@ -261,7 +290,7 @@ def assemble_mass(metric: MetricField, basis: FormBasis, nodes=None) -> BlockMas
     return _block_quadrature(basis, nodes, Ginv * (np.sqrt(det) * w)[:, None, None])
 
 
-def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> BlockMass:
+def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> BlockMatrix:
     """Exact first-order mass matrix along the variation tensor h.
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
@@ -291,13 +320,6 @@ class EigenCluster:
         return len(self.eigenvalues)
 
 
-def _components(pattern) -> list:
-    """Index arrays of the connected components of a symmetric boolean matrix."""
-    if pattern.all():
-        return [np.arange(len(pattern))]
-    return _partition(len(pattern), *np.nonzero(pattern))
-
-
 def _block_eigh(parts, solved, select):
     """Eigenpairs by blocks, `solved` holding (eigenvalues, vectors) of the
     block on each index array of `parts`: every eigenvalue (block order),
@@ -314,16 +336,12 @@ def _block_eigh(parts, solved, select):
     return vals, keep, vectors
 
 
-def solve_pencil(B: np.ndarray, M: BlockMass, window) -> EigenCluster:
+def solve_pencil(B: BlockMatrix, M: BlockMatrix, window) -> EigenCluster:
     """Generalized symmetric eigensolve; returns the pairs inside (lo, hi).
 
-    The pencil is solved on each block of M, whose partition also holds
-    the couplings of B (see `_block_quadrature`): found from the support
-    of the weight DFTs before assembly, it has 16 blocks of at most 96 at
-    K = 3 for the x2-independent family metric at eps != 0, and 183 of at
-    most 6 at eps = 0.  Eigenvalues are merged by a stable sort and vectors
-    scattered into full length; a pencil that forms one block gets exactly
-    the dense solve.
+    B and M are on M's parts and the pencil is solved block by block;
+    eigenvalues are merged by a stable sort and vectors scattered into full
+    length, so a pencil of one block gets exactly the dense solve.
 
     Raises WindowTouchesSpectrum when any eigenvalue sits within 1e-8 of a
     window endpoint (the window no longer isolates a cluster).
@@ -331,7 +349,7 @@ def solve_pencil(B: np.ndarray, M: BlockMass, window) -> EigenCluster:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an increasing interval")
-    solved = [sla.eigh(B[np.ix_(idx, idx)], block) for idx, block in zip(M.parts, M.blocks)]
+    solved = [sla.eigh(Bb, Mb) for Bb, Mb in zip(B.blocks, M.blocks)]
     vals, keep, vectors = _block_eigh(M.parts, solved, lambda w: (w > lo) & (w < hi))
     if np.any(np.abs(vals - lo) < 1e-8) or np.any(np.abs(vals - hi) < 1e-8):
         raise WindowTouchesSpectrum(f"eigenvalue within 1e-8 of window ({lo}, {hi})")
@@ -357,10 +375,10 @@ class SplittingCurves:
         return float(np.max(self.fit_slopes) - np.min(self.fit_slopes))
 
 
-def _match_by_overlap(cluster: EigenCluster, M: BlockMass, target):
-    overlaps = cluster.vectors.T @ (M @ target)
-    idx = int(np.argmax(np.abs(overlaps)))
-    return idx, float(cluster.eigenvalues[idx])
+def _match_by_overlap(cluster: EigenCluster, m_target) -> float:
+    """The eigenvalue whose vector overlaps most with a target, given as M @ target."""
+    overlaps = cluster.vectors.T @ m_target
+    return float(cluster.eigenvalues[int(np.argmax(np.abs(overlaps)))])
 
 
 # finite-difference steps: one-sided levels of the splitting sweep and the
@@ -405,7 +423,6 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
     from .contact import variation_pairing
 
     basis = FormBasis(K)
-    B = assemble_exterior(basis)
     alpha_vec = basis.form_to_vector(contact.alpha)
     lam0 = contact.lambda0
 
@@ -413,11 +430,12 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
     solve_at = sorted(set(eps_list) | {s * e for e in SPLIT_FD_LEVELS for s in (1.0, -1.0)})
 
     clusters = {}
-    masses = {}
+    m_alpha, b_alpha = {}, {}  # M @ alpha and B @ alpha; no pencil outlives its solve
     for eps in solve_at:
         M = assemble_mass(family.member(eps), basis, nodes)
+        B = assemble_exterior(basis, M.parts)
         clusters[eps] = solve_pencil(B, M, window)
-        masses[eps] = M
+        m_alpha[eps], b_alpha[eps] = M @ alpha_vec, B @ alpha_vec
     k = clusters[0.0].multiplicity
     for eps, cl in clusters.items():
         if cl.multiplicity != k:
@@ -429,11 +447,9 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
     alpha_curve = []
     alpha_residuals = []
     for e in eps_list:
-        _, lam = _match_by_overlap(clusters[e], masses[e], alpha_vec)
-        alpha_curve.append(lam)
-        m_alpha = masses[e] @ alpha_vec
-        r = B @ alpha_vec - lam0 * m_alpha
-        alpha_residuals.append(float(np.linalg.norm(r) / np.linalg.norm(m_alpha)))
+        alpha_curve.append(_match_by_overlap(clusters[e], m_alpha[e]))
+        r = b_alpha[e] - lam0 * m_alpha[e]
+        alpha_residuals.append(float(np.linalg.norm(r) / np.linalg.norm(m_alpha[e])))
 
     base = clusters[0.0]
     U0 = base.vectors
@@ -479,16 +495,14 @@ def hellmann_feynman(family: MetricFamily, directions, lam: float, basis: FormBa
     formula -lam u' dM u / u' M u, variation-pairing quadrature) for
     directions[i], and Pi = -lam U0' dM U0 is the pencil matrix over the
     M-orthonormal eigenvectors U0 of the cluster at eps = 0.  Each direction
-    u must be adapted to the cluster: an eigenvector of Pi, otherwise its
-    slope is not well defined and DegenerateDirection is raised.  The
-    pencil and the finite-difference members are solved once for all
-    directions.
+    u must be an eigenvector of Pi, otherwise its slope is not well
+    defined and DegenerateDirection is raised.  Each pencil is solved once
+    for all directions.
     """
     from .contact import variation_pairing
 
-    B = assemble_exterior(basis)
     M0 = assemble_mass(family.base, basis)
-    U0 = solve_pencil(B, M0, window).vectors
+    U0 = solve_pencil(assemble_exterior(basis, M0.parts), M0, window).vectors
     dM = mass_derivative(family.base, family.variation, basis)
     Pi = -lam * (U0.T @ (dM @ U0))
     units = []
@@ -505,8 +519,8 @@ def hellmann_feynman(family: MetricFamily, directions, lam: float, basis: FormBa
 
     def matched_eigenvalues(eps):
         Ms = assemble_mass(family.member(eps), basis)
-        cluster = solve_pencil(B, Ms, window)
-        return np.array([_match_by_overlap(cluster, Ms, u)[1] for u in units])
+        cluster = solve_pencil(assemble_exterior(basis, Ms.parts), Ms, window)
+        return np.array([_match_by_overlap(cluster, Ms @ u) for u in units])
 
     fd = central_derivative(matched_eigenvalues, 0.0, SLOPE_FD_DELTA)
     routes = []
@@ -521,8 +535,9 @@ def hellmann_feynman(family: MetricFamily, directions, lam: float, basis: FormBa
 # contour projector and cluster compression
 
 
-def spectral_projector(A: np.ndarray, center: float, radius: float, nodes: int = 64) -> np.ndarray:
-    """Contour projector (1/2*pi*i) oint (z - A)^{-1} dz on a circle.
+def spectral_projector(A: BlockMatrix, center: float, radius: float,
+                       nodes: int = 64) -> BlockMatrix:
+    """Contour projector (1/2*pi*i) oint (z - A)^{-1} dz on a circle, on A's parts.
 
     Trapezoidal quadrature converges exponentially for resolvents that are
     analytic near the contour; a Frobenius-norm guard flags eigenvalues
@@ -530,25 +545,20 @@ def spectral_projector(A: np.ndarray, center: float, radius: float, nodes: int =
     symmetric, so R(conj z) = conj R(z) and the nodes at theta and
     2*pi - theta contribute complex conjugates: only nodes j <= nodes/2 are
     solved, each but j = 0 and j = nodes/2 counted twice in the real part.
-
-    Only the components of A's nonzero pattern with an eigenvalue inside
-    are solved; the others give an exact zero and enter the guard by their
-    eigenvalues, as the 1/|z - lambda|^2 terms of the Frobenius norm.
+    Blocks without an eigenvalue inside get an exact zero and enter the
+    guard by their eigenvalues, as the 1/|z - lambda|^2 terms of the norm.
     """
-    A = np.asarray(A, dtype=float)
-    solved, skipped = _components(A != 0), np.empty(0)
-    if len(solved) > 1:
-        spectra = [np.linalg.eigvalsh(A[np.ix_(idx, idx)]) for idx in solved]
-        inside = [bool(np.any(np.abs(w - center) < radius)) for w in spectra]
-        skipped = np.concatenate([w for w, s in zip(spectra, inside) if not s] + [skipped])
-        solved = [idx for idx, s in zip(solved, inside) if s]
-    blocks = [(Ab, np.eye(len(Ab)), np.zeros_like(Ab)) for Ab in (A[np.ix_(i, i)] for i in solved)]
+    spectra = [np.linalg.eigvalsh(Ab) for Ab in A.blocks]
+    inside = [bool(np.any(np.abs(w - center) < radius)) for w in spectra]
+    skipped = np.concatenate([w for w, s in zip(spectra, inside) if not s] + [np.empty(0)])
+    P = [np.zeros(Ab.shape) for Ab in A.blocks]
+    solved = [(Ab, np.eye(len(Ab)), Pb) for Ab, Pb, s in zip(A.blocks, P, inside) if s]
     guard = 1e6 / radius
     for j in range(nodes // 2 + 1):
         theta = TWO_PI * j / nodes
         z = center + radius * np.exp(1j * theta)
         try:
-            resolvents = [np.linalg.solve(z * eye - Ab, eye) for Ab, eye, _ in blocks]
+            resolvents = [np.linalg.solve(z * eye - Ab, eye) for Ab, eye, _ in solved]
         except np.linalg.LinAlgError as exc:
             raise IllConditionedContour(f"resolvent singular at node {j}") from exc
         with np.errstate(divide="ignore"):
@@ -558,12 +568,9 @@ def spectral_projector(A: np.ndarray, center: float, radius: float, nodes: int =
                 f"resolvent norm exceeds {guard:.2e} at node {j}; eigenvalue near contour"
             )
         weight = 1.0 if j == 0 or 2 * j == nodes else 2.0
-        for (_, _, Pb), R in zip(blocks, resolvents):
+        for (_, _, Pb), R in zip(solved, resolvents):
             Pb += ((weight * radius / nodes) * np.exp(1j * theta) * R).real
-    P = np.zeros_like(A)
-    for idx, (_, _, Pb) in zip(solved, blocks):
-        P[np.ix_(idx, idx)] = Pb
-    return 0.5 * (P + P.T)
+    return BlockMatrix(A.parts, tuple(0.5 * (Pb + Pb.T) for Pb in P))
 
 
 def _positive_eigh(M: np.ndarray):
@@ -587,69 +594,58 @@ def matrix_sqrt(M: np.ndarray) -> np.ndarray:
 def pencil_operator_family(family: MetricFamily, basis: FormBasis):
     """Symmetric operator family A(eps) = M(eps)^{-1/2} B M(eps)^{-1/2}.
 
-    Shares the pencil's spectrum while keeping a fixed (Euclidean) inner
-    product, which is what the compression machinery expects.  It is formed
-    per block of M(eps), exactly zero between.
+    Shares the pencil's spectrum with the fixed (Euclidean) inner product
+    that the compression machinery expects; on the blocks of M(eps).
     """
-    B = assemble_exterior(basis)
-
     def A_of(eps):
         M = assemble_mass(family.member(eps), basis)
-        A = np.zeros_like(B)
-        for idx, block in zip(M.parts, M.blocks):
-            ix = np.ix_(idx, idx)
-            R = matrix_inv_sqrt(block)
-            A[ix] = R @ B[ix] @ R
-        return 0.5 * (A + A.T)
+        R = [matrix_inv_sqrt(Mb) for Mb in M.blocks]
+        A = [Rb @ Bb @ Rb for Rb, Bb in zip(R, assemble_exterior(basis, M.parts).blocks)]
+        return BlockMatrix(M.parts, tuple(0.5 * (Ab + Ab.T) for Ab in A))
 
     return A_of
 
 
-def _coarsen(mass: BlockMass, parts) -> list:
+def _coarsen(mass: BlockMatrix, parts) -> list:
     """The matrices of `mass` on the blocks of `parts`, each a union of its blocks."""
-    owner, pos = np.empty((2, sum(map(len, parts))), dtype=int)
-    for c, idx in enumerate(parts):
-        owner[idx], pos[idx] = c, np.arange(len(idx))
+    owner, pos = _positions(parts)
     out = [np.zeros((len(idx), len(idx))) for idx in parts]
     for idx, block in zip(mass.parts, mass.blocks):
         out[owner[idx[0]]][np.ix_(pos[idx], pos[idx])] = block
     return out
 
 
-def pencil_operator_derivative(family: MetricFamily, basis: FormBasis) -> np.ndarray:
+def pencil_operator_derivative(family: MetricFamily, basis: FormBasis) -> BlockMatrix:
     """Exact dA(0) of pencil_operator_family: dR B R + R B dR, R = M0^{-1/2}.
 
     dR is the Frechet derivative of M^{-1/2} along dM = mass_derivative, in
     each block's eigenbasis M0 = V diag(s^2) V' the Daleckii-Krein form
     V (L * V' dM V) V' with L_ij = -1 / (s_i s_j (s_i + s_j)) (N. J. Higham,
-    Functions of Matrices, SIAM 2008, 3.2).  Blocks join those of M0 and dM:
-    dM couples blocks of M0.
+    Functions of Matrices, SIAM 2008, 3.2).  Its parts join those of M0 and
+    dM: dM couples blocks of M0.
     """
-    B = assemble_exterior(basis)
     M0 = assemble_mass(family.member(0.0), basis)
     dM = mass_derivative(family.base, family.variation, basis)
     chains = [idx for mass in (M0, dM) for idx in mass.parts]
     parts = _partition(basis.dimension, np.concatenate([idx[:-1] for idx in chains]),
                        np.concatenate([idx[1:] for idx in chains]))
-    dA = np.zeros_like(B)
-    for idx, M0b, dMb in zip(parts, _coarsen(M0, parts), _coarsen(dM, parts)):
-        ix = np.ix_(idx, idx)
+    blocks = []
+    B = assemble_exterior(basis, parts).blocks
+    for Bb, M0b, dMb in zip(B, _coarsen(M0, parts), _coarsen(dM, parts)):
         vals, V = _positive_eigh(M0b)
         s = np.sqrt(vals)
         L = -1.0 / (np.outer(s, s) * (s[:, None] + s))
         dR = V @ (L * (V.T @ dMb @ V)) @ V.T
-        half = dR @ B[ix] @ ((V / s) @ V.T)
-        dA[ix] = half + half.T  # B and R are symmetric, so R B dR = half'
-    return dA
+        half = dR @ Bb @ ((V / s) @ V.T)
+        blocks.append(half + half.T)  # B and R are symmetric, so R B dR = half'
+    return BlockMatrix(tuple(parts), tuple(blocks))
 
 
-def matrix_cluster(A: np.ndarray, center: float, radius: float) -> EigenCluster:
-    """Eigenpairs with |lambda - center| < radius, solved per component of
-    A's nonzero pattern as in solve_pencil; ClusterLeakage if there are none."""
-    parts = _components(A != 0)
-    vals, keep, vectors = _block_eigh(
-        parts, [np.linalg.eigh(A[np.ix_(idx, idx)]) for idx in parts],
-        lambda w: np.abs(w - center) < radius)
+def matrix_cluster(A: BlockMatrix, center: float, radius: float) -> EigenCluster:
+    """Eigenpairs with |lambda - center| < radius, solved per block of A as
+    in solve_pencil; ClusterLeakage if there are none."""
+    vals, keep, vectors = _block_eigh(A.parts, [np.linalg.eigh(Ab) for Ab in A.blocks],
+                                      lambda w: np.abs(w - center) < radius)
     if len(keep) == 0:
         raise ClusterLeakage(
             f"no eigenvalue inside window ({center - radius:g}, {center + radius:g})")
@@ -675,26 +671,25 @@ def random_unit_symmetric(gen, dim: int) -> np.ndarray:
 class PiMapReport:
     """Compression of an operator onto a frozen eigencluster frame."""
 
-    projector: np.ndarray
+    projector: BlockMatrix
     pi: np.ndarray
     sigma_match_defect: float
     identity_deviation: float
     projector_idempotency: float
 
 
-def pi_map(Aq: np.ndarray, cluster: EigenCluster, nodes: int = 64) -> PiMapReport:
+def pi_map(Aq: BlockMatrix, cluster: EigenCluster, nodes: int = 64) -> PiMapReport:
     """Symmetric compression pi(q) of the matrix A(q) onto the cluster frame.
 
     pi(q) = S^{-1/2} V' A(q) V S^{-1/2} with V the projected frame
     P_gamma(q) U0 and S its Gram matrix, so the spectrum of pi(q) equals
     the spectrum of A(q) inside the contour.  That check and |P P - P| go
-    per component of A(q) != 0; one component gives the dense values.
+    per block of A(q); one block gives the dense values.
     """
     U0 = cluster.vectors
     k = U0.shape[1]
-    Aq = np.asarray(Aq, dtype=float)
     P = spectral_projector(Aq, cluster.center, cluster.radius, nodes)
-    tr = float(np.trace(P))
+    tr = float(sum(np.trace(Pb) for Pb in P.blocks))
     if abs(tr - k) > 1e-6:
         raise ClusterLeakage(f"projector rank {tr:.6f} != cluster size {k}")
     V = P @ U0
@@ -703,14 +698,13 @@ def pi_map(Aq: np.ndarray, cluster: EigenCluster, nodes: int = 64) -> PiMapRepor
     pi = Sinv_half @ (V.T @ Aq @ V) @ Sinv_half
     pi = 0.5 * (pi + pi.T)
 
-    blocks = [np.ix_(idx, idx) for idx in _components(Aq != 0)]
     vals_pi = np.sort(np.linalg.eigvalsh(pi))
-    vals_A = np.concatenate([np.linalg.eigvalsh(Aq[ix]) for ix in blocks])
+    vals_A = np.concatenate([np.linalg.eigvalsh(Ab) for Ab in Aq.blocks])
     inside = np.sort(vals_A[np.abs(vals_A - cluster.center) < cluster.radius])
     if len(inside) != k:
         raise ClusterLeakage(f"{len(inside)} eigenvalues inside contour, cluster size {k}")
     sigma_defect = float(np.max(np.abs(vals_pi - inside)))
-    idempotency = math.hypot(*(np.linalg.norm(Pb @ Pb - Pb) for Pb in (P[ix] for ix in blocks)))
+    idempotency = math.hypot(*(np.linalg.norm(Pb @ Pb - Pb) for Pb in P.blocks))
 
     return PiMapReport(
         projector=P,
@@ -721,10 +715,10 @@ def pi_map(Aq: np.ndarray, cluster: EigenCluster, nodes: int = 64) -> PiMapRepor
     )
 
 
-def pi_derivative(DA_h: np.ndarray, eigenbasis: np.ndarray) -> np.ndarray:
+def pi_derivative(DA_h: BlockMatrix, eigenbasis: np.ndarray) -> np.ndarray:
     """First-order compression: entries <DA[h] u_m, u_l> over the cluster basis."""
     U = np.asarray(eigenbasis, dtype=float)
-    out = U.T @ np.asarray(DA_h, dtype=float) @ U
+    out = U.T @ DA_h @ U
     return 0.5 * (out + out.T)
 
 

@@ -359,7 +359,7 @@ def _run_pi_map(cfg):
         )
         A0 = gk.random_two_band_symmetric(gen, p["dim"], 3)
         dA = gk.random_unit_symmetric(gen, p["dim"])
-        Aq = A0 + p["q"] * dA
+        A0, Aq, dA = map(gk.BlockMatrix.one_block, (A0, A0 + p["q"] * dA, dA))
         lo, hi = -0.5, 1.5  # fixed: 3 eigenvalues in [0.3, 0.7], the rest in [2, 6]
     cluster = gk.matrix_cluster(A0, 0.5 * (lo + hi), 0.5 * (hi - lo))
     rep = gk.pi_map(Aq, cluster, nodes=p["contour_nodes"])

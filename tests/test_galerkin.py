@@ -45,18 +45,21 @@ def basis1():
 @pytest.fixture(scope="module")
 def flat1(model, basis1):
     _, g = model
-    B = gk.assemble_exterior(basis1)
     M = gk.assemble_mass(g, basis1)
-    return B, M
+    return gk.assemble_exterior(basis1, M.parts), M
 
 
-def dense(mass):
-    """The D x D matrix of a block mass."""
-    D = sum(len(idx) for idx in mass.parts)
-    out = np.zeros((D, D))
-    for idx, block in zip(mass.parts, mass.blocks):
+def dense(matrix):
+    """The D x D array of a block matrix."""
+    out = np.zeros(matrix.shape)
+    for idx, block in zip(matrix.parts, matrix.blocks):
         out[np.ix_(idx, idx)] = block
     return out
+
+
+def single_part(basis):
+    """The partition of range(D) into a single block."""
+    return [np.arange(basis.dimension)]
 
 
 def dense_quadrature(basis, nodes, weights):
@@ -207,25 +210,34 @@ class TestFormBasis:
 
 class TestExteriorMatrix:
     def test_exactly_symmetric(self, flat1):
-        B, _ = flat1
+        B = dense(flat1[0])
         assert np.max(np.abs(B - B.T)) == 0.0
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_bitwise_equal_to_the_loop(self, K):
-        # signed zeros included: every entry the loop skips stays +0.0
+        # signed zeros included: every entry the loop skips stays +0.0, on
+        # one block and on the fine blocks of the flat mass
         basis = gk.FormBasis(K)
-        B, ref = gk.assemble_exterior(basis), exterior_loop(basis)
-        assert np.array_equal(B.view(np.int64), ref.view(np.int64))
+        ref = exterior_loop(basis)
+        flat = gk.assemble_mass(ct.std_contact_t3()[1], basis)
+        for parts in (single_part(basis), flat.parts):
+            B = dense(gk.assemble_exterior(basis, parts))
+            assert np.array_equal(B.view(np.int64), ref.view(np.int64))
+
+    def test_parts_that_split_a_coupled_pair_are_rejected(self, basis1):
+        # cos(x3) dx1 couples to sin(x3) dx2: singletons split that pair
+        with pytest.raises(ValueError, match="split a coupled pair"):
+            gk.assemble_exterior(basis1, [np.array([i]) for i in range(basis1.dimension)])
 
     def test_exact_form_column_is_zero(self, basis1, flat1):
         # d(sin x1) = cos(x1) dx1 is a basis element with vanishing exterior
         # derivative column
-        B, _ = flat1
+        B = dense(flat1[0])
         j = cos_index(basis1, 0, (1, 0, 0))
         assert np.max(np.abs(B[:, j])) == 0.0
 
     def test_constant_forms_in_kernel(self, basis1, flat1):
-        B, _ = flat1
+        B = dense(flat1[0])
         for slot in range(3):
             j = cos_index(basis1, slot, (0, 0, 0))
             assert np.max(np.abs(B[:, j])) == 0.0
@@ -240,7 +252,7 @@ class TestExteriorMatrix:
     def test_entries_against_trig_integral_oracle(self, basis1):
         # independent oracle: expand e_i ^ d(e_j) by the exact product of
         # spectral fields and integrate (read off the constant term)
-        B = gk.assemble_exterior(basis1)
+        B = dense(gk.assemble_exterior(basis1, single_part(basis1)))
         eps = [[(1, 2), (2, 0), (0, 1)], [(2, 1), (0, 2), (1, 0)]]
         gen = rng(19, 3)
         for _ in range(25):
@@ -376,7 +388,7 @@ def mass_cases(request, family):
 def reference_operator(family, basis, eps):
     """A(eps) built as before the block-first mass: the dense M, split by
     the dense coupling rule, M^{-1/2} per component."""
-    B = gk.assemble_exterior(basis)
+    B = exterior_loop(basis)
     metric = family.member(eps)
     nodes = gk.default_mass_nodes(basis.K, metric.degree_hint)
     M = dense_quadrature(basis, nodes, reference_weights(metric, nodes))
@@ -391,7 +403,7 @@ def reference_operator(family, basis, eps):
 def reference_derivative(family, basis):
     """dA(0) as before the block-first mass: Daleckii-Krein on the dense
     M0 and dM, per component of their joint dense coupling rule."""
-    B = gk.assemble_exterior(basis)
+    B = exterior_loop(basis)
     base, h = family.member(0.0), family.variation
     nodes = gk.default_mass_nodes(basis.K, base.degree_hint)
     M0 = dense_quadrature(basis, nodes, reference_weights(base, nodes))
@@ -412,7 +424,7 @@ def reference_derivative(family, basis):
 class TestBlockMassAgainstDense:
     def test_blocks_match_and_hold_every_coupling(self, mass_cases):
         basis, cases = mass_cases
-        B = gk.assemble_exterior(basis)
+        B = exterior_loop(basis)
         for name, blocks, ref in cases:
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(dense(blocks) - ref)) <= 1e-12 * scale, name
@@ -425,11 +437,11 @@ class TestBlockMassAgainstDense:
 
     def test_pencil_eigenvalues_match_dense_eigh(self, mass_cases):
         basis, cases = mass_cases
-        B = gk.assemble_exterior(basis)
         window = (0.8, 1.6)
         for name, blocks, ref in cases[:3]:
+            B = gk.assemble_exterior(basis, blocks.parts)
             cl = gk.solve_pencil(B, blocks, window)
-            vals = sla.eigh(B, ref, eigvals_only=True)
+            vals = sla.eigh(dense(B), ref, eigvals_only=True)
             vals = vals[(vals > window[0]) & (vals < window[1])]
             assert cl.multiplicity == len(vals), name
             assert np.max(np.abs(cl.eigenvalues - vals)) <= 1e-12, name
@@ -456,9 +468,9 @@ class TestBlockMassAgainstDense:
         fam, basis, A_of, dA, _ = pi_family
         for eps in (0.05, -0.05):
             ref = reference_operator(fam, basis, eps)
-            assert np.max(np.abs(A_of(eps) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(dense(A_of(eps)) - ref)) <= 1e-12 * np.max(np.abs(ref))
         ref = reference_derivative(fam, basis)
-        assert np.max(np.abs(dA - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(dense(dA) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestRichardson:
@@ -508,8 +520,8 @@ class TestSolvePencil:
         _, g = model
         K = 3
         basis = gk.FormBasis(K)
-        B = gk.assemble_exterior(basis)
         M = gk.assemble_mass(g, basis)
+        B = gk.assemble_exterior(basis, M.parts)
         windows = {1: (0.9, 1.1), 2: (1.3, 1.5), 3: (1.65, 1.8), 4: (1.9, 2.1)}
         for n, window in windows.items():
             expect = len(sp.lattice_shell(n))
@@ -536,14 +548,14 @@ class TestSolvePencil:
         from scipy.sparse.csgraph import connected_components
 
         basis = gk.FormBasis(2)
-        B = gk.assemble_exterior(basis)
         blocks = gk.assemble_mass(family.member(eps), basis)
+        B = gk.assemble_exterior(basis, blocks.parts)
         M = dense(blocks)
-        coupled = (B != 0) | (np.abs(M) > 1e-12 * np.max(np.abs(M)))
+        coupled = (dense(B) != 0) | (np.abs(M) > 1e-12 * np.max(np.abs(M)))
         assert connected_components(coupled, directed=False)[0] > 1
         window = (0.8, 1.6)
         cl = gk.solve_pencil(B, blocks, window)
-        ref = sla.eigh(B, M, eigvals_only=True)
+        ref = sla.eigh(dense(B), M, eigvals_only=True)
         ref = ref[(ref > window[0]) & (ref < window[1])]
         assert cl.multiplicity == len(ref) > 6
         assert np.max(np.abs(cl.eigenvalues - ref)) <= 1e-12
@@ -553,8 +565,10 @@ class TestSolvePencil:
 
     def test_window_edge_in_a_later_component_raises(self):
         # two components: eigenvalues -1, 1 in the first and 1.5, 2.5 in the second
-        B = sla.block_diag([[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.5], [0.5, 2.0]])
-        M = gk.BlockMass((np.arange(2), np.arange(2, 4)), (np.eye(2), np.eye(2)))
+        parts = (np.arange(2), np.arange(2, 4))
+        B = gk.BlockMatrix(parts, (np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                   np.array([[2.0, 0.5], [0.5, 2.0]])))
+        M = gk.BlockMatrix(parts, (np.eye(2), np.eye(2)))
         cl = gk.solve_pencil(B, M, (0.0, 2.0))
         assert np.max(np.abs(cl.eigenvalues - [1.0, 1.5])) <= 1e-14
         assert np.array_equal(cl.vectors[2:, 0], [0.0, 0.0])
@@ -572,7 +586,7 @@ class TestSolvePencil:
         B = B + B.T
         vals, vecs = sla.eigh(B, M)
         lo, hi = 0.5 * (vals[9] + vals[10]), 0.5 * (vals[19] + vals[20])
-        cl = gk.solve_pencil(B, gk.BlockMass((np.arange(40),), (M,)), (lo, hi))
+        cl = gk.solve_pencil(gk.BlockMatrix.one_block(B), gk.BlockMatrix.one_block(M), (lo, hi))
         assert np.array_equal(cl.eigenvalues, vals[10:20])
         assert np.array_equal(cl.vectors, vecs[:, 10:20])
 
@@ -597,9 +611,8 @@ class TestTrackSplitting:
     def test_alpha_row_and_column_vanish(self, curves, family, model, basis2=None):
         contact, _ = model
         basis = gk.FormBasis(2)
-        B = gk.assemble_exterior(basis)
         M0 = gk.assemble_mass(family.member(0.0), basis)
-        cl = gk.solve_pencil(B, M0, (0.8, 1.2))
+        cl = gk.solve_pencil(gk.assemble_exterior(basis, M0.parts), M0, (0.8, 1.2))
         av = basis.form_to_vector(contact.alpha)
         coeff = cl.vectors.T @ (M0 @ av)
         assert np.linalg.norm(curves.pairing_matrix @ coeff) <= 1e-13
@@ -639,18 +652,16 @@ class TestHellmannFeynman:
         routes, Pi = gk.hellmann_feynman(family, vectors, 1.0, basis, (0.8, 1.2))
         for u, joint in zip(vectors, routes):
             assert gk.hellmann_feynman(family, [u], 1.0, basis, (0.8, 1.2))[0] == [joint]
-        B = gk.assemble_exterior(basis)
         M0 = gk.assemble_mass(family.base, basis)
-        U0 = gk.solve_pencil(B, M0, (0.8, 1.2)).vectors
+        U0 = gk.solve_pencil(gk.assemble_exterior(basis, M0.parts), M0, (0.8, 1.2)).vectors
         dM = gk.mass_derivative(family.base, family.variation, basis)
         assert np.array_equal(Pi, -1.0 * (U0.T @ (dM @ U0)))
 
     def test_unadapted_direction_raises(self, family, model, beta):
         contact, _ = model
         basis = gk.FormBasis(2)
-        B = gk.assemble_exterior(basis)
         M0 = gk.assemble_mass(family.base, basis)
-        cl = gk.solve_pencil(B, M0, (0.8, 1.2))
+        cl = gk.solve_pencil(gk.assemble_exterior(basis, M0.parts), M0, (0.8, 1.2))
         dM = gk.mass_derivative(family.base, family.variation, basis)
         Pi = -1.0 * (cl.vectors.T @ (dM @ cl.vectors))
         vals, vecs = np.linalg.eigh(Pi)
@@ -668,7 +679,8 @@ class TestHellmannFeynman:
 
 class TestSpectralProjector:
     def test_diagonal_example(self):
-        P = gk.spectral_projector(np.diag([1.0, 2.0, 3.0]), 2.0, 0.5)
+        P = dense(gk.spectral_projector(gk.BlockMatrix.one_block(np.diag([1.0, 2.0, 3.0])),
+                                        2.0, 0.5))
         assert np.max(np.abs(P - np.diag([0.0, 1.0, 0.0]))) <= 1e-10
 
     def test_random_matrix_against_eigendecomposition(self):
@@ -679,7 +691,7 @@ class TestSpectralProjector:
             outside = gen.uniform(2.0, 6.0, size=dim - 4)
             Q = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
             A = (Q * np.concatenate([inside, outside])) @ Q.T
-            P = gk.spectral_projector(A, 0.5, 1.0, 64)
+            P = dense(gk.spectral_projector(gk.BlockMatrix.one_block(A), 0.5, 1.0, 64))
             Pref = Q[:, :4] @ Q[:, :4].T
             assert np.max(np.abs(P - Pref)) <= 1e-8
             assert np.linalg.norm(P @ P - P) <= 1e-10
@@ -696,11 +708,11 @@ class TestSpectralProjector:
             e = np.exp(1j * TWO_PI * j / nodes)
             full += (radius * e / nodes) * np.linalg.inv((center + radius * e) * np.eye(30) - A)
         full = 0.5 * (full.real + full.real.T)
-        P = gk.spectral_projector(A, center, radius, nodes)
+        P = dense(gk.spectral_projector(gk.BlockMatrix.one_block(A), center, radius, nodes))
         assert np.max(np.abs(P - full)) <= 1e-14
 
     def test_eigenvalue_on_contour_raises(self):
-        A = np.diag([1.0, 2.0, 3.0])
+        A = gk.BlockMatrix.one_block(np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(IllConditionedContour):
             # circle through the eigenvalue at 1.0 (node at angle pi)
             gk.spectral_projector(A, 1.5, 0.5, 16)
@@ -714,7 +726,7 @@ def n_components(A):
 
 def dense_operator_family(family, basis):
     """Reference A(eps) = M^{-1/2} B M^{-1/2} from one dense eigh of M."""
-    B = gk.assemble_exterior(basis)
+    B = exterior_loop(basis)
 
     def A_of(eps):
         w, V = np.linalg.eigh(dense(gk.assemble_mass(family.member(eps), basis)))
@@ -764,16 +776,16 @@ class TestBlockOperatorPath:
     @pytest.mark.parametrize("eps", [0.05, -0.05])
     def test_operator_matches_dense(self, operator_pair, eps):
         A_of, dense_of, _ = operator_pair
-        A, Ad = A_of(eps), dense_of(eps)
+        A, Ad = dense(A_of(eps)), dense_of(eps)
         assert n_components(A) > 1
         assert np.max(np.abs(A - Ad)) <= 1e-12 * np.max(np.abs(Ad))
 
     def test_projector_and_cluster_match_dense_eigh(self, operator_pair):
         A = operator_pair[0](0.05)
-        w, V = np.linalg.eigh(A)
+        w, V = np.linalg.eigh(dense(A))
         sel = np.abs(w - 1.0) < 0.2
         assert np.count_nonzero(sel) == 6
-        P = gk.spectral_projector(A, 1.0, 0.2)
+        P = dense(gk.spectral_projector(A, 1.0, 0.2))
         assert np.max(np.abs(P - V[:, sel] @ V[:, sel].T)) <= 1e-12
         cl = gk.matrix_cluster(A, 1.0, 0.2)
         assert np.max(np.abs(cl.eigenvalues - w[sel])) <= 1e-12
@@ -782,8 +794,8 @@ class TestBlockOperatorPath:
 
     def test_certificate_matches_dense_pi_map(self, operator_pair):
         # a fixed rotation makes every A(eps) one dense component with the
-        # same spectrum, so pi_map takes the dense path throughout; the dense
-        # route takes its derivative by finite differences of A
+        # same spectrum, which enters pi_map as one block; the dense route
+        # takes its derivative by finite differences of A
         A_of, dense_of, dA = operator_pair
         Ad = dense_of(0.0)
         Q = np.linalg.qr(rng(47, len(Ad)).standard_normal(Ad.shape))[0]
@@ -792,25 +804,27 @@ class TestBlockOperatorPath:
             return Q @ dense_of(eps) @ Q.T
 
         assert n_components(rotated_of(0.0)) == 1
-        dense_cluster = gk.matrix_cluster(rotated_of(0.0), 1.0, 0.2)
+        whole = gk.BlockMatrix.one_block
+        dense_cluster = gk.matrix_cluster(whole(rotated_of(0.0)), 1.0, 0.2)
         cluster = gk.matrix_cluster(A_of(0.0), 1.0, 0.2)
-        dense = gk.pi_map(rotated_of(0.05), dense_cluster)
+        dense_rep = gk.pi_map(whole(rotated_of(0.05)), dense_cluster)
         rep = gk.pi_map(A_of(0.05), cluster)
-        assert np.max(np.abs(rep.projector - Q.T @ dense.projector @ Q)) <= 1e-12
+        assert np.max(np.abs(dense(rep.projector) - Q.T @ dense(dense_rep.projector) @ Q)) <= 1e-12
         assert rep.sigma_match_defect <= 1e-9
         assert rep.projector_idempotency <= 1e-10
         cert = gk.splitting_certificate(gk.pi_derivative(dA, cluster.vectors))
-        dense_prime = gk.pi_derivative(gk.central_derivative(rotated_of, 0.0, 1e-2),
+        dense_prime = gk.pi_derivative(whole(gk.central_derivative(rotated_of, 0.0, 1e-2)),
                                        dense_cluster.vectors)
         assert cert == pytest.approx(gk.splitting_certificate(dense_prime), rel=1e-6)
-        assert np.allclose(np.linalg.eigvalsh(rep.pi), np.linalg.eigvalsh(dense.pi),
+        assert np.allclose(np.linalg.eigvalsh(rep.pi), np.linalg.eigvalsh(dense_rep.pi),
                            rtol=0.0, atol=1e-12)
 
     def test_exact_derivative_matches_finite_difference(self, operator_pair):
         # the slow reference: central differences of A, Richardson-extrapolated
         A_of, _, dA = operator_pair
-        assert n_components(dA) > 1
-        assert np.max(np.abs(dA - gk.central_derivative(A_of, 0.0, 1e-2))) <= 1e-11
+        assert n_components(dense(dA)) > 1
+        fd = gk.central_derivative(lambda eps: dense(A_of(eps)), 0.0, 1e-2)
+        assert np.max(np.abs(dense(dA) - fd)) <= 1e-11
 
     @pytest.mark.parametrize("offset", [1e-7, 0.0])
     def test_guard_sees_eigenvalues_of_skipped_blocks(self, offset):
@@ -824,19 +838,24 @@ class TestBlockOperatorPath:
         A = sla.block_diag((Q1 * [0.4, 0.6, 3.0]) @ Q1.T, (Q2 * [lam, 4.0]) @ Q2.T)
         perm = gen.permutation(5)
         A = A[np.ix_(perm, perm)]
-        skip = np.argsort(perm)[3:]  # rows of the second block
+        keep, skip = np.sort(np.argsort(perm)[:3]), np.sort(np.argsort(perm)[3:])
         assert n_components(A) == 2
         Q = np.linalg.qr(gen.standard_normal((5, 5)))[0]
-        dense = Q @ A @ Q.T
-        assert n_components(dense) == 1
+        rotated = Q @ A @ Q.T
+        assert n_components(rotated) == 1
+
+        def blocks(A):
+            parts = sorted((keep, skip), key=lambda idx: idx[0])
+            return gk.BlockMatrix(tuple(parts), tuple(A[np.ix_(idx, idx)] for idx in parts))
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for matrix in (A, dense):
+            for matrix in (blocks(A), gk.BlockMatrix.one_block(rotated)):
                 with pytest.raises(IllConditionedContour):
                     gk.spectral_projector(matrix, center, radius)
             # away from the nodes the skipped block contributes an exact zero
             A[np.ix_(skip, skip)] += 0.5 * np.eye(2)
-            P = gk.spectral_projector(A, center, radius)
+            P = dense(gk.spectral_projector(blocks(A), center, radius))
         w, V = np.linalg.eigh(A)
         assert np.max(np.abs(P - V[:, :2] @ V[:, :2].T)) <= 1e-12
         assert np.all(P[skip] == 0.0)
@@ -844,31 +863,33 @@ class TestBlockOperatorPath:
     def test_one_component_is_bitwise_the_dense_projector(self):
         A = gk.random_two_band_symmetric(rng(43, 0), 40, 3)
         assert n_components(A) == 1
-        assert np.array_equal(gk.spectral_projector(A, 0.5, 1.0), dense_projector(A, 0.5, 1.0))
+        whole = gk.BlockMatrix.one_block(A)
+        assert np.array_equal(dense(gk.spectral_projector(whole, 0.5, 1.0)),
+                              dense_projector(A, 0.5, 1.0))
         w, V = np.linalg.eigh(A)
-        cl = gk.matrix_cluster(A, 0.5, 1.0)
+        cl = gk.matrix_cluster(whole, 0.5, 1.0)
         assert np.array_equal(cl.eigenvalues, w[:3])
         assert np.array_equal(cl.vectors, V[:, :3])
 
     def test_empty_cluster_raises(self):
         with pytest.raises(ClusterLeakage, match=r"no eigenvalue inside window \(5, 6\)"):
-            gk.matrix_cluster(np.diag([1.0, 2.0]), 5.5, 0.5)
+            gk.matrix_cluster(gk.BlockMatrix.one_block(np.diag([1.0, 2.0])), 5.5, 0.5)
 
 
 class TestPiMap:
     def synthetic_cluster(self):
         A0 = np.diag([1.0, 1.0, 5.0])
-        return A0, gk.matrix_cluster(A0, 1.0, 0.5)
+        return A0, gk.matrix_cluster(gk.BlockMatrix.one_block(A0), 1.0, 0.5)
 
     def test_base_point_is_scalar_matrix(self):
         A0, cluster = self.synthetic_cluster()
-        rep = gk.pi_map(A0, cluster)
+        rep = gk.pi_map(gk.BlockMatrix.one_block(A0), cluster)
         assert np.max(np.abs(rep.pi - np.eye(2))) <= 1e-12
         assert rep.identity_deviation <= 1e-12
 
     def test_linear_diagonal_family_exact(self):
         A0, cluster = self.synthetic_cluster()
-        rep = gk.pi_map(A0 + 0.1 * np.diag([1.0, -1.0, 0.0]), cluster)
+        rep = gk.pi_map(gk.BlockMatrix.one_block(A0 + 0.1 * np.diag([1.0, -1.0, 0.0])), cluster)
         assert np.allclose(np.sort(np.linalg.eigvalsh(rep.pi)), [0.9, 1.1], atol=1e-11)
         assert rep.sigma_match_defect <= 1e-11
         assert rep.projector_idempotency <= 1e-10
@@ -883,24 +904,24 @@ class TestPiMap:
         S1 = gen.standard_normal((dim, dim))
         S1 = 0.5 * (S1 + S1.T)
         S1 /= np.linalg.norm(S1, 2)
-        cluster = gk.matrix_cluster(A0, 0.5, 1.0)
+        cluster = gk.matrix_cluster(gk.BlockMatrix.one_block(A0), 0.5, 1.0)
         for q in (0.02, 0.05, 0.1):
-            rep = gk.pi_map(A0 + q * S1, cluster)
+            rep = gk.pi_map(gk.BlockMatrix.one_block(A0 + q * S1), cluster)
             assert rep.sigma_match_defect <= 1e-9
 
     def test_cluster_leakage_detected(self):
         A0 = np.diag([1.0, 1.0, 1.6])
-        cluster = gk.matrix_cluster(A0, 1.0, 0.5)
+        cluster = gk.matrix_cluster(gk.BlockMatrix.one_block(A0), 1.0, 0.5)
         # moving the third eigenvalue into the contour changes the rank
         with pytest.raises(ClusterLeakage):
-            gk.pi_map(A0 + 0.2 * np.diag([0.0, 0.0, -1.0]), cluster)
+            gk.pi_map(gk.BlockMatrix.one_block(A0 + 0.2 * np.diag([0.0, 0.0, -1.0])), cluster)
 
 
 class TestPiDerivative:
     def test_identity_direction(self):
         gen = rng(31, 1)
         U = np.linalg.qr(gen.standard_normal((10, 3)))[0]
-        out = gk.pi_derivative(np.eye(10), U)
+        out = gk.pi_derivative(gk.BlockMatrix.one_block(np.eye(10)), U)
         assert np.max(np.abs(out - np.eye(3))) <= 1e-12
 
     def test_matches_finite_differences_of_pi(self):
@@ -913,10 +934,11 @@ class TestPiDerivative:
         S1 = gen.standard_normal((dim, dim))
         S1 = 0.5 * (S1 + S1.T)
         S1 /= np.linalg.norm(S1, 2)
-        cluster = gk.matrix_cluster(A0, 0.5, 1.0)
-        fd = gk.central_derivative(lambda q: gk.pi_map(A0 + q * S1, cluster, nodes=96).pi,
+        whole = gk.BlockMatrix.one_block
+        cluster = gk.matrix_cluster(whole(A0), 0.5, 1.0)
+        fd = gk.central_derivative(lambda q: gk.pi_map(whole(A0 + q * S1), cluster, nodes=96).pi,
                                    0.0, 1e-3)
-        prime = gk.pi_derivative(S1, cluster.vectors)
+        prime = gk.pi_derivative(whole(S1), cluster.vectors)
         assert np.max(np.abs(fd - prime)) <= 1e-6
 
     def test_galerkin_direction_not_scalar(self, family, model, beta):
@@ -924,9 +946,9 @@ class TestPiDerivative:
         basis = gk.FormBasis(1)
         A_of = gk.pencil_operator_family(family, basis)
         A0 = A_of(0.0)
-        DA = gk.central_derivative(A_of, 0.0, 0.02)
+        DA = gk.BlockMatrix.one_block(gk.central_derivative(lambda e: dense(A_of(e)), 0.0, 0.02))
         M0 = gk.assemble_mass(g, basis)
-        sqrtM = gk.BlockMass(M0.parts, tuple(gk.matrix_sqrt(block) for block in M0.blocks))
+        sqrtM = gk.BlockMatrix(M0.parts, tuple(gk.matrix_sqrt(block) for block in M0.blocks))
         av = sqrtM @ basis.form_to_vector(contact.alpha)
         av /= np.linalg.norm(av)
         bv = sqrtM @ basis.form_to_vector(beta)
@@ -948,7 +970,7 @@ class TestExactFirstOrderCompression:
         # U0' dA U0 = -lambda0 X' dM X with X = M0^{-1/2} U0, per block
         fam, basis, _, dA, cluster = pi_family
         M0 = gk.assemble_mass(fam.member(0.0), basis)
-        R = gk.BlockMass(M0.parts, tuple(gk.matrix_inv_sqrt(block) for block in M0.blocks))
+        R = gk.BlockMatrix(M0.parts, tuple(gk.matrix_inv_sqrt(block) for block in M0.blocks))
         X = R @ cluster.vectors
         dM = gk.mass_derivative(fam.base, fam.variation, basis)
         pencil = -model[0].lambda0 * (X.T @ (dM @ X))

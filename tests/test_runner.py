@@ -246,6 +246,52 @@ def test_cli_rejects_lyapunov_T_not_a_whole_number_of_renorm_intervals(tmp_path,
     assert not out.exists()
 
 
+def test_cli_rejects_lyapunov_T_over_renorm_that_overflows(tmp_path):
+    # found by the CLI fuzz test: T / renorm = inf made round() raise
+    # OverflowError in load_config, a traceback with exit code 1
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({
+        "kind": "lyapunov",
+        "params": {"A": 1.0, "B": 0.5, "C": 0.0, "T": 1.25e308, "renorm": 5e-324},
+    }))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "overflows" in proc.stderr
+    assert not out.exists()
+    with pytest.raises(ConfigInvalid):
+        runner.load_config(str(cfgfile))
+
+
+# found by the CLI fuzz test: a seed that does not fit a uint64 Philox key
+# (lyapunov keys 11 + seed, bernoulli shells key the shell seed) raised
+# OverflowError, a traceback with exit code 1
+@pytest.mark.parametrize("doc, code", [
+    ({"kind": "lyapunov", "seed": 2**64 - 11,
+      "params": {"A": 1.0, "B": 0.5, "C": 0.0, "T": 2.0, "renorm": 1.0}}, 2),
+    ({"kind": "lyapunov", "seed": 2**64 - 12,
+      "params": {"A": 1.0, "B": 0.5, "C": 0.0, "T": 2.0, "renorm": 1.0}}, 0),
+    ({"kind": "bernoulli", "params": {"source": {"shell": {"n": 1, "seed": 2**64}}}}, 2),
+    ({"kind": "bernoulli", "params": {"source": {"shell": {"n": 1, "seed": 2**64 - 1}}}}, 0),
+], ids=["lyapunov-seed-too-large", "lyapunov-largest-seed", "shell-seed-too-large",
+        "largest-shell-seed"])
+def test_cli_rejects_seeds_beyond_the_philox_key(tmp_path, doc, code):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "greater than the maximum" in proc.stderr
+        assert not out.exists()
+        with pytest.raises(ConfigInvalid):
+            runner.load_config(str(cfgfile))
+
+
 @pytest.mark.parametrize("nodes", [0, -3])
 def test_cli_rejects_perturb_nodes_below_one(tmp_path, nodes):
     cfgfile = tmp_path / "c.json"
@@ -511,3 +557,25 @@ def test_cli_pi_map_window_without_eigenvalues_exits_one(tmp_path):
     assert proc.stderr.strip().splitlines() == [
         "compute error: pi-map run failed: no eigenvalue inside window (5, 6)"]
     assert not out.exists()
+
+
+def test_pi_map_galerkin_K4_peak_stays_below_one_dense_matrix(tmp_path):
+    # every matrix of the Galerkin path is block-diagonal: at K = 4
+    # (D = 2187) the traced peak of a whole run stays below the 36.5 MiB of
+    # one D x D float64 array; a K = 1 run first loads the modules the run
+    # imports, which are not the run's arrays
+    import tracemalloc
+
+    def config(K):
+        return runner.load_config({"kind": "pi-map", "params": {"mode": "galerkin", "K": K}})
+
+    assert runner.run(config(1), out_dir=str(tmp_path / "warm")).ok
+    D = 3 * 9 ** 3
+    tracemalloc.start()
+    try:
+        rec = runner.run(config(4), out_dir=str(tmp_path / "K4"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.ok
+    assert peak < 8 * D * D
