@@ -9,7 +9,8 @@ Three groups of rows, each written to its own JSON file.
   for every member of a sweep but the first), and `mass_derivative` of the
   K=3 family;
 - `track_splitting` at K=3 (the perturb sweep: 13 mass assemblies and
-  pencil solves plus the pairing matrix) and `family_compatibility` of the
+  pencil solves, one `mass_derivative`, and the pairing and pencil
+  matrices of the base cluster) and `family_compatibility` of the
   same family (6 members), each on a family built just before the timed
   call, so no grid evaluation it may keep is warm;
 - `spectral_projector` with 64 nodes on the K=2 operator A_of(0) of the
@@ -56,8 +57,11 @@ import to the end, so interpreter start-up is not counted.
 Medians are over --runs repetitions in one process with one BLAS thread,
 after one warm-up call.  Every call used exists with the same signature
 on older checkouts, so the script can be copied into one and run there,
-except `assemble_exterior(basis, parts)` in the `solve_pencil_K3` setup:
-checkouts whose B is one dense array call `assemble_exterior(basis)`.
+except two: `assemble_exterior(basis, parts)` in the `solve_pencil_K3`
+setup (checkouts whose B is one dense array call `assemble_exterior(basis)`)
+and `track_splitting(family, window, K)` (checkouts that still take the
+contact form call `track_splitting(family, contact, window, K)`); run an
+older checkout's own copy of the script instead.
 Results go under `--label` into the group's file (or `--out`) at the root
 of the checkout that holds this script; entries under other labels are
 kept, so two checkouts can write side by side into one file:
@@ -154,16 +158,16 @@ def _galerkin_cases(scratch):
     contact, g = ct.std_contact_t3()
     beta = ct.default_perturbation_form()
     epsilons = [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2]
-    family = ct.metric_family(g, contact, beta, epsilons)
+    family = ct.MetricFamily(g, contact, beta, epsilons)
 
     def fresh_family():
-        return ct.metric_family(g, contact, beta, epsilons)
+        return ct.MetricFamily(g, contact, beta, epsilons)
 
     basis3 = gk.FormBasis(3)
     member = family.member(0.1)
     M3 = gk.assemble_mass(member, basis3)
     B3 = gk.assemble_exterior(basis3, M3.parts)
-    pi_family = ct.metric_family(g, contact, beta, [-0.1, 0.1])
+    pi_family = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
     A0 = gk.pencil_operator_family(pi_family, gk.FormBasis(2))(0.0)
     A_of3 = gk.pencil_operator_family(pi_family, gk.FormBasis(3))
     mass_grid, _ = ct.uniform_grid(gk.default_mass_nodes(3, member.degree_hint))
@@ -177,7 +181,7 @@ def _galerkin_cases(scratch):
         "solve_pencil_K3": _wall(lambda: gk.solve_pencil(B3, M3, (0.8, 1.2))),
         "mass_derivative_K3": _wall(lambda: gk.mass_derivative(g, family.variation, basis3)),
         "track_splitting_K3": _on_fresh(
-            fresh_family, lambda fam: gk.track_splitting(fam, contact, (0.8, 1.2), 3)),
+            fresh_family, lambda fam: gk.track_splitting(fam, (0.8, 1.2), 3)),
         "family_compatibility_K3": _on_fresh(fresh_family, ct.family_compatibility),
         "spectral_projector_K2": _wall(lambda: gk.spectral_projector(A0, 1.0, 0.2, 64)),
         "operator_family_K3": _wall(lambda: A_of3(0.1)),

@@ -130,18 +130,15 @@ def check_chaos_proxy():
 
 def _family_context():
     contactform, g = ct.std_contact_t3()
-    beta = ct.default_perturbation_form()
-    fam = ct.metric_family(g, contactform, beta,
+    return ct.MetricFamily(g, contactform, ct.default_perturbation_form(),
                            [-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2])
-    return contactform, g, beta, fam
 
 
-def check_compatible_metrics(ctx):
+def check_compatible_metrics(fam):
     """Criterion 5: compatibility defects, volume rigidity, tracelessness."""
-    contactform, g, beta, fam = ctx
     compat, worst_det = ct.family_compatibility(fam)
     worst_defect = max(rep.max_defect() for rep in compat.values())
-    tr = ct.trace_pairing(g.inv_entries, fam.variation.entries)
+    tr = ct.trace_pairing(fam.base.inv_entries, fam.variation.entries)
     pts, _ = ct.uniform_grid(20)
     trace_sup = float(np.max(np.abs(tr.evaluate(pts))))
     passed = worst_defect <= 1e-10 and worst_det <= 1e-12 and trace_sup <= 1e-12
@@ -169,17 +166,19 @@ def _slope_agreement(a, b, rel=1e-6, floor=1e-10):
     return bool(np.all(np.abs(a - b) <= rel * np.maximum(np.abs(a), np.abs(b)) + floor))
 
 
-def check_variation_identities(ctx, curves):
-    """Criterion 6: three independent routes to the first-order eigenvalue motion."""
-    contactform, g, beta, fam = ctx
-    basis = gk.FormBasis(curves.K)
-    lam0 = contactform.lambda0
+def check_variation_identities(fam, curves):
+    """Criterion 6: three independent routes to the first-order eigenvalue motion,
+    all read from the shared sweep but the pairing of the two forms."""
+    lam0 = fam.contact.lambda0
+    # the pairing route of the contact form and the perturbing form, and the
+    # absolute value of the beta pairing against an independent quadrature
+    pair_a, pair_b = map(float, np.diag(
+        ct.variation_pairing([fam.contact.alpha, fam.beta], fam.variation, fam.base, lam0)))
+    q = fam.variation.norm2
+    ref = lam0 * 0.5 * _legendre_volume_integral(lambda p: q.evaluate(p) ** 2)
+    ok_values = abs(pair_a) <= 1e-8 and abs(pair_b - ref) <= 1e-8 * abs(ref)
 
-    # adapted directions: the contact form and the perturbing form; the
-    # same call returns the pencil matrix of the base cluster
-    directions = [basis.form_to_vector(contactform.alpha), basis.form_to_vector(beta)]
-    ((fd_a, pen_a, pair_a), (fd_b, pen_b, pair_b)), Pi = gk.hellmann_feynman(
-        fam, directions, lam0, basis, curves.window)
+    (fd_a, pen_a), (fd_b, pen_b) = curves.alpha_routes, curves.beta_routes
     ok_alpha = max(abs(fd_a), abs(pen_a), abs(pair_a)) <= 1e-8
     ok_beta = (
         abs(fd_b - pen_b) <= 1e-6 * abs(pen_b)
@@ -188,39 +187,31 @@ def check_variation_identities(ctx, curves):
     )
 
     # route agreement on the sorted slope multiset
-    pencil_eigs = np.sort(np.linalg.eigvalsh(Pi))
+    fd, pencil, pairing = curves.fd_slopes, curves.pencil_eigenvalues, curves.pairing_eigenvalues
     ok_sets = (
-        _slope_agreement(curves.fd_slopes, curves.pairing_eigenvalues)
-        and _slope_agreement(curves.fd_slopes, pencil_eigs)
-        and _slope_agreement(pencil_eigs, curves.pairing_eigenvalues)
+        _slope_agreement(fd, pairing)
+        and _slope_agreement(fd, pencil)
+        and _slope_agreement(pencil, pairing)
     )
-
-    # absolute value of the beta pairing against an independent quadrature
-    q = fam.variation.norm2
-    ref = lam0 * 0.5 * _legendre_volume_integral(lambda p: q.evaluate(p) ** 2)
-    pair_alpha, pair_beta = map(float, np.diag(
-        ct.variation_pairing([contactform.alpha, beta], fam.variation, g, lam0)))
-    ok_values = abs(pair_alpha) <= 1e-8 and abs(pair_beta - ref) <= 1e-8 * abs(ref)
 
     passed = ok_sets and ok_alpha and ok_beta and ok_values
     return {
-        "fd_slopes": [float(x) for x in curves.fd_slopes],
-        "pairing_eigenvalues": [float(x) for x in curves.pairing_eigenvalues],
-        "pencil_eigenvalues": [float(x) for x in pencil_eigs],
+        "fd_slopes": [float(x) for x in fd],
+        "pairing_eigenvalues": [float(x) for x in pairing],
+        "pencil_eigenvalues": [float(x) for x in pencil],
         "alpha_routes": [fd_a, pen_a, pair_a],
         "beta_routes": [fd_b, pen_b, pair_b],
-        "alpha_pairing": pair_alpha,
-        "beta_pairing": pair_beta,
+        "alpha_pairing": pair_a,
+        "beta_pairing": pair_b,
         "beta_pairing_reference": ref,
         "sets_agree": ok_sets,
     }, passed
 
 
-def check_splitting(ctx, curves):
+def check_splitting(fam, curves):
     """Criterion 7: the six-fold cluster splits while the contact form holds still."""
-    contactform = ctx[0]
     k0 = curves.curves.shape[1]
-    alpha_dev = float(np.max(np.abs(curves.alpha_curve - contactform.lambda0)))
+    alpha_dev = float(np.max(np.abs(curves.alpha_curve - fam.contact.lambda0)))
     gap = curves.slope_gap()
     # linear separation: the extreme fitted slopes differ, and the curves at
     # the largest epsilon are split by at least half the predicted amount
@@ -237,10 +228,8 @@ def check_splitting(ctx, curves):
     }, passed
 
 
-def check_compression_machinery(ctx):
+def check_compression_machinery(fam):
     """Criterion 8: contour projector, compression map, first-order certificate."""
-    contactform, g, beta, fam = ctx
-
     worst_proj = worst_idem = worst_trace = 0.0
     for j in range(100):
         gen = np.random.Generator(np.random.Philox(key=np.array([301, j], dtype=np.uint64)))
@@ -281,16 +270,15 @@ def check_compression_machinery(ctx):
     # first-order certificate of the Galerkin family; it does not depend on
     # the orthonormal frame chosen inside the cluster
     basis = gk.FormBasis(SWEEP_K)
-    A0 = gk.pencil_operator_family(fam, basis)(0.0)
-    DA = gk.pencil_operator_derivative(fam, basis)
-    M0 = gk.assemble_mass(g, basis)
+    A0, DA = gk.pencil_operator_derivative(fam, basis)
+    M0 = gk.assemble_mass(fam.base, basis)
     sqrtM = gk.BlockMatrix(M0.parts, tuple(gk.matrix_sqrt(block) for block in M0.blocks))
-    av = sqrtM @ basis.form_to_vector(contactform.alpha)
+    av = sqrtM @ basis.form_to_vector(fam.contact.alpha)
     av /= np.linalg.norm(av)
-    bv = sqrtM @ basis.form_to_vector(beta)
+    bv = sqrtM @ basis.form_to_vector(fam.beta)
     bv -= (av @ bv) * av
     bv /= np.linalg.norm(bv)
-    cluster = gk.matrix_cluster(A0, contactform.lambda0, 0.2)
+    cluster = gk.matrix_cluster(A0, fam.contact.lambda0, 0.2)
     cert = gk.splitting_certificate(gk.pi_derivative(DA, cluster.vectors))
     alpha_entry = float(av @ DA @ av)
     beta_entry = float(bv @ DA @ bv)
@@ -365,17 +353,16 @@ def run_suite(level="quick", out_dir=None):
     record(2, "steady-state pipeline", check_steady_pipeline)
     record(3, "nonvanishing minima", check_nonvanishing)
 
-    ctx = _family_context()
-    contactform, g, beta, fam = ctx
+    fam = _family_context()
     t_sweep = time.time()
-    curves = gk.track_splitting(fam, contactform, (0.8, 1.2), SWEEP_K)
+    curves = gk.track_splitting(fam, (0.8, 1.2), SWEEP_K)
     shared_sweep_seconds = time.time() - t_sweep
-    record(5, "compatible-metric identities", check_compatible_metrics, ctx)
+    record(5, "compatible-metric identities", check_compatible_metrics, fam)
     record(6, "variation identities (three routes)", check_variation_identities,
-           ctx, curves)
+           fam, curves)
     record(7, "eigenvalue splitting with pinned contact eigenvalue", check_splitting,
-           ctx, curves)
-    record(8, "projector and compression machinery", check_compression_machinery, ctx)
+           fam, curves)
+    record(8, "projector and compression machinery", check_compression_machinery, fam)
 
     if level == "full":
         record(4, "chaos proxy vs integrable baseline", check_chaos_proxy)

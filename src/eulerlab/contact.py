@@ -203,8 +203,10 @@ class MetricFamily:
 
     The bracket factor sqrt(1 + eps^2 |b_xi|^4 / 4) - eps |b_xi|^2 / 2 - 1
     rescales g_xi so that det(g_eps) = det(g) pointwise; the derivative at
-    eps = 0 is the variation tensor of `beta`.  The eps-independent fields of
-    the members are evaluated once per uniform grid and kept for all of them.
+    eps = 0 is the variation tensor of `beta`.  Positivity is checked on
+    every epsilon of the grid at construction.  The eps-independent fields
+    of the members are evaluated once per uniform grid and kept for all of
+    them.
     """
 
     def __init__(self, base: MetricField, contact: ContactForm, beta: SpectralVectorField,
@@ -341,13 +343,6 @@ def variation_tensor(beta: SpectralVectorField, contact: ContactForm,
     norm2 = dot(bxi, contract(g.inv_entries, bxi))
     h = outer(bxi) - multiply(norm2.scaled(0.5), g.g_xi)
     return VariationTensor(entries=h, beta_xi=bxi, norm2=norm2)
-
-
-def metric_family(g: MetricField, contact: ContactForm, beta: SpectralVectorField,
-                  epsilons) -> MetricFamily:
-    """Volume-preserving compatible family along beta; positivity is checked
-    on every epsilon of the grid at construction."""
-    return MetricFamily(base=g, contact=contact, beta=beta, epsilon_grid=epsilons)
 
 
 def noncollinearity_measure(alpha: SpectralVectorField, beta: SpectralVectorField,

@@ -35,6 +35,10 @@ from .spectral import TWO_PI, SpectralVectorField
 # frozen output in scripts/chaos_threshold.json).
 CHAOS_THRESHOLD = 0.023942274037632105
 
+# most renormalization intervals of a Lyapunov run: _dop853 keeps an
+# (L, intervals) log array (criterion 4 uses 2,000, the calibration 20,000)
+MAX_RENORM_INTERVALS = 100_000
+
 # pieces of each accepted step that poincare brackets crossings on
 POINCARE_SUBSAMPLES = 8
 # accepted steps whose dense output poincare builds and searches at once:
@@ -409,13 +413,17 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
 
 
 def check_horizon(T: float, renorm: float):
-    """Raise ValueError unless T > renorm > 0 and T is a whole number of
-    renorm intervals (to 1e-9 relative): a Lyapunov run ends on its last
-    renormalization, at round(T / renorm) * renorm."""
+    """Raise ValueError unless T > renorm > 0, T spans at most
+    MAX_RENORM_INTERVALS renorm intervals and is a whole number of them (to
+    1e-9 relative): a Lyapunov run ends on its last renormalization, at
+    round(T / renorm) * renorm."""
     if not T > renorm > 0:
         raise ValueError(f"needs T > renorm > 0, got T = {T} and renorm = {renorm}")
     if not np.isfinite(T / renorm):
         raise ValueError(f"T / renorm overflows, got T = {T} and renorm = {renorm}")
+    if round(T / renorm) > MAX_RENORM_INTERVALS:
+        raise ValueError(f"T / renorm = {T / renorm:.6g} exceeds {MAX_RENORM_INTERVALS} "
+                         f"renormalization intervals")
     if abs(T - round(T / renorm) * renorm) > 1e-9 * T:
         raise ValueError(f"T = {T} must be a whole number of renorm = {renorm} intervals")
 

@@ -8,19 +8,19 @@ zero outside diagonal blocks, and none is ever dense.  The partition is
 found per metric before assembly, from the support of the six weight DFTs
 and B's cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and
 eps != 0; 183 of at most 6 at eps = 0).  M, dM and B are gathered onto
-it, and the pencil, the symmetric family A = M^{-1/2} B M^{-1/2}, its
-exact derivative (on the joint parts of M and dM), A's cluster and the
-contour projector keep it; the projector solves only blocks with an
-eigenvalue inside its circle, at half the nodes.  A dense matrix enters as
-one block and gets exactly the dense arithmetic.
+it, and the pencil, the symmetric family A = M^{-1/2} B M^{-1/2}, A(0)
+with its exact derivative (on the joint parts of M and dM), A's cluster
+and the contour projector keep it; the projector solves only blocks with
+an eigenvalue inside its circle, at half the nodes.  A dense matrix
+enters as one block and gets exactly the dense arithmetic.
 
-Eigenvalue clusters are tracked along metric families, first-order
-splitting is cross-checked against the variation pairing, and the
-compression map reduces A(q) near a cluster to a small symmetric matrix
-with the same nearby spectrum; its first-order term is the exact dA
-compressed onto the cluster.  Closed forms span a large kernel of B;
-windows exclude it rather than constructing a coexact complement, since
-coexactness is metric-dependent.
+Eigenvalue clusters are tracked along metric families; one sweep gives
+their first-order splitting by finite differences, the pencil formula and
+the variation pairing.  The compression map reduces A(q) near a cluster
+to a small symmetric matrix with the same nearby spectrum; its
+first-order term is the exact dA compressed onto the cluster.  Closed
+forms span a large kernel of B; windows exclude it rather than
+constructing a coexact complement, since coexactness is metric-dependent.
 """
 
 from __future__ import annotations
@@ -76,21 +76,27 @@ class FormBasis:
         self.half_lattice = cube[n ** 3 // 2 + 1:]
         self.n_scalar = 1 + 2 * len(self.half_lattice)
         self.dimension = 3 * self.n_scalar
-        self._gather_cache = {}
+        self._gather = (None, None)  # (nodes, indices) of the last node count
 
     def gather_indices(self, nodes: int):
         """Indices of k_v + k_w and k_v - k_w (mod nodes) into a flattened
         nodes^3 DFT array, one (h + 1, h + 1) array each over the wave
-        vectors v, w of k = 0 and the half lattice; scalar j has wave (j + 1) // 2."""
-        if nodes not in self._gather_cache:
+        vectors v, w of k = 0 and the half lattice; scalar j has wave (j + 1) // 2.
+        Kept for the last node count only (a sweep's members share one); the
+        arrays of another count go before the new ones are built."""
+        if self._gather[0] != nodes:
+            self._gather = (None, None)
             kk = np.concatenate([np.zeros((1, 3), dtype=np.int64), self.half_lattice])
 
-            def flat(m):
-                m = m % nodes
-                return (m[..., 0] * nodes + m[..., 1]) * nodes + m[..., 2]
+            def flat(sign):  # one coordinate at a time: no (h + 1, h + 1, 3) temporaries
+                out = np.zeros((len(kk), len(kk)), dtype=np.int64)
+                for c in range(3):
+                    out *= nodes
+                    out += (kk[:, None, c] + sign * kk[None, :, c]) % nodes
+                return out
 
-            self._gather_cache[nodes] = (flat(kk[:, None] + kk[None]), flat(kk[:, None] - kk[None]))
-        return self._gather_cache[nodes]
+            self._gather = (nodes, (flat(1), flat(-1)))
+        return self._gather[1]
 
     def form_to_vector(self, form: SpectralVectorField):
         """Exact coefficient vector of a 1-form (must fit in K): the canonical
@@ -358,7 +364,8 @@ def solve_pencil(B: BlockMatrix, M: BlockMatrix, window) -> EigenCluster:
 
 @dataclass(frozen=True)
 class SplittingCurves:
-    """Eigenvalue curves of the pencil along the metric family."""
+    """Eigenvalue curves of the pencil along the metric family, and the
+    first-order splitting of its cluster by three routes."""
 
     epsilons: np.ndarray
     curves: np.ndarray          # (n_eps, k), sorted per epsilon
@@ -366,8 +373,12 @@ class SplittingCurves:
     alpha_residuals: np.ndarray
     pairing_matrix: np.ndarray  # k x k first-order matrix from the variation pairing
     pairing_eigenvalues: np.ndarray
+    pencil_matrix: np.ndarray   # -lambda0 U0' dM U0 over the base cluster
+    pencil_eigenvalues: np.ndarray
     fd_slopes: np.ndarray       # Richardson-extrapolated sorted slopes at 0
     fit_slopes: np.ndarray      # least-squares slope of each sorted curve
+    alpha_routes: tuple         # (central FD slope, pencil slope) of the contact form
+    beta_routes: tuple          # the same for the perturbing form
     window: tuple
     K: int
 
@@ -381,10 +392,9 @@ def _match_by_overlap(cluster: EigenCluster, m_target) -> float:
     return float(cluster.eigenvalues[int(np.argmax(np.abs(overlaps)))])
 
 
-# finite-difference steps: one-sided levels of the splitting sweep and the
-# central step of hellmann_feynman
+# one-sided finite-difference levels of the splitting sweep; the central
+# slopes of the two forms use the middle one and its half
 SPLIT_FD_LEVELS = (0.04, 0.02, 0.01)
-SLOPE_FD_DELTA = 0.02
 
 
 def richardson(values, steps, order=1):
@@ -411,31 +421,42 @@ def central_derivative(fn, x0, delta):
     return richardson(diffs, steps, order=2)
 
 
-def track_splitting(family: MetricFamily, contact, window, K: int,
-                    nodes=None) -> SplittingCurves:
+def track_splitting(family: MetricFamily, window, K: int, nodes=None) -> SplittingCurves:
     """Eigenvalue curves of (B, M(g_eps)) near the cluster inside the window.
 
-    The contact form's coefficient vector is matched by eigenvector overlap
-    at every epsilon; finite-difference slopes at 0 are cross-checked
-    against the eigenvalues of the pairing matrix Pi built from the
-    variation pairing of the cluster eigenvectors.
+    The family's contact form alpha and perturbing form beta are matched
+    to an eigenvalue by eigenvector overlap at every epsilon.  The slopes
+    at 0 come by three routes: finite differences of the sorted curves, the
+    eigenvalues of the pencil matrix -lambda0 U0' dM U0 over the
+    M-orthonormal base cluster U0, and those of the variation pairing of
+    U0.  Each form gets its central-difference slope and its pencil slope
+    -lambda0 u' dM u / u' M0 u; DegenerateDirection if it is not in the
+    base cluster or not an eigenvector of the pencil matrix, where its
+    slope is not defined.
     """
     from .contact import variation_pairing
 
     basis = FormBasis(K)
-    alpha_vec = basis.form_to_vector(contact.alpha)
-    lam0 = contact.lambda0
+    lam0 = family.contact.lambda0
+    vectors = [basis.form_to_vector(f) for f in (family.contact.alpha, family.beta)]
 
     eps_list = sorted(set(float(e) for e in family.epsilon_grid) | {0.0})
     solve_at = sorted(set(eps_list) | {s * e for e in SPLIT_FD_LEVELS for s in (1.0, -1.0)})
 
-    clusters = {}
-    m_alpha, b_alpha = {}, {}  # M @ alpha and B @ alpha; no pencil outlives its solve
+    # per epsilon: the cluster, the eigenvalues matched to alpha and beta, and
+    # the relative residual of alpha; only the base mass outlives its solve
+    clusters, matched, alpha_residuals = {}, {}, {}
     for eps in solve_at:
         M = assemble_mass(family.member(eps), basis, nodes)
         B = assemble_exterior(basis, M.parts)
         clusters[eps] = solve_pencil(B, M, window)
-        m_alpha[eps], b_alpha[eps] = M @ alpha_vec, B @ alpha_vec
+        m_forms = [M @ u for u in vectors]
+        matched[eps] = np.array([_match_by_overlap(clusters[eps], m) for m in m_forms])
+        r = B @ vectors[0] - lam0 * m_forms[0]
+        alpha_residuals[eps] = float(np.linalg.norm(r) / np.linalg.norm(m_forms[0]))
+        if eps == 0.0:
+            M0 = M
+    del M, B  # the last pencil goes before dM is built
     k = clusters[0.0].multiplicity
     for eps, cl in clusters.items():
         if cl.multiplicity != k:
@@ -444,17 +465,25 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
             )
 
     curves = np.array([np.sort(clusters[e].eigenvalues) for e in eps_list])
-    alpha_curve = []
-    alpha_residuals = []
-    for e in eps_list:
-        alpha_curve.append(_match_by_overlap(clusters[e], m_alpha[e]))
-        r = b_alpha[e] - lam0 * m_alpha[e]
-        alpha_residuals.append(float(np.linalg.norm(r) / np.linalg.norm(m_alpha[e])))
 
     base = clusters[0.0]
     U0 = base.vectors
-    forms = [basis.vector_to_form(U0[:, i]) for i in range(k)]
-    Pi = variation_pairing(forms, family.variation, family.base, lam0)
+    Pi = variation_pairing([basis.vector_to_form(U0[:, i]) for i in range(k)],
+                           family.variation, family.base, lam0)
+    dM = mass_derivative(family.base, family.variation, basis)
+    pencil = -lam0 * (U0.T @ (dM @ U0))
+
+    fd_forms = central_derivative(lambda e: matched[e], 0.0, SPLIT_FD_LEVELS[1])
+    routes = []
+    for u, fd in zip(vectors, fd_forms):
+        u = u / math.sqrt(float(u @ (M0 @ u)))
+        coeff = U0.T @ (M0 @ u)
+        if abs(float(coeff @ coeff) - 1.0) > 1e-8:
+            raise DegenerateDirection("form does not lie in the cluster at eps = 0")
+        resid = pencil @ coeff - (coeff @ pencil @ coeff) * coeff
+        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(pencil)):
+            raise DegenerateDirection("form is not an eigenvector of the pencil matrix")
+        routes.append((float(fd), -lam0 * float(u @ (dM @ u))))
 
     # sorting at a fixed sign of epsilon tracks branches consistently, so the
     # one-sided quotients (sorted(lam(e)) - lam0)/e extrapolate to the slopes
@@ -477,58 +506,19 @@ def track_splitting(family: MetricFamily, contact, window, K: int,
     return SplittingCurves(
         epsilons=eps_arr,
         curves=curves,
-        alpha_curve=np.array(alpha_curve),
-        alpha_residuals=np.array(alpha_residuals),
+        alpha_curve=np.array([matched[e][0] for e in eps_list]),
+        alpha_residuals=np.array([alpha_residuals[e] for e in eps_list]),
         pairing_matrix=Pi,
         pairing_eigenvalues=np.sort(np.linalg.eigvalsh(Pi)),
+        pencil_matrix=pencil,
+        pencil_eigenvalues=np.sort(np.linalg.eigvalsh(pencil)),
         fd_slopes=np.sort(fd),
         fit_slopes=fit,
+        alpha_routes=routes[0],
+        beta_routes=routes[1],
         window=(float(window[0]), float(window[1])),
         K=K,
     )
-
-
-def hellmann_feynman(family: MetricFamily, directions, lam: float, basis: FormBasis, window):
-    """Three routes to the eigenvalue slope along the family for each direction.
-
-    Returns (routes, Pi): routes[i] is (finite-difference slope, pencil
-    formula -lam u' dM u / u' M u, variation-pairing quadrature) for
-    directions[i], and Pi = -lam U0' dM U0 is the pencil matrix over the
-    M-orthonormal eigenvectors U0 of the cluster at eps = 0.  Each direction
-    u must be an eigenvector of Pi, otherwise its slope is not well
-    defined and DegenerateDirection is raised.  Each pencil is solved once
-    for all directions.
-    """
-    from .contact import variation_pairing
-
-    M0 = assemble_mass(family.base, basis)
-    U0 = solve_pencil(assemble_exterior(basis, M0.parts), M0, window).vectors
-    dM = mass_derivative(family.base, family.variation, basis)
-    Pi = -lam * (U0.T @ (dM @ U0))
-    units = []
-    for u in directions:
-        u = np.asarray(u, dtype=float)
-        u = u / math.sqrt(float(u @ (M0 @ u)))
-        coeff = U0.T @ (M0 @ u)
-        if abs(float(coeff @ coeff) - 1.0) > 1e-8:
-            raise DegenerateDirection("vector does not lie in the requested cluster")
-        resid = Pi @ coeff - (coeff @ Pi @ coeff) * coeff
-        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(Pi)):
-            raise DegenerateDirection("vector is not an eigenvector of the splitting matrix")
-        units.append(u)
-
-    def matched_eigenvalues(eps):
-        Ms = assemble_mass(family.member(eps), basis)
-        cluster = solve_pencil(assemble_exterior(basis, Ms.parts), Ms, window)
-        return np.array([_match_by_overlap(cluster, Ms @ u) for u in units])
-
-    fd = central_derivative(matched_eigenvalues, 0.0, SLOPE_FD_DELTA)
-    routes = []
-    for i, u in enumerate(units):
-        # one pairing per direction: a joint call contracts in another order
-        pairing = variation_pairing([basis.vector_to_form(u)], family.variation, family.base, lam)
-        routes.append((float(fd[i]), -lam * float(u @ (dM @ u)), float(pairing[0, 0])))
-    return routes, Pi
 
 
 # ---------------------------------------------------------------------------
@@ -615,30 +605,35 @@ def _coarsen(mass: BlockMatrix, parts) -> list:
     return out
 
 
-def pencil_operator_derivative(family: MetricFamily, basis: FormBasis) -> BlockMatrix:
-    """Exact dA(0) of pencil_operator_family: dR B R + R B dR, R = M0^{-1/2}.
+def pencil_operator_derivative(family: MetricFamily, basis: FormBasis):
+    """A(0) of pencil_operator_family and its exact derivative dA(0) =
+    dR B R + R B dR, R = M0^{-1/2}, both from one eigh per block of M0.
 
-    dR is the Frechet derivative of M^{-1/2} along dM = mass_derivative, in
-    each block's eigenbasis M0 = V diag(s^2) V' the Daleckii-Krein form
-    V (L * V' dM V) V' with L_ij = -1 / (s_i s_j (s_i + s_j)) (N. J. Higham,
-    Functions of Matrices, SIAM 2008, 3.2).  Its parts join those of M0 and
-    dM: dM couples blocks of M0.
+    In each block's eigenbasis M0 = V diag(s^2) V', R = V diag(1/s) V' and
+    dR, the Frechet derivative of M^{-1/2} along dM = mass_derivative, is
+    the Daleckii-Krein form V (L * V' dM V) V' with L_ij = -1 / (s_i s_j
+    (s_i + s_j)) (N. J. Higham, Functions of Matrices, SIAM 2008, 3.2).
+    Both are on the parts that join those of M0 and dM: dM couples blocks
+    of M0.  Returns (A0, dA).
     """
     M0 = assemble_mass(family.member(0.0), basis)
     dM = mass_derivative(family.base, family.variation, basis)
     chains = [idx for mass in (M0, dM) for idx in mass.parts]
     parts = _partition(basis.dimension, np.concatenate([idx[:-1] for idx in chains]),
                        np.concatenate([idx[1:] for idx in chains]))
-    blocks = []
+    A0, dA = [], []
     B = assemble_exterior(basis, parts).blocks
     for Bb, M0b, dMb in zip(B, _coarsen(M0, parts), _coarsen(dM, parts)):
         vals, V = _positive_eigh(M0b)
         s = np.sqrt(vals)
         L = -1.0 / (np.outer(s, s) * (s[:, None] + s))
         dR = V @ (L * (V.T @ dMb @ V)) @ V.T
-        half = dR @ Bb @ ((V / s) @ V.T)
-        blocks.append(half + half.T)  # B and R are symmetric, so R B dR = half'
-    return BlockMatrix(tuple(parts), tuple(blocks))
+        R = (V / s) @ V.T
+        A = R @ Bb @ R
+        A0.append(0.5 * (A + A.T))
+        half = dR @ Bb @ R
+        dA.append(half + half.T)  # B and R are symmetric, so R B dR = half'
+    return BlockMatrix(tuple(parts), tuple(A0)), BlockMatrix(tuple(parts), tuple(dA))
 
 
 def matrix_cluster(A: BlockMatrix, center: float, radius: float) -> EigenCluster:

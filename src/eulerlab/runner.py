@@ -303,9 +303,8 @@ def _run_perturb(cfg):
     p = cfg.params
     contactform, g = ct.std_contact_t3()
     beta = ct.default_perturbation_form()
-    fam = ct.metric_family(g, contactform, beta, p["epsilons"])
-    curves = gk.track_splitting(fam, contactform, tuple(p["window"]), p["K"],
-                                nodes=p["nodes"])
+    fam = ct.MetricFamily(g, contactform, beta, p["epsilons"])
+    curves = gk.track_splitting(fam, tuple(p["window"]), p["K"], nodes=p["nodes"])
     compat, worst_det = ct.family_compatibility(fam)
     worst_defect = max(rep.max_defect() for rep in compat.values())
     alpha_dev = float(np.max(np.abs(curves.alpha_curve - contactform.lambda0)))
@@ -320,6 +319,7 @@ def _run_perturb(cfg):
         "epsilons": [float(e) for e in curves.epsilons],
         "cluster_size": int(curves.curves.shape[1]),
         "pairing_eigenvalues": [float(x) for x in curves.pairing_eigenvalues],
+        "pencil_eigenvalues": [float(x) for x in curves.pencil_eigenvalues],
         "fd_slopes": [float(x) for x in curves.fd_slopes],
         "fit_slopes": [float(x) for x in curves.fit_slopes],
         "slope_gap": curves.slope_gap(),
@@ -347,11 +347,10 @@ def _run_pi_map(cfg):
     if p["mode"] == "galerkin":
         contactform, g = ct.std_contact_t3()
         beta = ct.default_perturbation_form()
-        fam = ct.metric_family(g, contactform, beta, [-0.1, 0.1])
+        fam = ct.MetricFamily(g, contactform, beta, [-0.1, 0.1])
         basis = gk.FormBasis(p["K"])
-        A_of = gk.pencil_operator_family(fam, basis)
-        A0, Aq = A_of(0.0), A_of(p["q"])
-        dA = gk.pencil_operator_derivative(fam, basis)
+        Aq = gk.pencil_operator_family(fam, basis)(p["q"])
+        A0, dA = gk.pencil_operator_derivative(fam, basis)
         lo, hi = p["window"]
     else:
         gen = np.random.Generator(

@@ -114,9 +114,8 @@ def test_criterion_6_variation_identities(quick_suite):
     assert entry["passed"]
 
 
-def test_criterion_6_builds_the_family_pencil_once(monkeypatch):
-    ctx = acceptance._family_context()
-    curves = gk.track_splitting(ctx[3], ctx[0], (0.8, 1.2), 2)
+def _count_builds(monkeypatch):
+    """Counter of the mass assemblies, pencil solves and dM builds from now on."""
     calls = Counter()
     for name in ("assemble_mass", "solve_pencil", "mass_derivative"):
         def counted(*args, _fn=getattr(gk, name), _name=name, **kwargs):
@@ -124,10 +123,27 @@ def test_criterion_6_builds_the_family_pencil_once(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(gk, name, counted)
-    _, passed = acceptance.check_variation_identities(ctx, curves)
+    return calls
+
+
+def test_criterion_6_builds_the_family_pencil_once(monkeypatch):
+    fam = acceptance._family_context()
+    calls = _count_builds(monkeypatch)
+    curves = gk.track_splitting(fam, (0.8, 1.2), 2)
+    # the grid's 7 members and the 6 finite-difference members, and dM once
+    assert calls == {"assemble_mass": 13, "solve_pencil": 13, "mass_derivative": 1}
+    calls.clear()
+    _, passed = acceptance.check_variation_identities(fam, curves)
     assert passed
-    # the base mass and pencil, dM, and the four finite-difference members
-    assert calls == {"assemble_mass": 5, "solve_pencil": 5, "mass_derivative": 1}
+    assert calls == {}
+
+
+def test_criterion_8_assembles_the_base_mass_twice(monkeypatch):
+    # A(0) and dA share one assembly; the other maps the forms into the A frame
+    calls = _count_builds(monkeypatch)
+    _, passed = acceptance.check_compression_machinery(acceptance._family_context())
+    assert passed
+    assert calls == {"assemble_mass": 2, "mass_derivative": 1}
 
 
 def test_criterion_7_splitting(quick_suite):

@@ -25,7 +25,7 @@ def beta():
 @pytest.fixture(scope="module")
 def family(model, beta):
     contact, g = model
-    return ct.metric_family(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
+    return ct.MetricFamily(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
 
 
 def form(pairs, trunc=1):
@@ -226,7 +226,7 @@ class TestMetricFamily:
         with pytest.raises(NotPositiveDefinite):
             bad.check_positive()
         with pytest.raises(NotPositiveDefinite):
-            ct.metric_family(bad, contact, beta, [0.1])
+            ct.MetricFamily(bad, contact, beta, [0.1])
 
 
 def spd(gen, count, smallest, scale):
@@ -276,7 +276,7 @@ class TestClosedFormAlgebra:
 
     def test_grid_fields_are_evaluated_once_per_grid(self, model, beta, monkeypatch):
         contact, g = model
-        family = ct.metric_family(g, contact, beta, [-0.1, 0.1])
+        family = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
         calls = []
         real = sp._SpectralField.evaluate
 

@@ -352,6 +352,11 @@ class TestLaneStepper:
         with pytest.raises(ValueError, match="whole number of renorm"):
             dyn.lyapunov_max(self.showcase(), [0.1, 0.2, 0.3], T, 5.0)
 
+    def test_horizon_caps_the_renormalization_intervals(self):
+        dyn.check_horizon(dyn.MAX_RENORM_INTERVALS * 0.1, 0.1)
+        with pytest.raises(ValueError, match="exceeds 100000 renormalization intervals"):
+            dyn.lyapunov_max(self.showcase(), [0.1, 0.2, 0.3], 2.0, 6e-8)
+
 
 class TestFirstIntegralReport:
     def test_beltrami_bernoulli_flat(self):

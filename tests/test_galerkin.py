@@ -34,7 +34,7 @@ def beta():
 @pytest.fixture(scope="module")
 def family(model, beta):
     contact, g = model
-    return ct.metric_family(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
+    return ct.MetricFamily(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
 
 
 @pytest.fixture(scope="module")
@@ -592,9 +592,32 @@ class TestSolvePencil:
 
 
 @pytest.fixture(scope="module")
-def curves(family, model):
-    contact, _ = model
-    return gk.track_splitting(family, contact, (0.8, 1.2), 2)
+def curves(family):
+    return gk.track_splitting(family, (0.8, 1.2), 2)
+
+
+def reference_form_slopes(family, K):
+    """The separate route to the slopes of alpha and beta: each member at
+    +-0.02 and +-0.01 assembled and solved again, the eigenvalue matched by
+    overlap with the M-normalized form, then central_derivative."""
+    basis = gk.FormBasis(K)
+    M0 = gk.assemble_mass(family.member(0.0), basis)
+    units = [u / math.sqrt(u @ (M0 @ u)) for u in
+             (basis.form_to_vector(f) for f in (family.contact.alpha, family.beta))]
+
+    def matched(eps):
+        M = gk.assemble_mass(family.member(eps), basis)
+        cl = gk.solve_pencil(gk.assemble_exterior(basis, M.parts), M, (0.8, 1.2))
+        return np.array([cl.eigenvalues[np.argmax(np.abs(cl.vectors.T @ (M @ u)))]
+                         for u in units])
+
+    return gk.central_derivative(matched, 0.0, 0.02)
+
+
+def base_cluster(family, basis):
+    """(M0, cluster) of the family's member at eps = 0, solved on its own."""
+    M0 = gk.assemble_mass(family.member(0.0), basis)
+    return M0, gk.solve_pencil(gk.assemble_exterior(basis, M0.parts), M0, (0.8, 1.2))
 
 
 class TestTrackSplitting:
@@ -608,13 +631,11 @@ class TestTrackSplitting:
         a, b = curves.fd_slopes, curves.pairing_eigenvalues
         assert np.all(np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b)) + 1e-10)
 
-    def test_alpha_row_and_column_vanish(self, curves, family, model, basis2=None):
+    def test_alpha_row_and_column_vanish(self, curves, family, model):
         contact, _ = model
         basis = gk.FormBasis(2)
-        M0 = gk.assemble_mass(family.member(0.0), basis)
-        cl = gk.solve_pencil(gk.assemble_exterior(basis, M0.parts), M0, (0.8, 1.2))
-        av = basis.form_to_vector(contact.alpha)
-        coeff = cl.vectors.T @ (M0 @ av)
+        M0, cl = base_cluster(family, basis)
+        coeff = cl.vectors.T @ (M0 @ basis.form_to_vector(contact.alpha))
         assert np.linalg.norm(curves.pairing_matrix @ coeff) <= 1e-13
 
     def test_alpha_curve_constant(self, curves):
@@ -624,57 +645,64 @@ class TestTrackSplitting:
     def test_splitting_gap(self, curves):
         assert curves.slope_gap() > 1e-4
 
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_form_slopes_are_bitwise_the_separate_route(self, family, curves, K):
+        swept = curves if K == 2 else gk.track_splitting(family, (0.8, 1.2), K)
+        fd = np.array([swept.alpha_routes[0], swept.beta_routes[0]])
+        assert np.array_equal(fd, reference_form_slopes(family, K))
+
+    def test_pencil_eigenvalues_match_the_other_routes(self, curves):
+        for other in (curves.fd_slopes, curves.pairing_eigenvalues):
+            a, b = curves.pencil_eigenvalues, other
+            assert np.all(np.abs(a - b) <= 1e-6 * np.maximum(np.abs(a), np.abs(b)) + 1e-10)
+        assert np.array_equal(curves.pencil_eigenvalues,
+                              np.sort(np.linalg.eigvalsh(curves.pencil_matrix)))
+
 
 class TestHellmannFeynman:
-    def test_alpha_direction_flat(self, family, model):
-        contact, _ = model
-        basis = gk.FormBasis(2)
-        av = basis.form_to_vector(contact.alpha)
-        [(fd, pencil, pairing)], _ = gk.hellmann_feynman(family, [av], 1.0, basis, (0.8, 1.2))
-        assert max(abs(fd), abs(pencil), abs(pairing)) <= 1e-8
+    """The pencil formula -lambda0 u' dM u / u' M0 u (the Hellmann-Feynman
+    slope of the pencil) against the other routes, per form of the family."""
 
-    def test_beta_direction_three_routes(self, family, model, beta):
-        contact, _ = model
-        basis = gk.FormBasis(2)
-        bv = basis.form_to_vector(beta)
-        [(fd, pencil, pairing)], _ = gk.hellmann_feynman(family, [bv], 1.0, basis, (0.8, 1.2))
+    def test_alpha_direction_flat(self, curves, family):
+        pairing = ct.variation_pairing([family.contact.alpha], family.variation, family.base, 1.0)
+        assert max(map(abs, curves.alpha_routes)) <= 1e-8
+        assert abs(pairing[0, 0]) <= 1e-8
+
+    def test_beta_direction_three_routes(self, curves, family):
+        fd, pencil = curves.beta_routes
+        pairing = ct.variation_pairing([family.beta], family.variation, family.base, 1.0)[0, 0]
         ref = 0.5 * 41.0 / (64.0 * TWO_PI ** 3)
         assert pairing == pytest.approx(ref, rel=1e-12)
         assert fd == pytest.approx(pairing, rel=1e-6)
         assert pencil == pytest.approx(pairing, rel=1e-8)
 
-    def test_directions_share_one_pencil(self, family, model, beta):
-        # two directions in one call give the routes of two single calls, and
-        # the returned Pi is the pencil matrix of the base cluster
-        contact, _ = model
+    def test_directions_share_one_pencil(self, curves, family):
+        # the pencil matrix of the sweep is the one of a separate base solve
         basis = gk.FormBasis(2)
-        vectors = [basis.form_to_vector(contact.alpha), basis.form_to_vector(beta)]
-        routes, Pi = gk.hellmann_feynman(family, vectors, 1.0, basis, (0.8, 1.2))
-        for u, joint in zip(vectors, routes):
-            assert gk.hellmann_feynman(family, [u], 1.0, basis, (0.8, 1.2))[0] == [joint]
-        M0 = gk.assemble_mass(family.base, basis)
-        U0 = gk.solve_pencil(gk.assemble_exterior(basis, M0.parts), M0, (0.8, 1.2)).vectors
+        U0 = base_cluster(family, basis)[1].vectors
         dM = gk.mass_derivative(family.base, family.variation, basis)
-        assert np.array_equal(Pi, -1.0 * (U0.T @ (dM @ U0)))
+        assert np.array_equal(curves.pencil_matrix, -1.0 * (U0.T @ (dM @ U0)))
 
-    def test_unadapted_direction_raises(self, family, model, beta):
-        contact, _ = model
-        basis = gk.FormBasis(2)
-        M0 = gk.assemble_mass(family.base, basis)
-        cl = gk.solve_pencil(gk.assemble_exterior(basis, M0.parts), M0, (0.8, 1.2))
-        dM = gk.mass_derivative(family.base, family.variation, basis)
-        Pi = -1.0 * (cl.vectors.T @ (dM @ cl.vectors))
-        vals, vecs = np.linalg.eigh(Pi)
-        mix = (cl.vectors @ (vecs[:, 0] + vecs[:, -1])) / math.sqrt(2.0)
-        with pytest.raises(DegenerateDirection):
-            gk.hellmann_feynman(family, [mix], 1.0, basis, (0.8, 1.2))
+    def test_unadapted_direction_raises(self, model):
+        # beta mixes two unit-eigenvalue fields and is not an eigenvector of its own
+        # pencil matrix; its slope is not defined
+        s = TWO_PI ** -1.5
+        extra = sp.SpectralVectorField.from_pairs(
+            {(0, 1, 0): np.array([0.15 * s, 0.0, -0.15j * s])}, truncation_radius=1)
+        contact, g = model
+        family = ct.MetricFamily(g, contact, ct.default_perturbation_form() + extra, [-0.1, 0.1])
+        with pytest.raises(DegenerateDirection, match="not an eigenvector"):
+            gk.track_splitting(family, (0.8, 1.2), 1)
 
-    def test_vector_outside_cluster_raises(self, family, model):
-        basis = gk.FormBasis(2)
-        stray = np.zeros(basis.dimension)
-        stray[cos_index(basis, 0, (0, 0, 0))] = 1.0
-        with pytest.raises(DegenerateDirection):
-            gk.hellmann_feynman(family, [stray], 1.0, basis, (0.8, 1.2))
+    def test_vector_outside_cluster_raises(self, model):
+        # cos(x1 + x2) dx3 has curl eigenvalues of modulus sqrt(2), outside the window
+        s = TWO_PI ** -1.5
+        extra = sp.SpectralVectorField.from_pairs(
+            {(1, 1, 0): np.array([0.0, 0.0, 0.5 * s])}, truncation_radius=1)
+        contact, g = model
+        family = ct.MetricFamily(g, contact, extra, [-0.1, 0.1])
+        with pytest.raises(DegenerateDirection, match="does not lie in the cluster"):
+            gk.track_splitting(family, (0.8, 1.2), 1)
 
 
 class TestSpectralProjector:
@@ -752,30 +780,30 @@ def dense_projector(A, center, radius, nodes=64):
 @pytest.fixture(scope="module", params=[1, 2], ids=["K1", "K2"])
 def operator_pair(request, model, beta):
     """Block and dense operator families of the pi-map galerkin run, and the
-    exact derivative of the block family at 0."""
+    block family's A(0) with its exact derivative at 0."""
     contact, g = model
-    fam = ct.metric_family(g, contact, beta, [-0.1, 0.1])
+    fam = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
     basis = gk.FormBasis(request.param)
     return (gk.pencil_operator_family(fam, basis), dense_operator_family(fam, basis),
-            gk.pencil_operator_derivative(fam, basis))
+            *gk.pencil_operator_derivative(fam, basis))
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3], ids=["K1", "K2", "K3"])
 def pi_family(request, model, beta):
     """The pi-map galerkin family at eps = 0: (family, basis, A_of, exact dA,
-    cluster of A(0))."""
+    cluster of A(0)), A(0) and dA from one call as in the run."""
     contact, g = model
-    fam = ct.metric_family(g, contact, beta, [-0.1, 0.1])
+    fam = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
     basis = gk.FormBasis(request.param)
-    A_of = gk.pencil_operator_family(fam, basis)
-    cluster = gk.matrix_cluster(A_of(0.0), contact.lambda0, 0.2)
-    return fam, basis, A_of, gk.pencil_operator_derivative(fam, basis), cluster
+    A0, dA = gk.pencil_operator_derivative(fam, basis)
+    cluster = gk.matrix_cluster(A0, contact.lambda0, 0.2)
+    return fam, basis, gk.pencil_operator_family(fam, basis), dA, cluster
 
 
 class TestBlockOperatorPath:
     @pytest.mark.parametrize("eps", [0.05, -0.05])
     def test_operator_matches_dense(self, operator_pair, eps):
-        A_of, dense_of, _ = operator_pair
+        A_of, dense_of, _, _ = operator_pair
         A, Ad = dense(A_of(eps)), dense_of(eps)
         assert n_components(A) > 1
         assert np.max(np.abs(A - Ad)) <= 1e-12 * np.max(np.abs(Ad))
@@ -796,7 +824,7 @@ class TestBlockOperatorPath:
         # a fixed rotation makes every A(eps) one dense component with the
         # same spectrum, which enters pi_map as one block; the dense route
         # takes its derivative by finite differences of A
-        A_of, dense_of, dA = operator_pair
+        A_of, dense_of, _, dA = operator_pair
         Ad = dense_of(0.0)
         Q = np.linalg.qr(rng(47, len(Ad)).standard_normal(Ad.shape))[0]
 
@@ -821,10 +849,18 @@ class TestBlockOperatorPath:
 
     def test_exact_derivative_matches_finite_difference(self, operator_pair):
         # the slow reference: central differences of A, Richardson-extrapolated
-        A_of, _, dA = operator_pair
+        A_of, _, _, dA = operator_pair
         assert n_components(dense(dA)) > 1
         fd = gk.central_derivative(lambda eps: dense(A_of(eps)), 0.0, 1e-2)
         assert np.max(np.abs(dense(dA) - fd)) <= 1e-11
+
+    def test_joint_base_operator_matches_the_family_at_zero(self, operator_pair):
+        # A(0) on the joint parts of M0 and dM, from the eigh that dA uses
+        A_of, _, A0, dA = operator_pair
+        assert len(A0.parts) == len(dA.parts)
+        assert all(np.array_equal(a, b) for a, b in zip(A0.parts, dA.parts))
+        ref = dense(A_of(0.0))
+        assert np.max(np.abs(dense(A0) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("offset", [1e-7, 0.0])
     def test_guard_sees_eigenvalues_of_skipped_blocks(self, offset):
@@ -977,9 +1013,9 @@ class TestExactFirstOrderCompression:
         compressed = cluster.vectors.T @ dA @ cluster.vectors
         assert np.max(np.abs(pencil - compressed)) <= 1e-14 * np.max(np.abs(compressed))
 
-    def test_eigenvalues_match_the_variation_pairing(self, pi_family, model):
+    def test_eigenvalues_match_the_variation_pairing(self, pi_family):
         fam, basis, _, dA, cluster = pi_family
-        curves = gk.track_splitting(fam, model[0], (0.8, 1.2), basis.K)
+        curves = gk.track_splitting(fam, (0.8, 1.2), basis.K)
         prime = gk.pi_derivative(dA, cluster.vectors)
         assert np.max(np.abs(np.linalg.eigvalsh(prime) - curves.pairing_eigenvalues)) <= 1e-16
 

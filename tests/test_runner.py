@@ -181,12 +181,12 @@ def test_cli_run_exit_codes(tmp_path):
     assert cli.main(["run", "--config", str(missing)]) == 2
 
 
-def _python(*args, preexec_fn=None):
+def _python(*args, preexec_fn=None, timeout=120):
     """Run a fresh interpreter that imports eulerlab from this checkout."""
     src = os.path.dirname(os.path.dirname(eulerlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=120, preexec_fn=preexec_fn)
+                          timeout=timeout, preexec_fn=preexec_fn)
 
 
 def _cap_address_space():
@@ -263,6 +263,31 @@ def test_cli_rejects_lyapunov_T_over_renorm_that_overflows(tmp_path):
     assert not out.exists()
     with pytest.raises(ConfigInvalid):
         runner.load_config(str(cfgfile))
+
+
+# schema-valid configs that stepped for minutes: at tol = 1e-300 the steps are
+# about tol^(1/8), and renorm = 6e-8 asks for 3.3e7 renormalizations
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "lyapunov",
+      "params": {"A": 2.0, "B": 0.05, "C": 0.05, "T": 2.0, "renorm": 1.0, "tol": 1e-300}},
+     "less than the minimum"),
+    ({"kind": "poincare", "params": {"A": 1.0, "B": 0.5, "C": 0.0, "x0": [0.2, 0.0, 1.3],
+                                     "count": 1, "max_time": 1.0, "tol": 1e-300}},
+     "less than the minimum"),
+    ({"kind": "lyapunov", "params": {"A": 2.0, "B": 0.05, "C": 0.05, "T": 2.0, "renorm": 6e-8}},
+     "exceeds 100000 renormalization intervals"),
+], ids=["lyapunov-tol", "poincare-tol", "lyapunov-intervals"])
+def test_cli_rejects_configs_that_would_not_end(tmp_path, doc, message):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out),
+                   timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert message in proc.stderr
+    assert not out.exists()
 
 
 # found by the CLI fuzz test: a seed that does not fit a uint64 Philox key
@@ -535,6 +560,31 @@ def test_pi_map_galerkin_certificate_agrees_across_K(tmp_path):
         assert runner.run(runner.load_config(config), out_dir=str(tmp_path / str(K))).ok
         certs.append(json.load(open(tmp_path / str(K) / "report.json"))["certificate"])
     assert max(certs) - min(certs) <= 1e-16
+
+
+def test_pi_map_galerkin_run_assembles_the_mass_twice(tmp_path, monkeypatch):
+    # A(0) and dA share the base assembly; the other one is A(q)
+    from eulerlab import galerkin as gk
+
+    calls = []
+    real = gk.assemble_mass
+    monkeypatch.setattr(gk, "assemble_mass", lambda *args: calls.append(args) or real(*args))
+    config = {"kind": "pi-map", "params": {"mode": "galerkin", "K": 2}}
+    assert runner.run(runner.load_config(config), out_dir=str(tmp_path)).ok
+    assert len(calls) == 2
+
+
+def test_perturb_report_gives_three_agreeing_routes(tmp_path):
+    from eulerlab.acceptance import _slope_agreement
+
+    config = {"kind": "perturb", "params": {"K": 1}}
+    assert runner.run(runner.load_config(config), out_dir=str(tmp_path)).ok
+    report = json.load(open(tmp_path / "report.json"))
+    routes = [np.array(report[key])
+              for key in ("fd_slopes", "pencil_eigenvalues", "pairing_eigenvalues")]
+    assert all(len(r) == report["cluster_size"] == 6 for r in routes)
+    for i in range(3):
+        assert _slope_agreement(routes[i], routes[i - 1])
 
 
 def test_pi_map_synthetic_records_the_contour_it_uses(tmp_path):

@@ -78,7 +78,7 @@ def test_base_metric_json_text_is_pinned():
 def test_metric_json_includes_family_factor():
     contact, g = ct.std_contact_t3()
     beta = ct.default_perturbation_form()
-    fam = ct.metric_family(g, contact, beta, [0.1])
+    fam = ct.MetricFamily(g, contact, beta, [0.1])
     doc = ser.metric_to_json(fam.member(0.1))
     assert doc["xi_scale"]["epsilon"] == 0.1
     assert doc["xi_scale"]["norm2"]["terms"]
