@@ -15,8 +15,8 @@ Three groups of rows, each written to its own JSON file.
   call, so no grid evaluation it may keep is warm;
 - `spectral_projector` with 64 nodes on the K=2 operator A_of(0) of the
   `pi-map` galerkin mode, and one K=3 operator A_of(0.1);
-- `MetricField.matrix` of the same family member on the K=3 mass grid
-  (19^3 points);
+- `MetricField.matrix` of the same family member on the K=3
+  basis grid (19^3 points);
 - `spectral.bernoulli` of the random Beltrami fields of shells n = 9 and 50;
 - end to end, one `perturb` run at K=3 and one `pi-map` galerkin run at
   K=2, K=3 and K=4 through `runner.run`;
@@ -57,11 +57,13 @@ import to the end, so interpreter start-up is not counted.
 Medians are over --runs repetitions in one process with one BLAS thread,
 after one warm-up call.  Every call used exists with the same signature
 on older checkouts, so the script can be copied into one and run there,
-except two: `assemble_exterior(basis, parts)` in the `solve_pencil_K3`
-setup (checkouts whose B is one dense array call `assemble_exterior(basis)`)
-and `track_splitting(family, window, K)` (checkouts that still take the
-contact form call `track_splitting(family, contact, window, K)`); run an
-older checkout's own copy of the script instead.
+except three: `assemble_exterior(basis, parts)` in the `solve_pencil_K3`
+setup (checkouts whose B is one dense array call `assemble_exterior(basis)`),
+`track_splitting(family, window, K)` (checkouts that still take the
+contact form call `track_splitting(family, contact, window, K)`) and the
+basis grid `FormBasis.nodes` (checkouts that pick a node count per matrix
+have `default_mass_nodes`); run an older checkout's own copy of the script
+instead.
 Results go under `--label` into the group's file (or `--out`) at the root
 of the checkout that holds this script; entries under other labels are
 kept, so two checkouts can write side by side into one file:
@@ -170,7 +172,7 @@ def _galerkin_cases(scratch):
     pi_family = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
     A0 = gk.pencil_operator_family(pi_family, gk.FormBasis(2))(0.0)
     A_of3 = gk.pencil_operator_family(pi_family, gk.FormBasis(3))
-    mass_grid, _ = ct.uniform_grid(gk.default_mass_nodes(3, member.degree_hint))
+    mass_grid, _ = ct.uniform_grid(basis3.nodes)
     shell9, shell50 = sp.random_beltrami(9, 0), sp.random_beltrami(50, 0)
     perturb = runner.load_config({"kind": "perturb", "params": {"K": 3}})
     pi_maps = {K: runner.load_config({"kind": "pi-map", "params": {"mode": "galerkin", "K": K}})

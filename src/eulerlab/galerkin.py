@@ -2,8 +2,8 @@
 
 The operator star_g d is discretized as a symmetric matrix pencil (B, M):
 B_ij = integral of e_i ^ d(e_j) is metric-independent and exact in closed
-form, M(g)_ij = <e_i, e_j>_g is a grid quadrature with node counts above
-the Nyquist bound of the integrand.  Every D x D matrix is a BlockMatrix,
+form, M(g)_ij = <e_i, e_j>_g is a quadrature on one grid per basis, above
+the Nyquist bound of every integrand.  Every D x D matrix is a BlockMatrix,
 zero outside diagonal blocks, and none is ever dense.  The partition is
 found per metric before assembly, from the support of the six weight DFTs
 and B's cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and
@@ -25,6 +25,7 @@ constructing a coexact complement, since coexactness is metric-dependent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,27 +77,26 @@ class FormBasis:
         self.half_lattice = cube[n ** 3 // 2 + 1:]
         self.n_scalar = 1 + 2 * len(self.half_lattice)
         self.dimension = 3 * self.n_scalar
-        self._gather = (None, None)  # (nodes, indices) of the last node count
+        # the nodes^3 grid of every matrix on this basis: above the Nyquist bound
+        # 2K + d + 1 of each weight degree d it meets (the base metric's 2, dM's 6
+        # and the family members' hint 12), so M, dM and M0 share its gather indices
+        self.nodes = 2 * K + 13
 
-    def gather_indices(self, nodes: int):
+    @functools.cached_property
+    def gather_indices(self):
         """Indices of k_v + k_w and k_v - k_w (mod nodes) into a flattened
         nodes^3 DFT array, one (h + 1, h + 1) array each over the wave
-        vectors v, w of k = 0 and the half lattice; scalar j has wave (j + 1) // 2.
-        Kept for the last node count only (a sweep's members share one); the
-        arrays of another count go before the new ones are built."""
-        if self._gather[0] != nodes:
-            self._gather = (None, None)
-            kk = np.concatenate([np.zeros((1, 3), dtype=np.int64), self.half_lattice])
+        vectors v, w of k = 0 and the half lattice; scalar j has wave (j + 1) // 2."""
+        kk = np.concatenate([np.zeros((1, 3), dtype=np.int64), self.half_lattice])
 
-            def flat(sign):  # one coordinate at a time: no (h + 1, h + 1, 3) temporaries
-                out = np.zeros((len(kk), len(kk)), dtype=np.int64)
-                for c in range(3):
-                    out *= nodes
-                    out += (kk[:, None, c] + sign * kk[None, :, c]) % nodes
-                return out
+        def flat(sign):  # one coordinate at a time: no (h + 1, h + 1, 3) temporaries
+            out = np.zeros((len(kk), len(kk)), dtype=np.int64)
+            for c in range(3):
+                out *= self.nodes
+                out += (kk[:, None, c] + sign * kk[None, :, c]) % self.nodes
+            return out
 
-            self._gather = (nodes, (flat(1), flat(-1)))
-        return self._gather[1]
+        return flat(1), flat(-1)
 
     def form_to_vector(self, form: SpectralVectorField):
         """Exact coefficient vector of a 1-form (must fit in K): the canonical
@@ -122,10 +122,6 @@ class FormBasis:
         K = np.concatenate([np.zeros((1, 3), dtype=np.int64), self.half_lattice])
         keep = np.any(C != 0, axis=1)
         return SpectralVectorField.from_half(K[keep], C[keep], truncation_radius=self.K)
-
-
-def default_mass_nodes(K: int, degree_hint: int) -> int:
-    return 2 * K + degree_hint + 1
 
 
 def _take(x, idx, axis):
@@ -228,8 +224,8 @@ for _p, (_a, _b) in enumerate(_SLOT_PAIRS):
     _PAIR_OF[_a, _b] = _PAIR_OF[_b, _a] = _p
 
 
-def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> BlockMatrix:
-    """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the nodes^3 grid.
+def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
+    """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the basis grid.
 
     `weights` holds a symmetric 3x3 weight W per point of `uniform_grid`,
     quadrature weight included; the slot pair (a, b) of e_i, e_j picks its
@@ -243,10 +239,10 @@ def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> Bloc
     positive definite), or where B_ij != 0, and only entries inside them
     are gathered.
     """
-    S = basis.n_scalar
-    W = weights.reshape(nodes, nodes, nodes, 3, 3)
+    S, n = basis.n_scalar, basis.nodes
+    W = weights.reshape(n, n, n, 3, 3)
     F = np.stack([np.fft.fftn(W[..., a, b]).conj().ravel() for a, b in _SLOT_PAIRS])
-    plus, minus = basis.gather_indices(nodes)
+    plus, minus = basis.gather_indices
     magnitude = np.abs(F)
     support = magnitude > 1e-12 * np.max(magnitude)
 
@@ -280,20 +276,18 @@ def _block_quadrature(basis: FormBasis, nodes: int, weights: np.ndarray) -> Bloc
     return BlockMatrix(tuple(parts), tuple(blocks))
 
 
-def assemble_mass(metric: MetricField, basis: FormBasis, nodes=None) -> BlockMatrix:
-    """Mass matrix M_ij = integral of g(e_i#, e_j#) vol_g by grid quadrature,
-    on the blocks of `_block_quadrature`.
+def assemble_mass(metric: MetricField, basis: FormBasis) -> BlockMatrix:
+    """Mass matrix M_ij = integral of g(e_i#, e_j#) vol_g by quadrature on
+    the basis grid, on the blocks of `_block_quadrature`.
 
     Raises NotPositiveDefinite when the metric fails positivity on the
     quadrature grid.
     """
-    if nodes is None:
-        nodes = default_mass_nodes(basis.K, metric.degree_hint)
-    _, w = uniform_grid(nodes)
-    G = metric.grid_matrix(nodes)
+    _, w = uniform_grid(basis.nodes)
+    G = metric.grid_matrix(basis.nodes)
     Ginv, det = inverse_and_det(G)
     require_positive(G, det, "the quadrature grid")
-    return _block_quadrature(basis, nodes, Ginv * (np.sqrt(det) * w)[:, None, None])
+    return _block_quadrature(basis, Ginv * (np.sqrt(det) * w)[:, None, None])
 
 
 def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> BlockMatrix:
@@ -301,14 +295,13 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
     """
-    nodes = default_mass_nodes(basis.K, metric.degree_hint + h.entries.degree())
-    pts, w = uniform_grid(nodes)
-    Ginv, det = inverse_and_det(metric.grid_matrix(nodes))
+    pts, w = uniform_grid(basis.nodes)
+    Ginv, det = inverse_and_det(metric.grid_matrix(basis.nodes))
     H = h.entries.evaluate(pts)
-    HS = np.einsum("pij,pjk,pkl->pil", Ginv, H, Ginv)
+    HS = Ginv @ H @ Ginv
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = -HS + 0.5 * tr[:, None, None] * Ginv
-    return _block_quadrature(basis, nodes, core * (np.sqrt(det) * w)[:, None, None])
+    return _block_quadrature(basis, core * (np.sqrt(det) * w)[:, None, None])
 
 
 @dataclass(frozen=True)
@@ -421,7 +414,7 @@ def central_derivative(fn, x0, delta):
     return richardson(diffs, steps, order=2)
 
 
-def track_splitting(family: MetricFamily, window, K: int, nodes=None) -> SplittingCurves:
+def track_splitting(family: MetricFamily, window, K: int) -> SplittingCurves:
     """Eigenvalue curves of (B, M(g_eps)) near the cluster inside the window.
 
     The family's contact form alpha and perturbing form beta are matched
@@ -447,7 +440,7 @@ def track_splitting(family: MetricFamily, window, K: int, nodes=None) -> Splitti
     # the relative residual of alpha; only the base mass outlives its solve
     clusters, matched, alpha_residuals = {}, {}, {}
     for eps in solve_at:
-        M = assemble_mass(family.member(eps), basis, nodes)
+        M = assemble_mass(family.member(eps), basis)
         B = assemble_exterior(basis, M.parts)
         clusters[eps] = solve_pencil(B, M, window)
         m_forms = [M @ u for u in vectors]

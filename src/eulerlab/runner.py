@@ -140,6 +140,20 @@ def _assert_true(name, flag, value=None):
     return {"name": name, "passed": bool(flag), "value": value, "threshold": None}
 
 
+def _source_field(source):
+    """The field of a source {"abc": {A, B, C}} or {"shell": {n, seed}}, its
+    label {kind: [parameters]} and its field_hash."""
+    if "abc" in source:
+        a = source["abc"]
+        field = sp.make_abc(sp.ABCParams(a["A"], a["B"], a["C"]))
+        label = {"abc": [a["A"], a["B"], a["C"]]}
+    else:
+        sh = source["shell"]
+        field = sp.random_beltrami(sh["n"], sh["seed"])
+        label = {"shell": [sh["n"], sh["seed"]]}
+    return field, label, ser.field_hash(field)
+
+
 def _run_spectrum(cfg):
     n = cfg.params["n"]
     shell = sp.lattice_shell(n)
@@ -163,11 +177,11 @@ def _run_spectrum(cfg):
 
 def _run_abc(cfg):
     p = cfg.params
-    field = sp.make_abc(sp.ABCParams(p["A"], p["B"], p["C"]))
+    field, label, _ = _source_field({"abc": p})
     r1, r2 = sp.steady_residual(field)
     mn = sp.min_norm(field, p["grid"])
     report = {
-        "amplitudes": [p["A"], p["B"], p["C"]],
+        "amplitudes": label["abc"],
         "euler_residual": r1,
         "bernoulli_residual": r2,
         "min_norm": mn,
@@ -190,18 +204,10 @@ def _run_abc(cfg):
 
 
 def _run_bernoulli(cfg):
-    src = cfg.params["source"]
-    if "abc" in src:
-        a = src["abc"]
-        field = sp.make_abc(sp.ABCParams(a["A"], a["B"], a["C"]))
-        label = {"abc": [a["A"], a["B"], a["C"]]}
-    else:
-        sh = src["shell"]
-        field = sp.random_beltrami(sh["n"], sh["seed"])
-        label = {"shell": [sh["n"], sh["seed"]]}
+    field, label, field_hash = _source_field(cfg.params["source"])
     F = sp.bernoulli(field)
     sup = F.sup_norm(cfg.params["grid"])
-    report = {"source": label, "bernoulli_sup_norm": sup, "field_hash": ser.field_hash(field)}
+    report = {"source": label, "bernoulli_sup_norm": sup, "field_hash": field_hash}
     plots = {
         "source_field.json": ser.dump_json(ser.field_to_json(field)),
         "bernoulli.json": ser.dump_json(ser.field_to_json(F)),
@@ -212,7 +218,7 @@ def _run_bernoulli(cfg):
 
 def _run_lyapunov(cfg):
     p = cfg.params
-    field = sp.make_abc(sp.ABCParams(p["A"], p["B"], p["C"]))
+    field, label, field_hash = _source_field({"abc": p})
     count = p["seeds"]
     if p["seed_style"] == "separatrix":
         x0s = dyn.separatrix_seeds(p["B"], count, base_key=7 + cfg.seed)
@@ -222,12 +228,12 @@ def _run_lyapunov(cfg):
 
     values = [e.lambda_max for e in estimates]
     report = {
-        "amplitudes": [p["A"], p["B"], p["C"]],
+        "amplitudes": label["abc"],
         "T": p["T"],
         "renorm": p["renorm"],
         "tol": p["tol"],
         "seed_style": p["seed_style"],
-        "field_hash": ser.field_hash(field),
+        "field_hash": field_hash,
         "estimates": values,
         "note": "largest Lyapunov exponent, used as a proxy for dynamical complexity",
     }
@@ -258,7 +264,7 @@ def _run_lyapunov(cfg):
 
 def _run_poincare(cfg):
     p = cfg.params
-    field = sp.make_abc(sp.ABCParams(p["A"], p["B"], p["C"]))
+    field, label, field_hash = _source_field({"abc": p})
     section = dyn.poincare(
         field,
         (p["axis"], p["level"]),
@@ -273,7 +279,7 @@ def _run_poincare(cfg):
     # chaotic section needs it constant, i.e. a Beltrami field
     integral = dyn.first_integral_report(field, sp.bernoulli(field), 16)
     report = {
-        "amplitudes": [p["A"], p["B"], p["C"]],
+        "amplitudes": label["abc"],
         "axis": p["axis"],
         "level": p["level"],
         "direction": p["direction"],
@@ -281,7 +287,7 @@ def _run_poincare(cfg):
         "max_section_residual": resid,
         "bernoulli_range_gap": integral.range_gap,
         "bernoulli_derivative_sup": integral.derivative_sup,
-        "field_hash": ser.field_hash(field),
+        "field_hash": field_hash,
         "tol": p["tol"],
         "x0": p["x0"],
     }
@@ -304,7 +310,7 @@ def _run_perturb(cfg):
     contactform, g = ct.std_contact_t3()
     beta = ct.default_perturbation_form()
     fam = ct.MetricFamily(g, contactform, beta, p["epsilons"])
-    curves = gk.track_splitting(fam, tuple(p["window"]), p["K"], nodes=p["nodes"])
+    curves = gk.track_splitting(fam, tuple(p["window"]), p["K"])
     compat, worst_det = ct.family_compatibility(fam)
     worst_defect = max(rep.max_defect() for rep in compat.values())
     alpha_dev = float(np.max(np.abs(curves.alpha_curve - contactform.lambda0)))

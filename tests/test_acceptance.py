@@ -126,24 +126,28 @@ def _count_builds(monkeypatch):
     return calls
 
 
-def test_criterion_6_builds_the_family_pencil_once(monkeypatch):
+def test_criterion_6_builds_the_family_pencil_once(monkeypatch, gather_builds):
     fam = acceptance._family_context()
     calls = _count_builds(monkeypatch)
     curves = gk.track_splitting(fam, (0.8, 1.2), 2)
-    # the grid's 7 members and the 6 finite-difference members, and dM once
+    # the grid's 7 members and the 6 finite-difference members, and dM once,
+    # all on the one grid of the sweep's basis
     assert calls == {"assemble_mass": 13, "solve_pencil": 13, "mass_derivative": 1}
+    assert gather_builds == [2]
     calls.clear()
     _, passed = acceptance.check_variation_identities(fam, curves)
     assert passed
     assert calls == {}
 
 
-def test_criterion_8_assembles_the_base_mass_twice(monkeypatch):
-    # A(0) and dA share one assembly; the other maps the forms into the A frame
+def test_criterion_8_assembles_the_base_mass_twice(monkeypatch, gather_builds):
+    # A(0) and dA share one assembly; the other maps the forms into the A frame;
+    # M0, dM and the base mass share the grid of one basis
     calls = _count_builds(monkeypatch)
     _, passed = acceptance.check_compression_machinery(acceptance._family_context())
     assert passed
     assert calls == {"assemble_mass": 2, "mass_derivative": 1}
+    assert gather_builds == [acceptance.SWEEP_K]
 
 
 def test_criterion_7_splitting(quick_suite):

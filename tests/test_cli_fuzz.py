@@ -65,8 +65,7 @@ PARAMS = {
         optional={"axis": st.integers(0, 2), "level": number,
                   "direction": st.sampled_from([1, -1]), "tol": tol}),
     "perturb": st.fixed_dictionaries({"K": st.just(1)}, optional={
-        "epsilons": st.lists(number, min_size=1, max_size=3), "window": pair,
-        "nodes": st.one_of(st.none(), st.integers(1, 12))}),
+        "epsilons": st.lists(number, min_size=1, max_size=3), "window": pair}),
     "pi-map": st.fixed_dictionaries({}, optional={
         "mode": st.sampled_from(["galerkin", "synthetic"]), "K": st.just(1), "q": number,
         "window": pair, "contour_nodes": st.integers(8, 24), "dim": st.integers(4, 12)}),

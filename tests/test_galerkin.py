@@ -339,32 +339,45 @@ def pointwise_quadrature(basis, nodes, weights):
     return M
 
 
+def basis_on_grid(K, nodes):
+    """A basis whose matrices are integrated on nodes^3 points instead of its
+    own grid: the grid is set before its gather indices are built."""
+    basis = gk.FormBasis(K)
+    basis.nodes = nodes
+    return basis
+
+
 class TestMassAgainstPointwiseQuadrature:
-    # default node count, an odd and an even one, and an aliased one (<= 2K);
-    # mass_derivative always takes the default, so the derivative weights
-    # meet the other node counts in the block quadrature it shares with M
+    # the basis grid, an odd and an even count and an aliased one (<= 2K),
+    # each set on a fresh basis; M and dM meet every count in the block
+    # quadrature they share
     @pytest.mark.parametrize("K", [1, 2])
     @pytest.mark.parametrize("nodes", [None, 7, 8, "aliased"])
     def test_mass_and_derivative(self, family, K, nodes):
-        basis = gk.FormBasis(K)
-        member = family.member(0.2)
-        cases = [(member, member.degree_hint, False),
-                 (family.base, family.base.degree_hint + family.variation.entries.degree(), True)]
-        for metric, hint, derivative in cases:
-            n = {None: gk.default_mass_nodes(K, hint), "aliased": 2 * K}.get(nodes, nodes)
-            weights = reference_weights(metric, n, family.variation if derivative else None)
-            if not derivative:
-                fast = gk.assemble_mass(metric, basis, nodes=n)
-            elif nodes is None:
-                fast = gk.mass_derivative(metric, family.variation, basis)
-            else:
-                fast = gk._block_quadrature(basis, n, weights)
-            ref = pointwise_quadrature(basis, n, weights)
+        n = {None: gk.FormBasis(K).nodes, "aliased": 2 * K}.get(nodes, nodes)
+        basis = basis_on_grid(K, n)
+        for metric, h in [(family.member(0.2), None), (family.base, family.variation)]:
+            fast = (gk.assemble_mass(metric, basis) if h is None
+                    else gk.mass_derivative(metric, h, basis))
+            ref = pointwise_quadrature(basis, n, reference_weights(metric, n, h))
             assert np.max(np.abs(dense(fast) - ref)) <= 1e-13 * np.max(np.abs(ref))
-            if nodes is None:  # n is the node count the default picks
-                default = (gk.mass_derivative(metric, family.variation, basis) if derivative
-                           else gk.assemble_mass(metric, basis))
-                assert np.array_equal(dense(fast), dense(default))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_the_basis_grid_agrees_with_the_smallest_exact_grid(family, K):
+    # the base metric's weight has degree 2 and dM's degree 6, so 2K + 3 and
+    # 2K + 7 nodes integrate them exactly; the basis grid has more nodes, so
+    # it must give the same blocks and the same entries up to rounding
+    h = family.variation
+    for degree, build, weights_h in [(2, lambda b: gk.assemble_mass(family.base, b), None),
+                                     (6, lambda b: gk.mass_derivative(family.base, h, b), h)]:
+        basis = gk.FormBasis(K)
+        fine, coarse = build(basis), build(basis_on_grid(K, 2 * K + degree + 1))
+        assert len(fine.parts) == len(coarse.parts)
+        assert all(np.array_equal(a, b) for a, b in zip(fine.parts, coarse.parts))
+        for n in (basis.nodes, 2 * K + degree + 1):
+            ref = dense_quadrature(basis, n, reference_weights(family.base, n, weights_h))
+            assert np.max(np.abs(dense(fine) - ref)) <= 1e-15 * np.max(np.abs(ref)), (degree, n)
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3], ids=["K1", "K2", "K3"])
@@ -373,13 +386,12 @@ def mass_cases(request, family):
     the eps = +-0.2 members and dM."""
     basis = gk.FormBasis(request.param)
     cases = []
+    nodes = basis.nodes
     for name, metric in [("base", family.base), ("+0.2", family.member(0.2)),
                          ("-0.2", family.member(-0.2))]:
-        nodes = gk.default_mass_nodes(basis.K, metric.degree_hint)
         cases.append((name, gk.assemble_mass(metric, basis),
                       dense_quadrature(basis, nodes, reference_weights(metric, nodes))))
     h = family.variation
-    nodes = gk.default_mass_nodes(basis.K, family.base.degree_hint + h.entries.degree())
     cases.append(("dM", gk.mass_derivative(family.base, h, basis),
                   dense_quadrature(basis, nodes, reference_weights(family.base, nodes, h))))
     return basis, cases
@@ -389,9 +401,7 @@ def reference_operator(family, basis, eps):
     """A(eps) built as before the block-first mass: the dense M, split by
     the dense coupling rule, M^{-1/2} per component."""
     B = exterior_loop(basis)
-    metric = family.member(eps)
-    nodes = gk.default_mass_nodes(basis.K, metric.degree_hint)
-    M = dense_quadrature(basis, nodes, reference_weights(metric, nodes))
+    M = dense_quadrature(basis, basis.nodes, reference_weights(family.member(eps), basis.nodes))
     A = np.zeros_like(M)
     for idx in dense_rule_parts(B, M):
         ix = np.ix_(idx, idx)
@@ -404,10 +414,8 @@ def reference_derivative(family, basis):
     """dA(0) as before the block-first mass: Daleckii-Krein on the dense
     M0 and dM, per component of their joint dense coupling rule."""
     B = exterior_loop(basis)
-    base, h = family.member(0.0), family.variation
-    nodes = gk.default_mass_nodes(basis.K, base.degree_hint)
+    base, h, nodes = family.member(0.0), family.variation, basis.nodes
     M0 = dense_quadrature(basis, nodes, reference_weights(base, nodes))
-    nodes = gk.default_mass_nodes(basis.K, family.base.degree_hint + h.entries.degree())
     dM = dense_quadrature(basis, nodes, reference_weights(family.base, nodes, h))
     dA = np.zeros_like(M0)
     for idx in dense_rule_parts(B, M0, dM):

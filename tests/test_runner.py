@@ -317,14 +317,16 @@ def test_cli_rejects_seeds_beyond_the_philox_key(tmp_path, doc, code):
             runner.load_config(str(cfgfile))
 
 
-@pytest.mark.parametrize("nodes", [0, -3])
-def test_cli_rejects_perturb_nodes_below_one(tmp_path, nodes):
+@pytest.mark.parametrize("nodes", [3, 19])
+def test_cli_rejects_the_removed_perturb_nodes_key(tmp_path, nodes):
+    # the quadrature grid belongs to the basis; 3 nodes once gave an aliased mass
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"kind": "perturb", "params": {"K": 1, "nodes": nodes}}))
     out = tmp_path / "o"
     proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -562,8 +564,9 @@ def test_pi_map_galerkin_certificate_agrees_across_K(tmp_path):
     assert max(certs) - min(certs) <= 1e-16
 
 
-def test_pi_map_galerkin_run_assembles_the_mass_twice(tmp_path, monkeypatch):
-    # A(0) and dA share the base assembly; the other one is A(q)
+def test_pi_map_galerkin_run_assembles_the_mass_twice(tmp_path, monkeypatch, gather_builds):
+    # A(0) and dA share the base assembly; the other one is A(q); all three
+    # matrices are on the grid of one basis
     from eulerlab import galerkin as gk
 
     calls = []
@@ -572,6 +575,7 @@ def test_pi_map_galerkin_run_assembles_the_mass_twice(tmp_path, monkeypatch):
     config = {"kind": "pi-map", "params": {"mode": "galerkin", "K": 2}}
     assert runner.run(runner.load_config(config), out_dir=str(tmp_path)).ok
     assert len(calls) == 2
+    assert gather_builds == [2]
 
 
 def test_perturb_report_gives_three_agreeing_routes(tmp_path):
