@@ -19,7 +19,9 @@ Three groups of rows, each written to its own JSON file.
   basis grid (19^3 points);
 - `spectral.bernoulli` of the random Beltrami fields of shells n = 9 and 50;
 - end to end, one `perturb` run at K=3 and one `pi-map` galerkin run at
-  K=2, K=3 and K=4 through `runner.run`;
+  K=2, K=3 and K=4 through `runner.run`, and `verify_quick`: `eulerlab
+  verify --level quick` through `cli.main` in a fresh interpreter that
+  times itself from before the first eulerlab import;
 - the K-convergence row `k_convergence`: `perturb` and `pi-map` galerkin
   runs at K = 3 to 8, each in a fresh interpreter that times itself from
   before the first eulerlab import, with its peak RSS, pairing eigenvalues
@@ -178,6 +180,7 @@ def _galerkin_cases(scratch):
     pi_maps = {K: runner.load_config({"kind": "pi-map", "params": {"mode": "galerkin", "K": K}})
                for K in (2, 3, 4)}
     run = _runs(scratch)
+    verify_out = os.path.join(scratch, "verify")
     return {
         "assemble_mass_K3": _wall(lambda: gk.assemble_mass(member, basis3)),
         "solve_pencil_K3": _wall(lambda: gk.solve_pencil(B3, M3, (0.8, 1.2))),
@@ -194,6 +197,9 @@ def _galerkin_cases(scratch):
         "end_to_end.pi_map_run_K2": _wall(lambda: run(pi_maps[2])),
         "end_to_end.pi_map_run_K3": _wall(lambda: run(pi_maps[3])),
         "end_to_end.pi_map_run_K4": _wall(lambda: run(pi_maps[4])),
+        "verify_quick": _cold("from eulerlab import cli\n"
+                              "assert cli.main(['verify', '--level', 'quick', "
+                              f"'--out', {verify_out!r}]) == 0"),
     }
 
 

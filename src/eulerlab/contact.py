@@ -41,6 +41,13 @@ def uniform_grid(n):
     return g, (TWO_PI / n) ** 3
 
 
+def _on_grid(cache: dict, nodes, evaluate):
+    """evaluate(points of uniform_grid(nodes)), kept in `cache` per node count."""
+    if nodes not in cache:
+        cache[nodes] = evaluate(uniform_grid(nodes)[0])
+    return cache[nodes]
+
+
 # ---------------------------------------------------------------------------
 # exact products
 
@@ -157,9 +164,7 @@ class MetricField:
         """The matrix at the points of uniform_grid(nodes)."""
         if self.grid_fields is None:
             return self.matrix(uniform_grid(nodes)[0])
-        if nodes not in self.grid_fields:
-            self.grid_fields[nodes] = self._fields(uniform_grid(nodes)[0])
-        return self._combine(*self.grid_fields[nodes])
+        return self._combine(*_on_grid(self.grid_fields, nodes, self._fields))
 
     def check_positive(self):
         G = self.grid_matrix(12)
@@ -174,6 +179,12 @@ class ContactForm:
     alpha: SpectralVectorField
     reeb: SpectralVectorField
     lambda0: float
+    grid_fields: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def on_grid(self, nodes):
+        """alpha and curl alpha at the points of uniform_grid(nodes), once per node count."""
+        return _on_grid(self.grid_fields, nodes, lambda pts: (
+            self.alpha.evaluate(pts), curl_spectral(self.alpha).evaluate(pts)))
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,11 @@ class VariationTensor:
     entries: SpectralTensorField
     beta_xi: SpectralVectorField
     norm2: ScalarSpectralField  # |beta_xi|_g^2 as an exact trig polynomial
+    grid_entries: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def grid_matrix(self, nodes):
+        """The entries at the points of uniform_grid(nodes), evaluated once per node count."""
+        return _on_grid(self.grid_entries, nodes, self.entries.evaluate)
 
 
 @dataclass(frozen=True)
@@ -279,22 +295,19 @@ def check_compatibility(g: MetricField, contact: ContactForm) -> CompatibilityRe
     """Sup-norm defects of |alpha|_g = 1, star_g d(alpha) = lambda0 alpha,
     and vol_g = (1/lambda0) alpha ^ d(alpha) over a uniform grid."""
     nodes = max(24, 2 * (g.degree_hint + contact.alpha.degree()) + 1)
-    pts, _ = uniform_grid(nodes)
     G = g.grid_matrix(nodes)
     Ginv, det = inverse_and_det(G)
     sqrt_det = np.sqrt(det)
-    A = contact.alpha.evaluate(pts)
-    lam = contact.lambda0
+    A, w = contact.on_grid(nodes)  # w is the vector proxy of d(alpha)
 
     norm = np.sqrt(np.einsum("pi,pij,pj->p", A, Ginv, A))
     unit_defect = float(np.max(np.abs(norm - 1.0)))
 
-    w = curl_spectral(contact.alpha).evaluate(pts)  # vector proxy of d(alpha)
     star = np.einsum("pij,pj->pi", G, w) / sqrt_det[:, None]
-    star_defect = float(np.max(np.abs(star - lam * A)))
+    star_defect = float(np.max(np.abs(star - contact.lambda0 * A)))
 
     wedge = np.einsum("pi,pi->p", A, w)
-    volume_defect = float(np.max(np.abs(sqrt_det - wedge / lam)))
+    volume_defect = float(np.max(np.abs(sqrt_det - wedge / contact.lambda0)))
 
     return CompatibilityReport(
         unit_norm_defect=unit_defect,
@@ -372,7 +385,7 @@ def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float) -> 
     Ginv, det = inverse_and_det(G)
     sqrt_det = np.sqrt(det)
     sharp = np.einsum("pij,kpj->kpi", Ginv, np.stack([a.evaluate(pts) for a in forms]))
-    H = h.entries.evaluate(pts)
+    H = h.grid_matrix(nodes)
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = (lam * w) * (H - 0.5 * tr[:, None, None] * G) * sqrt_det[:, None, None]
     Pi = np.einsum("mpi,pij,lpj->ml", sharp, core, sharp, optimize=True)

@@ -10,9 +10,9 @@ and B's cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and
 eps != 0; 183 of at most 6 at eps = 0).  M, dM and B are gathered onto
 it, and the pencil, the symmetric family A = M^{-1/2} B M^{-1/2}, A(0)
 with its exact derivative (on the joint parts of M and dM), A's cluster
-and the contour projector keep it; the projector solves only blocks with
-an eigenvalue inside its circle, at half the nodes.  A dense matrix
-enters as one block and gets exactly the dense arithmetic.
+and the contour projector keep it.  Eigensolves go whole only on blocks
+with an eigenvalue near their window, and the projector only on blocks
+with one inside its circle, tridiagonalized once, at half the nodes.
 
 Eigenvalue clusters are tracked along metric families; one sweep gives
 their first-order splitting by finite differences, the pencil formula and
@@ -295,9 +295,9 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
     """
-    pts, w = uniform_grid(basis.nodes)
+    _, w = uniform_grid(basis.nodes)
     Ginv, det = inverse_and_det(metric.grid_matrix(basis.nodes))
-    H = h.entries.evaluate(pts)
+    H = h.grid_matrix(basis.nodes)
     HS = Ginv @ H @ Ginv
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = -HS + 0.5 * tr[:, None, None] * Ginv
@@ -319,17 +319,27 @@ class EigenCluster:
         return len(self.eigenvalues)
 
 
-def _block_eigh(parts, solved, select):
-    """Eigenpairs by blocks, `solved` holding (eigenvalues, vectors) of the
-    block on each index array of `parts`: every eigenvalue (block order),
-    the indices of those with `select(vals)` in a stable ascending sort, and
-    their vectors scattered to full length."""
-    vals = np.concatenate([w for w, _ in solved])
+def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window, select):
+    """Eigenpairs of A, or of the pencil (A, M), by blocks.  Each block's
+    eigenvalues in (lo - 1e-8, hi + 1e-8) are counted by bisection without
+    vectors (LAPACK ?syevr, ?sygvx; Parlett, The Symmetric Eigenvalue Problem,
+    ch. 3), and only blocks with some are solved whole.  Returns their
+    eigenvalues (block order), the indices of those with `select(vals)` in a
+    stable ascending sort, and their vectors scattered to full length."""
+    lo, hi = window[0] - 1e-8, window[1] + 1e-8
+    solved = []
+    for idx, Ab, Mb in zip(A.parts, A.blocks, itertools.repeat(None) if M is None else M.blocks):
+        counted = (sla.lapack.dsyevr(Ab, compute_v=0, range="V", vl=lo, vu=hi) if Mb is None
+                   else sla.lapack.dsygvx(*map(np.asarray_chkfinite, (Ab, Mb)), jobz="N",
+                                          range="V", vl=lo, vu=hi))  # finite, as sla.eigh's input
+        if counted[2] or counted[-1]:  # a count m > 0, or info != 0 that eigh then raises
+            solved.append((idx, *(np.linalg.eigh(Ab) if Mb is None else sla.eigh(Ab, Mb))))
+    vals = np.concatenate([w for _, w, _ in solved] + [np.empty(0)])
     keep = np.flatnonzero(select(vals))
     keep = keep[np.argsort(vals[keep], kind="stable")]
-    columns = [(idx, vecs[:, j]) for idx, (_, vecs) in zip(parts, solved) for j in range(len(idx))]
+    columns = [(idx, vecs[:, j]) for idx, _, vecs in solved for j in range(len(idx))]
     # column-major like a dense eigh's selected columns: one block stays bitwise dense
-    vectors = np.zeros((len(vals), len(keep)), order="F")
+    vectors = np.zeros((A.shape[0], len(keep)), order="F")
     for col, (rows, vec) in enumerate(columns[t] for t in keep):
         vectors[rows, col] = vec
     return vals, keep, vectors
@@ -338,9 +348,9 @@ def _block_eigh(parts, solved, select):
 def solve_pencil(B: BlockMatrix, M: BlockMatrix, window) -> EigenCluster:
     """Generalized symmetric eigensolve; returns the pairs inside (lo, hi).
 
-    B and M are on M's parts and the pencil is solved block by block;
-    eigenvalues are merged by a stable sort and vectors scattered into full
-    length, so a pencil of one block gets exactly the dense solve.
+    B and M are on the same parts, and `_block_eigh` solves only the blocks
+    with an eigenvalue near the window, so a pencil of one block gets
+    exactly the dense solve and the check below sees every such eigenvalue.
 
     Raises WindowTouchesSpectrum when any eigenvalue sits within 1e-8 of a
     window endpoint (the window no longer isolates a cluster).
@@ -348,8 +358,7 @@ def solve_pencil(B: BlockMatrix, M: BlockMatrix, window) -> EigenCluster:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an increasing interval")
-    solved = [sla.eigh(Bb, Mb) for Bb, Mb in zip(B.blocks, M.blocks)]
-    vals, keep, vectors = _block_eigh(M.parts, solved, lambda w: (w > lo) & (w < hi))
+    vals, keep, vectors = _block_eigh(B, M, (lo, hi), lambda w: (w > lo) & (w < hi))
     if np.any(np.abs(vals - lo) < 1e-8) or np.any(np.abs(vals - hi) < 1e-8):
         raise WindowTouchesSpectrum(f"eigenvalue within 1e-8 of window ({lo}, {hi})")
     return EigenCluster(0.5 * (lo + hi), 0.5 * (hi - lo), vals[keep], vectors)
@@ -463,7 +472,7 @@ def track_splitting(family: MetricFamily, window, K: int) -> SplittingCurves:
     U0 = base.vectors
     Pi = variation_pairing([basis.vector_to_form(U0[:, i]) for i in range(k)],
                            family.variation, family.base, lam0)
-    dM = mass_derivative(family.base, family.variation, basis)
+    dM = mass_derivative(family.member(0.0), family.variation, basis)
     pencil = -lam0 * (U0.T @ (dM @ U0))
 
     fd_forms = central_derivative(lambda e: matched[e], 0.0, SPLIT_FD_LEVELS[1])
@@ -530,18 +539,24 @@ def spectral_projector(A: BlockMatrix, center: float, radius: float,
     solved, each but j = 0 and j = nodes/2 counted twice in the real part.
     Blocks without an eigenvalue inside get an exact zero and enter the
     guard by their eigenvalues, as the 1/|z - lambda|^2 terms of the norm.
+    The others are reduced once to tridiagonal T = Q' A_b Q (Golub and Van
+    Loan, 8.3): each node solves z - T, whose inverse has the norm of (z - A_b)^{-1}.
     """
     spectra = [np.linalg.eigvalsh(Ab) for Ab in A.blocks]
     inside = [bool(np.any(np.abs(w - center) < radius)) for w in spectra]
     skipped = np.concatenate([w for w, s in zip(spectra, inside) if not s] + [np.empty(0)])
-    P = [np.zeros(Ab.shape) for Ab in A.blocks]
-    solved = [(Ab, np.eye(len(Ab)), Pb) for Ab, Pb, s in zip(A.blocks, P, inside) if s]
+    solved = []  # per block with an eigenvalue inside: Q, the bands of T, I and P_T
+    for Ab in itertools.compress(A.blocks, inside):
+        T, Q = sla.hessenberg(Ab, calc_q=True)
+        bands = np.array([np.r_[0.0, np.diag(T, 1)], np.diag(T), np.r_[np.diag(T, -1), 0.0]])
+        solved.append((Q, bands, np.eye(len(T), dtype=complex), np.zeros(T.shape)))
     guard = 1e6 / radius
     for j in range(nodes // 2 + 1):
         theta = TWO_PI * j / nodes
         z = center + radius * np.exp(1j * theta)
         try:
-            resolvents = [np.linalg.solve(z * eye - Ab, eye) for Ab, eye, _ in solved]
+            resolvents = [sla.solve_banded((1, 1), [[0.0], [z], [0.0]] - bands, eye,
+                                           check_finite=False) for _, bands, eye, _ in solved]
         except np.linalg.LinAlgError as exc:
             raise IllConditionedContour(f"resolvent singular at node {j}") from exc
         with np.errstate(divide="ignore"):
@@ -551,8 +566,10 @@ def spectral_projector(A: BlockMatrix, center: float, radius: float,
                 f"resolvent norm exceeds {guard:.2e} at node {j}; eigenvalue near contour"
             )
         weight = 1.0 if j == 0 or 2 * j == nodes else 2.0
-        for (_, _, Pb), R in zip(solved, resolvents):
-            Pb += ((weight * radius / nodes) * np.exp(1j * theta) * R).real
+        for (_, _, _, PT), R in zip(solved, resolvents):
+            PT += ((weight * radius / nodes) * np.exp(1j * theta) * R).real
+    P = iter(Q @ PT @ Q.T for Q, _, _, PT in solved)
+    P = [next(P) if s else np.zeros(Ab.shape) for Ab, s in zip(A.blocks, inside)]
     return BlockMatrix(A.parts, tuple(0.5 * (Pb + Pb.T) for Pb in P))
 
 
@@ -610,7 +627,7 @@ def pencil_operator_derivative(family: MetricFamily, basis: FormBasis):
     of M0.  Returns (A0, dA).
     """
     M0 = assemble_mass(family.member(0.0), basis)
-    dM = mass_derivative(family.base, family.variation, basis)
+    dM = mass_derivative(family.member(0.0), family.variation, basis)
     chains = [idx for mass in (M0, dM) for idx in mass.parts]
     parts = _partition(basis.dimension, np.concatenate([idx[:-1] for idx in chains]),
                        np.concatenate([idx[1:] for idx in chains]))
@@ -632,7 +649,7 @@ def pencil_operator_derivative(family: MetricFamily, basis: FormBasis):
 def matrix_cluster(A: BlockMatrix, center: float, radius: float) -> EigenCluster:
     """Eigenpairs with |lambda - center| < radius, solved per block of A as
     in solve_pencil; ClusterLeakage if there are none."""
-    vals, keep, vectors = _block_eigh(A.parts, [np.linalg.eigh(Ab) for Ab in A.blocks],
+    vals, keep, vectors = _block_eigh(A, None, (center - radius, center + radius),
                                       lambda w: np.abs(w - center) < radius)
     if len(keep) == 0:
         raise ClusterLeakage(

@@ -106,6 +106,42 @@ class TestCheckCompatibility:
         rep = ct.check_compatibility(doubled, contact)
         assert rep.unit_norm_defect == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-12)
 
+    def test_family_evaluates_alpha_once_per_grid(self, beta, monkeypatch):
+        # alpha and curl alpha come from the contact form's grid cache; each
+        # report is bitwise the member's own check
+        contact, g = ct.std_contact_t3()
+        fam = ct.MetricFamily(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
+        calls = []
+        evaluate = sp.SpectralVectorField.evaluate
+        monkeypatch.setattr(sp.SpectralVectorField, "evaluate",
+                            lambda self, pts: calls.append(len(pts)) or evaluate(self, pts))
+        reports, worst_det = ct.family_compatibility(fam)
+        assert calls == [27 ** 3] * 2 and list(contact.grid_fields) == [27]
+        assert list(reports) == fam.epsilon_grid
+        for eps, rep in reports.items():
+            assert rep == ct.check_compatibility(fam.member(eps), contact)
+        assert 0.0 <= worst_det <= 1e-12
+
+
+class TestGridCaches:
+    @pytest.mark.parametrize("nodes", range(15, 30))
+    def test_member_at_zero_is_bitwise_the_base_metric(self, model, family, nodes):
+        # sign of zero included: g_xi * 1.0 + alpha_sq + 0.0 * extra
+        _, g = model
+        assert family.member(0.0).grid_matrix(nodes).tobytes() == g.grid_matrix(nodes).tobytes()
+
+    def test_variation_entries_are_evaluated_once_per_grid(self, model, beta, monkeypatch):
+        contact, g = model
+        h = ct.variation_tensor(beta, contact, g)
+        first = h.grid_matrix(19)
+        assert np.array_equal(first, h.entries.evaluate(ct.uniform_grid(19)[0]))
+        calls = []
+        evaluate = sp.SpectralTensorField.evaluate
+        monkeypatch.setattr(sp.SpectralTensorField, "evaluate",
+                            lambda self, pts: calls.append(len(pts)) or evaluate(self, pts))
+        assert h.grid_matrix(19) is first
+        assert calls == []
+
 
 class TestXiProjection:
     def test_alpha_projects_to_zero(self, model):

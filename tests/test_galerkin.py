@@ -310,6 +310,21 @@ class TestMassMatrix:
         fd = (4.0 * fd2 - fd1) / 3.0
         assert np.linalg.norm(fd - dM) / np.linalg.norm(dM) <= 1e-8
 
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_derivative_from_the_family_cache_is_bitwise_the_base(self, model, beta, K):
+        # the member at eps = 0 reads the family's grid fields, h its own
+        contact, g = model
+        fam = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
+        basis = gk.FormBasis(K)
+        ref = gk.mass_derivative(g, ct.variation_tensor(beta, contact, g), basis)
+        gk.assemble_mass(fam.member(0.0), basis)
+        for _ in range(2):  # the second call reads both caches
+            dM = gk.mass_derivative(fam.member(0.0), fam.variation, basis)
+            assert len(dM.parts) == len(ref.parts)
+            assert all(np.array_equal(a, b) for a, b in zip(dM.parts, ref.parts))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(dM.blocks, ref.blocks))
+        assert list(fam.variation.grid_entries) == [basis.nodes]
+
     def test_not_positive_definite(self, basis1, model):
         _, g = model
         bad = ct.MetricField(
@@ -599,6 +614,96 @@ class TestSolvePencil:
         assert np.array_equal(cl.vectors, vecs[:, 10:20])
 
 
+def every_block_solved(parts, solved, select):
+    """The slow reference of the window-first eigensolve: every block solved
+    whole, the selected pairs merged by a stable sort and scattered to full
+    length as solve_pencil and matrix_cluster do; (eigenvalues, vectors)."""
+    vals = np.concatenate([w for w, _ in solved])
+    keep = np.flatnonzero(select(vals))
+    keep = keep[np.argsort(vals[keep], kind="stable")]
+    columns = [(idx, vecs[:, j]) for idx, (_, vecs) in zip(parts, solved) for j in range(len(idx))]
+    vectors = np.zeros((len(vals), len(keep)))
+    for col, t in enumerate(keep):
+        rows, vec = columns[t]
+        vectors[rows, col] = vec
+    return vals[keep], vectors
+
+
+def sweep_epsilons(family):
+    """Every epsilon track_splitting solves."""
+    levels = {s * e for e in gk.SPLIT_FD_LEVELS for s in (1.0, -1.0)}
+    return sorted(set(family.epsilon_grid) | {0.0} | levels)
+
+
+class TestWindowFirstEigensolve:
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_sweep_pencils_are_bitwise_every_block_solved(self, family, K):
+        basis = gk.FormBasis(K)
+        lo, hi = 0.8, 1.2
+        for eps in sweep_epsilons(family):
+            M = gk.assemble_mass(family.member(eps), basis)
+            B = gk.assemble_exterior(basis, M.parts)
+            cl = gk.solve_pencil(B, M, (lo, hi))
+            vals, vectors = every_block_solved(
+                M.parts, [sla.eigh(Bb, Mb) for Bb, Mb in zip(B.blocks, M.blocks)],
+                lambda w: (w > lo) & (w < hi))
+            assert cl.multiplicity == 6
+            assert np.array_equal(cl.eigenvalues, vals)
+            assert np.array_equal(cl.vectors, vectors)
+
+    def test_operator_cluster_is_bitwise_every_block_solved(self, pi_family):
+        # the pi-map galerkin A(0), on the joint parts of M0 and dM
+        fam, basis = pi_family[:2]
+        A0, _ = gk.pencil_operator_derivative(fam, basis)
+        cl = gk.matrix_cluster(A0, 1.0, 0.2)
+        vals, vectors = every_block_solved(A0.parts, [np.linalg.eigh(Ab) for Ab in A0.blocks],
+                                           lambda w: np.abs(w - 1.0) < 0.2)
+        assert cl.multiplicity == 6
+        assert np.array_equal(cl.eigenvalues, vals)
+        assert np.array_equal(cl.vectors, vectors)
+
+    @pytest.mark.parametrize("edge", ["lo", "hi"])
+    @pytest.mark.parametrize("outside, raises", [(0.5e-8, True), (2e-8, False)])
+    def test_guard_sees_an_eigenvalue_just_outside_the_window(self, edge, outside, raises):
+        # block 0 holds the cluster; block 1's only eigenvalue near the window
+        # sits just outside one edge, in a rotated 2 x 2 pencil
+        lo, hi = 0.8, 1.2
+        near = lo - outside if edge == "lo" else hi + outside
+        Q = np.linalg.qr(rng(53, 0).standard_normal((2, 2)))[0]
+        parts = (np.arange(2), np.arange(2, 4))
+        B = gk.BlockMatrix(parts, (np.diag([1.0, 5.0]), (Q * [near, 3.0]) @ Q.T))
+        M = gk.BlockMatrix(parts, (np.eye(2), np.eye(2)))
+        if raises:
+            with pytest.raises(WindowTouchesSpectrum):
+                gk.solve_pencil(B, M, (lo, hi))
+        else:
+            cl = gk.solve_pencil(B, M, (lo, hi))
+            assert np.array_equal(cl.eigenvalues, [1.0])
+            assert np.array_equal(cl.vectors[:, 0], [1.0, 0.0, 0.0, 0.0])
+
+    def test_non_finite_pencil_block_raises_as_eigh_does(self):
+        # the block has no eigenvalue near the window and is not solved, but is checked
+        parts = (np.arange(2), np.arange(2, 4))
+        B = gk.BlockMatrix(parts, (np.diag([1.0, 5.0]), np.diag([np.nan, 3.0])))
+        M = gk.BlockMatrix(parts, (np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gk.solve_pencil(B, M, (0.8, 1.2))
+
+    def test_only_blocks_with_window_eigenvalues_are_solved_whole(self, family, monkeypatch):
+        basis = gk.FormBasis(3)
+        M = gk.assemble_mass(family.member(0.05), basis)
+        B = gk.assemble_exterior(basis, M.parts)
+        lo, hi = 0.8 - 1e-8, 1.2 + 1e-8
+        counts = [np.count_nonzero((w > lo) & (w < hi))
+                  for w in (sla.eigvalsh(Bb, Mb) for Bb, Mb in zip(B.blocks, M.blocks))]
+        solved, eigh = [], sla.eigh
+        monkeypatch.setattr(gk.sla, "eigh", lambda a, b=None, **kw: solved.append(a) or eigh(a, b, **kw))
+        gk.solve_pencil(B, M, (0.8, 1.2))
+        assert len(B.blocks) == 16
+        assert [any(Bb is a for a in solved) for Bb in B.blocks] == [c > 0 for c in counts]
+        assert sorted(map(len, solved)) == [36, 36, 54]
+
+
 @pytest.fixture(scope="module")
 def curves(family):
     return gk.track_splitting(family, (0.8, 1.2), 2)
@@ -774,7 +879,8 @@ def dense_operator_family(family, basis):
 
 
 def dense_projector(A, center, radius, nodes=64):
-    """The contour projector solved whole at every node of the half contour."""
+    """The slow reference of the projector: a dense solve of the whole matrix
+    at every node of the half contour."""
     D = A.shape[0]
     P = np.zeros((D, D))
     for j in range(nodes // 2 + 1):
@@ -900,20 +1006,37 @@ class TestBlockOperatorPath:
             # away from the nodes the skipped block contributes an exact zero
             A[np.ix_(skip, skip)] += 0.5 * np.eye(2)
             P = dense(gk.spectral_projector(blocks(A), center, radius))
+            rotated = Q @ A @ Q.T
+            P_rotated = dense(gk.spectral_projector(gk.BlockMatrix.one_block(rotated),
+                                                    center, radius))
         w, V = np.linalg.eigh(A)
         assert np.max(np.abs(P - V[:, :2] @ V[:, :2].T)) <= 1e-12
         assert np.all(P[skip] == 0.0)
+        # the solved block and the rotated matrix against a dense solve per node
+        block = dense_projector(A[np.ix_(keep, keep)], center, radius)
+        assert np.max(np.abs(P[np.ix_(keep, keep)] - block)) <= 1e-14
+        assert np.max(np.abs(P_rotated - dense_projector(rotated, center, radius))) <= 1e-14
 
-    def test_one_component_is_bitwise_the_dense_projector(self):
+    def test_one_component_matches_the_dense_projector(self):
+        # the tridiagonal route differs from a dense solve per node by rounding
         A = gk.random_two_band_symmetric(rng(43, 0), 40, 3)
         assert n_components(A) == 1
         whole = gk.BlockMatrix.one_block(A)
-        assert np.array_equal(dense(gk.spectral_projector(whole, 0.5, 1.0)),
-                              dense_projector(A, 0.5, 1.0))
+        P = dense(gk.spectral_projector(whole, 0.5, 1.0))
+        assert np.max(np.abs(P - dense_projector(A, 0.5, 1.0))) <= 1e-14
         w, V = np.linalg.eigh(A)
         cl = gk.matrix_cluster(whole, 0.5, 1.0)
         assert np.array_equal(cl.eigenvalues, w[:3])
         assert np.array_equal(cl.vectors, V[:, :3])
+
+    @pytest.mark.parametrize("j", range(10))
+    def test_criterion_8_matrices_match_the_dense_projector(self, j):
+        # the first ten random matrices of criterion 8, as it draws them
+        gen = np.random.Generator(np.random.Philox(key=np.array([301, j], dtype=np.uint64)))
+        dim = int(gen.integers(20, 201))
+        A = gk.random_two_band_symmetric(gen, dim, int(gen.integers(2, min(8, dim - 2))))
+        P = dense(gk.spectral_projector(gk.BlockMatrix.one_block(A), 0.5, 1.0, 64))
+        assert np.max(np.abs(P - dense_projector(A, 0.5, 1.0, 64))) <= 1e-14
 
     def test_empty_cluster_raises(self):
         with pytest.raises(ClusterLeakage, match=r"no eigenvalue inside window \(5, 6\)"):
