@@ -194,11 +194,6 @@ class VariationTensor:
     entries: SpectralTensorField
     beta_xi: SpectralVectorField
     norm2: ScalarSpectralField  # |beta_xi|_g^2 as an exact trig polynomial
-    grid_entries: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def grid_matrix(self, nodes):
-        """The entries at the points of uniform_grid(nodes), evaluated once per node count."""
-        return _on_grid(self.grid_entries, nodes, self.entries.evaluate)
 
 
 @dataclass(frozen=True)
@@ -385,7 +380,7 @@ def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float) -> 
     Ginv, det = inverse_and_det(G)
     sqrt_det = np.sqrt(det)
     sharp = np.einsum("pij,kpj->kpi", Ginv, np.stack([a.evaluate(pts) for a in forms]))
-    H = h.grid_matrix(nodes)
+    H = h.entries.evaluate(pts)
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = (lam * w) * (H - 0.5 * tr[:, None, None] * G) * sqrt_det[:, None, None]
     Pi = np.einsum("mpi,pij,lpj->ml", sharp, core, sharp, optimize=True)

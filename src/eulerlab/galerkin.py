@@ -295,9 +295,9 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
     """
-    _, w = uniform_grid(basis.nodes)
+    pts, w = uniform_grid(basis.nodes)
     Ginv, det = inverse_and_det(metric.grid_matrix(basis.nodes))
-    H = h.grid_matrix(basis.nodes)
+    H = h.entries.evaluate(pts)
     HS = Ginv @ H @ Ginv
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = -HS + 0.5 * tr[:, None, None] * Ginv
@@ -321,12 +321,14 @@ class EigenCluster:
 
 def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window, select):
     """Eigenpairs of A, or of the pencil (A, M), by blocks.  Each block's
-    eigenvalues in (lo - 1e-8, hi + 1e-8) are counted by bisection without
+    eigenvalues in (lo - 2e-8, hi + 2e-8] are counted by bisection without
     vectors (LAPACK ?syevr, ?sygvx; Parlett, The Symmetric Eigenvalue Problem,
-    ch. 3), and only blocks with some are solved whole.  Returns their
+    ch. 3), and only blocks with some are solved whole.  The margin is twice
+    solve_pencil's 1e-8, so an eigenvalue that eigh puts within 1e-8 of an
+    edge is counted although bisection rounds it differently.  Returns their
     eigenvalues (block order), the indices of those with `select(vals)` in a
     stable ascending sort, and their vectors scattered to full length."""
-    lo, hi = window[0] - 1e-8, window[1] + 1e-8
+    lo, hi = window[0] - 2e-8, window[1] + 2e-8
     solved = []
     for idx, Ab, Mb in zip(A.parts, A.blocks, itertools.repeat(None) if M is None else M.blocks):
         counted = (sla.lapack.dsyevr(Ab, compute_v=0, range="V", vl=lo, vu=hi) if Mb is None
@@ -545,20 +547,23 @@ def spectral_projector(A: BlockMatrix, center: float, radius: float,
     spectra = [np.linalg.eigvalsh(Ab) for Ab in A.blocks]
     inside = [bool(np.any(np.abs(w - center) < radius)) for w in spectra]
     skipped = np.concatenate([w for w, s in zip(spectra, inside) if not s] + [np.empty(0)])
-    solved = []  # per block with an eigenvalue inside: Q, the bands of T, I and P_T
+    solved = []  # per block with an eigenvalue inside: Q, the three diagonals of -T, I and P_T
     for Ab in itertools.compress(A.blocks, inside):
         T, Q = sla.hessenberg(Ab, calc_q=True)
-        bands = np.array([np.r_[0.0, np.diag(T, 1)], np.diag(T), np.r_[np.diag(T, -1), 0.0]])
-        solved.append((Q, bands, np.eye(len(T), dtype=complex), np.zeros(T.shape)))
+        # f2py takes no empty off-diagonal; zgtsv reads none when len(T) = 1
+        dl, du = (-np.diag(T, k).astype(complex) if len(T) > 1 else np.zeros(1, complex)
+                  for k in (-1, 1))
+        diagonals = (dl, -np.diag(T).astype(complex), du)
+        solved.append((Q, diagonals, np.eye(len(T), dtype=complex), np.zeros(T.shape)))
     guard = 1e6 / radius
     for j in range(nodes // 2 + 1):
         theta = TWO_PI * j / nodes
         z = center + radius * np.exp(1j * theta)
-        try:
-            resolvents = [sla.solve_banded((1, 1), [[0.0], [z], [0.0]] - bands, eye,
-                                           check_finite=False) for _, bands, eye, _ in solved]
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedContour(f"resolvent singular at node {j}") from exc
+        # LAPACK zgtsv on z - T: (sub, main, super diagonal, right-hand sides) -> (..., X, info)
+        solves = [sla.lapack.zgtsv(dl, z + d, du, eye) for _, (dl, d, du), eye, _ in solved]
+        if any(info for *_, info in solves):
+            raise IllConditionedContour(f"resolvent singular at node {j}")
+        resolvents = [X for *_, X, _ in solves]
         with np.errstate(divide="ignore"):
             norm = math.hypot(*map(np.linalg.norm, resolvents), *(1.0 / np.abs(z - skipped)))
         if norm > guard:

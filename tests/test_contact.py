@@ -130,18 +130,6 @@ class TestGridCaches:
         _, g = model
         assert family.member(0.0).grid_matrix(nodes).tobytes() == g.grid_matrix(nodes).tobytes()
 
-    def test_variation_entries_are_evaluated_once_per_grid(self, model, beta, monkeypatch):
-        contact, g = model
-        h = ct.variation_tensor(beta, contact, g)
-        first = h.grid_matrix(19)
-        assert np.array_equal(first, h.entries.evaluate(ct.uniform_grid(19)[0]))
-        calls = []
-        evaluate = sp.SpectralTensorField.evaluate
-        monkeypatch.setattr(sp.SpectralTensorField, "evaluate",
-                            lambda self, pts: calls.append(len(pts)) or evaluate(self, pts))
-        assert h.grid_matrix(19) is first
-        assert calls == []
-
 
 class TestXiProjection:
     def test_alpha_projects_to_zero(self, model):
