@@ -17,39 +17,119 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import __version__
-from . import contact as ct
 from . import dynamics as dyn
 from . import serialize as ser
 from . import spectral as sp
 from .errors import ComputeFailure, ConfigInvalid, EulerLabError
 
 
+# the keywords that _errors implements; "$schema", "title" and "default" check nothing
+_KEYWORDS = {"$schema", "title", "default", "type", "enum", "required", "additionalProperties",
+             "properties", "items", "minimum", "maximum", "exclusiveMinimum", "minItems",
+             "maxItems", "minProperties", "maxProperties"}
+
+# JSON Schema draft 2020-12 types: 1.0 is an integer, True is not a number
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _refuse_unknown_keywords(schema, where="#"):
+    """Raise ValueError naming the first keyword that _errors would skip."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema at {where} is not an object")
+    for key, value in schema.items():
+        if key not in _KEYWORDS or key == "additionalProperties" and value is not False:
+            raise ValueError(f"schema keyword {key!r} at {where} is not supported")
+    for key, sub in schema.get("properties", {}).items():
+        _refuse_unknown_keywords(sub, f"{where}/properties/{key}")
+    if "items" in schema:
+        _refuse_unknown_keywords(schema["items"], f"{where}/items")
+
+
 @functools.cache
-def _validator(name):
-    """The validator of a packaged schema: read, checked against its
-    metaschema and compiled once per process."""
+def _schema(name):
+    """A packaged schema, read once per process; one holding a keyword that
+    _errors does not implement is refused, so no constraint is skipped."""
     with resources.files("eulerlab.schemas").joinpath(f"{name}.json").open() as fh:
         schema = json.load(fh)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    _refuse_unknown_keywords(schema)
+    return schema
+
+
+def _errors(schema, x, path=()):
+    """Yield (path, message) for each violation of `schema` by `x`, in
+    schema-key order, with jsonschema's message texts."""
+    obj, arr, num = isinstance(x, dict), isinstance(x, list), _TYPES["number"](x)
+    for key, value in schema.items():
+        msg = None
+        if key == "type":
+            types = [value] if isinstance(value, str) else value
+            if not any(_TYPES[t](x) for t in types):
+                msg = f"{x!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum" and not any(
+                e == x and isinstance(e, bool) == isinstance(x, bool) for e in value):
+            msg = f"{x!r} is not one of {value!r}"
+        elif key == "required" and obj:
+            for prop in value:
+                if prop not in x:
+                    yield path, f"{prop!r} is a required property"
+        elif key == "additionalProperties" and obj:
+            extras = sorted(k for k in x if k not in schema.get("properties", {}))
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                msg = (f"Additional properties are not allowed "
+                       f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key == "properties" and obj:
+            for prop, sub in value.items():
+                if prop in x:
+                    yield from _errors(sub, x[prop], path + (prop,))
+        elif key == "items" and arr:
+            for i, item in enumerate(x):
+                yield from _errors(value, item, path + (i,))
+        elif num and key == "minimum" and x < value:
+            msg = f"{x!r} is less than the minimum of {value!r}"
+        elif num and key == "maximum" and x > value:
+            msg = f"{x!r} is greater than the maximum of {value!r}"
+        elif num and key == "exclusiveMinimum" and x <= value:
+            msg = f"{x!r} is less than or equal to the minimum of {value!r}"
+        elif arr and key == "minItems" and len(x) < value:
+            msg = f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif arr and key == "maxItems" and len(x) > value:
+            msg = f"{x!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif obj and key == "minProperties" and len(x) < value:
+            few = "should be non-empty" if value == 1 else "does not have enough properties"
+            msg = f"{x!r} {few}"
+        elif obj and key == "maxProperties" and len(x) > value:
+            msg = f"{x!r} {'is expected to be empty' if value == 0 else 'has too many properties'}"
+        if msg is not None:
+            yield path, msg
 
 
 def _check(name, doc):
-    """Raise ConfigInvalid on the error that jsonschema.validate(doc, schema)
-    would raise."""
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
-    if error is not None:
-        raise ConfigInvalid(f"config failed schema validation: {error.message}") from error
+    """Raise ConfigInvalid with the message of jsonschema.validate(doc, schema):
+    best_match's error, the first with the shortest path, then the largest.
+    best_match ranks next by whether the instance matches its schema's type,
+    but with these keywords one path names one instance and one subschema,
+    so errors that tie on the path tie on that too."""
+    best = max(_errors(_schema(name), doc), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if best is not None:
+        raise ConfigInvalid(f"config failed schema validation: {best[1]}")
 
 
 def _apply_defaults(name, obj):
     # deep copies: list defaults must not be shared between configs
-    for key, sub in _validator(name).schema.get("properties", {}).items():
+    for key, sub in _schema(name).get("properties", {}).items():
         if key not in obj and "default" in sub:
             obj[key] = copy.deepcopy(sub["default"])
     return obj
@@ -304,6 +384,7 @@ def _run_poincare(cfg):
 
 
 def _run_perturb(cfg):
+    from . import contact as ct
     from . import galerkin as gk  # scipy.linalg loads with the first pencil
 
     p = cfg.params
@@ -347,6 +428,7 @@ def _run_perturb(cfg):
 
 
 def _run_pi_map(cfg):
+    from . import contact as ct
     from . import galerkin as gk
 
     p = cfg.params

@@ -12,7 +12,6 @@ import json
 
 import numpy as np
 
-from .contact import MetricField
 from .spectral import ScalarSpectralField, SpectralTensorField, SpectralVectorField
 
 __all__ = [
@@ -107,7 +106,8 @@ def compatibility_to_json(report) -> dict:
     }
 
 
-def metric_to_json(g: MetricField) -> dict:
+def metric_to_json(g) -> dict:
+    """The JSON form of a contact.MetricField."""
     doc = {
         "g_xi": tensor_to_json(g.g_xi),
         "alpha_outer": tensor_to_json(g.alpha_sq),

@@ -338,8 +338,9 @@ def helicity_basis(n: int):
 def eigenfamily_defects(n: int):
     """(Gram deviation from the identity, curl eigen-residual) of helicity_basis(n).
 
-    Both are sup-norms over the coefficients; the residual is that of
-    curl u = sqrt(n) u for each basis field u.  Fields on different +/-k
+    Both are sup-norms over the coefficients; the residual is that of the
+    normalized equation curl u / sqrt(n) = u for each basis field u, whose
+    rounding does not grow with |k| = sqrt(n).  Fields on different +/-k
     pairs share no mode, so the Gram matrix is one 2x2 block per pair, and
     the negative half of every field holds the exact conjugates of the
     positive half, so both are taken on the positive half.
@@ -349,7 +350,7 @@ def eigenfamily_defects(n: int):
     resid = 0.0
     for t in (0, 1):  # all cosine-type, then all sine-type fields, summed into one field
         u = SpectralVectorField.from_half(K, U[:, t], np.max(np.abs(K)))
-        resid = max(resid, float(np.max(np.abs(curl_spectral(u).C - math.sqrt(n) * u.C))))
+        resid = max(resid, float(np.max(np.abs(curl_spectral(u).C / math.sqrt(n) - u.C))))
     return float(np.max(np.abs(gram - np.eye(2)))), resid
 
 

@@ -1,8 +1,11 @@
+import copy
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+import types
 from importlib import resources
 
 import jsonschema
@@ -215,6 +218,16 @@ def test_large_shells_compute_or_fail_typed_under_a_memory_cap(tmp_path, doc, co
         assert json.loads((out / "report.json").read_text())["multiplicity"] > 0
 
 
+def test_spectrum_run_passes_at_large_shells(tmp_path):
+    # the residual of curl u / sqrt(n) = u does not grow with |k| by rounding;
+    # that of curl u = sqrt(n) u was 1.42e-14 here, above the 1e-14 bound
+    record = runner.run(runner.load_config({"kind": "spectrum", "params": {"n": 1000001}}),
+                        out_dir=str(tmp_path / "o"))
+    assert record.ok, record.assertions
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["multiplicity"] > 0 and report["curl_residual"] <= 1e-16
+
+
 def test_cli_rejects_lyapunov_T_not_above_renorm(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({
@@ -365,8 +378,9 @@ TINY = {
 
 def test_only_pencil_runs_load_scipy(tmp_path):
     """Validating a config of every kind and running the five kinds without a
-    pencil, in process and through the CLI, loads no scipy module; a perturb
-    run in the same process then loads the Galerkin module on demand."""
+    pencil, in process and through the CLI, loads no scipy module, no
+    jsonschema and no contact module; a perturb run in the same process then
+    loads the Galerkin and contact modules on demand."""
     cli_config = tmp_path / "lyapunov.json"
     cli_config.write_text(json.dumps(TINY["lyapunov"]))
     code = f"""
@@ -380,8 +394,12 @@ assert cli.main(["run", "--config", {str(cli_config)!r}, "--out", os.path.join(o
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
 assert "eulerlab.galerkin" not in sys.modules
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")
+assert not loaded, loaded
+assert "eulerlab.contact" not in sys.modules
 assert runner.run(cfgs["perturb"], out_dir=os.path.join(out, "perturb")).ok
 assert "eulerlab.galerkin" in sys.modules and "scipy.linalg" in sys.modules
+assert "eulerlab.contact" in sys.modules
 """
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -432,6 +450,124 @@ def test_config_invalid_messages_match_jsonschema_validate(doc):
     with pytest.raises(ConfigInvalid) as info:
         runner.load_config(doc)
     assert str(info.value) == expected
+
+
+# replacement values: bools where numbers go, integral floats where integers
+# go, seeds around both 2^64 ceilings, and values of every other JSON type
+MUTANTS = [True, False, None, 0, 1, -1, 1.0, 7.0, 8.0, -0.0, 0.5, 1e300, 2e-14, 50_000_001,
+           2**64 - 12, 2**64 - 11, 2**64 - 1, 2**64, float(2**64), "x", "random", "galerkin",
+           [], [1.0], [0.5, 1.5, 2.5], {}, {"n": 1}, {"A": 1}]
+EXTRA_KEYS = ["extra", "aa", "zz", "seed", "grid", "abc", "shell"]
+
+
+def _mutate(doc, rng):
+    """`doc` with one to three random edits, each at a random path of the
+    edited document: replace the value, delete it, add a key beside it, or
+    append to the array that holds it."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        paths, stack = [], [((), doc)]
+        while stack:
+            path, node = stack.pop()
+            if isinstance(node, dict):
+                items = node.items()
+            elif isinstance(node, list):
+                items = enumerate(node)
+            else:
+                continue
+            for key, value in items:
+                paths.append(path + (key,))
+                stack.append((path + (key,), value))
+        if not paths:
+            break
+        path = rng.choice(paths)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        edit = rng.choice(["replace", "replace", "replace", "delete", "add", "append"])
+        value = copy.deepcopy(rng.choice(MUTANTS))
+        if edit == "delete":
+            del parent[path[-1]]
+        elif edit == "add" and isinstance(parent, dict):
+            parent[rng.choice(EXTRA_KEYS)] = value
+        elif edit == "append" and isinstance(parent, list):
+            parent.append(value)
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def _message(doc):
+    try:
+        runner.load_config(doc)
+    except ConfigInvalid as exc:
+        return str(exc)
+    return None
+
+
+def test_config_invalid_messages_match_jsonschema_on_mutated_configs():
+    """Seeded mutations of valid configs of all seven kinds, plus hand-picked
+    cases: wherever jsonschema rejects, load_config gives its message, and
+    wherever it accepts, load_config raises no schema error."""
+    bernoulli_abc = {"kind": "bernoulli", "seed": 2**64 - 12,
+                     "params": {"source": {"abc": {"A": 1, "B": 0.5, "C": 0.1}}}}
+    picked = [
+        {"kind": "abc", "params": {"A": True, "B": 0.5, "C": 0.1}},
+        {"kind": "abc", "params": {"A": 1, "B": 0.5, "C": 0.1, "grid": 7.0}},
+        {"kind": "abc", "params": {"A": 1, "B": 0.5, "C": 0.1, "grid": 8.5}},
+        {"kind": "spectrum", "seed": 2**64 - 11, "params": {"n": 1}},
+        {"kind": "spectrum", "seed": float(2**64), "params": {"n": 1}},
+        {"kind": "spectrum", "seed": True, "params": {"n": 1.0}},
+        {"kind": "bernoulli", "params": {"source": {"shell": {"n": 0, "seed": 2**64}}}},
+        {"kind": "bernoulli", "params": {"source": {"shell": {"n": 1.5, "seed": -1.0}}}},
+        {"kind": "bernoulli", "params": {"source": {"abc": {"A": "1"}}}},
+        {"kind": "bernoulli", "params": {"source": {}}},
+        {"kind": "bernoulli", "params": {"source": {"abc": 1, "shell": {"n": 1}}}},
+        {"kind": "perturb", "params": {"window": [0.8, "1.2"], "epsilons": [True, None]}},
+        {"kind": "perturb", "params": {"window": [], "epsilons": []}},
+        {"kind": "pi-map", "params": {"window": [0.8, 1.2, 1.5], "mode": 1}},
+        {"kind": "poincare", "params": {"A": 1, "B": 0.5, "C": 0, "x0": [0, 0, None],
+                                        "count": 1, "direction": True}},
+        {"kind": "poincare", "params": {"A": 1, "B": 0.5, "C": 0, "x0": [0, 0, 0],
+                                        "count": 1, "direction": -1.0, "axis": 3}},
+        {"kind": "lyapunov", "params": {"A": 1, "B": 0.5, "C": 0, "T": -1, "tol": 0,
+                                        "seeds": 0, "assert_any_above": "x"}},
+    ]
+    rng = random.Random(20240)
+    kinds = [*TINY.values(), bernoulli_abc]
+    docs = picked + [_mutate(kinds[i % len(kinds)], rng) for i in range(400)]
+    rejected = 0
+    for doc in docs:
+        expected, got = _reference_message(doc), _message(doc)
+        if expected is None:
+            assert got is None or not got.startswith("config failed schema"), (doc, got)
+        else:
+            rejected += 1
+            assert got == expected, doc
+    assert rejected > 300
+
+
+def test_packaged_schemas_pass_their_metaschema():
+    names = [f.name[:-5] for f in resources.files("eulerlab.schemas").iterdir()
+             if f.name.endswith(".json")]
+    assert sorted(names) == sorted(["config", *TINY])
+    for name in names:
+        schema = runner._schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("keyword, schema", [
+    ("pattern", {"type": "object", "properties": {"out": {"type": "string", "pattern": "^r"}}}),
+    ("oneOf", {"type": "object", "properties": {
+        "x0": {"type": "array", "items": {"oneOf": [{"type": "number"}, {"type": "null"}]}}}}),
+    ("additionalProperties", {"type": "object", "additionalProperties": {"type": "number"}}),
+], ids=["pattern", "oneOf", "additionalProperties-schema"])
+def test_schema_loader_refuses_keywords_it_does_not_implement(tmp_path, monkeypatch, keyword,
+                                                              schema):
+    (tmp_path / "synthetic.json").write_text(json.dumps(schema))
+    monkeypatch.setattr(runner, "resources", types.SimpleNamespace(files=lambda _: tmp_path))
+    with pytest.raises(ValueError, match=f"keyword '{keyword}'"):
+        runner._schema("synthetic")
 
 
 @pytest.mark.parametrize("kind, lists", [("perturb", ("window", "epsilons")),

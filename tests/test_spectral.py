@@ -676,7 +676,7 @@ def test_defects_match_the_dense_reference():
         G = reference_gram(ref)
         pair = np.arange(len(ref)) // 2
         assert not np.any(G[pair[:, None] != pair[None]])
-        ref_resid = max(float(np.max(np.abs(sp.curl_spectral(u).C - math.sqrt(n) * u.C)))
+        ref_resid = max(float(np.max(np.abs(sp.curl_spectral(u).C / math.sqrt(n) - u.C)))
                         for u in ref)
         gram_dev, resid = sp.eigenfamily_defects(n)
         assert resid == ref_resid
