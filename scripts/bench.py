@@ -159,19 +159,17 @@ def _runs(scratch):
 
 
 def _galerkin_cases(scratch):
-    contact, g = ct.std_contact_t3()
-    beta = ct.default_perturbation_form()
     epsilons = [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2]
-    family = ct.MetricFamily(g, contact, beta, epsilons)
+    family = ct.standard_family(epsilons)
 
     def fresh_family():
-        return ct.MetricFamily(g, contact, beta, epsilons)
+        return ct.standard_family(epsilons)
 
     basis3 = gk.FormBasis(3)
     member = family.member(0.1)
     M3 = gk.assemble_mass(member, basis3)
     B3 = gk.assemble_exterior(basis3, M3.parts)
-    pi_family = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
+    pi_family = ct.standard_family([-0.1, 0.1])
     A0 = gk.pencil_operator_family(pi_family, gk.FormBasis(2))(0.0)
     A_of3 = gk.pencil_operator_family(pi_family, gk.FormBasis(3))
     mass_grid, _ = ct.uniform_grid(basis3.nodes)
@@ -184,7 +182,8 @@ def _galerkin_cases(scratch):
     return {
         "assemble_mass_K3": _wall(lambda: gk.assemble_mass(member, basis3)),
         "solve_pencil_K3": _wall(lambda: gk.solve_pencil(B3, M3, (0.8, 1.2))),
-        "mass_derivative_K3": _wall(lambda: gk.mass_derivative(g, family.variation, basis3)),
+        "mass_derivative_K3": _wall(
+            lambda: gk.mass_derivative(family.base, family.variation, basis3)),
         "track_splitting_K3": _on_fresh(
             fresh_family, lambda fam: gk.track_splitting(fam, (0.8, 1.2), 3)),
         "family_compatibility_K3": _on_fresh(fresh_family, ct.family_compatibility),

@@ -1,7 +1,9 @@
 """Acceptance battery: the exit criteria of the lab, with pinned tolerances.
 
-Each check returns a CheckResult; `run_suite` executes the battery, prints
-one pass/fail line per criterion and writes a machine-readable summary.
+Each check returns its details and the assertion records of `runner`, the
+bounds it shares with a run read from `runner.BOUNDS`; a criterion passes
+when all its records do.  `run_suite` executes the battery, prints one
+pass/fail line per criterion and writes a machine-readable summary.
 The quick level excludes the long Lyapunov runs (criterion 4).  Shared
 heavy objects (the K = 3 splitting sweep) are computed once per suite.
 """
@@ -12,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,18 +23,24 @@ from . import dynamics as dyn
 from . import galerkin as gk
 from . import runner
 from . import spectral as sp
+from .runner import assert_leq, assert_positive, assert_true
 
 QUICK_BUDGET_SECONDS = 300.0
 SWEEP_K = 3  # basis truncation of the shared splitting sweep and of criterion 8
+SWEEP_EPSILONS = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)  # its metric family's grid
 
 
 @dataclass
 class CheckResult:
     criterion: int
     name: str
-    passed: bool
     details: dict
+    records: list  # runner.assert_* records
     elapsed: float
+
+    @property
+    def passed(self):
+        return all(r["passed"] for r in self.records)
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -52,13 +60,16 @@ def check_curl_eigenfamily():
         worst_resid = max(worst_resid, resid)
         checked += 1
     mult1 = len(sp.lattice_shell(1))
-    passed = worst_gram <= 1e-12 and worst_resid <= 1e-14 and mult1 == 6
     return {
         "shells_checked": checked,
         "max_gram_deviation": worst_gram,
         "max_curl_residual": worst_resid,
         "multiplicity_1": mult1,
-    }, passed
+    }, [
+        assert_leq("gram_deviation", worst_gram),
+        assert_leq("curl_residual", worst_resid),
+        assert_true("multiplicity_1", mult1 == 6, mult1),
+    ]
 
 
 def check_steady_pipeline():
@@ -77,20 +88,19 @@ def check_steady_pipeline():
             worst_bern = max(worst_bern, f.sup_norm())
     rep = sp.proportionality_factor(sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1)), 32)
     unit_dev = max(abs(rep.min_value - 1.0), abs(rep.max_value - 1.0))
-    passed = (
-        worst_r1 <= 1e-10
-        and worst_r2 <= 1e-10
-        and worst_bern <= 1e-11
-        and rep.gap <= 1e-10
-        and unit_dev <= 1e-10
-    )
     return {
         "max_euler_residual": worst_r1,
         "max_bernoulli_residual": worst_r2,
         "max_bernoulli_sup": worst_bern,
         "factor_gap": rep.gap,
         "factor_unit_deviation": unit_dev,
-    }, passed
+    }, [
+        assert_leq("euler_residual", worst_r1),
+        assert_leq("bernoulli_residual", worst_r2),
+        assert_leq("bernoulli_sup_norm", worst_bern),
+        assert_leq("factor_gap", rep.gap, 1e-10),
+        assert_leq("factor_unit_deviation", unit_dev, 1e-10),
+    ]
 
 
 def check_nonvanishing():
@@ -98,8 +108,11 @@ def check_nonvanishing():
     m1 = sp.min_norm(sp.make_abc(sp.ABCParams(1.0, 0.5, 0.0)), 64)
     m2 = sp.min_norm(sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1)), 64)
     m3 = sp.min_norm(sp.make_abc(sp.ABCParams(1.0, 1.0, 1.0)), 64)
-    passed = m1 > 0.1 and m2 > 0.05 and m3 <= 1e-3
-    return {"min_norm_B05": m1, "min_norm_B05_C01": m2, "min_norm_111": m3}, passed
+    return {"min_norm_B05": m1, "min_norm_B05_C01": m2, "min_norm_111": m3}, [
+        assert_true("min_norm_B05", m1 > 0.1, m1),
+        assert_true("min_norm_B05_C01", m2 > 0.05, m2),
+        assert_leq("min_norm_111", m3, 1e-3),
+    ]
 
 
 def check_chaos_proxy():
@@ -119,19 +132,15 @@ def check_chaos_proxy():
     base_max = float(np.max(np.abs(baseline)))
     chaos_max = float(np.max(chaos))
     theta = dyn.CHAOS_THRESHOLD
-    passed = base_max <= 5e-3 and chaos_max >= theta
     return {
         "baseline_max_abs": base_max,
         "chaos_max": chaos_max,
         "threshold": theta,
         "chaos_hits": int(np.sum(np.asarray(chaos) >= theta)),
-    }, passed
-
-
-def _family_context():
-    contactform, g = ct.std_contact_t3()
-    return ct.MetricFamily(g, contactform, ct.default_perturbation_form(),
-                           [-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2])
+    }, [
+        assert_leq("baseline_max_abs", base_max, 5e-3),
+        assert_true("chaos_max", chaos_max >= theta, chaos_max),
+    ]
 
 
 def check_compatible_metrics(fam):
@@ -141,12 +150,15 @@ def check_compatible_metrics(fam):
     tr = ct.trace_pairing(fam.base.inv_entries, fam.variation.entries)
     pts, _ = ct.uniform_grid(20)
     trace_sup = float(np.max(np.abs(tr.evaluate(pts))))
-    passed = worst_defect <= 1e-10 and worst_det <= 1e-12 and trace_sup <= 1e-12
     return {
         "max_compatibility_defect": worst_defect,
         "max_det_relative_deviation": worst_det,
         "trace_sup": trace_sup,
-    }, passed
+    }, [
+        assert_leq("compatibility_defect", worst_defect),
+        assert_leq("det_relative_deviation", worst_det),
+        assert_leq("trace_sup", trace_sup, 1e-12),
+    ]
 
 
 def _legendre_volume_integral(fn, order=40):
@@ -176,25 +188,21 @@ def check_variation_identities(fam, curves):
         ct.variation_pairing([fam.contact.alpha, fam.beta], fam.variation, fam.base, lam0)))
     q = fam.variation.norm2
     ref = lam0 * 0.5 * _legendre_volume_integral(lambda p: q.evaluate(p) ** 2)
-    ok_values = abs(pair_a) <= 1e-8 and abs(pair_b - ref) <= 1e-8 * abs(ref)
-
     (fd_a, pen_a), (fd_b, pen_b) = curves.alpha_routes, curves.beta_routes
-    ok_alpha = max(abs(fd_a), abs(pen_a), abs(pair_a)) <= 1e-8
-    ok_beta = (
-        abs(fd_b - pen_b) <= 1e-6 * abs(pen_b)
-        and abs(pen_b - pair_b) <= 1e-6 * abs(pair_b)
-        and abs(fd_b - pair_b) <= 1e-6 * abs(pair_b)
-    )
 
     # route agreement on the sorted slope multiset
     fd, pencil, pairing = curves.fd_slopes, curves.pencil_eigenvalues, curves.pairing_eigenvalues
-    ok_sets = (
-        _slope_agreement(fd, pairing)
-        and _slope_agreement(fd, pencil)
-        and _slope_agreement(pencil, pairing)
-    )
-
-    passed = ok_sets and ok_alpha and ok_beta and ok_values
+    pairs = ((fd, pairing), (fd, pencil), (pencil, pairing))
+    ok_sets = all(_slope_agreement(a, b) for a, b in pairs)
+    records = [
+        assert_true("sets_agree", ok_sets),
+        assert_leq("alpha_routes", max(abs(fd_a), abs(pen_a), abs(pair_a)), 1e-8),
+        assert_leq("beta_fd_vs_pencil", abs(fd_b - pen_b), 1e-6 * abs(pen_b)),
+        assert_leq("beta_pencil_vs_pairing", abs(pen_b - pair_b), 1e-6 * abs(pair_b)),
+        assert_leq("beta_fd_vs_pairing", abs(fd_b - pair_b), 1e-6 * abs(pair_b)),
+        assert_leq("alpha_pairing", abs(pair_a), 1e-8),
+        assert_leq("beta_pairing_vs_reference", abs(pair_b - ref), 1e-8 * abs(ref)),
+    ]
     return {
         "fd_slopes": [float(x) for x in fd],
         "pairing_eigenvalues": [float(x) for x in pairing],
@@ -205,7 +213,7 @@ def check_variation_identities(fam, curves):
         "beta_pairing": pair_b,
         "beta_pairing_reference": ref,
         "sets_agree": ok_sets,
-    }, passed
+    }, records
 
 
 def check_splitting(fam, curves):
@@ -218,14 +226,18 @@ def check_splitting(fam, curves):
     eps_max = float(np.max(np.abs(curves.epsilons)))
     spread = float(np.max(curves.curves[-1]) - np.min(curves.curves[-1]))
     predicted = (np.max(curves.pairing_eigenvalues) - np.min(curves.pairing_eigenvalues)) * eps_max
-    passed = k0 == 6 and gap > 0.0 and alpha_dev <= 1e-9 and spread >= 0.5 * predicted
     return {
         "cluster_size": k0,
         "fitted_slope_gap": gap,
         "alpha_eigenvalue_deviation": alpha_dev,
         "spread_at_eps_max": spread,
         "predicted_spread": float(predicted),
-    }, passed
+    }, [
+        assert_true("cluster_size", k0 == 6, k0),
+        assert_positive("slope_gap_positive", gap),
+        assert_leq("alpha_eigenvalue_deviation", alpha_dev),
+        assert_true("spread_at_eps_max", spread >= 0.5 * predicted, spread),
+    ]
 
 
 def check_compression_machinery(fam):
@@ -283,16 +295,6 @@ def check_compression_machinery(fam):
     alpha_entry = float(av @ DA @ av)
     beta_entry = float(bv @ DA @ bv)
 
-    passed = (
-        worst_proj <= 1e-8
-        and worst_idem <= 1e-10
-        and worst_trace <= 1e-8
-        and worst_sigma <= 1e-9
-        and worst_prime <= 1e-6
-        and cert > 0.0
-        and abs(alpha_entry) <= 1e-8
-        and beta_entry > 0.0
-    )
     return {
         "max_projector_error": worst_proj,
         "max_idempotency_defect": worst_idem,
@@ -302,30 +304,32 @@ def check_compression_machinery(fam):
         "galerkin_certificate": cert,
         "alpha_diagonal_entry": alpha_entry,
         "beta_diagonal_entry": beta_entry,
-    }, passed
+    }, [
+        assert_leq("projector_error", worst_proj, 1e-8),
+        assert_leq("projector_idempotency", worst_idem),
+        assert_leq("trace_defect", worst_trace, 1e-8),
+        assert_leq("sigma_match_defect", worst_sigma),
+        assert_leq("pi_prime_fd_defect", worst_prime, 1e-6),
+        assert_positive("certificate_positive", cert),
+        assert_leq("alpha_diagonal_entry", abs(alpha_entry), 1e-8),
+        assert_positive("beta_diagonal_entry", beta_entry),
+    ]
 
 
 def check_reproducibility(out_dir):
     """Criterion 9 (artifact part): identical seeds give byte-identical files."""
-    config = {
-        "kind": "poincare",
-        "seed": 3,
-        "params": {
-            "A": 1.0, "B": 0.5, "C": 0.0,
-            "x0": [0.2, 0.0, 1.3],
-            "count": 20, "tol": 1e-10, "max_time": 2000.0,
-        },
-    }
+    poincare = {"kind": "poincare", "seed": 3, "params": {
+        "A": 1.0, "B": 0.5, "C": 0.0, "x0": [0.2, 0.0, 1.3],
+        "count": 20, "tol": 1e-10, "max_time": 2000.0}}
+    spectrum = {"kind": "spectrum", "seed": 0, "params": {"n": 6}}
     hashes = []
-    for tag in ("first", "second"):
+    for tag, config in zip(("first", "second", "third", "fourth"),
+                           (poincare, poincare, spectrum, spectrum)):
         rec = runner.run(runner.load_config(config), out_dir=os.path.join(out_dir, tag))
         hashes.append({f["name"]: f["sha256"] for f in rec.files})
-    config2 = {"kind": "spectrum", "seed": 0, "params": {"n": 6}}
-    for tag in ("third", "fourth"):
-        rec = runner.run(runner.load_config(config2), out_dir=os.path.join(out_dir, tag))
-        hashes.append({f["name"]: f["sha256"] for f in rec.files})
     identical = hashes[0] == hashes[1] and hashes[2] == hashes[3]
-    return {"identical": identical, "files_compared": len(hashes[0]) + len(hashes[2])}, identical
+    return ({"identical": identical, "files_compared": len(hashes[0]) + len(hashes[2])},
+            [assert_true("identical", identical)])
 
 
 def run_suite(level="quick", out_dir=None):
@@ -343,8 +347,7 @@ def run_suite(level="quick", out_dir=None):
 
     def record(criterion, name, fn, *args, **kwargs):
         t0 = time.time()
-        details, passed = fn(*args, **kwargs)
-        res = CheckResult(criterion, name, bool(passed), details, time.time() - t0)
+        res = CheckResult(criterion, name, *fn(*args, **kwargs), time.time() - t0)
         results.append(res)
         print(res.line(), flush=True)
         return res
@@ -353,7 +356,7 @@ def run_suite(level="quick", out_dir=None):
     record(2, "steady-state pipeline", check_steady_pipeline)
     record(3, "nonvanishing minima", check_nonvanishing)
 
-    fam = _family_context()
+    fam = ct.standard_family(SWEEP_EPSILONS)
     t_sweep = time.time()
     curves = gk.track_splitting(fam, (0.8, 1.2), SWEEP_K)
     shared_sweep_seconds = time.time() - t_sweep
@@ -370,26 +373,18 @@ def run_suite(level="quick", out_dir=None):
     repro = record(9, "reproducibility (byte-identical reruns)", check_reproducibility,
                    os.path.join(out_dir, "determinism"))
     elapsed = time.time() - t_suite
-    quick_ok = (level == "full") or (elapsed < QUICK_BUDGET_SECONDS)
-    if level == "quick" and not quick_ok:
-        repro.passed = False
-        repro.details["quick_budget_exceeded"] = elapsed
+    if level == "quick":
+        budget = assert_true("quick_budget", elapsed < QUICK_BUDGET_SECONDS, elapsed)
+        repro.records.append(budget)
+        if not budget["passed"]:
+            repro.details["quick_budget_exceeded"] = elapsed
 
     summary = {
         "level": level,
         "elapsed_seconds": elapsed,
         "shared_sweep_seconds": shared_sweep_seconds,
         "all_passed": all(r.passed for r in results),
-        "criteria": [
-            {
-                "criterion": r.criterion,
-                "name": r.name,
-                "passed": r.passed,
-                "elapsed": r.elapsed,
-                "details": _jsonable(r.details),
-            }
-            for r in results
-        ],
+        "criteria": [dict(asdict(r), passed=r.passed) for r in results],
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
@@ -397,14 +392,3 @@ def run_suite(level="quick", out_dir=None):
     print(f"[{status}] suite level={level} in {elapsed:.1f}s")
     return summary
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj

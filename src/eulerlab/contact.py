@@ -282,6 +282,13 @@ def default_perturbation_form():
     )
 
 
+def standard_family(epsilons) -> MetricFamily:
+    """The model family: std_contact_t3's metric perturbed along
+    default_perturbation_form, on the given epsilon grid."""
+    contact, g = std_contact_t3()
+    return MetricFamily(g, contact, default_perturbation_form(), epsilons)
+
+
 # ---------------------------------------------------------------------------
 # operations
 

@@ -153,6 +153,11 @@ class BlockMatrix:
     def shape(self):
         return (sum(map(len, self.parts)),) * 2
 
+    @functools.cached_property
+    def spectra(self):
+        """Each symmetric block's eigenvalues, ascending, taken once: blocks do not change."""
+        return [np.linalg.eigvalsh(block) for block in self.blocks]
+
     def __matmul__(self, x):
         out = np.empty(np.shape(x))
         for idx, block in zip(self.parts, self.blocks):
@@ -544,9 +549,8 @@ def spectral_projector(A: BlockMatrix, center: float, radius: float,
     The others are reduced once to tridiagonal T = Q' A_b Q (Golub and Van
     Loan, 8.3): each node solves z - T, whose inverse has the norm of (z - A_b)^{-1}.
     """
-    spectra = [np.linalg.eigvalsh(Ab) for Ab in A.blocks]
-    inside = [bool(np.any(np.abs(w - center) < radius)) for w in spectra]
-    skipped = np.concatenate([w for w, s in zip(spectra, inside) if not s] + [np.empty(0)])
+    inside = [bool(np.any(np.abs(w - center) < radius)) for w in A.spectra]
+    skipped = np.concatenate([w for w, s in zip(A.spectra, inside) if not s] + [np.empty(0)])
     solved = []  # per block with an eigenvalue inside: Q, the three diagonals of -T, I and P_T
     for Ab in itertools.compress(A.blocks, inside):
         T, Q = sla.hessenberg(Ab, calc_q=True)
@@ -709,7 +713,7 @@ def pi_map(Aq: BlockMatrix, cluster: EigenCluster, nodes: int = 64) -> PiMapRepo
     pi = 0.5 * (pi + pi.T)
 
     vals_pi = np.sort(np.linalg.eigvalsh(pi))
-    vals_A = np.concatenate([np.linalg.eigvalsh(Ab) for Ab in Aq.blocks])
+    vals_A = np.concatenate(Aq.spectra)  # the projector's: taken once per matrix
     inside = np.sort(vals_A[np.abs(vals_A - cluster.center) < cluster.radius])
     if len(inside) != k:
         raise ClusterLeakage(f"{len(inside)} eigenvalues inside contour, cluster size {k}")

@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -127,12 +127,22 @@ def _check(name, doc):
         raise ConfigInvalid(f"config failed schema validation: {best[1]}")
 
 
-def _apply_defaults(name, obj):
-    # deep copies: list defaults must not be shared between configs
-    for key, sub in _schema(name).get("properties", {}).items():
-        if key not in obj and "default" in sub:
-            obj[key] = copy.deepcopy(sub["default"])
-    return obj
+def _normalize(schema, x):
+    """The validated `x` with defaults filled in at every depth, integer-typed
+    values as int and enum values as the member they equal (1.0 passes as 1)."""
+    if schema.get("type") == "integer":
+        return int(x)
+    if "enum" in schema:
+        return schema["enum"][schema["enum"].index(x)]
+    if isinstance(x, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in x:
+                x[key] = _normalize(sub, x[key])
+            elif "default" in sub:  # a deep copy: list defaults must not be shared
+                x[key] = copy.deepcopy(sub["default"])
+    elif isinstance(x, list) and "items" in schema:
+        x[:] = [_normalize(schema["items"], item) for item in x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -181,9 +191,9 @@ def load_config(source) -> ExperimentConfig:
         doc = json.loads(json.dumps(source), parse_constant=_reject_non_finite)
     _check("config", doc)
     kind = doc["kind"]
-    params = doc["params"]
-    _check(kind, params)
-    params = _apply_defaults(kind, dict(params))
+    _check(kind, doc["params"])
+    doc = _normalize(_schema("config"), doc)
+    params = _normalize(_schema(kind), doc["params"])
     if kind == "lyapunov":
         try:
             dyn.check_horizon(params["T"], params["renorm"])
@@ -194,9 +204,7 @@ def load_config(source) -> ExperimentConfig:
     if kind == "perturb" and not params["window"][0] < 1.0 < params["window"][1]:
         raise ConfigInvalid(
             f"perturb window {params['window']} must contain the model eigenvalue lambda0 = 1")
-    if kind == "bernoulli" and "shell" in params["source"]:
-        params["source"]["shell"].setdefault("seed", 0)
-    doc_norm = {"kind": kind, "seed": int(doc.get("seed", 0)), "params": params}
+    doc_norm = {"kind": kind, "seed": doc["seed"], "params": params}
     canonical = json.dumps(doc_norm, sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(
         kind=kind,
@@ -211,13 +219,31 @@ def load_config(source) -> ExperimentConfig:
 # experiment bodies: each returns (report dict, plot files dict, assertions)
 
 
-def _assert_leq(name, value, threshold):
+# the pinned bounds that a run assertion and an acceptance criterion both
+# apply, by run kind; assert_leq reads them at call time
+BOUNDS = {
+    "gram_deviation": 1e-12, "curl_residual": 1e-14,  # spectrum, criterion 1
+    "euler_residual": 1e-10, "bernoulli_residual": 1e-10,  # abc, criterion 2
+    "bernoulli_sup_norm": 1e-11,  # bernoulli, criterion 2
+    "compatibility_defect": 1e-10, "det_relative_deviation": 1e-12,  # perturb, criterion 5
+    "alpha_eigenvalue_deviation": 1e-9,  # perturb, criterion 7
+    "projector_idempotency": 1e-10, "sigma_match_defect": 1e-9,  # pi-map, criterion 8
+}
+
+
+def assert_leq(name, value, threshold=None):
+    """The record of value <= threshold; the threshold defaults to BOUNDS[name]."""
+    threshold = BOUNDS[name] if threshold is None else threshold
     return {"name": name, "passed": bool(value <= threshold), "value": float(value),
             "threshold": float(threshold)}
 
 
-def _assert_true(name, flag, value=None):
+def assert_true(name, flag, value=None):
     return {"name": name, "passed": bool(flag), "value": value, "threshold": None}
+
+
+def assert_positive(name, value):
+    return assert_true(name, value > 0.0, value)
 
 
 def _source_field(source):
@@ -244,14 +270,13 @@ def _run_spectrum(cfg):
         "shell_nonempty": len(shell) > 0,
         "vectors": shell.tolist(),
     }
-    assertions = []
+    assertions = []  # an empty shell has no eigenfamily to check
     plots = {"shell.csv": "k1,k2,k3\n" + "".join(f"{a},{b},{c}\n" for a, b, c in shell.tolist())}
     if len(shell):
         gram_dev, resid = sp.eigenfamily_defects(n)
         report["gram_deviation"] = gram_dev
         report["curl_residual"] = resid
-        assertions.append(_assert_leq("gram_deviation", gram_dev, 1e-12))
-        assertions.append(_assert_leq("curl_residual", resid, 1e-14))
+        assertions = [assert_leq("gram_deviation", gram_dev), assert_leq("curl_residual", resid)]
     return report, plots, assertions
 
 
@@ -276,10 +301,7 @@ def _run_abc(cfg):
     except EulerLabError as exc:
         report["factor_gap"] = None
         report["factor_note"] = str(exc)
-    assertions = [
-        _assert_leq("euler_residual", r1, 1e-10),
-        _assert_leq("bernoulli_residual", r2, 1e-10),
-    ]
+    assertions = [assert_leq("euler_residual", r1), assert_leq("bernoulli_residual", r2)]
     return report, plots, assertions
 
 
@@ -292,7 +314,7 @@ def _run_bernoulli(cfg):
         "source_field.json": ser.dump_json(ser.field_to_json(field)),
         "bernoulli.json": ser.dump_json(ser.field_to_json(F)),
     }
-    assertions = [_assert_leq("bernoulli_sup_norm", sup, 1e-11)]
+    assertions = [assert_leq("bernoulli_sup_norm", sup)]
     return report, plots, assertions
 
 
@@ -333,12 +355,10 @@ def _run_lyapunov(cfg):
     assertions = []
     if p.get("assert_all_below") is not None:
         worst = float(np.max(np.abs(values)))
-        assertions.append(_assert_leq("all_below", worst, p["assert_all_below"]))
+        assertions.append(assert_leq("all_below", worst, p["assert_all_below"]))
     if p.get("assert_any_above") is not None:
         best = float(np.max(values))
-        assertions.append(
-            _assert_true("any_above", best >= p["assert_any_above"], best)
-        )
+        assertions.append(assert_true("any_above", best >= p["assert_any_above"], best))
     return report, plots, assertions
 
 
@@ -378,8 +398,8 @@ def _run_poincare(cfg):
              "tol": p["tol"], "T": p["max_time"]}
         ),
     }
-    assertions = [_assert_leq("section_residual", resid, 1e-9),
-                  _assert_leq("bernoulli_first_integral", integral.range_gap, 1e-11)]
+    assertions = [assert_leq("section_residual", resid, 1e-9),
+                  assert_leq("bernoulli_first_integral", integral.range_gap, 1e-11)]
     return report, plots, assertions
 
 
@@ -388,20 +408,18 @@ def _run_perturb(cfg):
     from . import galerkin as gk  # scipy.linalg loads with the first pencil
 
     p = cfg.params
-    contactform, g = ct.std_contact_t3()
-    beta = ct.default_perturbation_form()
-    fam = ct.MetricFamily(g, contactform, beta, p["epsilons"])
+    fam = ct.standard_family(p["epsilons"])
     curves = gk.track_splitting(fam, tuple(p["window"]), p["K"])
     compat, worst_det = ct.family_compatibility(fam)
     worst_defect = max(rep.max_defect() for rep in compat.values())
-    alpha_dev = float(np.max(np.abs(curves.alpha_curve - contactform.lambda0)))
+    alpha_dev = float(np.max(np.abs(curves.alpha_curve - fam.contact.lambda0)))
     # the splitting needs alpha and beta noncollinear: the fraction of grid
     # points where alpha ^ beta (nearly) vanishes must stay small
-    collinear = ct.noncollinearity_measure(contactform.alpha, beta, 32, 1e-3)
+    collinear = ct.noncollinearity_measure(fam.contact.alpha, fam.beta, 32, 1e-3)
     report = {
         "K": p["K"],
         "dimension": 3 * (2 * p["K"] + 1) ** 3,
-        "metric_hash": ser.sha256_of_text(ser.dump_json(ser.metric_to_json(g))),
+        "metric_hash": ser.sha256_of_text(ser.dump_json(ser.metric_to_json(fam.base))),
         "window": list(curves.window),
         "epsilons": [float(e) for e in curves.epsilons],
         "cluster_size": int(curves.curves.shape[1]),
@@ -418,11 +436,11 @@ def _run_perturb(cfg):
     }
     plots = {"splitting_curves.csv": ser.splitting_curves_csv(curves)}
     assertions = [
-        _assert_leq("compatibility_defect", worst_defect, 1e-10),
-        _assert_leq("det_relative_deviation", worst_det, 1e-12),
-        _assert_leq("alpha_eigenvalue_deviation", alpha_dev, 1e-9),
-        _assert_true("slope_gap_positive", curves.slope_gap() > 0.0, curves.slope_gap()),
-        _assert_leq("alpha_beta_collinear_fraction", collinear, 0.05),
+        assert_leq("compatibility_defect", worst_defect),
+        assert_leq("det_relative_deviation", worst_det),
+        assert_leq("alpha_eigenvalue_deviation", alpha_dev),
+        assert_positive("slope_gap_positive", curves.slope_gap()),
+        assert_leq("alpha_beta_collinear_fraction", collinear, 0.05),
     ]
     return report, plots, assertions
 
@@ -433,9 +451,7 @@ def _run_pi_map(cfg):
 
     p = cfg.params
     if p["mode"] == "galerkin":
-        contactform, g = ct.std_contact_t3()
-        beta = ct.default_perturbation_form()
-        fam = ct.MetricFamily(g, contactform, beta, [-0.1, 0.1])
+        fam = ct.standard_family([-0.1, 0.1])
         basis = gk.FormBasis(p["K"])
         Aq = gk.pencil_operator_family(fam, basis)(p["q"])
         A0, dA = gk.pencil_operator_derivative(fam, basis)
@@ -478,12 +494,10 @@ def _run_pi_map(cfg):
             }
         ),
     }
-    assertions = [
-        _assert_leq("projector_idempotency", rep.projector_idempotency, 1e-10),
-        _assert_leq("sigma_match_defect", rep.sigma_match_defect, 1e-9),
-    ]
+    assertions = [assert_leq("projector_idempotency", rep.projector_idempotency),
+                  assert_leq("sigma_match_defect", rep.sigma_match_defect)]
     if p["mode"] == "galerkin":
-        assertions.append(_assert_true("certificate_positive", cert > 0.0, cert))
+        assertions.append(assert_positive("certificate_positive", cert))
     return report, plots, assertions
 
 
@@ -536,10 +550,8 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
         raise ComputeFailure(f"{cfg.kind} run failed: {str(exc) or type(exc).__name__}") from exc
     os.makedirs(out, exist_ok=True)
     _remove_previous_run(out)
-    report = dict(report)
-    report["config_hash"] = cfg.config_hash
-    report["version"] = __version__
-    files = {"report.json": ser.dump_json(report)}
+    files = {"report.json": ser.dump_json(dict(report, config_hash=cfg.config_hash,
+                                                  version=__version__))}
     files.update(plots)
     manifest = []
     for name in sorted(files):
@@ -556,17 +568,8 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
         files=manifest,
         assertions=assertions,
     )
+    fields = asdict(record)
+    del fields["out_dir"]  # where the record lies, not what it records
     with open(os.path.join(out, "run_record.json"), "w") as fh:
-        fh.write(
-            ser.dump_json(
-                {
-                    "config_hash": record.config_hash,
-                    "tool_version": record.tool_version,
-                    "kind": record.kind,
-                    "wall_time_s": record.wall_time_s,
-                    "files": record.files,
-                    "assertions": record.assertions,
-                }
-            )
-        )
+        fh.write(ser.dump_json(fields))
     return record

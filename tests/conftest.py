@@ -1,6 +1,12 @@
 import functools
+import os
 
-import pytest
+# one BLAS thread, as perfbench and scripts/bench.py run: set before anything
+# imports numpy; an explicit setting in the environment still wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 
 @pytest.fixture

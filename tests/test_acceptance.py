@@ -10,7 +10,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from eulerlab import acceptance
+from eulerlab import acceptance, runner
+from eulerlab import contact as ct
 from eulerlab import galerkin as gk
 
 
@@ -74,8 +75,9 @@ def test_criterion_4_chaos_proxy():
     import time
 
     t0 = time.time()
-    details, passed = acceptance.check_chaos_proxy()
+    details, records = acceptance.check_chaos_proxy()
     elapsed = time.time() - t0
+    passed = all(r["passed"] for r in records)
     print(f"criterion 4: {'PASS' if passed else 'FAIL'} - chaos proxy "
           f"(baseline {details['baseline_max_abs']:.2e}, "
           f"chaos {details['chaos_max']:.3f} vs theta {details['threshold']:.3f}, "
@@ -127,7 +129,7 @@ def _count_builds(monkeypatch):
 
 
 def test_criterion_6_builds_the_family_pencil_once(monkeypatch, gather_builds):
-    fam = acceptance._family_context()
+    fam = ct.standard_family(acceptance.SWEEP_EPSILONS)
     calls = _count_builds(monkeypatch)
     curves = gk.track_splitting(fam, (0.8, 1.2), 2)
     # the grid's 7 members and the 6 finite-difference members, and dM once,
@@ -135,8 +137,8 @@ def test_criterion_6_builds_the_family_pencil_once(monkeypatch, gather_builds):
     assert calls == {"assemble_mass": 13, "solve_pencil": 13, "mass_derivative": 1}
     assert gather_builds == [2]
     calls.clear()
-    _, passed = acceptance.check_variation_identities(fam, curves)
-    assert passed
+    _, records = acceptance.check_variation_identities(fam, curves)
+    assert all(r["passed"] for r in records)
     assert calls == {}
 
 
@@ -144,8 +146,9 @@ def test_criterion_8_assembles_the_base_mass_twice(monkeypatch, gather_builds):
     # A(0) and dA share one assembly; the other maps the forms into the A frame;
     # M0, dM and the base mass share the grid of one basis
     calls = _count_builds(monkeypatch)
-    _, passed = acceptance.check_compression_machinery(acceptance._family_context())
-    assert passed
+    _, records = acceptance.check_compression_machinery(
+        ct.standard_family(acceptance.SWEEP_EPSILONS))
+    assert all(r["passed"] for r in records)
     assert calls == {"assemble_mass": 2, "mass_derivative": 1}
     assert gather_builds == [acceptance.SWEEP_K]
 
@@ -185,3 +188,45 @@ def test_criterion_9_reproducibility(quick_suite):
 def test_quick_suite_all_green(quick_suite):
     assert quick_suite["all_passed"]
     assert quick_suite["level"] == "quick"
+
+
+# one tiny run of every kind, and the bounds-table names its records carry
+TINY_RUNS = {
+    "spectrum": {"n": 3},
+    "abc": {"A": 1.0, "B": 0.5, "C": 0.1, "grid": 16},
+    "bernoulli": {"source": {"shell": {"n": 1}}, "grid": 8},
+    "lyapunov": {"A": 1.0, "B": 0.5, "C": 0.0, "T": 4.0, "renorm": 2.0, "tol": 1e-8},
+    "poincare": {"A": 1.0, "B": 0.5, "C": 0.0, "x0": [0.2, 0.0, 1.3], "count": 2,
+                 "max_time": 100.0},
+    "perturb": {"K": 1, "epsilons": [-0.1, 0.1]},
+    "pi-map": {"mode": "synthetic", "dim": 8},
+}
+
+
+def test_runs_and_criteria_apply_one_table_of_shared_bounds(quick_suite, tmp_path, monkeypatch):
+    def shared(records):
+        for r in records:
+            if r["name"] in runner.BOUNDS:
+                assert r["threshold"] == runner.BOUNDS[r["name"]], r
+        return {r["name"] for r in records} & set(runner.BOUNDS)
+
+    configs = {kind: runner.load_config({"kind": kind, "params": params})
+               for kind, params in TINY_RUNS.items()}
+    in_runs = set()
+    for kind, cfg in configs.items():
+        record = runner.run(cfg, out_dir=str(tmp_path / kind))
+        assert record.ok, kind
+        in_runs |= shared(record.assertions)
+    in_criteria = set()
+    for entry in quick_suite["criteria"]:
+        assert entry["passed"] == all(r["passed"] for r in entry["records"])
+        in_criteria |= shared(entry["records"])
+    # every bound of the table is applied by a run and by a criterion
+    assert in_runs == in_criteria == set(runner.BOUNDS)
+
+    # moving one shared bound moves the run assertion and the criterion with it
+    monkeypatch.setitem(runner.BOUNDS, "curl_residual", -1.0)
+    record = runner.run(configs["spectrum"], out_dir=str(tmp_path / "spectrum"))
+    assert [a["name"] for a in record.assertions if not a["passed"]] == ["curl_residual"]
+    _, records = acceptance.check_curl_eigenfamily()
+    assert [r["name"] for r in records if not r["passed"]] == ["curl_residual"]

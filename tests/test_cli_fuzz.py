@@ -6,7 +6,9 @@ of the field-only kinds, levels, starts, windows, q, epsilons, assertion
 thresholds) range over all finite floats.  Every config must end with exit
 code 0, 1 or 2 and no traceback, and a nonzero exit leaves no output
 directory, except a run that completed with a failed assertion: its
-directory is whole, with the failing record in run_record.json.
+directory is whole, with the failing record in run_record.json.  Every
+integer parameter is drawn also as an integral float, which the schemas
+accept as an integer; such a config runs as its integer twin.
 """
 
 import json
@@ -23,6 +25,13 @@ number = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers
 positive = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                      st.integers(1, 10**6))
 small = st.one_of(st.floats(-2.0, 2.0), st.integers(-2, 2))
+
+
+def integer(lo, hi):
+    """An integer parameter in [lo, hi], as an int or as an integral float."""
+    return st.one_of(st.integers(lo, hi), st.integers(lo, hi).map(float))
+
+
 pair = st.lists(number, min_size=2, max_size=2)
 tol = st.sampled_from([1e-12, 1e-9, 1e-3, 1.0, 1e300])
 amplitudes = {"A": number, "B": number, "C": number}
@@ -44,36 +53,36 @@ horizons = st.tuples(st.one_of(positive, st.sampled_from([1.0, 2.0, 4.0])),
                      ).filter(_short_or_rejected)
 
 PARAMS = {
-    "spectrum": st.fixed_dictionaries({"n": st.integers(1, 60)}),
-    "abc": st.fixed_dictionaries(amplitudes, optional={"grid": st.integers(8, 12)}),
+    "spectrum": st.fixed_dictionaries({"n": integer(1, 60)}),
+    "abc": st.fixed_dictionaries(amplitudes, optional={"grid": integer(8, 12)}),
     "bernoulli": st.fixed_dictionaries({"source": st.one_of(
         st.fixed_dictionaries({"abc": st.fixed_dictionaries(amplitudes)}),
         st.fixed_dictionaries({"shell": st.fixed_dictionaries(
-            {"n": st.integers(1, 12)}, optional={"seed": st.integers(0, 2**64 - 1)})}))},
-        optional={"grid": st.integers(8, 12)}),
+            {"n": integer(1, 12)}, optional={"seed": integer(0, 2**64 - 1)})}))},
+        optional={"grid": integer(8, 12)}),
     "lyapunov": st.builds(
         lambda base, horizon: {**base, "T": horizon[0], "renorm": horizon[1]},
         st.fixed_dictionaries(small_amplitudes, optional={
-            "tol": tol, "seeds": st.integers(1, 2),
+            "tol": tol, "seeds": integer(1, 2),
             "seed_style": st.sampled_from(["random", "separatrix"]),
             "assert_all_below": st.one_of(st.none(), number),
             "assert_any_above": st.one_of(st.none(), number)}),
         horizons),
     "poincare": st.fixed_dictionaries(
         {**small_amplitudes, "x0": st.lists(number, min_size=3, max_size=3),
-         "count": st.integers(1, 3), "max_time": st.floats(1e-300, 2.0)},
-        optional={"axis": st.integers(0, 2), "level": number,
-                  "direction": st.sampled_from([1, -1]), "tol": tol}),
-    "perturb": st.fixed_dictionaries({"K": st.just(1)}, optional={
+         "count": integer(1, 3), "max_time": st.floats(1e-300, 2.0)},
+        optional={"axis": integer(0, 2), "level": number,
+                  "direction": st.sampled_from([1, -1, 1.0, -1.0]), "tol": tol}),
+    "perturb": st.fixed_dictionaries({"K": integer(1, 1)}, optional={
         "epsilons": st.lists(number, min_size=1, max_size=3), "window": pair}),
     "pi-map": st.fixed_dictionaries({}, optional={
-        "mode": st.sampled_from(["galerkin", "synthetic"]), "K": st.just(1), "q": number,
-        "window": pair, "contour_nodes": st.integers(8, 24), "dim": st.integers(4, 12)}),
+        "mode": st.sampled_from(["galerkin", "synthetic"]), "K": integer(1, 1), "q": number,
+        "window": pair, "contour_nodes": integer(8, 24), "dim": integer(4, 12)}),
 }
 
 configs = st.one_of(*(
     st.fixed_dictionaries({"kind": st.just(kind), "params": params},
-                          optional={"seed": st.integers(0, 2**64 - 12)})
+                          optional={"seed": integer(0, 2**64 - 12)})
     for kind, params in PARAMS.items()))
 
 
@@ -103,3 +112,30 @@ def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
 
     run()
     assert time.perf_counter() - start < 30.0
+
+
+# one config of every kind whose number-typed values are all floats, so that
+# its twin with every int made a float differs only in integer-typed values
+INTEGER_TWINS = {
+    "spectrum": {"n": 9},
+    "abc": {"A": 1.0, "B": 0.5, "C": 0.1, "grid": 16},
+    "bernoulli": {"source": {"shell": {"n": 9, "seed": 1}}, "grid": 8},
+    "lyapunov": {"A": 1.0, "B": 0.5, "C": 0.0, "T": 2.0, "renorm": 1.0, "seeds": 2},
+    "poincare": {"A": 1.0, "B": 0.5, "C": 0.0, "x0": [0.2, 0.0, 1.3], "count": 2,
+                 "axis": 2, "direction": -1, "max_time": 100.0},
+    "perturb": {"K": 1, "epsilons": [-0.1, 0.1]},
+    "pi-map": {"mode": "synthetic", "dim": 8, "contour_nodes": 64},
+}
+
+
+@pytest.mark.parametrize("kind", INTEGER_TWINS)
+def test_integral_floats_run_as_their_integer_twin(tmp_path, kind):
+    doc = json.dumps({"kind": kind, "seed": 3, "params": INTEGER_TWINS[kind]})
+    records = []
+    for tag, twin in (("int", json.loads(doc)), ("float", json.loads(doc, parse_int=float))):
+        config = tmp_path / f"{tag}.json"
+        config.write_text(json.dumps(twin))
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / tag)]) == 0
+        records.append(json.loads((tmp_path / tag / "run_record.json").read_text()))
+    assert records[1]["config_hash"] == records[0]["config_hash"]
+    assert records[1]["files"] == records[0]["files"]
