@@ -39,16 +39,20 @@ def main(argv=None) -> int:
     from . import runner
 
     if args.command == "run":
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+        # load_config reads the file itself: a parsed JSON string would pass
+        # for a path, and it names any document that is not an object
+        source = args.config
         if args.seed is not None:
-            doc["seed"] = args.seed
+            try:
+                with open(args.config) as fh:
+                    doc = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                print(f"config error: cannot read config: {exc}", file=sys.stderr)
+                return 2
+            if isinstance(doc, dict):
+                source = dict(doc, seed=args.seed)
         try:
-            cfg = runner.load_config(doc)
+            cfg = runner.load_config(source)
         except ConfigInvalid as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -49,11 +49,8 @@ _SECTION_TAIL = 8
 
 @dataclass(frozen=True)
 class PoincareSection:
-    """Crossings of the plane x[axis] = level with the declared velocity sign."""
+    """Crossings of a plane x[axis] = level with a declared velocity sign."""
 
-    axis: int
-    level: float
-    direction: int
     points: np.ndarray  # (m, 2): the two non-section coordinates, wrapped
     times: np.ndarray
     residuals: np.ndarray
@@ -65,7 +62,6 @@ class LyapunovEstimate:
 
     lambda_max: float
     history: np.ndarray
-    renorm_interval: float
 
     def tail_spread(self):
         """Range of the estimate over the last tenth of its history (at least two entries)."""
@@ -408,8 +404,7 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
     times, points, residuals = (np.concatenate(parts)[:N] for parts in zip(*found))
     if len(times) < N:
         raise NoCrossings(f"found {len(times)} of {N} requested crossings within t <= {max_time}")
-    return PoincareSection(axis=axis, level=level, direction=direction, points=points,
-                           times=times, residuals=residuals)
+    return PoincareSection(points=points, times=times, residuals=residuals)
 
 
 def check_horizon(T: float, renorm: float):
@@ -453,8 +448,7 @@ def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
     estimates = []
     for logs in run.logs:
         history = np.column_stack([times, np.cumsum(logs) / times])
-        estimates.append(LyapunovEstimate(lambda_max=float(history[-1, 1]),
-                                          history=history, renorm_interval=renorm))
+        estimates.append(LyapunovEstimate(lambda_max=float(history[-1, 1]), history=history))
     return estimates[0] if single else estimates
 
 

@@ -388,8 +388,6 @@ class SplittingCurves:
     fit_slopes: np.ndarray      # least-squares slope of each sorted curve
     alpha_routes: tuple         # (central FD slope, pencil slope) of the contact form
     beta_routes: tuple          # the same for the perturbing form
-    window: tuple
-    K: int
 
     def slope_gap(self):
         return float(np.max(self.fit_slopes) - np.min(self.fit_slopes))
@@ -525,8 +523,6 @@ def track_splitting(family: MetricFamily, window, K: int) -> SplittingCurves:
         fit_slopes=fit,
         alpha_routes=routes[0],
         beta_routes=routes[1],
-        window=(float(window[0]), float(window[1])),
-        K=K,
     )
 
 

@@ -1,10 +1,11 @@
 """Reproducible experiment runner: config ingestion, dispatch, persistence.
 
 Configs are JSON documents validated against shipped schemas (unknown keys
-rejected); every run writes a manifest with a content hash per emitted file
-plus pass/fail assertion records.  Identical (config, seed) pairs produce
-byte-identical result files.  Exit-code contract: 0 when all assertions
-pass, 1 on compute or assertion failure, 2 on config failure.
+rejected); every run writes a report that holds the canonical config once,
+a manifest with a content hash per emitted file and pass/fail assertion
+records.  Identical (config, seed) pairs produce byte-identical result
+files.  Exit-code contract: 0 when all assertions pass, 1 on compute or
+assertion failure, 2 on config failure.
 """
 
 from __future__ import annotations
@@ -247,24 +248,20 @@ def assert_positive(name, value):
 
 
 def _source_field(source):
-    """The field of a source {"abc": {A, B, C}} or {"shell": {n, seed}}, its
-    label {kind: [parameters]} and its field_hash."""
+    """The field of a source {"abc": {A, B, C}} or {"shell": {n, seed}} and
+    its field_hash."""
     if "abc" in source:
         a = source["abc"]
         field = sp.make_abc(sp.ABCParams(a["A"], a["B"], a["C"]))
-        label = {"abc": [a["A"], a["B"], a["C"]]}
     else:
-        sh = source["shell"]
-        field = sp.random_beltrami(sh["n"], sh["seed"])
-        label = {"shell": [sh["n"], sh["seed"]]}
-    return field, label, ser.field_hash(field)
+        field = sp.random_beltrami(source["shell"]["n"], source["shell"]["seed"])
+    return field, ser.field_hash(field)
 
 
 def _run_spectrum(cfg):
     n = cfg.params["n"]
     shell = sp.lattice_shell(n)
     report = {
-        "n": n,
         "multiplicity": len(shell),
         "admissible_mod8": sp.mod8_admissible(n),
         "shell_nonempty": len(shell) > 0,
@@ -282,15 +279,10 @@ def _run_spectrum(cfg):
 
 def _run_abc(cfg):
     p = cfg.params
-    field, label, _ = _source_field({"abc": p})
+    field, _ = _source_field({"abc": p})
     r1, r2 = sp.steady_residual(field)
     mn = sp.min_norm(field, p["grid"])
-    report = {
-        "amplitudes": label["abc"],
-        "euler_residual": r1,
-        "bernoulli_residual": r2,
-        "min_norm": mn,
-    }
+    report = {"euler_residual": r1, "bernoulli_residual": r2, "min_norm": mn}
     plots = {"field.json": ser.dump_json(ser.field_to_json(field))}
     try:
         rep = sp.proportionality_factor(field, p["grid"])
@@ -306,10 +298,10 @@ def _run_abc(cfg):
 
 
 def _run_bernoulli(cfg):
-    field, label, field_hash = _source_field(cfg.params["source"])
+    field, field_hash = _source_field(cfg.params["source"])
     F = sp.bernoulli(field)
     sup = F.sup_norm(cfg.params["grid"])
-    report = {"source": label, "bernoulli_sup_norm": sup, "field_hash": field_hash}
+    report = {"bernoulli_sup_norm": sup, "field_hash": field_hash}
     plots = {
         "source_field.json": ser.dump_json(ser.field_to_json(field)),
         "bernoulli.json": ser.dump_json(ser.field_to_json(F)),
@@ -320,7 +312,7 @@ def _run_bernoulli(cfg):
 
 def _run_lyapunov(cfg):
     p = cfg.params
-    field, label, field_hash = _source_field({"abc": p})
+    field, field_hash = _source_field({"abc": p})
     count = p["seeds"]
     if p["seed_style"] == "separatrix":
         x0s = dyn.separatrix_seeds(p["B"], count, base_key=7 + cfg.seed)
@@ -330,28 +322,13 @@ def _run_lyapunov(cfg):
 
     values = [e.lambda_max for e in estimates]
     report = {
-        "amplitudes": label["abc"],
-        "T": p["T"],
-        "renorm": p["renorm"],
-        "tol": p["tol"],
-        "seed_style": p["seed_style"],
         "field_hash": field_hash,
+        "x0s": [x0.tolist() for x0 in x0s],
         "estimates": values,
         "note": "largest Lyapunov exponent, used as a proxy for dynamical complexity",
     }
-    plots = {}
-    for i, est in enumerate(estimates):
-        plots[f"lyapunov_history_{i:02d}.csv"] = ser.lyapunov_csv(est)
-        plots[f"lyapunov_meta_{i:02d}.json"] = ser.dump_json(
-            {
-                "field_hash": report["field_hash"],
-                "seed": cfg.seed,
-                "seed_index": i,
-                "x0": [float(v) for v in x0s[i]],
-                "tol": p["tol"],
-                "T": p["T"],
-            }
-        )
+    plots = {f"lyapunov_history_{i:02d}.csv": ser.lyapunov_csv(est)
+             for i, est in enumerate(estimates)}
     assertions = []
     if p.get("assert_all_below") is not None:
         worst = float(np.max(np.abs(values)))
@@ -364,7 +341,7 @@ def _run_lyapunov(cfg):
 
 def _run_poincare(cfg):
     p = cfg.params
-    field, label, field_hash = _source_field({"abc": p})
+    field, field_hash = _source_field({"abc": p})
     section = dyn.poincare(
         field,
         (p["axis"], p["level"]),
@@ -379,25 +356,12 @@ def _run_poincare(cfg):
     # chaotic section needs it constant, i.e. a Beltrami field
     integral = dyn.first_integral_report(field, sp.bernoulli(field), 16)
     report = {
-        "amplitudes": label["abc"],
-        "axis": p["axis"],
-        "level": p["level"],
-        "direction": p["direction"],
-        "count": len(section.times),
         "max_section_residual": resid,
         "bernoulli_range_gap": integral.range_gap,
         "bernoulli_derivative_sup": integral.derivative_sup,
         "field_hash": field_hash,
-        "tol": p["tol"],
-        "x0": p["x0"],
     }
-    plots = {
-        "section.csv": ser.section_csv(section),
-        "section_meta.json": ser.dump_json(
-            {"field_hash": report["field_hash"], "seed": cfg.seed,
-             "tol": p["tol"], "T": p["max_time"]}
-        ),
-    }
+    plots = {"section.csv": ser.section_csv(section)}
     assertions = [assert_leq("section_residual", resid, 1e-9),
                   assert_leq("bernoulli_first_integral", integral.range_gap, 1e-11)]
     return report, plots, assertions
@@ -417,10 +381,8 @@ def _run_perturb(cfg):
     # points where alpha ^ beta (nearly) vanishes must stay small
     collinear = ct.noncollinearity_measure(fam.contact.alpha, fam.beta, 32, 1e-3)
     report = {
-        "K": p["K"],
         "dimension": 3 * (2 * p["K"] + 1) ** 3,
         "metric_hash": ser.sha256_of_text(ser.dump_json(ser.metric_to_json(fam.base))),
-        "window": list(curves.window),
         "epsilons": [float(e) for e in curves.epsilons],
         "cluster_size": int(curves.curves.shape[1]),
         "pairing_eigenvalues": [float(x) for x in curves.pairing_eigenvalues],
@@ -432,7 +394,7 @@ def _run_perturb(cfg):
         "alpha_beta_collinear_fraction": collinear,
         "max_compatibility_defect": worst_defect,
         "max_det_relative_deviation": worst_det,
-        "compatibility": {repr(e): ser.compatibility_to_json(r) for e, r in compat.items()},
+        "compatibility": {repr(e): asdict(r) for e, r in compat.items()},
     }
     plots = {"splitting_curves.csv": ser.splitting_curves_csv(curves)}
     assertions = [
@@ -469,31 +431,15 @@ def _run_pi_map(cfg):
     pi_prime = gk.pi_derivative(dA, cluster.vectors)
     cert = gk.splitting_certificate(pi_prime)
     report = {
-        "mode": p["mode"],
-        "q": p["q"],
+        "dimension": int(cluster.vectors.shape[0]),
         "cluster_size": int(cluster.multiplicity),
         "sigma_match_defect": rep.sigma_match_defect,
         "identity_deviation": rep.identity_deviation,
         "projector_idempotency": rep.projector_idempotency,
         "certificate": cert,
-        "window": [lo, hi],
-        "contour_nodes": p["contour_nodes"],
+        "window": [lo, hi],  # the contour used: synthetic mode ignores the configured window
     }
-    plots = {
-        "pi.csv": ser.matrix_csv(rep.pi),
-        "pi_prime.csv": ser.matrix_csv(pi_prime),
-        "pi_meta.json": ser.dump_json(
-            {
-                "mode": p["mode"],
-                "K": p["K"] if p["mode"] == "galerkin" else None,
-                "dimension": int(cluster.vectors.shape[0]),
-                "cluster_size": int(cluster.multiplicity),
-                "q": p["q"],
-                "window": [lo, hi],
-                "contour_nodes": p["contour_nodes"],
-            }
-        ),
-    }
+    plots = {"pi.csv": ser.matrix_csv(rep.pi), "pi_prime.csv": ser.matrix_csv(pi_prime)}
     assertions = [assert_leq("projector_idempotency", rep.projector_idempotency),
                   assert_leq("sigma_match_defect", rep.sigma_match_defect)]
     if p["mode"] == "galerkin":
@@ -538,10 +484,10 @@ def _remove_previous_run(out):
 
 
 def run(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
-    """Execute a validated config: write result files, a manifest and
-    assertion records.  Module errors, and the ValueError, LinAlgError or
-    MemoryError of a computation that cannot proceed, surface as
-    ComputeFailure before anything is written."""
+    """Execute a validated config: write result files, a report that holds
+    the canonical config, a manifest and assertion records.  Module errors,
+    and the ValueError, LinAlgError or MemoryError of a computation that
+    cannot proceed, surface as ComputeFailure before anything is written."""
     t0 = time.time()
     out = resolve_out_dir(cfg, out_dir)
     try:
@@ -550,7 +496,8 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
         raise ComputeFailure(f"{cfg.kind} run failed: {str(exc) or type(exc).__name__}") from exc
     os.makedirs(out, exist_ok=True)
     _remove_previous_run(out)
-    files = {"report.json": ser.dump_json(dict(report, config_hash=cfg.config_hash,
+    files = {"report.json": ser.dump_json(dict(report, config=json.loads(cfg.canonical),
+                                                  config_hash=cfg.config_hash,
                                                   version=__version__))}
     files.update(plots)
     manifest = []

@@ -19,7 +19,6 @@ __all__ = [
     "field_from_json",
     "trig_to_json",
     "tensor_to_json",
-    "compatibility_to_json",
     "metric_to_json",
     "grid_report_csv",
     "section_csv",
@@ -95,15 +94,6 @@ def tensor_to_json(t: SpectralTensorField) -> dict:
     return {"entries": [[trig_to_json(ScalarSpectralField(K=t.K, C=t.C[:, i, j],
                                                           truncation_radius=t.truncation_radius))
                          for j in range(3)] for i in range(3)]}
-
-
-def compatibility_to_json(report) -> dict:
-    return {
-        "unit_norm_defect": report.unit_norm_defect,
-        "star_defect": report.star_defect,
-        "volume_defect": report.volume_defect,
-        "nodes": report.nodes,
-    }
 
 
 def metric_to_json(g) -> dict:

@@ -8,14 +8,16 @@ code 0, 1 or 2 and no traceback, and a nonzero exit leaves no output
 directory, except a run that completed with a failed assertion: its
 directory is whole, with the failing record in run_record.json.  Every
 integer parameter is drawn also as an integral float, which the schemas
-accept as an integer; such a config runs as its integer twin.
+accept as an integer; such a config runs as its integer twin.  Some draws
+pass --seed, and some documents are JSON values that are not objects,
+which exit 2 with or without it.
 """
 
 import json
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eulerlab import cli
@@ -80,29 +82,40 @@ PARAMS = {
         "window": pair, "contour_nodes": integer(8, 24), "dim": integer(4, 12)}),
 }
 
+# one branch of the one_of below, so that most draws stay configs
+non_objects = st.sampled_from([None, True, 0, -2.5, "", "abc", [], [1.0, {}]])
 configs = st.one_of(*(
     st.fixed_dictionaries({"kind": st.just(kind), "params": params},
                           optional={"seed": integer(0, 2**64 - 12)})
-    for kind, params in PARAMS.items()))
+    for kind, params in PARAMS.items()), non_objects)
+seeds = st.one_of(st.none(), st.integers(0, 2**64 - 12))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
     start = time.perf_counter()
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=70, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
                                      HealthCheck.filter_too_much, HealthCheck.too_slow])
-    @given(configs)
-    def run(doc):
+    @given(configs, seeds)
+    @example([], 3)  # the draws above reach few non-objects, so each type runs once here
+    @example("abc", 0)
+    @example(None, None)
+    @example(2.5, 2**64 - 12)
+    @example({"kind": "spectrum", "params": {"n": 3}}, 5)
+    def run(doc, seed):
         tmp = tmp_path_factory.mktemp("fuzz")
         config, out = tmp / "c.json", tmp / "o"
         config.write_text(json.dumps(doc))
         capsys.readouterr()
-        code = cli.main(["run", "--config", str(config), "--out", str(out)])
+        override = [] if seed is None else ["--seed", str(seed)]
+        code = cli.main(["run", "--config", str(config), "--out", str(out), *override])
         err = capsys.readouterr().err
         assert code in (0, 1, 2), doc
         assert "Traceback" not in err, doc
+        if not isinstance(doc, dict):
+            assert code == 2 and "is not of type 'object'" in err, (doc, err)
         if code and not out.exists():
             assert len(err.strip().splitlines()) == 1, (doc, err)
         elif code:

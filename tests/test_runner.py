@@ -106,10 +106,11 @@ def test_lyapunov_run_with_assertions(tmp_path):
     rec = runner.run(cfg, out_dir=str(tmp_path))
     assert rec.ok
     names = {f["name"] for f in rec.files}
-    assert "lyapunov_history_00.csv" in names
-    assert "lyapunov_meta_01.json" in names
-    meta = json.load(open(tmp_path / "lyapunov_meta_00.json"))
-    assert {"field_hash", "seed", "tol", "T"} <= set(meta)
+    assert {"lyapunov_history_00.csv", "lyapunov_history_01.csv"} <= names
+    report = json.load(open(tmp_path / "report.json"))
+    assert "field_hash" in report and len(report["x0s"]) == len(report["estimates"]) == 2
+    assert report["config"]["seed"] == 0
+    assert {"tol": 1e-8, "T": 200.0}.items() <= report["config"]["params"].items()
 
 
 def test_rerun_into_same_out_removes_files_of_the_previous_manifest(tmp_path):
@@ -124,7 +125,7 @@ def test_rerun_into_same_out_removes_files_of_the_previous_manifest(tmp_path):
     (tmp_path / "notes.txt").write_text("not in any manifest\n")
     rec = runner.run(lyapunov(1), out_dir=str(tmp_path))
     listed = {f["name"] for f in rec.files}
-    assert listed == {"report.json", "lyapunov_history_00.csv", "lyapunov_meta_00.json"}
+    assert listed == {"report.json", "lyapunov_history_00.csv"}
     assert set(os.listdir(tmp_path)) == listed | {"run_record.json", "notes.txt"}
     from eulerlab import serialize as ser
 
@@ -141,8 +142,9 @@ def test_poincare_run_sidecar(tmp_path):
     assert rec.ok
     section = open(tmp_path / "section.csv").read()
     assert section.startswith("s1,s2\n")
-    meta = json.load(open(tmp_path / "section_meta.json"))
-    assert {"field_hash", "seed", "tol", "T"} <= set(meta)
+    report = json.load(open(tmp_path / "report.json"))
+    assert "field_hash" in report and report["config"]["seed"] == 0
+    assert {"tol": 1e-10, "max_time": 500.0}.items() <= report["config"]["params"].items()
 
 
 @pytest.mark.parametrize("doc, expected, check", [
@@ -408,6 +410,37 @@ assert "eulerlab.contact" in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
+# the files each TINY run writes besides run_record.json
+TINY_FILES = {
+    "lyapunov": {"report.json", "lyapunov_history_00.csv"},
+    "poincare": {"report.json", "section.csv"},
+    "abc": {"report.json", "field.json", "factor.csv"},
+    "bernoulli": {"report.json", "source_field.json", "bernoulli.json"},
+    "spectrum": {"report.json", "shell.csv"},
+    "perturb": {"report.json", "splitting_curves.csv"},
+    "pi-map": {"report.json", "pi.csv", "pi_prime.csv"},
+}
+
+
+@pytest.mark.parametrize("kind", TINY)
+def test_report_records_the_config_once(tmp_path, kind):
+    """report.json holds the canonical config, which loads and reruns to the
+    same manifest; the report echoes no parameter but the two that record
+    what the run used, and no sidecar restates them."""
+    cfg = runner.load_config(dict(TINY[kind], seed=3))
+    rec = runner.run(cfg, out_dir=str(tmp_path / "a"))
+    assert rec.ok
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["config"] == json.loads(cfg.canonical)
+    again = runner.load_config(report["config"])
+    assert again.config_hash == cfg.config_hash
+    assert runner.run(again, out_dir=str(tmp_path / "b")).files == rec.files
+    assert {f["name"] for f in rec.files} == TINY_FILES[kind]
+    assert set(os.listdir(tmp_path / "a")) == TINY_FILES[kind] | {"run_record.json"}
+    used = {"perturb": {"epsilons"}, "pi-map": {"window"}}.get(kind, set())
+    assert set(report) & set(cfg.params) == used
+
+
 def _reference_message(doc):
     """The ConfigInvalid message of the old route: a JSON round trip that
     rejects non-finite numbers, then jsonschema.validate against schemas read
@@ -635,6 +668,22 @@ def test_cli_seed_override(tmp_path):
     assert rec["assertions"][0]["passed"]
 
 
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["config-seed", "seed-override"])
+@pytest.mark.parametrize("text", ["[]", '"abc"', "3", "null", "path"])
+def test_cli_rejects_config_documents_that_are_not_objects(tmp_path, capsys, text, seed):
+    # --seed on such a document raised TypeError; a JSON string naming a
+    # valid config was read as that config's path
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"kind": "spectrum", "params": {"n": 3}}))
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(str(good)) if text == "path" else text)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfgfile), "--out", str(out), *seed]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith("is not of type 'object'")
+    assert not out.exists()
+
+
 def test_assertion_failure_gives_exit_one(tmp_path, monkeypatch):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({
@@ -735,8 +784,9 @@ def test_pi_map_synthetic_records_the_contour_it_uses(tmp_path):
                                                           "window": [5, 6]}})
     rec = runner.run(cfg, out_dir=str(tmp_path))
     assert rec.ok
-    for name in ("report.json", "pi_meta.json"):
-        assert json.load(open(tmp_path / name))["window"] == [-0.5, 1.5]
+    report = json.load(open(tmp_path / "report.json"))
+    assert report["window"] == [-0.5, 1.5] and report["dimension"] == 12
+    assert report["config"]["params"]["window"] == [5, 6]
 
 
 def test_cli_pi_map_window_without_eigenvalues_exits_one(tmp_path):
