@@ -1,6 +1,6 @@
 """Median timings of eulerlab's kernels, per layer and end to end.
 
-Three groups of rows, each written to its own JSON file.
+Four groups of rows, each written to its own JSON file.
 
 `--group galerkin` (BENCH_galerkin.json), wall seconds of one call:
 
@@ -53,18 +53,28 @@ Three groups of rows, each written to its own JSON file.
 - `cli_run_spectrum`: a fresh interpreter that runs a `spectrum` n = 9
   config through `cli.main`.
 
+`--group fields` (BENCH_fields.json), the `abc` grid diagnostics on the
+showcase field (1, 0.5, 0.1) at grid 64:
+
+- `evaluate_on_grid_64`, `proportionality_factor_64` and `min_norm_64`:
+  one call, and the `tracemalloc` peak of a second, traced call;
+- end to end, `abc_run_64`: one `abc` run through `runner.run` in a fresh
+  interpreter, with its peak RSS.
+
 The fresh interpreters time themselves, from before the first eulerlab
 import to the end, so interpreter start-up is not counted.
 
 Medians are over --runs repetitions in one process with one BLAS thread,
-after one warm-up call.  Every call used exists with the same signature
-on older checkouts, so the script can be copied into one and run there,
-except three: `assemble_exterior(basis, parts)` in the `solve_pencil_K3`
-setup (checkouts whose B is one dense array call `assemble_exterior(basis)`),
-`track_splitting(family, window, K)` (checkouts that still take the
-contact form call `track_splitting(family, contact, window, K)`) and the
-basis grid `FormBasis.nodes` (checkouts that pick a node count per matrix
-have `default_mass_nodes`); run an older checkout's own copy of the script
+after one warm-up call: seconds under `median_s`, and for the cases that
+measure one, the peak in MiB under `median_peak_mb`.  Every call used
+exists with the same signature on older checkouts, so the script can be
+copied into one and run there, except three: `assemble_exterior(basis,
+parts)` in the `solve_pencil_K3` setup (checkouts whose B is one dense
+array call `assemble_exterior(basis)`), `track_splitting(family, window,
+K)` (checkouts that still take the contact form call
+`track_splitting(family, contact, window, K)`) and the basis grid
+`FormBasis.nodes` (checkouts that pick a node count per matrix have
+`default_mass_nodes`); run an older checkout's own copy of the script
 instead.
 Results go under `--label` into the group's file (or `--out`) at the root
 of the checkout that holds this script; entries under other labels are
@@ -90,6 +100,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -140,6 +151,19 @@ def _wall(call):
         start = time.perf_counter()
         call()
         return time.perf_counter() - start
+    return timed
+
+
+def _traced(call):
+    """A case timing one call of `call`, then tracing a second call's peak in MiB."""
+    def timed():
+        seconds = _wall(call)()
+        tracemalloc.start()
+        try:
+            call()
+            return seconds, tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
     return timed
 
 
@@ -389,7 +413,41 @@ def _startup_cases(scratch):
     }
 
 
-GROUPS = {"galerkin": _galerkin_cases, "dynamics": _dynamics_cases, "startup": _startup_cases}
+def _fresh_run(doc, out):
+    """A case running `doc` in a fresh interpreter: its wall seconds and peak RSS."""
+    def timed():
+        proc = subprocess.run([sys.executable, "-c", _K_RUN, json.dumps(doc), out],
+                              capture_output=True, text=True, timeout=120, check=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        row = json.loads(proc.stdout.splitlines()[-1])
+        return row["wall_s"], row["peak_rss_mb"]
+    return timed
+
+
+def _fields_cases(scratch):
+    v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1))
+    abc = {"kind": "abc", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "grid": 64}}
+    return {
+        "evaluate_on_grid_64": _traced(lambda: sp.evaluate_on_grid(v, 64)),
+        "proportionality_factor_64": _traced(lambda: sp.proportionality_factor(v, 64)),
+        "min_norm_64": _traced(lambda: sp.min_norm(v, 64)),
+        "end_to_end.abc_run_64": _fresh_run(abc, os.path.join(scratch, "abc")),
+    }
+
+
+GROUPS = {"galerkin": _galerkin_cases, "dynamics": _dynamics_cases, "startup": _startup_cases,
+          "fields": _fields_cases}
+
+
+def _seconds(sample):
+    """A case returns its seconds, or (seconds, peak in MiB)."""
+    return sample[0] if isinstance(sample, tuple) else sample
+
+
+def _medians(unit, samples):
+    return {f"median_{unit}": {k: float(f"{statistics.median(v):.5g}")
+                               for k, v in samples.items()},
+            f"samples_{unit}": {k: [float(f"{t:.5g}") for t in v] for k, v in samples.items()}}
 
 
 def main(argv=None):
@@ -408,7 +466,8 @@ def main(argv=None):
         for name, case in GROUPS[args.group](scratch).items():
             case()  # warm-up: caches, lazy imports
             samples[name] = [case() for _ in range(args.runs)]
-            print(f"{name}: median {statistics.median(samples[name]):.4g} s", file=sys.stderr)
+            median = statistics.median(_seconds(t) for t in samples[name])
+            print(f"{name}: median {median:.4g} s", file=sys.stderr)
         rows = _k_convergence(scratch) if args.group == "galerkin" else None
 
     doc = {}
@@ -420,9 +479,11 @@ def main(argv=None):
         "worktree_clean": _git("status", "--porcelain", "--untracked-files=no") == "",
         "machine": _machine(),
         "runs": args.runs,
-        "median_s": {k: float(f"{statistics.median(v):.5g}") for k, v in samples.items()},
-        "samples_s": {k: [float(f"{t:.5g}") for t in v] for k, v in samples.items()},
+        **_medians("s", {k: [_seconds(t) for t in v] for k, v in samples.items()}),
     }
+    peaks = {k: [t[1] for t in v] for k, v in samples.items() if isinstance(v[0], tuple)}
+    if peaks:
+        doc[args.label].update(_medians("peak_mb", peaks))
     if rows is not None:
         doc[args.label]["k_convergence"] = rows
     with open(out, "w") as fh:

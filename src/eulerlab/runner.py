@@ -286,10 +286,7 @@ def _run_abc(cfg):
     plots = {"field.json": ser.dump_json(ser.field_to_json(field))}
     try:
         rep = sp.proportionality_factor(field, p["grid"])
-        report["factor_gap"] = rep.gap
-        report["factor_min"] = rep.min_value
-        report["factor_max"] = rep.max_value
-        plots["factor.csv"] = ser.grid_report_csv(rep)
+        report.update(factor_gap=rep.gap, factor_min=rep.min_value, factor_max=rep.max_value)
     except EulerLabError as exc:
         report["factor_gap"] = None
         report["factor_note"] = str(exc)

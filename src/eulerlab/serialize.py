@@ -20,7 +20,6 @@ __all__ = [
     "trig_to_json",
     "tensor_to_json",
     "metric_to_json",
-    "grid_report_csv",
     "section_csv",
     "lyapunov_csv",
     "matrix_csv",
@@ -122,14 +121,6 @@ def _csv(header, columns) -> str:
     """CSV text of equal-length columns; str of a float is its shortest round-trip repr."""
     cells = [map(str, np.asarray(col).tolist()) for col in columns]
     return "\n".join([",".join(header)] + [",".join(row) for row in zip(*cells)]) + "\n"
-
-
-def grid_report_csv(report) -> str:
-    """Uniform grid report with header (x1, x2, x3, value)."""
-    n = report.grid
-    axis = np.array([repr(i * (2.0 * np.pi / n)) for i in range(n)], dtype=object)
-    return _csv(("x1", "x2", "x3", "value"),
-                [*axis[np.indices((n, n, n)).reshape(3, -1)], report.values.ravel()])
 
 
 def section_csv(section) -> str:

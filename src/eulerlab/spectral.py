@@ -378,14 +378,20 @@ def random_beltrami(n: int, seed: int) -> SpectralVectorField:
 
 
 def evaluate_on_grid(f, n: int) -> np.ndarray:
-    """Values on the uniform n^3 grid x_j = 2*pi*j/n, shape (n, n, n) + f.SHAPE."""
+    """Values on the uniform n^3 grid x_j = 2*pi*j/n, shape (n, n, n) + f.SHAPE;
+    one component at a time, transformed in place in one reused work array."""
     if n < 2 * f.truncation_radius + 1:
         raise ValueError("grid too small for the truncation radius")
-    dense = np.zeros(f.SHAPE + (n, n, n), dtype=complex)
-    dense[(..., *(f.K % n).T)] += np.moveaxis(f.C, 0, -1)
+    index = tuple((f.K % n).T)
+    C = f.C.reshape(len(f.K), math.prod(f.SHAPE))
+    dense = np.empty((n, n, n), dtype=complex)
     out = np.empty((n, n, n) + f.SHAPE)
-    for c in np.ndindex(f.SHAPE):  # per component: a 3-D transform stays in cache
-        out[(..., *c)] = (np.fft.ifftn(dense[c]) * n ** 3).real
+    for c, col in enumerate(np.moveaxis(out.reshape(n, n, n, -1), -1, 0)):
+        dense.fill(0.0)
+        dense[index] += C[:, c]
+        np.fft.ifftn(dense, out=dense)
+        dense *= n ** 3
+        col[...] = dense.real
     return out
 
 
@@ -426,6 +432,14 @@ def steady_residual(v: SpectralVectorField):
 # pointwise diagnostics
 
 
+def _dot(a, b):
+    """a . b over the last axis, one component at a time; rounds as np.sum(a * b, axis=-1)."""
+    out = np.zeros(a.shape[:-1])
+    for i in range(a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def proportionality_factor(v: SpectralVectorField, grid: int) -> ScalarGridReport:
     """Pointwise (v . curl v)/|v|^2 on a uniform grid, with its constancy gap.
 
@@ -434,18 +448,14 @@ def proportionality_factor(v: SpectralVectorField, grid: int) -> ScalarGridRepor
     """
     vv = evaluate_on_grid(v, grid)
     cc = evaluate_on_grid(curl_spectral(v), grid)
-    norm2 = np.sum(vv * vv, axis=-1)
+    norm2 = _dot(vv, vv)
     mn = math.sqrt(float(np.min(norm2)))
     if mn <= 1e-6:
         raise VanishingField(f"min |v| = {mn:.3e} at grid {grid}")
-    f = np.sum(vv * cc, axis=-1) / norm2
-    return ScalarGridReport(
-        grid=grid,
-        values=f,
-        gap=float(np.max(f) - np.min(f)),
-        min_value=float(np.min(f)),
-        max_value=float(np.max(f)),
-    )
+    f = _dot(vv, cc)
+    f /= norm2
+    lo, hi = float(np.min(f)), float(np.max(f))
+    return ScalarGridReport(grid=grid, values=f, gap=hi - lo, min_value=lo, max_value=hi)
 
 
 def min_norm(v: SpectralVectorField, grid: int) -> float:
@@ -456,7 +466,8 @@ def min_norm(v: SpectralVectorField, grid: int) -> float:
     """
     n = max(grid, 2 * v.truncation_radius + 1)
     vals = evaluate_on_grid(v, n)
-    norms = np.sqrt(np.sum(vals * vals, axis=-1))
+    norms = _dot(vals, vals)
+    np.sqrt(norms, out=norms)
     idx = np.unravel_index(np.argmin(norms), norms.shape)
     best = float(norms[idx])
     x = np.array(idx, dtype=float) * (TWO_PI / n)

@@ -132,6 +132,20 @@ def test_rerun_into_same_out_removes_files_of_the_previous_manifest(tmp_path):
     assert all(ser.sha256_of_file(tmp_path / f["name"]) == f["sha256"] for f in rec.files)
 
 
+def test_abc_rerun_removes_the_grid_csv_of_an_older_run(tmp_path):
+    """A run directory left by a version whose abc run wrote factor.csv and
+    listed it in its manifest: the rerun deletes the file and lists only
+    what it wrote."""
+    (tmp_path / "factor.csv").write_text("x1,x2,x3,value\n0.0,0.0,0.0,1.0\n")
+    (tmp_path / "run_record.json").write_text(json.dumps(
+        {"files": [{"name": "factor.csv", "sha256": "0" * 64}]}))
+    rec = runner.run(runner.load_config(TINY["abc"]), out_dir=str(tmp_path))
+    assert rec.ok
+    assert not (tmp_path / "factor.csv").exists()
+    manifest = json.loads((tmp_path / "run_record.json").read_text())["files"]
+    assert {f["name"] for f in manifest} == {"report.json", "field.json"}
+
+
 def test_poincare_run_sidecar(tmp_path):
     cfg = runner.load_config({
         "kind": "poincare",
@@ -414,7 +428,7 @@ assert "eulerlab.contact" in sys.modules
 TINY_FILES = {
     "lyapunov": {"report.json", "lyapunov_history_00.csv"},
     "poincare": {"report.json", "section.csv"},
-    "abc": {"report.json", "field.json", "factor.csv"},
+    "abc": {"report.json", "field.json"},
     "bernoulli": {"report.json", "source_field.json", "bernoulli.json"},
     "spectrum": {"report.json", "shell.csv"},
     "perturb": {"report.json", "splitting_curves.csv"},

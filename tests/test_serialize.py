@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from eulerlab import contact as ct
 from eulerlab import dynamics as dyn
@@ -86,17 +85,6 @@ def test_metric_json_includes_family_factor():
     assert base_doc["xi_scale"] is None
 
 
-def test_grid_report_csv_header_and_values():
-    rep = sp.proportionality_factor(sp.make_abc(sp.ABCParams(1, 0.5, 0.1)), 8)
-    text = ser.grid_report_csv(rep)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x1,x2,x3,value"
-    assert len(lines) == 1 + 8 ** 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[3]) == pytest.approx(rep.values[0, 0, 0])
-
-
 def test_section_csv():
     v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.0))
     sec = dyn.poincare(v, (2, np.pi / 2), +1, [0.2, 0.0, 1.3], 5, tol=1e-9,
@@ -126,22 +114,7 @@ def test_dump_json_byte_stable():
     assert ser.dump_json(doc).startswith("{\n \"a\"")
 
 
-def test_grid_report_and_matrix_csv_exact_text():
-    values = np.arange(8.0).reshape(2, 2, 2) / 8.0 - 0.25
-    rep = sp.ScalarGridReport(grid=2, values=values, gap=0.875, min_value=-0.25,
-                              max_value=0.625)
-    pi = "3.141592653589793"
-    assert ser.grid_report_csv(rep) == (
-        "x1,x2,x3,value\n"
-        "0.0,0.0,0.0,-0.25\n"
-        f"0.0,0.0,{pi},-0.125\n"
-        f"0.0,{pi},0.0,0.0\n"
-        f"0.0,{pi},{pi},0.125\n"
-        f"{pi},0.0,0.0,0.25\n"
-        f"{pi},0.0,{pi},0.375\n"
-        f"{pi},{pi},0.0,0.5\n"
-        f"{pi},{pi},{pi},0.625\n"
-    )
+def test_matrix_csv_exact_text():
     M = np.array([[0.0, -1.5], [1e-300, 0.0], [0.1, 1.0 / 3.0]])
     assert ser.matrix_csv(M) == (
         "row,col,value\n0,1,-1.5\n1,0,1e-300\n2,0,0.1\n2,1,0.3333333333333333\n")

@@ -688,3 +688,88 @@ def test_field_hash_matches_the_reference(n):
     for seed in range(20):
         assert ser.field_hash(sp.random_beltrami(n, seed)) == ser.field_hash(
             reference_beltrami(n, seed))
+
+
+# ---------------------------------------------------------------------------
+# grid transforms and reductions against their all-at-once references
+
+
+def reference_evaluate_on_grid(f, n):
+    """All components in one dense complex array, each transformed out of place."""
+    dense = np.zeros(f.SHAPE + (n, n, n), dtype=complex)
+    dense[(..., *(f.K % n).T)] += np.moveaxis(f.C, 0, -1)
+    out = np.empty((n, n, n) + f.SHAPE)
+    for c in np.ndindex(f.SHAPE):
+        out[(..., *c)] = (np.fft.ifftn(dense[c]) * n ** 3).real
+    return out
+
+
+def reference_min_norm(v, grid):
+    n = max(grid, 2 * v.truncation_radius + 1)
+    vals = reference_evaluate_on_grid(v, n)
+    norms = np.sqrt(np.sum(vals * vals, axis=-1))
+    idx = np.unravel_index(np.argmin(norms), norms.shape)
+    best = float(norms[idx])
+    x = np.array(idx, dtype=float) * (TWO_PI / n)
+    offsets = np.linspace(-TWO_PI / n, TWO_PI / n, 21)
+    for axis in range(3):
+        cand = np.tile(x, (offsets.size, 1))
+        cand[:, axis] += offsets
+        local = np.linalg.norm(v.evaluate(cand), axis=1)
+        x = cand[int(np.argmin(local))]
+        best = min(best, float(local[int(np.argmin(local))]))
+    return best
+
+
+GRID_FIELDS = [sp.make_abc(sp.ABCParams(1, 0.5, 0.1)), sp.make_abc(sp.ABCParams(1, 1, 1)),
+               sp.make_abc(sp.ABCParams(1, 0.5, 0)), sp.random_beltrami(9, 3)]
+
+
+@pytest.mark.parametrize("n", [64, 30, 17])
+def test_grid_evaluation_matches_the_all_at_once_reference_bitwise(n):
+    for v in GRID_FIELDS:
+        first = sp.ScalarSpectralField(K=v.K, C=v.C[:, 0], truncation_radius=v.truncation_radius)
+        for f in (first, v, v.gradient()):
+            if n >= 2 * f.truncation_radius + 1:
+                assert np.array_equal(bits(sp.evaluate_on_grid(f, n)),
+                                      bits(reference_evaluate_on_grid(f, n)))
+
+
+@pytest.mark.parametrize("n", [64, 30, 17])
+def test_grid_reductions_match_the_summed_reference_bitwise(n):
+    for v in GRID_FIELDS:
+        vv = reference_evaluate_on_grid(v, n)
+        cc = reference_evaluate_on_grid(sp.curl_spectral(v), n)
+        assert sp.min_norm(v, n) == reference_min_norm(v, n)
+        if np.min(np.sum(vv * vv, axis=-1)) > 1e-12:
+            rep = sp.proportionality_factor(v, n)
+            ref = np.sum(vv * cc, axis=-1) / np.sum(vv * vv, axis=-1)
+            assert np.array_equal(bits(rep.values), bits(ref))
+            assert (rep.gap, rep.min_value, rep.max_value) == (
+                float(np.max(ref) - np.min(ref)), float(np.min(ref)), float(np.max(ref)))
+
+
+def test_dot_rounds_signed_zeros_as_the_summed_reference():
+    a = np.array([[-0.0, 0.0, -0.0], [1.0, -0.0, 0.0], [1e16, 1.0, -1e16]])
+    b = np.array([[1.0, -1.0, 2.0], [-0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    assert np.array_equal(bits(sp._dot(a, b)), bits(np.sum(a * b, axis=-1)))
+
+
+def test_grid_diagnostics_peak_memory_at_grid_64():
+    # one (64, 64, 64, 3) float64 field is 6 MiB: the proportionality factor
+    # holds v and curl v on the grid, min_norm holds v, each with a few
+    # scalar grids and one complex work array beside them
+    import tracemalloc
+
+    v = sp.make_abc(sp.ABCParams(1, 0.5, 0.1))
+    peaks = {}
+    for name, call in (("factor", lambda: sp.proportionality_factor(v, 64)),
+                       ("min_norm", lambda: sp.min_norm(v, 64))):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    assert peaks["factor"] <= 24.0 and peaks["min_norm"] <= 14.0, peaks
