@@ -56,10 +56,12 @@ Four groups of rows, each written to its own JSON file.
 `--group fields` (BENCH_fields.json), the `abc` grid diagnostics on the
 showcase field (1, 0.5, 0.1) at grid 64:
 
-- `evaluate_on_grid_64`, `proportionality_factor_64` and `min_norm_64`:
-  one call, and the `tracemalloc` peak of a second, traced call;
-- end to end, `abc_run_64`: one `abc` run through `runner.run` in a fresh
-  interpreter, with its peak RSS.
+- `grid_slabs_64` (one pass over the slabs of the field's grid values;
+  on checkouts before `grid_slabs`, `evaluate_on_grid_64`, the same values
+  as one array), `proportionality_factor_64` and `min_norm_64`: one call,
+  and the `tracemalloc` peak of a second, traced call;
+- end to end, `abc_run_64` and `abc_run_256`: one `abc` run at grid 64 and
+  at grid 256 through `runner.run` in a fresh interpreter, with its peak RSS.
 
 The fresh interpreters time themselves, from before the first eulerlab
 import to the end, so interpreter start-up is not counted.
@@ -426,12 +428,22 @@ def _fresh_run(doc, out):
 
 def _fields_cases(scratch):
     v = sp.make_abc(sp.ABCParams(1.0, 0.5, 0.1))
-    abc = {"kind": "abc", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "grid": 64}}
+
+    def abc(grid):
+        return {"kind": "abc", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "grid": grid}}
+
+    def slabs():
+        for _ in sp.grid_slabs(v, 64):
+            pass
+
+    grid = (("grid_slabs_64", slabs) if hasattr(sp, "grid_slabs")
+            else ("evaluate_on_grid_64", lambda: sp.evaluate_on_grid(v, 64)))
     return {
-        "evaluate_on_grid_64": _traced(lambda: sp.evaluate_on_grid(v, 64)),
+        grid[0]: _traced(grid[1]),
         "proportionality_factor_64": _traced(lambda: sp.proportionality_factor(v, 64)),
         "min_norm_64": _traced(lambda: sp.min_norm(v, 64)),
-        "end_to_end.abc_run_64": _fresh_run(abc, os.path.join(scratch, "abc")),
+        "end_to_end.abc_run_64": _fresh_run(abc(64), os.path.join(scratch, "abc64")),
+        "end_to_end.abc_run_256": _fresh_run(abc(256), os.path.join(scratch, "abc256")),
     }
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum as _einsum
 
 from .errors import NoCrossings, StepSizeUnderflow
-from .spectral import TWO_PI, SpectralVectorField
+from .spectral import TWO_PI, SpectralVectorField, grid_slabs
 
 # One-time calibrated chaos threshold for the showcase amplitudes
 # (1, 0.5, 0.1): half the median of the positive long-run estimates over
@@ -454,15 +454,14 @@ def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
 
 def first_integral_report(v: SpectralVectorField, F, grid: int) -> FirstIntegralReport:
     """Range gap of F and sup |grad F . v| over the uniform grid."""
-    from .spectral import evaluate_on_grid
-
     n = max(grid, 2 * max(v.truncation_radius, F.truncation_radius) + 1)
-    fvals = evaluate_on_grid(F, n)
-    gap = float(np.max(fvals) - np.min(fvals))
-    gF = F.gradient()
-    gvals = evaluate_on_grid(gF, n)
-    vvals = evaluate_on_grid(v, n)
-    dsup = float(np.max(np.abs(np.sum(gvals * vvals, axis=-1))))
+    top, bottom, dsup = [], [], []
+    for f, g, w in zip(grid_slabs(F, n), grid_slabs(F.gradient(), n), grid_slabs(v, n)):
+        top.append(np.max(f))
+        bottom.append(np.min(f))
+        dsup.append(np.max(np.abs(np.sum(g * w, axis=-1))))
+    gap = float(np.max(top) - np.min(bottom))
+    dsup = float(np.max(dsup))
     return FirstIntegralReport(range_gap=gap, derivative_sup=dsup)
 
 

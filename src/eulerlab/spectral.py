@@ -24,6 +24,7 @@ from .errors import NoSuchEigenvalue, VanishingField
 
 TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI ** 3
+SLAB = 4  # grid planes per slab of grid_slabs
 
 
 def _as_points(points):
@@ -204,7 +205,7 @@ class ScalarSpectralField(_SpectralField):
 
     def sup_norm(self, grid=32):
         n = max(grid, 2 * self.truncation_radius + 1)
-        return float(np.max(np.abs(evaluate_on_grid(self, n))))
+        return float(np.max([np.max(np.abs(s)) for s in grid_slabs(self, n)]))
 
 
 class SpectralVectorField(_SpectralField):
@@ -225,10 +226,9 @@ _FIELD_CLASSES = {cls.SHAPE: cls for cls in
 
 @dataclass(frozen=True)
 class ScalarGridReport:
-    """Pointwise values of a scalar diagnostic on a uniform grid."""
+    """Range of a scalar diagnostic on a uniform grid."""
 
     grid: int
-    values: np.ndarray
     gap: float
     min_value: float
     max_value: float
@@ -377,22 +377,38 @@ def random_beltrami(n: int, seed: int) -> SpectralVectorField:
 # grid transforms and exact products
 
 
-def evaluate_on_grid(f, n: int) -> np.ndarray:
-    """Values on the uniform n^3 grid x_j = 2*pi*j/n, shape (n, n, n) + f.SHAPE;
-    one component at a time, transformed in place in one reused work array."""
+def grid_slabs(f, n: int):
+    """Values on the uniform n^3 grid x_j = 2*pi*j/n, as consecutive slabs of
+    at most SLAB planes along the middle axis, each of shape (n, b, n) + f.SHAPE.
+
+    Every value is that of np.fft.ifftn on the dense coefficient cube, times
+    n^3: the same 1-D inverse transforms run in the same order, last axis
+    first.  The last two axes are transformed only on the planes of the first
+    wave-vector component that hold a coefficient (at most 2R + 1 of them);
+    the others enter the first-axis transform as zeros, which gives the values
+    of transforming them, signed zeros included (the tests compare with
+    ifftn bitwise).  The first axis is transformed one slab at a time, so
+    memory is O((2R + 1) n^2 + SLAB n^2) per component instead of O(n^3)."""
     if n < 2 * f.truncation_radius + 1:
         raise ValueError("grid too small for the truncation radius")
-    index = tuple((f.K % n).T)
+    idx = f.K % n
     C = f.C.reshape(len(f.K), math.prod(f.SHAPE))
-    dense = np.empty((n, n, n), dtype=complex)
-    out = np.empty((n, n, n) + f.SHAPE)
-    for c, col in enumerate(np.moveaxis(out.reshape(n, n, n, -1), -1, 0)):
-        dense.fill(0.0)
-        dense[index] += C[:, c]
-        np.fft.ifftn(dense, out=dense)
-        dense *= n ** 3
-        col[...] = dense.real
-    return out
+    planes, plane = np.unique(idx[:, 0], return_inverse=True)
+    compact = np.zeros((C.shape[1], len(planes), n, n), dtype=complex)
+    compact[:, plane, idx[:, 1], idx[:, 2]] += C.T
+    np.fft.ifft(compact, out=compact)
+    np.fft.ifft(compact, axis=2, out=compact)
+    work = np.empty((n, SLAB, n), dtype=complex)
+    for j in range(0, n, SLAB):
+        block = work[:, :min(SLAB, n - j)]
+        out = np.empty(block.shape + (C.shape[1],))
+        for c in range(C.shape[1]):
+            block.fill(0.0)
+            block[planes] = compact[c, :, j:j + SLAB]
+            np.fft.ifft(block, axis=0, out=block)
+            block *= n ** 3
+            out[..., c] = block.real
+        yield out.reshape(block.shape + f.SHAPE)
 
 
 def cross_spectral(v: SpectralVectorField, w: SpectralVectorField) -> SpectralVectorField:
@@ -441,36 +457,47 @@ def _dot(a, b):
 
 
 def proportionality_factor(v: SpectralVectorField, grid: int) -> ScalarGridReport:
-    """Pointwise (v . curl v)/|v|^2 on a uniform grid, with its constancy gap.
+    """Range of the pointwise (v . curl v)/|v|^2 on a uniform grid, with its constancy gap.
 
     Raises VanishingField when min |v| on the grid is at or below 1e-6,
     since the quotient stops being trustworthy there.
     """
-    vv = evaluate_on_grid(v, grid)
-    cc = evaluate_on_grid(curl_spectral(v), grid)
-    norm2 = _dot(vv, vv)
-    mn = math.sqrt(float(np.min(norm2)))
+    low, lo, hi = np.inf, np.inf, -np.inf  # min |v|^2 and the range of the quotient
+    for vv, cc in zip(grid_slabs(v, grid), grid_slabs(curl_spectral(v), grid)):
+        norm2 = _dot(vv, vv)
+        low = np.minimum(low, np.min(norm2))
+        if not math.sqrt(float(low)) <= 1e-6:  # the quotient is dropped once v vanishes
+            f = _dot(vv, cc)
+            f /= norm2
+            lo, hi = np.minimum(lo, np.min(f)), np.maximum(hi, np.max(f))
+    mn = math.sqrt(float(low))
     if mn <= 1e-6:
         raise VanishingField(f"min |v| = {mn:.3e} at grid {grid}")
-    f = _dot(vv, cc)
-    f /= norm2
-    lo, hi = float(np.min(f)), float(np.max(f))
-    return ScalarGridReport(grid=grid, values=f, gap=hi - lo, min_value=lo, max_value=hi)
+    lo, hi = float(lo), float(hi)
+    return ScalarGridReport(grid=grid, gap=hi - lo, min_value=lo, max_value=hi)
 
 
 def min_norm(v: SpectralVectorField, grid: int) -> float:
     """Minimum of |v| over the uniform grid plus one local refinement pass.
 
-    The refinement is a single deterministic coordinate-descent sweep around
-    the grid minimizer, sampling each axis at one tenth of the grid spacing.
+    The grid minimizer is the first in C order among equal minima, as
+    np.argmin picks it.  The refinement is a single deterministic
+    coordinate-descent sweep around it, sampling each axis at one tenth of
+    the grid spacing.
     """
     n = max(grid, 2 * v.truncation_radius + 1)
-    vals = evaluate_on_grid(v, n)
-    norms = _dot(vals, vals)
-    np.sqrt(norms, out=norms)
-    idx = np.unravel_index(np.argmin(norms), norms.shape)
-    best = float(norms[idx])
-    x = np.array(idx, dtype=float) * (TWO_PI / n)
+    found = []  # (C-order index, |v|) of each slab's first minimum
+    start = 0
+    for vals in grid_slabs(v, n):
+        norms = _dot(vals, vals)
+        np.sqrt(norms, out=norms)
+        i0, i1, i2 = np.unravel_index(np.argmin(norms), norms.shape)
+        found.append(((i0 * n + start + i1) * n + i2, norms[i0, i1, i2]))
+        start += norms.shape[1]
+    flat, values = zip(*sorted(found, key=lambda item: item[0]))
+    pick = int(np.argmin(values))
+    best = float(values[pick])
+    x = np.array(np.unravel_index(flat[pick], (n, n, n)), dtype=float) * (TWO_PI / n)
     spacing = TWO_PI / n
     offsets = np.linspace(-spacing, spacing, 21)
     for axis in range(3):

@@ -208,9 +208,9 @@ def _python(*args, preexec_fn=None, timeout=120):
                           timeout=timeout, preexec_fn=preexec_fn)
 
 
-def _cap_address_space():
-    """At most 2 GB of address space, so a run that asks for more fails alone."""
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+def _cap_address_space(limit=2 << 30):
+    """At most `limit` bytes (2 GB) of address space, so a run that asks for more fails alone."""
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.mark.parametrize("doc, code", [
@@ -232,6 +232,20 @@ def test_large_shells_compute_or_fail_typed_under_a_memory_cap(tmp_path, doc, co
         assert not out.exists()
     else:
         assert json.loads((out / "report.json").read_text())["multiplicity"] > 0
+
+
+def test_abc_run_at_grid_256_fits_in_512_mib(tmp_path):
+    # the grid diagnostics reduce slab by slab; one (256, 256, 256, 3) grid
+    # of v alone would be 384 MiB
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(
+        {"kind": "abc", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "grid": 256}}))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out),
+                   preexec_fn=lambda: _cap_address_space(512 << 20))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["factor_gap"] <= 1e-10 and report["min_norm"] > 0.4
 
 
 def test_spectrum_run_passes_at_large_shells(tmp_path):
