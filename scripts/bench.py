@@ -32,8 +32,9 @@ Four groups of rows, each written to its own JSON file.
 `--group dynamics` (BENCH_dynamics.json), on the showcase field
 (1, 0.5, 0.1):
 
-- `tangent_rhs_per_lane_L*`: one tangent right-hand side call divided by
-  its lane count, at 1, 2 and 50 lanes;
+- `tangent_rhs_per_lane_L*`: one tangent right-hand side call on lane rows
+  (states with their phases, `dynamics.phase_matrix`) divided by its lane
+  count, at 1, 2 and 50 lanes;
 - `attempt_L*`: one DOP853 step attempt of the lane stepper at 1, 2 and 4
   lanes (a renormalized run to t = 50, divided by its attempts);
 - `lyapunov_max` at T = 1e3, renorm 5: 2 random and 4 separatrix seeds;
@@ -70,13 +71,15 @@ Medians are over --runs repetitions in one process with one BLAS thread,
 after one warm-up call: seconds under `median_s`, and for the cases that
 measure one, the peak in MiB under `median_peak_mb`.  Every call used
 exists with the same signature on older checkouts, so the script can be
-copied into one and run there, except three: `assemble_exterior(basis,
+copied into one and run there, except four: `assemble_exterior(basis,
 parts)` in the `solve_pencil_K3` setup (checkouts whose B is one dense
 array call `assemble_exterior(basis)`), `track_splitting(family, window,
 K)` (checkouts that still take the contact form call
-`track_splitting(family, contact, window, K)`) and the basis grid
+`track_splitting(family, contact, window, K)`), the basis grid
 `FormBasis.nodes` (checkouts that pick a node count per matrix have
-`default_mass_nodes`); run an older checkout's own copy of the script
+`default_mass_nodes`) and the lane rows of the dynamics group
+(`phase_matrix` and the `phases` argument of `_dop853`; older right-hand
+sides take bare states); run an older checkout's own copy of the script
 instead.
 Results go under `--label` into the group's file (or `--out`) at the root
 of the checkout that holds this script; entries under other labels are
@@ -321,10 +324,10 @@ def _rhs_per_lane(rhs, y, calls=2000):
     return timed
 
 
-def _per_attempt(rhs, y0):
+def _per_attempt(rhs, y0, phases):
     def timed():
         start = time.perf_counter()
-        run = dyn._dop853(rhs, y0, 1e-9, 50.0, renorm=5.0)
+        run = dyn._dop853(rhs, y0, 1e-9, 50.0, renorm=5.0, phases=phases)
         return (time.perf_counter() - start) / int(run.attempts.max())
     return timed
 
@@ -344,9 +347,11 @@ def _dynamics_cases(scratch):
         "A": 1.0, "B": 0.5, "C": 0.0, "x0": start, "axis": 1, "level": 0.0, "direction": 1,
         "count": 100}})
     run = _runs(scratch)
-    cases = {f"tangent_rhs_per_lane_L{L}": _rhs_per_lane(dyn.tangent_rhs(v), states[:L])
+    phases = dyn.phase_matrix(v, tangent=True)
+    rows = np.concatenate([states, states @ phases], axis=1)
+    cases = {f"tangent_rhs_per_lane_L{L}": _rhs_per_lane(dyn.tangent_rhs(v), rows[:L])
              for L in (1, 2, 50)}
-    cases.update({f"attempt_L{L}": _per_attempt(dyn.tangent_rhs(v), states[:L])
+    cases.update({f"attempt_L{L}": _per_attempt(dyn.tangent_rhs(v), states[:L], phases)
                   for L in (1, 2, 4)})
     cases.update({
         "lyapunov_max_T1e3_L2": _wall(lambda: dyn.lyapunov_max(v, random2, 1e3, 5.0)),

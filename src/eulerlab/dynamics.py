@@ -6,11 +6,18 @@ advances many initial conditions at once as lanes, each with its own step
 size control; Lyapunov runs batch all their seeds through it and rescale
 the tangent vector in place, without restarting the integrator.  Poincare
 sections run on the same stepper: they collect its accepted steps and scan
-their order-7 dense interpolants for crossings, a batch of steps at a time.
-The field and its Jacobian are evaluated by exact trig summation from the
-spectral coefficients.  Positive topological entropy is proxied by the
-largest Lyapunov exponent (tangent flow with periodic renormalization);
-reports label it as a proxy.
+their order-7 dense interpolants for crossings, a batch of steps at a time,
+and refine each crossing by k-section.
+
+The field is a sum over folded modes k_m (one of each pair +-k) of cosines
+and sines of the phases theta_m = k_m . x.  Each lane's row carries these
+phases next to its state (and k_m . w next to a tangent vector w), and a
+slope row carries k_m . slope, so the phases of a stage state come out of
+the same weighted sum of rows as the state, and a right-hand side takes
+cos and sin of them directly.  Accepted states get their phases recomputed
+from the state, so they never drift.  Positive topological entropy is
+proxied by the largest Lyapunov exponent (tangent flow with periodic
+renormalization); reports label it as a proxy.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 # 1.4 us of a call on tiny operands), and the sums stay bitwise the same
 from numpy._core.multiarray import c_einsum as _einsum
 
-from .errors import NoCrossings, StepSizeUnderflow
+from .errors import NoCrossings, StepBudgetExceeded, StepSizeUnderflow
 from .spectral import TWO_PI, SpectralVectorField, grid_slabs
 
 # One-time calibrated chaos threshold for the showcase amplitudes
@@ -39,8 +46,19 @@ CHAOS_THRESHOLD = 0.023942274037632105
 # (L, intervals) log array (criterion 4 uses 2,000, the calibration 20,000)
 MAX_RENORM_INTERVALS = 100_000
 
+# most step attempts a run may be estimated to need (`check_step_budget`):
+# the calibration at T = 1e5 estimates 4.3e6 on the showcase field
+MAX_ESTIMATED_ATTEMPTS = 1e8
+
 # pieces of each accepted step that poincare brackets crossings on
 POINCARE_SUBSAMPLES = 8
+# k-section (`_refine`): a bracket wider than _KSECTION_WIDTH (in step
+# fractions) is split into _KSECTION pieces at once; node i of the split
+# (1 .. _KSECTION - 1) is a bisection midpoint on level lowbit(i)
+_KSECTION, _KSECTION_WIDTH = 64, 2.0 ** -40
+_KSECTION_NODES = np.arange(1.0, _KSECTION)
+_KSECTION_LOWBIT = np.arange(1, _KSECTION) & -np.arange(1, _KSECTION)
+_KSECTION_LEVELS = [_KSECTION >> i for i in range(1, _KSECTION.bit_length())]  # 32, .., 1
 # accepted steps whose dense output poincare builds and searches at once:
 # at most _SECTION_CHUNK, and _SECTION_TAIL once the next crossing may be the last
 _SECTION_CHUNK = 64
@@ -89,9 +107,13 @@ _A, _B, _C = _TABLEAU["A"][:_STAGES, :_STAGES], _TABLEAU["B"], _TABLEAU["C"][:_S
 # error weights; the 3rd-order row is scaled by 1/10 so that its squared
 # norm carries scipy's weight 0.01
 _E = np.stack([_TABLEAU["E5"], 0.1 * _TABLEAU["E3"]])
-# stage and solution weights over Z = [y, h K_0, ..., h K_{STAGES-1}]
-_ZA = [np.concatenate([[1.0], _A[s, :s]]) for s in range(_STAGES)]
-_ZB = np.concatenate([[1.0], _B])
+# stage and solution weights over Z = [y, K_0, ..., K_{STAGES-1}]: row s - 1
+# makes stage s (1 <= s < STAGES), the last row the solution; each attempt
+# multiplies them by its lanes' h and then sets the weight of y to 1
+_ZW = np.zeros((_STAGES, _STAGES + 1))
+for _s in range(1, _STAGES):
+    _ZW[_s - 1, 1:_s + 1] = _A[_s, :_s]
+_ZW[-1, 1:] = _B
 # dense output: rows of A for its 3 extra stages, and the weights over all
 # 16 stages of the 4 highest coefficients of the interpolant
 _A_DENSE, _D = _TABLEAU["A"][_STAGES + 1:], _TABLEAU["D"]
@@ -111,24 +133,30 @@ def _rms(z):
     return np.sqrt(_einsum("ln,ln->l", z, z) / z.shape[1])[:, None]
 
 
-def _initial_step(rhs, y, f, tol, span):
-    """Per-lane first step (column), by the rule of scipy's select_initial_step."""
-    scale = tol + np.abs(y) * tol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+def _initial_step(rhs, y, f, n, tol, span):
+    """Per-lane first step (column), by the rule of scipy's select_initial_step
+    on the states y[:, :n] and their slopes f[:, :n]."""
+    scale = tol + np.abs(y[:, :n]) * tol
+    d0, d1 = _rms(y[:, :n] / scale), _rms(f[:, :n] / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, span)
-    d2 = _rms((rhs(None, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((rhs(None, y + h0 * f) - f)[:, :n] / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0))
     return np.minimum(np.minimum(100.0 * h0, h1), span)
 
 
-def _stage_views(Z):
-    """(weights, rows they weigh, row to fill) for stages 1 .. STAGES-1 of Z."""
-    return [(_ZA[s], Z[:s + 1], Z[s + 1]) for s in range(1, _STAGES)]
+def _attempt_views(Z, weights, n):
+    """The views of Z and of the weights that an attempt reads and writes:
+    (weights, rows they weigh, row to fill) for stages 1 .. STAGES-1, the
+    solution's weights and rows, the weights of y, and the slopes and the
+    state that the error norm reads."""
+    stages = [(weights[:, s - 1, :s + 1], Z[:s + 1], Z[s + 1]) for s in range(1, _STAGES)]
+    return (stages, weights[:, -1], Z[:_STAGES + 1], weights[:, :, 0], Z[1:, :, :n],
+            Z[0, :, :n])
 
 
-def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None):
+def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
     """Advance the rows of y0 (lanes) from t = 0 to t_end with DOP853.
 
     Every lane runs its own step-size control with scipy's rules at
@@ -137,31 +165,45 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None):
     ulps of t.  Steps are clipped to land on the lane's next boundary:
     t_end or, with `renorm`, every k * renorm for k up to
     round(t_end / renorm).  At a renorm boundary the tangent block
-    y[:, 3:] is divided by its norm, and so is its stored derivative (first
-    same as last; J w is linear in w), so the integration goes on without
-    a restart.  Lanes that are done leave the batch.  All contractions are
+    y[:, 3:] is divided by its norm (and its phases recomputed), and so is
+    its stored derivative with its phase rates (first same as last; J w is
+    linear in w), so the integration goes on without a restart.  Lanes that are done leave the batch.  All contractions are
     einsums, never BLAS, so each lane's arithmetic is bitwise independent
     of the other lanes.  `rhs(t, Y)` must be autonomous; it is called with
-    t = None.
+    t = None, once per stage.
+
+    A lane's row is its state y followed by its phases y @ `phases` (an
+    (n, p) matrix, `phase_matrix`; no columns when None), and `rhs` maps
+    such rows to slope rows, whose last p columns are the phase rates.
+    Stages combine whole rows; the solution's phases are recomputed from
+    its state.  The weights of an attempt are the tableau's times each
+    lane's h, so rows hold raw slopes.  The error norm is scipy's: the
+    error of the states over tol (1 + max(|y|, |y_new|)), squared, and |h|
+    once at the end.
 
     `on_step`, for a single lane, is called after every accepted step as
-    on_step(t_old, t_new, Z, y_new), Z being the (STAGES + 2, n) rows
-    [y_old, h K_0, ..., h K_{STAGES-1}, h f(y_new)] of the step; a true
-    return value ends the run there, leaving the end state NaN.
+    on_step(t_old, t_new, Z, y_new), Z being the (STAGES + 2, n + p) rows
+    [y_old, K_0, ..., K_{STAGES-1}, f(y_new)] of the step; a true return
+    value ends the run there, leaving the end state NaN.
     """
     y0 = np.asarray(y0, dtype=float)
     L, n = y0.shape
+    G = np.zeros((n, 0)) if phases is None else phases
+    # columns of a row that scale with the tangent block: w and its phases
+    tangent = np.concatenate([np.arange(n) >= 3, ~np.any(G[:3] != 0.0, axis=0)])
     chunks = 1 if renorm is None else int(round(t_end / renorm))
     span = t_end if renorm is None else renorm
     run = _Run(y=np.full_like(y0, np.nan), logs=np.zeros((L, chunks)),
                attempts=np.zeros(L, dtype=int))
-    f = rhs(None, y0)
-    if not np.all(np.isfinite(f)):
+    # Z[0] is y, Z[1 + s] is stage s (Z[1] = f(y)); the last row holds f(y_new)
+    Z = np.empty((_STAGES + 2, L, n + G.shape[1]))
+    Z[0, :, :n] = y0
+    _einsum("ln,np->lp", y0, G, out=Z[0, :, n:])
+    Z[1] = rhs(None, Z[0])
+    if not np.all(np.isfinite(Z[1])):
         raise StepSizeUnderflow("right-hand side not finite at the initial state")
-    # Z[0] is y, Z[1 + s] is h times stage s; the last row holds h f(y_new)
-    Z = np.empty((_STAGES + 2, L, n))
-    Z[0] = y0
-    stages = _stage_views(Z)
+    weights = np.empty((L, _STAGES, _STAGES + 1))
+    stages, solution, rows, weight_y, slopes, y = _attempt_views(Z, weights, n)
     lane = np.arange(L)
     chunk = np.zeros(L, dtype=int)
     # per-lane scalars are (L, 1) columns so that they broadcast over y
@@ -169,9 +211,8 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None):
     bound = np.full((L, 1), float(span))
     cap = np.full((L, 1), _MAX_FACTOR)  # 1 right after a rejection
     attempt = 0
-    tol2n = n * tol * tol
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = _initial_step(rhs, y0, f, tol, span)
+        h = _initial_step(rhs, Z[0], Z[1], n, tol, span)
         while lane.size:
             attempt += 1
             small = h < 10.0 * np.spacing(t)
@@ -182,23 +223,24 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None):
                 h = np.where(small, 10.0 * np.spacing(t), h)
             t_new = np.minimum(t + h, bound)
             h = t_new - t
-            np.multiply(f, h, out=Z[1])
-            for weights, done_stages, stage in stages:
-                np.multiply(rhs(None, _einsum("j,jln->ln", weights, done_stages)), h,
-                            out=stage)
-            y_new = _einsum("j,jln->ln", _ZB, Z[:_STAGES + 1])
-            f_new = rhs(None, y_new)
-            np.multiply(f_new, h, out=Z[-1])
+            np.multiply(h[:, :, None], _ZW, out=weights)
+            weight_y.fill(1.0)
+            for w, done_stages, stage in stages:
+                stage[...] = rhs(None, _einsum("lj,jlr->lr", w, done_stages))
+            y_new = _einsum("lj,jlr->lr", solution, rows)
+            state_new = y_new[:, :n]
+            _einsum("ln,np->lp", state_new, G, out=y_new[:, n:])
+            Z[-1] = rhs(None, y_new)
 
-            # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), e5 and e3 the
-            # squared norms of K^T E over tol (1 + max(|y|, |y_new|)); with h K
-            # in Z the factors of h cancel, and those of tol are in tol2n
-            err = _einsum("ej,jln->eln", _E, Z[1:])
-            scale = np.maximum(np.abs(Z[0]), np.abs(y_new))
+            # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), e5 and e3
+            # the squared norms of K^T E over tol (1 + max(|y|, |y_new|))
+            err = _einsum("ej,jln->eln", _E, slopes)
+            scale = np.maximum(np.abs(y), np.abs(state_new))
             scale += 1.0
+            scale *= tol
             err /= scale
             e5, e3 = _einsum("eln,eln->el", err, err).reshape(2, -1, 1)
-            norm = np.where(e5 == 0.0, 0.0, e5 / np.sqrt((e5 + e3) * tol2n))
+            norm = np.where(e5 == 0.0, 0.0, h * e5 / np.sqrt((e5 + e3) * n))
             ok = norm < 1.0
             # accepted: norm < 1, so the factor is above 0.9 and only the cap
             # applies; rejected (NaN included): at most 0.9, at least 0.2
@@ -209,95 +251,122 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None):
                 break
             t = np.where(ok, t_new, t)
             np.copyto(Z[0], y_new, where=ok)
-            np.copyto(f, f_new, where=ok)
+            np.copyto(Z[1], Z[-1], where=ok)
 
             landed = t == bound  # only a step just accepted lands
             if not np.count_nonzero(landed):
                 continue
             landed = np.flatnonzero(landed)
             if renorm is not None:
-                nrm = np.linalg.norm(Z[0, landed, 3:], axis=1)[:, None]
+                nrm = np.linalg.norm(Z[0, landed, 3:n], axis=1)[:, None]
                 run.logs[lane[landed], chunk[landed]] = np.log(nrm[:, 0])
-                Z[0, landed, 3:] /= nrm
-                f[landed, 3:] /= nrm
+                Z[0, landed, 3:n] /= nrm
+                Z[0, landed, n:] = _einsum("ln,np->lp", Z[0, landed, :n], G)
+                Z[1, landed[:, None], tangent] /= nrm
             chunk[landed] += 1
             bound[landed] = (chunk[landed, None] + 1) * span
             done = chunk == chunks
             if np.count_nonzero(done):
-                run.y[lane[done]] = Z[0, done]
+                run.y[lane[done]] = Z[0, done, :n]
                 run.attempts[lane[done]] = attempt
                 keep = ~done
-                lane, chunk, t, bound, cap, h, f = (
-                    a[keep] for a in (lane, chunk, t, bound, cap, h, f))
+                lane, chunk, t, bound, cap, h = (a[keep] for a in (lane, chunk, t, bound, cap, h))
                 Z = np.ascontiguousarray(Z[:, keep])
-                stages = _stage_views(Z)
+                weights = np.empty((len(lane), _STAGES, _STAGES + 1))
+                stages, solution, rows, weight_y, slopes, y = _attempt_views(Z, weights, n)
     return run
 
 
-def field_rhs(v: SpectralVectorField):
-    """RHS closure dx/dt = v(x) by direct trig summation; x of shape (3,) or (L, 3)."""
-    K, C = v.K.astype(float), v.C
+def _folded_modes(v: SpectralVectorField):
+    """Wave vectors k_m (float, (m, 3)) and cosine and sine coefficients P, Q
+    ((m, 3) each) with v(x) = sum_m P_m cos theta_m - Q_m sin theta_m,
+    theta_m = k_m . x.
+
+    Each pair of modes +-k, rows i and M-1-i of the M sorted mode arrays, is
+    folded into the one of them that comes first (cos is even and sin odd in
+    k); an unpaired k = 0 keeps its coefficient.
+    """
+    m = (len(v.K) + 1) // 2
+    fold = v.C[:m] + np.conj(v.C[::-1][:m])
+    if len(v.K) % 2:  # k = 0 pairs with itself
+        fold[-1] = v.C[m - 1]
+    return v.K[:m].astype(float), fold.real, fold.imag
+
+
+def phase_matrix(v: SpectralVectorField, tangent=False):
+    """(n, p) matrix taking a lane's state to its phases, the columns that
+    follow the state in the lane's row: theta_m = k_m . x over the folded
+    modes of v, and for tangent lanes (x, w) then k_m . w."""
+    K = _folded_modes(v)[0]
+    return np.kron(np.eye(2 if tangent else 1), K.T)
+
+
+def _row_kernel(v: SpectralVectorField, tangent):
+    """Right-hand side on lane rows [state, phases] (`phase_matrix`) -> slope rows.
+
+    With c_m = cos theta_m and s_m = sin theta_m the field is
+    sum_m P_m c_m - Q_m s_m, and for a tangent lane (x, w) the tangent
+    derivative is J w = -sum_m (Q_m c_m + P_m s_m) (k_m . w).  [c, s] (times
+    [1, k_m . w] for tangent lanes) are contracted by one einsum with a
+    fixed matrix whose last p columns are the phase rates of its first n.
+    The returned function reuses its work arrays from call to call, so one
+    instance must not run in two threads at once.
+    """
+    K, P, Q = _folded_modes(v)
+    G = phase_matrix(v, tangent)
+    m, blocks = len(K), 2 if tangent else 1
+    # [cos, sin] x [1, k_m . w] x modes -> state derivative, then its phases
+    to_state = np.zeros((2, blocks, m, G.shape[0]))
+    to_state[0, 0, :, :3] = P
+    to_state[1, 0, :, :3] = -Q
+    if tangent:
+        to_state[0, 1, :, 3:] = -Q
+        to_state[1, 1, :, 3:] = -P
+    to_rate = np.concatenate([to_state, np.einsum("sjmn,np->sjmp", to_state, G)], axis=-1)
+    to_rate = to_rate.reshape(-1, to_rate.shape[-1])
+    start = G.shape[0]  # theta_m in row columns start .. start + m, k_m . w after them
+
+    scratch = {}  # lane count -> work array and its views, so calls allocate less
 
     def rhs(t, y):
-        e = np.exp(1j * (y @ K.T))
-        return (e @ C).real
+        views = scratch.get(len(y))
+        if views is None:
+            z = np.empty((len(y), 2, blocks, m))
+            views = scratch[len(y)] = (z.reshape(len(y), len(to_rate)), z[:, 0, 0], z[:, 1, 0],
+                                       z[:, :, :1], z[:, :, 1:])
+        z, cos, sin, trig, prod = views
+        theta = y[:, start:start + m]
+        np.cos(theta, out=cos)
+        np.sin(theta, out=sin)
+        if tangent:
+            np.multiply(trig, y[:, None, None, start + m:], out=prod)
+        return _einsum("lk,kr->lr", z, to_rate)
 
     return rhs
+
+
+def field_rhs(v: SpectralVectorField):
+    """Right-hand side dx/dt = v(x) on field-lane rows [x, theta] (L, 3 + m)
+    -> slope rows [v(x), k_m . v(x)]; the rows' phases are
+    `phase_matrix(v)`'s.  See `_row_kernel`."""
+    return _row_kernel(v, tangent=False)
 
 
 def tangent_rhs(v: SpectralVectorField):
-    """Batched RHS for lanes (x, w), w a tangent vector: dw = J(x) w.
-
-    A lane is a row [x, w] of the (L, 6) state.  Each pair of modes +-k,
-    rows i and m-1-i of the sorted mode arrays, is folded into one
-    wavevector k with cosine and sine coefficients P, Q, so that with
-    theta_m = k_m . x the field is sum_m P_m cos theta_m - Q_m sin theta_m
-    and J w = -sum_m (Q_m cos theta_m + P_m sin theta_m) (k_m . w).  Both
-    contractions are einsums over fixed block matrices.  The returned
-    function reuses its work arrays from call to call, so one instance must
-    not run in two threads at once.
-    """
-    m = (len(v.K) + 1) // 2
-    K = v.K[:m]
-    fold = v.C[:m] + np.conj(v.C[::-1][:m])  # cos is even and sin odd in k
-    if len(v.K) % 2:  # k = 0 pairs with itself
-        fold[-1] = v.C[m - 1]
-    P, Q = fold.real, fold.imag
-    # phases a[:, j]: theta_m for j = 0, k_m . w for j = 1
-    to_phase = np.zeros((6, 2, m))
-    to_phase[:3, 0] = to_phase[3:, 1] = K.T
-    # [cos, sin] x [1, k_m . w] x modes -> state derivative
-    to_rate = np.zeros((2, 2, m, 6))
-    to_rate[0, 0, :, :3] = P
-    to_rate[1, 0, :, :3] = -Q
-    to_rate[0, 1, :, 3:] = -Q
-    to_rate[1, 1, :, 3:] = -P
-
-    scratch = {}  # lane count -> work arrays and their views, so calls allocate less
-
-    def rhs(t, y):
-        L = len(y)
-        if L not in scratch:
-            a = np.empty((L, 2, m))
-            z = np.empty((L, 2, 2, m))
-            scratch[L] = (a, a[:, 0], a[:, None, 1:], z, z[:, 0, 0], z[:, 1, 0],
-                          z[:, :, :1], z[:, :, 1:])
-        a, theta, kw, z, cos, sin, trig, prod = scratch[L]
-        _einsum("ln,njm->ljm", y, to_phase, out=a)
-        np.cos(theta, out=cos)
-        np.sin(theta, out=sin)
-        np.multiply(trig, kw, out=prod)
-        return _einsum("lsjm,sjmn->ln", z, to_rate)
-
-    return rhs
+    """Right-hand side of the tangent flow dx = v(x), dw = J(x) w on lane
+    rows [x, w, theta, k_m . w] (L, 6 + 2m) -> slope rows [v, J w,
+    k_m . v, k_m . J w]; the rows' phases are `phase_matrix(v, tangent=True)`'s.
+    See `_row_kernel`."""
+    return _row_kernel(v, tangent=True)
 
 
 def _interpolate(F, y0, x):
     """DOP853 dense output y0 + x (F0 + (1 - x) (F1 + x (F2 + ...))) at step fraction x."""
-    y = np.zeros(np.broadcast_shapes(F.shape[1:], np.shape(x)))
-    for i, f in enumerate(F[::-1]):
+    x1 = 1.0 - x
+    y = F[-1] * x
+    for i, f in enumerate(F[-2::-1], start=1):
         y += f
-        y *= x if i % 2 == 0 else 1.0 - x
+        y *= x if i % 2 == 0 else x1
     return y + y0
 
 
@@ -321,42 +390,75 @@ def _brackets(q, level):
     return piece[keep], target[keep]
 
 
+def _refine(Fq, yq, lo, width, target, side):
+    """Upper ends of the brackets [lo, lo + width] of crossings of `target`
+    by the interpolants (Fq, yq), bisected to full resolution; `side` is the
+    sign of interpolant - target at lo.  `width` is a power of 2 and each lo
+    a multiple of it in [0, 1), as the pieces of `_chunk_crossings` are.
+
+    While the brackets are wider than _KSECTION_WIDTH, each is split into
+    _KSECTION pieces, the interpolant is evaluated at their inner ends in one
+    call, and the bracket descends log2(_KSECTION) bisection levels on the
+    signs there.  Every end, lo + i width / _KSECTION, is a multiple of
+    2^-45 in [0, 1], so it is exact and equals the midpoint 0.5 (a + b) that
+    bisection computes; plain bisection finishes, so every root is bit for
+    bit that of bisection alone, after about 20 evaluations instead of 50.
+    """
+    count = len(lo)
+    # flat index of node `at` + d of each bracket's row, less `at`
+    offsets = [np.arange(count) * (_KSECTION - 1) + (d - 1) for d in _KSECTION_LEVELS]
+    Fq3, yq2, target2, side2 = Fq[:, :, None], yq[:, None], target[:, None], side[:, None]
+    while width > _KSECTION_WIDTH:
+        width /= _KSECTION
+        q = _interpolate(Fq3, yq2, lo[:, None] + width * _KSECTION_NODES)
+        # node i is the midpoint of a bracket 2 lowbit(i) pieces wide, and
+        # moves that bracket's lower end up by lowbit(i) if it lies on lo's side
+        jump = ((np.sign(q - target2) == side2) * _KSECTION_LOWBIT).ravel()
+        at = np.zeros(count, dtype=int)
+        for offset in offsets:
+            at += jump[offset + at]
+        lo = lo + width * at
+    hi = lo + width
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not np.count_nonzero(live):
+            return hi
+        up = live & (np.sign(_interpolate(Fq, yq, mid) - target) == side)
+        lo, hi = np.where(up, mid, lo), np.where(live & ~up, mid, hi)
+
+
 def _chunk_crossings(rhs, W, spans, axis, level, direction):
     """Times, other coordinates (wrapped) and residuals of the crossings of
     x[axis] = level + 2 pi m with velocity sign `direction`, in order, on the
-    dense output of accepted steps: rows [y_old, h K_0 .. h K_15, y_new] of
-    W (K_13 .. K_15, the extra stages, are filled here by one batched `rhs`
-    call each) over the (t_old, t_new) `spans`.  Brackets come from
-    `_brackets` on POINCARE_SUBSAMPLES pieces per step whose ends at the step
-    boundaries are the exact states; roots from bisection to full resolution.
+    dense output of accepted steps: rows [y_old, K_0 .. K_15, y_new] of W
+    (field-lane rows, `field_rhs`; K_13 .. K_15, the extra stages, are
+    filled here by one batched `rhs` call each) over the (t_old, t_new)
+    `spans`.  Brackets come from `_brackets` on POINCARE_SUBSAMPLES pieces
+    per step whose ends at the step boundaries are the exact states; roots
+    from `_refine`.  The velocity sign is `rhs`'s at the interpolated row.
     """
-    (t0, t1), y0, HK = spans.T, W[:, 0], W[:, 1:-1]
+    (t0, t1), y0, K = spans.T, W[:, 0], W[:, 1:-1]
     h = (t1 - t0)[:, None]
     for s, a in enumerate(_A_DENSE, start=_STAGES + 1):
-        HK[:, s] = h * rhs(None, y0 + _einsum("j,sjn->sn", a[:s], HK[:, :s]))
+        K[:, s] = rhs(None, y0 + h * _einsum("j,sjn->sn", a[:s], K[:, :s]))
     F = np.empty((7,) + y0.shape)
     F[0] = W[:, -1] - y0
-    F[1] = HK[:, 0] - F[0]
-    F[2] = 2.0 * F[0] - (HK[:, _STAGES] + HK[:, 0])
-    F[3:] = _einsum("dj,sjn->dsn", _D, HK)
+    F[1] = h * K[:, 0] - F[0]
+    F[2] = 2.0 * F[0] - h * (K[:, _STAGES] + K[:, 0])
+    F[3:] = h * _einsum("dj,sjn->dsn", _D, K)
 
     x = np.arange(POINCARE_SUBSAMPLES + 1) / POINCARE_SUBSAMPLES
     q = _interpolate(F[:, :, axis, None], y0[:, axis, None], x)
     q[:, -1] = W[:, -1, axis]
     piece, target = _brackets(q, level)
     step, a = np.divmod(piece, POINCARE_SUBSAMPLES)
-    Fq, yq = F[:, step, axis], y0[step, axis]
-    lo, hi, side = x[a], x[a + 1], np.sign(q[step, a] - target)  # side != 0: see _brackets
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (lo < mid) & (mid < hi)
-        if not np.count_nonzero(live):
-            break
-        up = live & (np.sign(_interpolate(Fq, yq, mid) - target) == side)
-        lo, hi = np.where(up, mid, lo), np.where(live & ~up, mid, hi)
+    side = np.sign(q[step, a] - target)  # != 0: see _brackets
+    hi = _refine(F[:, step, axis], y0[step, axis], x[a], 1.0 / POINCARE_SUBSAMPLES, target, side)
     xc = _interpolate(F[:, step], y0[step], hi[:, None])
     keep = np.sign(rhs(None, xc)[:, axis]) == direction
-    return ((t0[step] + h[step, 0] * hi)[keep], np.mod(np.delete(xc[keep], axis, axis=1), TWO_PI),
+    return ((t0[step] + h[step, 0] * hi)[keep],
+            np.mod(np.delete(xc[keep, :3], axis, axis=1), TWO_PI),
             np.abs(xc[keep, axis] - target[keep]))
 
 
@@ -369,6 +471,7 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
     chunk spans half the steps that the rate of crossings so far expects
     before the last crossing but one, between _SECTION_TAIL and
     _SECTION_CHUNK steps, so the run ends a few steps past its Nth crossing.
+    Raises StepBudgetExceeded before stepping when `check_step_budget` does.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -376,8 +479,10 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
     direction = int(np.sign(direction))
     if direction == 0:
         raise ValueError("direction must be +1 or -1")
+    check_step_budget(v, max_time, tol)
     rhs = field_rhs(v)
-    W = np.empty((_SECTION_CHUNK, len(_TABLEAU["A"]) + 2, 3))
+    phases = phase_matrix(v)
+    W = np.empty((_SECTION_CHUNK, len(_TABLEAU["A"]) + 2, 3 + phases.shape[1]))
     spans, found = np.empty((_SECTION_CHUNK, 2)), []
     size, chunk, scanned = 0, _SECTION_CHUNK, 0
 
@@ -399,12 +504,32 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
         size += 1
         return size == chunk and scan()
 
-    _dop853(rhs, np.asarray(x0, dtype=float)[None], tol, max_time, on_step=on_step)
+    _dop853(rhs, np.asarray(x0, dtype=float)[None], tol, max_time, on_step=on_step,
+            phases=phases)
     scan()
     times, points, residuals = (np.concatenate(parts)[:N] for parts in zip(*found))
     if len(times) < N:
         raise NoCrossings(f"found {len(times)} of {N} requested crossings within t <= {max_time}")
     return PoincareSection(points=points, times=times, residuals=residuals)
+
+
+def check_step_budget(v: SpectralVectorField, span: float, tol: float):
+    """Raise StepBudgetExceeded when a run over time `span` at tolerance `tol`
+    is estimated to need more than MAX_ESTIMATED_ATTEMPTS step attempts.
+
+    The estimate is E = span * omega * tol^(-1/8): omega = max_m |k_m| *
+    sum_m (|P_m|_1 + |Q_m|_1) over the folded modes bounds the rate at which
+    the field turns along a trajectory, and an order-8 step resolves about
+    tol^(1/8) of a turn.  On the showcase field (omega = 3.2) a 1,000-unit
+    Lyapunov run estimates 4.3e4 attempts and takes about 2,800.
+    """
+    K, P, Q = _folded_modes(v)
+    omega = np.max(np.linalg.norm(K, axis=1), initial=0.0) * (np.abs(P).sum() + np.abs(Q).sum())
+    estimate = span * omega * tol ** (-1.0 / 8.0)
+    if estimate > MAX_ESTIMATED_ATTEMPTS:
+        raise StepBudgetExceeded(
+            f"an estimated {estimate:.3g} step attempts (span {span:.6g} x rate {omega:.3g} "
+            f"x tol^(-1/8)) exceed the ceiling of {MAX_ESTIMATED_ATTEMPTS:.3g}")
 
 
 def check_horizon(T: float, renorm: float):
@@ -432,9 +557,11 @@ def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
     averaging the accumulated log stretching.  The Jacobian comes from
     exact spectral differentiation of the field.  `x0s` of shape (L, 3)
     gives a list of L estimates; a single point of shape (3,) gives one.
-    T must be a whole number of renorm intervals (`check_horizon`).
+    T must be a whole number of renorm intervals (`check_horizon`), and the
+    run must pass `check_step_budget` over T.
     """
     check_horizon(T, renorm)
+    check_step_budget(v, T, tol)
     x0s = np.asarray(x0s, dtype=float)
     single = x0s.ndim == 1
     x0s = np.atleast_2d(x0s)
@@ -443,7 +570,8 @@ def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
     w0 = np.array([0.6, 0.64, 0.48])
     w0 /= np.linalg.norm(w0)
     y0 = np.concatenate([x0s, np.broadcast_to(w0, x0s.shape)], axis=1)
-    run = _dop853(tangent_rhs(v), y0, tol, T, renorm=renorm)
+    run = _dop853(tangent_rhs(v), y0, tol, T, renorm=renorm,
+                  phases=phase_matrix(v, tangent=True))
     times = renorm * np.arange(1, run.logs.shape[1] + 1)
     estimates = []
     for logs in run.logs:

@@ -47,3 +47,7 @@ class ConfigInvalid(EulerLabError):
 
 class ComputeFailure(EulerLabError):
     """A module computation failed inside the runner."""
+
+
+class StepBudgetExceeded(EulerLabError):
+    """A trajectory run is estimated to need more step attempts than the ceiling allows."""

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from eulerlab import dynamics as dyn
 from eulerlab import serialize as ser
 from eulerlab import spectral as sp
-from eulerlab.errors import NoCrossings, StepSizeUnderflow
+from eulerlab.errors import NoCrossings, StepBudgetExceeded, StepSizeUnderflow
 
 TWO_PI = 2 * np.pi
 
@@ -30,7 +30,8 @@ def conserved(x, b=0.5):
 
 def endpoint(v, x0, T, tol):
     """Unwrapped end state of the lane stepper on dx/dt = v(x) after time T."""
-    return dyn._dop853(dyn.field_rhs(v), np.asarray(x0, dtype=float)[None], tol, T).y[0]
+    return dyn._dop853(dyn.field_rhs(v), np.asarray(x0, dtype=float)[None], tol, T,
+                       phases=dyn.phase_matrix(v)).y[0]
 
 
 class TestIntegrate:
@@ -86,10 +87,9 @@ class TestPoincare:
         for direction in (+1, -1):
             section = dyn.poincare(v, (2, np.pi / 2), direction, [0.2, 0.0, 1.3],
                                    10, tol=1e-10, max_time=3000.0)
-            rhs = dyn.field_rhs(v)
-            for t, p in zip(section.times, section.points):
-                x = np.array([p[0], p[1], np.pi / 2])
-                assert np.sign(rhs(t, x)[2]) == direction
+            for p in section.points:
+                x = np.array([[p[0], p[1], np.pi / 2]])
+                assert np.sign(v.evaluate(x)[0, 2]) == direction
 
     def test_start_point_on_section_is_not_a_crossing(self):
         # x2 moves at the constant rate H = 0.5 sin x1 + cos x3 when C = 0
@@ -106,9 +106,14 @@ class TestPoincare:
 
     @staticmethod
     def scipy_poincare(v, plane, direction, x0, N, tol, max_time):
-        """Reference: scipy's DOP853 stepped from Python, brentq on each step's dense output."""
+        """Reference: scipy's DOP853 stepped from Python, brentq on each step's dense
+        output; the right-hand side is the lab's kernel on the lifted state."""
         axis, level = plane
-        rhs = dyn.field_rhs(v)
+        kernel, phases = dyn.field_rhs(v), dyn.phase_matrix(v)
+
+        def rhs(t, y):
+            return kernel(t, np.concatenate([y, y @ phases])[None])[0, :3]
+
         times, points = [], []
         solver = DOP853(rhs, 0.0, np.asarray(x0, dtype=float), max_time, rtol=tol, atol=tol)
         while solver.status == "running" and len(times) < N:
@@ -153,11 +158,11 @@ class TestPoincare:
         ends = []
         real = dyn._dop853
 
-        def spy(rhs, y0, tol, t_end, renorm=None, on_step=None):
+        def spy(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
             def step(t_old, t_new, Z, y_new):
                 ends.append(t_new)
                 return on_step(t_old, t_new, Z, y_new)
-            return real(rhs, y0, tol, t_end, renorm, step)
+            return real(rhs, y0, tol, t_end, renorm, step, phases)
 
         monkeypatch.setattr(dyn, "_dop853", spy)
         x0, direction = self.REGULAR_STARTS[start]
@@ -202,13 +207,91 @@ class TestPoincare:
 
         spans = np.array([[0.0, start - end], [start - end, start - end + 1.0]])
         x = [start, end, end - 1.0]
-        W = np.zeros((2, 18, 3))
-        for k, (t0, t1) in enumerate(spans):
-            W[k, 0, 0], W[k, 1:14, 0], W[k, -1, 0] = x[k], t0 - t1, x[k + 1]
+        W = np.zeros((2, 18, 3))  # rows [y_old, K_0 .. K_15, y_new], no phases
+        for k in range(2):
+            W[k, 0, 0], W[k, 1:14, 0], W[k, -1, 0] = x[k], -1.0, x[k + 1]
         times, points, residuals = dyn._chunk_crossings(rhs, W, spans, 0, end, -1)
         assert times.tolist() == [spans[0, 1]]
         assert points.shape == (1, 2)
         assert residuals.shape == (1,) and residuals[0] <= 1e-15
+
+    @staticmethod
+    def bisection(Fq, yq, lo, width, target, side):
+        """Reference root refinement: one bisection level per interpolant evaluation."""
+        lo, hi = lo.copy(), lo + width
+        while True:
+            mid = 0.5 * (lo + hi)
+            live = (lo < mid) & (mid < hi)
+            if not live.any():
+                return hi
+            up = live & (np.sign(dyn._interpolate(Fq, yq, mid) - target) == side)
+            lo, hi = np.where(up, mid, lo), np.where(live & ~up, mid, hi)
+
+    @pytest.mark.parametrize("C, x0", [
+        (0.0, [0.23131888606570092, 3.0053816081087996, 5.4674996473157105]),
+        (0.1, dyn.separatrix_seeds(0.5, 1)[0]),
+    ], ids=["integrable", "layer"])
+    def test_k_section_roots_equal_bisection_bitwise(self, C, x0, monkeypatch):
+        chunks = []
+        real = dyn._chunk_crossings
+
+        def spy(rhs, W, spans, axis, level, direction):
+            chunks.append((rhs, W.copy(), spans.copy()))
+            return real(rhs, W, spans, axis, level, direction)
+
+        monkeypatch.setattr(dyn, "_chunk_crossings", spy)
+        v = sp.make_abc(sp.ABCParams(1.0, 0.5, C))
+        dyn.poincare(v, (1, 0.0), +1, x0, 30, tol=1e-10, max_time=1e4)
+        monkeypatch.undo()
+        calls, evaluations = [0], {"k-section": [], "bisection": []}
+        real_interpolate = dyn._interpolate
+
+        def interpolate(*args):
+            calls[0] += 1
+            return real_interpolate(*args)
+
+        def counted(name, refine):
+            def run(*args):
+                before = calls[0]
+                hi = refine(*args)
+                if len(hi):
+                    evaluations[name].append(calls[0] - before)
+                return hi
+            return run
+
+        fast = dyn._refine
+        monkeypatch.setattr(dyn, "_interpolate", interpolate)
+        crossings = 0
+        for rhs, W, spans in chunks:
+            monkeypatch.setattr(dyn, "_refine", counted("k-section", fast))
+            got = dyn._chunk_crossings(rhs, W.copy(), spans, 1, 0.0, +1)
+            monkeypatch.setattr(dyn, "_refine", counted("bisection", self.bisection))
+            want = dyn._chunk_crossings(rhs, W.copy(), spans, 1, 0.0, +1)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            crossings += len(got[0])
+        assert crossings >= 30
+        assert max(evaluations["k-section"]) <= 25 and min(evaluations["bisection"]) >= 45
+
+    def test_nearly_vanishing_field_ends_within_a_thousand_right_hand_sides(self, monkeypatch):
+        # |v| ~ 1e-140: the squared error norm underflowed to 0 before the
+        # division by tol, so good steps were rejected (206,650 right-hand sides)
+        calls = [0]
+        real = dyn.field_rhs
+
+        def counting(v):
+            rhs = real(v)
+
+            def forward(t, y):
+                calls[0] += 1
+                return rhs(t, y)
+            return forward
+
+        monkeypatch.setattr(dyn, "field_rhs", counting)
+        v = sp.make_abc(sp.ABCParams(0.0, 1.7e-140, 0.0))
+        with pytest.raises(NoCrossings):
+            dyn.poincare(v, (2, np.pi / 2), +1, [0.5, 0.0, 2248.0], 1, max_time=0.49)
+        assert 0 < calls[0] < 1000
 
     @pytest.mark.slow
     def test_chaotic_section_fills_area(self):
@@ -303,7 +386,8 @@ class TestLaneStepper:
         v, tol = self.showcase(), 1e-9
         x0s = np.array(dyn.separatrix_seeds(0.5, 4))
         y0 = np.concatenate([x0s, np.tile(self.W0, (4, 1))], axis=1)
-        run = dyn._dop853(dyn.tangent_rhs(v), y0, tol, 40.0)
+        run = dyn._dop853(dyn.tangent_rhs(v), y0, tol, 40.0,
+                          phases=dyn.phase_matrix(v, tangent=True))
         for x0, est, attempts in zip(x0s, dyn.lyapunov_max(v, x0s, 80.0, 40.0, tol),
                                      run.attempts):
             ref, nfev = self.solve_ivp_log_stretch(v, x0, 40.0, tol)
@@ -332,6 +416,46 @@ class TestLaneStepper:
         forward = [ser.lyapunov_csv(e) for e in dyn.lyapunov_max(v, x0s, 100.0, 5.0)]
         backward = [ser.lyapunov_csv(e) for e in dyn.lyapunov_max(v, x0s[::-1], 100.0, 5.0)]
         assert forward == backward[::-1]
+
+    def test_shell_lanes_match_solve_ivp(self):
+        # the wave vectors of shell 9 lie off the axes, so the combined phases
+        # of a stage differ from k . (combined state) by rounding
+        v, tol, T = sp.random_beltrami(9, 5), 1e-9, 50.0
+        x0s = np.array(dyn.random_torus_seeds(3, base_key=21))
+        batch = dyn.lyapunov_max(v, x0s, T, 5.0, tol)
+        for x0, est in zip(x0s, batch):
+            ref, _ = self.solve_ivp_log_stretch(v, x0, T, tol)
+            assert abs(T * est.lambda_max - ref) <= T * tol
+            assert np.array_equal(dyn.lyapunov_max(v, x0, T, 5.0, tol).history, est.history)
+
+    @pytest.mark.parametrize("tangent", [False, True], ids=["field", "tangent"])
+    def test_accepted_rows_carry_the_exact_phases_of_their_states(self, tangent):
+        v = self.showcase()
+        x0 = dyn.separatrix_seeds(0.5, 1)[0]
+        y0 = np.concatenate([x0, self.W0]) if tangent else x0
+        rhs = dyn.tangent_rhs(v) if tangent else dyn.field_rhs(v)
+        phases = dyn.phase_matrix(v, tangent)
+        n = len(y0)
+        rows = []
+
+        def on_step(t_old, t_new, Z, y_new):
+            rows.extend([Z[0].copy(), y_new.copy()])
+
+        dyn._dop853(rhs, y0[None], 1e-9, 20.0, renorm=2.0 if tangent else None,
+                    on_step=on_step, phases=phases)
+        assert len(rows) >= 60
+        for row in rows:
+            assert np.array_equal(row[n:], np.einsum("ln,np->lp", row[None, :n], phases)[0])
+
+    def test_step_budget_refuses_runs_it_estimates_above_the_ceiling(self):
+        # omega = 3.2 on the showcase: the calibration horizon T = 1e5 at
+        # tol = 1e-9 estimates 4.3e6 attempts
+        dyn.check_step_budget(self.showcase(), 1e5, 1e-9)
+        huge = sp.make_abc(sp.ABCParams(1e16, 0.5, 0.1))
+        with pytest.raises(StepBudgetExceeded, match="exceed the ceiling"):
+            dyn.poincare(huge, (1, 0.0), +1, [0.1, 0.2, 0.3], 5)
+        with pytest.raises(StepBudgetExceeded):
+            dyn.lyapunov_max(huge, [0.1, 0.2, 0.3], 10.0, 5.0)
 
     def test_step_size_underflow_mid_run(self):
         def rhs(t, y):  # finite only below y = 0.5, which the lanes reach at t = 0.5

@@ -333,6 +333,27 @@ def test_cli_rejects_configs_that_would_not_end(tmp_path, doc, message):
     assert not out.exists()
 
 
+# amplitude 1e16 estimates 3.6e21 step attempts over max_time 1e4; such a
+# run was still stepping after 20 s
+@pytest.mark.parametrize("doc", [
+    {"kind": "poincare", "params": {"A": 1e16, "B": 0.5, "C": 0.1, "x0": [0.1, 0.2, 0.3],
+                                    "count": 5}},
+    {"kind": "lyapunov", "params": {"A": 1e16, "B": 0.5, "C": 0.1, "T": 1000.0,
+                                    "renorm": 5.0}},
+], ids=["poincare", "lyapunov"])
+def test_cli_refuses_runs_over_the_step_budget(tmp_path, doc):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out),
+                   timeout=20)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "step attempts" in proc.stderr and "exceed the ceiling of 1e+08" in proc.stderr
+    assert not out.exists()
+
+
 # found by the CLI fuzz test: a seed that does not fit a uint64 Philox key
 # (lyapunov keys 11 + seed, bernoulli shells key the shell seed) raised
 # OverflowError, a traceback with exit code 1
