@@ -34,14 +34,18 @@ Four groups of rows, each written to its own JSON file.
 
 - `tangent_rhs_per_lane_L*`: one tangent right-hand side call on lane rows
   (states with their phases, `dynamics.phase_matrix`) divided by its lane
-  count, at 1, 2 and 50 lanes;
+  count, at 1, 2 and 50 lanes, in the stepper's form `rhs(None, rows,
+  out=buf)` (on checkouts whose kernel takes no `out`, `rhs(None, rows)`);
 - `attempt_L*`: one DOP853 step attempt of the lane stepper at 1, 2 and 4
   lanes (a renormalized run to t = 50, divided by its attempts);
 - `lyapunov_max` at T = 1e3, renorm 5: 2 random and 4 separatrix seeds;
 - `poincare` with 100 crossings of x2 = 0 from a start on the level
   H = 0.8 of the C = 0 field;
 - end to end, one `lyapunov` run (4 separatrix seeds, T = 1e3) and one
-  `poincare` run (100 crossings) through `runner.run`.
+  `poincare` run (100 crossings) through `runner.run`, and
+  `chaos_survey_pass`: the five `lyapunov` configs of one pass of
+  perfbench's chaos-survey workload (`CHAOS_SURVEY`; config seed 0 and no
+  assertions, where perfbench draws seeds from its pools).
 
 `--group startup` (BENCH_startup.json), what a run pays before it computes:
 
@@ -67,9 +71,12 @@ showcase field (1, 0.5, 0.1) at grid 64:
 The fresh interpreters time themselves, from before the first eulerlab
 import to the end, so interpreter start-up is not counted.
 
-Medians are over --runs repetitions in one process with one BLAS thread,
-after one warm-up call: seconds under `median_s`, and for the cases that
-measure one, the peak in MiB under `median_peak_mb`.  Every call used
+Medians are over --runs repetitions in one process with one BLAS thread:
+seconds under `median_s`, and for the cases that measure one, the peak in
+MiB under `median_peak_mb`.  Every case is called once to warm up, then
+each of --runs rounds calls every case once, so a slow stretch of a shared
+host lands on all cases of a round rather than on whichever case runs
+during it.  Every call used
 exists with the same signature on older checkouts, so the script can be
 copied into one and run there, except four: `assemble_exterior(basis,
 parts)` in the `solve_pencil_K3` setup (checkouts whose B is one dense
@@ -96,6 +103,7 @@ Uses the standard library and numpy only, and imports eulerlab from the
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import os
@@ -316,10 +324,16 @@ def _k_convergence(scratch):
 
 
 def _rhs_per_lane(rhs, y, calls=2000):
+    buf = np.empty_like(y) if "out" in inspect.signature(rhs).parameters else None
+
     def timed():
         start = time.perf_counter()
-        for _ in range(calls):
-            rhs(None, y)
+        if buf is None:
+            for _ in range(calls):
+                rhs(None, y)
+        else:
+            for _ in range(calls):
+                rhs(None, y, out=buf)
         return (time.perf_counter() - start) / (calls * len(y))
     return timed
 
@@ -330,6 +344,17 @@ def _per_attempt(rhs, y0, phases):
         run = dyn._dop853(rhs, y0, 1e-9, 50.0, renorm=5.0, phases=phases)
         return (time.perf_counter() - start) / int(run.attempts.max())
     return timed
+
+
+def _lyapunov(B, C, seeds, seed_style):
+    return {"kind": "lyapunov", "params": {"A": 1.0, "B": B, "C": C, "T": 1e3, "renorm": 5.0,
+                                           "tol": 1e-9, "seeds": seeds, "seed_style": seed_style}}
+
+
+# the kinds and parameters of one chaos-survey pass: the integrable
+# baselines, the showcase, and the first op again
+CHAOS_SURVEY = [*(_lyapunov(b, 0.0, 2, "random") for b in (0.25, 0.5, 0.75)),
+                _lyapunov(0.5, 0.1, 4, "separatrix"), _lyapunov(0.25, 0.0, 2, "random")]
 
 
 def _dynamics_cases(scratch):
@@ -346,6 +371,7 @@ def _dynamics_cases(scratch):
     poincare = runner.load_config({"kind": "poincare", "params": {
         "A": 1.0, "B": 0.5, "C": 0.0, "x0": start, "axis": 1, "level": 0.0, "direction": 1,
         "count": 100}})
+    chaos_survey = [runner.load_config(doc) for doc in CHAOS_SURVEY]
     run = _runs(scratch)
     phases = dyn.phase_matrix(v, tangent=True)
     rows = np.concatenate([states, states @ phases], axis=1)
@@ -360,6 +386,7 @@ def _dynamics_cases(scratch):
                                                    tol=1e-10, max_time=1e4)),
         "end_to_end.lyapunov_run": _wall(lambda: run(lyapunov)),
         "end_to_end.poincare_run": _wall(lambda: run(poincare)),
+        "end_to_end.chaos_survey_pass": _wall(lambda: [run(cfg) for cfg in chaos_survey]),
     })
     return cases
 
@@ -478,12 +505,16 @@ def main(argv=None):
         ap.error("--runs must be at least 1")
     out = args.out or os.path.join(ROOT, f"BENCH_{args.group}.json")
 
-    samples = {}
     with tempfile.TemporaryDirectory(prefix="bench_") as scratch:
-        for name, case in GROUPS[args.group](scratch).items():
+        cases = GROUPS[args.group](scratch)
+        for case in cases.values():
             case()  # warm-up: caches, lazy imports
-            samples[name] = [case() for _ in range(args.runs)]
-            median = statistics.median(_seconds(t) for t in samples[name])
+        samples = {name: [] for name in cases}
+        for _ in range(args.runs):  # rounds: every case once per round
+            for name, case in cases.items():
+                samples[name].append(case())
+        for name, times in samples.items():
+            median = statistics.median(_seconds(t) for t in times)
             print(f"{name}: median {median:.4g} s", file=sys.stderr)
         rows = _k_convergence(scratch) if args.group == "galerkin" else None
 

@@ -46,8 +46,9 @@ CHAOS_THRESHOLD = 0.023942274037632105
 # (L, intervals) log array (criterion 4 uses 2,000, the calibration 20,000)
 MAX_RENORM_INTERVALS = 100_000
 
-# most step attempts a run may be estimated to need (`check_step_budget`):
-# the calibration at T = 1e5 estimates 4.3e6 on the showcase field
+# most step attempts a run may be estimated to need over all its lanes
+# (`check_step_budget`): the calibration (20 lanes to T = 1e5) estimates
+# 8.5e7 on the showcase field
 MAX_ESTIMATED_ATTEMPTS = 1e8
 
 # pieces of each accepted step that poincare brackets crossings on
@@ -107,13 +108,13 @@ _A, _B, _C = _TABLEAU["A"][:_STAGES, :_STAGES], _TABLEAU["B"], _TABLEAU["C"][:_S
 # error weights; the 3rd-order row is scaled by 1/10 so that its squared
 # norm carries scipy's weight 0.01
 _E = np.stack([_TABLEAU["E5"], 0.1 * _TABLEAU["E3"]])
-# stage and solution weights over Z = [y, K_0, ..., K_{STAGES-1}]: row s - 1
-# makes stage s (1 <= s < STAGES), the last row the solution; each attempt
-# multiplies them by its lanes' h and then sets the weight of y to 1
-_ZW = np.zeros((_STAGES, _STAGES + 1))
+# stage and solution weights over the slopes K_0, ..., K_{STAGES-1}: row
+# s - 1 makes stage s (1 <= s < STAGES), the last row the solution; each
+# attempt multiplies them by its lanes' h (the weight of y is 1)
+_ZW = np.zeros((_STAGES, _STAGES))
 for _s in range(1, _STAGES):
-    _ZW[_s - 1, 1:_s + 1] = _A[_s, :_s]
-_ZW[-1, 1:] = _B
+    _ZW[_s - 1, :_s] = _A[_s, :_s]
+_ZW[-1] = _B
 # dense output: rows of A for its 3 extra stages, and the weights over all
 # 16 stages of the 4 highest coefficients of the interpolant
 _A_DENSE, _D = _TABLEAU["A"][_STAGES + 1:], _TABLEAU["D"]
@@ -146,14 +147,18 @@ def _initial_step(rhs, y, f, n, tol, span):
     return np.minimum(np.minimum(100.0 * h0, h1), span)
 
 
-def _attempt_views(Z, weights, n):
-    """The views of Z and of the weights that an attempt reads and writes:
-    (weights, rows they weigh, row to fill) for stages 1 .. STAGES-1, the
-    solution's weights and rows, the weights of y, and the slopes and the
-    state that the error norm reads."""
+def _attempt_buffers(Z, n):
+    """An attempt's work arrays and the views of them and of Z it uses: the
+    stage buffer S (each stage state, then the solution), the weights of the
+    slopes (those of y are 1), (weights, rows, slope row to fill) per stage
+    1 .. STAGES-1, the solution's, and what the error norm reads and writes."""
+    L = Z.shape[1]
+    S = np.empty(Z.shape[1:])
+    weights = np.empty((L, _STAGES, _STAGES + 1))
+    weights[:, :, 0] = 1.0
     stages = [(weights[:, s - 1, :s + 1], Z[:s + 1], Z[s + 1]) for s in range(1, _STAGES)]
-    return (stages, weights[:, -1], Z[:_STAGES + 1], weights[:, :, 0], Z[1:, :, :n],
-            Z[0, :, :n])
+    return (S, S[:, :n], S[:, n:], weights[:, :, 1:], stages, weights[:, -1], Z[:_STAGES + 1],
+            np.empty((2, L, n)), np.empty((L, n)), np.empty((L, n)), Z[1:, :, :n], Z[0, :, :n])
 
 
 def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
@@ -169,8 +174,11 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
     its stored derivative with its phase rates (first same as last; J w is
     linear in w), so the integration goes on without a restart.  Lanes that are done leave the batch.  All contractions are
     einsums, never BLAS, so each lane's arithmetic is bitwise independent
-    of the other lanes.  `rhs(t, Y)` must be autonomous; it is called with
-    t = None, once per stage.
+    of the other lanes.  `rhs(t, Y, out=None)` must be autonomous and
+    write the slope rows of Y into `out` (a fresh array when None).  Each
+    attempt calls it with t = None once per stage, on one stage buffer (the
+    same array until lanes leave the batch) with `out` the stage's row of
+    Z, so a kernel may keep its views of that buffer.
 
     A lane's row is its state y followed by its phases y @ `phases` (an
     (n, p) matrix, `phase_matrix`; no columns when None), and `rhs` maps
@@ -184,7 +192,9 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
     `on_step`, for a single lane, is called after every accepted step as
     on_step(t_old, t_new, Z, y_new), Z being the (STAGES + 2, n + p) rows
     [y_old, K_0, ..., K_{STAGES-1}, f(y_new)] of the step; a true return
-    value ends the run there, leaving the end state NaN.
+    value ends the run there, leaving the end state NaN.  Z and y_new are
+    views of the stepper's arrays, y_new of the stage buffer: they hold
+    their values only during the call (`poincare` copies them).
     """
     y0 = np.asarray(y0, dtype=float)
     L, n = y0.shape
@@ -199,11 +209,11 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
     Z = np.empty((_STAGES + 2, L, n + G.shape[1]))
     Z[0, :, :n] = y0
     _einsum("ln,np->lp", y0, G, out=Z[0, :, n:])
-    Z[1] = rhs(None, Z[0])
+    rhs(None, Z[0], out=Z[1])
     if not np.all(np.isfinite(Z[1])):
         raise StepSizeUnderflow("right-hand side not finite at the initial state")
-    weights = np.empty((L, _STAGES, _STAGES + 1))
-    stages, solution, rows, weight_y, slopes, y = _attempt_views(Z, weights, n)
+    (S, state_new, phases_new, weights, stages, solution, rows, err, scale, scale_new, slopes,
+     y) = _attempt_buffers(Z, n)
     lane = np.arange(L)
     chunk = np.zeros(L, dtype=int)
     # per-lane scalars are (L, 1) columns so that they broadcast over y
@@ -224,18 +234,17 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
             t_new = np.minimum(t + h, bound)
             h = t_new - t
             np.multiply(h[:, :, None], _ZW, out=weights)
-            weight_y.fill(1.0)
             for w, done_stages, stage in stages:
-                stage[...] = rhs(None, _einsum("lj,jlr->lr", w, done_stages))
-            y_new = _einsum("lj,jlr->lr", solution, rows)
-            state_new = y_new[:, :n]
-            _einsum("ln,np->lp", state_new, G, out=y_new[:, n:])
-            Z[-1] = rhs(None, y_new)
+                _einsum("lj,jlr->lr", w, done_stages, out=S)
+                rhs(None, S, out=stage)
+            _einsum("lj,jlr->lr", solution, rows, out=S)
+            _einsum("ln,np->lp", state_new, G, out=phases_new)
+            rhs(None, S, out=Z[-1])
 
             # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), e5 and e3
             # the squared norms of K^T E over tol (1 + max(|y|, |y_new|))
-            err = _einsum("ej,jln->eln", _E, slopes)
-            scale = np.maximum(np.abs(y), np.abs(state_new))
+            _einsum("ej,jln->eln", _E, slopes, out=err)
+            np.maximum(np.abs(y, scale), np.abs(state_new, scale_new), out=scale)
             scale += 1.0
             scale *= tol
             err /= scale
@@ -246,11 +255,10 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
             # applies; rejected (NaN included): at most 0.9, at least 0.2
             h *= np.fmin(np.fmax(_SAFETY * norm ** _EXPONENT, _MIN_FACTOR), cap)
             cap = np.where(ok, _MAX_FACTOR, 1.0)
-            if on_step is not None and ok[0, 0] and on_step(t[0, 0], t_new[0, 0], Z[:, 0],
-                                                             y_new[0]):
+            if on_step is not None and ok[0, 0] and on_step(t[0, 0], t_new[0, 0], Z[:, 0], S[0]):
                 break
             t = np.where(ok, t_new, t)
-            np.copyto(Z[0], y_new, where=ok)
+            np.copyto(Z[0], S, where=ok)
             np.copyto(Z[1], Z[-1], where=ok)
 
             landed = t == bound  # only a step just accepted lands
@@ -272,8 +280,8 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
                 keep = ~done
                 lane, chunk, t, bound, cap, h = (a[keep] for a in (lane, chunk, t, bound, cap, h))
                 Z = np.ascontiguousarray(Z[:, keep])
-                weights = np.empty((len(lane), _STAGES, _STAGES + 1))
-                stages, solution, rows, weight_y, slopes, y = _attempt_views(Z, weights, n)
+                (S, state_new, phases_new, weights, stages, solution, rows, err, scale, scale_new,
+                 slopes, y) = _attempt_buffers(Z, n)
     return run
 
 
@@ -309,8 +317,12 @@ def _row_kernel(v: SpectralVectorField, tangent):
     derivative is J w = -sum_m (Q_m c_m + P_m s_m) (k_m . w).  [c, s] (times
     [1, k_m . w] for tangent lanes) are contracted by one einsum with a
     fixed matrix whose last p columns are the phase rates of its first n.
-    The returned function reuses its work arrays from call to call, so one
-    instance must not run in two threads at once.
+
+    The returned rhs(t, y, out=None) writes into `out` (a fresh array when
+    None).  It keeps a work array and its views of the last `y` (the theta_m
+    and k_m . w columns), rebuilt only when another array object comes in;
+    holding that array keeps its identity from being reused.  One instance
+    must not run in two threads at once.
     """
     K, P, Q = _folded_modes(v)
     G = phase_matrix(v, tangent)
@@ -326,21 +338,21 @@ def _row_kernel(v: SpectralVectorField, tangent):
     to_rate = to_rate.reshape(-1, to_rate.shape[-1])
     start = G.shape[0]  # theta_m in row columns start .. start + m, k_m . w after them
 
-    scratch = {}  # lane count -> work array and its views, so calls allocate less
+    last = [None, None]  # the last y and the work array and views made for it
 
-    def rhs(t, y):
-        views = scratch.get(len(y))
-        if views is None:
+    def rhs(t, y, out=None):
+        if y is not last[0]:
             z = np.empty((len(y), 2, blocks, m))
-            views = scratch[len(y)] = (z.reshape(len(y), len(to_rate)), z[:, 0, 0], z[:, 1, 0],
-                                       z[:, :, :1], z[:, :, 1:])
-        z, cos, sin, trig, prod = views
-        theta = y[:, start:start + m]
-        np.cos(theta, out=cos)
-        np.sin(theta, out=sin)
+            last[:] = y, (z.reshape(len(y), len(to_rate)), z[:, 0, 0], z[:, 1, 0], z[:, :, :1],
+                          z[:, :, 1:], y[:, start:start + m], y[:, None, None, start + m:])
+        z, cos, sin, trig, prod, theta, kw = last[1]
+        np.cos(theta, cos)
+        np.sin(theta, sin)
         if tangent:
-            np.multiply(trig, y[:, None, None, start + m:], out=prod)
-        return _einsum("lk,kr->lr", z, to_rate)
+            np.multiply(trig, kw, prod)
+        if out is None:
+            out = np.empty((len(y), to_rate.shape[1]))
+        return _einsum("lk,kr->lr", z, to_rate, out=out)
 
     return rhs
 
@@ -513,23 +525,26 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
     return PoincareSection(points=points, times=times, residuals=residuals)
 
 
-def check_step_budget(v: SpectralVectorField, span: float, tol: float):
-    """Raise StepBudgetExceeded when a run over time `span` at tolerance `tol`
-    is estimated to need more than MAX_ESTIMATED_ATTEMPTS step attempts.
+def check_step_budget(v: SpectralVectorField, span: float, tol: float, lanes: int = 1):
+    """Raise StepBudgetExceeded when `lanes` trajectories over time `span` at
+    tolerance `tol` are estimated to need more than MAX_ESTIMATED_ATTEMPTS
+    step attempts in all.
 
-    The estimate is E = span * omega * tol^(-1/8): omega = max_m |k_m| *
-    sum_m (|P_m|_1 + |Q_m|_1) over the folded modes bounds the rate at which
-    the field turns along a trajectory, and an order-8 step resolves about
-    tol^(1/8) of a turn.  On the showcase field (omega = 3.2) a 1,000-unit
-    Lyapunov run estimates 4.3e4 attempts and takes about 2,800.
+    A lane is estimated at span * omega * tol^(-1/8), at least 1: omega =
+    max_m |k_m| * sum_m (|P_m|_1 + |Q_m|_1) over the folded modes bounds the
+    rate at which the field turns along a trajectory, and an order-8 step
+    resolves about tol^(1/8) of a turn.  On the showcase field (omega = 3.2)
+    a 1,000-unit lane estimates 4.3e4 attempts and takes about 2,800;
+    criterion 4's 20 lanes to T = 1e4 estimate 8.5e6, the calibration's 20
+    to T = 1e5 8.5e7, under the ceiling.
     """
     K, P, Q = _folded_modes(v)
     omega = np.max(np.linalg.norm(K, axis=1), initial=0.0) * (np.abs(P).sum() + np.abs(Q).sum())
-    estimate = span * omega * tol ** (-1.0 / 8.0)
+    estimate = lanes * max(span * omega * tol ** (-1.0 / 8.0), 1.0)
     if estimate > MAX_ESTIMATED_ATTEMPTS:
         raise StepBudgetExceeded(
-            f"an estimated {estimate:.3g} step attempts (span {span:.6g} x rate {omega:.3g} "
-            f"x tol^(-1/8)) exceed the ceiling of {MAX_ESTIMATED_ATTEMPTS:.3g}")
+            f"an estimated {estimate:.3g} step attempts ({lanes} lanes x span {span:.6g} x rate "
+            f"{omega:.3g} x tol^(-1/8)) exceed the ceiling of {MAX_ESTIMATED_ATTEMPTS:.3g}")
 
 
 def check_horizon(T: float, renorm: float):
@@ -558,15 +573,15 @@ def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
     exact spectral differentiation of the field.  `x0s` of shape (L, 3)
     gives a list of L estimates; a single point of shape (3,) gives one.
     T must be a whole number of renorm intervals (`check_horizon`), and the
-    run must pass `check_step_budget` over T.
+    L lanes must pass `check_step_budget` over T.
     """
     check_horizon(T, renorm)
-    check_step_budget(v, T, tol)
     x0s = np.asarray(x0s, dtype=float)
     single = x0s.ndim == 1
     x0s = np.atleast_2d(x0s)
     if x0s.ndim != 2 or x0s.shape[1] != 3:
         raise ValueError("x0s must have shape (3,) or (L, 3)")
+    check_step_budget(v, T, tol, lanes=len(x0s))
     w0 = np.array([0.6, 0.64, 0.48])
     w0 /= np.linalg.norm(w0)
     y0 = np.concatenate([x0s, np.broadcast_to(w0, x0s.shape)], axis=1)

@@ -311,6 +311,8 @@ def _run_lyapunov(cfg):
     p = cfg.params
     field, field_hash = _source_field({"abc": p})
     count = p["seeds"]
+    # before the seeds: drawing a billion of them alone takes hours
+    dyn.check_step_budget(field, p["T"], p["tol"], lanes=count)
     if p["seed_style"] == "separatrix":
         x0s = dyn.separatrix_seeds(p["B"], count, base_key=7 + cfg.seed)
     else:

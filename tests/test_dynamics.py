@@ -282,9 +282,9 @@ class TestPoincare:
         def counting(v):
             rhs = real(v)
 
-            def forward(t, y):
+            def forward(t, y, **kwargs):
                 calls[0] += 1
-                return rhs(t, y)
+                return rhs(t, y, **kwargs)
             return forward
 
         monkeypatch.setattr(dyn, "field_rhs", counting)
@@ -447,10 +447,69 @@ class TestLaneStepper:
         for row in rows:
             assert np.array_equal(row[n:], np.einsum("ln,np->lp", row[None, :n], phases)[0])
 
+    def lane_rows(self, v, tangent, L, key=0):
+        x0s = np.array(dyn.random_torus_seeds(L, base_key=key))
+        y = np.concatenate([x0s, np.tile(self.W0, (L, 1))], axis=1) if tangent else x0s
+        return np.concatenate([y, y @ dyn.phase_matrix(v, tangent)], axis=1)
+
+    @pytest.mark.parametrize("tangent", [False, True], ids=["field", "tangent"])
+    @pytest.mark.parametrize("L", [1, 2, 5])
+    def test_rhs_into_out_equals_the_allocating_call(self, tangent, L):
+        v = sp.random_beltrami(9, 5)
+        make = dyn.tangent_rhs if tangent else dyn.field_rhs
+        rows = self.lane_rows(v, tangent, L)
+        want = make(v)(None, rows.copy())
+        rhs = make(v)
+        big = np.full((3, L + 2, rows.shape[1]), np.nan)
+        for k in range(3):  # the same input array each time, as the stepper's stage buffer
+            out = big[k, 1:-1]
+            assert rhs(None, rows, out=out) is out
+            assert np.array_equal(out, want)
+        assert np.isnan(big[:, [0, -1]]).all()
+
+    @pytest.mark.parametrize("tangent", [False, True], ids=["field", "tangent"])
+    def test_rhs_views_never_go_stale(self, tangent):
+        v = self.showcase()
+        make = dyn.tangent_rhs if tangent else dyn.field_rhs
+        rhs, fresh = make(v), make(v)
+        arrays = {L: self.lane_rows(v, tangent, L, key=L) for L in (1, 2, 5)}
+        # alternate between arrays of different lane counts, with and without out
+        for L in (2, 5, 2, 1, 5, 1):
+            out = np.empty_like(arrays[L])
+            rhs(None, arrays[L], out=out)
+            assert np.array_equal(out, fresh(None, arrays[L].copy()))
+            assert np.array_equal(rhs(None, arrays[L]), out)
+        # refill one array in place: every call sees the new rows
+        buffer = arrays[2]
+        for key in (3, 4, 5):
+            buffer[...] = self.lane_rows(v, tangent, 2, key=key)
+            assert np.array_equal(rhs(None, buffer, out=np.empty_like(buffer)),
+                                  fresh(None, buffer.copy()))
+
+    def test_golden_bits(self):
+        # frozen from the stepper before its stage buffer: lyapunov_max of
+        # the showcase (4 separatrix seeds, T = 50, renorm 5) and the first
+        # and last points of a 20-crossing C = 0.1 section
+        v = self.showcase()
+        estimates = dyn.lyapunov_max(v, dyn.separatrix_seeds(0.5, 4), 50.0, 5.0)
+        assert [e.lambda_max.hex() for e in estimates] == [
+            "0x1.4e54687e639d2p-4", "0x1.db496245e9c3fp-6", "0x1.2ea7f4cbe9238p-4",
+            "0x1.4f763246a7dd6p-4"]
+        section = dyn.poincare(v, (1, 0.0), +1, self.W0, 20)
+        assert [float(x).hex() for x in section.points[[0, -1]].ravel()] == [
+            "0x1.508cdcd149ab9p+1", "0x1.6f863c0b2dc13p+2",
+            "0x1.f1b234f07acd1p+0", "0x1.5742e69e5524bp+2"]
+
     def test_step_budget_refuses_runs_it_estimates_above_the_ceiling(self):
-        # omega = 3.2 on the showcase: the calibration horizon T = 1e5 at
-        # tol = 1e-9 estimates 4.3e6 attempts
-        dyn.check_step_budget(self.showcase(), 1e5, 1e-9)
+        # omega = 3.2 on the showcase: the calibration (20 lanes to T = 1e5
+        # at tol = 1e-9) estimates 8.5e7 attempts, criterion 4's 20-lane
+        # batch to T = 1e4 8.5e6; 30 calibration lanes are over the ceiling
+        dyn.check_step_budget(self.showcase(), 1e5, 1e-9, lanes=20)
+        dyn.check_step_budget(self.showcase(), 1e4, 1e-9, lanes=20)
+        with pytest.raises(StepBudgetExceeded, match="30 lanes"):
+            dyn.check_step_budget(self.showcase(), 1e5, 1e-9, lanes=30)
+        with pytest.raises(StepBudgetExceeded):
+            dyn.lyapunov_max(self.showcase(), np.zeros((3000, 3)), 1e3, 5.0)
         huge = sp.make_abc(sp.ABCParams(1e16, 0.5, 0.1))
         with pytest.raises(StepBudgetExceeded, match="exceed the ceiling"):
             dyn.poincare(huge, (1, 0.0), +1, [0.1, 0.2, 0.3], 5)
@@ -458,8 +517,11 @@ class TestLaneStepper:
             dyn.lyapunov_max(huge, [0.1, 0.2, 0.3], 10.0, 5.0)
 
     def test_step_size_underflow_mid_run(self):
-        def rhs(t, y):  # finite only below y = 0.5, which the lanes reach at t = 0.5
-            return np.where(y < 0.5, 1.0, np.nan)
+        def rhs(t, y, out=None):  # finite only below y = 0.5, which the lanes reach at t = 0.5
+            if out is None:
+                out = np.empty_like(y)
+            out[...] = np.where(y < 0.5, 1.0, np.nan)
+            return out
 
         with pytest.raises(StepSizeUnderflow):
             dyn._dop853(rhs, np.zeros((2, 1)), 1e-9, 1.0)

@@ -5,6 +5,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 import types
 from importlib import resources
 
@@ -340,13 +341,22 @@ def test_cli_rejects_configs_that_would_not_end(tmp_path, doc, message):
                                     "count": 5}},
     {"kind": "lyapunov", "params": {"A": 1e16, "B": 0.5, "C": 0.1, "T": 1000.0,
                                     "renorm": 5.0}},
-], ids=["poincare", "lyapunov"])
+    # the budget counts lanes: 10,000 showcase lanes to T = 1e3 estimate
+    # 4.3e8 attempts (about 6 minutes of stepping); 1e9 seeds would take
+    # hours to draw, so the check comes before the seeds
+    {"kind": "lyapunov", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "T": 1000.0,
+                                    "seeds": 10000, "seed_style": "separatrix"}},
+    {"kind": "lyapunov", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "T": 1000.0,
+                                    "seeds": 1000000000}},
+], ids=["poincare", "lyapunov", "lyapunov-10000-lanes", "lyapunov-1e9-lanes"])
 def test_cli_refuses_runs_over_the_step_budget(tmp_path, doc):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps(doc))
     out = tmp_path / "o"
+    start = time.perf_counter()
     proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out),
                    timeout=20)
+    assert time.perf_counter() - start < 5.0
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
