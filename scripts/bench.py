@@ -11,17 +11,21 @@ Four groups of rows, each written to its own JSON file.
 - `track_splitting` at K=3 (the perturb sweep: 13 mass assemblies and
   pencil solves, one `mass_derivative`, and the pairing and pencil
   matrices of the base cluster) and `family_compatibility` of the
-  same family (6 members), each on a family built just before the timed
-  call, so no grid evaluation it may keep is warm;
+  same family (6 members), each on a family built directly with
+  `MetricFamily` just before the timed call, so no grid evaluation it may
+  keep is warm (`standard_family` shares one model per process);
 - `spectral_projector` with 64 nodes on the K=2 operator A_of(0) of the
   `pi-map` galerkin mode, and one K=3 operator A_of(0.1);
 - `MetricField.matrix` of the same family member on the K=3
   basis grid (19^3 points);
 - `spectral.bernoulli` of the random Beltrami fields of shells n = 9 and 50;
 - end to end, one `perturb` run at K=3 and one `pi-map` galerkin run at
-  K=2, K=3 and K=4 through `runner.run`, and `verify_quick`: `eulerlab
-  verify --level quick` through `cli.main` in a fresh interpreter that
-  times itself from before the first eulerlab import;
+  K=2, K=3 and K=4 through `runner.run`, `splitting_sweep_pass`: the four
+  configs of one pass of perfbench's splitting-sweep workload
+  (`SPLITTING_SWEEP`; config seed 0, where perfbench draws seeds), and
+  `verify_quick`: `eulerlab verify --level quick` through `cli.main` in a
+  fresh interpreter that times itself from before the first eulerlab
+  import;
 - the K-convergence row `k_convergence`: `perturb` and `pi-map` galerkin
   runs at K = 3 to 8, each in a fresh interpreter that times itself from
   before the first eulerlab import, with its peak RSS, pairing eigenvalues
@@ -195,12 +199,20 @@ def _runs(scratch):
     return lambda cfg: runner.run(cfg, out_dir=os.path.join(scratch, f"run{next(count)}"))
 
 
+# the kinds and parameters of one splitting-sweep pass: perturb at K = 3,
+# pi-map galerkin at K = 2, pi-map synthetic, and the galerkin op again
+_PI_MAP_K2 = {"kind": "pi-map", "params": {"mode": "galerkin", "K": 2}}
+SPLITTING_SWEEP = [{"kind": "perturb", "params": {"K": 3}}, _PI_MAP_K2,
+                   {"kind": "pi-map", "params": {"mode": "synthetic", "dim": 40}}, _PI_MAP_K2]
+
+
 def _galerkin_cases(scratch):
     epsilons = [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2]
     family = ct.standard_family(epsilons)
 
     def fresh_family():
-        return ct.standard_family(epsilons)
+        contact, g = ct.std_contact_t3()
+        return ct.MetricFamily(g, contact, ct.default_perturbation_form(), epsilons)
 
     basis3 = gk.FormBasis(3)
     member = family.member(0.1)
@@ -214,6 +226,7 @@ def _galerkin_cases(scratch):
     perturb = runner.load_config({"kind": "perturb", "params": {"K": 3}})
     pi_maps = {K: runner.load_config({"kind": "pi-map", "params": {"mode": "galerkin", "K": K}})
                for K in (2, 3, 4)}
+    splitting_sweep = [runner.load_config(doc) for doc in SPLITTING_SWEEP]
     run = _runs(scratch)
     verify_out = os.path.join(scratch, "verify")
     return {
@@ -233,6 +246,7 @@ def _galerkin_cases(scratch):
         "end_to_end.pi_map_run_K2": _wall(lambda: run(pi_maps[2])),
         "end_to_end.pi_map_run_K3": _wall(lambda: run(pi_maps[3])),
         "end_to_end.pi_map_run_K4": _wall(lambda: run(pi_maps[4])),
+        "end_to_end.splitting_sweep_pass": _wall(lambda: [run(cfg) for cfg in splitting_sweep]),
         "verify_quick": _cold("from eulerlab import cli\n"
                               "assert cli.main(['verify', '--level', 'quick', "
                               f"'--out', {verify_out!r}]) == 0"),

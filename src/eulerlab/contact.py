@@ -19,7 +19,9 @@ evaluated on grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,9 +44,14 @@ def uniform_grid(n):
 
 
 def _on_grid(cache: dict, nodes, evaluate):
-    """evaluate(points of uniform_grid(nodes)), kept in `cache` per node count."""
+    """evaluate(points of uniform_grid(nodes)), an array or a tuple of arrays
+    and None, kept read-only in `cache` per node count."""
     if nodes not in cache:
-        cache[nodes] = evaluate(uniform_grid(nodes)[0])
+        value = evaluate(uniform_grid(nodes)[0])
+        for a in value if isinstance(value, tuple) else (value,):
+            if a is not None:
+                a.flags.writeable = False
+        cache[nodes] = value
     return cache[nodes]
 
 
@@ -194,6 +201,11 @@ class VariationTensor:
     entries: SpectralTensorField
     beta_xi: SpectralVectorField
     norm2: ScalarSpectralField  # |beta_xi|_g^2 as an exact trig polynomial
+    grid_fields: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def entries_on_grid(self, nodes):
+        """h's entries at the points of uniform_grid(nodes), once per node count."""
+        return _on_grid(self.grid_fields, nodes, self.entries.evaluate)
 
 
 @dataclass(frozen=True)
@@ -217,7 +229,7 @@ class MetricFamily:
     eps = 0 is the variation tensor of `beta`.  Positivity is checked on
     every epsilon of the grid at construction.  The eps-independent fields
     of the members are evaluated once per uniform grid and kept for all of
-    them.
+    them, and for every family that `with_epsilons` makes of this one.
     """
 
     def __init__(self, base: MetricField, contact: ContactForm, beta: SpectralVectorField,
@@ -225,12 +237,22 @@ class MetricFamily:
         self.base = base
         self.contact = contact
         self.beta = beta
-        self.epsilon_grid = list(float(e) for e in epsilon_grid)
         self.variation = variation_tensor(beta, contact, base)
         self._outer = outer(self.variation.beta_xi)
         self._grid_fields = {}  # nodes -> fields on uniform_grid(nodes), see MetricField
+        self._take_epsilons(epsilon_grid)
+
+    def _take_epsilons(self, epsilon_grid):
+        self.epsilon_grid = list(float(e) for e in epsilon_grid)
         for eps in self.epsilon_grid:
             self.member(eps).check_positive()
+
+    def with_epsilons(self, epsilon_grid) -> MetricFamily:
+        """The same family on another epsilon grid, checked for positivity
+        on each epsilon; it shares this family's fields and grid caches."""
+        family = copy.copy(self)
+        family._take_epsilons(epsilon_grid)
+        return family
 
     def member(self, eps) -> MetricField:
         eps = float(eps)
@@ -282,11 +304,24 @@ def default_perturbation_form():
     )
 
 
+@functools.cache
+def _standard_core() -> MetricFamily:
+    """The model family on no epsilon, built once per process: the contact
+    form, the base metric (given a grid cache here), beta, the variation
+    tensor and b_xi (x) b_xi, with their grid caches.  The function cache
+    holds this one family; each grid cache holds one read-only entry per
+    node count that a run meets, and no entry depends on an epsilon or a
+    config."""
+    contact, g = std_contact_t3()
+    return MetricFamily(replace(g, grid_fields={}), contact, default_perturbation_form(), [])
+
+
 def standard_family(epsilons) -> MetricFamily:
     """The model family: std_contact_t3's metric perturbed along
-    default_perturbation_form, on the given epsilon grid."""
-    contact, g = std_contact_t3()
-    return MetricFamily(g, contact, default_perturbation_form(), epsilons)
+    default_perturbation_form, on the given epsilon grid.  Every call
+    shares one core (`_standard_core`); only the epsilon grid and its
+    positivity checks are per call."""
+    return _standard_core().with_epsilons(epsilons)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +422,7 @@ def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float) -> 
     Ginv, det = inverse_and_det(G)
     sqrt_det = np.sqrt(det)
     sharp = np.einsum("pij,kpj->kpi", Ginv, np.stack([a.evaluate(pts) for a in forms]))
-    H = h.entries.evaluate(pts)
+    H = h.entries_on_grid(nodes)
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = (lam * w) * (H - 0.5 * tr[:, None, None] * G) * sqrt_det[:, None, None]
     Pi = np.einsum("mpi,pij,lpj->ml", sharp, core, sharp, optimize=True)

@@ -33,7 +33,7 @@ import numpy as np
 # 1.4 us of a call on tiny operands), and the sums stay bitwise the same
 from numpy._core.multiarray import c_einsum as _einsum
 
-from .errors import NoCrossings, StepBudgetExceeded, StepSizeUnderflow
+from .errors import MemoryBudgetExceeded, NoCrossings, StepBudgetExceeded, StepSizeUnderflow
 from .spectral import TWO_PI, SpectralVectorField, grid_slabs
 
 # One-time calibrated chaos threshold for the showcase amplitudes
@@ -50,6 +50,11 @@ MAX_RENORM_INTERVALS = 100_000
 # (`check_step_budget`): the calibration (20 lanes to T = 1e5) estimates
 # 8.5e7 on the showcase field
 MAX_ESTIMATED_ATTEMPTS = 1e8
+
+# most bytes the lanes of one run may be estimated to hold
+# (`check_step_budget`, `_lane_bytes`): 8.0 kB a showcase lane to T = 1e3
+# at renorm 5, so some 134,000 such lanes
+MAX_LANE_BYTES = 2 ** 30
 
 # pieces of each accepted step that poincare brackets crossings on
 POINCARE_SUBSAMPLES = 8
@@ -525,10 +530,29 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
     return PoincareSection(points=points, times=times, residuals=residuals)
 
 
-def check_step_budget(v: SpectralVectorField, span: float, tol: float, lanes: int = 1):
+def _lane_bytes(v: SpectralVectorField, tangent: bool, chunks: int) -> int:
+    """Bytes one lane of `_dop853` holds, with its seed: its rows of Z and
+    of the stage buffer (n + p floats each: state and phases), its stage
+    weights, its error work arrays, the right-hand side's work row (2p
+    floats), its start and end states, its log row and history (3 floats
+    per renormalization interval), and its (3,) seed array (136 bytes and a
+    list slot).  For 2,000 showcase lanes to T = 0.002 at renorm 0.001 this
+    reads 3.26 kB a lane, where tracemalloc saw a peak of 4.05 kB a lane
+    over drawing the seeds and lyapunov_max: the rest is the estimates'
+    Python objects and an attempt's temporaries."""
+    n = 6 if tangent else 3
+    p = phase_matrix(v, tangent).shape[1]
+    floats = (_STAGES + 3) * (n + p) + _STAGES * (_STAGES + 1) + 6 * n + 2 * p + 3 * chunks
+    return 8 * floats + 144
+
+
+def check_step_budget(v: SpectralVectorField, span: float, tol: float, lanes: int = 1,
+                      renorm=None):
     """Raise StepBudgetExceeded when `lanes` trajectories over time `span` at
     tolerance `tol` are estimated to need more than MAX_ESTIMATED_ATTEMPTS
-    step attempts in all.
+    step attempts in all, then MemoryBudgetExceeded when they are estimated
+    to hold more than MAX_LANE_BYTES (`_lane_bytes`; with `renorm` the
+    lanes are lyapunov_max's tangent lanes, renormalized every `renorm`).
 
     A lane is estimated at span * omega * tol^(-1/8), at least 1: omega =
     max_m |k_m| * sum_m (|P_m|_1 + |Q_m|_1) over the folded modes bounds the
@@ -536,7 +560,8 @@ def check_step_budget(v: SpectralVectorField, span: float, tol: float, lanes: in
     resolves about tol^(1/8) of a turn.  On the showcase field (omega = 3.2)
     a 1,000-unit lane estimates 4.3e4 attempts and takes about 2,800;
     criterion 4's 20 lanes to T = 1e4 estimate 8.5e6, the calibration's 20
-    to T = 1e5 8.5e7, under the ceiling.
+    to T = 1e5 8.5e7, under the ceiling.  The floor of one attempt lets
+    short runs through on any number of lanes; the byte ceiling stops those.
     """
     K, P, Q = _folded_modes(v)
     omega = np.max(np.linalg.norm(K, axis=1), initial=0.0) * (np.abs(P).sum() + np.abs(Q).sum())
@@ -545,6 +570,12 @@ def check_step_budget(v: SpectralVectorField, span: float, tol: float, lanes: in
         raise StepBudgetExceeded(
             f"an estimated {estimate:.3g} step attempts ({lanes} lanes x span {span:.6g} x rate "
             f"{omega:.3g} x tol^(-1/8)) exceed the ceiling of {MAX_ESTIMATED_ATTEMPTS:.3g}")
+    chunks = 1 if renorm is None else round(span / renorm)
+    per_lane = _lane_bytes(v, renorm is not None, chunks)
+    if lanes * per_lane > MAX_LANE_BYTES:
+        raise MemoryBudgetExceeded(
+            f"an estimated {lanes * per_lane:.3g} bytes of lanes ({lanes} lanes x {per_lane} "
+            f"bytes) exceed the ceiling of {MAX_LANE_BYTES:.3g}")
 
 
 def check_horizon(T: float, renorm: float):
@@ -581,7 +612,7 @@ def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
     x0s = np.atleast_2d(x0s)
     if x0s.ndim != 2 or x0s.shape[1] != 3:
         raise ValueError("x0s must have shape (3,) or (L, 3)")
-    check_step_budget(v, T, tol, lanes=len(x0s))
+    check_step_budget(v, T, tol, lanes=len(x0s), renorm=renorm)
     w0 = np.array([0.6, 0.64, 0.48])
     w0 /= np.linalg.norm(w0)
     y0 = np.concatenate([x0s, np.broadcast_to(w0, x0s.shape)], axis=1)

@@ -51,3 +51,7 @@ class ComputeFailure(EulerLabError):
 
 class StepBudgetExceeded(EulerLabError):
     """A trajectory run is estimated to need more step attempts than the ceiling allows."""
+
+
+class MemoryBudgetExceeded(EulerLabError):
+    """A run is estimated to hold more memory than its ceiling allows."""

@@ -45,6 +45,7 @@ from .errors import (
     ClusterLeakage,
     DegenerateDirection,
     IllConditionedContour,
+    MemoryBudgetExceeded,
     NotPositiveDefinite,
     WindowTouchesSpectrum,
 )
@@ -54,6 +55,10 @@ _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
                        (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)]:
     _EPS3[_i, _j, _k] = _s
+
+# most bytes of a basis's gather indices, the first allocation that fails
+# at large K: 16 (h + 1)^2 holds K <= 8 (97 MB) and refuses K = 9 (188 MB)
+MAX_GATHER_BYTES = 2 ** 27
 
 
 class FormBasis:
@@ -65,11 +70,17 @@ class FormBasis:
     scalar 0 is the constant, scalars 2r + 1 and 2r + 2 are the cos and sin
     of half_lattice[r].  Elements are L2-orthogonal under the flat metric
     with squared norms (2*pi)^3 for constants and (2*pi)^3 / 2 otherwise.
+    MemoryBudgetExceeded when its gather indices would pass MAX_GATHER_BYTES.
     """
 
     def __init__(self, K: int):
         if K < 1:
             raise ValueError("K must be at least 1")
+        gather_bytes = 16 * (((2 * K + 1) ** 3 - 1) // 2 + 1) ** 2
+        if gather_bytes > MAX_GATHER_BYTES:
+            raise MemoryBudgetExceeded(
+                f"the gather indices of K = {K} need an estimated {gather_bytes:.3g} bytes, "
+                f"over the ceiling of {MAX_GATHER_BYTES:.3g}")
         self.K = K
         n = 2 * K + 1
         # the cube in lexicographic order; the vectors after k = 0 are the positive ones
@@ -97,6 +108,25 @@ class FormBasis:
             return out
 
         return flat(1), flat(-1)
+
+    @functools.cached_property
+    def _exterior_entries(self):
+        """Rows, columns and values of B's nonzeros, read-only: cos(k.x) dx_a
+        couples to sin(k.x) dx_b, a != b, by eps_acb k_c (2*pi)^3 / 2 where
+        k_c != 0, and back by its negative."""
+        S = self.n_scalar
+        cos = 1 + 2 * np.arange(len(self.half_lattice))
+        rows, cols, vals = [], [], []
+        for a, b in itertools.permutations(range(3), 2):
+            val = _EPS3[a, 3 - a - b, b] * self.half_lattice[:, 3 - a - b] * (0.5 * VOLUME)
+            rows += [a * S + cos, a * S + cos + 1]
+            cols += [b * S + cos + 1, b * S + cos]
+            vals += [val, -val]
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        entries = rows[vals != 0], cols[vals != 0], vals[vals != 0]
+        for a in entries:
+            a.flags.writeable = False
+        return entries
 
     def form_to_vector(self, form: SpectralVectorField):
         """Exact coefficient vector of a 1-form (must fit in K): the canonical
@@ -171,21 +201,6 @@ class BlockMatrix:
         return out
 
 
-def _exterior_entries(basis: FormBasis):
-    """Rows, columns and values of B's nonzeros: cos(k.x) dx_a couples to sin(k.x) dx_b,
-    a != b, by eps_acb k_c (2*pi)^3 / 2 where k_c != 0, and back by its negative."""
-    S = basis.n_scalar
-    cos = 1 + 2 * np.arange(len(basis.half_lattice))
-    rows, cols, vals = [], [], []
-    for a, b in itertools.permutations(range(3), 2):
-        val = _EPS3[a, 3 - a - b, b] * basis.half_lattice[:, 3 - a - b] * (0.5 * VOLUME)
-        rows += [a * S + cos, a * S + cos + 1]
-        cols += [b * S + cos + 1, b * S + cos]
-        vals += [val, -val]
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    return rows[vals != 0], cols[vals != 0], vals[vals != 0]
-
-
 def _positions(parts):
     """The part of each index and its position in that part."""
     owner, pos = np.empty((2, sum(map(len, parts))), dtype=int)
@@ -198,7 +213,7 @@ def assemble_exterior(basis: FormBasis, parts) -> BlockMatrix:
     """Exact matrix B_ij = integral of e_i ^ d(e_j) on the blocks of `parts`:
     its nonzero entries scattered into zero blocks, so the others are +0.0.
     ValueError if `parts` split a coupled pair (`_block_quadrature`'s never do)."""
-    rows, cols, vals = _exterior_entries(basis)
+    rows, cols, vals = basis._exterior_entries
     owner, pos = _positions(parts)
     if np.any(owner[rows] != owner[cols]):
         raise ValueError("the parts split a coupled pair of B")
@@ -212,14 +227,23 @@ def assemble_exterior(basis: FormBasis, parts) -> BlockMatrix:
 
 def _partition(D: int, rows, cols) -> list:
     """Ascending index arrays of the connected components of the graph on
-    range(D) with the edges rows[e] ~ cols[e], ordered by their first index."""
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
+    range(D) with the edges rows[e] ~ cols[e], ordered by their first index.
 
-    graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(D, D))
-    n_parts, labels = connected_components(graph.tocsr(), directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_parts))[:-1])
+    Each vertex points at a smaller or equal vertex of its component (at
+    first itself).  Every round hooks the larger root of each edge whose
+    ends have different roots onto the smaller, then jumps pointers until
+    each vertex points at a root; when no edge joins two roots, every
+    vertex points at the smallest vertex of its component."""
+    label = np.arange(D)
+    while True:
+        lr, lc = label[rows], label[cols]
+        if np.array_equal(lr, lc):
+            break
+        np.minimum.at(label, np.maximum(lr, lc), np.minimum(lr, lc))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 # slot pairs (a, b), a <= b, of the six weight DFTs, and the DFT that (a, b) reads
@@ -263,7 +287,7 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     a, v = np.nonzero(linked[:, 1:])
     rows.append(a * S + 2 * v + 1)
     cols.append(a * S + 2 * v + 2)
-    b_rows, b_cols, _ = _exterior_entries(basis)
+    b_rows, b_cols, _ = basis._exterior_entries
     parts = _partition(basis.dimension, np.concatenate(rows + [b_rows]),
                        np.concatenate(cols + [b_cols]))
 
@@ -300,9 +324,9 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
     """
-    pts, w = uniform_grid(basis.nodes)
+    _, w = uniform_grid(basis.nodes)
     Ginv, det = inverse_and_det(metric.grid_matrix(basis.nodes))
-    H = h.entries.evaluate(pts)
+    H = h.entries_on_grid(basis.nodes)
     HS = Ginv @ H @ Ginv
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = -HS + 0.5 * tr[:, None, None] * Ginv

@@ -312,7 +312,7 @@ def _run_lyapunov(cfg):
     field, field_hash = _source_field({"abc": p})
     count = p["seeds"]
     # before the seeds: drawing a billion of them alone takes hours
-    dyn.check_step_budget(field, p["T"], p["tol"], lanes=count)
+    dyn.check_step_budget(field, p["T"], p["tol"], lanes=count, renorm=p["renorm"])
     if p["seed_style"] == "separatrix":
         x0s = dyn.separatrix_seeds(p["B"], count, base_key=7 + cfg.seed)
     else:

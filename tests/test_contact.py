@@ -131,6 +131,62 @@ class TestGridCaches:
         assert family.member(0.0).grid_matrix(nodes).tobytes() == g.grid_matrix(nodes).tobytes()
 
 
+class TestSharedStandardModel:
+    """standard_family shares one process-wide core; only the epsilon grid is per call."""
+
+    def test_two_epsilon_grids_share_one_core(self, model):
+        a = ct.standard_family([-0.1, 0.1])
+        b = ct.standard_family([-0.2, 0.05, 0.2])
+        assert a is not b and a.epsilon_grid == [-0.1, 0.1]
+        assert b.epsilon_grid == [-0.2, 0.05, 0.2]
+        for name in ("base", "contact", "beta", "variation", "_outer", "_grid_fields"):
+            assert getattr(a, name) is getattr(b, name), name
+        # a family built directly keeps its own caches, and std_contact_t3's
+        # metric still has none
+        contact, g = model
+        direct = ct.MetricFamily(g, contact, ct.default_perturbation_form(), [0.1])
+        assert direct._grid_fields is not a._grid_fields
+        assert direct.variation.grid_fields is not a.variation.grid_fields
+        assert g.grid_fields is None and a.base.grid_fields is not None
+
+    def test_standard_family_equals_a_directly_built_family(self, model, beta):
+        contact, g = model
+        direct = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
+        shared = ct.standard_family([-0.1, 0.1])
+        for nodes in (12, 19):
+            for eps in (-0.1, 0.0, 0.1):
+                assert (shared.member(eps).grid_matrix(nodes).tobytes()
+                        == direct.member(eps).grid_matrix(nodes).tobytes())
+            assert (shared.base.grid_matrix(nodes).tobytes()
+                    == direct.base.grid_matrix(nodes).tobytes())
+            assert (shared.variation.entries_on_grid(nodes).tobytes()
+                    == direct.variation.entries.evaluate(ct.uniform_grid(nodes)[0]).tobytes())
+
+    def test_cached_grid_arrays_reject_writes(self):
+        family = ct.standard_family([-0.1, 0.1])
+        ct.family_compatibility(family)
+        family.variation.entries_on_grid(12)
+        caches = [family.contact.grid_fields, family.base.grid_fields, family._grid_fields,
+                  family.variation.grid_fields]
+        arrays = [a for cache in caches for value in cache.values()
+                  for a in (value if isinstance(value, tuple) else (value,)) if a is not None]
+        assert all(caches) and len(arrays) >= 4 + 2 + 2 + 1
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_a_non_positive_member_is_refused_on_a_warm_core(self):
+        warm = ct.standard_family([-0.1, 0.1])
+        assert 12 in warm._grid_fields
+        # at eps = 1e12 the square-root factor rounds to 0 and g_eps has rank 2
+        with pytest.raises(NotPositiveDefinite):
+            ct.standard_family([0.1, 1e12])
+        again = ct.standard_family([-0.1, 0.1])
+        assert again._grid_fields is warm._grid_fields
+        assert (again.member(0.1).grid_matrix(12).tobytes()
+                == warm.member(0.1).grid_matrix(12).tobytes())
+
+
 class TestXiProjection:
     def test_alpha_projects_to_zero(self, model):
         contact, _ = model

@@ -10,7 +10,12 @@ from scipy.optimize import brentq
 from eulerlab import dynamics as dyn
 from eulerlab import serialize as ser
 from eulerlab import spectral as sp
-from eulerlab.errors import NoCrossings, StepBudgetExceeded, StepSizeUnderflow
+from eulerlab.errors import (
+    MemoryBudgetExceeded,
+    NoCrossings,
+    StepBudgetExceeded,
+    StepSizeUnderflow,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -515,6 +520,25 @@ class TestLaneStepper:
             dyn.poincare(huge, (1, 0.0), +1, [0.1, 0.2, 0.3], 5)
         with pytest.raises(StepBudgetExceeded):
             dyn.lyapunov_max(huge, [0.1, 0.2, 0.3], 10.0, 5.0)
+
+    def test_lane_memory_ceiling_refuses_what_the_attempt_floor_lets_through(self):
+        v = self.showcase()
+        # the calibration's and criterion 4's 20-lane batches hold about 10 and 1 MB
+        for T in (1e5, 1e4):
+            dyn.check_step_budget(v, T, 1e-9, lanes=20, renorm=5.0)
+        # one attempt a lane: the most lanes under the byte ceiling pass, one more does not
+        per_lane = dyn._lane_bytes(v, True, 2)
+        most = dyn.MAX_LANE_BYTES // per_lane
+        dyn.check_step_budget(v, 0.002, 1e-9, lanes=most, renorm=0.001)
+        with pytest.raises(MemoryBudgetExceeded, match=f"{most + 1} lanes x {per_lane} bytes"):
+            dyn.check_step_budget(v, 0.002, 1e-9, lanes=most + 1, renorm=0.001)
+        with pytest.raises(MemoryBudgetExceeded, match="50000000 lanes"):
+            dyn.check_step_budget(v, 0.002, 1e-9, lanes=50_000_000, renorm=0.001)
+        # lyapunov_max checks before it builds a lane
+        with pytest.raises(MemoryBudgetExceeded):
+            dyn.lyapunov_max(v, np.zeros((most + 1, 3)), 0.002, 0.001)
+        # the log rows count: 20,000 intervals make a lane 100 times larger
+        assert dyn._lane_bytes(v, True, 20_000) > 100 * per_lane
 
     def test_step_size_underflow_mid_run(self):
         def rhs(t, y, out=None):  # finite only below y = 0.5, which the lanes reach at t = 0.5

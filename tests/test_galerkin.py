@@ -13,6 +13,7 @@ from eulerlab.errors import (
     ClusterLeakage,
     DegenerateDirection,
     IllConditionedContour,
+    MemoryBudgetExceeded,
     NotPositiveDefinite,
     WindowTouchesSpectrum,
 )
@@ -172,6 +173,20 @@ class TestFormBasis:
         assert gk.FormBasis(1).dimension == 81
         assert gk.FormBasis(2).dimension == 3 * 125
 
+    def test_gather_index_ceiling(self):
+        # 16 (h + 1)^2 bytes: 97 MB at K = 8 is under the ceiling, 188 MB at K = 9 is not
+        assert gk.FormBasis(8).dimension == 3 * 17 ** 3
+        for K in (9, 40):
+            with pytest.raises(MemoryBudgetExceeded, match=f"K = {K} "):
+                gk.FormBasis(K)
+
+    def test_exterior_entries_once_per_basis(self, basis1):
+        entries = basis1._exterior_entries
+        assert basis1._exterior_entries is entries
+        assert all(not a.flags.writeable for a in entries)
+        B = gk.assemble_exterior(basis1, single_part(basis1))
+        assert np.array_equal(dense(B)[entries[0], entries[1]], entries[2])
+
     def test_flat_gram_is_diagonal(self, flat1, basis1):
         M = dense(flat1[1])
         off = M - np.diag(np.diag(M))
@@ -206,6 +221,76 @@ class TestFormBasis:
             {(2, 0, 0): np.array([0.5, 0, 0], dtype=complex)}, truncation_radius=2)
         with pytest.raises(ValueError):
             basis1.form_to_vector(form)
+
+
+def scipy_parts(D, rows, cols):
+    """The parts of connected_components' labels, as `_partition` orders them."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(D, D))
+    n_parts, labels = connected_components(graph.tocsr(), directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_parts))[:-1])
+
+
+def random_graph(seed):
+    """Edges among D vertices: random pairs, some repeated and some
+    reversed, self-loops, and vertices that no edge meets."""
+    gen = rng(seed, 41)
+    D = int(gen.integers(1, 600))
+    edges = gen.integers(0, D, size=(int(gen.integers(0, 2 * D)), 2))
+    repeated = edges[gen.integers(0, len(edges), size=len(edges) // 3)] if len(edges) else edges
+    loops = np.repeat(gen.integers(0, D, size=(D // 10, 1)), 2, axis=1)
+    edges = np.concatenate([edges, repeated, repeated[:, ::-1], loops])
+    return D, edges[:, 0], edges[:, 1]
+
+
+class TestPartition:
+    """`_partition` labels components in numpy; scipy's csgraph is the reference."""
+
+    @staticmethod
+    def check(D, rows, cols):
+        rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+        parts = gk._partition(D, rows, cols)
+        ref = scipy_parts(D, rows, cols)
+        assert len(parts) == len(ref)
+        for got, want in zip(parts, ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        return parts
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs(self, seed):
+        D, rows, cols = random_graph(seed)
+        parts = self.check(D, rows, cols)
+        touched = np.zeros(D, dtype=bool)
+        touched[rows[rows != cols]] = touched[cols[rows != cols]] = True
+        if not touched.all():  # an isolated vertex is a part of its own
+            assert [int(np.flatnonzero(~touched)[0])] in [p.tolist() for p in parts]
+
+    def test_empty_edge_list(self):
+        parts = self.check(7, [], [])
+        assert [p.tolist() for p in parts] == [[i] for i in range(7)]
+
+    @pytest.mark.parametrize("D", [1, 2, 257])
+    def test_long_chains(self, D):
+        # a path listed from its far end, two interleaved paths, and a cycle
+        # through a random order: the smallest vertex must reach every vertex
+        v = np.arange(D)
+        self.check(D, v[1:][::-1], v[:-1][::-1])
+        self.check(D, v[2:][::-1], v[:-2][::-1])
+        perm = rng(D, 42).permutation(D)
+        self.check(D, perm, np.roll(perm, 1))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_block_quadrature_graphs(self, family, eps):
+        # chains through the parts of a K = 2 mass matrix give back its parts
+        basis = gk.FormBasis(2)
+        M = gk.assemble_mass(family.member(eps), basis)
+        rows = np.concatenate([idx[:-1] for idx in M.parts])
+        cols = np.concatenate([idx[1:] for idx in M.parts])
+        parts = self.check(basis.dimension, rows, cols)
+        assert [p.tolist() for p in parts] == [p.tolist() for p in M.parts]
 
 
 class TestExteriorMatrix:

@@ -364,6 +364,62 @@ def test_cli_refuses_runs_over_the_step_budget(tmp_path, doc):
     assert not out.exists()
 
 
+# runs the step budget lets through that would not fit in memory: 5e7
+# one-attempt lanes would take some 14 minutes to draw their seeds and then
+# ask for a (14, 5e7, 12) float array (67 GB); the gather indices of K = 40
+# would take 526 GiB each
+@pytest.mark.parametrize("doc", [
+    {"kind": "lyapunov", "params": {"A": 1.0, "B": 0.5, "C": 0.1, "T": 0.002, "renorm": 0.001,
+                                    "seeds": 50000000}},
+    {"kind": "perturb", "params": {"K": 40}},
+    {"kind": "pi-map", "params": {"mode": "galerkin", "K": 40}},
+], ids=["lyapunov-5e7-short-lanes", "perturb-K40", "pi-map-K40"])
+def test_cli_refuses_runs_over_the_memory_ceilings(tmp_path, doc):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out),
+                   preexec_fn=_cap_address_space, timeout=20)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "exceed the ceiling" in proc.stderr or "over the ceiling" in proc.stderr
+    assert not out.exists()
+
+
+_SHARED_MODEL_RUNS = [
+    {"kind": "pi-map", "params": {"mode": "galerkin", "K": 1}},
+    {"kind": "perturb", "params": {"K": 2, "epsilons": [-0.1, 0.05, 0.1]}},
+    {"kind": "pi-map", "params": {"mode": "galerkin", "K": 2, "q": 0.03}},
+]
+
+
+def test_runs_on_the_shared_model_match_fresh_processes(tmp_path):
+    """pi-map, perturb and pi-map again in one process, the later two on the
+    standard model that the first built, write the files of a fresh
+    interpreter's run of each config."""
+    code = f"""
+import json, os, sys
+from eulerlab import runner
+for i, doc in enumerate(json.loads({json.dumps(_SHARED_MODEL_RUNS)!r})):
+    out = os.path.join({str(tmp_path)!r}, f"one{{i}}")
+    assert runner.run(runner.load_config(doc), out_dir=out).ok
+"""
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    for i, doc in enumerate(_SHARED_MODEL_RUNS):
+        cfgfile = tmp_path / f"c{i}.json"
+        cfgfile.write_text(json.dumps(doc))
+        fresh = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile),
+                        "--out", str(tmp_path / f"fresh{i}"))
+        assert fresh.returncode == 0, fresh.stderr
+        files = [json.loads((tmp_path / f"{which}{i}" / "run_record.json").read_text())["files"]
+                 for which in ("one", "fresh")]
+        assert files[0] == files[1] and files[0]
+
+
 # found by the CLI fuzz test: a seed that does not fit a uint64 Philox key
 # (lyapunov keys 11 + seed, bernoulli shells key the shell seed) raised
 # OverflowError, a traceback with exit code 1
@@ -442,7 +498,7 @@ def test_only_pencil_runs_load_scipy(tmp_path):
     and running the five kinds without a pencil, in process and through the
     CLI, loads no scipy module, no jsonschema and no contact module; a perturb
     run in the same process then loads the Galerkin and contact modules on
-    demand."""
+    demand, and neither it nor a pi-map galerkin run loads scipy.sparse."""
     cli_config = tmp_path / "lyapunov.json"
     cli_config.write_text(json.dumps(TINY["lyapunov"]))
     code = f"""
@@ -464,6 +520,10 @@ assert "eulerlab.contact" not in sys.modules
 assert runner.run(cfgs["perturb"], out_dir=os.path.join(out, "perturb")).ok
 assert "eulerlab.galerkin" in sys.modules and "scipy.linalg" in sys.modules
 assert "eulerlab.contact" in sys.modules
+galerkin = runner.load_config({{"kind": "pi-map", "params": {{"mode": "galerkin", "K": 1}}}})
+assert runner.run(galerkin, out_dir=os.path.join(out, "pi-map")).ok
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+assert not loaded, loaded
 """
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
