@@ -39,7 +39,7 @@ Four groups of rows, each written to its own JSON file.
 - `tangent_rhs_per_lane_L*`: one tangent right-hand side call on lane rows
   (states with their phases, `dynamics.phase_matrix`) divided by its lane
   count, at 1, 2 and 50 lanes, in the stepper's form `rhs(None, rows,
-  out=buf)` (on checkouts whose kernel takes no `out`, `rhs(None, rows)`);
+  out=buf)`;
 - `attempt_L*`: one DOP853 step attempt of the lane stepper at 1, 2 and 4
   lanes (a renormalized run to t = 50, divided by its attempts);
 - `lyapunov_max` at T = 1e3, renorm 5: 2 random and 4 separatrix seeds;
@@ -65,9 +65,8 @@ Four groups of rows, each written to its own JSON file.
 `--group fields` (BENCH_fields.json), the `abc` grid diagnostics on the
 showcase field (1, 0.5, 0.1) at grid 64:
 
-- `grid_slabs_64` (one pass over the slabs of the field's grid values;
-  on checkouts before `grid_slabs`, `evaluate_on_grid_64`, the same values
-  as one array), `proportionality_factor_64` and `min_norm_64`: one call,
+- `grid_slabs_64` (one pass over the slabs of the field's grid values),
+  `proportionality_factor_64` and `min_norm_64`: one call,
   and the `tracemalloc` peak of a second, traced call;
 - end to end, `abc_run_64` and `abc_run_256`: one `abc` run at grid 64 and
   at grid 256 through `runner.run` in a fresh interpreter, with its peak RSS.
@@ -80,18 +79,8 @@ seconds under `median_s`, and for the cases that measure one, the peak in
 MiB under `median_peak_mb`.  Every case is called once to warm up, then
 each of --runs rounds calls every case once, so a slow stretch of a shared
 host lands on all cases of a round rather than on whichever case runs
-during it.  Every call used
-exists with the same signature on older checkouts, so the script can be
-copied into one and run there, except four: `assemble_exterior(basis,
-parts)` in the `solve_pencil_K3` setup (checkouts whose B is one dense
-array call `assemble_exterior(basis)`), `track_splitting(family, window,
-K)` (checkouts that still take the contact form call
-`track_splitting(family, contact, window, K)`), the basis grid
-`FormBasis.nodes` (checkouts that pick a node count per matrix have
-`default_mass_nodes`) and the lane rows of the dynamics group
-(`phase_matrix` and the `phases` argument of `_dop853`; older right-hand
-sides take bare states); run an older checkout's own copy of the script
-instead.
+during it.  The script calls the library of its own checkout; to time
+another checkout, run that checkout's copy of the script.
 Results go under `--label` into the group's file (or `--out`) at the root
 of the checkout that holds this script; entries under other labels are
 kept, so two checkouts can write side by side into one file:
@@ -107,7 +96,6 @@ Uses the standard library and numpy only, and imports eulerlab from the
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import os
@@ -338,16 +326,12 @@ def _k_convergence(scratch):
 
 
 def _rhs_per_lane(rhs, y, calls=2000):
-    buf = np.empty_like(y) if "out" in inspect.signature(rhs).parameters else None
+    buf = np.empty_like(y)
 
     def timed():
         start = time.perf_counter()
-        if buf is None:
-            for _ in range(calls):
-                rhs(None, y)
-        else:
-            for _ in range(calls):
-                rhs(None, y, out=buf)
+        for _ in range(calls):
+            rhs(None, y, out=buf)
         return (time.perf_counter() - start) / (calls * len(y))
     return timed
 
@@ -482,10 +466,8 @@ def _fields_cases(scratch):
         for _ in sp.grid_slabs(v, 64):
             pass
 
-    grid = (("grid_slabs_64", slabs) if hasattr(sp, "grid_slabs")
-            else ("evaluate_on_grid_64", lambda: sp.evaluate_on_grid(v, 64)))
     return {
-        grid[0]: _traced(grid[1]),
+        "grid_slabs_64": _traced(slabs),
         "proportionality_factor_64": _traced(lambda: sp.proportionality_factor(v, 64)),
         "min_norm_64": _traced(lambda: sp.min_norm(v, 64)),
         "end_to_end.abc_run_64": _fresh_run(abc(64), os.path.join(scratch, "abc64")),

@@ -106,8 +106,8 @@ def inverse_and_det(G):
 
 
 def require_positive(G, det, where):
-    """Raise NotPositiveDefinite if some matrix of G (m, 3, 3) has its
-    smallest eigenvalue (by eigvalsh) at or below 1e-12.
+    """Raise NotPositiveDefinite if some matrix of G (m, 3, 3) has a non-finite
+    entry or its smallest eigenvalue (by eigvalsh) at or below 1e-12.
 
     A matrix is certified without an eigensolve when its leading minors
     g00 and g00 g11 - g01^2 are positive and the bound
@@ -116,6 +116,8 @@ def require_positive(G, det, where):
     largest entry; eigvalsh decides the others.
     """
     G = G.reshape(-1, 3, 3)
+    if not np.all(np.isfinite(G)):
+        raise NotPositiveDefinite(f"metric not positive definite: non-finite entries on {where}")
     size = np.max(np.abs(G.reshape(-1, 9)), axis=1)
     margin = 256.0 * np.finfo(float).eps * size
     tr = G[:, 0, 0] + G[:, 1, 1] + G[:, 2, 2]
@@ -154,6 +156,7 @@ class MetricField:
         return tuple(None if f is None else f.evaluate(points)
                      for f in (self.g_xi, self.alpha_sq, self.extra, self.xi_scale_norm2))
 
+    @np.errstate(over="ignore", invalid="ignore")  # a huge eps gives inf and nan, refused later
     def _combine(self, g_xi, alpha_sq, extra, norm2):
         m = g_xi
         if self.xi_scale_eps is not None:
@@ -173,6 +176,7 @@ class MetricField:
             return self.matrix(uniform_grid(nodes)[0])
         return self._combine(*_on_grid(self.grid_fields, nodes, self._fields))
 
+    @np.errstate(all="ignore")  # require_positive refuses a singular or non-finite G
     def check_positive(self):
         G = self.grid_matrix(12)
         require_positive(G, inverse_and_det(G)[1], "the 12^3 grid")

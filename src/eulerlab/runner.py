@@ -381,7 +381,8 @@ def _run_perturb(cfg):
     collinear = ct.noncollinearity_measure(fam.contact.alpha, fam.beta, 32, 1e-3)
     report = {
         "dimension": 3 * (2 * p["K"] + 1) ** 3,
-        "metric_hash": ser.sha256_of_text(ser.dump_json(ser.metric_to_json(fam.base))),
+        "metric_hash": ser.sha256_of_text(ser.dump_json(
+            {name: ser.field_to_json(getattr(fam.base, name)) for name in ("g_xi", "alpha_sq")})),
         "epsilons": [float(e) for e in curves.epsilons],
         "cluster_size": int(curves.curves.shape[1]),
         "pairing_eigenvalues": [float(x) for x in curves.pairing_eigenvalues],

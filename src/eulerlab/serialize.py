@@ -12,14 +12,11 @@ import json
 
 import numpy as np
 
-from .spectral import ScalarSpectralField, SpectralTensorField, SpectralVectorField
+from .spectral import SpectralVectorField
 
 __all__ = [
     "field_to_json",
     "field_from_json",
-    "trig_to_json",
-    "tensor_to_json",
-    "metric_to_json",
     "section_csv",
     "lyapunov_csv",
     "matrix_csv",
@@ -54,7 +51,8 @@ def sha256_of_file(path) -> str:
 def field_to_json(f) -> dict:
     """Schema: {truncation_radius, modes: [{k: [int x3], re, im}]}, one mode entry per
     +/-k pair: k = 0 when stored, then the lexicographically positive representatives.
-    re and im are lists of three floats for a vector field, floats for a scalar field."""
+    re and im are floats for a scalar field, lists of three floats for a vector field
+    and three such lists for a tensor field."""
     half = len(f.K) // 2
     modes = [{"k": k, "re": c.real.tolist(), "im": c.imag.tolist()}
              for k, c in zip(f.K[half:].tolist(), f.C[half:])]
@@ -69,48 +67,6 @@ def field_from_json(doc: dict, cls=SpectralVectorField):
 
 def field_hash(v: SpectralVectorField) -> str:
     return sha256_of_text(dump_json(field_to_json(v)))
-
-
-# ---------------------------------------------------------------------------
-# trig polynomials, tensors, metrics
-
-
-def trig_to_json(f: ScalarSpectralField) -> dict:
-    """Schema: {terms: [{kind: "cos" | "sin", k: [int x3], coeff}]}, the real form
-    of the canonical half sorted by (k, kind); zero terms are left out."""
-    half = len(f.K) // 2
-    terms = []
-    for k, c in zip(f.K[half:].tolist(), f.C[half:].tolist()):
-        w = 2.0 if any(k) else 1.0  # the canonical half stands for both of +-k
-        for kind, coeff in (("cos", w * c.real), ("sin", -w * c.imag)):
-            if coeff != 0.0 and (kind == "cos" or any(k)):
-                terms.append({"kind": kind, "k": k, "coeff": coeff})
-    return {"terms": terms}
-
-
-def tensor_to_json(t: SpectralTensorField) -> dict:
-    """Schema: {entries: rows of trig_to_json documents, one per entry t_ij}."""
-    return {"entries": [[trig_to_json(ScalarSpectralField(K=t.K, C=t.C[:, i, j],
-                                                          truncation_radius=t.truncation_radius))
-                         for j in range(3)] for i in range(3)]}
-
-
-def metric_to_json(g) -> dict:
-    """The JSON form of a contact.MetricField."""
-    doc = {
-        "g_xi": tensor_to_json(g.g_xi),
-        "alpha_outer": tensor_to_json(g.alpha_sq),
-        "extra": tensor_to_json(g.extra) if g.extra is not None else None,
-        "degree_hint": g.degree_hint,
-    }
-    if g.xi_scale_eps is not None:
-        doc["xi_scale"] = {
-            "epsilon": float(g.xi_scale_eps),
-            "norm2": trig_to_json(g.xi_scale_norm2),
-        }
-    else:
-        doc["xi_scale"] = None
-    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSuchEigenvalue, VanishingField
+from .errors import MemoryBudgetExceeded, NoSuchEigenvalue, VanishingField
 
 TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI ** 3
 SLAB = 4  # grid planes per slab of grid_slabs
+MAX_PRODUCT_BYTES = 2 ** 30  # ceiling on the per-pair arrays of one product, `_convolve`
 
 
 def _as_points(points):
@@ -183,8 +184,15 @@ def _convolve(a, b, combine):
     or below (n + 2) times that (the 2 for the operations inside one combine)
     cannot be told from zero and is set to zero, and modes left all zero are
     dropped.  The canonical half is kept and mirrored, so the result is
-    exactly real.
+    exactly real.  MemoryBudgetExceeded comes before the per-pair arrays (C,
+    K, magnitudes, counts) when they are estimated above MAX_PRODUCT_BYTES.
     """
+    pairs = len(a.K) * len(b.K)
+    per_pair = 16 * math.prod(combine(a.C[:0, None], b.C[None, :0]).shape[2:]) + 40
+    if pairs * per_pair > MAX_PRODUCT_BYTES:
+        raise MemoryBudgetExceeded(
+            f"an estimated {pairs * per_pair:.3g} bytes of mode pairs ({len(a.K)} x {len(b.K)} "
+            f"modes x {per_pair} bytes) exceed the ceiling of {MAX_PRODUCT_BYTES:.3g}")
     C = combine(a.C[:, None], b.C[None])
     K, C, mag, n = _merge((a.K[:, None] + b.K[None]).reshape(-1, 3),
                           C.reshape((-1,) + C.shape[2:]),

@@ -307,6 +307,9 @@ class TestMetricFamily:
             bad.check_positive()
         with pytest.raises(NotPositiveDefinite):
             ct.MetricFamily(bad, contact, beta, [0.1])
+        # eps = 1e300 overflows the member to inf and nan, with no warning on the way
+        with np.errstate(all="raise"), pytest.raises(NotPositiveDefinite, match="non-finite"):
+            ct.MetricFamily(g, contact, beta, [1e300])
 
 
 def spd(gen, count, smallest, scale):
@@ -353,6 +356,21 @@ class TestClosedFormAlgebra:
                     ct.require_positive(batch, det, "test points")
             else:
                 ct.require_positive(batch, det, "test points")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_positivity_guard_refuses_non_finite_entries_before_eigvalsh(self, bad,
+                                                                         monkeypatch):
+        batch = np.repeat(np.eye(3)[None], 4, axis=0)
+        batch[2, 0, 1] = batch[2, 1, 0] = bad
+        with np.errstate(all="ignore"):
+            det = ct.inverse_and_det(batch)[1]
+
+        def eigvalsh(_):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        with pytest.raises(NotPositiveDefinite, match="non-finite"):
+            ct.require_positive(batch, det, "test points")
 
     def test_grid_fields_are_evaluated_once_per_grid(self, model, beta, monkeypatch):
         contact, g = model

@@ -169,7 +169,9 @@ def test_poincare_run_sidecar(tmp_path):
      ("bernoulli_first_integral", "bernoulli_range_gap")),
     # 128 of the 32^3 grid points, where cos x1 = cos x3 = 0, have alpha ^ beta = 0
     ({"kind": "perturb", "params": {"K": 1, "epsilons": [-0.1, 0.1]}},
-     {"alpha_beta_collinear_fraction": 0.00390625},
+     {"alpha_beta_collinear_fraction": 0.00390625,
+      # test_serialize.py pins the text of this hash
+      "metric_hash": "edeba732bb0549fe5c5ed1d2cb3976cb41e0c39d436a95a0c1b4ad4e504a7f3d"},
      ("alpha_beta_collinear_fraction", "alpha_beta_collinear_fraction")),
 ], ids=["poincare", "perturb"])
 def test_runs_report_the_paper_checks(tmp_path, doc, expected, check):
@@ -216,20 +218,24 @@ def _cap_address_space(limit=2 << 30):
 
 @pytest.mark.parametrize("doc, code", [
     ({"kind": "spectrum", "params": {"n": 200966}}, 0),
-    # v x curl v of a shell with 12,384 modes would take 6.86 GiB
+    # v x curl v of a shell with 12,384 modes would take 6.86 GiB in one
+    # array; the product ceiling refuses its 1.35e10 bytes of mode pairs
     ({"kind": "bernoulli", "params": {"source": {"shell": {"n": 1000001, "seed": 0}}}}, 1),
 ], ids=["spectrum-large-shell", "bernoulli-out-of-memory"])
 def test_large_shells_compute_or_fail_typed_under_a_memory_cap(tmp_path, doc, code):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps(doc))
     out = tmp_path / "o"
+    start = time.perf_counter()
     proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out),
                    preexec_fn=_cap_address_space)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if code:
+        assert time.perf_counter() - start < 5.0
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "compute error" in proc.stderr
+        assert "bytes of mode pairs" in proc.stderr and "exceed the ceiling" in proc.stderr
         assert not out.exists()
     else:
         assert json.loads((out / "report.json").read_text())["multiplicity"] > 0
@@ -386,6 +392,24 @@ def test_cli_refuses_runs_over_the_memory_ceilings(tmp_path, doc):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "exceed the ceiling" in proc.stderr or "over the ceiling" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilons", [[1e300], [-1e300, 0.1]])
+def test_cli_refuses_a_non_finite_member_metric_in_one_line(tmp_path, epsilons):
+    # eps = 1e300 overflows the member metric to inf and nan; the positivity
+    # guard refuses it before eigvalsh.  A fresh interpreter, since pytest's
+    # warning capture would hide a RuntimeWarning of an in-process run
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"kind": "perturb", "params": {"K": 1, "epsilons": epsilons}}))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out),
+                   preexec_fn=_cap_address_space, timeout=20)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "not positive definite: non-finite entries" in proc.stderr
     assert not out.exists()
 
 

@@ -42,47 +42,44 @@ def test_field_hash_deterministic():
     assert a != c
 
 
-def _terms(*spec):
-    return {"terms": [{"coeff": c, "k": list(k), "kind": kind} for kind, k, c in spec]}
-
-
-# metric_to_json of the standard model; perturb reports hash this text as metric_hash
-BASE_METRIC_DOC = {
-    "alpha_outer": {"entries": [
-        [_terms(("cos", (0, 0, 0), 0.5), ("cos", (0, 0, 2), 0.5)),
-         _terms(("sin", (0, 0, 2), -0.5)), _terms()],
-        [_terms(("sin", (0, 0, 2), -0.5)),
-         _terms(("cos", (0, 0, 0), 0.5), ("cos", (0, 0, 2), -0.5)), _terms()],
-        [_terms(), _terms(), _terms()]]},
-    "degree_hint": 2,
-    "extra": None,
-    "g_xi": {"entries": [
-        [_terms(("cos", (0, 0, 0), 0.5), ("cos", (0, 0, 2), -0.5)),
-         _terms(("sin", (0, 0, 2), 0.5)), _terms()],
-        [_terms(("sin", (0, 0, 2), 0.5)),
-         _terms(("cos", (0, 0, 0), 0.5), ("cos", (0, 0, 2), 0.5)), _terms()],
-        [_terms(), _terms(), _terms(("cos", (0, 0, 0), 1.0))]]},
-    "xi_scale": None,
-}
-
-
-def test_base_metric_json_text_is_pinned():
+def test_tensor_field_round_trip():
     _, g = ct.std_contact_t3()
-    text = ser.dump_json(ser.metric_to_json(g))
+    t = ct.outer(sp.random_beltrami(2, 3)) + g.g_xi
+    for f in (g.g_xi, g.alpha_sq, t):
+        back = ser.field_from_json(ser.field_to_json(f), sp.SpectralTensorField)
+        assert back.truncation_radius == f.truncation_radius
+        assert np.array_equal(back.K, f.K)
+        # equal in value, not in bytes: the mirrored half of g_xi comes back
+        # with -0j where the field held +0j
+        assert np.array_equal(back.C, f.C)
+        assert ser.field_to_json(back) == ser.field_to_json(f)
+
+
+_ROW0 = [0.0, 0.0, 0.0]
+_ZERO = [_ROW0, _ROW0, _ROW0]
+
+# the standard model's base metric, its fields g_xi and alpha_sq as
+# field_to_json writes them; perturb reports hash this text as metric_hash
+BASE_METRIC_DOC = {
+    "alpha_sq": {"truncation_radius": 2, "modes": [
+        {"k": [0, 0, 0], "re": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], _ROW0], "im": _ZERO},
+        {"k": [0, 0, 2], "re": [[0.25, 0.0, 0.0], [0.0, -0.25, 0.0], _ROW0],
+         "im": [[0.0, 0.25, 0.0], [0.25, 0.0, 0.0], _ROW0]}]},
+    "g_xi": {"truncation_radius": 2, "modes": [
+        {"k": [0, 0, 0], "re": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]],
+         "im": _ZERO},
+        {"k": [0, 0, 2], "re": [[-0.25, 0.0, 0.0], [0.0, 0.25, 0.0], _ROW0],
+         "im": [[0.0, -0.25, 0.0], [-0.25, 0.0, 0.0], _ROW0]}]},
+}
+METRIC_HASH = "edeba732bb0549fe5c5ed1d2cb3976cb41e0c39d436a95a0c1b4ad4e504a7f3d"
+
+
+def test_metric_hash_text_is_pinned():
+    _, g = ct.std_contact_t3()
+    text = ser.dump_json({"g_xi": ser.field_to_json(g.g_xi),
+                          "alpha_sq": ser.field_to_json(g.alpha_sq)})
     assert text == ser.dump_json(BASE_METRIC_DOC)
-    assert ser.sha256_of_text(text) == (
-        "09573f6f2713aa9c41a7e6cfe57f754353c8bfb1821a54ff709152afe1b3a1c6")
-
-
-def test_metric_json_includes_family_factor():
-    contact, g = ct.std_contact_t3()
-    beta = ct.default_perturbation_form()
-    fam = ct.MetricFamily(g, contact, beta, [0.1])
-    doc = ser.metric_to_json(fam.member(0.1))
-    assert doc["xi_scale"]["epsilon"] == 0.1
-    assert doc["xi_scale"]["norm2"]["terms"]
-    base_doc = ser.metric_to_json(g)
-    assert base_doc["xi_scale"] is None
+    assert ser.sha256_of_text(text) == METRIC_HASH
 
 
 def test_section_csv():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eulerlab import serialize as ser
 from eulerlab import spectral as sp
-from eulerlab.errors import NoSuchEigenvalue, VanishingField
+from eulerlab.errors import MemoryBudgetExceeded, NoSuchEigenvalue, VanishingField
 
 TWO_PI = 2 * np.pi
 
@@ -560,6 +560,26 @@ def test_bernoulli_of_beltrami_fields_stores_no_modes(n):
         assert not sp.bernoulli(v).K.size
     for params in ((1.0, 0.5, 0.1), (0.3, -1.2, 0.7)):
         assert not sp.bernoulli(sp.make_abc(sp.ABCParams(*params))).K.size
+
+
+def test_products_over_the_byte_ceiling_are_refused_before_pairing(monkeypatch):
+    v = sp.random_beltrami(9, 0)
+    w = sp.curl_spectral(v)
+    # the coefficients of v x w (3 complex numbers), the summed wave vector,
+    # the magnitude and the count of each of the m^2 pairs
+    need = len(v.K) * len(w.K) * (16 * 3 + 24 + 8 + 8)
+    monkeypatch.setattr(sp, "MAX_PRODUCT_BYTES", need)
+    sp.cross_spectral(v, w)
+    monkeypatch.setattr(sp, "MAX_PRODUCT_BYTES", need - 1)
+    shapes = []
+
+    def cross(x, y):
+        shapes.append(x.shape[:2] + y.shape[:2])
+        return np.cross(x, y)
+
+    with pytest.raises(MemoryBudgetExceeded, match="bytes of mode pairs .* exceed the ceiling"):
+        sp._convolve(v, w, cross)
+    assert shapes == [(0, 1, 1, 0)]  # only the empty probe of the result shape
 
 
 TENSOR_PAIRS = st.dictionaries(WAVE, st.tuples(*[COEFF] * 9), max_size=6)
