@@ -7,7 +7,12 @@ Four groups of rows, each written to its own JSON file.
 - `assemble_mass` and `solve_pencil` on the K=3 family member at eps = 0.1
   (after the warm-up call the member's family holds its grid fields, as
   for every member of a sweep but the first), and `mass_derivative` of the
-  K=3 family;
+  K=3 family.  `assemble_mass_K3` follows the member at eps = 0 on the same
+  basis, so it builds its quadrature plan, as the first member after eps =
+  0 of a sweep does; `assemble_mass_K3_reused` follows the member at eps =
+  0.05, so it only gathers, as the later members do;
+- `window_count_K3`: the inertia counts of the window (0.8, 1.2) on the 16
+  blocks of the same member's pencil (B, M);
 - `track_splitting` at K=3 (the perturb sweep: 13 mass assemblies and
   pencil solves, one `mass_derivative`, and the pairing and pencil
   matrices of the base cluster) and `family_compatibility` of the
@@ -204,6 +209,11 @@ def _galerkin_cases(scratch):
 
     basis3 = gk.FormBasis(3)
     member = family.member(0.1)
+
+    def after(eps):  # the member at eps = 0.1 assembled just after the member at eps
+        return _on_fresh(lambda: gk.assemble_mass(family.member(eps), basis3),
+                         lambda _: gk.assemble_mass(member, basis3))
+
     M3 = gk.assemble_mass(member, basis3)
     B3 = gk.assemble_exterior(basis3, M3.parts)
     pi_family = ct.standard_family([-0.1, 0.1])
@@ -218,8 +228,11 @@ def _galerkin_cases(scratch):
     run = _runs(scratch)
     verify_out = os.path.join(scratch, "verify")
     return {
-        "assemble_mass_K3": _wall(lambda: gk.assemble_mass(member, basis3)),
+        "assemble_mass_K3": after(0.0),
+        "assemble_mass_K3_reused": after(0.05),
         "solve_pencil_K3": _wall(lambda: gk.solve_pencil(B3, M3, (0.8, 1.2))),
+        "window_count_K3": _wall(lambda: [gk._window_count(Bb, Mb, 0.8, 1.2)
+                                          for Bb, Mb in zip(B3.blocks, M3.blocks)]),
         "mass_derivative_K3": _wall(
             lambda: gk.mass_derivative(family.base, family.variation, basis3)),
         "track_splitting_K3": _on_fresh(

@@ -233,7 +233,8 @@ class MetricFamily:
     eps = 0 is the variation tensor of `beta`.  Positivity is checked on
     every epsilon of the grid at construction.  The eps-independent fields
     of the members are evaluated once per uniform grid and kept for all of
-    them, and for every family that `with_epsilons` makes of this one.
+    them, and for every family that `with_epsilons` makes of this one, as
+    is `collinear_fraction`.
     """
 
     def __init__(self, base: MetricField, contact: ContactForm, beta: SpectralVectorField,
@@ -244,6 +245,7 @@ class MetricFamily:
         self.variation = variation_tensor(beta, contact, base)
         self._outer = outer(self.variation.beta_xi)
         self._grid_fields = {}  # nodes -> fields on uniform_grid(nodes), see MetricField
+        self._collinear = {}  # (grid, tol) -> collinear_fraction
         self._take_epsilons(epsilon_grid)
 
     def _take_epsilons(self, epsilon_grid):
@@ -257,6 +259,15 @@ class MetricFamily:
         family = copy.copy(self)
         family._take_epsilons(epsilon_grid)
         return family
+
+    def collinear_fraction(self, grid, tol) -> float:
+        """noncollinearity_measure of the contact form and beta, computed
+        once per (grid, tol) for this family and those `with_epsilons`
+        makes of it."""
+        if (grid, tol) not in self._collinear:
+            self._collinear[grid, tol] = noncollinearity_measure(self.contact.alpha, self.beta,
+                                                                 grid, tol)
+        return self._collinear[grid, tol]
 
     def member(self, eps) -> MetricField:
         eps = float(eps)
@@ -312,7 +323,8 @@ def default_perturbation_form():
 def _standard_core() -> MetricFamily:
     """The model family on no epsilon, built once per process: the contact
     form, the base metric (given a grid cache here), beta, the variation
-    tensor and b_xi (x) b_xi, with their grid caches.  The function cache
+    tensor and b_xi (x) b_xi, with their grid caches, and the collinear
+    fraction of alpha and beta that a run asks for.  The function cache
     holds this one family; each grid cache holds one read-only entry per
     node count that a run meets, and no entry depends on an epsilon or a
     config."""

@@ -5,14 +5,18 @@ B_ij = integral of e_i ^ d(e_j) is metric-independent and exact in closed
 form, M(g)_ij = <e_i, e_j>_g is a quadrature on one grid per basis, above
 the Nyquist bound of every integrand.  Every D x D matrix is a BlockMatrix,
 zero outside diagonal blocks, and none is ever dense.  The partition is
-found per metric before assembly, from the support of the six weight DFTs
-and B's cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and
-eps != 0; 183 of at most 6 at eps = 0).  M, dM and B are gathered onto
+found before assembly, from the support of the six weight DFTs and B's
+cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and eps !=
+0; 183 of at most 6 at eps = 0), and kept on the basis with its gather
+indices as a quadrature plan, which a metric of the same partition reuses:
+a sweep finds three partitions and two sets of gather indices, not one of
+each per member.  M, dM and B are gathered onto
 it, and the pencil, the symmetric family A = M^{-1/2} B M^{-1/2}, A(0)
 with its exact derivative (on the joint parts of M and dM), A's cluster
 and the contour projector keep it.  Eigensolves go whole only on blocks
-with an eigenvalue near their window, and the projector only on blocks
-with one inside its circle, tridiagonalized once, at half the nodes.
+whose window holds an eigenvalue, counted by Sylvester inertia from two
+LDL' factorizations, and the projector only on blocks with one inside its
+circle, tridiagonalized once, at half the nodes.
 
 Eigenvalue clusters are tracked along metric families; one sweep gives
 their first-order splitting by finite differences, the pencil formula and
@@ -28,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -39,7 +43,6 @@ from .contact import (
     VariationTensor,
     inverse_and_det,
     require_positive,
-    uniform_grid,
 )
 from .errors import (
     ClusterLeakage,
@@ -92,6 +95,7 @@ class FormBasis:
         # 2K + d + 1 of each weight degree d it meets (the base metric's 2, dM's 6
         # and the family members' hint 12), so M, dM and M0 share its gather indices
         self.nodes = 2 * K + 13
+        self.quadrature_plan = None  # of the last weight support met, see _block_quadrature
 
     @functools.cached_property
     def gather_indices(self):
@@ -253,6 +257,61 @@ for _p, (_a, _b) in enumerate(_SLOT_PAIRS):
     _PAIR_OF[_a, _b] = _PAIR_OF[_b, _a] = _p
 
 
+def _links(basis: FormBasis, support):
+    """Rows and columns of the edges that join basis elements into blocks:
+    wave v of slot a links both its scalars to those of wave w of slot b
+    where the support of their slot pair's DFT holds k_v + k_w or k_v - k_w,
+    a wave with any link joins its own cos and sin, and B's nonzeros."""
+    S = basis.n_scalar
+    plus, minus = basis.gather_indices
+    cos = np.maximum(2 * np.arange(len(plus)) - 1, 0)
+    rows, cols, linked = [], [], np.zeros((3, len(plus)), dtype=bool)
+    for p, (a, b) in enumerate(_SLOT_PAIRS):
+        v, w = np.nonzero(support[p][plus] | support[p][minus])
+        rows.append(a * S + cos[v])
+        cols.append(b * S + cos[w])
+        linked[a, v] = linked[b, w] = True
+    a, v = np.nonzero(linked[:, 1:])
+    b_rows, b_cols, _ = basis._exterior_entries
+    return (np.concatenate(rows + [a * S + 2 * v + 1, b_rows]),
+            np.concatenate(cols + [a * S + 2 * v + 2, b_cols]))
+
+
+@dataclass(frozen=True)
+class _QuadraturePlan:
+    """What `_block_quadrature` derives from a support of the weight DFTs:
+    the partition, the block of each index, and per block the flat indices
+    (int32) of F(k_i + k_j) and F(k_i - k_j) into the stacked DFTs and the
+    u of its scalars."""
+
+    support: np.ndarray
+    parts: tuple
+    owner: np.ndarray
+    gathers: tuple
+
+    def holds(self, support, links) -> bool:
+        """Whether `support`, with its `_links`, has the plan's partition
+        without a new one: it keeps every entry of the plan's support, so
+        it splits no block, and links no two blocks."""
+        rows, cols = links
+        return not np.any(self.support & ~support) and np.array_equal(self.owner[rows],
+                                                                      self.owner[cols])
+
+
+def _quadrature_plan(basis: FormBasis, support, parts) -> _QuadraturePlan:
+    S, size = basis.n_scalar, basis.nodes ** 3
+    plus, minus = basis.gather_indices
+    u = np.ones(S, dtype=complex)
+    u[2::2] = -1j
+    gathers = []
+    for idx in parts:
+        slot, j = np.divmod(idx, S)
+        pair, wave = _PAIR_OF[slot[:, None], slot] * size, (j + 1) // 2
+        gathers.append(((pair + plus[wave[:, None], wave]).astype(np.int32),
+                        (pair + minus[wave[:, None], wave]).astype(np.int32), u[j]))
+    return _QuadraturePlan(support, tuple(parts), _positions(parts)[0], tuple(gathers))
+
+
 def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the basis grid.
 
@@ -265,72 +324,76 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     So |M_ij| <= max(|F(k_i + k_j)|, |F(k_i - k_j)|); the blocks are the
     components of the graph that links e_i ~ e_j where either exceeds
     1e-12 max|F| = 1e-12 max_a F_aa(0) (a diagonal entry of M, W being
-    positive definite), or where B_ij != 0, and only entries inside them
-    are gathered.
+    positive definite), or where B_ij != 0 (`_links`), and only entries
+    inside them are gathered.
+
+    The partition and the gathers depend on the weights only through that
+    support.  The basis keeps the plan of the last support it met
+    (`_QuadraturePlan`).  A matrix whose support equals it, or adds links
+    only inside its blocks, only gathers: the members of a metric family
+    with eps != 0 share one plan when solved in order of |eps|, their
+    supports growing with it.  Another support gets its partition, and
+    new gathers only when that differs (dM of the family reuses them).
     """
-    S, n = basis.n_scalar, basis.nodes
+    n = basis.nodes
     W = weights.reshape(n, n, n, 3, 3)
     F = np.stack([np.fft.fftn(W[..., a, b]).conj().ravel() for a, b in _SLOT_PAIRS])
-    plus, minus = basis.gather_indices
     magnitude = np.abs(F)
     support = magnitude > 1e-12 * np.max(magnitude)
+    plan = basis.quadrature_plan
+    if plan is None or not np.array_equal(plan.support, support):
+        links = _links(basis, support)
+        if plan is None or not plan.holds(support, links):
+            parts = _partition(basis.dimension, *links)
+            if plan is None or len(parts) != len(plan.parts) or not all(
+                    map(np.array_equal, parts, plan.parts)):
+                plan = basis.quadrature_plan = None  # the old gathers go before the new are made
+                plan = _quadrature_plan(basis, support, parts)
+        plan = basis.quadrature_plan = replace(plan, support=support)
 
-    # wave v of slot a links both its scalars to those of wave w of slot b;
-    # a wave with any link also joins its own cos and sin
-    cos = np.maximum(2 * np.arange(len(plus)) - 1, 0)
-    rows, cols, linked = [], [], np.zeros((3, len(plus)), dtype=bool)
-    for p, (a, b) in enumerate(_SLOT_PAIRS):
-        v, w = np.nonzero(support[p][plus] | support[p][minus])
-        rows.append(a * S + cos[v])
-        cols.append(b * S + cos[w])
-        linked[a, v] = linked[b, w] = True
-    a, v = np.nonzero(linked[:, 1:])
-    rows.append(a * S + 2 * v + 1)
-    cols.append(a * S + 2 * v + 2)
-    b_rows, b_cols, _ = basis._exterior_entries
-    parts = _partition(basis.dimension, np.concatenate(rows + [b_rows]),
-                       np.concatenate(cols + [b_cols]))
-
-    u = np.ones(S, dtype=complex)
-    u[2::2] = -1j
+    F = F.ravel()
     blocks = []
-    for idx in parts:
-        slot, j = np.divmod(idx, S)
-        pair, wave = _PAIR_OF[slot[:, None], slot], (j + 1) // 2
-        plus_ij, minus_ij = plus[wave[:, None], wave], minus[wave[:, None], wave]
-        uj = u[j]
-        block = 0.5 * (np.outer(uj, uj) * F[pair, plus_ij]
-                       + np.outer(uj, uj.conj()) * F[pair, minus_ij]).real
+    for plus, minus, uj in plan.gathers:
+        block = 0.5 * (np.outer(uj, uj) * F[plus] + np.outer(uj, uj.conj()) * F[minus]).real
         blocks.append(0.5 * (block + block.T))
-    return BlockMatrix(tuple(parts), tuple(blocks))
+    return BlockMatrix(plan.parts, tuple(blocks))
+
+
+def _volume_weights(det, nodes):
+    """sqrt(det g) times the cell weight (2*pi / nodes)^3 of uniform_grid.  Raises
+    NotPositiveDefinite before the square root where some det <= 0: a
+    member at a huge eps can pass the positivity guard on rounding noise."""
+    if not np.all(det > 0.0):
+        raise NotPositiveDefinite(
+            f"metric not positive definite: determinant {np.min(det):.3e} on the quadrature grid")
+    return np.sqrt(det) * (TWO_PI / nodes) ** 3
 
 
 def assemble_mass(metric: MetricField, basis: FormBasis) -> BlockMatrix:
     """Mass matrix M_ij = integral of g(e_i#, e_j#) vol_g by quadrature on
     the basis grid, on the blocks of `_block_quadrature`.
 
-    Raises NotPositiveDefinite when the metric fails positivity on the
-    quadrature grid.
+    Raises NotPositiveDefinite when the metric fails positivity or has a
+    determinant <= 0 on the quadrature grid.
     """
-    _, w = uniform_grid(basis.nodes)
     G = metric.grid_matrix(basis.nodes)
     Ginv, det = inverse_and_det(G)
     require_positive(G, det, "the quadrature grid")
-    return _block_quadrature(basis, Ginv * (np.sqrt(det) * w)[:, None, None])
+    return _block_quadrature(basis, Ginv * _volume_weights(det, basis.nodes)[:, None, None])
 
 
 def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> BlockMatrix:
     """Exact first-order mass matrix along the variation tensor h.
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
+    Raises NotPositiveDefinite where det g <= 0 on the quadrature grid.
     """
-    _, w = uniform_grid(basis.nodes)
     Ginv, det = inverse_and_det(metric.grid_matrix(basis.nodes))
     H = h.entries_on_grid(basis.nodes)
     HS = Ginv @ H @ Ginv
     tr = np.einsum("pij,pij->p", Ginv, H)
     core = -HS + 0.5 * tr[:, None, None] * Ginv
-    return _block_quadrature(basis, core * (np.sqrt(det) * w)[:, None, None])
+    return _block_quadrature(basis, core * _volume_weights(det, basis.nodes)[:, None, None])
 
 
 @dataclass(frozen=True)
@@ -348,22 +411,43 @@ class EigenCluster:
         return len(self.eigenvalues)
 
 
+def _window_count(A, M, lo, hi):
+    """Number of eigenvalues of A, or of the pencil (A, M) with M positive
+    definite, in [lo, hi), by Sylvester's law of inertia (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 3): nu(A - hi M) - nu(A - lo M),
+    M = None meaning the identity.  nu, the number of negative eigenvalues,
+    is read off the Bunch-Kaufman factorization L D L' of LAPACK ?sytrf:
+    one per negative 1 x 1 pivot of D and one per 2 x 2 pivot, whose
+    determinant is negative.  None where the count is not certain: M fails
+    its Cholesky factorization (?potrf) or a shift is singular."""
+    if M is not None and sla.lapack.dpotrf(M, clean=0)[1]:
+        return None
+    M = np.eye(len(A)) if M is None else M
+    nu = []
+    for sigma in (lo, hi):
+        # the transpose of a symmetric matrix, Fortran-ordered, goes to LAPACK without a copy
+        ldu, piv, info = sla.lapack.dsytrf((A - sigma * M).T, overwrite_a=1)
+        if info:
+            return None
+        nu.append(np.count_nonzero(ldu.diagonal()[piv > 0] < 0) + np.count_nonzero(piv < 0) // 2)
+    return nu[1] - nu[0]
+
+
 def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window, select):
     """Eigenpairs of A, or of the pencil (A, M), by blocks.  Each block's
-    eigenvalues in (lo - 2e-8, hi + 2e-8] are counted by bisection without
-    vectors (LAPACK ?syevr, ?sygvx; Parlett, The Symmetric Eigenvalue Problem,
-    ch. 3), and only blocks with some are solved whole.  The margin is twice
-    solve_pencil's 1e-8, so an eigenvalue that eigh puts within 1e-8 of an
-    edge is counted although bisection rounds it differently.  Returns their
-    eigenvalues (block order), the indices of those with `select(vals)` in a
-    stable ascending sort, and their vectors scattered to full length."""
+    eigenvalues in [lo - 2e-8, hi + 2e-8) are counted by inertia, without
+    an eigensolve (`_window_count`), and only blocks with some, or whose
+    count is not certain, are solved whole, so eigh raises as it would on
+    every block.  The margin is twice solve_pencil's 1e-8, so an eigenvalue
+    that eigh puts within 1e-8 of an edge is counted although the count
+    rounds it differently.  Returns their eigenvalues (block order), the
+    indices of those with `select(vals)` in a stable ascending sort, and
+    their vectors scattered to full length."""
     lo, hi = window[0] - 2e-8, window[1] + 2e-8
     solved = []
     for idx, Ab, Mb in zip(A.parts, A.blocks, itertools.repeat(None) if M is None else M.blocks):
-        counted = (sla.lapack.dsyevr(Ab, compute_v=0, range="V", vl=lo, vu=hi) if Mb is None
-                   else sla.lapack.dsygvx(*map(np.asarray_chkfinite, (Ab, Mb)), jobz="N",
-                                          range="V", vl=lo, vu=hi))  # finite, as sla.eigh's input
-        if counted[2] or counted[-1]:  # a count m > 0, or info != 0 that eigh then raises
+        Ab, Mb = np.asarray_chkfinite(Ab), Mb if Mb is None else np.asarray_chkfinite(Mb)
+        if _window_count(Ab, Mb, lo, hi) != 0:
             solved.append((idx, *(np.linalg.eigh(Ab) if Mb is None else sla.eigh(Ab, Mb))))
     vals = np.concatenate([w for _, w, _ in solved] + [np.empty(0)])
     keep = np.flatnonzero(select(vals))
@@ -475,9 +559,10 @@ def track_splitting(family: MetricFamily, window, K: int) -> SplittingCurves:
     solve_at = sorted(set(eps_list) | {s * e for e in SPLIT_FD_LEVELS for s in (1.0, -1.0)})
 
     # per epsilon: the cluster, the eigenvalues matched to alpha and beta, and
-    # the relative residual of alpha; only the base mass outlives its solve
+    # the relative residual of alpha; only the base mass outlives its solve.
+    # in order of |eps|, so the members after eps = 0 share one quadrature plan
     clusters, matched, alpha_residuals = {}, {}, {}
-    for eps in solve_at:
+    for eps in sorted(solve_at, key=abs):
         M = assemble_mass(family.member(eps), basis)
         B = assemble_exterior(basis, M.parts)
         clusters[eps] = solve_pencil(B, M, window)
@@ -489,10 +574,10 @@ def track_splitting(family: MetricFamily, window, K: int) -> SplittingCurves:
             M0 = M
     del M, B  # the last pencil goes before dM is built
     k = clusters[0.0].multiplicity
-    for eps, cl in clusters.items():
-        if cl.multiplicity != k:
+    for eps in solve_at:
+        if clusters[eps].multiplicity != k:
             raise ClusterLeakage(
-                f"cluster size changed from {k} to {cl.multiplicity} at eps={eps}"
+                f"cluster size changed from {k} to {clusters[eps].multiplicity} at eps={eps}"
             )
 
     curves = np.array([np.sort(clusters[e].eigenvalues) for e in eps_list])

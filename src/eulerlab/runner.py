@@ -378,7 +378,7 @@ def _run_perturb(cfg):
     alpha_dev = float(np.max(np.abs(curves.alpha_curve - fam.contact.lambda0)))
     # the splitting needs alpha and beta noncollinear: the fraction of grid
     # points where alpha ^ beta (nearly) vanishes must stay small
-    collinear = ct.noncollinearity_measure(fam.contact.alpha, fam.beta, 32, 1e-3)
+    collinear = fam.collinear_fraction(32, 1e-3)  # once per process: the model is fixed
     report = {
         "dimension": 3 * (2 * p["K"] + 1) ** 3,
         "metric_hash": ser.sha256_of_text(ser.dump_json(

@@ -421,6 +421,23 @@ class TestNoncollinearity:
         assert frac < 0.05
 
 
+    def test_the_standard_model_computes_the_fraction_once_per_process(self, monkeypatch):
+        contact, g = ct.std_contact_t3()
+        beta = ct.default_perturbation_form()
+        expected = ct.noncollinearity_measure(contact.alpha, beta, 32, 1e-3)
+        assert ct.standard_family([0.1]).collinear_fraction(32, 1e-3) == expected
+        calls, measure = [], ct.noncollinearity_measure
+        monkeypatch.setattr(ct, "noncollinearity_measure",
+                            lambda *args: calls.append(args) or measure(*args))
+        assert ct.standard_family([-0.2, 0.05]).collinear_fraction(32, 1e-3) == expected
+        assert calls == []
+        # a family built directly computes its own
+        fam = ct.MetricFamily(g, contact, beta, [0.1])
+        assert fam.collinear_fraction(32, 1e-3) == expected
+        assert fam.with_epsilons([0.2]).collinear_fraction(32, 1e-3) == expected
+        assert len(calls) == 1
+
+
 class TestVariationPairing:
     def test_alpha_diagonal_vanishes(self, model, family):
         contact, g = model

@@ -409,6 +409,22 @@ class TestMassMatrix:
             assert all(np.array_equal(a, b) for a, b in zip(dM.parts, ref.parts))
             assert all(a.tobytes() == b.tobytes() for a, b in zip(dM.blocks, ref.blocks))
 
+    @pytest.mark.parametrize("derivative", [False, True], ids=["M", "dM"])
+    def test_non_positive_determinant_refused_before_the_square_root(self, model, beta,
+                                                                      derivative):
+        # at eps = 1e10 the positivity guard passes on rounding noise, but
+        # det g is negative at some quadrature points
+        contact, g = model
+        fam = ct.MetricFamily(g, contact, beta, [1e10])
+        member, basis = fam.member(1e10), gk.FormBasis(1)
+        with np.errstate(invalid="raise"), pytest.raises(
+                NotPositiveDefinite, match=r"^metric not positive definite: determinant -\S+ "
+                                           r"on the quadrature grid$"):
+            if derivative:
+                gk.mass_derivative(member, fam.variation, basis)
+            else:
+                gk.assemble_mass(member, basis)
+
     def test_not_positive_definite(self, basis1, model):
         _, g = model
         bad = ct.MetricField(
@@ -788,6 +804,154 @@ class TestWindowFirstEigensolve:
         assert len(B.blocks) == 16
         assert [any(Bb is a for a in solved) for Bb in B.blocks] == [c > 0 for c in counts]
         assert sorted(map(len, solved)) == [36, 36, 54]
+
+
+def bisection_count(A, M, lo, hi):
+    """Slow reference of gk._window_count: LAPACK's bisection count of the
+    eigenvalues in (lo, hi], ?sygvx for the pencil and ?syevr for a matrix."""
+    if M is None:
+        return sla.lapack.dsyevr(A, compute_v=0, range="V", vl=lo, vu=hi)[2]
+    return sla.lapack.dsygvx(A, M, jobz="N", range="V", vl=lo, vu=hi)[2]
+
+
+# the window of the sweeps and a narrow one that cuts through their cluster
+COUNT_WINDOWS = [(0.8, 1.2), (0.9999, 1.0002)]
+
+
+class TestInertiaCounts:
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("window", COUNT_WINDOWS, ids=["default", "narrow"])
+    def test_pencil_counts_equal_bisection_on_every_sweep_member(self, family, K, window):
+        basis = gk.FormBasis(K)
+        lo, hi = window[0] - 2e-8, window[1] + 2e-8  # as _block_eigh counts
+        totals = []
+        for eps in sweep_epsilons(family):
+            M = gk.assemble_mass(family.member(eps), basis)
+            totals.append(0)
+            for Bb, Mb in zip(gk.assemble_exterior(basis, M.parts).blocks, M.blocks):
+                count = gk._window_count(Bb, Mb, lo, hi)
+                assert count == bisection_count(Bb, Mb, lo, hi)
+                totals[-1] += count
+        # the whole cluster of 6 at eps = 0; the narrow window loses some elsewhere
+        assert max(totals) == 6
+        assert (min(totals) < 6) == (window == COUNT_WINDOWS[1])
+
+    @pytest.mark.parametrize("window", COUNT_WINDOWS, ids=["default", "narrow"])
+    def test_matrix_counts_equal_bisection_on_the_pi_map_operators(self, pi_family, window):
+        fam, basis, A_of, _, _ = pi_family
+        lo, hi = window[0] - 2e-8, window[1] + 2e-8
+        operators = [gk.pencil_operator_derivative(fam, basis)[0], A_of(0.1), A_of(-0.05)]
+        for A in operators:
+            for Ab in A.blocks:
+                assert gk._window_count(Ab, None, lo, hi) == bisection_count(Ab, None, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_by_two_pivots_count_one(self, seed):
+        # a zero diagonal makes Bunch-Kaufman take 2 x 2 pivots
+        S = rng(71, seed).standard_normal((12, 12))
+        A = S + S.T
+        np.fill_diagonal(A, 0.0)
+        assert np.any(sla.lapack.dsytrf(A)[1] < 0)
+        w = np.linalg.eigvalsh(A)
+        for lo, hi in [(-1.0, 1.0), (-50.0, 0.5), (0.0, 50.0), (w[3] - 1e-9, w[8] + 1e-9)]:
+            assert gk._window_count(A, None, lo, hi) == np.count_nonzero((w >= lo) & (w < hi))
+
+    def test_singular_shift_is_not_counted(self):
+        assert gk._window_count(np.diag([0.5, 2.0]), None, 0.5, 1.0) is None
+        assert gk._window_count(np.diag([0.5, 2.0]), np.eye(2), 0.0, 2.0) is None
+
+    def test_not_positive_definite_mass_block_raises_as_eigh_does(self):
+        # block 1 has no eigenvalue near the window, but its M fails Cholesky
+        parts = (np.arange(2), np.arange(2, 4))
+        B = gk.BlockMatrix(parts, (np.diag([1.0, 5.0]), np.diag([3.0, 4.0])))
+        M = gk.BlockMatrix(parts, (np.eye(2), np.diag([1.0, -1.0])))
+        assert gk._window_count(M.blocks[1] * 0.0, M.blocks[1], 0.8, 1.2) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            gk.solve_pencil(B, M, (0.8, 1.2))
+
+
+def sweep_order(family):
+    """The epsilons in track_splitting's order, that of |eps|."""
+    return sorted(sweep_epsilons(family), key=abs)
+
+
+def same_blocks(a, b):
+    return (len(a.parts) == len(b.parts)
+            and all(np.array_equal(p, q) for p, q in zip(a.parts, b.parts))
+            and all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks, b.blocks)))
+
+
+class TestQuadraturePlan:
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_blocks_of_a_reused_plan_are_bitwise_a_fresh_build(self, family, K):
+        basis = gk.FormBasis(K)
+        plans = []
+        for eps in sweep_order(family):
+            M = gk.assemble_mass(family.member(eps), basis)
+            assert same_blocks(M, gk.assemble_mass(family.member(eps), gk.FormBasis(K)))
+            plans.append(basis.quadrature_plan)
+        # eps = 0 has its own plan and every other member gathers by one
+        assert plans[0].gathers is not plans[1].gathers
+        assert all(plan.gathers is plans[1].gathers for plan in plans[1:])
+        for _ in range(2):  # dM has the members' partition and gathers by their plan
+            dM = gk.mass_derivative(family.member(0.0), family.variation, basis)
+            fresh = gk.mass_derivative(family.member(0.0), family.variation, gk.FormBasis(K))
+            assert same_blocks(dM, fresh)
+            assert basis.quadrature_plan.gathers is plans[1].gathers
+
+    def test_a_plan_holds_exactly_the_supports_of_its_partition(self, family):
+        basis = gk.FormBasis(2)
+        gk.assemble_mass(family.member(0.01), basis)
+        plan = basis.quadrature_plan
+        assert plan.holds(plan.support, gk._links(basis, plan.support))
+        gen, held = rng(89, 0), []
+        for _ in range(30):  # the plan's support and one more entry
+            support = plan.support.copy()
+            support[gen.integers(6), gen.integers(support.shape[1])] = True
+            links = gk._links(basis, support)
+            parts = gk._partition(basis.dimension, *links)
+            same = len(parts) == len(plan.parts) and all(map(np.array_equal, parts, plan.parts))
+            held.append(plan.holds(support, links))
+            assert held[-1] == same
+        assert 0 < sum(held) < len(held)
+        # one entry fewer may split a block: never held
+        dropped = plan.support.copy()
+        dropped.flat[np.flatnonzero(dropped)[-1]] = False
+        assert not plan.holds(dropped, gk._links(basis, dropped))
+
+    def test_a_perturb_run_builds_three_partitions_and_two_plans(self, tmp_path, monkeypatch):
+        from eulerlab import runner
+
+        built, partition = [], gk._partition
+        monkeypatch.setattr(gk, "_partition", lambda *a: built.append(a) or partition(*a))
+        gathered, plan = [], gk._quadrature_plan
+        monkeypatch.setattr(gk, "_quadrature_plan", lambda *a: gathered.append(a) or plan(*a))
+        rec = runner.run(runner.load_config({"kind": "perturb", "params": {"K": 3}}),
+                         out_dir=str(tmp_path / "run"))
+        assert rec.ok
+        assert len(built) == 3  # eps = 0, the 12 other members, dM
+        assert len(gathered) == 2  # dM has the members' partition
+
+    def test_cluster_leakage_names_the_first_epsilon_in_order(self, family, monkeypatch):
+        # the clusters at -0.04 and 0.01 lose an eigenvalue; the message names
+        # the smaller, though the sweep solves in order of |eps|
+        current, assemble, solve = [], gk.assemble_mass, gk.solve_pencil
+
+        def assemble_mass(metric, basis):
+            current.append(metric.xi_scale_eps)
+            return assemble(metric, basis)
+
+        def solve_pencil(B, M, window):
+            cl = solve(B, M, window)
+            if current[-1] in (0.01, -0.04):
+                cl = gk.EigenCluster(cl.center, cl.radius, cl.eigenvalues[1:], cl.vectors[:, 1:])
+            return cl
+
+        monkeypatch.setattr(gk, "assemble_mass", assemble_mass)
+        monkeypatch.setattr(gk, "solve_pencil", solve_pencil)
+        with pytest.raises(ClusterLeakage,
+                           match=r"^cluster size changed from 6 to 5 at eps=-0\.04$"):
+            gk.track_splitting(family, (0.8, 1.2), 1)
 
 
 @pytest.fixture(scope="module")

@@ -395,11 +395,11 @@ def test_cli_refuses_runs_over_the_memory_ceilings(tmp_path, doc):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("epsilons", [[1e300], [-1e300, 0.1]])
-def test_cli_refuses_a_non_finite_member_metric_in_one_line(tmp_path, epsilons):
-    # eps = 1e300 overflows the member metric to inf and nan; the positivity
-    # guard refuses it before eigvalsh.  A fresh interpreter, since pytest's
-    # warning capture would hide a RuntimeWarning of an in-process run
+def _perturb_refused_in_one_line(tmp_path, epsilons):
+    """stderr of a `perturb` CLI run on `epsilons` in a fresh interpreter
+    under the address-space cap, asserted to exit 1 within 5 s with one
+    stderr line and no output directory.  A fresh interpreter, since
+    pytest's warning capture would hide a RuntimeWarning of an in-process run."""
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"kind": "perturb", "params": {"K": 1, "epsilons": epsilons}}))
     out = tmp_path / "o"
@@ -409,8 +409,23 @@ def test_cli_refuses_a_non_finite_member_metric_in_one_line(tmp_path, epsilons):
     assert time.perf_counter() - start < 5.0
     assert proc.returncode == 1, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
-    assert "not positive definite: non-finite entries" in proc.stderr
     assert not out.exists()
+    return proc.stderr
+
+
+@pytest.mark.parametrize("epsilons", [[1e300], [-1e300, 0.1]])
+def test_cli_refuses_a_non_finite_member_metric_in_one_line(tmp_path, epsilons):
+    # eps = 1e300 overflows the member metric to inf and nan; the positivity
+    # guard refuses it before eigvalsh
+    stderr = _perturb_refused_in_one_line(tmp_path, epsilons)
+    assert "not positive definite: non-finite entries" in stderr
+
+
+def test_cli_refuses_a_negative_quadrature_determinant_in_one_line(tmp_path):
+    # eps = 1e10 passes the positivity guard on rounding noise; the mass
+    # assembly refuses its negative determinant before the square root
+    stderr = _perturb_refused_in_one_line(tmp_path, [1e10])
+    assert "not positive definite: determinant -" in stderr
 
 
 _SHARED_MODEL_RUNS = [
