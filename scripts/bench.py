@@ -201,11 +201,11 @@ SPLITTING_SWEEP = [{"kind": "perturb", "params": {"K": 3}}, _PI_MAP_K2,
 
 def _galerkin_cases(scratch):
     epsilons = [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2]
-    family = ct.standard_family(epsilons)
+    family = ct.standard_family()
 
     def fresh_family():
         contact, g = ct.std_contact_t3()
-        return ct.MetricFamily(g, contact, ct.default_perturbation_form(), epsilons)
+        return ct.MetricFamily(g, contact, ct.default_perturbation_form())
 
     basis3 = gk.FormBasis(3)
     member = family.member(0.1)
@@ -216,9 +216,8 @@ def _galerkin_cases(scratch):
 
     M3 = gk.assemble_mass(member, basis3)
     B3 = gk.assemble_exterior(basis3, M3.parts)
-    pi_family = ct.standard_family([-0.1, 0.1])
-    A0 = gk.pencil_operator_family(pi_family, gk.FormBasis(2))(0.0)
-    A_of3 = gk.pencil_operator_family(pi_family, gk.FormBasis(3))
+    A0 = gk.pencil_operator_family(family, gk.FormBasis(2))(0.0)
+    A_of3 = gk.pencil_operator_family(family, gk.FormBasis(3))
     mass_grid, _ = ct.uniform_grid(basis3.nodes)
     shell9, shell50 = sp.random_beltrami(9, 0), sp.random_beltrami(50, 0)
     perturb = runner.load_config({"kind": "perturb", "params": {"K": 3}})
@@ -236,8 +235,9 @@ def _galerkin_cases(scratch):
         "mass_derivative_K3": _wall(
             lambda: gk.mass_derivative(family.base, family.variation, basis3)),
         "track_splitting_K3": _on_fresh(
-            fresh_family, lambda fam: gk.track_splitting(fam, (0.8, 1.2), 3)),
-        "family_compatibility_K3": _on_fresh(fresh_family, ct.family_compatibility),
+            fresh_family, lambda fam: gk.track_splitting(fam, epsilons, (0.8, 1.2), 3)),
+        "family_compatibility_K3": _on_fresh(
+            fresh_family, lambda fam: ct.family_compatibility(fam, epsilons)),
         "spectral_projector_K2": _wall(lambda: gk.spectral_projector(A0, 1.0, 0.2, 64)),
         "operator_family_K3": _wall(lambda: A_of3(0.1)),
         "metric_matrix_K3_grid": _wall(lambda: member.matrix(mass_grid)),

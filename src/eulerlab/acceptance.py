@@ -27,7 +27,7 @@ from .runner import assert_leq, assert_positive, assert_true
 
 QUICK_BUDGET_SECONDS = 300.0
 SWEEP_K = 3  # basis truncation of the shared splitting sweep and of criterion 8
-SWEEP_EPSILONS = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)  # its metric family's grid
+SWEEP_EPSILONS = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)  # where that sweep samples g_eps
 
 
 @dataclass
@@ -145,7 +145,7 @@ def check_chaos_proxy():
 
 def check_compatible_metrics(fam):
     """Criterion 5: compatibility defects, volume rigidity, tracelessness."""
-    compat, worst_det = ct.family_compatibility(fam)
+    compat, worst_det = ct.family_compatibility(fam, SWEEP_EPSILONS)
     worst_defect = max(rep.max_defect() for rep in compat.values())
     tr = ct.trace_pairing(fam.base.inv_entries, fam.variation.entries)
     pts, _ = ct.uniform_grid(20)
@@ -356,9 +356,9 @@ def run_suite(level="quick", out_dir=None):
     record(2, "steady-state pipeline", check_steady_pipeline)
     record(3, "nonvanishing minima", check_nonvanishing)
 
-    fam = ct.standard_family(SWEEP_EPSILONS)
+    fam = ct.standard_family()
     t_sweep = time.time()
-    curves = gk.track_splitting(fam, (0.8, 1.2), SWEEP_K)
+    curves = gk.track_splitting(fam, SWEEP_EPSILONS, (0.8, 1.2), SWEEP_K)
     shared_sweep_seconds = time.time() - t_sweep
     record(5, "compatible-metric identities", check_compatible_metrics, fam)
     record(6, "variation identities (three routes)", check_variation_identities,

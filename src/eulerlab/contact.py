@@ -19,9 +19,8 @@ evaluated on grids.
 
 from __future__ import annotations
 
-import copy
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,6 +129,14 @@ def require_positive(G, det, where):
             raise NotPositiveDefinite(f"metric eigenvalue {low:.3e} on {where}")
 
 
+@np.errstate(all="ignore")  # require_positive refuses a singular or non-finite G
+def positive_inverse(G, where):
+    """inverse_and_det(G), once require_positive(G, det, where) has passed."""
+    Ginv, det = inverse_and_det(G)
+    require_positive(G, det, where)
+    return Ginv, det
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Metric of the shape scale(x) * g_xi + alpha (x) alpha + eps * extra.
@@ -139,8 +146,9 @@ class MetricField:
     extra = b_xi (x) b_xi and the pointwise square-root rescaling
     scale = sqrt(1 + eps^2 q^2 / 4) - eps q / 2 of g_xi, q = xi_scale_norm2;
     the base metric has none and its entries stay exact trig polynomials.
-    On the uniform grids a member reads its eps-independent fields from
-    `grid_fields`, the cache its family shares between all its members.
+    On the uniform grids a metric reads its eps-independent fields from
+    `grid_fields`, one read-only entry per node count; the members of a
+    family share one such cache.
     """
 
     g_xi: SpectralTensorField
@@ -150,7 +158,7 @@ class MetricField:
     xi_scale_eps: float | None = None
     xi_scale_norm2: ScalarSpectralField | None = None
     degree_hint: int = 2
-    grid_fields: dict | None = field(default=None, compare=False, repr=False)
+    grid_fields: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _fields(self, points):
         return tuple(None if f is None else f.evaluate(points)
@@ -172,14 +180,7 @@ class MetricField:
 
     def grid_matrix(self, nodes):
         """The matrix at the points of uniform_grid(nodes)."""
-        if self.grid_fields is None:
-            return self.matrix(uniform_grid(nodes)[0])
         return self._combine(*_on_grid(self.grid_fields, nodes, self._fields))
-
-    @np.errstate(all="ignore")  # require_positive refuses a singular or non-finite G
-    def check_positive(self):
-        G = self.grid_matrix(12)
-        require_positive(G, inverse_and_det(G)[1], "the 12^3 grid")
 
 
 @dataclass(frozen=True)
@@ -230,15 +231,14 @@ class MetricFamily:
 
     The bracket factor sqrt(1 + eps^2 |b_xi|^4 / 4) - eps |b_xi|^2 / 2 - 1
     rescales g_xi so that det(g_eps) = det(g) pointwise; the derivative at
-    eps = 0 is the variation tensor of `beta`.  Positivity is checked on
-    every epsilon of the grid at construction.  The eps-independent fields
-    of the members are evaluated once per uniform grid and kept for all of
-    them, and for every family that `with_epsilons` makes of this one, as
-    is `collinear_fraction`.
+    eps = 0 is the variation tensor of `beta`.  The family holds no
+    epsilons: a sweep passes those it samples, and `check_positive` refuses
+    a member that is not a metric.  The eps-independent fields of the
+    members are evaluated once per uniform grid and kept for all of them,
+    as is `collinear_fraction`.
     """
 
-    def __init__(self, base: MetricField, contact: ContactForm, beta: SpectralVectorField,
-                 epsilon_grid):
+    def __init__(self, base: MetricField, contact: ContactForm, beta: SpectralVectorField):
         self.base = base
         self.contact = contact
         self.beta = beta
@@ -246,24 +246,16 @@ class MetricFamily:
         self._outer = outer(self.variation.beta_xi)
         self._grid_fields = {}  # nodes -> fields on uniform_grid(nodes), see MetricField
         self._collinear = {}  # (grid, tol) -> collinear_fraction
-        self._take_epsilons(epsilon_grid)
 
-    def _take_epsilons(self, epsilon_grid):
-        self.epsilon_grid = list(float(e) for e in epsilon_grid)
-        for eps in self.epsilon_grid:
-            self.member(eps).check_positive()
-
-    def with_epsilons(self, epsilon_grid) -> MetricFamily:
-        """The same family on another epsilon grid, checked for positivity
-        on each epsilon; it shares this family's fields and grid caches."""
-        family = copy.copy(self)
-        family._take_epsilons(epsilon_grid)
-        return family
+    def check_positive(self, epsilons):
+        """Raise NotPositiveDefinite unless the member at every epsilon is
+        positive definite on the 12^3 grid."""
+        for eps in epsilons:
+            positive_inverse(self.member(eps).grid_matrix(12), "the 12^3 grid")
 
     def collinear_fraction(self, grid, tol) -> float:
         """noncollinearity_measure of the contact form and beta, computed
-        once per (grid, tol) for this family and those `with_epsilons`
-        makes of it."""
+        once per (grid, tol) for this family."""
         if (grid, tol) not in self._collinear:
             self._collinear[grid, tol] = noncollinearity_measure(self.contact.alpha, self.beta,
                                                                  grid, tol)
@@ -320,24 +312,14 @@ def default_perturbation_form():
 
 
 @functools.cache
-def _standard_core() -> MetricFamily:
-    """The model family on no epsilon, built once per process: the contact
-    form, the base metric (given a grid cache here), beta, the variation
-    tensor and b_xi (x) b_xi, with their grid caches, and the collinear
-    fraction of alpha and beta that a run asks for.  The function cache
-    holds this one family; each grid cache holds one read-only entry per
-    node count that a run meets, and no entry depends on an epsilon or a
-    config."""
+def standard_family() -> MetricFamily:
+    """The model family, built once per process: std_contact_t3's metric
+    perturbed along default_perturbation_form.  Every run shares it, with
+    its grid caches (one read-only entry per node count that a run meets,
+    none depending on an epsilon or a config) and the collinear fraction
+    that a run asks for."""
     contact, g = std_contact_t3()
-    return MetricFamily(replace(g, grid_fields={}), contact, default_perturbation_form(), [])
-
-
-def standard_family(epsilons) -> MetricFamily:
-    """The model family: std_contact_t3's metric perturbed along
-    default_perturbation_form, on the given epsilon grid.  Every call
-    shares one core (`_standard_core`); only the epsilon grid and its
-    positivity checks are per call."""
-    return _standard_core().with_epsilons(epsilons)
+    return MetricFamily(g, contact, default_perturbation_form())
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +356,8 @@ def check_compatibility(g: MetricField, contact: ContactForm) -> CompatibilityRe
 DET_GRID = 20
 
 
-def family_compatibility(family: MetricFamily):
-    """Compatibility of every member of the family's epsilon grid.
+def family_compatibility(family: MetricFamily, epsilons):
+    """Compatibility of the family's member at every epsilon.
 
     Returns ({eps: CompatibilityReport}, worst pointwise relative deviation
     of det(g_eps) from det(g) on the DET_GRID^3 grid).
@@ -383,7 +365,7 @@ def family_compatibility(family: MetricFamily):
     det0 = inverse_and_det(family.base.grid_matrix(DET_GRID))[1]
     reports = {}
     worst_det = 0.0
-    for eps in family.epsilon_grid:
+    for eps in map(float, epsilons):
         member = family.member(eps)
         reports[eps] = check_compatibility(member, family.contact)
         det = inverse_and_det(member.grid_matrix(DET_GRID))[1]

@@ -41,8 +41,7 @@ from .contact import (
     MetricFamily,
     MetricField,
     VariationTensor,
-    inverse_and_det,
-    require_positive,
+    positive_inverse,
 )
 from .errors import (
     ClusterLeakage,
@@ -376,9 +375,7 @@ def assemble_mass(metric: MetricField, basis: FormBasis) -> BlockMatrix:
     Raises NotPositiveDefinite when the metric fails positivity or has a
     determinant <= 0 on the quadrature grid.
     """
-    G = metric.grid_matrix(basis.nodes)
-    Ginv, det = inverse_and_det(G)
-    require_positive(G, det, "the quadrature grid")
+    Ginv, det = positive_inverse(metric.grid_matrix(basis.nodes), "the quadrature grid")
     return _block_quadrature(basis, Ginv * _volume_weights(det, basis.nodes)[:, None, None])
 
 
@@ -386,9 +383,9 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -
     """Exact first-order mass matrix along the variation tensor h.
 
     dM_ij = -integral of [h(e_i#, e_j#) - Tr_g(h) g(e_i#, e_j#)/2] vol_g.
-    Raises NotPositiveDefinite where det g <= 0 on the quadrature grid.
+    Raises NotPositiveDefinite as assemble_mass does.
     """
-    Ginv, det = inverse_and_det(metric.grid_matrix(basis.nodes))
+    Ginv, det = positive_inverse(metric.grid_matrix(basis.nodes), "the quadrature grid")
     H = h.entries_on_grid(basis.nodes)
     HS = Ginv @ H @ Ginv
     tr = np.einsum("pij,pij->p", Ginv, H)
@@ -536,8 +533,9 @@ def central_derivative(fn, x0, delta):
     return richardson(diffs, steps, order=2)
 
 
-def track_splitting(family: MetricFamily, window, K: int) -> SplittingCurves:
-    """Eigenvalue curves of (B, M(g_eps)) near the cluster inside the window.
+def track_splitting(family: MetricFamily, epsilons, window, K: int) -> SplittingCurves:
+    """Eigenvalue curves of (B, M(g_eps)) near the cluster inside the window,
+    at eps = 0 and the given epsilons.
 
     The family's contact form alpha and perturbing form beta are matched
     to an eigenvalue by eigenvector overlap at every epsilon.  The slopes
@@ -555,7 +553,7 @@ def track_splitting(family: MetricFamily, window, K: int) -> SplittingCurves:
     lam0 = family.contact.lambda0
     vectors = [basis.form_to_vector(f) for f in (family.contact.alpha, family.beta)]
 
-    eps_list = sorted(set(float(e) for e in family.epsilon_grid) | {0.0})
+    eps_list = sorted(set(float(e) for e in epsilons) | {0.0})
     solve_at = sorted(set(eps_list) | {s * e for e in SPLIT_FD_LEVELS for s in (1.0, -1.0)})
 
     # per epsilon: the cluster, the eigenvalues matched to alpha and beta, and

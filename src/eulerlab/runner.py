@@ -371,9 +371,10 @@ def _run_perturb(cfg):
     from . import galerkin as gk  # scipy.linalg loads with the first pencil
 
     p = cfg.params
-    fam = ct.standard_family(p["epsilons"])
-    curves = gk.track_splitting(fam, tuple(p["window"]), p["K"])
-    compat, worst_det = ct.family_compatibility(fam)
+    fam = ct.standard_family()
+    fam.check_positive(p["epsilons"])  # before the sweep: a bad epsilon is refused at once
+    curves = gk.track_splitting(fam, p["epsilons"], tuple(p["window"]), p["K"])
+    compat, worst_det = ct.family_compatibility(fam, p["epsilons"])
     worst_defect = max(rep.max_defect() for rep in compat.values())
     alpha_dev = float(np.max(np.abs(curves.alpha_curve - fam.contact.lambda0)))
     # the splitting needs alpha and beta noncollinear: the fraction of grid
@@ -413,7 +414,7 @@ def _run_pi_map(cfg):
 
     p = cfg.params
     if p["mode"] == "galerkin":
-        fam = ct.standard_family([-0.1, 0.1])
+        fam = ct.standard_family()
         basis = gk.FormBasis(p["K"])
         Aq = gk.pencil_operator_family(fam, basis)(p["q"])
         A0, dA = gk.pencil_operator_derivative(fam, basis)

@@ -129,9 +129,9 @@ def _count_builds(monkeypatch):
 
 
 def test_criterion_6_builds_the_family_pencil_once(monkeypatch, gather_builds):
-    fam = ct.standard_family(acceptance.SWEEP_EPSILONS)
+    fam = ct.standard_family()
     calls = _count_builds(monkeypatch)
-    curves = gk.track_splitting(fam, (0.8, 1.2), 2)
+    curves = gk.track_splitting(fam, acceptance.SWEEP_EPSILONS, (0.8, 1.2), 2)
     # the grid's 7 members and the 6 finite-difference members, and dM once,
     # all on the one grid of the sweep's basis
     assert calls == {"assemble_mass": 13, "solve_pencil": 13, "mass_derivative": 1}
@@ -147,7 +147,7 @@ def test_criterion_8_assembles_the_base_mass_twice(monkeypatch, gather_builds):
     # M0, dM and the base mass share the grid of one basis
     calls = _count_builds(monkeypatch)
     _, records = acceptance.check_compression_machinery(
-        ct.standard_family(acceptance.SWEEP_EPSILONS))
+        ct.standard_family())
     assert all(r["passed"] for r in records)
     assert calls == {"assemble_mass": 2, "mass_derivative": 1}
     assert gather_builds == [acceptance.SWEEP_K]

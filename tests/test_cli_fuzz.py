@@ -7,6 +7,7 @@ thresholds) range over all finite floats.  Every config must end with exit
 code 0, 1 or 2 and no traceback, and a nonzero exit leaves no output
 directory, except a run that completed with a failed assertion: its
 directory is whole, with the failing record in run_record.json.  Every
+report.json a run writes must parse as JSON, without NaN or Infinity.  Every
 integer parameter is drawn also as an integral float, which the schemas
 accept as an integer; such a config runs as its integer twin.  Some draws
 pass --seed, and some documents are JSON values that are not objects,
@@ -91,6 +92,10 @@ configs = st.one_of(*(
 seeds = st.one_of(st.none(), st.integers(0, 2**64 - 12))
 
 
+def _refuse_non_finite(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
     start = time.perf_counter()
@@ -104,6 +109,8 @@ def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
     @example(None, None)
     @example(2.5, 2**64 - 12)
     @example({"kind": "spectrum", "params": {"n": 3}}, 5)
+    @example({"kind": "abc", "params": {"A": 1e300, "B": 0.5, "C": 0.1, "grid": 8}}, None)
+    @example({"kind": "pi-map", "params": {"q": 1e300}}, None)
     def run(doc, seed):
         tmp = tmp_path_factory.mktemp("fuzz")
         config, out = tmp / "c.json", tmp / "o"
@@ -114,6 +121,8 @@ def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2), doc
         assert "Traceback" not in err, doc
+        for report in out.rglob("report.json") if out.exists() else ():
+            json.loads(report.read_text(), parse_constant=_refuse_non_finite)
         if not isinstance(doc, dict):
             assert code == 2 and "is not of type 'object'" in err, (doc, err)
         if code and not out.exists():

@@ -22,10 +22,13 @@ def beta():
     return ct.default_perturbation_form()
 
 
+EPSILONS = [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2]  # where the family below is sampled
+
+
 @pytest.fixture(scope="module")
 def family(model, beta):
     contact, g = model
-    return ct.MetricFamily(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
+    return ct.MetricFamily(g, contact, beta)
 
 
 def form(pairs, trunc=1):
@@ -110,14 +113,14 @@ class TestCheckCompatibility:
         # alpha and curl alpha come from the contact form's grid cache; each
         # report is bitwise the member's own check
         contact, g = ct.std_contact_t3()
-        fam = ct.MetricFamily(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
+        fam = ct.MetricFamily(g, contact, beta)
         calls = []
         evaluate = sp.SpectralVectorField.evaluate
         monkeypatch.setattr(sp.SpectralVectorField, "evaluate",
                             lambda self, pts: calls.append(len(pts)) or evaluate(self, pts))
-        reports, worst_det = ct.family_compatibility(fam)
+        reports, worst_det = ct.family_compatibility(fam, EPSILONS)
         assert calls == [27 ** 3] * 2 and list(contact.grid_fields) == [27]
-        assert list(reports) == fam.epsilon_grid
+        assert list(reports) == EPSILONS
         for eps, rep in reports.items():
             assert rep == ct.check_compatibility(fam.member(eps), contact)
         assert 0.0 <= worst_det <= 1e-12
@@ -131,28 +134,35 @@ class TestGridCaches:
         assert family.member(0.0).grid_matrix(nodes).tobytes() == g.grid_matrix(nodes).tobytes()
 
 
+def grid_caches(family):
+    """The grid caches the family and its contact form, base metric and
+    variation tensor keep."""
+    return [family.contact.grid_fields, family.base.grid_fields, family._grid_fields,
+            family.variation.grid_fields]
+
+
+def cached_arrays(family):
+    return [a for cache in grid_caches(family) for value in cache.values()
+            for a in (value if isinstance(value, tuple) else (value,)) if a is not None]
+
+
 class TestSharedStandardModel:
-    """standard_family shares one process-wide core; only the epsilon grid is per call."""
+    """standard_family is one model per process; a sweep passes its epsilons."""
 
-    def test_two_epsilon_grids_share_one_core(self, model):
-        a = ct.standard_family([-0.1, 0.1])
-        b = ct.standard_family([-0.2, 0.05, 0.2])
-        assert a is not b and a.epsilon_grid == [-0.1, 0.1]
-        assert b.epsilon_grid == [-0.2, 0.05, 0.2]
-        for name in ("base", "contact", "beta", "variation", "_outer", "_grid_fields"):
-            assert getattr(a, name) is getattr(b, name), name
-        # a family built directly keeps its own caches, and std_contact_t3's
-        # metric still has none
+    def test_one_model_per_process(self, model):
+        shared = ct.standard_family()
+        assert ct.standard_family() is shared
+        # a family built directly keeps its own caches
         contact, g = model
-        direct = ct.MetricFamily(g, contact, ct.default_perturbation_form(), [0.1])
-        assert direct._grid_fields is not a._grid_fields
-        assert direct.variation.grid_fields is not a.variation.grid_fields
-        assert g.grid_fields is None and a.base.grid_fields is not None
+        direct = ct.MetricFamily(g, contact, ct.default_perturbation_form())
+        assert direct._grid_fields is not shared._grid_fields
+        assert direct.variation.grid_fields is not shared.variation.grid_fields
+        assert direct.base.grid_fields is not shared.base.grid_fields
 
-    def test_standard_family_equals_a_directly_built_family(self, model, beta):
-        contact, g = model
-        direct = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
-        shared = ct.standard_family([-0.1, 0.1])
+    def test_standard_family_equals_a_directly_built_family(self, beta):
+        contact, g = ct.std_contact_t3()
+        direct = ct.MetricFamily(g, contact, beta)
+        shared = ct.standard_family()
         for nodes in (12, 19):
             for eps in (-0.1, 0.0, 0.1):
                 assert (shared.member(eps).grid_matrix(nodes).tobytes()
@@ -163,28 +173,29 @@ class TestSharedStandardModel:
                     == direct.variation.entries.evaluate(ct.uniform_grid(nodes)[0]).tobytes())
 
     def test_cached_grid_arrays_reject_writes(self):
-        family = ct.standard_family([-0.1, 0.1])
-        ct.family_compatibility(family)
+        family = ct.standard_family()
+        family.check_positive([-0.1, 0.1])
+        ct.family_compatibility(family, [-0.1, 0.1])
         family.variation.entries_on_grid(12)
-        caches = [family.contact.grid_fields, family.base.grid_fields, family._grid_fields,
-                  family.variation.grid_fields]
-        arrays = [a for cache in caches for value in cache.values()
-                  for a in (value if isinstance(value, tuple) else (value,)) if a is not None]
-        assert all(caches) and len(arrays) >= 4 + 2 + 2 + 1
+        arrays = cached_arrays(family)
+        assert all(grid_caches(family)) and len(arrays) >= 4 + 2 + 2 + 1
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
 
-    def test_a_non_positive_member_is_refused_on_a_warm_core(self):
-        warm = ct.standard_family([-0.1, 0.1])
+    def test_a_non_positive_member_leaves_the_warm_caches_unchanged(self):
+        warm = ct.standard_family()
+        warm.check_positive([-0.1, 0.1])
+        ct.family_compatibility(warm, [-0.1, 0.1])
         assert 12 in warm._grid_fields
+        keys = [list(cache) for cache in grid_caches(warm)]
+        data = [a.tobytes() for a in cached_arrays(warm)]
         # at eps = 1e12 the square-root factor rounds to 0 and g_eps has rank 2
         with pytest.raises(NotPositiveDefinite):
-            ct.standard_family([0.1, 1e12])
-        again = ct.standard_family([-0.1, 0.1])
-        assert again._grid_fields is warm._grid_fields
-        assert (again.member(0.1).grid_matrix(12).tobytes()
-                == warm.member(0.1).grid_matrix(12).tobytes())
+            warm.check_positive([0.1, 1e12])
+        assert ct.standard_family() is warm
+        assert [list(cache) for cache in grid_caches(warm)] == keys
+        assert [a.tobytes() for a in cached_arrays(warm)] == data
 
 
 class TestXiProjection:
@@ -304,12 +315,12 @@ class TestMetricFamily:
             degree_hint=2,
         )
         with pytest.raises(NotPositiveDefinite):
-            bad.check_positive()
+            ct.MetricFamily(bad, contact, beta).check_positive([0.0])  # the member bad itself
         with pytest.raises(NotPositiveDefinite):
-            ct.MetricFamily(bad, contact, beta, [0.1])
+            ct.MetricFamily(bad, contact, beta).check_positive([0.1])
         # eps = 1e300 overflows the member to inf and nan, with no warning on the way
         with np.errstate(all="raise"), pytest.raises(NotPositiveDefinite, match="non-finite"):
-            ct.MetricFamily(g, contact, beta, [1e300])
+            ct.MetricFamily(g, contact, beta).check_positive([-0.1, 1e300])
 
 
 def spd(gen, count, smallest, scale):
@@ -331,7 +342,7 @@ class TestClosedFormAlgebra:
         _, g = model
         for nodes in (19, 20, 27):
             self.check_against_linalg(g.grid_matrix(nodes))
-            for eps in family.epsilon_grid:
+            for eps in EPSILONS:
                 self.check_against_linalg(family.member(eps).grid_matrix(nodes))
 
     def test_cofactors_match_linalg_on_random_spd(self):
@@ -374,7 +385,7 @@ class TestClosedFormAlgebra:
 
     def test_grid_fields_are_evaluated_once_per_grid(self, model, beta, monkeypatch):
         contact, g = model
-        family = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
+        family = ct.MetricFamily(g, contact, beta)
         calls = []
         real = sp._SpectralField.evaluate
 
@@ -425,16 +436,16 @@ class TestNoncollinearity:
         contact, g = ct.std_contact_t3()
         beta = ct.default_perturbation_form()
         expected = ct.noncollinearity_measure(contact.alpha, beta, 32, 1e-3)
-        assert ct.standard_family([0.1]).collinear_fraction(32, 1e-3) == expected
+        assert ct.standard_family().collinear_fraction(32, 1e-3) == expected
         calls, measure = [], ct.noncollinearity_measure
         monkeypatch.setattr(ct, "noncollinearity_measure",
                             lambda *args: calls.append(args) or measure(*args))
-        assert ct.standard_family([-0.2, 0.05]).collinear_fraction(32, 1e-3) == expected
+        assert ct.standard_family().collinear_fraction(32, 1e-3) == expected
         assert calls == []
-        # a family built directly computes its own
-        fam = ct.MetricFamily(g, contact, beta, [0.1])
+        # a family built directly computes its own, once
+        fam = ct.MetricFamily(g, contact, beta)
         assert fam.collinear_fraction(32, 1e-3) == expected
-        assert fam.with_epsilons([0.2]).collinear_fraction(32, 1e-3) == expected
+        assert fam.collinear_fraction(32, 1e-3) == expected
         assert len(calls) == 1
 
 

@@ -32,10 +32,13 @@ def beta():
     return ct.default_perturbation_form()
 
 
+EPSILONS = [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2]  # where the family below is swept
+
+
 @pytest.fixture(scope="module")
 def family(model, beta):
     contact, g = model
-    return ct.MetricFamily(g, contact, beta, [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2])
+    return ct.MetricFamily(g, contact, beta)
 
 
 @pytest.fixture(scope="module")
@@ -399,7 +402,7 @@ class TestMassMatrix:
     def test_derivative_from_the_family_cache_is_bitwise_the_base(self, model, beta, K):
         # the member at eps = 0 reads the grid fields the family's mass assembly cached
         contact, g = model
-        fam = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
+        fam = ct.MetricFamily(g, contact, beta)
         basis = gk.FormBasis(K)
         ref = gk.mass_derivative(g, ct.variation_tensor(beta, contact, g), basis)
         gk.assemble_mass(fam.member(0.0), basis)
@@ -415,7 +418,8 @@ class TestMassMatrix:
         # at eps = 1e10 the positivity guard passes on rounding noise, but
         # det g is negative at some quadrature points
         contact, g = model
-        fam = ct.MetricFamily(g, contact, beta, [1e10])
+        fam = ct.MetricFamily(g, contact, beta)
+        fam.check_positive([1e10])
         member, basis = fam.member(1e10), gk.FormBasis(1)
         with np.errstate(invalid="raise"), pytest.raises(
                 NotPositiveDefinite, match=r"^metric not positive definite: determinant -\S+ "
@@ -729,10 +733,10 @@ def every_block_solved(parts, solved, select):
     return vals[keep], vectors
 
 
-def sweep_epsilons(family):
-    """Every epsilon track_splitting solves."""
+def sweep_epsilons():
+    """Every epsilon track_splitting solves on EPSILONS."""
     levels = {s * e for e in gk.SPLIT_FD_LEVELS for s in (1.0, -1.0)}
-    return sorted(set(family.epsilon_grid) | {0.0} | levels)
+    return sorted(set(EPSILONS) | {0.0} | levels)
 
 
 class TestWindowFirstEigensolve:
@@ -740,7 +744,7 @@ class TestWindowFirstEigensolve:
     def test_sweep_pencils_are_bitwise_every_block_solved(self, family, K):
         basis = gk.FormBasis(K)
         lo, hi = 0.8, 1.2
-        for eps in sweep_epsilons(family):
+        for eps in sweep_epsilons():
             M = gk.assemble_mass(family.member(eps), basis)
             B = gk.assemble_exterior(basis, M.parts)
             cl = gk.solve_pencil(B, M, (lo, hi))
@@ -825,7 +829,7 @@ class TestInertiaCounts:
         basis = gk.FormBasis(K)
         lo, hi = window[0] - 2e-8, window[1] + 2e-8  # as _block_eigh counts
         totals = []
-        for eps in sweep_epsilons(family):
+        for eps in sweep_epsilons():
             M = gk.assemble_mass(family.member(eps), basis)
             totals.append(0)
             for Bb, Mb in zip(gk.assemble_exterior(basis, M.parts).blocks, M.blocks):
@@ -870,9 +874,9 @@ class TestInertiaCounts:
             gk.solve_pencil(B, M, (0.8, 1.2))
 
 
-def sweep_order(family):
+def sweep_order():
     """The epsilons in track_splitting's order, that of |eps|."""
-    return sorted(sweep_epsilons(family), key=abs)
+    return sorted(sweep_epsilons(), key=abs)
 
 
 def same_blocks(a, b):
@@ -886,7 +890,7 @@ class TestQuadraturePlan:
     def test_blocks_of_a_reused_plan_are_bitwise_a_fresh_build(self, family, K):
         basis = gk.FormBasis(K)
         plans = []
-        for eps in sweep_order(family):
+        for eps in sweep_order():
             M = gk.assemble_mass(family.member(eps), basis)
             assert same_blocks(M, gk.assemble_mass(family.member(eps), gk.FormBasis(K)))
             plans.append(basis.quadrature_plan)
@@ -951,12 +955,12 @@ class TestQuadraturePlan:
         monkeypatch.setattr(gk, "solve_pencil", solve_pencil)
         with pytest.raises(ClusterLeakage,
                            match=r"^cluster size changed from 6 to 5 at eps=-0\.04$"):
-            gk.track_splitting(family, (0.8, 1.2), 1)
+            gk.track_splitting(family, EPSILONS, (0.8, 1.2), 1)
 
 
 @pytest.fixture(scope="module")
 def curves(family):
-    return gk.track_splitting(family, (0.8, 1.2), 2)
+    return gk.track_splitting(family, EPSILONS, (0.8, 1.2), 2)
 
 
 def reference_form_slopes(family, K):
@@ -1010,7 +1014,7 @@ class TestTrackSplitting:
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_form_slopes_are_bitwise_the_separate_route(self, family, curves, K):
-        swept = curves if K == 2 else gk.track_splitting(family, (0.8, 1.2), K)
+        swept = curves if K == 2 else gk.track_splitting(family, EPSILONS, (0.8, 1.2), K)
         fd = np.array([swept.alpha_routes[0], swept.beta_routes[0]])
         assert np.array_equal(fd, reference_form_slopes(family, K))
 
@@ -1053,9 +1057,9 @@ class TestHellmannFeynman:
         extra = sp.SpectralVectorField.from_pairs(
             {(0, 1, 0): np.array([0.15 * s, 0.0, -0.15j * s])}, truncation_radius=1)
         contact, g = model
-        family = ct.MetricFamily(g, contact, ct.default_perturbation_form() + extra, [-0.1, 0.1])
+        family = ct.MetricFamily(g, contact, ct.default_perturbation_form() + extra)
         with pytest.raises(DegenerateDirection, match="not an eigenvector"):
-            gk.track_splitting(family, (0.8, 1.2), 1)
+            gk.track_splitting(family, [-0.1, 0.1], (0.8, 1.2), 1)
 
     def test_vector_outside_cluster_raises(self, model):
         # cos(x1 + x2) dx3 has curl eigenvalues of modulus sqrt(2), outside the window
@@ -1063,9 +1067,9 @@ class TestHellmannFeynman:
         extra = sp.SpectralVectorField.from_pairs(
             {(1, 1, 0): np.array([0.0, 0.0, 0.5 * s])}, truncation_radius=1)
         contact, g = model
-        family = ct.MetricFamily(g, contact, extra, [-0.1, 0.1])
+        family = ct.MetricFamily(g, contact, extra)
         with pytest.raises(DegenerateDirection, match="does not lie in the cluster"):
-            gk.track_splitting(family, (0.8, 1.2), 1)
+            gk.track_splitting(family, [-0.1, 0.1], (0.8, 1.2), 1)
 
 
 class TestSpectralProjector:
@@ -1159,7 +1163,7 @@ def operator_pair(request, model, beta):
     """Block and dense operator families of the pi-map galerkin run, and the
     block family's A(0) with its exact derivative at 0."""
     contact, g = model
-    fam = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
+    fam = ct.MetricFamily(g, contact, beta)
     basis = gk.FormBasis(request.param)
     return (gk.pencil_operator_family(fam, basis), dense_operator_family(fam, basis),
             *gk.pencil_operator_derivative(fam, basis))
@@ -1170,7 +1174,7 @@ def pi_family(request, model, beta):
     """The pi-map galerkin family at eps = 0: (family, basis, A_of, exact dA,
     cluster of A(0)), A(0) and dA from one call as in the run."""
     contact, g = model
-    fam = ct.MetricFamily(g, contact, beta, [-0.1, 0.1])
+    fam = ct.MetricFamily(g, contact, beta)
     basis = gk.FormBasis(request.param)
     A0, dA = gk.pencil_operator_derivative(fam, basis)
     cluster = gk.matrix_cluster(A0, contact.lambda0, 0.2)
@@ -1409,7 +1413,7 @@ class TestExactFirstOrderCompression:
 
     def test_eigenvalues_match_the_variation_pairing(self, pi_family):
         fam, basis, _, dA, cluster = pi_family
-        curves = gk.track_splitting(fam, (0.8, 1.2), basis.K)
+        curves = gk.track_splitting(fam, [-0.1, 0.1], (0.8, 1.2), basis.K)
         prime = gk.pi_derivative(dA, cluster.vectors)
         assert np.max(np.abs(np.linalg.eigvalsh(prime) - curves.pairing_eigenvalues)) <= 1e-16
 

@@ -395,22 +395,27 @@ def test_cli_refuses_runs_over_the_memory_ceilings(tmp_path, doc):
     assert not out.exists()
 
 
-def _perturb_refused_in_one_line(tmp_path, epsilons):
-    """stderr of a `perturb` CLI run on `epsilons` in a fresh interpreter
-    under the address-space cap, asserted to exit 1 within 5 s with one
+def _refused_in_one_line(tmp_path, doc, code=1):
+    """stderr of a CLI run of `doc` in a fresh interpreter under the
+    address-space cap, asserted to exit with `code` within 5 s with one
     stderr line and no output directory.  A fresh interpreter, since
     pytest's warning capture would hide a RuntimeWarning of an in-process run."""
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"kind": "perturb", "params": {"K": 1, "epsilons": epsilons}}))
+    cfgfile.write_text(json.dumps(doc))
     out = tmp_path / "o"
     start = time.perf_counter()
     proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile), "--out", str(out),
                    preexec_fn=_cap_address_space, timeout=20)
     assert time.perf_counter() - start < 5.0
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert not out.exists()
     return proc.stderr
+
+
+def _perturb_refused_in_one_line(tmp_path, epsilons):
+    return _refused_in_one_line(tmp_path, {"kind": "perturb",
+                                           "params": {"K": 1, "epsilons": epsilons}})
 
 
 @pytest.mark.parametrize("epsilons", [[1e300], [-1e300, 0.1]])
@@ -426,6 +431,46 @@ def test_cli_refuses_a_negative_quadrature_determinant_in_one_line(tmp_path):
     # assembly refuses its negative determinant before the square root
     stderr = _perturb_refused_in_one_line(tmp_path, [1e10])
     assert "not positive definite: determinant -" in stderr
+
+
+@pytest.mark.parametrize("q", [1e300, 1e150])
+def test_cli_refuses_a_pi_map_metric_far_out_in_one_line(tmp_path, q):
+    # q = 1e300 overflows the member metric to inf and nan, and at q = 1e150
+    # its determinant overflows; the mass assembly refuses both, and its
+    # inverse warns of neither
+    stderr = _refused_in_one_line(tmp_path, {"kind": "pi-map",
+                                             "params": {"mode": "galerkin", "q": q}})
+    assert stderr.startswith("compute error: pi-map run failed: metric ")
+
+
+# an amplitude beyond 1e150 would overflow the grid diagnostics into Infinity
+# and NaN, which a JSON report cannot hold
+@pytest.mark.parametrize("doc", [
+    {"kind": "abc", "params": {"A": 1e155, "B": 0.5, "C": 0.1}},
+    {"kind": "abc", "params": {"A": 1.0, "B": 0.5, "C": -1e300}},
+    {"kind": "bernoulli", "params": {"source": {"abc": {"A": 1e300, "B": 0.5, "C": 0.1}}}},
+], ids=["abc", "abc-negative", "bernoulli"])
+def test_cli_refuses_an_amplitude_beyond_the_bound_in_one_line(tmp_path, doc):
+    stderr = _refused_in_one_line(tmp_path, doc, code=2)
+    assert "the maximum of 1e+150" in stderr or "the minimum of -1e+150" in stderr
+
+
+def _refuse_non_finite(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid", [8, 32, 64])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_amplitudes_at_the_bound_give_finite_reports(tmp_path, grid, sign):
+    amplitudes = {"A": sign * 1e150, "B": -sign * 1e150, "C": sign * 1e150}
+    for kind, params in (("abc", {**amplitudes, "grid": grid}),
+                         ("bernoulli", {"source": {"abc": amplitudes}, "grid": grid})):
+        record = runner.run(runner.load_config({"kind": kind, "params": params}),
+                            out_dir=tmp_path / kind)
+        assert record.ok, kind
+        json.loads((tmp_path / kind / "report.json").read_text(),
+                   parse_constant=_refuse_non_finite)
 
 
 _SHARED_MODEL_RUNS = [
