@@ -166,7 +166,7 @@ def _attempt_buffers(Z, n):
             np.empty((2, L, n)), np.empty((L, n)), np.empty((L, n)), Z[1:, :, :n], Z[0, :, :n])
 
 
-def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
+def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, *, phases):
     """Advance the rows of y0 (lanes) from t = 0 to t_end with DOP853.
 
     Every lane runs its own step-size control with scipy's rules at
@@ -186,7 +186,7 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
     Z, so a kernel may keep its views of that buffer.
 
     A lane's row is its state y followed by its phases y @ `phases` (an
-    (n, p) matrix, `phase_matrix`; no columns when None), and `rhs` maps
+    (n, p) matrix, `phase_matrix`), and `rhs` maps
     such rows to slope rows, whose last p columns are the phase rates.
     Stages combine whole rows; the solution's phases are recomputed from
     its state.  The weights of an attempt are the tableau's times each
@@ -203,17 +203,16 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
     """
     y0 = np.asarray(y0, dtype=float)
     L, n = y0.shape
-    G = np.zeros((n, 0)) if phases is None else phases
     # columns of a row that scale with the tangent block: w and its phases
-    tangent = np.concatenate([np.arange(n) >= 3, ~np.any(G[:3] != 0.0, axis=0)])
+    tangent = np.concatenate([np.arange(n) >= 3, ~np.any(phases[:3] != 0.0, axis=0)])
     chunks = 1 if renorm is None else int(round(t_end / renorm))
     span = t_end if renorm is None else renorm
     run = _Run(y=np.full_like(y0, np.nan), logs=np.zeros((L, chunks)),
                attempts=np.zeros(L, dtype=int))
     # Z[0] is y, Z[1 + s] is stage s (Z[1] = f(y)); the last row holds f(y_new)
-    Z = np.empty((_STAGES + 2, L, n + G.shape[1]))
+    Z = np.empty((_STAGES + 2, L, n + phases.shape[1]))
     Z[0, :, :n] = y0
-    _einsum("ln,np->lp", y0, G, out=Z[0, :, n:])
+    _einsum("ln,np->lp", y0, phases, out=Z[0, :, n:])
     rhs(None, Z[0], out=Z[1])
     if not np.all(np.isfinite(Z[1])):
         raise StepSizeUnderflow("right-hand side not finite at the initial state")
@@ -226,11 +225,11 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
     bound = np.full((L, 1), float(span))
     cap = np.full((L, 1), _MAX_FACTOR)  # 1 right after a rejection
     attempt = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h = _initial_step(rhs, Z[0], Z[1], n, tol, span)
         while lane.size:
             attempt += 1
-            small = h < 10.0 * np.spacing(t)
+            small = ~(h >= 10.0 * np.spacing(t))  # a NaN step is small
             if np.count_nonzero(small):
                 stalled = small & (cap == 1.0)
                 if np.count_nonzero(stalled):
@@ -243,7 +242,7 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
                 _einsum("lj,jlr->lr", w, done_stages, out=S)
                 rhs(None, S, out=stage)
             _einsum("lj,jlr->lr", solution, rows, out=S)
-            _einsum("ln,np->lp", state_new, G, out=phases_new)
+            _einsum("ln,np->lp", state_new, phases, out=phases_new)
             rhs(None, S, out=Z[-1])
 
             # scipy's error norm |h| e5 / sqrt((e5 + e3 / 100) n), e5 and e3
@@ -274,7 +273,7 @@ def _dop853(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
                 nrm = np.linalg.norm(Z[0, landed, 3:n], axis=1)[:, None]
                 run.logs[lane[landed], chunk[landed]] = np.log(nrm[:, 0])
                 Z[0, landed, 3:n] /= nrm
-                Z[0, landed, n:] = _einsum("ln,np->lp", Z[0, landed, :n], G)
+                Z[0, landed, n:] = _einsum("ln,np->lp", Z[0, landed, :n], phases)
                 Z[1, landed[:, None], tangent] /= nrm
             chunk[landed] += 1
             bound[landed] = (chunk[landed, None] + 1) * span
@@ -602,7 +601,9 @@ def lyapunov_max(v: SpectralVectorField, x0s, T: float, renorm: float,
     lane each, rescaling w to unit length every `renorm` time units and
     averaging the accumulated log stretching.  The Jacobian comes from
     exact spectral differentiation of the field.  `x0s` of shape (L, 3)
-    gives a list of L estimates; a single point of shape (3,) gives one.
+    gives a list of L estimates; a single point of shape (3,) gives one
+    (perfbench/freeze.py, which regenerates the benchmark's references,
+    passes one point at a time).
     T must be a whole number of renorm intervals (`check_horizon`), and the
     L lanes must pass `check_step_budget` over T.
     """

@@ -9,14 +9,15 @@ found before assembly, from the support of the six weight DFTs and B's
 cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and eps !=
 0; 183 of at most 6 at eps = 0), and kept on the basis with its gather
 indices as a quadrature plan, which a metric of the same partition reuses:
-a sweep finds three partitions and two sets of gather indices, not one of
-each per member.  M, dM and B are gathered onto
-it, and the pencil, the symmetric family A = M^{-1/2} B M^{-1/2}, A(0)
-with its exact derivative (on the joint parts of M and dM), A's cluster
-and the contour projector keep it.  Eigensolves go whole only on blocks
-whose window holds an eigenvalue, counted by Sylvester inertia from two
-LDL' factorizations, and the projector only on blocks with one inside its
-circle, tridiagonalized once, at half the nodes.
+a K = 3 sweep finds five partitions, two of them distinct, and builds two
+sets of gather indices, not one of each per member.  M, dM and B are
+gathered onto it, and the pencil, the symmetric family A = M^{-1/2} B
+M^{-1/2}, A(0) with its exact derivative (on the joint parts of M and
+dM), A's cluster and the contour projector keep it.  Eigensolves go
+whole only on blocks with an eigenvalue in their window, counted by
+Sylvester inertia from two LDL' factorizations, and the projector only
+on blocks with one inside its circle, tridiagonalized once, at half the
+nodes.
 
 Eigenvalue clusters are tracked along metric families; one sweep gives
 their first-order splitting by finite differences, the pencil formula and
@@ -59,7 +60,7 @@ for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
     _EPS3[_i, _j, _k] = _s
 
 # most bytes of a basis's gather indices, the first allocation that fails
-# at large K: 16 (h + 1)^2 holds K <= 8 (97 MB) and refuses K = 9 (188 MB)
+# at large K: 16 (h + 1)^2 admits K <= 8 (97 MB) and refuses K = 9 (188 MB)
 MAX_GATHER_BYTES = 2 ** 27
 
 
@@ -206,10 +207,10 @@ class BlockMatrix:
 
 def _positions(parts):
     """The part of each index and its position in that part."""
-    owner, pos = np.empty((2, sum(map(len, parts))), dtype=int)
+    part, pos = np.empty((2, sum(map(len, parts))), dtype=int)
     for c, idx in enumerate(parts):
-        owner[idx], pos[idx] = c, np.arange(len(idx))
-    return owner, pos
+        part[idx], pos[idx] = c, np.arange(len(idx))
+    return part, pos
 
 
 def assemble_exterior(basis: FormBasis, parts) -> BlockMatrix:
@@ -217,13 +218,13 @@ def assemble_exterior(basis: FormBasis, parts) -> BlockMatrix:
     its nonzero entries scattered into zero blocks, so the others are +0.0.
     ValueError if `parts` split a coupled pair (`_block_quadrature`'s never do)."""
     rows, cols, vals = basis._exterior_entries
-    owner, pos = _positions(parts)
-    if np.any(owner[rows] != owner[cols]):
+    part, pos = _positions(parts)
+    if np.any(part[rows] != part[cols]):
         raise ValueError("the parts split a coupled pair of B")
     sizes = np.array([len(idx) for idx in parts])
     start = np.cumsum(sizes ** 2) - sizes ** 2
     flat = np.zeros(sizes @ sizes)
-    flat[start[owner[rows]] + pos[rows] * sizes[owner[rows]] + pos[cols]] = vals
+    flat[start[part[rows]] + pos[rows] * sizes[part[rows]] + pos[cols]] = vals
     blocks = (flat[s:s + n * n].reshape(n, n) for s, n in zip(start, sizes))
     return BlockMatrix(tuple(parts), tuple(blocks))
 
@@ -259,7 +260,7 @@ for _p, (_a, _b) in enumerate(_SLOT_PAIRS):
 def _links(basis: FormBasis, support):
     """Rows and columns of the edges that join basis elements into blocks:
     wave v of slot a links both its scalars to those of wave w of slot b
-    where the support of their slot pair's DFT holds k_v + k_w or k_v - k_w,
+    where the support of their slot pair's DFT has k_v + k_w or k_v - k_w,
     a wave with any link joins its own cos and sin, and B's nonzeros."""
     S = basis.n_scalar
     plus, minus = basis.gather_indices
@@ -279,22 +280,12 @@ def _links(basis: FormBasis, support):
 @dataclass(frozen=True)
 class _QuadraturePlan:
     """What `_block_quadrature` derives from a support of the weight DFTs:
-    the partition, the block of each index, and per block the flat indices
-    (int32) of F(k_i + k_j) and F(k_i - k_j) into the stacked DFTs and the
-    u of its scalars."""
+    the partition and per block the flat indices (int32) of F(k_i + k_j)
+    and F(k_i - k_j) into the stacked DFTs and the u of its scalars."""
 
     support: np.ndarray
     parts: tuple
-    owner: np.ndarray
     gathers: tuple
-
-    def holds(self, support, links) -> bool:
-        """Whether `support`, with its `_links`, has the plan's partition
-        without a new one: it keeps every entry of the plan's support, so
-        it splits no block, and links no two blocks."""
-        rows, cols = links
-        return not np.any(self.support & ~support) and np.array_equal(self.owner[rows],
-                                                                      self.owner[cols])
 
 
 def _quadrature_plan(basis: FormBasis, support, parts) -> _QuadraturePlan:
@@ -308,13 +299,13 @@ def _quadrature_plan(basis: FormBasis, support, parts) -> _QuadraturePlan:
         pair, wave = _PAIR_OF[slot[:, None], slot] * size, (j + 1) // 2
         gathers.append(((pair + plus[wave[:, None], wave]).astype(np.int32),
                         (pair + minus[wave[:, None], wave]).astype(np.int32), u[j]))
-    return _QuadraturePlan(support, tuple(parts), _positions(parts)[0], tuple(gathers))
+    return _QuadraturePlan(support, tuple(parts), tuple(gathers))
 
 
 def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the basis grid.
 
-    `weights` holds a symmetric 3x3 weight W per point of `uniform_grid`,
+    `weights` is a symmetric 3x3 weight W per point of `uniform_grid`,
     quadrature weight included; the slot pair (a, b) of e_i, e_j picks its
     entry.  The grid sum of W e^{i m.x} is F(m) = conj(fftn(W))[m mod nodes],
     and with the scalars written as Re(u e^{i k.x}), u = 1 for cos and -i
@@ -328,11 +319,12 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
 
     The partition and the gathers depend on the weights only through that
     support.  The basis keeps the plan of the last support it met
-    (`_QuadraturePlan`).  A matrix whose support equals it, or adds links
-    only inside its blocks, only gathers: the members of a metric family
-    with eps != 0 share one plan when solved in order of |eps|, their
-    supports growing with it.  Another support gets its partition, and
-    new gathers only when that differs (dM of the family reuses them).
+    (`_QuadraturePlan`).  A matrix whose support equals it only gathers:
+    solved in order of |eps|, the members of a metric family meet a new
+    support only at a few |eps| (four in the 13 members of a K = 3
+    sweep, dM a fifth).  Another support gets its partition, and new
+    gathers only when that differs from the plan's: the members after
+    eps = 0 and dM share one.
     """
     n = basis.nodes
     W = weights.reshape(n, n, n, 3, 3)
@@ -341,13 +333,11 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     support = magnitude > 1e-12 * np.max(magnitude)
     plan = basis.quadrature_plan
     if plan is None or not np.array_equal(plan.support, support):
-        links = _links(basis, support)
-        if plan is None or not plan.holds(support, links):
-            parts = _partition(basis.dimension, *links)
-            if plan is None or len(parts) != len(plan.parts) or not all(
-                    map(np.array_equal, parts, plan.parts)):
-                plan = basis.quadrature_plan = None  # the old gathers go before the new are made
-                plan = _quadrature_plan(basis, support, parts)
+        parts = _partition(basis.dimension, *_links(basis, support))
+        if plan is None or len(parts) != len(plan.parts) or not all(
+                map(np.array_equal, parts, plan.parts)):
+            plan = basis.quadrature_plan = None  # the old gathers go before the new are made
+            plan = _quadrature_plan(basis, support, parts)
         plan = basis.quadrature_plan = replace(plan, support=support)
 
     F = F.ravel()
@@ -430,7 +420,7 @@ def _window_count(A, M, lo, hi):
     return nu[1] - nu[0]
 
 
-def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window, select):
+def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window):
     """Eigenpairs of A, or of the pencil (A, M), by blocks.  Each block's
     eigenvalues in [lo - 2e-8, hi + 2e-8) are counted by inertia, without
     an eigensolve (`_window_count`), and only blocks with some, or whose
@@ -438,8 +428,8 @@ def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window, select):
     every block.  The margin is twice solve_pencil's 1e-8, so an eigenvalue
     that eigh puts within 1e-8 of an edge is counted although the count
     rounds it differently.  Returns their eigenvalues (block order), the
-    indices of those with `select(vals)` in a stable ascending sort, and
-    their vectors scattered to full length."""
+    indices of those inside the open window in a stable ascending sort,
+    and their vectors scattered to full length."""
     lo, hi = window[0] - 2e-8, window[1] + 2e-8
     solved = []
     for idx, Ab, Mb in zip(A.parts, A.blocks, itertools.repeat(None) if M is None else M.blocks):
@@ -447,7 +437,7 @@ def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window, select):
         if _window_count(Ab, Mb, lo, hi) != 0:
             solved.append((idx, *(np.linalg.eigh(Ab) if Mb is None else sla.eigh(Ab, Mb))))
     vals = np.concatenate([w for _, w, _ in solved] + [np.empty(0)])
-    keep = np.flatnonzero(select(vals))
+    keep = np.flatnonzero((vals > window[0]) & (vals < window[1]))
     keep = keep[np.argsort(vals[keep], kind="stable")]
     columns = [(idx, vecs[:, j]) for idx, _, vecs in solved for j in range(len(idx))]
     # column-major like a dense eigh's selected columns: one block stays bitwise dense
@@ -470,7 +460,7 @@ def solve_pencil(B: BlockMatrix, M: BlockMatrix, window) -> EigenCluster:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an increasing interval")
-    vals, keep, vectors = _block_eigh(B, M, (lo, hi), lambda w: (w > lo) & (w < hi))
+    vals, keep, vectors = _block_eigh(B, M, (lo, hi))
     if np.any(np.abs(vals - lo) < 1e-8) or np.any(np.abs(vals - hi) < 1e-8):
         raise WindowTouchesSpectrum(f"eigenvalue within 1e-8 of window ({lo}, {hi})")
     return EigenCluster(0.5 * (lo + hi), 0.5 * (hi - lo), vals[keep], vectors)
@@ -558,7 +548,8 @@ def track_splitting(family: MetricFamily, epsilons, window, K: int) -> Splitting
 
     # per epsilon: the cluster, the eigenvalues matched to alpha and beta, and
     # the relative residual of alpha; only the base mass outlives its solve.
-    # in order of |eps|, so the members after eps = 0 share one quadrature plan
+    # in order of |eps|, so that a member meets the support of the one
+    # before it and gathers by its quadrature plan (`_block_quadrature`)
     clusters, matched, alpha_residuals = {}, {}, {}
     for eps in sorted(solve_at, key=abs):
         M = assemble_mass(family.member(eps), basis)
@@ -720,10 +711,10 @@ def pencil_operator_family(family: MetricFamily, basis: FormBasis):
 
 def _coarsen(mass: BlockMatrix, parts) -> list:
     """The matrices of `mass` on the blocks of `parts`, each a union of its blocks."""
-    owner, pos = _positions(parts)
+    part, pos = _positions(parts)
     out = [np.zeros((len(idx), len(idx))) for idx in parts]
     for idx, block in zip(mass.parts, mass.blocks):
-        out[owner[idx[0]]][np.ix_(pos[idx], pos[idx])] = block
+        out[part[idx[0]]][np.ix_(pos[idx], pos[idx])] = block
     return out
 
 
@@ -759,10 +750,9 @@ def pencil_operator_derivative(family: MetricFamily, basis: FormBasis):
 
 
 def matrix_cluster(A: BlockMatrix, center: float, radius: float) -> EigenCluster:
-    """Eigenpairs with |lambda - center| < radius, solved per block of A as
-    in solve_pencil; ClusterLeakage if there are none."""
-    vals, keep, vectors = _block_eigh(A, None, (center - radius, center + radius),
-                                      lambda w: np.abs(w - center) < radius)
+    """Eigenpairs inside (center - radius, center + radius), solved per block
+    of A as in solve_pencil; ClusterLeakage if there are none."""
+    vals, keep, vectors = _block_eigh(A, None, (center - radius, center + radius))
     if len(keep) == 0:
         raise ClusterLeakage(
             f"no eigenvalue inside window ({center - radius:g}, {center + radius:g})")

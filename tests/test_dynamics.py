@@ -163,11 +163,11 @@ class TestPoincare:
         ends = []
         real = dyn._dop853
 
-        def spy(rhs, y0, tol, t_end, renorm=None, on_step=None, phases=None):
+        def spy(rhs, y0, tol, t_end, renorm=None, on_step=None, *, phases):
             def step(t_old, t_new, Z, y_new):
                 ends.append(t_new)
                 return on_step(t_old, t_new, Z, y_new)
-            return real(rhs, y0, tol, t_end, renorm, step, phases)
+            return real(rhs, y0, tol, t_end, renorm, step, phases=phases)
 
         monkeypatch.setattr(dyn, "_dop853", spy)
         x0, direction = self.REGULAR_STARTS[start]
@@ -548,7 +548,7 @@ class TestLaneStepper:
             return out
 
         with pytest.raises(StepSizeUnderflow):
-            dyn._dop853(rhs, np.zeros((2, 1)), 1e-9, 1.0)
+            dyn._dop853(rhs, np.zeros((2, 1)), 1e-9, 1.0, phases=np.zeros((1, 0)))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

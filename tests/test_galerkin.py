@@ -903,29 +903,11 @@ class TestQuadraturePlan:
             assert same_blocks(dM, fresh)
             assert basis.quadrature_plan.gathers is plans[1].gathers
 
-    def test_a_plan_holds_exactly_the_supports_of_its_partition(self, family):
-        basis = gk.FormBasis(2)
-        gk.assemble_mass(family.member(0.01), basis)
-        plan = basis.quadrature_plan
-        assert plan.holds(plan.support, gk._links(basis, plan.support))
-        gen, held = rng(89, 0), []
-        for _ in range(30):  # the plan's support and one more entry
-            support = plan.support.copy()
-            support[gen.integers(6), gen.integers(support.shape[1])] = True
-            links = gk._links(basis, support)
-            parts = gk._partition(basis.dimension, *links)
-            same = len(parts) == len(plan.parts) and all(map(np.array_equal, parts, plan.parts))
-            held.append(plan.holds(support, links))
-            assert held[-1] == same
-        assert 0 < sum(held) < len(held)
-        # one entry fewer may split a block: never held
-        dropped = plan.support.copy()
-        dropped.flat[np.flatnonzero(dropped)[-1]] = False
-        assert not plan.holds(dropped, gk._links(basis, dropped))
-
-    def test_a_perturb_run_builds_three_partitions_and_two_plans(self, tmp_path, monkeypatch):
+    def test_a_perturb_run_builds_five_partitions_and_two_plans(self, tmp_path, monkeypatch):
         from eulerlab import runner
 
+        linked, links = [], gk._links
+        monkeypatch.setattr(gk, "_links", lambda *a: linked.append(a) or links(*a))
         built, partition = [], gk._partition
         monkeypatch.setattr(gk, "_partition", lambda *a: built.append(a) or partition(*a))
         gathered, plan = [], gk._quadrature_plan
@@ -933,8 +915,10 @@ class TestQuadraturePlan:
         rec = runner.run(runner.load_config({"kind": "perturb", "params": {"K": 3}}),
                          out_dir=str(tmp_path / "run"))
         assert rec.ok
-        assert len(built) == 3  # eps = 0, the 12 other members, dM
-        assert len(gathered) == 2  # dM has the members' partition
+        # eps = 0, the first member at |eps| = 0.01, 0.02 and 0.04, dM: the
+        # others meet the support of the member before them
+        assert len(linked) == len(built) == 5
+        assert len(gathered) == 2  # the members after eps = 0 and dM share one partition
 
     def test_cluster_leakage_names_the_first_epsilon_in_order(self, family, monkeypatch):
         # the clusters at -0.04 and 0.01 lose an eigenvalue; the message names

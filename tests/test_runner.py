@@ -455,6 +455,32 @@ def test_cli_refuses_an_amplitude_beyond_the_bound_in_one_line(tmp_path, doc):
     assert "the maximum of 1e+150" in stderr or "the minimum of -1e+150" in stderr
 
 
+# the slopes over tol overflowed the first step to NaN, which no attempt
+# counted as too small, so every attempt was rejected until the run was killed
+@pytest.mark.parametrize("doc", [
+    {"kind": "poincare", "params": {"A": 1e200, "B": 0.5, "C": 0.1, "x0": [0.1, 0.2, 0.3],
+                                    "count": 1, "max_time": 1e-300}},
+    {"kind": "lyapunov", "params": {"A": 1e300, "B": 1e300, "C": 0.1, "T": 2e-300,
+                                    "renorm": 1e-300}},
+], ids=["poincare", "lyapunov"])
+def test_cli_refuses_a_non_finite_first_step_in_one_line(tmp_path, doc):
+    stderr = _refused_in_one_line(tmp_path, doc)
+    assert "step size underflow" in stderr
+
+
+# a huge tol overflowed the error scale into RuntimeWarnings, or let a run
+# write exponents computed at that tolerance
+@pytest.mark.parametrize("doc", [
+    {"kind": "poincare", "params": {"A": 0, "B": 0, "C": 0, "x0": [0, 0, 179769313.0],
+                                    "count": 1, "max_time": 1.0, "axis": 0, "tol": 1e300}},
+    {"kind": "lyapunov", "params": {"A": 1, "B": 0.5, "C": 0.1, "T": 10, "renorm": 5,
+                                    "tol": 1e300}},
+], ids=["poincare", "lyapunov"])
+def test_cli_rejects_a_tol_above_the_maximum_in_one_line(tmp_path, doc):
+    stderr = _refused_in_one_line(tmp_path, doc, code=2)
+    assert "greater than the maximum of 0.001" in stderr
+
+
 def _refuse_non_finite(constant):
     raise ValueError(f"{constant} is not JSON")
 
