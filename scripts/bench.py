@@ -21,8 +21,8 @@ Four groups of rows, each written to its own JSON file.
   keep is warm (`standard_family` shares one model per process);
 - `spectral_projector` with 64 nodes on the K=2 operator A_of(0) of the
   `pi-map` galerkin mode, and one K=3 operator A_of(0.1);
-- `MetricField.matrix` of the same family member on the K=3
-  basis grid (19^3 points);
+- `metric_matrix_K3_grid`: `grid_matrix(19)` of the same warm family
+  member, as the sweep calls it on the K=3 basis grid;
 - `spectral.bernoulli` of the random Beltrami fields of shells n = 9 and 50;
 - end to end, one `perturb` run at K=3 and one `pi-map` galerkin run at
   K=2, K=3 and K=4 through `runner.run`, `splitting_sweep_pass`: the four
@@ -36,7 +36,10 @@ Four groups of rows, each written to its own JSON file.
   before the first eulerlab import, with its peak RSS, pairing eigenvalues
   and FD slopes (perturb) or certificate and eigenvalues of pi' (pi-map).
   A kind stops at the first K whose run passes 2 GB of RSS or 120 s; the
-  run is killed there and the row records where and why.
+  run is killed there and the row records where and why;
+- `grid_cache_bytes`: the bytes of grid arrays that the standard model
+  (`contact.standard_family`) keeps after one `perturb` run at K=3 and
+  one `pi-map` galerkin run at K=2, in a fresh interpreter.
 
 `--group dynamics` (BENCH_dynamics.json), on the showcase field
 (1, 0.5, 0.1):
@@ -218,7 +221,6 @@ def _galerkin_cases(scratch):
     B3 = gk.assemble_exterior(basis3, M3.parts)
     A0 = gk.pencil_operator_family(family, gk.FormBasis(2))(0.0)
     A_of3 = gk.pencil_operator_family(family, gk.FormBasis(3))
-    mass_grid, _ = ct.uniform_grid(basis3.nodes)
     shell9, shell50 = sp.random_beltrami(9, 0), sp.random_beltrami(50, 0)
     perturb = runner.load_config({"kind": "perturb", "params": {"K": 3}})
     pi_maps = {K: runner.load_config({"kind": "pi-map", "params": {"mode": "galerkin", "K": K}})
@@ -240,7 +242,7 @@ def _galerkin_cases(scratch):
             fresh_family, lambda fam: ct.family_compatibility(fam, epsilons)),
         "spectral_projector_K2": _wall(lambda: gk.spectral_projector(A0, 1.0, 0.2, 64)),
         "operator_family_K3": _wall(lambda: A_of3(0.1)),
-        "metric_matrix_K3_grid": _wall(lambda: member.matrix(mass_grid)),
+        "metric_matrix_K3_grid": _wall(lambda: member.grid_matrix(basis3.nodes)),
         "bernoulli_shell9": _wall(lambda: sp.bernoulli(shell9)),
         "bernoulli_shell50": _wall(lambda: sp.bernoulli(shell50)),
         "end_to_end.perturb_run_K3": _wall(lambda: run(perturb)),
@@ -321,6 +323,27 @@ def _k_run(doc, out):
         row["certificate"] = report["certificate"]
         row["pi_prime_eigenvalues"] = _pi_prime_eigenvalues(os.path.join(out, "pi_prime.csv"))
     return row
+
+
+_GRID_CACHE = f"""
+import sys
+from eulerlab import contact as ct, runner
+for i, doc in enumerate([{SPLITTING_SWEEP[0]!r}, {_PI_MAP_K2!r}]):
+    runner.run(runner.load_config(doc), out_dir=f"{{sys.argv[1]}}/{{i}}")
+fam = ct.standard_family()
+caches = (fam.contact.grid_fields, fam.base.grid_fields, fam._grid_fields,
+          fam.variation.grid_fields)
+print(sum(a.nbytes for cache in caches for value in cache.values()
+          for a in (value if isinstance(value, tuple) else (value,)) if a is not None))
+"""
+
+
+def _grid_cache_bytes(scratch):
+    """The `grid_cache_bytes` row, from a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c", _GRID_CACHE, os.path.join(scratch, "cache")],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                         timeout=120, check=True)
+    return int(out.stdout.splitlines()[-1])
 
 
 def _k_convergence(scratch):
@@ -525,7 +548,11 @@ def main(argv=None):
         for name, times in samples.items():
             median = statistics.median(_seconds(t) for t in times)
             print(f"{name}: median {median:.4g} s", file=sys.stderr)
-        rows = _k_convergence(scratch) if args.group == "galerkin" else None
+        if args.group == "galerkin":
+            rows = {"k_convergence": _k_convergence(scratch),
+                    "grid_cache_bytes": _grid_cache_bytes(scratch)}
+        else:
+            rows = {}
 
     doc = {}
     if os.path.exists(out):
@@ -541,8 +568,7 @@ def main(argv=None):
     peaks = {k: [t[1] for t in v] for k, v in samples.items() if isinstance(v[0], tuple)}
     if peaks:
         doc[args.label].update(_medians("peak_mb", peaks))
-    if rows is not None:
-        doc[args.label]["k_convergence"] = rows
+    doc[args.label].update(rows)
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

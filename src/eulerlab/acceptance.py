@@ -148,8 +148,7 @@ def check_compatible_metrics(fam):
     compat, worst_det = ct.family_compatibility(fam, SWEEP_EPSILONS)
     worst_defect = max(rep.max_defect() for rep in compat.values())
     tr = ct.trace_pairing(fam.base.inv_entries, fam.variation.entries)
-    pts, _ = ct.uniform_grid(20)
-    trace_sup = float(np.max(np.abs(tr.evaluate(pts))))
+    trace_sup = float(np.max(np.abs(ct.grid_values(tr, 20))))
     return {
         "max_compatibility_defect": worst_defect,
         "max_det_relative_deviation": worst_det,

@@ -42,15 +42,31 @@ def uniform_grid(n):
     return g, (TWO_PI / n) ** 3
 
 
-def _on_grid(cache: dict, nodes, evaluate):
-    """evaluate(points of uniform_grid(nodes)), an array or a tuple of arrays
-    and None, kept read-only in `cache` per node count."""
+def grid_values(f, nodes):
+    """f on the sub-grid of uniform_grid(nodes) that its modes span, shape
+    (nodes|1, nodes|1, nodes|1) + f.SHAPE: all nodes along an axis where
+    some stored wave vector has a nonzero component, the point x = 0 along
+    any other, on which f is constant.  Broadcast to nodes^3 points and
+    flattened it is bitwise f.evaluate(uniform_grid(nodes)[0]), since a
+    left-out axis only adds exact zeros to each phase."""
+    x = np.arange(nodes) * (TWO_PI / nodes)
+    axes = [x if np.any(f.K[:, a]) else x[:1] for a in range(3)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return f.evaluate(pts).reshape(pts.shape[:3] + f.SHAPE)
+
+
+def _on_grid(cache: dict, nodes, fields):
+    """grid_values(f, nodes) of each field f of `fields` (None stays None),
+    kept read-only in `cache` per node count.  Consumers broadcast the
+    arrays against each other, so a pointwise step reads each distinct
+    value of the full grid once; a sum over grid points broadcasts its
+    operands to nodes^3 points first."""
     if nodes not in cache:
-        value = evaluate(uniform_grid(nodes)[0])
-        for a in value if isinstance(value, tuple) else (value,):
+        values = tuple(None if f is None else grid_values(f, nodes) for f in fields)
+        for a in values:
             if a is not None:
                 a.flags.writeable = False
-        cache[nodes] = value
+        cache[nodes] = values
     return cache[nodes]
 
 
@@ -147,8 +163,10 @@ class MetricField:
     scale = sqrt(1 + eps^2 q^2 / 4) - eps q / 2 of g_xi, q = xi_scale_norm2;
     the base metric has none and its entries stay exact trig polynomials.
     On the uniform grids a metric reads its eps-independent fields from
-    `grid_fields`, one read-only entry per node count; the members of a
-    family share one such cache.
+    `grid_fields`, one read-only entry per node count, each field on the
+    sub-grid its modes span (`grid_values`); the members of a family share
+    one such cache.  `grid_matrix` broadcasts them to the sub-grid their
+    union spans, and `matrix` evaluates at arbitrary points.
     """
 
     g_xi: SpectralTensorField
@@ -160,27 +178,28 @@ class MetricField:
     degree_hint: int = 2
     grid_fields: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _fields(self, points):
-        return tuple(None if f is None else f.evaluate(points)
-                     for f in (self.g_xi, self.alpha_sq, self.extra, self.xi_scale_norm2))
+    def _fields(self):
+        return self.g_xi, self.alpha_sq, self.extra, self.xi_scale_norm2
 
     @np.errstate(over="ignore", invalid="ignore")  # a huge eps gives inf and nan, refused later
     def _combine(self, g_xi, alpha_sq, extra, norm2):
         m = g_xi
         if self.xi_scale_eps is not None:
             s = self.xi_scale_eps * norm2
-            m = m * (np.sqrt(1.0 + 0.25 * s * s) - 0.5 * s)[:, None, None]
+            m = m * (np.sqrt(1.0 + 0.25 * s * s) - 0.5 * s)[..., None, None]
         m = m + alpha_sq
         if extra is not None:
             m = m + self.xi_scale_eps * extra
         return m
 
     def matrix(self, points):
-        return self._combine(*self._fields(points))
+        return self._combine(*(None if f is None else f.evaluate(points)
+                               for f in self._fields()))
 
     def grid_matrix(self, nodes):
-        """The matrix at the points of uniform_grid(nodes)."""
-        return self._combine(*_on_grid(self.grid_fields, nodes, self._fields))
+        """The matrix on the sub-grid of uniform_grid(nodes) that its fields
+        span, shape (nodes|1, nodes|1, nodes|1, 3, 3); see `_on_grid`."""
+        return self._combine(*_on_grid(self.grid_fields, nodes, self._fields()))
 
 
 @dataclass(frozen=True)
@@ -194,9 +213,9 @@ class ContactForm:
     grid_fields: dict = field(default_factory=dict, compare=False, repr=False)
 
     def on_grid(self, nodes):
-        """alpha and curl alpha at the points of uniform_grid(nodes), once per node count."""
-        return _on_grid(self.grid_fields, nodes, lambda pts: (
-            self.alpha.evaluate(pts), curl_spectral(self.alpha).evaluate(pts)))
+        """alpha and curl alpha on their sub-grids of uniform_grid(nodes), once
+        per node count; see `_on_grid`."""
+        return _on_grid(self.grid_fields, nodes, (self.alpha, curl_spectral(self.alpha)))
 
 
 @dataclass(frozen=True)
@@ -209,8 +228,9 @@ class VariationTensor:
     grid_fields: dict = field(default_factory=dict, compare=False, repr=False)
 
     def entries_on_grid(self, nodes):
-        """h's entries at the points of uniform_grid(nodes), once per node count."""
-        return _on_grid(self.grid_fields, nodes, self.entries.evaluate)
+        """h's entries on their sub-grid of uniform_grid(nodes), once per node
+        count; see `_on_grid`."""
+        return _on_grid(self.grid_fields, nodes, (self.entries,))[0]
 
 
 @dataclass(frozen=True)
@@ -244,7 +264,7 @@ class MetricFamily:
         self.beta = beta
         self.variation = variation_tensor(beta, contact, base)
         self._outer = outer(self.variation.beta_xi)
-        self._grid_fields = {}  # nodes -> fields on uniform_grid(nodes), see MetricField
+        self._grid_fields = {}  # nodes -> fields on their sub-grids, see MetricField
         self._collinear = {}  # (grid, tol) -> collinear_fraction
 
     def check_positive(self, epsilons):
@@ -328,20 +348,22 @@ def standard_family() -> MetricFamily:
 
 def check_compatibility(g: MetricField, contact: ContactForm) -> CompatibilityReport:
     """Sup-norm defects of |alpha|_g = 1, star_g d(alpha) = lambda0 alpha,
-    and vol_g = (1/lambda0) alpha ^ d(alpha) over a uniform grid."""
+    and vol_g = (1/lambda0) alpha ^ d(alpha) over a uniform grid, taken on
+    the sub-grid where the metric and the form broadcast together
+    (`_on_grid`): each sup reads the same values as over the full grid."""
     nodes = max(24, 2 * (g.degree_hint + contact.alpha.degree()) + 1)
     G = g.grid_matrix(nodes)
     Ginv, det = inverse_and_det(G)
     sqrt_det = np.sqrt(det)
     A, w = contact.on_grid(nodes)  # w is the vector proxy of d(alpha)
 
-    norm = np.sqrt(np.einsum("pi,pij,pj->p", A, Ginv, A))
+    norm = np.sqrt(np.einsum("...i,...ij,...j->...", A, Ginv, A))
     unit_defect = float(np.max(np.abs(norm - 1.0)))
 
-    star = np.einsum("pij,pj->pi", G, w) / sqrt_det[:, None]
+    star = np.einsum("...ij,...j->...i", G, w) / sqrt_det[..., None]
     star_defect = float(np.max(np.abs(star - contact.lambda0 * A)))
 
-    wedge = np.einsum("pi,pi->p", A, w)
+    wedge = np.einsum("...i,...i->...", A, w)
     volume_defect = float(np.max(np.abs(sqrt_det - wedge / contact.lambda0)))
 
     return CompatibilityReport(
@@ -396,12 +418,8 @@ def variation_tensor(beta: SpectralVectorField, contact: ContactForm,
 def noncollinearity_measure(alpha: SpectralVectorField, beta: SpectralVectorField,
                             grid: int, tol: float) -> float:
     """Fraction of grid points where the pointwise norm of alpha ^ beta is below tol."""
-    pts, _ = uniform_grid(grid)
-    A = alpha.evaluate(pts)
-    B = beta.evaluate(pts)
-    wedge = np.cross(A, B)
-    norms = np.linalg.norm(wedge, axis=1)
-    return float(np.mean(norms < tol))
+    wedge = np.cross(grid_values(alpha, grid), grid_values(beta, grid))
+    return float(np.mean(np.linalg.norm(wedge, axis=-1) < tol))
 
 
 def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float) -> np.ndarray:
@@ -411,7 +429,9 @@ def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float) -> 
     The metric, h and every form are evaluated once on one grid and the
     symmetric k x k matrix comes from one contraction.  The node count lies
     strictly above the Nyquist bound of the widest pair's trig degree, so
-    every entry is exact for polynomial metrics.
+    every entry is exact for polynomial metrics.  Ginv and the pointwise
+    core are computed on the sub-grid of the metric and h (`_on_grid`) and
+    broadcast to the nodes^3 points of the forms before the sum.
     """
     widest = max(a.degree() for a in forms)
     nodes = max(16, h.entries.degree() + 2 * widest + g.degree_hint + 1)
@@ -419,9 +439,11 @@ def variation_pairing(forms, h: VariationTensor, g: MetricField, lam: float) -> 
     G = g.grid_matrix(nodes)
     Ginv, det = inverse_and_det(G)
     sqrt_det = np.sqrt(det)
-    sharp = np.einsum("pij,kpj->kpi", Ginv, np.stack([a.evaluate(pts) for a in forms]))
     H = h.entries_on_grid(nodes)
-    tr = np.einsum("pij,pij->p", Ginv, H)
-    core = (lam * w) * (H - 0.5 * tr[:, None, None] * G) * sqrt_det[:, None, None]
+    tr = np.einsum("...ij,...ij->...", Ginv, H)
+    core = (lam * w) * (H - 0.5 * tr[..., None, None] * G) * sqrt_det[..., None, None]
+    Ginv, core = (np.broadcast_to(a, (nodes,) * 3 + (3, 3)).reshape(-1, 3, 3)
+                  for a in (Ginv, core))
+    sharp = np.einsum("pij,kpj->kpi", Ginv, np.stack([a.evaluate(pts) for a in forms]))
     Pi = np.einsum("mpi,pij,lpj->ml", sharp, core, sharp, optimize=True)
     return 0.5 * (Pi + Pi.T)

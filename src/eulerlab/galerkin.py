@@ -306,11 +306,15 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the basis grid.
 
     `weights` is a symmetric 3x3 weight W per point of `uniform_grid`,
-    quadrature weight included; the slot pair (a, b) of e_i, e_j picks its
-    entry.  The grid sum of W e^{i m.x} is F(m) = conj(fftn(W))[m mod nodes],
-    and with the scalars written as Re(u e^{i k.x}), u = 1 for cos and -i
-    for sin, the product-to-sum rules give the same discrete sum, aliasing
-    included, as M_ij = Re(u_i u_j F(k_i + k_j) + u_i conj(u_j) F(k_i - k_j)) / 2.
+    quadrature weight included, given on a sub-grid (`contact._on_grid`)
+    that broadcasts to (nodes, nodes, nodes, 3, 3); the slot pair (a, b) of
+    e_i, e_j picks its entry.  The sums run over all nodes^3 points: W is
+    broadcast to the full grid before its 3-D transforms, which keep the
+    roundoff entries a 2-D transform would make exact zeros.  The grid sum
+    of W e^{i m.x} is F(m) = conj(fftn(W))[m mod nodes], and with the
+    scalars written as Re(u e^{i k.x}), u = 1 for cos and -i for sin, the
+    product-to-sum rules give the same discrete sum, aliasing included, as
+    M_ij = Re(u_i u_j F(k_i + k_j) + u_i conj(u_j) F(k_i - k_j)) / 2.
     So |M_ij| <= max(|F(k_i + k_j)|, |F(k_i - k_j)|); the blocks are the
     components of the graph that links e_i ~ e_j where either exceeds
     1e-12 max|F| = 1e-12 max_a F_aa(0) (a diagonal entry of M, W being
@@ -327,7 +331,7 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     eps = 0 and dM share one.
     """
     n = basis.nodes
-    W = weights.reshape(n, n, n, 3, 3)
+    W = np.broadcast_to(weights, (n, n, n, 3, 3))
     F = np.stack([np.fft.fftn(W[..., a, b]).conj().ravel() for a, b in _SLOT_PAIRS])
     magnitude = np.abs(F)
     support = magnitude > 1e-12 * np.max(magnitude)
@@ -366,7 +370,7 @@ def assemble_mass(metric: MetricField, basis: FormBasis) -> BlockMatrix:
     determinant <= 0 on the quadrature grid.
     """
     Ginv, det = positive_inverse(metric.grid_matrix(basis.nodes), "the quadrature grid")
-    return _block_quadrature(basis, Ginv * _volume_weights(det, basis.nodes)[:, None, None])
+    return _block_quadrature(basis, Ginv * _volume_weights(det, basis.nodes)[..., None, None])
 
 
 def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> BlockMatrix:
@@ -378,9 +382,9 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -
     Ginv, det = positive_inverse(metric.grid_matrix(basis.nodes), "the quadrature grid")
     H = h.entries_on_grid(basis.nodes)
     HS = Ginv @ H @ Ginv
-    tr = np.einsum("pij,pij->p", Ginv, H)
-    core = -HS + 0.5 * tr[:, None, None] * Ginv
-    return _block_quadrature(basis, core * _volume_weights(det, basis.nodes)[:, None, None])
+    tr = np.einsum("...ij,...ij->...", Ginv, H)
+    core = -HS + 0.5 * tr[..., None, None] * Ginv
+    return _block_quadrature(basis, core * _volume_weights(det, basis.nodes)[..., None, None])
 
 
 @dataclass(frozen=True)

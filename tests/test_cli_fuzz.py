@@ -11,11 +11,13 @@ report.json a run writes must parse as JSON, without NaN or Infinity.  Every
 integer parameter is drawn also as an integral float, which the schemas
 accept as an integer; such a config runs as its integer twin.  Some draws
 pass --seed, and some documents are JSON values that are not objects,
-which exit 2 with or without it.
+which exit 2 with or without it.  No run may warn: every warning is
+recorded around each call and must be absent.
 """
 
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -96,7 +98,6 @@ def _refuse_non_finite(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
     start = time.perf_counter()
 
@@ -121,8 +122,11 @@ def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
         config.write_text(json.dumps(doc))
         capsys.readouterr()
         override = [] if seed is None else ["--seed", str(seed)]
-        code = cli.main(["run", "--config", str(config), "--out", str(out), *override])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--config", str(config), "--out", str(out), *override])
         err = capsys.readouterr().err
+        assert not caught, (doc, [str(w.message) for w in caught])
         assert code in (0, 1, 2), doc
         assert "Traceback" not in err, doc
         for report in out.rglob("report.json") if out.exists() else ():

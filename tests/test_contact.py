@@ -41,6 +41,13 @@ def max_abs(f):
     return float(np.max(np.abs(f.C), initial=0.0))
 
 
+def full(a, nodes):
+    """A grid array of `grid_values` or a grid cache broadcast to the nodes^3
+    points of uniform_grid(nodes), in their order."""
+    shape = a.shape[3:]
+    return np.broadcast_to(a, (nodes,) * 3 + shape).reshape((-1,) + shape)
+
+
 def rand_pts(n=40, key=9):
     gen = np.random.Generator(np.random.Philox(key=np.array([key, 0], dtype=np.uint64)))
     return gen.uniform(0, TWO_PI, size=(n, 3))
@@ -117,9 +124,11 @@ class TestCheckCompatibility:
         calls = []
         evaluate = sp.SpectralVectorField.evaluate
         monkeypatch.setattr(sp.SpectralVectorField, "evaluate",
-                            lambda self, pts: calls.append(len(pts)) or evaluate(self, pts))
+                            lambda self, pts: calls.append(np.size(pts) // 3)
+                            or evaluate(self, pts))
         reports, worst_det = ct.family_compatibility(fam, EPSILONS)
-        assert calls == [27 ** 3] * 2 and list(contact.grid_fields) == [27]
+        # both vary along x3 only: 27 points each, not 27^3
+        assert calls == [27] * 2 and list(contact.grid_fields) == [27]
         assert list(reports) == EPSILONS
         for eps, rep in reports.items():
             assert rep == ct.check_compatibility(fam.member(eps), contact)
@@ -131,7 +140,76 @@ class TestGridCaches:
     def test_member_at_zero_is_bitwise_the_base_metric(self, model, family, nodes):
         # sign of zero included: g_xi * 1.0 + alpha_sq + 0.0 * extra
         _, g = model
-        assert family.member(0.0).grid_matrix(nodes).tobytes() == g.grid_matrix(nodes).tobytes()
+        assert (full(family.member(0.0).grid_matrix(nodes), nodes).tobytes()
+                == full(g.grid_matrix(nodes), nodes).tobytes())
+
+
+# 9 to 29 holds every node count a run meets: check_positive's 12,
+# variation_pairing's 16, DET_GRID 20, the compatibility grid 27, the K = 1
+# and K = 2 pairing grids 17 and 19, and the basis grids 2K + 13 for K <= 8
+NODE_COUNTS = range(9, 30)
+assert {12, 16, 17, 19, 20, 27} | {2 * K + 13 for K in range(1, 9)} <= set(NODE_COUNTS)
+
+
+class TestSubGrid:
+    """Every grid field of the standard model lies on the sub-grid its modes
+    span; broadcast to nodes^3 points it is bitwise the full evaluation."""
+
+    @pytest.mark.parametrize("nodes", NODE_COUNTS)
+    def test_standard_model_fields_are_bitwise_the_full_grid(self, nodes):
+        contact, g = ct.std_contact_t3()
+        family = ct.MetricFamily(g, contact, ct.default_perturbation_form())
+        family.member(0.1).grid_matrix(nodes)
+        contact.on_grid(nodes)
+        family.variation.entries_on_grid(nodes)
+        pts, _ = ct.uniform_grid(nodes)
+        n = nodes
+        # none varies along x2; g_xi, alpha_sq, alpha and curl alpha vary along x3 only
+        cached = {
+            "g_xi": (family._grid_fields[n][0], g.g_xi, (1, 1, n, 3, 3)),
+            "alpha_sq": (family._grid_fields[n][1], g.alpha_sq, (1, 1, n, 3, 3)),
+            "b_xi (x) b_xi": (family._grid_fields[n][2], family._outer, (n, 1, n, 3, 3)),
+            "|b_xi|^2": (family._grid_fields[n][3], family.variation.norm2, (n, 1, n)),
+            "alpha": (contact.grid_fields[n][0], contact.alpha, (1, 1, n, 3)),
+            "curl alpha": (contact.grid_fields[n][1], sp.curl_spectral(contact.alpha),
+                           (1, 1, n, 3)),
+            "h": (family.variation.grid_fields[n][0], family.variation.entries,
+                  (n, 1, n, 3, 3)),
+        }
+        for name, (a, f, shape) in cached.items():
+            assert a.shape == shape, name
+            assert full(a, n).tobytes() == f.evaluate(pts).tobytes(), name
+        assert (full(family.member(0.1).grid_matrix(n), n).tobytes()
+                == family.member(0.1).matrix(pts).tobytes())
+
+    @pytest.mark.parametrize("nodes", [9, 12, 16, 19, 20, 27])
+    def test_a_field_varying_along_every_axis_gets_the_full_grid(self, model, beta, nodes):
+        contact, g = model
+        along_x2 = form({(0, 1, 0): [-0.5j, 0.0, 0.5]})  # (sin x2, 0, cos x2)
+        family = ct.MetricFamily(g, contact, beta + along_x2)
+        pts, _ = ct.uniform_grid(nodes)
+        for eps in (-0.1, 0.0, 0.1):
+            member = family.member(eps)
+            G = member.grid_matrix(nodes)
+            assert G.shape == (nodes,) * 3 + (3, 3)
+            assert G.reshape(-1, 3, 3).tobytes() == member.matrix(pts).tobytes()
+        H = family.variation.entries_on_grid(nodes)
+        assert H.shape == (nodes,) * 3 + (3, 3)
+        assert H.reshape(-1, 3, 3).tobytes() == family.variation.entries.evaluate(pts).tobytes()
+
+    def test_a_splitting_run_keeps_under_one_megabyte_of_model_grids(self, tmp_path,
+                                                                      monkeypatch):
+        # 13.05 MB when every field was kept on the full grid
+        from eulerlab import runner
+
+        contact, g = ct.std_contact_t3()
+        fresh = ct.MetricFamily(g, contact, ct.default_perturbation_form())
+        monkeypatch.setattr(ct, "standard_family", lambda: fresh)
+        for i, doc in enumerate([{"kind": "perturb", "params": {"K": 3}},
+                                 {"kind": "pi-map", "params": {"mode": "galerkin", "K": 2}}]):
+            assert runner.run(runner.load_config(doc), out_dir=str(tmp_path / str(i))).ok
+        nbytes = sum(a.nbytes for a in cached_arrays(fresh))
+        assert all(grid_caches(fresh)) and 0 < nbytes < 2 ** 20
 
 
 def grid_caches(family):
@@ -165,11 +243,11 @@ class TestSharedStandardModel:
         shared = ct.standard_family()
         for nodes in (12, 19):
             for eps in (-0.1, 0.0, 0.1):
-                assert (shared.member(eps).grid_matrix(nodes).tobytes()
-                        == direct.member(eps).grid_matrix(nodes).tobytes())
-            assert (shared.base.grid_matrix(nodes).tobytes()
-                    == direct.base.grid_matrix(nodes).tobytes())
-            assert (shared.variation.entries_on_grid(nodes).tobytes()
+                assert (full(shared.member(eps).grid_matrix(nodes), nodes).tobytes()
+                        == full(direct.member(eps).grid_matrix(nodes), nodes).tobytes())
+            assert (full(shared.base.grid_matrix(nodes), nodes).tobytes()
+                    == full(direct.base.grid_matrix(nodes), nodes).tobytes())
+            assert (full(shared.variation.entries_on_grid(nodes), nodes).tobytes()
                     == direct.variation.entries.evaluate(ct.uniform_grid(nodes)[0]).tobytes())
 
     def test_cached_grid_arrays_reject_writes(self):
@@ -390,17 +468,18 @@ class TestClosedFormAlgebra:
         real = sp._SpectralField.evaluate
 
         def counted(self, points):
-            calls.append(len(points))
+            calls.append(np.size(points) // 3)
             return real(self, points)
 
         monkeypatch.setattr(sp._SpectralField, "evaluate", counted)
         pts, _ = ct.uniform_grid(9)
         for eps in (-0.1, 0.0, 0.05, 0.1):
             member = family.member(eps)
-            assert np.array_equal(member.grid_matrix(9), member.matrix(pts))
-        # g_xi, alpha_sq, b_xi (x) b_xi and |b_xi|^2 once for the cache, and
-        # four fresh evaluations by each matrix call
-        assert calls == [len(pts)] * (4 + 4 * 4)
+            assert full(member.grid_matrix(9), 9).tobytes() == member.matrix(pts).tobytes()
+        # g_xi and alpha_sq (on 9 points along x3), b_xi (x) b_xi and
+        # |b_xi|^2 (on 9^2 points in x1 and x3) once for the cache, and four
+        # fresh evaluations on 9^3 points by each matrix call
+        assert calls == [9, 9, 81, 81] + [len(pts)] * 4 * 4
 
 
 class TestNoncollinearity:
