@@ -11,8 +11,6 @@ Four groups of rows, each written to its own JSON file.
   basis, so it builds its quadrature plan, as the first member after eps =
   0 of a sweep does; `assemble_mass_K3_reused` follows the member at eps =
   0.05, so it only gathers, as the later members do;
-- `window_count_K3`: the inertia counts of the window (0.8, 1.2) on the 16
-  blocks of the same member's pencil (B, M);
 - `track_splitting` at K=3 (the perturb sweep: 13 mass assemblies and
   pencil solves, one `mass_derivative`, and the pairing and pencil
   matrices of the base cluster) and `family_compatibility` of the
@@ -232,8 +230,6 @@ def _galerkin_cases(scratch):
         "assemble_mass_K3": after(0.0),
         "assemble_mass_K3_reused": after(0.05),
         "solve_pencil_K3": _wall(lambda: gk.solve_pencil(B3, M3, (0.8, 1.2))),
-        "window_count_K3": _wall(lambda: [gk._window_count(Bb, Mb, 0.8, 1.2)
-                                          for Bb, Mb in zip(B3.blocks, M3.blocks)]),
         "mass_derivative_K3": _wall(
             lambda: gk.mass_derivative(family.base, family.variation, basis3)),
         "track_splitting_K3": _on_fresh(

@@ -13,11 +13,11 @@ a K = 3 sweep finds five partitions, two of them distinct, and builds two
 sets of gather indices, not one of each per member.  M, dM and B are
 gathered onto it, and the pencil, the symmetric family A = M^{-1/2} B
 M^{-1/2}, A(0) with its exact derivative (on the joint parts of M and
-dM), A's cluster and the contour projector keep it.  Eigensolves go
-whole only on blocks with an eigenvalue in their window, counted by
-Sylvester inertia from two LDL' factorizations, and the projector only
-on blocks with one inside its circle, tridiagonalized once, at half the
-nodes.
+dM), A's cluster and the contour projector keep it.  One windowed LAPACK
+call per block (?sygvx, or ?syevr for a matrix) selects the eigenvalues
+in a window and computes their vectors at once, and the projector goes
+only on blocks with one inside its circle, tridiagonalized once, at half
+the nodes.
 
 Eigenvalue clusters are tracked along metric families; one sweep gives
 their first-order splitting by finite differences, the pencil formula and
@@ -402,49 +402,30 @@ class EigenCluster:
         return len(self.eigenvalues)
 
 
-def _window_count(A, M, lo, hi):
-    """Number of eigenvalues of A, or of the pencil (A, M) with M positive
-    definite, in [lo, hi), by Sylvester's law of inertia (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 3): nu(A - hi M) - nu(A - lo M),
-    M = None meaning the identity.  nu, the number of negative eigenvalues,
-    is read off the Bunch-Kaufman factorization L D L' of LAPACK ?sytrf:
-    one per negative 1 x 1 pivot of D and one per 2 x 2 pivot, whose
-    determinant is negative.  None where the count is not certain: M fails
-    its Cholesky factorization (?potrf) or a shift is singular."""
-    if M is not None and sla.lapack.dpotrf(M, clean=0)[1]:
-        return None
-    M = np.eye(len(A)) if M is None else M
-    nu = []
-    for sigma in (lo, hi):
-        # the transpose of a symmetric matrix, Fortran-ordered, goes to LAPACK without a copy
-        ldu, piv, info = sla.lapack.dsytrf((A - sigma * M).T, overwrite_a=1)
-        if info:
-            return None
-        nu.append(np.count_nonzero(ldu.diagonal()[piv > 0] < 0) + np.count_nonzero(piv < 0) // 2)
-    return nu[1] - nu[0]
-
-
 def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window):
-    """Eigenpairs of A, or of the pencil (A, M), by blocks.  Each block's
-    eigenvalues in [lo - 2e-8, hi + 2e-8) are counted by inertia, without
-    an eigensolve (`_window_count`), and only blocks with some, or whose
-    count is not certain, are solved whole, so eigh raises as it would on
-    every block.  The margin is twice solve_pencil's 1e-8, so an eigenvalue
-    that eigh puts within 1e-8 of an edge is counted although the count
-    rounds it differently.  Returns their eigenvalues (block order), the
+    """Eigenpairs of A, or of the pencil (A, M), by blocks: one LAPACK call
+    per block, ?syevr for a matrix and ?sygvx for the pencil, selects the
+    eigenvalues in (lo - 2e-8, hi + 2e-8] and computes their vectors, so
+    solve_pencil sees every eigenvalue within 1e-8 of an edge.  Raises
+    LinAlgError where LAPACK fails, as for an M block that is not positive
+    definite.  Returns the selected eigenvalues (block order), the
     indices of those inside the open window in a stable ascending sort,
     and their vectors scattered to full length."""
     lo, hi = window[0] - 2e-8, window[1] + 2e-8
     solved = []
     for idx, Ab, Mb in zip(A.parts, A.blocks, itertools.repeat(None) if M is None else M.blocks):
-        Ab, Mb = np.asarray_chkfinite(Ab), Mb if Mb is None else np.asarray_chkfinite(Mb)
-        if _window_count(Ab, Mb, lo, hi) != 0:
-            solved.append((idx, *(np.linalg.eigh(Ab) if Mb is None else sla.eigh(Ab, Mb))))
+        Ab = np.asarray_chkfinite(Ab)
+        w, vecs, m, _, info = (sla.lapack.dsyevr(Ab, range="V", vl=lo, vu=hi) if Mb is None else
+                               sla.lapack.dsygvx(Ab, np.asarray_chkfinite(Mb), range="V", vl=lo, vu=hi))
+        if info:
+            raise np.linalg.LinAlgError(f"windowed eigensolve of a block of {len(idx)} failed: "
+                                        f"LAPACK info {info}")
+        solved.append((idx, w[:m], vecs[:, :m]))
     vals = np.concatenate([w for _, w, _ in solved] + [np.empty(0)])
     keep = np.flatnonzero((vals > window[0]) & (vals < window[1]))
     keep = keep[np.argsort(vals[keep], kind="stable")]
-    columns = [(idx, vecs[:, j]) for idx, _, vecs in solved for j in range(len(idx))]
-    # column-major like a dense eigh's selected columns: one block stays bitwise dense
+    columns = [(idx, vec) for idx, _, vecs in solved for vec in vecs.T]
+    # column-major like LAPACK's vectors: one block stays bitwise its dense windowed solve
     vectors = np.zeros((A.shape[0], len(keep)), order="F")
     for col, (rows, vec) in enumerate(columns[t] for t in keep):
         vectors[rows, col] = vec
@@ -454,9 +435,10 @@ def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window):
 def solve_pencil(B: BlockMatrix, M: BlockMatrix, window) -> EigenCluster:
     """Generalized symmetric eigensolve; returns the pairs inside (lo, hi).
 
-    B and M are on the same parts, and `_block_eigh` solves only the blocks
-    with an eigenvalue near the window, so a pencil of one block gets
-    exactly the dense solve and the check below sees every such eigenvalue.
+    B and M are on the same parts, and `_block_eigh` selects each block's
+    eigenpairs near the window by one windowed LAPACK call (?sygvx), so a
+    pencil of one block gets exactly the dense windowed solve and the check
+    below sees every eigenvalue within 1e-8 of an edge.
 
     Raises WindowTouchesSpectrum when any eigenvalue sits within 1e-8 of a
     window endpoint (the window no longer isolates a cluster).

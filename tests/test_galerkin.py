@@ -711,15 +711,18 @@ class TestSolvePencil:
         M = X @ X.T + 40.0 * np.eye(40)
         B = gen.standard_normal((40, 40))
         B = B + B.T
-        vals, vecs = sla.eigh(B, M)
+        vals = sla.eigh(B, M, eigvals_only=True)
         lo, hi = 0.5 * (vals[9] + vals[10]), 0.5 * (vals[19] + vals[20])
         cl = gk.solve_pencil(gk.BlockMatrix.one_block(B), gk.BlockMatrix.one_block(M), (lo, hi))
-        assert np.array_equal(cl.eigenvalues, vals[10:20])
-        assert np.array_equal(cl.vectors, vecs[:, 10:20])
+        w, vecs, m, _, info = sla.lapack.dsygvx(B, M, range="V", vl=lo - 2e-8, vu=hi + 2e-8)
+        assert info == 0 and m == 10
+        assert np.array_equal(cl.eigenvalues, w[:m])
+        assert np.array_equal(cl.vectors, vecs[:, :m])
+        assert np.max(np.abs(cl.eigenvalues - vals[10:20])) <= 1e-13
 
 
 def every_block_solved(parts, solved, select):
-    """The slow reference of the window-first eigensolve: every block solved
+    """The slow reference of the windowed eigensolve: every block solved
     whole, the selected pairs merged by a stable sort and scattered to full
     length as solve_pencil and matrix_cluster do; (eigenvalues, vectors)."""
     vals = np.concatenate([w for w, _ in solved])
@@ -739,11 +742,24 @@ def sweep_epsilons():
     return sorted(set(EPSILONS) | {0.0} | levels)
 
 
+def assert_same_cluster(cl, vals, vectors, M=None):
+    """The eigenvalues to 1e-13, and the cluster projector U U' M (U U' for
+    a matrix) to 1e-13: a degenerate cluster's frame is not unique."""
+    assert len(cl.eigenvalues) == len(vals)
+    assert np.max(np.abs(cl.eigenvalues - vals), initial=0.0) <= 1e-13
+    P, ref = cl.vectors @ cl.vectors.T, vectors @ vectors.T
+    if M is not None:
+        P, ref = P @ M, ref @ M
+    assert np.max(np.abs(P - ref), initial=0.0) <= 1e-13
+
+
 class TestWindowFirstEigensolve:
     @pytest.mark.parametrize("K", [2, 3])
-    def test_sweep_pencils_are_bitwise_every_block_solved(self, family, K):
+    # the window of the sweeps and a narrow one that cuts through their cluster
+    @pytest.mark.parametrize("lo, hi", [(0.8, 1.2), (0.9999, 1.0002)], ids=["default", "narrow"])
+    def test_sweep_pencils_match_every_block_solved(self, family, K, lo, hi):
         basis = gk.FormBasis(K)
-        lo, hi = 0.8, 1.2
+        sizes = []
         for eps in sweep_epsilons():
             M = gk.assemble_mass(family.member(eps), basis)
             B = gk.assemble_exterior(basis, M.parts)
@@ -751,11 +767,13 @@ class TestWindowFirstEigensolve:
             vals, vectors = every_block_solved(
                 M.parts, [sla.eigh(Bb, Mb) for Bb, Mb in zip(B.blocks, M.blocks)],
                 lambda w: (w > lo) & (w < hi))
-            assert cl.multiplicity == 6
-            assert np.array_equal(cl.eigenvalues, vals)
-            assert np.array_equal(cl.vectors, vectors)
+            assert_same_cluster(cl, vals, vectors, dense(M))
+            sizes.append(cl.multiplicity)
+        # the whole cluster of 6 at eps = 0; the narrow window loses some elsewhere
+        assert max(sizes) == 6
+        assert (min(sizes) < 6) == (lo == 0.9999)
 
-    def test_operator_cluster_is_bitwise_every_block_solved(self, pi_family):
+    def test_operator_cluster_matches_every_block_solved(self, pi_family):
         # the pi-map galerkin A(0), on the joint parts of M0 and dM
         fam, basis = pi_family[:2]
         A0, _ = gk.pencil_operator_derivative(fam, basis)
@@ -763,8 +781,7 @@ class TestWindowFirstEigensolve:
         vals, vectors = every_block_solved(A0.parts, [np.linalg.eigh(Ab) for Ab in A0.blocks],
                                            lambda w: np.abs(w - 1.0) < 0.2)
         assert cl.multiplicity == 6
-        assert np.array_equal(cl.eigenvalues, vals)
-        assert np.array_equal(cl.vectors, vectors)
+        assert_same_cluster(cl, vals, vectors)
 
     @pytest.mark.parametrize("edge", ["lo", "hi"])
     @pytest.mark.parametrize("outside, raises",
@@ -788,90 +805,97 @@ class TestWindowFirstEigensolve:
             assert np.array_equal(cl.vectors[:, 0], [1.0, 0.0, 0.0, 0.0])
 
     def test_non_finite_pencil_block_raises_as_eigh_does(self):
-        # the block has no eigenvalue near the window and is not solved, but is checked
+        # the block has no eigenvalue near the window, but is checked
         parts = (np.arange(2), np.arange(2, 4))
         B = gk.BlockMatrix(parts, (np.diag([1.0, 5.0]), np.diag([np.nan, 3.0])))
         M = gk.BlockMatrix(parts, (np.eye(2), np.eye(2)))
         with pytest.raises(ValueError, match="infs or NaNs"):
             gk.solve_pencil(B, M, (0.8, 1.2))
 
-    def test_only_blocks_with_window_eigenvalues_are_solved_whole(self, family, monkeypatch):
+    def test_one_windowed_lapack_call_per_block(self, family, monkeypatch):
+        calls = []
+        for name in ("dsygvx", "dsyevr"):
+            monkeypatch.setattr(gk.sla.lapack, name, lambda *a, _f=getattr(gk.sla.lapack, name),
+                                _name=name, **kw: calls.append(_name) or _f(*a, **kw))
         basis = gk.FormBasis(3)
         M = gk.assemble_mass(family.member(0.05), basis)
         B = gk.assemble_exterior(basis, M.parts)
-        lo, hi = 0.8 - 2e-8, 1.2 + 2e-8
-        counts = [np.count_nonzero((w > lo) & (w < hi))
-                  for w in (sla.eigvalsh(Bb, Mb) for Bb, Mb in zip(B.blocks, M.blocks))]
-        solved, eigh = [], sla.eigh
-        monkeypatch.setattr(gk.sla, "eigh", lambda a, b=None, **kw: solved.append(a) or eigh(a, b, **kw))
         gk.solve_pencil(B, M, (0.8, 1.2))
-        assert len(B.blocks) == 16
-        assert [any(Bb is a for a in solved) for Bb in B.blocks] == [c > 0 for c in counts]
-        assert sorted(map(len, solved)) == [36, 36, 54]
-
-
-def bisection_count(A, M, lo, hi):
-    """Slow reference of gk._window_count: LAPACK's bisection count of the
-    eigenvalues in (lo, hi], ?sygvx for the pencil and ?syevr for a matrix."""
-    if M is None:
-        return sla.lapack.dsyevr(A, compute_v=0, range="V", vl=lo, vu=hi)[2]
-    return sla.lapack.dsygvx(A, M, jobz="N", range="V", vl=lo, vu=hi)[2]
-
-
-# the window of the sweeps and a narrow one that cuts through their cluster
-COUNT_WINDOWS = [(0.8, 1.2), (0.9999, 1.0002)]
-
-
-class TestInertiaCounts:
-    @pytest.mark.parametrize("K", [1, 2, 3])
-    @pytest.mark.parametrize("window", COUNT_WINDOWS, ids=["default", "narrow"])
-    def test_pencil_counts_equal_bisection_on_every_sweep_member(self, family, K, window):
-        basis = gk.FormBasis(K)
-        lo, hi = window[0] - 2e-8, window[1] + 2e-8  # as _block_eigh counts
-        totals = []
-        for eps in sweep_epsilons():
-            M = gk.assemble_mass(family.member(eps), basis)
-            totals.append(0)
-            for Bb, Mb in zip(gk.assemble_exterior(basis, M.parts).blocks, M.blocks):
-                count = gk._window_count(Bb, Mb, lo, hi)
-                assert count == bisection_count(Bb, Mb, lo, hi)
-                totals[-1] += count
-        # the whole cluster of 6 at eps = 0; the narrow window loses some elsewhere
-        assert max(totals) == 6
-        assert (min(totals) < 6) == (window == COUNT_WINDOWS[1])
-
-    @pytest.mark.parametrize("window", COUNT_WINDOWS, ids=["default", "narrow"])
-    def test_matrix_counts_equal_bisection_on_the_pi_map_operators(self, pi_family, window):
-        fam, basis, A_of, _, _ = pi_family
-        lo, hi = window[0] - 2e-8, window[1] + 2e-8
-        operators = [gk.pencil_operator_derivative(fam, basis)[0], A_of(0.1), A_of(-0.05)]
-        for A in operators:
-            for Ab in A.blocks:
-                assert gk._window_count(Ab, None, lo, hi) == bisection_count(Ab, None, lo, hi)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_two_by_two_pivots_count_one(self, seed):
-        # a zero diagonal makes Bunch-Kaufman take 2 x 2 pivots
-        S = rng(71, seed).standard_normal((12, 12))
-        A = S + S.T
-        np.fill_diagonal(A, 0.0)
-        assert np.any(sla.lapack.dsytrf(A)[1] < 0)
-        w = np.linalg.eigvalsh(A)
-        for lo, hi in [(-1.0, 1.0), (-50.0, 0.5), (0.0, 50.0), (w[3] - 1e-9, w[8] + 1e-9)]:
-            assert gk._window_count(A, None, lo, hi) == np.count_nonzero((w >= lo) & (w < hi))
-
-    def test_singular_shift_is_not_counted(self):
-        assert gk._window_count(np.diag([0.5, 2.0]), None, 0.5, 1.0) is None
-        assert gk._window_count(np.diag([0.5, 2.0]), np.eye(2), 0.0, 2.0) is None
+        assert calls == ["dsygvx"] * len(B.blocks) == ["dsygvx"] * 16
+        A = gk.pencil_operator_family(family, gk.FormBasis(2))(0.05)
+        calls.clear()
+        gk.matrix_cluster(A, 1.0, 0.2)
+        assert calls == ["dsyevr"] * len(A.blocks)
 
     def test_not_positive_definite_mass_block_raises_as_eigh_does(self):
         # block 1 has no eigenvalue near the window, but its M fails Cholesky
         parts = (np.arange(2), np.arange(2, 4))
         B = gk.BlockMatrix(parts, (np.diag([1.0, 5.0]), np.diag([3.0, 4.0])))
         M = gk.BlockMatrix(parts, (np.eye(2), np.diag([1.0, -1.0])))
-        assert gk._window_count(M.blocks[1] * 0.0, M.blocks[1], 0.8, 1.2) is None
         with pytest.raises(np.linalg.LinAlgError):
             gk.solve_pencil(B, M, (0.8, 1.2))
+
+
+def assert_selects_as_dense(A, M, window):
+    """gk._block_eigh selects, block by block, the eigenvalues in
+    (lo - 2e-8, hi + 2e-8] that a full dense solve of each block finds
+    there, to 1e-13; returns how many of them are inside the open window."""
+    lo, hi = window[0] - 2e-8, window[1] + 2e-8
+    blocks = zip(A.blocks, itertools.repeat(None) if M is None else M.blocks)
+    ref = [w[(w > lo) & (w <= hi)] for w in (sla.eigvalsh(Ab, Mb) for Ab, Mb in blocks)]
+    vals, keep, vectors = gk._block_eigh(A, M, window)
+    assert len(vals) == sum(map(len, ref))
+    assert np.max(np.abs(vals - np.concatenate(ref + [np.empty(0)])), initial=0.0) <= 1e-13
+    assert vectors.shape == (A.shape[0], len(keep))
+    return len(keep)
+
+
+# the window of the sweeps and a narrow one that cuts through their cluster
+SELECT_WINDOWS = [(0.8, 1.2), (0.9999, 1.0002)]
+
+
+class TestWindowSelection:
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("window", SELECT_WINDOWS, ids=["default", "narrow"])
+    def test_pencil_selection_equals_the_dense_solve_on_every_sweep_member(self, family, K, window):
+        basis = gk.FormBasis(K)
+        totals = []
+        for eps in sweep_epsilons():
+            M = gk.assemble_mass(family.member(eps), basis)
+            totals.append(assert_selects_as_dense(gk.assemble_exterior(basis, M.parts), M, window))
+        # the whole cluster of 6 at eps = 0; the narrow window loses some elsewhere
+        assert max(totals) == 6
+        assert (min(totals) < 6) == (window == SELECT_WINDOWS[1])
+
+    @pytest.mark.parametrize("window", SELECT_WINDOWS, ids=["default", "narrow"])
+    def test_matrix_selection_equals_the_dense_solve_on_the_pi_map_operators(self, pi_family, window):
+        fam, basis, A_of, _, _ = pi_family
+        for A in [gk.pencil_operator_derivative(fam, basis)[0], A_of(0.1), A_of(-0.05)]:
+            assert_selects_as_dense(A, None, window)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_indefinite_matrix_selection_equals_the_dense_solve(self, seed):
+        # a zero diagonal: eigenvalues of both signs, windows across zero
+        S = rng(71, seed).standard_normal((12, 12))
+        A = S + S.T
+        np.fill_diagonal(A, 0.0)
+        w = np.linalg.eigvalsh(A)
+        whole = gk.BlockMatrix.one_block(A)
+        for window in [(-1.0, 1.0), (-50.0, 0.5), (0.0, 50.0), (w[3] - 1e-6, w[8] + 1e-6)]:
+            assert assert_selects_as_dense(whole, None, window) == np.count_nonzero(
+                (w > window[0]) & (w < window[1]))
+        assert assert_selects_as_dense(whole, None, (w[3] - 1e-6, w[8] + 1e-6)) == 6
+
+    def test_window_without_eigenvalues_gives_an_empty_cluster(self):
+        # no block has an eigenvalue near the window: LAPACK selects none
+        parts = (np.arange(2), np.arange(2, 4))
+        B = gk.BlockMatrix(parts, (np.diag([0.5, 2.0]), np.diag([3.0, 4.0])))
+        M = gk.BlockMatrix(parts, (np.eye(2), np.eye(2)))
+        cl = gk.solve_pencil(B, M, (0.8, 1.2))
+        assert cl.multiplicity == 0
+        assert cl.vectors.shape == (4, 0)
+        with pytest.raises(ClusterLeakage, match="no eigenvalue inside"):
+            gk.matrix_cluster(B, 1.0, 0.2)
 
 
 def sweep_order():
@@ -1275,10 +1299,12 @@ class TestBlockOperatorPath:
         whole = gk.BlockMatrix.one_block(A)
         P = dense(gk.spectral_projector(whole, 0.5, 1.0))
         assert np.max(np.abs(P - dense_projector(A, 0.5, 1.0))) <= 1e-14
-        w, V = np.linalg.eigh(A)
         cl = gk.matrix_cluster(whole, 0.5, 1.0)
-        assert np.array_equal(cl.eigenvalues, w[:3])
-        assert np.array_equal(cl.vectors, V[:, :3])
+        w, V, m, _, info = sla.lapack.dsyevr(A, range="V", vl=-0.5 - 2e-8, vu=1.5 + 2e-8)
+        assert info == 0 and m == 3
+        assert np.array_equal(cl.eigenvalues, w[:m])
+        assert np.array_equal(cl.vectors, V[:, :m])
+        assert np.max(np.abs(cl.eigenvalues - np.linalg.eigvalsh(A)[:3])) <= 1e-14
 
     @pytest.mark.parametrize("j", range(10))
     def test_criterion_8_matrices_match_the_dense_projector(self, j):

@@ -481,6 +481,17 @@ def test_cli_rejects_a_tol_above_the_maximum_in_one_line(tmp_path, doc):
     assert "greater than the maximum of 0.001" in stderr
 
 
+# contour_nodes = 1e9 ran past 30 s with no output; dim = 1e5 asked for a
+# 74.5 GiB matrix.  At both maxima a synthetic run takes about 13 s on 2 cores
+@pytest.mark.parametrize("params, maximum", [
+    ({"mode": "synthetic", "contour_nodes": 1e9}, 512),
+    ({"mode": "synthetic", "dim": 100000}, 1000),
+], ids=["contour_nodes", "dim"])
+def test_cli_rejects_pi_map_sizes_above_the_maximum_in_one_line(tmp_path, params, maximum):
+    stderr = _refused_in_one_line(tmp_path, {"kind": "pi-map", "params": params}, code=2)
+    assert f"greater than the maximum of {maximum}" in stderr
+
+
 def _refuse_non_finite(constant):
     raise ValueError(f"{constant} is not JSON")
 
