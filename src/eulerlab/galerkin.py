@@ -302,16 +302,26 @@ def _quadrature_plan(basis: FormBasis, support, parts) -> _QuadraturePlan:
     return _QuadraturePlan(support, tuple(parts), tuple(gathers))
 
 
+def _weight_dfts(weights, n):
+    """The (6, n^3) stack conj(fftn(W_ab)): n delta(m) along each axis where W is constant."""
+    axes = tuple(a for a in range(3) if weights.shape[a] == n)
+    plane = tuple(slice(None) if a in axes else slice(1) for a in range(3))
+    F = np.zeros((len(_SLOT_PAIRS), n, n, n), dtype=complex)
+    for p, (a, b) in enumerate(_SLOT_PAIRS):
+        F[p][plane] = np.fft.fftn(weights[..., a, b] * n ** (3 - len(axes)), axes=axes).conj()
+    return F.reshape(len(_SLOT_PAIRS), -1)
+
+
 def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the basis grid.
 
     `weights` is a symmetric 3x3 weight W per point of `uniform_grid`,
     quadrature weight included, given on a sub-grid (`contact._on_grid`)
     that broadcasts to (nodes, nodes, nodes, 3, 3); the slot pair (a, b) of
-    e_i, e_j picks its entry.  The sums run over all nodes^3 points: W is
-    broadcast to the full grid before its 3-D transforms, which keep the
-    roundoff entries a 2-D transform would make exact zeros.  The grid sum
-    of W e^{i m.x} is F(m) = conj(fftn(W))[m mod nodes], and with the
+    e_i, e_j picks its entry.  The grid sum of W e^{i m.x} over all nodes^3
+    points is F(m) = conj(fftn(W))[m mod nodes]; along an axis where W is
+    constant it is nodes delta(m), so `_weight_dfts` transforms each entry
+    only along the axes its sub-grid spans.  With the
     scalars written as Re(u e^{i k.x}), u = 1 for cos and -i for sin, the
     product-to-sum rules give the same discrete sum, aliasing included, as
     M_ij = Re(u_i u_j F(k_i + k_j) + u_i conj(u_j) F(k_i - k_j)) / 2.
@@ -330,9 +340,7 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     gathers only when that differs from the plan's: the members after
     eps = 0 and dM share one.
     """
-    n = basis.nodes
-    W = np.broadcast_to(weights, (n, n, n, 3, 3))
-    F = np.stack([np.fft.fftn(W[..., a, b]).conj().ravel() for a, b in _SLOT_PAIRS])
+    F = _weight_dfts(weights, basis.nodes)
     magnitude = np.abs(F)
     support = magnitude > 1e-12 * np.max(magnitude)
     plan = basis.quadrature_plan

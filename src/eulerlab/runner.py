@@ -205,6 +205,8 @@ def load_config(source) -> ExperimentConfig:
     if kind == "perturb" and not params["window"][0] < 1.0 < params["window"][1]:
         raise ConfigInvalid(
             f"perturb window {params['window']} must contain the model eigenvalue lambda0 = 1")
+    if kind == "perturb" and not max(params["epsilons"]) > 0.0:
+        raise ConfigInvalid(f"perturb epsilons {params['epsilons']} hold no positive value to fit")
     doc_norm = {"kind": kind, "seed": doc["seed"], "params": params}
     canonical = json.dumps(doc_norm, sort_keys=True, separators=(",", ":"))
     return ExperimentConfig(

@@ -112,6 +112,7 @@ def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
     @example({"kind": "spectrum", "params": {"n": 3}}, 5)
     @example({"kind": "abc", "params": {"A": 1e300, "B": 0.5, "C": 0.1, "grid": 8}}, None)
     @example({"kind": "pi-map", "params": {"q": 1e300}}, None)
+    @example({"kind": "perturb", "params": {"K": 1, "epsilons": [-0.1, -0.05]}}, None)
     @example({"kind": "poincare", "params": {"A": 1e200, "B": 0.5, "C": 0.1, "x0": [0.1, 0.2, 0.3],
                                              "count": 1, "max_time": 1e-300}}, None)
     @example({"kind": "lyapunov", "params": {"A": 1e300, "B": 1e300, "C": 0.1, "T": 2e-300,

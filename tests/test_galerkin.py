@@ -966,6 +966,98 @@ class TestQuadraturePlan:
             gk.track_splitting(family, EPSILONS, (0.8, 1.2), 1)
 
 
+def full_grid_dfts(weights, n):
+    """The weight DFTs as the quadrature took them before the sub-grid
+    transforms: the weights broadcast to n^3 points, each entry by a 3-D fftn."""
+    W = np.broadcast_to(weights, (n, n, n, 3, 3))
+    return np.stack([np.fft.fftn(W[..., a, b]).conj().ravel() for a, b in gk._SLOT_PAIRS])
+
+
+def recorded_dfts(monkeypatch):
+    """The list that every later `_weight_dfts` call appends its (weights, DFTs) to."""
+    seen, dfts = [], gk._weight_dfts
+
+    def record(weights, n):
+        seen.append((weights, dfts(weights, n)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(gk, "_weight_dfts", record)
+    return seen
+
+
+def abc_family(model):
+    """A family whose beta, an ABC form, has modes along all three axes."""
+    contact, g = model
+    abc = sp.make_abc(sp.ABCParams(1.0, 0.7, 0.4)).scaled(TWO_PI ** -1.5)
+    return ct.MetricFamily(g, contact, abc)
+
+
+class TestSubGridTransforms:
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_standard_model_dfts_are_the_full_grid_ones_on_the_m2_plane(self, family,
+                                                                       monkeypatch, K):
+        # nothing of the standard model varies along x2, so its weights lie on
+        # (n, 1, n) points and their sum along x2 is n delta(m2)
+        basis = gk.FormBasis(K)
+        n = basis.nodes
+        seen = recorded_dfts(monkeypatch)
+        gk.assemble_mass(family.member(0.0), basis)
+        gk.assemble_mass(family.member(0.05), basis)
+        gk.mass_derivative(family.base, family.variation, basis)
+        assert len(seen) == 3
+        for weights, F in seen:
+            assert weights.shape == (n, 1, n, 3, 3)
+            ref = full_grid_dfts(weights, n)
+            assert np.max(np.abs(F - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert not np.any(F.reshape(6, n, n, n)[:, :, 1:])
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_weights_on_every_axis_give_the_full_grid_route_bitwise(self, model, monkeypatch, K):
+        fam = abc_family(model)
+        n = gk.FormBasis(K).nodes
+        assert fam.member(0.05).grid_matrix(n).shape == (n, n, n, 3, 3)
+
+        def build(basis):
+            return [gk.assemble_mass(fam.member(0.0), basis),
+                    gk.assemble_mass(fam.member(0.05), basis),
+                    gk.mass_derivative(fam.base, fam.variation, basis)]
+
+        sub_grid = build(gk.FormBasis(K))
+        monkeypatch.setattr(gk, "_weight_dfts", full_grid_dfts)
+        for new, old in zip(sub_grid, build(gk.FormBasis(K))):
+            assert same_blocks(new, old)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_the_flat_metric_gives_the_flat_gram_diagonal(self, K):
+        # constant weights transform along no axis: F is n^3 W on m = 0 and
+        # exact zeros elsewhere, so M is exactly diagonal, n^3 times the cell
+        # weight (2*pi / n)^3 (one ulp from (2*pi)^3) on the constants and
+        # half that on the cos and sin elements
+        flat = ct.MetricField(g_xi=ct.identity_tensor(), alpha_sq=ct.identity_tensor().scaled(0.0),
+                              inv_entries=ct.identity_tensor())
+        basis = gk.FormBasis(K)
+        n = basis.nodes
+        assert flat.grid_matrix(n).shape == (1, 1, 1, 3, 3)
+        M = dense(gk.assemble_mass(flat, basis))
+        diagonal = flat_gram_diagonal(basis)
+        cell = n ** 3 * (TWO_PI / n) ** 3
+        assert np.array_equal(np.diag(M), np.where(diagonal == VOL, cell, 0.5 * cell))
+        assert np.max(np.abs(np.diag(M) - diagonal)) <= np.spacing(VOL)
+        assert not np.any(M - np.diag(np.diag(M)))
+
+    def test_a_perturb_run_transforms_n_squared_points_per_entry(self, tmp_path, monkeypatch):
+        # a later change must not fall back to 3-D transforms on the n^3 grid
+        from eulerlab import runner
+
+        shapes, fftn = [], np.fft.fftn
+        monkeypatch.setattr(np.fft, "fftn", lambda x, *a, **k: shapes.append(np.shape(x))
+                            or fftn(x, *a, **k))
+        rec = runner.run(runner.load_config({"kind": "perturb", "params": {"K": 3}}),
+                         out_dir=str(tmp_path / "run"))
+        assert rec.ok
+        assert shapes and all(sorted(s) == [1, 19, 19] for s in shapes), set(shapes)
+
+
 @pytest.fixture(scope="module")
 def curves(family):
     return gk.track_splitting(family, EPSILONS, (0.8, 1.2), 2)

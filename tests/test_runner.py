@@ -492,6 +492,17 @@ def test_cli_rejects_pi_map_sizes_above_the_maximum_in_one_line(tmp_path, params
     assert f"greater than the maximum of {maximum}" in stderr
 
 
+# fit_slopes fits on eps >= 0; with no positive epsilon that is eps = 0 alone,
+# where lstsq returned six zero slopes and the run failed slope_gap_positive
+@pytest.mark.parametrize("epsilons", [[0.0], [-0.1, -0.05]], ids=["zero", "negative"])
+def test_cli_refuses_perturb_without_a_positive_epsilon_in_one_line(tmp_path, epsilons):
+    stderr = _refused_in_one_line(tmp_path, {"kind": "perturb",
+                                             "params": {"K": 1, "epsilons": epsilons}}, code=2)
+    assert "hold no positive value to fit" in stderr
+    with pytest.raises(ConfigInvalid, match=r"^perturb epsilons \[.*\] hold no positive value"):
+        runner.load_config({"kind": "perturb", "params": {"epsilons": epsilons}})
+
+
 def _refuse_non_finite(constant):
     raise ValueError(f"{constant} is not JSON")
 
