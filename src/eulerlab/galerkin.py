@@ -11,13 +11,13 @@ cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and eps !=
 indices as a quadrature plan, which a metric of the same partition reuses:
 a K = 3 sweep finds five partitions, two of them distinct, and builds two
 sets of gather indices, not one of each per member.  M, dM and B are
-gathered onto it, and the pencil, the symmetric family A = M^{-1/2} B
-M^{-1/2}, A(0) with its exact derivative (on the joint parts of M and
-dM), A's cluster and the contour projector keep it.  One windowed LAPACK
-call per block (?sygvx, or ?syevr for a matrix) selects the eigenvalues
-in a window and computes their vectors at once, and the projector goes
-only on blocks with one inside its circle, tridiagonalized once, at half
-the nodes.
+gathered onto it, and the pencil, A = M^{-1/2} B M^{-1/2}, A(0) with its
+exact derivative (on the joint parts of M and dM), A's cluster and the
+contour projector keep it.  One windowed LAPACK call per block (?sygvx,
+or ?syevr for a matrix) selects the eigenvalues in a window and their
+vectors, on only the pencil blocks that M's flat bounds leave one by
+inertia (42 of 375 in a K = 3 sweep); the projector goes only on blocks
+with one inside its circle, tridiagonalized once, at half the nodes.
 
 Eigenvalue clusters are tracked along metric families; one sweep gives
 their first-order splitting by finite differences, the pencil formula and
@@ -171,10 +171,12 @@ class BlockMatrix:
 
     `parts` are ascending index arrays that partition range(D), `blocks` the
     matrices on them; `A @ x` and `x @ A` of one block are the dense products.
+    `flat_bounds`, M's only: c1, c2 and each element's |k| and block (`assemble_mass`).
     """
 
     parts: tuple
     blocks: tuple
+    flat_bounds: tuple | None = None
     __array_ufunc__ = None  # ndarray @ BlockMatrix calls __rmatmul__
 
     @classmethod
@@ -279,27 +281,45 @@ def _links(basis: FormBasis, support):
 
 @dataclass(frozen=True)
 class _QuadraturePlan:
-    """What `_block_quadrature` derives from a support of the weight DFTs:
-    the partition and per block the flat indices (int32) of F(k_i + k_j)
-    and F(k_i - k_j) into the stacked DFTs and the u of its scalars."""
+    """What `_block_quadrature` derives from a support of the weight DFTs: the
+    partition, each entry's two terms (int32 indices into the real view of the
+    DFTs, int8 signs), each block's offset, the (start, stop, size) of each run
+    of blocks of one size, and each element's |k| and block."""
 
     support: np.ndarray
     parts: tuple
     gathers: tuple
+    offsets: np.ndarray
+    runs: tuple
+    waves: tuple
 
 
 def _quadrature_plan(basis: FormBasis, support, parts) -> _QuadraturePlan:
-    S, size = basis.n_scalar, basis.nodes ** 3
     plus, minus = basis.gather_indices
-    u = np.ones(S, dtype=complex)
-    u[2::2] = -1j
-    gathers = []
-    for idx in parts:
-        slot, j = np.divmod(idx, S)
-        pair, wave = _PAIR_OF[slot[:, None], slot] * size, (j + 1) // 2
-        gathers.append(((pair + plus[wave[:, None], wave]).astype(np.int32),
-                        (pair + minus[wave[:, None], wave]).astype(np.int32), u[j]))
-    return _QuadraturePlan(support, tuple(parts), tuple(gathers))
+    slot, j = np.divmod(np.arange(basis.dimension), basis.n_scalar)
+    state, wave = 2 * slot + ((j > 0) & (j % 2 == 0)), (j + 1) // 2  # slot and whether a sine
+    # u = 1 or -i: Re(u_i u_j F) is Re F, Im F with one sine, -Re F with two;
+    # Re(u_i conj(u_j) F) is Re F, -Im F where only j is a sine, Im F where only i is
+    a, b = np.arange(6)[:, None], np.arange(6)  # the term and signs of each pair of states
+    term = (2 * basis.nodes ** 3 * _PAIR_OF[a // 2, b // 2] + (a % 2 ^ b % 2)).ravel()
+    sign = 1 - 2 * np.array([a % 2 & b % 2, (1 - a % 2) & b % 2], dtype=np.int8).reshape(2, -1)
+    sizes = np.array([len(idx) for idx in parts])
+    order, runs = np.argsort(sizes, kind="stable"), []
+    offsets = (np.cumsum(sizes[order] ** 2) - sizes[order] ** 2)[np.argsort(order)]
+    gathers, signs = np.empty((2, sizes @ sizes), np.int32), np.empty((2, sizes @ sizes), np.int8)
+    for m in np.unique(sizes):  # about 2^14 entries at a time
+        same, step = np.flatnonzero(sizes == m), max(1, 2 ** 14 // (m * m))
+        runs.append((offsets[same[0]], offsets[same[0]] + len(same) * m * m, m))
+        for c in range(0, len(same), step):
+            idx = np.array([parts[p] for p in same[c:c + step]])
+            at = slice(offsets[same[c]], offsets[same[c]] + idx.size * m)
+            pairs, w = (6 * state[idx][..., None] + state[idx][:, None]).ravel(), wave[idx]
+            gathers[0, at] = 2 * plus[w[..., None], w[:, None]].ravel() + term[pairs]
+            gathers[1, at] = 2 * minus[w[..., None], w[:, None]].ravel() + term[pairs]
+            signs[:, at] = np.take(sign, pairs, axis=1)
+    norms = np.linalg.norm(np.concatenate([np.zeros((1, 3)), basis.half_lattice]), axis=1)[wave]
+    return _QuadraturePlan(support, tuple(parts), (*gathers, *signs), offsets, tuple(runs),
+                           (norms, _positions(parts)[0]))
 
 
 def _weight_dfts(weights, n):
@@ -352,12 +372,13 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
             plan = _quadrature_plan(basis, support, parts)
         plan = basis.quadrature_plan = replace(plan, support=support)
 
-    F = F.ravel()
-    blocks = []
-    for plus, minus, uj in plan.gathers:
-        block = 0.5 * (np.outer(uj, uj) * F[plus] + np.outer(uj, uj.conj()) * F[minus]).real
-        blocks.append(0.5 * (block + block.T))
-    return BlockMatrix(plan.parts, tuple(blocks))
+    G, (plus, minus, plus_sign, minus_sign) = F.view(float).ravel(), plan.gathers
+    flat = 0.5 * (G[plus] * plus_sign + G[minus] * minus_sign)
+    for start, stop, m in plan.runs:  # the blocks of one size symmetrized as one stack
+        half = flat[start:stop].reshape(-1, m, m)
+        flat[start:stop] = (0.5 * (half + half.transpose(0, 2, 1))).ravel()
+    return BlockMatrix(plan.parts, tuple(flat[o:o + len(idx) ** 2].reshape(len(idx), -1)
+                                         for idx, o in zip(plan.parts, plan.offsets)))
 
 
 def _volume_weights(det, nodes):
@@ -372,13 +393,18 @@ def _volume_weights(det, nodes):
 
 def assemble_mass(metric: MetricField, basis: FormBasis) -> BlockMatrix:
     """Mass matrix M_ij = integral of g(e_i#, e_j#) vol_g by quadrature on
-    the basis grid, on the blocks of `_block_quadrature`.
-
+    the basis grid, on the blocks of `_block_quadrature`, with its flat bounds:
+    M sums q W(x)(e_i(x), e_j(x)), W = sqrt(det g) g^{-1}, over the grid, so
+    c1 D <= M <= c2 D for the flat Gram matrix D (diagonal, exact here) with
+    c1, c2 Gershgorin's bounds of W's spectrum, widened by a relative 1e-9.
     Raises NotPositiveDefinite when the metric fails positivity or has a
     determinant <= 0 on the quadrature grid.
     """
     Ginv, det = positive_inverse(metric.grid_matrix(basis.nodes), "the quadrature grid")
-    return _block_quadrature(basis, Ginv * _volume_weights(det, basis.nodes)[..., None, None])
+    W = Ginv * _volume_weights(det, basis.nodes)[..., None, None]
+    M, rows, q = _block_quadrature(basis, W), np.sum(np.abs(W), -1), (TWO_PI / basis.nodes) ** 3
+    c1, c2 = np.min(2 * np.diagonal(W, axis1=-2, axis2=-1) - rows) / q, np.max(rows) / q
+    return replace(M, flat_bounds=(c1 * (1 - 1e-9), c2 * (1 + 1e-9), *basis.quadrature_plan.waves))
 
 
 def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> BlockMatrix:
@@ -404,6 +430,7 @@ class EigenCluster:
     radius: float
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    blocks: tuple  # (solved by LAPACK, all) to find them
 
     @property
     def multiplicity(self):
@@ -414,17 +441,27 @@ def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window):
     """Eigenpairs of A, or of the pencil (A, M), by blocks: one LAPACK call
     per block, ?syevr for a matrix and ?sygvx for the pencil, selects the
     eigenvalues in (lo - 2e-8, hi + 2e-8] and computes their vectors, so
-    solve_pencil sees every eigenvalue within 1e-8 of an edge.  Raises
-    LinAlgError where LAPACK fails, as for an M block that is not positive
-    definite.  Returns the selected eigenvalues (block order), the
-    indices of those inside the open window in a stable ascending sort,
-    and their vectors scattered to full length."""
+    solve_pencil sees every eigenvalue within 1e-8 of an edge.  Given M's flat
+    bounds c1 D <= M <= c2 D, c1 > 0, inertia and Weyl's monotonicity leave a
+    block no more eigenvalues in (a, b] than its flat ones {0, +-|k|} in
+    (min(c1 a, c2 a), max(c1 b, c2 b)] (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 3, 15); a block with none there, if that excludes 0, is only
+    checked finite.  Raises LinAlgError where LAPACK fails, as for an M block
+    that is not positive definite.  Returns the selected eigenvalues (block
+    order), the indices of those inside the open window in a stable ascending
+    sort, their vectors at full length and the blocks (solved, all)."""
     lo, hi = window[0] - 2e-8, window[1] + 2e-8
-    solved = []
-    for idx, Ab, Mb in zip(A.parts, A.blocks, itertools.repeat(None) if M is None else M.blocks):
-        Ab = np.asarray_chkfinite(Ab)
+    solve = np.ones(len(A.parts), dtype=bool)
+    if getattr(M, "flat_bounds", None) and M.flat_bounds[0] > 0 and lo * hi > 0:
+        c1, c2, norms, label = M.flat_bounds  # c2 >= c1 > 0: the scaled window misses 0
+        near = (norms >= c1 * min(abs(lo), abs(hi))) & (norms <= c2 * max(abs(lo), abs(hi)))
+        solve = np.bincount(label, near, len(A.parts)) > 0
+    solved, Ms = [], itertools.repeat(None) if M is None else map(np.asarray_chkfinite, M.blocks)
+    for idx, Ab, Mb, s in zip(A.parts, map(np.asarray_chkfinite, A.blocks), Ms, solve):
+        if not s:
+            continue
         w, vecs, m, _, info = (sla.lapack.dsyevr(Ab, range="V", vl=lo, vu=hi) if Mb is None else
-                               sla.lapack.dsygvx(Ab, np.asarray_chkfinite(Mb), range="V", vl=lo, vu=hi))
+                               sla.lapack.dsygvx(Ab, Mb, range="V", vl=lo, vu=hi))
         if info:
             raise np.linalg.LinAlgError(f"windowed eigensolve of a block of {len(idx)} failed: "
                                         f"LAPACK info {info}")
@@ -437,16 +474,16 @@ def _block_eigh(A: BlockMatrix, M: BlockMatrix | None, window):
     vectors = np.zeros((A.shape[0], len(keep)), order="F")
     for col, (rows, vec) in enumerate(columns[t] for t in keep):
         vectors[rows, col] = vec
-    return vals, keep, vectors
+    return vals, keep, vectors, (int(np.count_nonzero(solve)), len(solve))
 
 
 def solve_pencil(B: BlockMatrix, M: BlockMatrix, window) -> EigenCluster:
     """Generalized symmetric eigensolve; returns the pairs inside (lo, hi).
 
-    B and M are on the same parts, and `_block_eigh` selects each block's
-    eigenpairs near the window by one windowed LAPACK call (?sygvx), so a
-    pencil of one block gets exactly the dense windowed solve and the check
-    below sees every eigenvalue within 1e-8 of an edge.
+    B and M are on the same parts; `_block_eigh` makes one windowed LAPACK
+    call (?sygvx) per block that M's flat bounds do not rule out, so a pencil
+    of one block gets exactly the dense windowed solve and the check below
+    sees every eigenvalue within 1e-8 of an edge.
 
     Raises WindowTouchesSpectrum when any eigenvalue sits within 1e-8 of a
     window endpoint (the window no longer isolates a cluster).
@@ -454,10 +491,10 @@ def solve_pencil(B: BlockMatrix, M: BlockMatrix, window) -> EigenCluster:
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be an increasing interval")
-    vals, keep, vectors = _block_eigh(B, M, (lo, hi))
+    vals, keep, vectors, solved = _block_eigh(B, M, (lo, hi))
     if np.any(np.abs(vals - lo) < 1e-8) or np.any(np.abs(vals - hi) < 1e-8):
         raise WindowTouchesSpectrum(f"eigenvalue within 1e-8 of window ({lo}, {hi})")
-    return EigenCluster(0.5 * (lo + hi), 0.5 * (hi - lo), vals[keep], vectors)
+    return EigenCluster(0.5 * (lo + hi), 0.5 * (hi - lo), vals[keep], vectors, solved)
 
 
 @dataclass(frozen=True)
@@ -477,6 +514,7 @@ class SplittingCurves:
     fit_slopes: np.ndarray      # least-squares slope of each sorted curve
     alpha_routes: tuple         # (central FD slope, pencil slope) of the contact form
     beta_routes: tuple          # the same for the perturbing form
+    pencil_blocks: tuple        # (solved by LAPACK, total) over the sweep's pencils
 
     def slope_gap(self):
         return float(np.max(self.fit_slopes) - np.min(self.fit_slopes))
@@ -615,6 +653,7 @@ def track_splitting(family: MetricFamily, epsilons, window, K: int) -> Splitting
         fit_slopes=fit,
         alpha_routes=routes[0],
         beta_routes=routes[1],
+        pencil_blocks=tuple(map(sum, zip(*(c.blocks for c in clusters.values())))),
     )
 
 
@@ -746,11 +785,11 @@ def pencil_operator_derivative(family: MetricFamily, basis: FormBasis):
 def matrix_cluster(A: BlockMatrix, center: float, radius: float) -> EigenCluster:
     """Eigenpairs inside (center - radius, center + radius), solved per block
     of A as in solve_pencil; ClusterLeakage if there are none."""
-    vals, keep, vectors = _block_eigh(A, None, (center - radius, center + radius))
+    vals, keep, vectors, solved = _block_eigh(A, None, (center - radius, center + radius))
     if len(keep) == 0:
         raise ClusterLeakage(
             f"no eigenvalue inside window ({center - radius:g}, {center + radius:g})")
-    return EigenCluster(float(center), float(radius), vals[keep], vectors)
+    return EigenCluster(float(center), float(radius), vals[keep], vectors, solved)
 
 
 def random_two_band_symmetric(gen, dim: int, n_inside: int) -> np.ndarray:

@@ -388,6 +388,7 @@ def _run_perturb(cfg):
             {name: ser.field_to_json(getattr(fam.base, name)) for name in ("g_xi", "alpha_sq")})),
         "epsilons": [float(e) for e in curves.epsilons],
         "cluster_size": int(curves.curves.shape[1]),
+        "pencil_blocks": dict(zip(("solved", "total"), curves.pencil_blocks)),
         "pairing_eigenvalues": [float(x) for x in curves.pairing_eigenvalues],
         "pencil_eigenvalues": [float(x) for x in curves.pencil_eigenvalues],
         "fd_slopes": [float(x) for x in curves.fd_slopes],

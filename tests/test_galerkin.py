@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -813,19 +815,23 @@ class TestWindowFirstEigensolve:
             gk.solve_pencil(B, M, (0.8, 1.2))
 
     def test_one_windowed_lapack_call_per_block(self, family, monkeypatch):
-        calls = []
-        for name in ("dsygvx", "dsyevr"):
-            monkeypatch.setattr(gk.sla.lapack, name, lambda *a, _f=getattr(gk.sla.lapack, name),
-                                _name=name, **kw: calls.append(_name) or _f(*a, **kw))
+        calls = lapack_calls(monkeypatch)
         basis = gk.FormBasis(3)
         M = gk.assemble_mass(family.member(0.05), basis)
         B = gk.assemble_exterior(basis, M.parts)
-        gk.solve_pencil(B, M, (0.8, 1.2))
-        assert calls == ["dsygvx"] * len(B.blocks) == ["dsygvx"] * 16
+        assert len(B.blocks) == 16
+        # 13 of the 16 blocks hold no wave with |k| near the window
+        for mass, window, solved in [(M, (0.8, 1.2), 3),
+                                     (replace(M, flat_bounds=None), (0.8, 1.2), 16),
+                                     (M, (-0.5, 0.5), 16)]:  # 0 inside: no screen
+            calls.clear()
+            assert gk.solve_pencil(B, mass, window).blocks == (solved, 16)
+            assert [name for name, _ in calls] == ["dsygvx"] * solved
         A = gk.pencil_operator_family(family, gk.FormBasis(2))(0.05)
+        assert A.flat_bounds is None
         calls.clear()
-        gk.matrix_cluster(A, 1.0, 0.2)
-        assert calls == ["dsyevr"] * len(A.blocks)
+        assert gk.matrix_cluster(A, 1.0, 0.2).blocks == (len(A.blocks),) * 2
+        assert [name for name, _ in calls] == ["dsyevr"] * len(A.blocks)
 
     def test_not_positive_definite_mass_block_raises_as_eigh_does(self):
         # block 1 has no eigenvalue near the window, but its M fails Cholesky
@@ -836,6 +842,83 @@ class TestWindowFirstEigensolve:
             gk.solve_pencil(B, M, (0.8, 1.2))
 
 
+def lapack_calls(monkeypatch):
+    """The list that every later ?sygvx and ?syevr call appends (name, its matrices) to."""
+    calls = []
+    for name in ("dsygvx", "dsyevr"):
+        monkeypatch.setattr(gk.sla.lapack, name, lambda *a, _f=getattr(gk.sla.lapack, name),
+                            _name=name, **kw: calls.append((_name, a)) or _f(*a, **kw))
+    return calls
+
+
+# the windows of the screen's soundness test: the sweeps', a wide one, one
+# between the shells |k| = 1 and sqrt(2), and one around 0, where no block is screened
+SCREEN_WINDOWS = [(0.8, 1.2), (0.5, 1.9), (1.3, 1.5), (-0.5, 0.5)]
+
+
+class TestFlatScreen:
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.2, 1.0, 3.0, 10.0, -10.0, 30.0])
+    def test_no_skipped_block_holds_an_eigenvalue_in_the_window(self, family, monkeypatch,
+                                                                K, eps):
+        basis = gk.FormBasis(K)
+        M = gk.assemble_mass(family.member(eps), basis)
+        B = gk.assemble_exterior(basis, M.parts)
+        calls = lapack_calls(monkeypatch)
+        for lo, hi in SCREEN_WINDOWS:
+            calls.clear()
+            gk.solve_pencil(B, M, (lo, hi))
+            seen = [a[0] for _, a in calls]
+            skipped = [b for b, Bb in enumerate(B.blocks) if not any(x is Bb for x in seen)]
+            assert len(skipped) == len(B.blocks) - len(calls)
+            assert (len(skipped) > 0) == (lo > 0)
+            for b in skipped:
+                w = sla.eigh(B.blocks[b], M.blocks[b], eigvals_only=True)
+                assert not np.any((w > lo - 2e-8) & (w <= hi + 2e-8))
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_flat_blocks_hold_only_the_flat_eigenvalues_of_their_waves(self, model, K):
+        _, g = model
+        basis = gk.FormBasis(K)
+        M = gk.assemble_mass(g, basis)
+        assert M.flat_bounds[:2] == pytest.approx((1.0, 1.0), abs=2e-9)
+        B = gk.assemble_exterior(basis, M.parts)
+        for idx, Bb, Mb in zip(M.parts, B.blocks, M.blocks):
+            flat = np.concatenate([[0.0], M.flat_bounds[2][idx], -M.flat_bounds[2][idx]])
+            w = sla.eigh(Bb, Mb, eigvals_only=True)
+            assert np.max(np.min(np.abs(w[:, None] - flat), axis=1)) <= 1e-12
+
+    @pytest.mark.parametrize("where", ["B", "M"])
+    def test_non_finite_skipped_block_raises_as_eigh_does(self, monkeypatch, where):
+        # block 1's waves have |k| = 3 and 4, far from the window: it is skipped
+        parts = (np.arange(2), np.arange(2, 4))
+        bounds = (1.0, 1.0, np.array([1.0, 5.0, 3.0, 4.0]), np.array([0, 0, 1, 1]))
+
+        def pencil(nan):
+            B = gk.BlockMatrix(parts, (np.diag([1.0, 5.0]), np.diag([nan, 4.0])))
+            M = gk.BlockMatrix(parts, (np.eye(2), np.diag([nan / 3.0, 1.0])), bounds)
+            return B, M
+
+        calls = lapack_calls(monkeypatch)
+        assert gk.solve_pencil(*pencil(3.0), (0.8, 1.2)).blocks == (len(calls), 2) == (1, 2)
+        B, M = pencil(np.nan)
+        B, M = (B, pencil(3.0)[1]) if where == "B" else (pencil(3.0)[0], M)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gk.solve_pencil(B, M, (0.8, 1.2))
+
+    def test_a_perturb_run_solves_42_of_its_375_pencil_blocks(self, tmp_path, monkeypatch):
+        from eulerlab import runner
+
+        calls = lapack_calls(monkeypatch)
+        rec = runner.run(runner.load_config({"kind": "perturb", "params": {"K": 3}}),
+                         out_dir=str(tmp_path / "run"))
+        assert rec.ok
+        # 6 of the 183 blocks at eps = 0 and 3 of 16 at each of the 12 other members
+        assert [name for name, _ in calls] == ["dsygvx"] * 42
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["pencil_blocks"] == {"solved": 42, "total": 375}
+
+
 def assert_selects_as_dense(A, M, window):
     """gk._block_eigh selects, block by block, the eigenvalues in
     (lo - 2e-8, hi + 2e-8] that a full dense solve of each block finds
@@ -843,7 +926,7 @@ def assert_selects_as_dense(A, M, window):
     lo, hi = window[0] - 2e-8, window[1] + 2e-8
     blocks = zip(A.blocks, itertools.repeat(None) if M is None else M.blocks)
     ref = [w[(w > lo) & (w <= hi)] for w in (sla.eigvalsh(Ab, Mb) for Ab, Mb in blocks)]
-    vals, keep, vectors = gk._block_eigh(A, M, window)
+    vals, keep, vectors, _ = gk._block_eigh(A, M, window)
     assert len(vals) == sum(map(len, ref))
     assert np.max(np.abs(vals - np.concatenate(ref + [np.empty(0)])), initial=0.0) <= 1e-13
     assert vectors.shape == (A.shape[0], len(keep))
@@ -956,7 +1039,7 @@ class TestQuadraturePlan:
         def solve_pencil(B, M, window):
             cl = solve(B, M, window)
             if current[-1] in (0.01, -0.04):
-                cl = gk.EigenCluster(cl.center, cl.radius, cl.eigenvalues[1:], cl.vectors[:, 1:])
+                cl = replace(cl, eigenvalues=cl.eigenvalues[1:], vectors=cl.vectors[:, 1:])
             return cl
 
         monkeypatch.setattr(gk, "assemble_mass", assemble_mass)
@@ -1056,6 +1139,46 @@ class TestSubGridTransforms:
                          out_dir=str(tmp_path / "run"))
         assert rec.ok
         assert shapes and all(sorted(s) == [1, 19, 19] for s in shapes), set(shapes)
+
+
+def complex_gather_blocks(basis, weights, parts):
+    """The blocks on `parts` as one complex product per block gives them:
+    Re(u_i u_j F(k_i + k_j) + u_i conj(u_j) F(k_i - k_j)) / 2, u = 1 for
+    cos and -i for sin, then symmetrized."""
+    F = gk._weight_dfts(weights, basis.nodes).ravel()
+    S, size = basis.n_scalar, basis.nodes ** 3
+    plus, minus = basis.gather_indices
+    u = np.ones(S, dtype=complex)
+    u[2::2] = -1j
+    blocks = []
+    for idx in parts:
+        slot, j = np.divmod(idx, S)
+        pair, wave, uj = gk._PAIR_OF[slot[:, None], slot] * size, (j + 1) // 2, u[j]
+        block = 0.5 * (np.outer(uj, uj) * F[pair + plus[wave[:, None], wave]]
+                       + np.outer(uj, uj.conj()) * F[pair + minus[wave[:, None], wave]]).real
+        blocks.append(0.5 * (block + block.T))
+    return blocks
+
+
+class TestRealGather:
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("beta_kind", ["standard", "abc"])
+    def test_one_real_gather_is_bitwise_the_complex_products(self, family, model, monkeypatch,
+                                                             K, beta_kind):
+        # u = 1 or -i makes every entry +-Re or +-Im of a DFT value, so the
+        # real gather with its signs rounds as the complex products do
+        fam = family if beta_kind == "standard" else abc_family(model)
+        seen, quadrature = [], gk._block_quadrature
+        monkeypatch.setattr(gk, "_block_quadrature", lambda basis, weights: seen.append(
+            (basis, weights, quadrature(basis, weights))) or seen[-1][2])
+        basis = gk.FormBasis(K)
+        for eps in (0.0, 0.05, -0.1):
+            gk.assemble_mass(fam.member(eps), basis)
+        gk.mass_derivative(fam.base, fam.variation, basis)
+        assert len(seen) == 4
+        for basis, weights, M in seen:
+            ref = complex_gather_blocks(basis, weights, M.parts)
+            assert [b.tobytes() for b in M.blocks] == [b.tobytes() for b in ref]
 
 
 @pytest.fixture(scope="module")
