@@ -280,7 +280,7 @@ def check_compression_machinery(fam):
 
     # first-order certificate of the Galerkin family; it does not depend on
     # the orthonormal frame chosen inside the cluster
-    basis = gk.FormBasis(SWEEP_K)
+    basis = gk.form_basis(SWEEP_K)
     A0, DA = gk.pencil_operator_derivative(fam, basis)
     M0 = gk.assemble_mass(fam.base, basis)
     sqrtM = gk.BlockMatrix(M0.parts, tuple(gk.matrix_sqrt(block) for block in M0.blocks))

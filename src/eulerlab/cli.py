@@ -10,7 +10,6 @@ Exit codes: 0 all assertions pass, 1 compute or assertion failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -39,20 +38,8 @@ def main(argv=None) -> int:
     from . import runner
 
     if args.command == "run":
-        # load_config reads the file itself: a parsed JSON string would pass
-        # for a path, and it names any document that is not an object
-        source = args.config
-        if args.seed is not None:
-            try:
-                with open(args.config) as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"config error: cannot read config: {exc}", file=sys.stderr)
-                return 2
-            if isinstance(doc, dict):
-                source = dict(doc, seed=args.seed)
         try:
-            cfg = runner.load_config(source)
+            cfg = runner.load_config(args.config, seed=args.seed)
         except ConfigInvalid as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -487,11 +487,14 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
     chunk spans half the steps that the rate of crossings so far expects
     before the last crossing but one, between _SECTION_TAIL and
     _SECTION_CHUNK steps, so the run ends a few steps past its Nth crossing.
+    The level and x0 are first reduced mod 2 pi by the exact fmod, the
+    identity below 2 pi: far off the torus, level + 2 pi m and the step
+    control's scale tol (1 + |y|) keep no digits.
     Raises StepBudgetExceeded before stepping when `check_step_budget` does.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    axis, level = int(plane[0]), float(plane[1])
+    axis, level = int(plane[0]), math.fmod(float(plane[1]), TWO_PI)
     direction = int(np.sign(direction))
     if direction == 0:
         raise ValueError("direction must be +1 or -1")
@@ -520,7 +523,7 @@ def poincare(v: SpectralVectorField, plane, direction, x0, N: int,
         size += 1
         return size == chunk and scan()
 
-    _dop853(rhs, np.asarray(x0, dtype=float)[None], tol, max_time, on_step=on_step,
+    _dop853(rhs, np.fmod(np.asarray(x0, dtype=float), TWO_PI)[None], tol, max_time, on_step=on_step,
             phases=phases)
     scan()
     times, points, residuals = (np.concatenate(parts)[:N] for parts in zip(*found))

@@ -8,9 +8,10 @@ zero outside diagonal blocks, and none is ever dense.  The partition is
 found before assembly, from the support of the six weight DFTs and B's
 cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and eps !=
 0; 183 of at most 6 at eps = 0), and kept on the basis with its gather
-indices as a quadrature plan, which a metric of the same partition reuses:
-a K = 3 sweep finds five partitions, two of them distinct, and builds two
-sets of gather indices, not one of each per member.  M, dM and B are
+indices as a quadrature plan, looked up by support; supports of one
+partition share a plan.  `form_basis(K)` is one basis per K per process,
+so a K = 3 sweep builds five partitions and two sets of gather indices
+once, and every later sweep none.  M, dM and B are
 gathered onto it, and the pencil, A = M^{-1/2} B M^{-1/2}, A(0) with its
 exact derivative (on the joint parts of M and dM), A's cluster and the
 contour projector keep it.  One windowed LAPACK call per block (?sygvx,
@@ -73,7 +74,9 @@ class FormBasis:
     scalar 0 is the constant, scalars 2r + 1 and 2r + 2 are the cos and sin
     of half_lattice[r].  Elements are L2-orthogonal under the flat metric
     with squared norms (2*pi)^3 for constants and (2*pi)^3 / 2 otherwise.
-    MemoryBudgetExceeded when its gather indices would pass MAX_GATHER_BYTES.
+    `plans` maps each weight-DFT support met, packed, to its quadrature plan
+    (`_block_quadrature`).  MemoryBudgetExceeded when its gather indices
+    would pass MAX_GATHER_BYTES.  `form_basis(K)` is the one per process.
     """
 
     def __init__(self, K: int):
@@ -95,7 +98,7 @@ class FormBasis:
         # 2K + d + 1 of each weight degree d it meets (the base metric's 2, dM's 6
         # and the family members' hint 12), so M, dM and M0 share its gather indices
         self.nodes = 2 * K + 13
-        self.quadrature_plan = None  # of the last weight support met, see _block_quadrature
+        self.plans = {}
 
     @functools.cached_property
     def gather_indices(self):
@@ -156,6 +159,12 @@ class FormBasis:
         K = np.concatenate([np.zeros((1, 3), dtype=np.int64), self.half_lattice])
         keep = np.any(C != 0, axis=1)
         return SpectralVectorField.from_half(K[keep], C[keep], truncation_radius=self.K)
+
+
+@functools.cache
+def form_basis(K: int) -> FormBasis:
+    """The basis of truncation K for this process, with its plans: the basis is fixed."""
+    return FormBasis(K)
 
 
 def _take(x, idx, axis):
@@ -281,12 +290,11 @@ def _links(basis: FormBasis, support):
 
 @dataclass(frozen=True)
 class _QuadraturePlan:
-    """What `_block_quadrature` derives from a support of the weight DFTs: the
-    partition, each entry's two terms (int32 indices into the real view of the
+    """What `_block_quadrature` derives from a partition of the basis: the
+    parts, each entry's two terms (int32 indices into the real view of the
     DFTs, int8 signs), each block's offset, the (start, stop, size) of each run
     of blocks of one size, and each element's |k| and block."""
 
-    support: np.ndarray
     parts: tuple
     gathers: tuple
     offsets: np.ndarray
@@ -294,7 +302,7 @@ class _QuadraturePlan:
     waves: tuple
 
 
-def _quadrature_plan(basis: FormBasis, support, parts) -> _QuadraturePlan:
+def _quadrature_plan(basis: FormBasis, parts) -> _QuadraturePlan:
     plus, minus = basis.gather_indices
     slot, j = np.divmod(np.arange(basis.dimension), basis.n_scalar)
     state, wave = 2 * slot + ((j > 0) & (j % 2 == 0)), (j + 1) // 2  # slot and whether a sine
@@ -318,7 +326,7 @@ def _quadrature_plan(basis: FormBasis, support, parts) -> _QuadraturePlan:
             gathers[1, at] = 2 * minus[w[..., None], w[:, None]].ravel() + term[pairs]
             signs[:, at] = np.take(sign, pairs, axis=1)
     norms = np.linalg.norm(np.concatenate([np.zeros((1, 3)), basis.half_lattice]), axis=1)[wave]
-    return _QuadraturePlan(support, tuple(parts), (*gathers, *signs), offsets, tuple(runs),
+    return _QuadraturePlan(tuple(parts), (*gathers, *signs), offsets, tuple(runs),
                            (norms, _positions(parts)[0]))
 
 
@@ -332,8 +340,9 @@ def _weight_dfts(weights, n):
     return F.reshape(len(_SLOT_PAIRS), -1)
 
 
-def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
-    """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the basis grid.
+def _block_quadrature(basis: FormBasis, weights: np.ndarray):
+    """Symmetric matrix of integrals W_ab(x) e_i(x) e_j(x) over the basis grid,
+    and the plan it was gathered by.
 
     `weights` is a symmetric 3x3 weight W per point of `uniform_grid`,
     quadrature weight included, given on a sub-grid (`contact._on_grid`)
@@ -352,25 +361,19 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
     inside them are gathered.
 
     The partition and the gathers depend on the weights only through that
-    support.  The basis keeps the plan of the last support it met
-    (`_QuadraturePlan`).  A matrix whose support equals it only gathers:
-    solved in order of |eps|, the members of a metric family meet a new
-    support only at a few |eps| (four in the 13 members of a K = 3
-    sweep, dM a fifth).  Another support gets its partition, and new
-    gathers only when that differs from the plan's: the members after
-    eps = 0 and dM share one.
+    support, so the basis keeps a plan (`_QuadraturePlan`) per support it
+    has met, and a new support of a known partition shares that plan.
     """
     F = _weight_dfts(weights, basis.nodes)
     magnitude = np.abs(F)
     support = magnitude > 1e-12 * np.max(magnitude)
-    plan = basis.quadrature_plan
-    if plan is None or not np.array_equal(plan.support, support):
+    key = np.packbits(support).tobytes()
+    plan = basis.plans.get(key)
+    if plan is None:
         parts = _partition(basis.dimension, *_links(basis, support))
-        if plan is None or len(parts) != len(plan.parts) or not all(
-                map(np.array_equal, parts, plan.parts)):
-            plan = basis.quadrature_plan = None  # the old gathers go before the new are made
-            plan = _quadrature_plan(basis, support, parts)
-        plan = basis.quadrature_plan = replace(plan, support=support)
+        known = (p for p in basis.plans.values()
+                 if len(p.parts) == len(parts) and all(map(np.array_equal, parts, p.parts)))
+        plan = basis.plans[key] = next(known, None) or _quadrature_plan(basis, parts)
 
     G, (plus, minus, plus_sign, minus_sign) = F.view(float).ravel(), plan.gathers
     flat = 0.5 * (G[plus] * plus_sign + G[minus] * minus_sign)
@@ -378,7 +381,7 @@ def _block_quadrature(basis: FormBasis, weights: np.ndarray) -> BlockMatrix:
         half = flat[start:stop].reshape(-1, m, m)
         flat[start:stop] = (0.5 * (half + half.transpose(0, 2, 1))).ravel()
     return BlockMatrix(plan.parts, tuple(flat[o:o + len(idx) ** 2].reshape(len(idx), -1)
-                                         for idx, o in zip(plan.parts, plan.offsets)))
+                                         for idx, o in zip(plan.parts, plan.offsets))), plan
 
 
 def _volume_weights(det, nodes):
@@ -402,9 +405,10 @@ def assemble_mass(metric: MetricField, basis: FormBasis) -> BlockMatrix:
     """
     Ginv, det = positive_inverse(metric.grid_matrix(basis.nodes), "the quadrature grid")
     W = Ginv * _volume_weights(det, basis.nodes)[..., None, None]
-    M, rows, q = _block_quadrature(basis, W), np.sum(np.abs(W), -1), (TWO_PI / basis.nodes) ** 3
+    (M, plan), rows = _block_quadrature(basis, W), np.sum(np.abs(W), -1)
+    q = (TWO_PI / basis.nodes) ** 3
     c1, c2 = np.min(2 * np.diagonal(W, axis1=-2, axis2=-1) - rows) / q, np.max(rows) / q
-    return replace(M, flat_bounds=(c1 * (1 - 1e-9), c2 * (1 + 1e-9), *basis.quadrature_plan.waves))
+    return replace(M, flat_bounds=(c1 * (1 - 1e-9), c2 * (1 + 1e-9), *plan.waves))
 
 
 def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -> BlockMatrix:
@@ -418,7 +422,7 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -
     HS = Ginv @ H @ Ginv
     tr = np.einsum("...ij,...ij->...", Ginv, H)
     core = -HS + 0.5 * tr[..., None, None] * Ginv
-    return _block_quadrature(basis, core * _volume_weights(det, basis.nodes)[..., None, None])
+    return _block_quadrature(basis, core * _volume_weights(det, basis.nodes)[..., None, None])[0]
 
 
 @dataclass(frozen=True)
@@ -571,7 +575,7 @@ def track_splitting(family: MetricFamily, epsilons, window, K: int) -> Splitting
     """
     from .contact import variation_pairing
 
-    basis = FormBasis(K)
+    basis = form_basis(K)
     lam0 = family.contact.lambda0
     vectors = [basis.form_to_vector(f) for f in (family.contact.alpha, family.beta)]
 
@@ -579,11 +583,9 @@ def track_splitting(family: MetricFamily, epsilons, window, K: int) -> Splitting
     solve_at = sorted(set(eps_list) | {s * e for e in SPLIT_FD_LEVELS for s in (1.0, -1.0)})
 
     # per epsilon: the cluster, the eigenvalues matched to alpha and beta, and
-    # the relative residual of alpha; only the base mass outlives its solve.
-    # in order of |eps|, so that a member meets the support of the one
-    # before it and gathers by its quadrature plan (`_block_quadrature`)
+    # the relative residual of alpha; only the base mass outlives its solve
     clusters, matched, alpha_residuals = {}, {}, {}
-    for eps in sorted(solve_at, key=abs):
+    for eps in solve_at:
         M = assemble_mass(family.member(eps), basis)
         B = assemble_exterior(basis, M.parts)
         clusters[eps] = solve_pencil(B, M, window)

@@ -178,8 +178,9 @@ def _reject_non_finite(name):
     raise ConfigInvalid(f"config holds the non-finite number {name}")
 
 
-def load_config(source) -> ExperimentConfig:
+def load_config(source, seed=None) -> ExperimentConfig:
     """Validate a config dict or JSON file path; raises ConfigInvalid.
+    A `seed` replaces the document's seed before validation.
 
     Infinity and NaN, which Python's json accepts, are rejected."""
     if isinstance(source, (str, os.PathLike)):
@@ -190,6 +191,8 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigInvalid(f"cannot read config: {exc}") from exc
     else:
         doc = json.loads(json.dumps(source), parse_constant=_reject_non_finite)
+    if seed is not None and isinstance(doc, dict):
+        doc = dict(doc, seed=seed)
     _check("config", doc)
     kind = doc["kind"]
     _check(kind, doc["params"])
@@ -418,7 +421,7 @@ def _run_pi_map(cfg):
     p = cfg.params
     if p["mode"] == "galerkin":
         fam = ct.standard_family()
-        basis = gk.FormBasis(p["K"])
+        basis = gk.form_basis(p["K"])
         Aq = gk.pencil_operator_family(fam, basis)(p["q"])
         A0, dA = gk.pencil_operator_derivative(fam, basis)
         lo, hi = p["window"]

@@ -11,7 +11,8 @@ import pytest  # noqa: E402
 
 @pytest.fixture
 def gather_builds(monkeypatch):
-    """The K of each basis whose gather indices are built from now on."""
+    """The K of each basis whose gather indices are built from now on, on
+    cold per-process bases: `form_basis` forgets its bases before and after."""
     from eulerlab import galerkin as gk  # loads scipy: only in the tests that count
 
     builds = []
@@ -19,4 +20,6 @@ def gather_builds(monkeypatch):
     counted = functools.cached_property(lambda basis: builds.append(basis.K) or build(basis))
     counted.__set_name__(gk.FormBasis, "gather_indices")
     monkeypatch.setattr(gk.FormBasis, "gather_indices", counted)
-    return builds
+    gk.form_basis.cache_clear()
+    yield builds
+    gk.form_basis.cache_clear()

@@ -136,6 +136,10 @@ def test_criterion_6_builds_the_family_pencil_once(monkeypatch, gather_builds):
     # all on the one grid of the sweep's basis
     assert calls == {"assemble_mass": 13, "solve_pencil": 13, "mass_derivative": 1}
     assert gather_builds == [2]
+    # a second sweep in the process builds nothing new on the basis
+    again = gk.track_splitting(fam, acceptance.SWEEP_EPSILONS, (0.8, 1.2), 2)
+    assert np.array_equal(again.curves, curves.curves)
+    assert gather_builds == [2]
     calls.clear()
     _, records = acceptance.check_variation_identities(fam, curves)
     assert all(r["passed"] for r in records)

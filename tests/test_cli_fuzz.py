@@ -112,6 +112,9 @@ def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
     @example({"kind": "spectrum", "params": {"n": 3}}, 5)
     @example({"kind": "abc", "params": {"A": 1e300, "B": 0.5, "C": 0.1, "grid": 8}}, None)
     @example({"kind": "pi-map", "params": {"q": 1e300}}, None)
+    @example({"kind": "pi-map", "params": {"mode": "galerkin", "window": [-1e308, 1e308]}}, None)
+    @example({"kind": "pi-map", "params": {"mode": "galerkin", "window": [-1.7e308, -1e308]}},
+             None)
     @example({"kind": "perturb", "params": {"K": 1, "epsilons": [-0.1, -0.05]}}, None)
     @example({"kind": "poincare", "params": {"A": 1e200, "B": 0.5, "C": 0.1, "x0": [0.1, 0.2, 0.3],
                                              "count": 1, "max_time": 1e-300}}, None)
@@ -143,6 +146,44 @@ def test_schema_valid_configs_exit_cleanly(tmp_path_factory, capsys):
 
     run()
     assert time.perf_counter() - start < 30.0
+
+
+def _cli_run(tmp_path, doc, capfd):
+    """Exit code, stdout (LAPACK's prints included), stderr and warnings of one run."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    return (code, *capfd.readouterr(), [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("kind", ["perturb", "pi-map"])
+@pytest.mark.parametrize("window", [[-1e308, 1e308], [-1.7e308, -1e308]])
+def test_windows_past_the_bound_exit_two_with_one_line(tmp_path, capfd, kind, window):
+    # hi - lo overflowed to an infinite contour radius, and lo + hi made
+    # LAPACK print its illegal-value line before the run's error
+    code, out, err, caught = _cli_run(tmp_path, {"kind": kind, "params": {"window": window}},
+                                      capfd)
+    assert (code, out, caught) == (2, "", [])
+    assert len(err.strip().splitlines()) == 1 and "imum of " in err and "1e+150" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["perturb", "pi-map"])
+@pytest.mark.parametrize("window", [[-1e150, 1e150], [-1e150, -1e149]])
+def test_windows_at_the_bound_run_without_warning(tmp_path, capfd, kind, window):
+    code, out, err, caught = _cli_run(
+        tmp_path, {"kind": kind, "params": {"K": 1, "window": window}}, capfd)
+    assert caught == [] and "On entry" not in out
+    if kind == "perturb" and window[1] < 1.0:
+        assert code == 2 and "must contain the model eigenvalue" in err
+    else:
+        assert code in (0, 1) and "Traceback" not in err
+        assert code == 0 or len(err.strip().splitlines()) == 1
+    if kind == "pi-map" and window[1] > 0.0:
+        assert code == 0  # every eigenvalue of A(0) inside: the whole operator is the cluster
 
 
 # one config of every kind whose number-typed values are all floats, so that

@@ -2,7 +2,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -981,55 +981,104 @@ class TestWindowSelection:
             gk.matrix_cluster(B, 1.0, 0.2)
 
 
-def sweep_order():
-    """The epsilons in track_splitting's order, that of |eps|."""
-    return sorted(sweep_epsilons(), key=abs)
-
-
 def same_blocks(a, b):
     return (len(a.parts) == len(b.parts)
             and all(np.array_equal(p, q) for p, q in zip(a.parts, b.parts))
             and all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks, b.blocks)))
 
 
+def plan_builds(monkeypatch):
+    """Counter of the `_links`, `_partition` and `_quadrature_plan` calls from now on."""
+    calls = {"_links": 0, "_partition": 0, "_quadrature_plan": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(gk, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(gk, name, counted)
+    return calls
+
+
+def curves_bytes(curves):
+    """Every field of a SplittingCurves, as bytes."""
+    return [np.asarray(getattr(curves, f.name)).tobytes() for f in fields(curves)]
+
+
 class TestQuadraturePlan:
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_blocks_of_a_reused_plan_are_bitwise_a_fresh_build(self, family, K):
         basis = gk.FormBasis(K)
-        plans = []
-        for eps in sweep_order():
+        parts = {}
+        # from the largest eps down: a plan is looked up by support, in any order
+        for eps in sweep_epsilons()[::-1]:
             M = gk.assemble_mass(family.member(eps), basis)
             assert same_blocks(M, gk.assemble_mass(family.member(eps), gk.FormBasis(K)))
-            plans.append(basis.quadrature_plan)
+            parts[eps] = M.parts
+        plans = {id(plan.parts): plan for plan in basis.plans.values()}
+        assert {id(p) for p in parts.values()} <= plans.keys()  # M is on its plan's parts
         # eps = 0 has its own plan and every other member gathers by one
-        assert plans[0].gathers is not plans[1].gathers
-        assert all(plan.gathers is plans[1].gathers for plan in plans[1:])
+        others = [plans[id(p)].gathers for eps, p in parts.items() if eps != 0.0]
+        assert plans[id(parts[0.0])].gathers is not others[0]
+        assert all(gathers is others[0] for gathers in others)
+        assert len(plans) == 2
         for _ in range(2):  # dM has the members' partition and gathers by their plan
             dM = gk.mass_derivative(family.member(0.0), family.variation, basis)
             fresh = gk.mass_derivative(family.member(0.0), family.variation, gk.FormBasis(K))
             assert same_blocks(dM, fresh)
-            assert basis.quadrature_plan.gathers is plans[1].gathers
+            assert plans[id(dM.parts)].gathers is others[0]
 
-    def test_a_perturb_run_builds_five_partitions_and_two_plans(self, tmp_path, monkeypatch):
+    def test_a_perturb_run_builds_five_partitions_and_two_plans(
+            self, tmp_path, monkeypatch, gather_builds):
         from eulerlab import runner
 
-        linked, links = [], gk._links
-        monkeypatch.setattr(gk, "_links", lambda *a: linked.append(a) or links(*a))
-        built, partition = [], gk._partition
-        monkeypatch.setattr(gk, "_partition", lambda *a: built.append(a) or partition(*a))
-        gathered, plan = [], gk._quadrature_plan
-        monkeypatch.setattr(gk, "_quadrature_plan", lambda *a: gathered.append(a) or plan(*a))
-        rec = runner.run(runner.load_config({"kind": "perturb", "params": {"K": 3}}),
-                         out_dir=str(tmp_path / "run"))
-        assert rec.ok
-        # eps = 0, the first member at |eps| = 0.01, 0.02 and 0.04, dM: the
-        # others meet the support of the member before them
-        assert len(linked) == len(built) == 5
-        assert len(gathered) == 2  # the members after eps = 0 and dM share one partition
+        calls = plan_builds(monkeypatch)
+        config = runner.load_config({"kind": "perturb", "params": {"K": 3}})
+        assert runner.run(config, out_dir=str(tmp_path / "cold")).ok
+        # eps = 0, the members at |eps| = 0.01, 0.02 and 0.04 and beyond,
+        # and dM meet five supports; all but eps = 0 share one partition
+        assert calls == {"_links": 5, "_partition": 5, "_quadrature_plan": 2}
+        assert len(gk.form_basis(3).plans) == 5
+        calls.update(dict.fromkeys(calls, 0))
+        # a second run in the process meets only supports its basis knows
+        assert runner.run(config, out_dir=str(tmp_path / "warm")).ok
+        assert calls == {"_links": 0, "_partition": 0, "_quadrature_plan": 0}
+        assert gather_builds == [3]
+        for path in (tmp_path / "cold").iterdir():
+            if path.name != "run_record.json":  # it holds the wall time
+                assert path.read_bytes() == (tmp_path / "warm" / path.name).read_bytes()
+        records = [json.loads((tmp_path / run / "run_record.json").read_text())
+                   for run in ("cold", "warm")]
+        assert records[0]["files"] == records[1]["files"]
+
+    def test_form_basis_is_one_basis_per_K_and_keeps_no_refusal(self):
+        assert gk.form_basis(1) is gk.form_basis(1)
+        assert gk.form_basis(1) is not gk.form_basis(2)
+        assert gk.form_basis(2).K == 2
+        size = gk.form_basis.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(MemoryBudgetExceeded):
+                gk.form_basis(9)
+        assert gk.form_basis.cache_info().currsize == size
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_sweep_curves_do_not_depend_on_the_order_plans_were_made_in(
+            self, family, monkeypatch, K):
+        # the sweep on a cold basis, on one whose plans were made from the
+        # largest eps down, and on one that met the members in order of
+        # |eps|, the order the sweep once had to keep
+        runs, supports = [], []
+        for order in ((), sweep_epsilons()[::-1], sorted(sweep_epsilons(), key=abs)):
+            basis = gk.FormBasis(K)
+            for eps in order:
+                gk.assemble_mass(family.member(eps), basis)
+            monkeypatch.setattr(gk, "form_basis", lambda _, basis=basis: basis)
+            runs.append(curves_bytes(gk.track_splitting(family, EPSILONS, (0.8, 1.2), K)))
+            supports.append(list(basis.plans))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert sorted(supports[1]) == sorted(supports[2]) == sorted(supports[0])
 
     def test_cluster_leakage_names_the_first_epsilon_in_order(self, family, monkeypatch):
-        # the clusters at -0.04 and 0.01 lose an eigenvalue; the message names
-        # the smaller, though the sweep solves in order of |eps|
+        # the clusters at -0.04 and 0.01 lose an eigenvalue; the message names the smaller
         current, assemble, solve = [], gk.assemble_mass, gk.solve_pencil
 
         def assemble_mass(metric, basis):
@@ -1176,7 +1225,8 @@ class TestRealGather:
             gk.assemble_mass(fam.member(eps), basis)
         gk.mass_derivative(fam.base, fam.variation, basis)
         assert len(seen) == 4
-        for basis, weights, M in seen:
+        for basis, weights, (M, plan) in seen:
+            assert M.parts is plan.parts
             ref = complex_gather_blocks(basis, weights, M.parts)
             assert [b.tobytes() for b in M.blocks] == [b.tobytes() for b in ref]
 

@@ -935,6 +935,38 @@ def test_cli_rejects_config_documents_that_are_not_objects(tmp_path, capsys, tex
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["unreadable", "nan", "not-json"])
+def test_cli_config_read_errors_are_one_line_with_or_without_seed(tmp_path, capsys, case):
+    cfgfile = tmp_path / "c.json"
+    if case != "unreadable":
+        cfgfile.write_text({"nan": '{"kind": "spectrum", "params": {"n": NaN}}',
+                            "not-json": '{"kind": "spectrum",'}[case])
+    errors = []
+    for seed in ([], ["--seed", "3"]):
+        assert cli.main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                         *seed]) == 2
+        errors.append(capsys.readouterr().err.strip().splitlines())
+    assert errors[0] == errors[1] and len(errors[0]) == 1
+    assert errors[0][0].startswith({"unreadable": "config error: cannot read config: [Errno 2]",
+                                    "nan": "config error: config holds the non-finite number NaN",
+                                    "not-json": "config error: cannot read config: "}[case])
+    assert not (tmp_path / "o").exists()
+
+
+def test_load_config_seed_replaces_the_document_seed(tmp_path):
+    doc = {"kind": "spectrum", "seed": 4, "params": {"n": 3}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    for source in (doc, str(path)):
+        assert runner.load_config(source).seed == 4
+        cfg = runner.load_config(source, seed=9)
+        assert cfg.seed == 9 and json.loads(cfg.canonical)["seed"] == 9
+        assert cfg.canonical == runner.load_config(dict(doc, seed=9)).canonical
+        with pytest.raises(ConfigInvalid, match="less than the minimum of 0"):
+            runner.load_config(source, seed=-1)  # validated with the document
+    assert doc["seed"] == 4  # the caller's dict is left as it was
+
+
 def test_assertion_failure_gives_exit_one(tmp_path, monkeypatch):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({
@@ -1005,16 +1037,23 @@ def test_pi_map_galerkin_certificate_agrees_across_K(tmp_path):
 
 def test_pi_map_galerkin_run_assembles_the_mass_twice(tmp_path, monkeypatch, gather_builds):
     # A(0) and dA share the base assembly; the other one is A(q); all three
-    # matrices are on the grid of one basis
+    # matrices are on the grid of one basis, and dM gathers by A(q)'s plan
     from eulerlab import galerkin as gk
 
-    calls = []
-    real = gk.assemble_mass
+    calls, plans = [], []
+    real, plan = gk.assemble_mass, gk._quadrature_plan
     monkeypatch.setattr(gk, "assemble_mass", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(gk, "_quadrature_plan", lambda *args: plans.append(args) or plan(*args))
     config = {"kind": "pi-map", "params": {"mode": "galerkin", "K": 2}}
-    assert runner.run(runner.load_config(config), out_dir=str(tmp_path)).ok
+    assert runner.run(runner.load_config(config), out_dir=str(tmp_path / "cold")).ok
     assert len(calls) == 2
+    assert len(plans) == 2
     assert gather_builds == [2]
+    # a second run in the process builds no plan and writes the same files
+    assert runner.run(runner.load_config(config), out_dir=str(tmp_path / "warm")).ok
+    assert len(calls) == 4 and len(plans) == 2 and gather_builds == [2]
+    records = [json.load(open(tmp_path / run / "run_record.json")) for run in ("cold", "warm")]
+    assert records[0]["files"] == records[1]["files"]
 
 
 def test_perturb_report_gives_three_agreeing_routes(tmp_path):
