@@ -20,6 +20,10 @@ Four groups of rows, each written to its own JSON file.
   keep is warm (`standard_family` shares one model per process).  The
   sweep's basis is the warm per-process `form_basis(3)`, which after the
   warm-up call holds every plan the sweep meets;
+- `pencil_operator_derivative_K2`: A(0) and dA of the `pi-map` galerkin
+  K=2 run, on a family built just before the timed call, so the basis
+  keeps no base pencil for it (M0, dM, their joint partition and one
+  `eigh` per block, the work a process's first galerkin run pays);
 - `spectral_projector` with 64 nodes on the K=2 operator A_of(0) of the
   `pi-map` galerkin mode, and one K=3 operator A_of(0.1);
 - `metric_matrix_K3_grid`: `grid_matrix(19)` of the same warm family
@@ -28,7 +32,9 @@ Four groups of rows, each written to its own JSON file.
 - end to end, one `perturb` run at K=3 and one `pi-map` galerkin run at
   K=2, K=3 and K=4 through `runner.run`, `splitting_sweep_pass`: the four
   configs of one pass of perfbench's splitting-sweep workload
-  (`SPLITTING_SWEEP`; config seed 0, where perfbench draws seeds), and
+  (`SPLITTING_SWEEP`; config seed 0, where perfbench draws seeds), each
+  after the warm-up call, whose bases keep the standard model's base
+  pencils as for every later run of a process, and
   `verify_quick`: `eulerlab verify --level quick` through `cli.main` in a
   fresh interpreter that times itself from before the first eulerlab
   import;
@@ -240,6 +246,8 @@ def _galerkin_cases(scratch):
             fresh_family, lambda fam: gk.track_splitting(fam, epsilons, (0.8, 1.2), 3)),
         "family_compatibility_K3": _on_fresh(
             fresh_family, lambda fam: ct.family_compatibility(fam, epsilons)),
+        "pencil_operator_derivative_K2": _on_fresh(
+            fresh_family, lambda fam: gk.pencil_operator_derivative(fam, gk.form_basis(2))),
         "spectral_projector_K2": _wall(lambda: gk.spectral_projector(A0, 1.0, 0.2, 64)),
         "operator_family_K3": _wall(lambda: A_of3(0.1)),
         "metric_matrix_K3_grid": _wall(lambda: member.grid_matrix(basis3.nodes)),

@@ -11,7 +11,10 @@ cos/sin pairs (16 blocks of at most 96, 6.9% of D^2, at K = 3 and eps !=
 indices as a quadrature plan, looked up by support; supports of one
 partition share a plan.  `form_basis(K)` is one basis per K per process,
 so a K = 3 sweep builds five partitions and two sets of gather indices
-once, and every later sweep none.  M, dM and B are
+once, and every later sweep none.  It also keeps each metric family's
+base pencil (weakly keyed, read-only): M0, dM, and A(0) with dA, each
+built on first use, so a later sweep, `pi-map` galerkin run or criterion
+8 assembles only its eps != 0 members.  M, dM and B are
 gathered onto it, and the pencil, A = M^{-1/2} B M^{-1/2}, A(0) with its
 exact derivative (on the joint parts of M and dM), A's cluster and the
 contour projector keep it.  One windowed LAPACK call per block (?sygvx,
@@ -34,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,8 +79,10 @@ class FormBasis:
     of half_lattice[r].  Elements are L2-orthogonal under the flat metric
     with squared norms (2*pi)^3 for constants and (2*pi)^3 / 2 otherwise.
     `plans` maps each weight-DFT support met, packed, to its quadrature plan
-    (`_block_quadrature`).  MemoryBudgetExceeded when its gather indices
-    would pass MAX_GATHER_BYTES.  `form_basis(K)` is the one per process.
+    (`_block_quadrature`), and `pencils` each metric family met, weakly, to
+    its base pencil on this basis (`_kept`).  MemoryBudgetExceeded when its
+    gather indices would pass MAX_GATHER_BYTES.  `form_basis(K)` is the one
+    per process.
     """
 
     def __init__(self, K: int):
@@ -99,6 +105,7 @@ class FormBasis:
         # and the family members' hint 12), so M, dM and M0 share its gather indices
         self.nodes = 2 * K + 13
         self.plans = {}
+        self.pencils = weakref.WeakKeyDictionary()
 
     @functools.cached_property
     def gather_indices(self):
@@ -425,6 +432,30 @@ def mass_derivative(metric: MetricField, h: VariationTensor, basis: FormBasis) -
     return _block_quadrature(basis, core * _volume_weights(det, basis.nodes)[..., None, None])[0]
 
 
+def _kept(family: MetricFamily, basis: FormBasis, name, build):
+    """Entry `name` of the family's base pencil on the basis: `build()` on
+    first use, its blocks made read-only and kept for the family's lifetime
+    (a family and its basis fix it); a build that raises keeps nothing."""
+    if name not in basis.pencils.get(family, ()):
+        matrices = build()  # may keep other entries first
+        for matrix in matrices if isinstance(matrices, tuple) else (matrices,):
+            for block in matrix.blocks:
+                block.flags.writeable = False
+        basis.pencils.setdefault(family, {})[name] = matrices
+    return basis.pencils[family][name]
+
+
+def base_mass(family: MetricFamily, basis: FormBasis) -> BlockMatrix:
+    """M0 = M(g_0) of the family, assembled once per family and basis."""
+    return _kept(family, basis, "M0", lambda: assemble_mass(family.member(0.0), basis))
+
+
+def base_mass_derivative(family: MetricFamily, basis: FormBasis) -> BlockMatrix:
+    """dM at g_0 along the family's variation, built once per family and basis."""
+    return _kept(family, basis, "dM",
+                 lambda: mass_derivative(family.member(0.0), family.variation, basis))
+
+
 @dataclass(frozen=True)
 class EigenCluster:
     """Eigenpairs inside a window, vectors as columns: M-orthonormal for the
@@ -571,7 +602,8 @@ def track_splitting(family: MetricFamily, epsilons, window, K: int) -> Splitting
     U0.  Each form gets its central-difference slope and its pencil slope
     -lambda0 u' dM u / u' M0 u; DegenerateDirection if it is not in the
     base cluster or not an eigenvector of the pencil matrix, where its
-    slope is not defined.
+    slope is not defined.  M0 and dM are the family's kept ones
+    (`base_mass`, `base_mass_derivative`), so a later sweep builds neither.
     """
     from .contact import variation_pairing
 
@@ -583,18 +615,16 @@ def track_splitting(family: MetricFamily, epsilons, window, K: int) -> Splitting
     solve_at = sorted(set(eps_list) | {s * e for e in SPLIT_FD_LEVELS for s in (1.0, -1.0)})
 
     # per epsilon: the cluster, the eigenvalues matched to alpha and beta, and
-    # the relative residual of alpha; only the base mass outlives its solve
+    # the relative residual of alpha; only the kept base mass outlives its solve
     clusters, matched, alpha_residuals = {}, {}, {}
     for eps in solve_at:
-        M = assemble_mass(family.member(eps), basis)
+        M = base_mass(family, basis) if eps == 0.0 else assemble_mass(family.member(eps), basis)
         B = assemble_exterior(basis, M.parts)
         clusters[eps] = solve_pencil(B, M, window)
         m_forms = [M @ u for u in vectors]
         matched[eps] = np.array([_match_by_overlap(clusters[eps], m) for m in m_forms])
         r = B @ vectors[0] - lam0 * m_forms[0]
         alpha_residuals[eps] = float(np.linalg.norm(r) / np.linalg.norm(m_forms[0]))
-        if eps == 0.0:
-            M0 = M
     del M, B  # the last pencil goes before dM is built
     k = clusters[0.0].multiplicity
     for eps in solve_at:
@@ -609,10 +639,11 @@ def track_splitting(family: MetricFamily, epsilons, window, K: int) -> Splitting
     U0 = base.vectors
     Pi = variation_pairing([basis.vector_to_form(U0[:, i]) for i in range(k)],
                            family.variation, family.base, lam0)
-    dM = mass_derivative(family.member(0.0), family.variation, basis)
+    dM = base_mass_derivative(family, basis)
     pencil = -lam0 * (U0.T @ (dM @ U0))
 
     fd_forms = central_derivative(lambda e: matched[e], 0.0, SPLIT_FD_LEVELS[1])
+    M0 = base_mass(family, basis)
     routes = []
     for u, fd in zip(vectors, fd_forms):
         u = u / math.sqrt(float(u @ (M0 @ u)))
@@ -762,10 +793,14 @@ def pencil_operator_derivative(family: MetricFamily, basis: FormBasis):
     the Daleckii-Krein form V (L * V' dM V) V' with L_ij = -1 / (s_i s_j
     (s_i + s_j)) (N. J. Higham, Functions of Matrices, SIAM 2008, 3.2).
     Both are on the parts that join those of M0 and dM: dM couples blocks
-    of M0.  Returns (A0, dA).
+    of M0.  Returns (A0, dA), built once per family and basis, from the
+    kept M0 and dM.
     """
-    M0 = assemble_mass(family.member(0.0), basis)
-    dM = mass_derivative(family.member(0.0), family.variation, basis)
+    return _kept(family, basis, "A0, dA", lambda: _operator_derivative(
+        base_mass(family, basis), base_mass_derivative(family, basis), basis))
+
+
+def _operator_derivative(M0: BlockMatrix, dM: BlockMatrix, basis: FormBasis):
     chains = [idx for mass in (M0, dM) for idx in mass.parts]
     parts = _partition(basis.dimension, np.concatenate([idx[:-1] for idx in chains]),
                        np.concatenate([idx[1:] for idx in chains]))
@@ -818,6 +853,7 @@ class PiMapReport:
     sigma_match_defect: float
     identity_deviation: float
     projector_idempotency: float
+    projector_blocks: tuple  # (solved: with an eigenvalue inside, all); the others are zero
 
 
 def pi_map(Aq: BlockMatrix, cluster: EigenCluster, nodes: int = 64) -> PiMapReport:
@@ -854,6 +890,7 @@ def pi_map(Aq: BlockMatrix, cluster: EigenCluster, nodes: int = 64) -> PiMapRepo
         sigma_match_defect=sigma_defect,
         identity_deviation=splitting_certificate(pi),
         projector_idempotency=float(idempotency),
+        projector_blocks=(sum(bool(np.any(Pb)) for Pb in P.blocks), len(P.blocks)),
     )
 
 

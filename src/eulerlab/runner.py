@@ -234,6 +234,7 @@ BOUNDS = {
     "compatibility_defect": 1e-10, "det_relative_deviation": 1e-12,  # perturb, criterion 5
     "alpha_eigenvalue_deviation": 1e-9,  # perturb, criterion 7
     "projector_idempotency": 1e-10, "sigma_match_defect": 1e-9,  # pi-map, criterion 8
+    "certificate_positive": 1e-9,  # pi-map, criterion 8: a fraction of max|dA|
 }
 
 
@@ -250,6 +251,15 @@ def assert_true(name, flag, value=None):
 
 def assert_positive(name, value):
     return assert_true(name, value > 0.0, value)
+
+
+def assert_certificate(cert, dA):
+    """The record of a splitting certificate above BOUNDS' fraction of its
+    `scale` max|dA|: a cluster that dA does not split reads rounding noise of dA, not 0."""
+    scale = max(float(np.max(np.abs(b))) for b in dA.blocks)
+    threshold = BOUNDS["certificate_positive"] * scale
+    return {"name": "certificate_positive", "passed": bool(cert > threshold),
+            "value": float(cert), "threshold": threshold, "scale": scale}
 
 
 def _source_field(source):
@@ -449,8 +459,10 @@ def _run_pi_map(cfg):
     plots = {"pi.csv": ser.matrix_csv(rep.pi), "pi_prime.csv": ser.matrix_csv(pi_prime)}
     assertions = [assert_leq("projector_idempotency", rep.projector_idempotency),
                   assert_leq("sigma_match_defect", rep.sigma_match_defect)]
-    if p["mode"] == "galerkin":
-        assertions.append(assert_positive("certificate_positive", cert))
+    if p["mode"] == "galerkin":  # the zgtsv calls that ran: nodes // 2 + 1 per solved block
+        report["projector_blocks"] = dict(zip(("solved", "total"), rep.projector_blocks))
+        report["contour_solves"] = (p["contour_nodes"] // 2 + 1) * rep.projector_blocks[0]
+        assertions.append(assert_certificate(cert, dA))
     return report, plots, assertions
 
 

@@ -146,15 +146,29 @@ def test_criterion_6_builds_the_family_pencil_once(monkeypatch, gather_builds):
     assert calls == {}
 
 
-def test_criterion_8_assembles_the_base_mass_twice(monkeypatch, gather_builds):
-    # A(0) and dA share one assembly; the other maps the forms into the A frame;
-    # M0, dM and the base mass share the grid of one basis
+def test_criterion_8_assembles_the_base_mass_once(monkeypatch, gather_builds):
+    # A(0), dA and the map of the forms into the A frame share the kept M0;
+    # M0 and dM share the grid of one basis
     calls = _count_builds(monkeypatch)
     _, records = acceptance.check_compression_machinery(
         ct.standard_family())
     assert all(r["passed"] for r in records)
-    assert calls == {"assemble_mass": 2, "mass_derivative": 1}
+    assert calls == {"assemble_mass": 1, "mass_derivative": 1}
     assert gather_builds == [acceptance.SWEEP_K]
+
+
+def test_criterion_8_after_the_shared_sweep_builds_no_base_mass(monkeypatch, gather_builds):
+    # the shared K = 3 sweep keeps M0 and dM on the family's base pencil;
+    # criterion 8 reads them and writes a cold run's details
+    fam = ct.standard_family()
+    cold, _ = acceptance.check_compression_machinery(fam)
+    gk.form_basis.cache_clear()  # a cold basis: the sweep builds its pencil
+    gk.track_splitting(fam, acceptance.SWEEP_EPSILONS, (0.8, 1.2), acceptance.SWEEP_K)
+    calls = _count_builds(monkeypatch)
+    details, records = acceptance.check_compression_machinery(fam)
+    assert all(r["passed"] for r in records)
+    assert calls == {}
+    assert details == cold
 
 
 def test_criterion_7_splitting(quick_suite):
@@ -203,15 +217,15 @@ TINY_RUNS = {
     "poincare": {"A": 1.0, "B": 0.5, "C": 0.0, "x0": [0.2, 0.0, 1.3], "count": 2,
                  "max_time": 100.0},
     "perturb": {"K": 1, "epsilons": [-0.1, 0.1]},
-    "pi-map": {"mode": "synthetic", "dim": 8},
+    "pi-map": {"mode": "galerkin", "K": 1},  # synthetic mode applies no certificate floor
 }
 
 
 def test_runs_and_criteria_apply_one_table_of_shared_bounds(quick_suite, tmp_path, monkeypatch):
     def shared(records):
         for r in records:
-            if r["name"] in runner.BOUNDS:
-                assert r["threshold"] == runner.BOUNDS[r["name"]], r
+            if r["name"] in runner.BOUNDS:  # a relative bound records its scale
+                assert r["threshold"] == runner.BOUNDS[r["name"]] * r.get("scale", 1.0), r
         return {r["name"] for r in records} & set(runner.BOUNDS)
 
     configs = {kind: runner.load_config({"kind": kind, "params": params})
@@ -234,3 +248,9 @@ def test_runs_and_criteria_apply_one_table_of_shared_bounds(quick_suite, tmp_pat
     assert [a["name"] for a in record.assertions if not a["passed"]] == ["curl_residual"]
     _, records = acceptance.check_curl_eigenfamily()
     assert [r["name"] for r in records if not r["passed"]] == ["curl_residual"]
+    # and the certificate floor, a fraction of max|dA|, in a run and in criterion 8
+    monkeypatch.setitem(runner.BOUNDS, "certificate_positive", 1e9)
+    record = runner.run(configs["pi-map"], out_dir=str(tmp_path / "pi-map"))
+    assert [a["name"] for a in record.assertions if not a["passed"]] == ["certificate_positive"]
+    _, records = acceptance.check_compression_machinery(ct.standard_family())
+    assert [r["name"] for r in records if not r["passed"]] == ["certificate_positive"]

@@ -1098,6 +1098,103 @@ class TestQuadraturePlan:
             gk.track_splitting(family, EPSILONS, (0.8, 1.2), 1)
 
 
+def same_matrix(a, b):
+    """Blocks, parts and flat bounds equal, the blocks and bounds by bytes."""
+    bounds = [tuple(np.asarray(x).tobytes() for x in m.flat_bounds or ()) for m in (a, b)]
+    return same_blocks(a, b) and bounds[0] == bounds[1]
+
+
+def fresh_family(model, beta):
+    contact, g = model
+    return ct.MetricFamily(g, contact, beta)
+
+
+class TestBasePencil:
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_kept_pencil_is_bitwise_a_fresh_build(self, family, K):
+        basis = gk.FormBasis(K)
+        A0, dA = gk.pencil_operator_derivative(family, basis)
+        M0, dM = gk.base_mass(family, basis), gk.base_mass_derivative(family, basis)
+        M0_fresh = gk.assemble_mass(family.member(0.0), gk.FormBasis(K))
+        dM_fresh = gk.mass_derivative(family.member(0.0), family.variation, gk.FormBasis(K))
+        assert same_matrix(M0, M0_fresh) and M0.flat_bounds is not None
+        assert same_matrix(M0, gk.assemble_mass(family.base, basis))  # criterion 8's M0
+        assert same_matrix(dM, dM_fresh)
+        fresh = gk._operator_derivative(M0_fresh, dM_fresh, gk.FormBasis(K))
+        assert same_matrix(A0, fresh[0]) and same_matrix(dA, fresh[1])
+        # a second call returns the kept matrices themselves
+        assert gk.pencil_operator_derivative(family, basis) == (A0, dA)
+        assert gk.pencil_operator_derivative(family, basis)[0] is A0
+        assert gk.base_mass(family, basis) is M0
+        assert gk.base_mass_derivative(family, basis) is dM
+
+    def test_kept_blocks_are_read_only(self, family):
+        basis = gk.FormBasis(1)
+        kept = [*gk.pencil_operator_derivative(family, basis), gk.base_mass(family, basis),
+                gk.base_mass_derivative(family, basis)]
+        for matrix in kept:
+            for block in matrix.blocks:
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0, 0] = 1.0
+
+    def test_a_fresh_basis_or_family_gets_its_own_pencil(self, model, beta):
+        import gc
+        import weakref
+
+        basis, fam = gk.FormBasis(1), fresh_family(model, beta)
+        A0, dA = gk.pencil_operator_derivative(fam, basis)
+        assert sorted(basis.pencils[fam]) == ["A0, dA", "M0", "dM"]  # all three kept
+        other_basis = gk.FormBasis(1)
+        assert gk.pencil_operator_derivative(fam, other_basis)[0] is not A0
+        other = fresh_family(model, beta)
+        A0_other, _ = gk.pencil_operator_derivative(other, basis)
+        assert A0_other is not A0 and same_matrix(A0_other, A0)
+        assert len(basis.pencils) == 2
+        # the basis keeps a family weakly: a dropped family takes its pencil with it
+        released = weakref.ref(other)
+        del other, A0_other
+        gc.collect()
+        assert released() is None
+        assert list(basis.pencils.keys()) == [fam]
+        assert gk.pencil_operator_derivative(fam, basis) == (A0, dA)
+
+    def test_a_failed_build_keeps_nothing(self, model, beta, monkeypatch):
+        basis, fam = gk.FormBasis(1), fresh_family(model, beta)
+
+        def refuse(*args):
+            raise NotPositiveDefinite("refused")
+
+        monkeypatch.setattr(gk, "mass_derivative", refuse)
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefinite, match="refused"):
+                gk.pencil_operator_derivative(fam, basis)
+        assert list(basis.pencils[fam]) == ["M0"]  # built before dM failed
+        monkeypatch.setattr(gk, "assemble_mass", refuse)
+        other = fresh_family(model, beta)
+        with pytest.raises(NotPositiveDefinite, match="refused"):
+            gk.base_mass(other, basis)
+        assert other not in basis.pencils
+        monkeypatch.undo()
+        A0, dA = gk.pencil_operator_derivative(fam, basis)
+        fresh = gk.pencil_operator_derivative(fam, gk.FormBasis(1))
+        assert same_matrix(A0, fresh[0]) and same_matrix(dA, fresh[1])
+
+    def test_a_second_sweep_reads_the_kept_M0_and_dM(self, family, monkeypatch):
+        basis = gk.FormBasis(2)
+        monkeypatch.setattr(gk, "form_basis", lambda _: basis)
+        cold = curves_bytes(gk.track_splitting(family, EPSILONS, (0.8, 1.2), 2))
+        calls = {"assemble_mass": 0, "mass_derivative": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(gk, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(gk, name, counted)
+        assert curves_bytes(gk.track_splitting(family, EPSILONS, (0.8, 1.2), 2)) == cold
+        # the 6 grid members and the 6 finite-difference members; M0 and dM are kept
+        assert calls == {"assemble_mass": 12, "mass_derivative": 0}
+
+
 def full_grid_dfts(weights, n):
     """The weight DFTs as the quadrature took them before the sub-grid
     transforms: the weights broadcast to n^3 points, each entry by a 3-D fftn."""

@@ -1035,25 +1035,98 @@ def test_pi_map_galerkin_certificate_agrees_across_K(tmp_path):
     assert max(certs) - min(certs) <= 1e-16
 
 
+def _count_calls(monkeypatch, module, names):
+    """Counter of the calls of module's functions `names` from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_pi_map_galerkin_run_assembles_the_mass_twice(tmp_path, monkeypatch, gather_builds):
     # A(0) and dA share the base assembly; the other one is A(q); all three
     # matrices are on the grid of one basis, and dM gathers by A(q)'s plan
     from eulerlab import galerkin as gk
 
-    calls, plans = [], []
-    real, plan = gk.assemble_mass, gk._quadrature_plan
-    monkeypatch.setattr(gk, "assemble_mass", lambda *args: calls.append(args) or real(*args))
-    monkeypatch.setattr(gk, "_quadrature_plan", lambda *args: plans.append(args) or plan(*args))
+    calls = _count_calls(monkeypatch, gk, ("assemble_mass", "mass_derivative", "_partition",
+                                           "_quadrature_plan"))
     config = {"kind": "pi-map", "params": {"mode": "galerkin", "K": 2}}
     assert runner.run(runner.load_config(config), out_dir=str(tmp_path / "cold")).ok
-    assert len(calls) == 2
-    assert len(plans) == 2
+    assert calls["assemble_mass"] == 2 and calls["mass_derivative"] == 1
+    assert calls["_quadrature_plan"] == 2
     assert gather_builds == [2]
-    # a second run in the process builds no plan and writes the same files
+    # a second run in the process assembles only A(q): A(0) and dA are kept
+    # with the base pencil; it builds no plan or partition and writes the same files
+    calls.update(dict.fromkeys(calls, 0))
     assert runner.run(runner.load_config(config), out_dir=str(tmp_path / "warm")).ok
-    assert len(calls) == 4 and len(plans) == 2 and gather_builds == [2]
+    assert calls == {"assemble_mass": 1, "mass_derivative": 0, "_partition": 0,
+                     "_quadrature_plan": 0}
+    assert gather_builds == [2]
+    for path in (tmp_path / "cold").iterdir():
+        if path.name != "run_record.json":  # it holds the wall time
+            assert path.read_bytes() == (tmp_path / "warm" / path.name).read_bytes()
     records = [json.load(open(tmp_path / run / "run_record.json")) for run in ("cold", "warm")]
     assert records[0]["files"] == records[1]["files"]
+
+
+def test_a_second_perturb_run_reads_the_kept_base_pencil(tmp_path, monkeypatch, gather_builds):
+    from eulerlab import galerkin as gk
+
+    config = runner.load_config({"kind": "perturb", "params": {"K": 3}})
+    assert runner.run(config, out_dir=str(tmp_path / "cold")).ok
+    calls = _count_calls(monkeypatch, gk, ("assemble_mass", "mass_derivative"))
+    assert runner.run(config, out_dir=str(tmp_path / "warm")).ok
+    # the 12 members at eps != 0; M0 and dM are the family's kept ones
+    assert calls == {"assemble_mass": 12, "mass_derivative": 0}
+    for path in (tmp_path / "cold").iterdir():
+        if path.name != "run_record.json":
+            assert path.read_bytes() == (tmp_path / "warm" / path.name).read_bytes()
+
+
+def test_pi_map_galerkin_report_counts_the_projector_blocks(tmp_path):
+    # the zgtsv calls that ran: nodes // 2 + 1 per block with an eigenvalue inside
+    for K, nodes in ((1, 64), (2, 31)):
+        config = {"kind": "pi-map", "params": {"mode": "galerkin", "K": K,
+                                               "contour_nodes": nodes}}
+        assert runner.run(runner.load_config(config), out_dir=str(tmp_path / str(K))).ok
+        report = json.load(open(tmp_path / str(K) / "report.json"))
+        solved = report["projector_blocks"]["solved"]
+        assert 1 <= solved <= report["projector_blocks"]["total"]
+        assert report["contour_solves"] == (nodes // 2 + 1) * solved
+    synthetic = {"kind": "pi-map", "params": {"mode": "synthetic", "dim": 8}}
+    assert runner.run(runner.load_config(synthetic), out_dir=str(tmp_path / "synthetic")).ok
+    report = json.load(open(tmp_path / "synthetic" / "report.json"))
+    assert "projector_blocks" not in report and "contour_solves" not in report
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_pi_map_certificate_of_the_kernel_cluster_fails_its_floor(tmp_path, K):
+    # the window (-0.1, 0.1) holds the kernel of closed forms, which dA does
+    # not split (B R U0 = 0): its certificate is rounding noise of dA, not 0
+    from eulerlab import contact as ct
+    from eulerlab import galerkin as gk
+
+    config = {"kind": "pi-map", "params": {"mode": "galerkin", "K": K, "window": [-0.1, 0.1]}}
+    cfgfile = tmp_path / "config.json"
+    cfgfile.write_text(json.dumps(config))
+    proc = _python("-m", "eulerlab.cli", "run", "--config", str(cfgfile),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    record = json.load(open(tmp_path / "out" / "run_record.json"))
+    (cert,) = [a for a in record["assertions"] if a["name"] == "certificate_positive"]
+    _, dA = gk.pencil_operator_derivative(ct.standard_family(), gk.form_basis(K))
+    scale = max(float(np.max(np.abs(b))) for b in dA.blocks)
+    assert cert["scale"] == scale and cert["threshold"] == runner.BOUNDS[cert["name"]] * scale
+    assert not cert["passed"] and 0.0 < cert["value"] < 1e-15
+    # the default window's cluster splits far above the floor
+    default = runner.run(runner.load_config({"kind": "pi-map", "params": {
+        "mode": "galerkin", "K": K}}), out_dir=str(tmp_path / "default"))
+    (cert,) = [a for a in default.assertions if a["name"] == "certificate_positive"]
+    assert cert["passed"] and cert["value"] > 1e6 * cert["threshold"]
 
 
 def test_perturb_report_gives_three_agreeing_routes(tmp_path):
